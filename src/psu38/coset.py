@@ -1,19 +1,26 @@
 """Construction of the bipartite coset graph on K1- and K2-cosets.
 
-A vertex is the coset K_side . g = {k g}; its canonical representative
-is the product with the least packed serialization, and its dense id is
-assigned in deterministic BFS order from the base edge (each layer's new
-vertices are sorted by canonical key before numbering).  Neighbors of
-K1.g are the cosets K2.t.g where t runs over a fixed transversal of
-K1 n K2 in K1, and dually; the group acts on the right, so the
-stabilizer of K_side.g is (K_side)^g, matching the conjugate stabilizer
-identities the downstream checks rely on.
+A vertex is the coset K_side . g = {k g}.  Neighbors of K1.g are the
+cosets K2.t.g where t runs over a fixed transversal of K1 n K2 in K1,
+and dually; the group acts on the right, so the stabilizer of K_side.g
+is (K_side)^g, matching the conjugate stabilizer identities the
+downstream checks rely on.  That stabilizer does not depend on which
+element g of the coset is kept, so a vertex's representative is simply
+the first probe that reached it.
 
-Identity of a probe t.g is decided by the two-level scheme: a cheap
-coset-invariant fingerprint (sorted conjugates of a fixed normal subgroup
-of K_side) prefilters candidates, and an exact membership test
-probe . rep^-1 in K_side settles each collision.  Full min-over-subgroup
-canonicalization runs once per discovered vertex, not per probe.
+A coset is keyed by its conjugate fingerprint Z^g, where Z is Z(K1)
+(order 3) on side 1 and Z(Qh2) (order 9) on side 2: Z is normal in
+K_side, so Z^g is the same for every g in the coset.  The fingerprint is
+packed into one uint64 per vertex, and probes are resolved by a binary
+search in the sorted keys of their side.  The key is exact, and this is
+checked whenever a graph is built or loaded: the keys of each side are
+pairwise distinct and n_side . |K_side| = |G| = 33,094,656, so they name
+each coset of G/K_side once (a key that merged two cosets would leave
+fewer vertices).
+
+The BFS runs one layer at a time from the base edge, with one batched
+product per layer and side; each layer's new vertices are numbered in
+key order, so ids are deterministic and the base vertices are 0 and n1.
 """
 
 from __future__ import annotations
@@ -22,19 +29,24 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import (FieldOps, SubgroupArrays, bpack, bunpack,
-                      conj_fingerprints, coset_canon_keys)
+from .fastops import (FieldOps, SubgroupArrays, bunpack, conj_fingerprints,
+                      coset_canon_keys)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import Element, PElement
 
 CACHE_MAGIC = b"PSU38GR\x00"
-CACHE_VERSION = 2
-VERTEX_CAP = 1_000_000
+CACHE_VERSION = 3
+# version, modulus, n1, n2, edge count; then the group hash, the payload
+# length and the payload's SHA-256
+CACHE_HEADER = struct.Struct("<IIQQQ32sQ32s")
+GROUP_ORDER = 6 * 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # |PSU_3(8):C_6|
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 class CacheMismatch(RuntimeError):
@@ -55,7 +67,8 @@ def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
 
 
 def coset_canon(ops: FieldOps, sub: SubgroupArrays, g: PElement) -> PElement:
-    """Canonical representative of the coset K.g (exact scan)."""
+    """Least representative of the coset K.g by an exact scan; a test
+    oracle for the fingerprint key."""
     pm, pt = bunpack(np.array([g.key], dtype=np.uint64))
     key = coset_canon_keys(ops, sub, pm, pt)[0]
     return PElement(Element.from_key(ops.field, int(key)))
@@ -67,17 +80,15 @@ class CosetGraph:
     ng: NamedGroups
     n1: int = 0
     n2: int = 0
-    reps: dict = dfield(default_factory=dict)      # side -> (n,) uint64 canonical keys
+    reps: dict = dfield(default_factory=dict)      # side -> (n,) uint64 projective rep keys
     edges: np.ndarray | None = None                # (E,2) uint32 per-side id pairs
     # runtime
     ops: FieldOps | None = None
-    subs: dict = dfield(default_factory=dict)      # side -> SubgroupArrays
     repmats: dict = dfield(default_factory=dict)
     reptw: dict = dfield(default_factory=dict)
-    irepmats: dict = dfield(default_factory=dict)
-    ireptw: dict = dfield(default_factory=dict)
-    fpdict: dict = dfield(default_factory=dict)    # side -> {fp bytes: [ids]}
     zsets: dict = dfield(default_factory=dict)     # side -> (zm, zt)
+    fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 fingerprint keys
+    korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
     _perm_cache: dict = dfield(default_factory=dict)
@@ -87,9 +98,6 @@ class CosetGraph:
     @property
     def nv(self) -> int:
         return self.n1 + self.n2
-
-    def gid(self, side: int, vid: int) -> int:
-        return vid if side == 1 else self.n1 + vid
 
     def side_of(self, g: int) -> int:
         return 1 if g < self.n1 else 2
@@ -133,7 +141,9 @@ class CosetGraph:
             pm, pt = self.ops.bsmul_right(
                 self.repmats[side][lids], self.reptw[side][lids], (xm[0], int(xt[0]))
             )
-            ids = self._resolve(side, pm, pt, must=True)
+            ids = self._resolve(side, self._keys(side, pm, pt))
+            if (ids < 0).any():
+                raise AssertionError("action image is not a known vertex")
             out[sel] = ids + (0 if side == 1 else self.n1)
         return out
 
@@ -185,73 +195,49 @@ class CosetGraph:
             raise AssertionError(f"orbit counts disagree: {o1} != {o2}")
         return o1
 
-    # -- resolution --------------------------------------------------------
+    # -- vertex keys -------------------------------------------------------
 
-    def _fp(self, side: int, pm, pt) -> np.ndarray:
-        zm, zt = self.zsets[side]
-        return conj_fingerprints(self.ops, pm, pt, zm, zt)
+    def _keys(self, side: int, pm, pt) -> np.ndarray:
+        """Fingerprint key of the coset K_side.g of each probe g."""
+        F = conj_fingerprints(self.ops, pm, pt, *self.zsets[side])
+        if side == 1:
+            # Z^g = {1, y, y^-1}: its least nonidentity key names y, hence Z^g
+            return F[:, 0]
+        h = np.zeros(len(F), dtype=np.uint64)
+        for col in F.T:
+            h = (h ^ col) * _MIX
+            h ^= h >> np.uint64(32)
+        return h
 
-    def _resolve(self, side: int, pm, pt, must: bool = False) -> np.ndarray:
-        """Vertex ids for a batch of probe elements on one side (-1 when
-        the coset is not a known vertex)."""
-        F = self._fp(side, pm, pt)
-        m = len(pm)
-        out = np.full(m, -1, dtype=np.int64)
-        fpd = self.fpdict[side]
-        cand_lists = [fpd.get(F[i].tobytes(), ()) for i in range(m)]
-        first = np.array([c[0] if c else -1 for c in cand_lists], dtype=np.int64)
-        sel = np.where(first >= 0)[0]
-        if len(sel):
-            cm = self.irepmats[side][first[sel]]
-            ct = self.ireptw[side][first[sel]]
-            tm, tt = self.ops.bsmul(pm[sel], pt[sel], cm, ct)
-            keys = self.ops.bpkeys(tm, tt)
-            okmask = self.subs[side].contains(keys)
-            out[sel[okmask]] = first[sel[okmask]]
-        # slow path: several candidates behind one fingerprint
-        for i in range(m):
-            if out[i] >= 0 or not cand_lists[i]:
-                continue
-            for cand in cand_lists[i][1:]:
-                tm, tt = self.ops.bsmul(
-                    pm[i:i + 1], pt[i:i + 1],
-                    self.irepmats[side][cand:cand + 1], self.ireptw[side][cand:cand + 1],
-                )
-                if self.subs[side].contains(self.ops.bpkeys(tm, tt))[0]:
-                    out[i] = cand
-                    break
-        if must and (out < 0).any():
-            raise AssertionError("action image is not a known vertex")
-        return out
+    def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
+        """Vertex id of each fingerprint key (-1 when the coset is not a
+        known vertex)."""
+        fk, order = self.fkeys[side], self.korder[side]
+        pos = np.minimum(np.searchsorted(fk, keys, sorter=order), len(fk) - 1)
+        ids = order[pos]
+        return np.where(fk[ids] == keys, ids, -1)
 
-    def _register(self, side: int, keys: np.ndarray) -> None:
-        """Append canonical vertex reps (already sorted) to the side tables."""
-        mats, tw = bunpack(keys)
-        im, it = self.ops.binv(mats, tw)
-        start = len(self.reps[side]) if side in self.reps else 0
-        if side in self.reps and len(self.reps[side]):
-            self.reps[side] = np.concatenate([self.reps[side], keys])
-            self.repmats[side] = np.concatenate([self.repmats[side], mats])
-            self.reptw[side] = np.concatenate([self.reptw[side], tw])
-            self.irepmats[side] = np.concatenate([self.irepmats[side], im])
-            self.ireptw[side] = np.concatenate([self.ireptw[side], it])
-        else:
-            self.reps[side] = keys
-            self.repmats[side] = mats
-            self.reptw[side] = tw
-            self.irepmats[side] = im
-            self.ireptw[side] = it
-        F = self._fp(side, mats, tw)
-        fpd = self.fpdict[side]
-        for i in range(len(keys)):
-            fpd.setdefault(F[i].tobytes(), []).append(start + i)
+    def _register(self, side: int, reps: np.ndarray, fkeys: np.ndarray) -> None:
+        """Append vertices, given their rep keys and fingerprint keys."""
+        mats, tw = bunpack(reps)
+        self.reps[side] = np.concatenate([self.reps[side], reps])
+        self.repmats[side] = np.concatenate([self.repmats[side], mats])
+        self.reptw[side] = np.concatenate([self.reptw[side], tw])
+        self.fkeys[side] = np.concatenate([self.fkeys[side], fkeys])
+        self.korder[side] = np.argsort(self.fkeys[side], kind="stable")
 
-    def _finish(self, edge_pairs) -> None:
-        e = np.array(sorted(set(edge_pairs)), dtype=np.uint32)
-        self.edges = e
-        self.n1 = len(self.reps[1])
-        self.n2 = len(self.reps[2])
-        self._build_csr()
+    def _check_keys(self) -> None:
+        """The proof that the fingerprint key is exact: on each side the
+        keys are pairwise distinct, so the vertices are distinct cosets,
+        and there are |G|/|K_side| of them, so they are all the cosets."""
+        for side, K in ((1, self.ng.K1), (2, self.ng.K2)):
+            fk = self.fkeys[side][self.korder[side]]
+            if (fk[1:] == fk[:-1]).any():
+                raise AssertionError(f"side {side}: duplicate vertex keys")
+            if len(fk) * len(K) != GROUP_ORDER:
+                raise AssertionError(
+                    f"side {side}: {len(fk)} vertices x |K{side}| = {len(K)} "
+                    f"is not |G| = {GROUP_ORDER}")
 
     def _build_csr(self) -> None:
         u = self.edges[:, 0].astype(np.int64)
@@ -266,13 +252,9 @@ class CosetGraph:
         self.indices = dst.astype(np.int32)
 
 
-def _arm(graph: CosetGraph, threads: int) -> None:
+def _arm(graph: CosetGraph) -> None:
     ng = graph.ng
     graph.ops = FieldOps(graph.field)
-    graph.subs = {
-        1: SubgroupArrays.from_group(graph.ops, ng.K1),
-        2: SubgroupArrays.from_group(graph.ops, ng.K2),
-    }
     # fingerprint sets: nonidentity elements of a normal subgroup of K_side
     z1 = ng.K1.center()
     if len(z1) < 3:
@@ -284,116 +266,69 @@ def _arm(graph: CosetGraph, threads: int) -> None:
     for side, z in ((1, z1), (2, z2)):
         keys = np.array([x.key for x in z.sorted_elems() if x != z.identity],
                         dtype=np.uint64)
-        zm, zt = bunpack(keys)
-        graph.zsets[side] = (zm, zt)
-    graph.fpdict = {1: {}, 2: {}}
-    graph._threads = threads
+        graph.zsets[side] = bunpack(keys)
+        graph.reps[side] = np.zeros(0, dtype=np.uint64)
+        graph.repmats[side] = np.zeros((0, 3, 3), dtype=np.uint8)
+        graph.reptw[side] = np.zeros(0, dtype=np.uint8)
+        graph.fkeys[side] = np.zeros(0, dtype=np.uint64)
+        graph.korder[side] = np.zeros(0, dtype=np.int64)
 
 
-def build_graph(ng: NamedGroups, threads: int = 1, progress=None) -> CosetGraph:
-    """BFS from the two trivial cosets; deterministic ids; asserts the
+def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
+    """BFS from the two trivial cosets, one layer at a time; deterministic
+    ids; checks that the fingerprint key is exact and asserts the
     base-edge stabilizer identities that pin the action convention."""
     if len(ng.K12) * 4 != len(ng.K1) or len(ng.K12) * 3 != len(ng.K2):
         raise AssertionError("K1 n K2 does not have the expected indices")
     graph = CosetGraph(ng.field, ng)
-    _arm(graph, threads)
+    _arm(graph)
     ops = graph.ops
+    trans = {}
+    for side, K in ((1, ng.K1), (2, ng.K2)):
+        keys = np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64)
+        trans[side] = bunpack(keys)
 
-    trans = {1: transversal(ng.K1, ng.K12), 2: transversal(ng.K2, ng.K12)}
-    tarr = {}
+    ident = np.array([PElement(Element.identity(ng.field)).key], dtype=np.uint64)
     for side in (1, 2):
-        keys = np.array([t.key for t in trans[side]], dtype=np.uint64)
-        tarr[side] = bunpack(keys)
+        graph._register(side, ident, graph._keys(side, *bunpack(ident)))
 
-    ident = PElement(Element.identity(ng.field))
-    for side in (1, 2):
-        sub = graph.subs[side]
-        pm, pt = bunpack(np.array([ident.key], dtype=np.uint64))
-        key = coset_canon_keys(ops, sub, pm, pt, threads=threads)
-        graph._register(side, key.astype(np.uint64))
-
-    edge_pairs = []
-    frontier = [(1, 0), (2, 0)]
-    total = 2
-    while frontier:
-        by_side_probes = {1: [], 2: []}   # target side -> (src_vid, row idx)
-        probe_arrays = {1: [], 2: []}
-        for side, vid in frontier:
-            tgt = 3 - side
-            gm = graph.repmats[side][vid:vid + 1]
-            gt = graph.reptw[side][vid:vid + 1]
-            tm, tt = tarr[side]
-            k = len(tm)
-            pm, pt = ops.bsmul(
-                tm, tt,
-                np.repeat(gm, k, axis=0), np.repeat(gt, k, axis=0),
-            )
-            probe_arrays[tgt].append((pm, pt))
-            by_side_probes[tgt].extend((vid, None) for _ in range(k))
-        newfrontier = []
+    edge_parts = []   # (E,2) arrays of (side-1 id, side-2 id)
+    frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
+    while len(frontier[1]) or len(frontier[2]):
+        new = {}
         for side in (1, 2):
-            if not probe_arrays[side]:
-                continue
-            pm = np.concatenate([a for a, _ in probe_arrays[side]])
-            pt = np.concatenate([b for _, b in probe_arrays[side]])
-            srcs = [s for s, _ in by_side_probes[side]]
-            ids = graph._resolve(side, pm, pt)
-            # unresolved probes are new vertices; dedupe within the layer
-            # by fingerprint plus exact membership
-            pend_reps: list[tuple] = []      # (mat, tw) raw probe
-            pend_srcs: list[list[int]] = []
-            pend_by_fp: dict = {}
-            F = graph._fp(side, pm, pt)
-            for i in range(len(pm)):
-                if ids[i] >= 0:
-                    edge_pairs.append(_edge(side, srcs[i], int(ids[i])))
-                    continue
-                fpb = F[i].tobytes()
-                hit = None
-                for j in pend_by_fp.get(fpb, ()):
-                    rm, rt = pend_reps[j]
-                    tm2, tt2 = ops.bsmul(pm[i:i + 1], pt[i:i + 1], *_inv1(ops, rm, rt))
-                    if graph.subs[side].contains(ops.bpkeys(tm2, tt2))[0]:
-                        hit = j
-                        break
-                if hit is None:
-                    pend_reps.append((pm[i:i + 1], pt[i:i + 1]))
-                    pend_srcs.append([srcs[i]])
-                    pend_by_fp.setdefault(fpb, []).append(len(pend_reps) - 1)
-                else:
-                    pend_srcs[hit].append(srcs[i])
-            if pend_reps:
-                rm = np.concatenate([a for a, _ in pend_reps])
-                rt = np.concatenate([b for _, b in pend_reps])
-                ck = coset_canon_keys(ops, graph.subs[side], rm, rt,
-                                      threads=getattr(graph, "_threads", 1))
-                order = np.argsort(ck, kind="stable")
-                base = len(graph.reps[side])
-                graph._register(side, ck[order])
-                total += len(order)
-                if total > VERTEX_CAP:
-                    raise AssertionError("vertex cap exceeded; convention bug")
-                for newpos, pos in enumerate(order):
-                    vid = base + newpos
-                    newfrontier.append((side, vid))
-                    for s in pend_srcs[int(pos)]:
-                        edge_pairs.append(_edge(side, s, vid))
-        frontier = newfrontier
+            tgt, src = 3 - side, frontier[side]
+            tm, tt = trans[side]
+            k = len(tm)
+            # probes t.g, frontier-major: row i*k + j is t_j . rep(src[i])
+            pm, pt = ops.bsmul(
+                np.tile(tm, (len(src), 1, 1)), np.tile(tt, len(src)),
+                np.repeat(graph.repmats[side][src], k, axis=0),
+                np.repeat(graph.reptw[side][src], k),
+            )
+            keys = graph._keys(tgt, pm, pt)
+            ids = graph._resolve(tgt, keys)
+            miss = np.flatnonzero(ids < 0)
+            fresh, first, inv = np.unique(keys[miss], return_index=True,
+                                          return_inverse=True)
+            base = len(graph.reps[tgt])
+            if (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) > GROUP_ORDER:
+                raise AssertionError("more cosets than |G| allows; convention bug")
+            ids[miss] = base + inv
+            graph._register(tgt, ops.bpkeys(pm[miss[first]], pt[miss[first]]), fresh)
+            new[tgt] = base + np.arange(len(fresh))
+            pair = (np.repeat(src, k), ids)
+            edge_parts.append(np.stack(pair if side == 1 else pair[::-1], axis=1))
+        frontier = new
         if progress:
             progress(len(graph.reps[1]), len(graph.reps[2]))
 
-    graph._finish(edge_pairs)
+    graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
+    graph._check_keys()
+    graph.edges = np.unique(np.concatenate(edge_parts), axis=0).astype(np.uint32)
+    graph._build_csr()
     _assert_base_edge(graph)
     return graph
-
-
-def _edge(target_side: int, src_vid: int, tgt_vid: int) -> tuple[int, int]:
-    return (src_vid, tgt_vid) if target_side == 2 else (tgt_vid, src_vid)
-
-
-def _inv1(ops, rm, rt):
-    im, it = ops.binv(rm, rt)
-    return im, it
 
 
 def _assert_base_edge(graph: CosetGraph) -> None:
@@ -429,39 +364,66 @@ def group_hash(ng: NamedGroups) -> bytes:
 
 
 def save_cache(graph: CosetGraph, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IIQQQ", CACHE_VERSION, graph.field.modulus,
-                            graph.n1, graph.n2, len(graph.edges)))
-        f.write(group_hash(graph.ng))
-        f.write(np.ascontiguousarray(graph.reps[1], dtype="<u8").tobytes())
-        f.write(np.ascontiguousarray(graph.reps[2], dtype="<u8").tobytes())
-        f.write(np.ascontiguousarray(graph.edges, dtype="<u4").tobytes())
-    os.replace(tmp, path)
+    """Write the cache through a unique temporary file in the target
+    directory, so concurrent writers never share one."""
+    payload = b"".join([
+        np.ascontiguousarray(graph.reps[1], dtype="<u8").tobytes(),
+        np.ascontiguousarray(graph.reps[2], dtype="<u8").tobytes(),
+        np.ascontiguousarray(graph.edges, dtype="<u4").tobytes(),
+    ])
+    header = CACHE_HEADER.pack(
+        CACHE_VERSION, graph.field.modulus, graph.n1, graph.n2, len(graph.edges),
+        group_hash(graph.ng), len(payload), hashlib.sha256(payload).digest())
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(CACHE_MAGIC + header + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_cache(path: str, ng: NamedGroups, threads: int = 1) -> CosetGraph:
+def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
+    """Load and check a cache; any defect of the file is a CacheMismatch."""
     with open(path, "rb") as f:
-        magic = f.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise CacheMismatch("bad magic")
-        ver, modulus, n1, n2, ne = struct.unpack("<IIQQQ", f.read(32))
-        if ver != CACHE_VERSION:
-            raise CacheMismatch(f"cache version {ver} != {CACHE_VERSION}")
-        if modulus != ng.field.modulus:
-            raise CacheMismatch("cache was built with a different modulus")
-        gh = f.read(32)
-        if gh != group_hash(ng):
-            raise CacheMismatch("cache group hash mismatch")
-        reps1 = np.frombuffer(f.read(8 * n1), dtype="<u8").astype(np.uint64)
-        reps2 = np.frombuffer(f.read(8 * n2), dtype="<u8").astype(np.uint64)
-        edges = np.frombuffer(f.read(8 * ne), dtype="<u4").astype(np.uint32)
+        data = f.read()
+    if data[:len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise CacheMismatch("bad magic")
+    head = len(CACHE_MAGIC) + CACHE_HEADER.size
+    if len(data) < head:
+        raise CacheMismatch("truncated header")
+    ver, modulus, n1, n2, ne, gh, plen, digest = CACHE_HEADER.unpack_from(
+        data, len(CACHE_MAGIC))
+    if ver != CACHE_VERSION:
+        raise CacheMismatch(f"cache version {ver} != {CACHE_VERSION}")
+    if modulus != ng.field.modulus:
+        raise CacheMismatch("cache was built with a different modulus")
+    if gh != group_hash(ng):
+        raise CacheMismatch("cache group hash mismatch")
+    payload = data[head:]
+    if len(payload) != plen:
+        raise CacheMismatch(f"payload is {len(payload)} bytes; the header says {plen}")
+    if plen != 8 * (n1 + n2 + ne):
+        raise CacheMismatch("payload length does not match the vertex and edge counts")
+    if hashlib.sha256(payload).digest() != digest:
+        raise CacheMismatch("payload digest mismatch")
+    reps1 = np.frombuffer(payload, "<u8", n1, 0).astype(np.uint64)
+    reps2 = np.frombuffer(payload, "<u8", n2, 8 * n1).astype(np.uint64)
+    edges = np.frombuffer(payload, "<u4", 2 * ne, 8 * (n1 + n2))
+    edges = edges.astype(np.uint32).reshape(ne, 2)
+    if ne and (int(edges[:, 0].max()) >= n1 or int(edges[:, 1].max()) >= n2):
+        raise CacheMismatch("edge id out of range")
     graph = CosetGraph(ng.field, ng)
-    _arm(graph, threads)
-    graph._register(1, reps1)
-    graph._register(2, reps2)
-    graph.edges = edges.reshape(ne, 2)
+    _arm(graph)
+    for side, reps in ((1, reps1), (2, reps2)):
+        graph._register(side, reps, graph._keys(side, *bunpack(reps)))
+    try:
+        graph._check_keys()
+    except AssertionError as e:
+        raise CacheMismatch(str(e)) from None
+    graph.edges = edges
     graph.n1, graph.n2 = int(n1), int(n2)
     graph._build_csr()
     return graph

@@ -4,13 +4,12 @@ on packed element arrays.
 Element batches are (m,3,3) uint8 matrices plus (m,) uint8 twists.
 Packed keys are uint64 and agree bit for bit with psu.pack, so python
 Element objects and array rows interconvert freely.  Everything here is
-pure and deterministic; the optional thread pool only splits the probe
-axis of the canonical-form scan and merges results in submission order.
+pure and deterministic.  The graph keys its vertices by
+conj_fingerprints; coset_canon_keys is the exact canonical-form scan,
+kept as a test oracle.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,6 +47,7 @@ class FieldOps:
         self.FROB = field.FROB
         self.AMUL = field.MUL[field.alpha]
         self.A2MUL = field.MUL[field.alpha2]
+        self.SCALARS = np.array([1, field.alpha, field.alpha2], dtype=np.uint8)
 
     # -- batched element algebra ---------------------------------------
 
@@ -74,11 +74,16 @@ class FieldOps:
         return self.FROB[e2[:, None, None], ms], e2
 
     def bpkeys(self, mats, tw) -> np.ndarray:
-        """Projective canonical keys: min over the 3 scalar multiples."""
-        k0 = bpack(mats, tw)
-        k1 = bpack(self.AMUL[mats], tw)
-        k2 = bpack(self.A2MUL[mats], tw)
-        return np.minimum(np.minimum(k0, k1), k2)
+        """Projective canonical keys: min over the 3 scalar multiples.
+
+        Scaling keeps the zero pattern, and the first nonzero entry m0 is
+        the most significant nonzero field of the key, so the least
+        multiple is the one with the least s.m0; the three s.m0 are
+        distinct, so one packing suffices."""
+        flat = mats.reshape(len(mats), 9)
+        lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+        pick = np.stack([lead, self.AMUL[lead], self.A2MUL[lead]]).argmin(axis=0)
+        return bpack(self.MUL[self.SCALARS[pick][:, None, None], mats], tw)
 
 
 class SubgroupArrays:
@@ -113,16 +118,13 @@ def coset_canon_keys(
     pm: np.ndarray,
     pt: np.ndarray,
     chunk: int = 256,
-    threads: int = 1,
 ) -> np.ndarray:
     """Canonical representative key per probe: the minimum packed
     serialization over all subgroup multiples k*g and the 3 projective
-    scalars.  This is the exact (slow) level of the two-level scheme."""
-    m = len(pm)
-    spans = [(lo, min(m, lo + chunk)) for lo in range(0, m, chunk)]
-
-    def run(span):
-        lo, hi = span
+    scalars.  An exact scan, kept as a test oracle for the vertex key."""
+    parts = []
+    for lo in range(0, len(pm), chunk):
+        hi = min(len(pm), lo + chunk)
         pmats = pm[lo:hi]
         ptw = pt[lo:hi]
         best = np.full(hi - lo, KEY_MAX, dtype=np.uint64)
@@ -137,13 +139,7 @@ def coset_canon_keys(
             twf = np.broadcast_to(twp, (n, b)).reshape(-1)
             keys = ops.bpkeys(flat, twf).reshape(n, b)
             np.minimum(best, keys.min(axis=0), out=best)
-        return best
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, spans))
-    else:
-        parts = [run(s) for s in spans]
+        parts.append(best)
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
 
@@ -155,15 +151,20 @@ def conj_fingerprints(
     The fingerprint set is the nonidentity part of a normal subgroup Z of
     the coset subgroup K, so the row is constant on cosets Kg: replacing
     g by kg conjugates Z by k, which permutes Z.  Rows are sorted to kill
-    that permutation.  This is the cheap level of the two-level scheme;
-    collisions are resolved by exact membership tests.
+    that permutation.  The row names the conjugate subgroup Z^g; the graph
+    packs it into its vertex key.
     """
     im, it = ops.binv(pm, pt)
-    cols = []
+    zkeys = list(ops.bpkeys(zm, zt))
+    zinv = ops.bpkeys(*ops.binv(zm, zt))
+    conj = []
     for i in range(len(zm)):
-        m1, t1 = ops.bsmul_right(im, it, (zm[i], int(zt[i])))
-        m2, t2 = ops.bsmul(m1, t1, pm, pt)
-        cols.append(ops.bpkeys(m2, t2))
-    F = np.stack(cols, axis=1)
+        if zinv[i] in zkeys[:i]:
+            # g^-1 z^-1 g is the inverse of a conjugate already made
+            conj.append(ops.binv(*conj[zkeys.index(zinv[i])]))
+        else:
+            m1, t1 = ops.bsmul_right(im, it, (zm[i], int(zt[i])))
+            conj.append(ops.bsmul(m1, t1, pm, pt))
+    F = np.stack([ops.bpkeys(m, t) for m, t in conj], axis=1)
     F.sort(axis=1)
     return F

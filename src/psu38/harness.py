@@ -26,7 +26,7 @@ from .arcs import (KernelData, arc_orbits, arc_stabilizer, ball,
                    base_stabilizer, enumerate_arcs, arc_count_formula,
                    local_characteristic, max_local_s, pushing_up,
                    sampled_vertex_checks, subgroup_from_set)
-from .coset import (CacheMismatch, CosetGraph, build_graph, coset_canon,
+from .coset import (CacheMismatch, CosetGraph, build_graph,
                     export_adjacency_json, export_edge_list, export_graph6,
                     load_cache, read_graph6_header, save_cache)
 from .fastops import FieldOps, SubgroupArrays
@@ -64,11 +64,10 @@ class VerifyContext:
     """Shared lazily-built state for the claim catalog."""
 
     def __init__(self, modulus: int = DEFAULT_MODULUS, cache_dir: str | None = None,
-                 use_cache: bool = True, threads: int = 1, verbose: bool = False):
+                 use_cache: bool = True, verbose: bool = False):
         self.modulus = modulus
         self.cache_dir = cache_dir or default_cache_dir()
         self.use_cache = use_cache
-        self.threads = threads
         self.verbose = verbose
         self._cache: dict = {}
 
@@ -112,14 +111,14 @@ class VerifyContext:
         path = self.cache_path()
         if self.use_cache and os.path.exists(path):
             try:
-                g = load_cache(path, self.ng, threads=self.threads)
+                g = load_cache(path, self.ng)
                 self._log(f"cache loaded: {path}")
                 return g
             except CacheMismatch as e:
                 self._log(f"cache rejected ({e}); rebuilding")
         t0 = time.time()
         g = build_graph(
-            self.ng, threads=self.threads,
+            self.ng,
             progress=(lambda a, b: self._log(f"  bfs {a}+{b} vertices"))
             if self.verbose else None,
         )
@@ -996,7 +995,6 @@ REPORT_SCHEMA = {
                 "coset_convention": {"type": "string"},
                 "numpy": {"type": "string"},
                 "python": {"type": "string"},
-                "threads": {"type": "integer"},
             },
         },
         "overall": {"type": "boolean"},
@@ -1068,7 +1066,6 @@ def run_claims(ctx: VerifyContext, group: str = "both",
                                 "by right multiplication",
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-            "threads": ctx.threads,
         },
         "overall": overall,
         "total_seconds": time.time() - t_all,
@@ -1110,7 +1107,6 @@ def _add_common(p):
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--no-cache", action="store_true",
                    help="force a full rebuild, ignoring any cache")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -1161,7 +1157,6 @@ def _ctx_from_args(args) -> VerifyContext:
         modulus=args.modulus,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        threads=args.threads,
         verbose=getattr(args, "verbose", False),
     )
 
@@ -1191,7 +1186,8 @@ def main(argv=None) -> int:
                     print(f"cache missing: {path}", file=sys.stderr)
                     return EXIT_CACHE
                 try:
-                    load_cache(path, ctx.ng, threads=ctx.threads)
+                    # the one load: run_claims uses this graph
+                    ctx._memo("graph", lambda: load_cache(path, ctx.ng))
                 except CacheMismatch as e:
                     print(f"cache mismatch: {e}", file=sys.stderr)
                     return EXIT_CACHE

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -7,11 +8,13 @@ import pytest
 
 import networkx as nx
 
-from psu38.coset import (CacheMismatch, coset_canon, export_adjacency_json,
+from psu38 import coset
+from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CacheMismatch, CosetGraph,
+                         build_graph, coset_canon, export_adjacency_json,
                          export_edge_list, export_graph6, group_hash,
                          load_cache, read_graph6_header, save_cache,
                          transversal)
-from psu38.fastops import FieldOps, SubgroupArrays
+from psu38.fastops import FieldOps, SubgroupArrays, bunpack, coset_canon_keys
 from psu38.gf64 import GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
@@ -75,7 +78,7 @@ def test_adjacency_matches_coset_intersection(graph, ng):
 
 def test_coset_canon_invariance(graph, ng):
     ops = graph.ops
-    sub = graph.subs[1]
+    sub = SubgroupArrays.from_group(ops, ng.K1)
     rng = random.Random(6)
     g = PElement(ng.p["E"].el * ng.p["D"].el)
     c = coset_canon(ops, sub, g)
@@ -209,13 +212,130 @@ def test_graph6_header_for_full_size():
     assert n == 59584
 
 
-@pytest.mark.slow
-def test_build_deterministic_across_threads(graph, ng):
-    from psu38.coset import build_graph
-    g2 = build_graph(ng, threads=3)
-    assert np.array_equal(g2.reps[1], graph.reps[1])
-    assert np.array_equal(g2.reps[2], graph.reps[2])
-    assert np.array_equal(g2.edges, graph.edges)
+def test_build_deterministic(ng):
+    a, b = build_graph(ng), build_graph(ng)
+    assert (a.n1, a.n2) == (b.n1, b.n2)
+    for side in (1, 2):
+        assert np.array_equal(a.reps[side], b.reps[side])
+        assert np.array_equal(a.fkeys[side], b.fkeys[side])
+    assert np.array_equal(a.edges, b.edges)
+
+
+def test_non_injective_key_fails_the_count(ng, monkeypatch):
+    """A key that merges cosets must fail the orbit count, not return a
+    smaller graph."""
+    keys = CosetGraph._keys
+    monkeypatch.setattr(CosetGraph, "_keys", lambda self, side, pm, pt:
+                        keys(self, side, pm, pt) & np.uint64(0xFFFF << 48))
+    with pytest.raises(AssertionError, match=r"is not \|G\|"):
+        build_graph(ng)
+
+
+def test_fingerprint_key_against_canonical_oracle(graph, ng):
+    """Sampled vertices of each side: the exact canonical forms of their
+    representatives are pairwise distinct, and image(v, x) is the vertex
+    whose canonical form is that of rep(v).x."""
+    ops = graph.ops
+    rng = np.random.default_rng(12)
+    x = ng.p["E"] * ng.p["sigma"] * ng.p["A"] * ng.p["D"]
+    xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
+    for side, K, off in ((1, ng.K1, 0), (2, ng.K2, graph.n1)):
+        sub = SubgroupArrays.from_group(ops, K)
+        n = graph.n1 if side == 1 else graph.n2
+        lids = rng.choice(n, size=200, replace=False)
+        canon = coset_canon_keys(ops, sub, graph.repmats[side][lids],
+                                 graph.reptw[side][lids])
+        assert len(np.unique(canon)) == len(lids)
+        pm, pt = ops.bsmul_right(graph.repmats[side][lids],
+                                 graph.reptw[side][lids], (xm[0], int(xt[0])))
+        want = coset_canon_keys(ops, sub, pm, pt)
+        img = graph.image_batch(lids + off, x) - off
+        got = coset_canon_keys(ops, sub, graph.repmats[side][img],
+                               graph.reptw[side][img])
+        assert np.array_equal(got, want)
+    # the single-element oracle agrees with the batch
+    v = graph.n1 + 7
+    assert coset_canon(ops, SubgroupArrays.from_group(ops, ng.K2),
+                       graph.rep_element(v)).key == int(coset_canon_keys(
+        ops, SubgroupArrays.from_group(ops, ng.K2),
+        graph.repmats[2][7:8], graph.reptw[2][7:8])[0])
+
+
+def _rewrite(path, edit_header=None, edit_payload=None):
+    """Rewrite a cache file's header fields or payload; a payload edit gets
+    a fresh digest, so only the check under test can reject it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = len(CACHE_MAGIC) + CACHE_HEADER.size
+    fields = list(CACHE_HEADER.unpack_from(data, len(CACHE_MAGIC)))
+    payload = data[head:]
+    if edit_payload:
+        payload = edit_payload(bytearray(payload))
+        fields[6], fields[7] = len(payload), hashlib.sha256(payload).digest()
+    if edit_header:
+        edit_header(fields)
+    with open(path, "wb") as fh:
+        fh.write(CACHE_MAGIC + CACHE_HEADER.pack(*fields) + bytes(payload))
+
+
+def test_cache_rejects_damaged_files(graph, tmp_path):
+    path = str(tmp_path / "g.psu38")
+
+    def fresh():
+        save_cache(graph, path)
+        return path
+
+    with open(fresh(), "r+b") as fh:        # truncated
+        fh.truncate(os.path.getsize(path) - 100)
+    with pytest.raises(CacheMismatch, match="header says"):
+        load_cache(path, graph.ng)
+    with open(fresh(), "r+b") as fh:        # truncated inside the header
+        fh.truncate(40)
+    with pytest.raises(CacheMismatch, match="truncated header"):
+        load_cache(path, graph.ng)
+    with open(fresh(), "r+b") as fh:        # one flipped payload bit
+        fh.seek(-1000, os.SEEK_END)
+        b = fh.read(1)
+        fh.seek(-1000, os.SEEK_END)
+        fh.write(bytes([b[0] ^ 4]))
+    with pytest.raises(CacheMismatch, match="digest"):
+        load_cache(path, graph.ng)
+    _rewrite(fresh(), edit_header=lambda f: f.__setitem__(6, f[6] - 8))
+    with pytest.raises(CacheMismatch, match="header says"):
+        load_cache(path, graph.ng)
+    _rewrite(fresh(), edit_header=lambda f: f.__setitem__(4, f[4] - 1))
+    with pytest.raises(CacheMismatch, match="vertex and edge counts"):
+        load_cache(path, graph.ng)
+    # a well-formed file whose content is wrong
+    n1 = graph.n1
+
+    def bad_edge(payload):
+        off = 8 * (graph.n1 + graph.n2)
+        payload[off:off + 4] = np.array([n1], dtype="<u4").tobytes()
+        return payload
+
+    _rewrite(fresh(), edit_payload=bad_edge)
+    with pytest.raises(CacheMismatch, match="edge id out of range"):
+        load_cache(path, graph.ng)
+
+    def dup_rep(payload):
+        payload[8:16] = payload[0:8]
+        return payload
+
+    _rewrite(fresh(), edit_payload=dup_rep)
+    with pytest.raises(CacheMismatch, match="duplicate vertex keys"):
+        load_cache(path, graph.ng)
+    assert load_cache(fresh(), graph.ng).n1 == graph.n1
+
+
+def test_save_cache_removes_its_temp_file_on_failure(graph, tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(coset.os, "replace", fail)
+    with pytest.raises(OSError):
+        save_cache(graph, str(tmp_path / "g.psu38"))
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.slow

@@ -136,6 +136,31 @@ def test_cli_no_rebuild_missing_cache(tmp_path):
     assert rc == 3
 
 
+def test_cli_no_rebuild_loads_once_and_rejects_a_truncated_cache(
+        tmp_path, monkeypatch, capsys, graph):
+    import psu38.harness as hz
+    from psu38.coset import save_cache
+
+    loads = []
+    load = hz.load_cache
+
+    def counted(*args):
+        loads.append(args[0])
+        return load(*args)
+
+    monkeypatch.setattr(hz, "load_cache", counted)
+    path = tmp_path / "graph-5b.psu38"
+    save_cache(graph, str(path))
+    argv = ["verify", "--no-rebuild", "--cache-dir", str(tmp_path),
+            "--claims", "L3.10.partial.i"]
+    assert main(argv) == 0
+    assert len(loads) == 1
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size // 2)
+    assert main(argv) == 3
+    assert "cache mismatch" in capsys.readouterr().err
+
+
 def test_env_cache_dir(monkeypatch, tmp_path):
     monkeypatch.setenv("AMALGAM_CACHE_DIR", str(tmp_path))
     ctx = VerifyContext()
