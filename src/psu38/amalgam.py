@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .grp import SmallGroup, iso_check, is_split_extension, _close
+from .grp import Perm, SmallGroup, iso_check, is_split_extension, _close
 
 
 @dataclass
@@ -31,22 +31,7 @@ def core_in(G12: SmallGroup, Gi: SmallGroup) -> SmallGroup:
     """Normal core of G12 in Gi: the largest subgroup of G12 normal in Gi,
     computed as the intersection of the Gi-conjugates of G12."""
     assert G12.eset <= Gi.eset
-    gens = Gi.gens_list()
-    core = set(G12.eset)
-    seen = {G12.eset}
-    frontier = [G12.eset]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for g in gens:
-                gi = g.inv()
-                T = frozenset(gi * h * g for h in S)
-                if T not in seen:
-                    seen.add(T)
-                    nxt.append(T)
-                    core &= T
-        frontier = nxt
-    out = Gi.subgroup(core)
+    out = Gi.core(G12)
     assert Gi.is_normal(out) and out.eset <= G12.eset
     return out
 
@@ -162,53 +147,16 @@ def shape_d2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
 
 
 def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
-    """Z x| (image of G acting on Z by conjugation), as explicit pairs
-    (z, phi) with (z1,p1)(z2,p2) = (z1 . p1(z2), p1 p2)."""
+    """Z x| (automorphisms of Z induced by G acting by conjugation), as
+    the permutation group on Z's sorted elements generated by the right
+    translations by Z's generators and the conjugations by G's."""
     zl = Z.sorted_elems()
     zi = {x: i for i, x in enumerate(zl)}
-    n = len(zl)
-    zmul = tuple(tuple(zi[a * b] for b in zl) for a in zl)
-    zinv = tuple(zi[a.inv()] for a in zl)
-    perms = set()
-    for g in G.elems:
-        gi = g.inv()
-        im = tuple(zi[gi * z * g] for z in zl)
-        perms.add(im)
-    idp = tuple(range(n))
-
-    class _SD:
-        __slots__ = ("z", "p")
-
-        def __init__(self, z, p):
-            self.z = z
-            self.p = p
-
-        def __mul__(self, o):
-            return _SD(zmul[self.z][self.p[o.z]],
-                       tuple(self.p[o.p[i]] for i in range(n)))
-
-        def inv(self):
-            pi = [0] * n
-            for i, j in enumerate(self.p):
-                pi[j] = i
-            pi = tuple(pi)
-            return _SD(pi[zinv[self.z]], pi)
-
-        def __eq__(self, o):
-            return self.z == o.z and self.p == o.p
-
-        def __hash__(self):
-            return hash((self.z, self.p))
-
-        def __lt__(self, o):
-            return (self.z, self.p) < (o.z, o.p)
-
-    els = [_SD(z, p) for p in sorted(perms) for z in range(n)]
-    ident = _SD(zi[Z.identity], idp)
-    sd = SmallGroup([ident] + [x for x in els if x != ident], [], ident,
-                    name=f"{Z.name} x| aut")
-    # sanity: the pair set really is a group of the expected size
-    assert len(sd) == n * len(perms)
+    shifts = [Perm([zi[x * z] for x in zl]) for z in Z.gens_list()]
+    auts = [Perm([zi[g.inv() * x * g] for x in zl]) for g in G.gens_list()]
+    sd = SmallGroup.generate(shifts + auts, name=f"{Z.name} x| aut")
+    # the translations are regular and the automorphisms fix Z's identity
+    assert len(sd) == len(zl) * len(SmallGroup.generate(auts))
     return sd
 
 

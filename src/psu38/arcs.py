@@ -14,12 +14,6 @@ from .coset import CosetGraph
 from .grp import Perm, SmallGroup
 
 
-def subgroup_from_set(elems, identity, name: str = "") -> SmallGroup:
-    els = sorted(set(elems))
-    return SmallGroup([identity] + [x for x in els if x != identity], [],
-                      identity, name=name)
-
-
 # ---------------------------------------------------------------------------
 # balls and arcs
 
@@ -178,7 +172,7 @@ def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
     cur = set(stab0.eset)
     for v in arc[1:]:
         cur &= graph.vertex_stabilizer(v, group).eset
-    return subgroup_from_set(cur, stab0.identity, name=f"{group}_arc")
+    return stab0.subgroup(cur, name=f"{group}_arc")
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +208,7 @@ class KernelData:
 
     def kernel(self, i: int) -> SmallGroup:
         els = [self.stab.elems[j] for j in np.where(self.first_moved > i)[0]]
-        return subgroup_from_set(els, self.stab.identity,
-                                 name=f"{self.group}_z{self.v}^[{i}]")
+        return self.stab.subgroup(els, name=f"{self.group}_z{self.v}^[{i}]")
 
     def induced_neighbor_group(self) -> tuple[SmallGroup, SmallGroup]:
         """(induced permutation group on the neighbors, its kernel).
@@ -227,19 +220,17 @@ class KernelData:
         pos = {u: i for i, u in enumerate(nbrs)}
         cols = [int(np.where(self.ball_pts == u)[0][0]) for u in nbrs]
         sub = self.action_table[:, cols]
-        perms = {}
+        ident = tuple(range(len(nbrs)))
+        images = set()
         kernel_els = []
         for j in range(sub.shape[0]):
             im = tuple(pos[int(x)] for x in sub[j])
-            perms.setdefault(im, 0)
-            perms[im] += 1
-            if im == tuple(range(len(nbrs))):
+            images.add(im)
+            if im == ident:
                 kernel_els.append(self.stab.elems[j])
-        pelems = [Perm(im) for im in perms]
-        ident = Perm(tuple(range(len(nbrs))))
-        induced = SmallGroup([ident] + [p for p in pelems if p != ident], [], ident,
-                             name=f"{self.group}_z{self.v}^D(z)")
-        kern = subgroup_from_set(kernel_els, self.stab.identity)
+        induced = SmallGroup.from_set(map(Perm, images), Perm(ident),
+                                      name=f"{self.group}_z{self.v}^D(z)")
+        kern = self.stab.subgroup(kernel_els)
         return induced, kern
 
 
@@ -329,7 +320,7 @@ def sampled_vertex_checks(
         kern = set(stab.eset)
         for u in graph.neighbors(v):
             kern &= graph.vertex_stabilizer(int(u), group).eset
-        k1 = subgroup_from_set(kern, stab.identity)
+        k1 = stab.subgroup(kern)
         q = k1.p_core(p)
         c = stab.centralizer(q.gens_list())
         if not c.eset <= q.eset:

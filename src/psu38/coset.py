@@ -26,7 +26,6 @@ key order, so ids are deterministic and the base vertices are 0 and n1.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 import tempfile
@@ -442,18 +441,6 @@ def export_edge_list(graph: CosetGraph, path: str) -> int:
         for i in order:
             f.write(f"{u[i]} {v[i]}\n")
     return len(order)
-
-
-def export_adjacency_json(graph: CosetGraph, path: str) -> None:
-    adj = [graph.neighbors(g).tolist() for g in range(graph.nv)]
-    doc = {
-        "n1": graph.n1,
-        "n2": graph.n2,
-        "modulus": graph.field.modulus,
-        "adjacency": adj,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
 
 
 def graph6_bytes_header(n: int) -> bytes:

@@ -44,6 +44,7 @@ class FieldOps:
     def __init__(self, field: GF64):
         self.field = field
         self.MUL = field.MUL
+        self.MULF = field.MUL.reshape(-1)  # MULF[a << 6 | b] = a.b
         self.FROB = field.FROB
         self.AMUL = field.MUL[field.alpha]
         self.A2MUL = field.MUL[field.alpha2]
@@ -52,9 +53,13 @@ class FieldOps:
     # -- batched element algebra ---------------------------------------
 
     def bmm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Rowwise GF matmul: (m,3,3) x (m,3,3) -> (m,3,3)."""
-        X = self.MUL[A[:, :, :, None], B[:, None, :, :]]  # (m,i,k,j)
-        return X[:, :, 0, :] ^ X[:, :, 1, :] ^ X[:, :, 2, :]
+        """Rowwise GF matmul: (m,3,3) x (m,3,3) -> (m,3,3), one gather
+        on the flat product table per inner index k."""
+        A6 = A.astype(np.uint16) << 6
+        X = np.take(self.MULF, A6[:, :, 0, None] | B[:, None, 0, :])
+        X ^= np.take(self.MULF, A6[:, :, 1, None] | B[:, None, 1, :])
+        X ^= np.take(self.MULF, A6[:, :, 2, None] | B[:, None, 2, :])
+        return X
 
     def bsmul(self, gm, gt, hm, ht):
         """Rowwise semilinear product (gm.rho^gt(hm), gt+ht)."""
@@ -88,12 +93,11 @@ class FieldOps:
 
 class SubgroupArrays:
     """A subgroup's canonical elements, grouped by twist for the
-    canonical-form scan, plus a sorted key array for membership tests."""
+    canonical-form scan."""
 
     def __init__(self, ops: FieldOps, keys):
         keys = np.sort(np.asarray(list(keys), dtype=np.uint64))
         self.ops = ops
-        self.keys_sorted = keys
         mats, tw = bunpack(keys)
         self.by_twist = []
         for e in range(6):
@@ -101,11 +105,6 @@ class SubgroupArrays:
             if sel.any():
                 self.by_twist.append((e, np.ascontiguousarray(mats[sel])))
         self.n = len(keys)
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.keys_sorted, keys)
-        idx = np.minimum(idx, len(self.keys_sorted) - 1)
-        return self.keys_sorted[idx] == keys
 
     @staticmethod
     def from_group(ops: FieldOps, G) -> "SubgroupArrays":

@@ -119,10 +119,6 @@ class GF64:
 
         return n // gcd(n, la)
 
-    def constants(self) -> tuple[int, int, int]:
-        """(zeta, beta, alpha) with orders 63, 9, 3."""
-        return self.zeta, self.beta, self.alpha
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GF64) and other.modulus == self.modulus
 

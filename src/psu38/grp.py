@@ -2,10 +2,12 @@
 thousand): closure, structural subgroups, predicates, quotients,
 isomorphism testing, reference constructions, split-extension search.
 
-Element objects only need *, .inv(), hashing, equality and a total
-order; the engine is generic over the element type so that matrix
-groups, permutation groups, direct products and quotients all go
-through the same code paths.
+There are two element types: psu.PElement for the subgroups of
+PSU_3(8) x| C6, and Perm for everything else.  Reference groups,
+quotients (the action on cosets), direct products (perms on a
+disjoint union of points) and the holomorph are all permutation groups
+on at most 108 points.  The engine only needs *, .inv(), hashing,
+equality and a total order, so both types go through the same code.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class ClosureCapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# element types for reference groups
 
 
 class Perm:
@@ -37,7 +38,7 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         oi = other.im
-        return Perm(tuple(oi[i] for i in self.im))
+        return Perm([oi[i] for i in self.im])
 
     def inv(self) -> "Perm":
         r = [0] * len(self.im)
@@ -56,94 +57,6 @@ class Perm:
 
     def __repr__(self):
         return f"Perm{self.im}"
-
-
-class DPEl:
-    """Element of a direct product, componentwise multiplication."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = tuple(c)
-
-    def __mul__(self, other: "DPEl") -> "DPEl":
-        return DPEl(tuple(a * b for a, b in zip(self.c, other.c)))
-
-    def inv(self) -> "DPEl":
-        return DPEl(tuple(a.inv() for a in self.c))
-
-    def __eq__(self, other):
-        return isinstance(other, DPEl) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __lt__(self, other: "DPEl"):
-        for a, b in zip(self.c, other.c):
-            if a != b:
-                return a < b
-        return False
-
-
-class SP2El:
-    """Element (i, j) of the extraspecial group of order 27 and exponent 9,
-    realized on Z9 x Z3 with (i,j)(k,l) = (i + 4^j k mod 9, j + l mod 3)."""
-
-    __slots__ = ("i", "j")
-    _POW4 = (1, 4, 7)  # 4^j mod 9
-
-    def __init__(self, i, j):
-        self.i = i % 9
-        self.j = j % 3
-
-    def __mul__(self, other: "SP2El") -> "SP2El":
-        return SP2El(self.i + self._POW4[self.j] * other.i, self.j + other.j)
-
-    def inv(self) -> "SP2El":
-        nj = (-self.j) % 3
-        return SP2El(-self._POW4[nj] * self.i, nj)
-
-    def __eq__(self, other):
-        return isinstance(other, SP2El) and (self.i, self.j) == (other.i, other.j)
-
-    def __hash__(self):
-        return hash((self.i, self.j))
-
-    def __lt__(self, other: "SP2El"):
-        return (self.i, self.j) < (other.i, other.j)
-
-    def __repr__(self):
-        return f"SP2El({self.i},{self.j})"
-
-
-class QEl:
-    """Coset of a normal subgroup, stored by its minimal representative.
-
-    `table` maps every element of the parent group to its coset
-    representative, so multiplication is one parent product plus a
-    lookup.
-    """
-
-    __slots__ = ("rep", "table")
-
-    def __init__(self, rep, table):
-        self.rep = rep
-        self.table = table
-
-    def __mul__(self, other: "QEl") -> "QEl":
-        return QEl(self.table[self.rep * other.rep], self.table)
-
-    def inv(self) -> "QEl":
-        return QEl(self.table[self.rep.inv()], self.table)
-
-    def __eq__(self, other):
-        return isinstance(other, QEl) and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __lt__(self, other: "QEl"):
-        return self.rep < other.rep
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +155,18 @@ class SmallGroup:
             frontier = nxt
         return SmallGroup(elems, gens, e, parent, genidx, name)
 
-    def subgroup(self, elements, name: str = "") -> "SmallGroup":
-        """Subgroup from an explicit (closed) element subset; generators
-        are found lazily on first use."""
+    @staticmethod
+    def from_set(elements, identity, name: str = "") -> "SmallGroup":
+        """Group on an explicit element set that is closed under products:
+        the identity first, then the rest in sorted order.  Generators are
+        found lazily on first use."""
         els = sorted(set(elements))
-        ident = self.identity
-        return SmallGroup([ident] + [x for x in els if x != ident], [], ident, name=name)
+        return SmallGroup([identity] + [x for x in els if x != identity], [],
+                          identity, name=name)
+
+    def subgroup(self, elements, name: str = "") -> "SmallGroup":
+        """Subgroup from an explicit (closed) element subset."""
+        return SmallGroup.from_set(elements, self.identity, name)
 
     def regenerate(self) -> "SmallGroup":
         """Fresh closure from a generating set, restoring parent links."""
@@ -277,10 +196,6 @@ class SmallGroup:
 
     def __le__(self, other: "SmallGroup") -> bool:
         return self.eset <= other.eset
-
-    def same_set(self, other) -> bool:
-        oset = other.eset if isinstance(other, SmallGroup) else frozenset(other)
-        return self.eset == oset
 
     def element_order(self, x) -> int:
         o = self._orders.get(x)
@@ -438,12 +353,9 @@ class SmallGroup:
 
     def conjugate(self, g, name: str = "") -> "SmallGroup":
         gi = g.inv()
-        els = [gi * h * g for h in self.elems]
-        return SmallGroup(
-            [self.identity] + sorted(x for x in els if x != self.identity),
-            [gi * h * g for h in self.gens] if self.gens else [],
-            self.identity, name=name,
-        )
+        c = SmallGroup.from_set([gi * h * g for h in self.elems], self.identity, name)
+        c.gens = [gi * h * g for h in self.gens]
+        return c
 
     # -- Sylow machinery --------------------------------------------------
 
@@ -474,14 +386,18 @@ class SmallGroup:
         return P
 
     def p_core(self, p: int) -> "SmallGroup":
-        """O_p(G): intersection of all conjugates of one Sylow p-subgroup."""
+        """O_p(G): the normal core of one Sylow p-subgroup."""
         if len(self.elems) % p != 0:
             return self.subgroup([self.identity])
-        P = self.sylow(p)
+        return self.core(self.sylow(p))
+
+    def core(self, H: "SmallGroup") -> "SmallGroup":
+        """Normal core of H in G: the intersection of all G-conjugates of
+        H, found by a search over conjugates under G's generators."""
         gens = self.gens_list()
-        core = set(P.eset)
-        seen = {P.eset}
-        frontier = [P.eset]
+        core = set(H.eset)
+        seen = {H.eset}
+        frontier = [H.eset]
         while frontier and len(core) > 1:
             nxt = []
             for S in frontier:
@@ -493,7 +409,7 @@ class SmallGroup:
                         nxt.append(T)
                         core &= T
             frontier = nxt
-        return self.subgroup(_close(sorted(core), self.identity))
+        return self.subgroup(core)
 
     # -- conjugacy classes ----------------------------------------------
 
@@ -542,40 +458,43 @@ class SmallGroup:
 
     # -- quotient ---------------------------------------------------------
 
+    def _coset_index(self, N: "SmallGroup") -> tuple[dict, list]:
+        """(g -> coset number, least element of each coset) for a normal
+        N: coset 0 is N, the others are numbered by their least element."""
+        index: dict = {}
+        reps = []
+        for g in [self.identity] + self.sorted_elems():
+            if g not in index:
+                for n in N.elems:
+                    index[g * n] = len(reps)
+                reps.append(g)
+        return index, reps
+
     def quotient(self, N: "SmallGroup") -> "SmallGroup":
-        """G/N as a group of canonical coset representatives."""
+        """G/N as the permutation group that G induces by right
+        multiplication on the cosets of N (regular, so faithful on G/N)."""
         if not self.is_normal(N):
             raise ValueError("quotient by a non-normal subgroup")
-        table: dict = {}
-        reps = []
-        for g in self.sorted_elems():
-            if g in table:
-                continue
-            coset = sorted(g * n for n in N.elems)
-            rep = coset[0]
-            reps.append(rep)
-            for x in coset:
-                table[x] = rep
-        qels = [QEl(r, table) for r in reps]
-        ident = QEl(table[self.identity], table)
-        q = SmallGroup(
-            [ident] + [x for x in qels if x != ident], [], ident,
-            name=f"{self.name}/{N.name}" if self.name and N.name else "",
-        )
+        index, reps = self._coset_index(N)
+        perms = [Perm([index[r * g] for r in reps]) for g in self.gens_list()]
+        q = SmallGroup.generate(
+            perms, name=f"{self.name}/{N.name}" if self.name and N.name else "")
         assert len(q) * len(N) == len(self.elems)
         return q
 
 
 def direct_product(*groups: SmallGroup) -> SmallGroup:
-    els = [DPEl(c) for c in iproduct(*(g.elems for g in groups))]
-    ident = DPEl(tuple(g.identity for g in groups))
+    """Permutation groups acting side by side on a disjoint union of
+    their points."""
+    degrees = [len(G.identity.im) for G in groups]
     gens = []
-    for i, g in enumerate(groups):
-        for x in g.gens_list():
-            comp = [h.identity for h in groups]
-            comp[i] = x
-            gens.append(DPEl(comp))
-    return SmallGroup([ident] + [x for x in els if x != ident], gens, ident)
+    for i, G in enumerate(groups):
+        lo = sum(degrees[:i])
+        for x in G.gens_list():
+            im = list(range(sum(degrees)))
+            im[lo:lo + degrees[i]] = [lo + j for j in x.im]
+            gens.append(Perm(im))
+    return SmallGroup.generate(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +671,14 @@ def is_split_extension(G: SmallGroup, N: SmallGroup, witness: bool = False):
     if len(Q) == 1:
         triv = G.subgroup([G.identity])
         return (True, triv) if witness else True
+    index, _ = G._coset_index(N)
     qgens = Q.generating_set()
     lifts = []
     for q in qgens:
+        # q maps coset 0 = N to the coset it stands for
         o = Q.element_order(q)
-        coset = sorted(q.rep * x for x in N.elems)
-        cand = [g for g in coset if G.element_order(g) == o]
+        cand = [g for g in G.sorted_elems()
+                if index[g] == q.im[0] and G.element_order(g) == o]
         if not cand:
             return (False, None) if witness else False
         lifts.append(cand)
@@ -794,12 +715,8 @@ def dihedral_18() -> SmallGroup:
 
 def agl1_group() -> SmallGroup:
     """AGL_1(3): affine maps x -> ax + b on GF(3), as perms of 3 points."""
-    els = []
-    for a in (1, 2):
-        for b in range(3):
-            els.append(Perm(tuple((a * x + b) % 3 for x in range(3))))
-    ident = Perm((0, 1, 2))
-    g = SmallGroup([ident] + [x for x in els if x != ident], [], ident, name="AGL1(3)")
+    els = [Perm((a * x + b) % 3 for x in range(3)) for a in (1, 2) for b in range(3)]
+    g = SmallGroup.from_set(els, Perm((0, 1, 2)), name="AGL1(3)")
     assert len(g) == 6
     return g
 
@@ -839,8 +756,8 @@ def affine_refs() -> AffineRefs:
         gl_els.append(_affine_perm(a, b, c, d, 0, 0, idx, pts))
         for e, f in iproduct(range(3), repeat=2):
             els.append(_affine_perm(a, b, c, d, e, f, idx, pts))
-    ident = Perm(tuple(range(9)))
-    agl = SmallGroup([ident] + [x for x in els if x != ident], [], ident, name="AGL2(3)")
+    ident = Perm(range(9))
+    agl = SmallGroup.from_set(els, ident, name="AGL2(3)")
     assert len(agl) == 432
     gl = agl.subgroup(gl_els, name="GL2(3)")
     assert len(gl) == 48
@@ -871,6 +788,7 @@ def _index2_variants(agl_s, syl3, v, v0):
     GL_1(3) on V0's side, * the other way around."""
     der = agl_s.derived()
     q = agl_s.quotient(der)
+    index, _ = agl_s._coset_index(der)
     assert q.is_abelian()
     half = len(q) // 2
     cand_sets = set()
@@ -879,11 +797,11 @@ def _index2_variants(agl_s, syl3, v, v0):
             s = frozenset(_close(list(comb), q.identity))
             if len(s) == half:
                 cand_sets.add(s)
-    table = q.identity.table
     sharp = star = None
-    for s in sorted(cand_sets, key=lambda fs: sorted(x.rep for x in fs)):
-        reps = {x.rep for x in s}
-        X = agl_s.subgroup([g for g in agl_s.elems if table[g] in reps])
+    # a quotient element x stands for the coset x.im[0]
+    for s in sorted(cand_sets, key=lambda fs: sorted(x.im[0] for x in fs)):
+        cosets = {x.im[0] for x in s}
+        X = agl_s.subgroup([g for g in agl_s.elems if index[g] in cosets])
         if len(X) != half * len(der) or not syl3.eset <= X.eset:
             continue
         c_v0 = X.centralizer(v0.elems)
@@ -907,10 +825,10 @@ def _index2_variants(agl_s, syl3, v, v0):
 
 
 def sp2_group() -> SmallGroup:
-    els = [SP2El(i, j) for j in range(3) for i in range(9)]
-    ident = SP2El(0, 0)
-    g = SmallGroup([ident] + [x for x in els if x != ident],
-                   [SP2El(1, 0), SP2El(0, 1)], ident, name="SP2")
+    """The extraspecial group of order 27 and exponent 9, as the affine
+    maps x -> 4^j x + i of Z9, generated by x + 1 and 4x."""
+    g = SmallGroup.generate([Perm((x + 1) % 9 for x in range(9)),
+                             Perm(4 * x % 9 for x in range(9))], name="SP2")
     assert len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3)
     return g
 

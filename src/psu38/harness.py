@@ -5,7 +5,8 @@ Every finitely checkable statement of the verified construction is a
 claim with a stable id; cmd_verify evaluates the catalog against the
 built graph and emits a VerificationReport (human-readable lines and
 optional JSON).  Exit codes: 0 all pass, 1 claim failure, 2
-configuration error, 3 cache mismatch.
+configuration error, 3 cache mismatch, 4 a claim raised an error and
+none failed.
 """
 
 from __future__ import annotations
@@ -15,30 +16,29 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dfield
+from collections import Counter
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from . import __version__
-from .amalgam import analyze, holomorph_semidirect, shape_d2, shape_e2
+from .amalgam import analyze, shape_d2, shape_e2
 from .arcs import (KernelData, arc_orbits, arc_stabilizer, ball,
-                   base_stabilizer, enumerate_arcs, arc_count_formula,
-                   local_characteristic, max_local_s, pushing_up,
-                   sampled_vertex_checks, subgroup_from_set)
-from .coset import (CacheMismatch, CosetGraph, build_graph,
-                    export_adjacency_json, export_edge_list, export_graph6,
-                    load_cache, read_graph6_header, save_cache)
-from .fastops import FieldOps, SubgroupArrays
+                   base_stabilizer, arc_count_formula, local_characteristic,
+                   max_local_s, pushing_up, sampled_vertex_checks)
+from .coset import (CacheMismatch, CosetGraph, build_graph, export_edge_list,
+                    export_graph6, load_cache, save_cache)
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
-from .grp import (SmallGroup, direct_product, is_split_extension, iso_check,
-                  named_groups, reference_groups, _close)
-from .psu import Element, PElement, check_relations, make_generators
+from .grp import (Perm, SmallGroup, direct_product, is_split_extension,
+                  iso_check, named_groups, reference_groups)
+from .psu import check_relations, make_generators
 
 EXIT_OK = 0
 EXIT_CLAIM_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CACHE = 3
+EXIT_ERROR = 4
 
 PSU38_ORDER = (8 ** 3) * (8 ** 2 - 1) * (8 ** 3 + 1) // gcd(3, 8 + 1)  # 5,515,776
 
@@ -242,10 +242,6 @@ class ClaimResult:
     verdict: str
     witness: dict
     seconds: float
-
-
-def _setstr(G) -> list[int]:
-    return [x.key for x in G.sorted_elems()]
 
 
 def _gen_closure(ng, names) -> SmallGroup:
@@ -486,13 +482,8 @@ def build_claims() -> list[Claim]:
                 im.append(lam_sets.index(c))
             return tuple(im)
 
-        from .grp import Perm
-        images = {}
-        for g in ng.S.elems:
-            images[perm_of(g)] = True
-        ident = Perm((0, 1, 2))
-        pelems = [Perm(t) for t in images]
-        induced = SmallGroup([ident] + [x for x in pelems if x != ident], [], ident)
+        induced = SmallGroup.from_set({Perm(perm_of(g)) for g in ng.S.elems},
+                                      Perm((0, 1, 2)))
         fs3 = _gen_closure(ng, ["Fsigma3"])
         fs3_trivial = all(perm_of(g) == (0, 1, 2) for g in fs3.elems)
         ok = n0 and fs3_trivial and len(induced) == 6 and iso_check(
@@ -584,8 +575,7 @@ def build_claims() -> list[Claim]:
         ce = o3k2.centralizer([ng.p["Fsigma3"]])
         s2e = _gen_closure(ng, ["sigma2", "E"])
         d["C_O3(K2)(Fsigma3)_eq_<s2,E>"] = ce.eset == s2e.eset
-        d["C_O3(K2)(Fsigma3)_iso_SP2"] = iso_check(
-            subgroup_from_set(ce.eset, ng.K2.identity), ctx.refs["SP2"])
+        d["C_O3(K2)(Fsigma3)_iso_SP2"] = iso_check(ce, ctx.refs["SP2"])
         ok = ok and d["T1_matches_named_gens"] and d["T2_matches_named_gens"] \
             and d["X_eq_K12"] and d["C_O3(K2)(Fsigma3)_eq_<s2,E>"] \
             and d["C_O3(K2)(Fsigma3)_iso_SP2"]
@@ -646,8 +636,7 @@ def build_claims() -> list[Claim]:
         arc = ctx.paper_arc()
         ka = arc_stabilizer(ctx.graph, arc, "K")
         zqh2 = ng.Qh2.center()
-        edge_stab = subgroup_from_set(ng.K12.eset, ng.K12.identity)
-        o3 = edge_stab.p_core(3)
+        o3 = ng.K12.p_core(3)
         ok = (ka.eset == zqh2.eset and len(ka) == 9
               and o3.eset == ng.Qh2.eset
               and iso_check(ka, ctx.refs["C3xC3"]))
@@ -832,9 +821,8 @@ def build_claims() -> list[Claim]:
         ok1, d = _kernel_claim(ctx, "K", 1)
         w1 = ctx.kern("H", 1).kernel(1).p_core(3)
         wh1 = ctx.kern("K", 1).kernel(1).p_core(3)
-        dp = direct_product(subgroup_from_set(w1.eset, ctx.ng.K1.identity),
-                            ctx.refs["C3"])
-        ok = ok1 and iso_check(subgroup_from_set(wh1.eset, ctx.ng.K1.identity), dp)
+        dp = direct_product(_regular(w1), ctx.refs["C3"])
+        ok = ok1 and iso_check(wh1, dp)
         d["Wh1_iso_W1xC3"] = bool(ok)
         return ok, d
 
@@ -844,9 +832,8 @@ def build_claims() -> list[Claim]:
         ok1, d = _kernel_claim(ctx, "K", 2)
         w2 = ctx.kern("H", 2).kernel(1).p_core(3)
         wh2 = ctx.kern("K", 2).kernel(1).p_core(3)
-        dp = direct_product(subgroup_from_set(w2.eset, ctx.ng.K2.identity),
-                            ctx.refs["C3"])
-        ok = ok1 and iso_check(subgroup_from_set(wh2.eset, ctx.ng.K2.identity), dp)
+        dp = direct_product(_regular(w2), ctx.refs["C3"])
+        ok = ok1 and iso_check(wh2, dp)
         d["Wh2_iso_W2xC3"] = bool(ok)
         return ok, d
 
@@ -879,6 +866,11 @@ def build_claims() -> list[Claim]:
         return None, {"used": "AGL2(3,S) body conditions"}
 
     return cl
+
+
+def _regular(G: SmallGroup) -> SmallGroup:
+    """G as a permutation group: its right regular representation."""
+    return G.quotient(G.subgroup([G.identity]))
 
 
 def _plain(d: dict) -> dict:
@@ -950,7 +942,7 @@ def _kernel_claim(ctx, group: str, side: int):
     d["chain"] = chain
     if exp["z_order"] is not None:
         zt = targets["Z(O3)" if (group, side) != ("K", 1) else "Z(G_z)"]
-        zsub = subgroup_from_set(zt, stab.identity)
+        zsub = stab.subgroup(zt)
         d["deep_kernel_order"] = len(zsub)
         d["deep_kernel_elementary_abelian"] = zsub.is_elementary_abelian(3)
         ok = ok and len(zsub) == exp["z_order"] \
@@ -1009,7 +1001,7 @@ REPORT_SCHEMA = {
                     "id": {"type": "string"},
                     "statement": {"type": "string"},
                     "groups": {"type": "array", "items": {"type": "string"}},
-                    "verdict": {"enum": ["pass", "fail", "info"]},
+                    "verdict": {"enum": ["pass", "fail", "info", "error"]},
                     "witness": {"type": "object"},
                     "seconds": {"type": "number"},
                 },
@@ -1042,12 +1034,15 @@ def run_claims(ctx: VerifyContext, group: str = "both",
         if prefixes and not matches(c.id):
             continue
         t0 = time.time()
+        verdict = None
         try:
             ok, witness = c.fn(ctx)
-        except Exception as e:  # a crash is a failed claim, not a crash of the run
-            ok, witness = False, {"error": repr(e)}
+        except Exception as e:  # a crash is an error verdict, not a crash of the run
+            verdict, witness = "error", {"error": repr(e)}
         dt = time.time() - t0
-        if c.info_only or ok is None:
+        if verdict == "error":
+            overall = False
+        elif c.info_only or ok is None:
             verdict = "info"
         else:
             verdict = "pass" if ok else "fail"
@@ -1085,14 +1080,14 @@ def format_report(report: dict) -> str:
                  f"commutator={env['commutator_convention']}  "
                  f"conjugation={env['conjugation_convention']}")
     for r in report["claims"]:
-        mark = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[r["verdict"]]
+        mark = {"pass": "PASS", "fail": "FAIL", "info": "INFO",
+                "error": "ERROR"}[r["verdict"]]
         lines.append(f"[{mark}] {r['id']:<18} {r['statement'][:86]:<88} "
                      f"({r['seconds']:.2f}s)")
     n = len(report["claims"])
-    np_ = sum(1 for r in report["claims"] if r["verdict"] == "pass")
-    nf = sum(1 for r in report["claims"] if r["verdict"] == "fail")
-    lines.append(f"{np_}/{n} pass, {nf} fail "
-                 f"({report['total_seconds']:.1f}s total)")
+    count = Counter(r["verdict"] for r in report["claims"])
+    lines.append(f"{count['pass']}/{n} pass, {count['fail']} fail, "
+                 f"{count['error']} error ({report['total_seconds']:.1f}s total)")
     lines.append("OVERALL: " + ("PASS" if report["overall"] else "FAIL"))
     return "\n".join(lines)
 
@@ -1136,7 +1131,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export the graph")
     _add_common(p)
-    p.add_argument("--format", choices=["edge-list", "graph6", "json"],
+    p.add_argument("--format", choices=["edge-list", "graph6"],
                    required=True)
     p.add_argument("--out", required=True)
 
@@ -1199,16 +1194,16 @@ def main(argv=None) -> int:
                 print(json.dumps(report, indent=2, sort_keys=True))
             else:
                 print(format_report(report))
-            return EXIT_OK if report["overall"] else EXIT_CLAIM_FAIL
+            if report["overall"]:
+                return EXIT_OK
+            failed = any(c["verdict"] == "fail" for c in report["claims"])
+            return EXIT_CLAIM_FAIL if failed else EXIT_ERROR
 
         if args.cmd == "export":
             g = ctx.graph
             if args.format == "edge-list":
                 n = export_edge_list(g, args.out)
                 print(f"{n} edges written to {args.out}")
-            elif args.format == "json":
-                export_adjacency_json(g, args.out)
-                print(f"adjacency written to {args.out}")
             else:
                 n = export_graph6(g, args.out)
                 print(f"graph6 with {n} vertices written to {args.out}")

@@ -22,9 +22,8 @@ from itertools import permutations
 from .gf64 import GF64
 
 # serialization: 9 entries of 6 bits, row-major, first entry most
-# significant, twist in the low 3 bits; comparing keys as integers is
-# the "lexicographically least" order used for canonical forms
-KEY_BITS = 57
+# significant, twist in the low 3 bits (57 bits); comparing keys as
+# integers is the "lexicographically least" order used for canonical forms
 
 
 def pack(mat: tuple[int, ...], twist: int) -> int:
@@ -227,9 +226,6 @@ class PElement:
     @property
     def twist(self) -> int:
         return self.el.twist
-
-    def conj_by(self, g: "PElement") -> "PElement":
-        return g.inv() * self * g
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PElement) and self.key == other.key

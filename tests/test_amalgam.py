@@ -96,12 +96,6 @@ def test_holomorph_semidirect_model(ng, refs):
     sd = holomorph_semidirect(z, ng.K2)
     assert len(sd) == 54
     assert iso_check(sd, refs["AGL23S_star"])
-    # associativity spot check
-    els = sd.sorted_elems()[:6]
-    for a in els:
-        for b in els:
-            for c in els[:3]:
-                assert (a * b) * c == a * (b * c)
 
 
 def test_compute_X_alternation_insensitive(amH):

@@ -4,7 +4,7 @@ import pytest
 from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
                         arc_stabilizer, ball, enumerate_arcs,
                         local_characteristic, max_local_s, pushing_up,
-                        sampled_vertex_checks, subgroup_from_set)
+                        sampled_vertex_checks)
 from psu38.grp import SmallGroup, iso_check
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import random
 
@@ -10,10 +9,9 @@ import networkx as nx
 
 from psu38 import coset
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CacheMismatch, CosetGraph,
-                         build_graph, coset_canon, export_adjacency_json,
-                         export_edge_list, export_graph6, group_hash,
-                         load_cache, read_graph6_header, save_cache,
-                         transversal)
+                         build_graph, coset_canon, export_edge_list,
+                         export_graph6, group_hash, load_cache,
+                         read_graph6_header, save_cache, transversal)
 from psu38.fastops import FieldOps, SubgroupArrays, bunpack, coset_canon_keys
 from psu38.gf64 import GF64
 from psu38.grp import named_groups
@@ -174,18 +172,6 @@ def test_export_edge_list(graph, tmp_path):
     u0, v0 = map(int, lines[0].split())
     assert 0 <= u0 < graph.n1 and graph.n1 <= v0 < graph.nv
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split())))
-
-
-def test_export_adjacency_json(graph, tmp_path):
-    path = str(tmp_path / "adj.json")
-    export_adjacency_json(graph, path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    assert doc["n1"] == 25536 and doc["n2"] == 34048
-    assert len(doc["adjacency"]) == graph.nv
-    assert sorted(doc["adjacency"][0]) == sorted(
-        int(x) for x in graph.neighbors(0))
-    assert sum(len(a) for a in doc["adjacency"]) == 2 * 102144
 
 
 def test_graph6_small_graphs_against_networkx(tmp_path):

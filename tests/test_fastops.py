@@ -128,12 +128,3 @@ def test_fingerprint_invariance(f, ops, ng):
     for row, g in zip(fa, probes):
         assert row.tolist() == sorted((g.inv() * x * g).key for x in nonid)
 
-
-def test_subgroup_membership(ops, ng):
-    sub = SubgroupArrays.from_group(ops, ng.K1)
-    inside = np.array([x.key for x in list(ng.K1.elems)[:20]], dtype=np.uint64)
-    outside = np.array([x.key for x in list(ng.K2.elems) if x not in ng.K1.eset][:20],
-                       dtype=np.uint64)
-    assert ops is sub.ops
-    assert sub.contains(inside).all()
-    assert not sub.contains(outside).any()

@@ -26,7 +26,7 @@ def test_additive_structure(f):
 
 
 def test_constants(f):
-    zeta, beta, alpha = f.constants()
+    zeta, beta, alpha = f.zeta, f.beta, f.alpha
     assert f.order(zeta) == 63
     assert f.order(beta) == 9
     assert f.order(alpha) == 3

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, SP2El,
-                       cyclic_group, dihedral_18, direct_product,
-                       is_split_extension, iso_check, reference_groups,
-                       sym_group)
+from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, cyclic_group,
+                       dihedral_18, direct_product, is_split_extension,
+                       iso_check, reference_groups, sym_group)
 
 
 def test_closure_orders(ng):
@@ -138,17 +137,34 @@ def test_perm_basics():
     assert p * p.inv() == Perm((0, 1, 2))
 
 
-def test_sp2_model():
-    rng = random.Random(3)
-    els = [SP2El(i, j) for i in range(9) for j in range(3)]
-    for _ in range(200):
-        a, b, c = (rng.choice(els) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * a.inv() == SP2El(0, 0)
-    g = SmallGroup.generate([SP2El(1, 0), SP2El(0, 1)])
+def test_sp2_model(refs):
+    g = refs["SP2"]
     assert len(g) == 27
     assert g.exponent() == 9
     assert g.is_extraspecial(3)
+    assert not iso_check(g, refs["E27"])
+    assert not iso_check(g, direct_product(refs["C9"], refs["C3"]))
+
+
+def test_quotient_is_regular_action_on_cosets(ng, refs):
+    rng = random.Random(5)
+    cases = [(ng.Q2, ng.Q2.center()), (ng.H2, ng.Q2), (ng.S, ng.S.center()),
+             (refs["AGL23"], refs["V"]), (refs["Sym4"], refs["Sym4"].p_core(2))]
+    for G, N in cases:
+        N = G.subgroup(N.eset)
+        Q = G.quotient(N)
+        assert len(Q) * len(N) == len(G)
+        index, reps = G._coset_index(N)
+        assert len(reps) == len(Q) and set(index.values()) == set(range(len(Q)))
+        assert {index[n] for n in N.elems} == {0}
+        # Q acts regularly on the cosets: q is fixed by where it sends N
+        assert sorted(q.im[0] for q in Q.elems) == list(range(len(Q)))
+        # g -> its coset's perm is a homomorphism onto Q
+        image = {q.im[0]: q for q in Q.elems}
+        for _ in range(30):
+            a, b = rng.choice(G.elems), rng.choice(G.elems)
+            assert image[index[a * b]] == image[index[a]] * image[index[b]]
+        assert iso_check(G.quotient(G.subgroup([G.identity])), G)
 
 
 def test_reference_group_isos(refs):

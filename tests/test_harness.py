@@ -4,8 +4,9 @@ import os
 import jsonschema
 import pytest
 
-from psu38.harness import (REPORT_SCHEMA, VerifyContext, build_claims,
-                           factorization, format_report, main, run_claims)
+from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext,
+                           build_claims, factorization, format_report, main,
+                           run_claims)
 
 from conftest import CACHE_DIR
 
@@ -170,27 +171,39 @@ def test_env_cache_dir(monkeypatch, tmp_path):
 def test_exit_code_1_on_claim_failure(monkeypatch, capsys):
     import psu38.harness as hz
 
+    def boom(ctx):
+        raise RuntimeError("broken claim")
+
     def fake_claims():
         return [hz.Claim("X.1", "always fails", ("H", "K"),
-                         lambda ctx: (False, {"why": "forced"}))]
+                         lambda ctx: (False, {"why": "forced"})),
+                hz.Claim("X.2", "raises", ("H", "K"), boom)]
 
     monkeypatch.setattr(hz, "build_claims", fake_claims)
     rc = main(["verify", "--claims", "X", "--cache-dir", CACHE_DIR])
-    assert rc == 1
+    assert rc == 1  # a failed claim outranks an errored one
     assert "OVERALL: FAIL" in capsys.readouterr().out
 
 
-def test_claim_exception_becomes_failure(monkeypatch):
+def test_claim_exception_becomes_failure(monkeypatch, capsys):
     import psu38.harness as hz
 
     def boom(ctx):
         raise RuntimeError("broken claim")
 
     def fake_claims():
-        return [hz.Claim("X.2", "raises", ("H", "K"), boom)]
+        return [hz.Claim("X.2", "raises", ("H", "K"), boom),
+                hz.Claim("X.3", "holds", ("H", "K"), lambda ctx: (True, {}))]
 
     monkeypatch.setattr(hz, "build_claims", fake_claims)
     ctx = VerifyContext(cache_dir=CACHE_DIR)
     rep = run_claims(ctx)
-    assert rep["claims"][0]["verdict"] == "fail"
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert [c["verdict"] for c in rep["claims"]] == ["error", "pass"]
     assert "broken claim" in rep["claims"][0]["witness"]["error"]
+    assert not rep["overall"]
+    assert "1/2 pass, 0 fail, 1 error" in format_report(rep)
+    # an error with no failure has its own exit code
+    rc = main(["verify", "--claims", "X", "--cache-dir", CACHE_DIR])
+    assert rc == EXIT_ERROR == 4
+    assert "[ERROR] X.2" in capsys.readouterr().out
