@@ -8,9 +8,11 @@ along their closure tree, one permutation gather per element.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .coset import CosetGraph
+from .coset import CosetGraph, row_keys
 from .grp import Perm, SmallGroup
 
 
@@ -42,9 +44,7 @@ def enumerate_arcs(graph: CosetGraph, v: int, s: int) -> np.ndarray:
     """All s-arcs starting at v: paths with no immediate backtracking."""
     if s == 0:
         return np.array([[v]], dtype=np.int64)
-    arcs = []
-    stack = [(v, int(u)) for u in sorted(graph.neighbors(v))]
-    path = None
+    first_steps = [(v, int(u)) for u in sorted(graph.neighbors(v))]
     out = []
 
     def extend(prefix):
@@ -57,8 +57,8 @@ def enumerate_arcs(graph: CosetGraph, v: int, s: int) -> np.ndarray:
             if w != prev:
                 extend(prefix + (w,))
 
-    for v0, v1 in stack:
-        extend((v0, v1))
+    for step in first_steps:
+        extend(step)
     return np.array(out, dtype=np.int64)
 
 
@@ -92,47 +92,46 @@ def stab_action_table(graph: CosetGraph, S: SmallGroup, pts: np.ndarray) -> np.n
     return T, S
 
 
-def orbit_partition(arcs: np.ndarray, perms: list[np.ndarray]) -> list[int]:
-    """Orbit sizes of the group generated by perms acting on the arc rows."""
-    index = {a.tobytes(): i for i, a in enumerate(arcs)}
-    assert len(index) == len(arcs)
-    seen = np.zeros(len(arcs), dtype=bool)
-    sizes = []
-    for start in range(len(arcs)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        fr = [start]
-        while fr:
-            nf = []
-            for i in fr:
-                row = arcs[i]
-                for p in perms:
-                    j = index[p[row].tobytes()]
-                    if not seen[j]:
-                        seen[j] = True
-                        comp.append(j)
-                        nf.append(j)
-            fr = nf
-        sizes.append(len(comp))
-    return sorted(sizes, reverse=True)
+def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
+    """Orbit sizes, largest first, of the group generated by the vertex
+    permutations perms acting entrywise on the rows of an integer array.
 
-
-def base_stabilizer(graph: CosetGraph, v: int, group: str) -> SmallGroup:
-    """Stabilizer of a base vertex with closure links intact."""
-    ng = graph.ng
-    if v == graph.base_x1:
-        return ng.K1 if group == "K" else ng.H1
-    if v == graph.base_x2:
-        return ng.K2 if group == "K" else ng.H2
-    return graph.vertex_stabilizer(v, group)
+    Rows are found by a binary search in their sorted row_keys, which is
+    exact: the keys are pairwise distinct, and every row found is compared
+    with the image it stands for.  Raises if a row repeats (or two rows
+    share a key) or an image is not a row.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = len(rows)
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    skeys = keys[order]
+    if (skeys[1:] == skeys[:-1]).any():
+        raise AssertionError("two rows share a key (a repeated row?)")
+    images = []
+    for p in perms:
+        im = p[rows]
+        pos = np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)
+        j = order[pos]
+        if not np.array_equal(rows[j], im):
+            raise AssertionError("an image row is not a row")
+        images.append(j)
+    # each generator permutes the rows, so an orbit is a union of cycles:
+    # lowering every label to the least label of its images, with pointer
+    # jumping, ends with one label per orbit
+    label, prev = np.arange(n), None
+    while prev is None or not np.array_equal(label, prev):
+        prev = label
+        for j in images:
+            label = np.minimum(label, prev[j])
+        label = label[label]
+    return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
 
 
 def arc_orbits(graph: CosetGraph, v: int, s: int, group: str) -> dict:
     """Orbit structure of the vertex stabilizer on s-arcs at v."""
     arcs = enumerate_arcs(graph, v, s)
-    stab = base_stabilizer(graph, v, group)
+    stab = graph.vertex_stabilizer(v, group)
     perms = [graph.perm(g) for g in stab.gens_list()]
     sizes = orbit_partition(arcs, perms)
     return {
@@ -147,13 +146,13 @@ def arc_orbits(graph: CosetGraph, v: int, s: int, group: str) -> dict:
     }
 
 
-def max_local_s(graph: CosetGraph, group: str, s_max: int = 8) -> tuple[int, list]:
-    """Largest s with 1 orbit on s-arcs at both base vertices (and at all
-    smaller s); also returns the full orbit-count table."""
+def max_local_s(graph: CosetGraph, group: str) -> tuple[int, list]:
+    """Largest s <= 8 with 1 orbit on s-arcs at both base vertices (and at
+    all smaller s); also returns the orbit-count table for s = 1..8."""
     table = []
     best = 0
     chain_ok = True
-    for s in range(1, s_max + 1):
+    for s in range(1, 9):
         r1 = arc_orbits(graph, graph.base_x1, s, group)
         r2 = arc_orbits(graph, graph.base_x2, s, group)
         table.append((s, r1["orbit_count"], r2["orbit_count"]))
@@ -179,28 +178,26 @@ def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
 # kernels of action
 
 
-class KernelData:
-    """Kernels G_z^[i] for one base vertex and group, plus the induced
-    permutation group on the neighbors."""
+KERNEL_RADIUS = 5
 
-    def __init__(self, graph: CosetGraph, v: int, group: str, max_r: int = 5):
+
+class KernelData:
+    """Kernels G_z^[i] for one base vertex and group, i <= KERNEL_RADIUS,
+    plus O_3(G_z^[1]) and the induced permutation group on the neighbors.
+    Use kernel_data(), which keeps one per (vertex, group) on the graph."""
+
+    def __init__(self, graph: CosetGraph, v: int, group: str):
         self.graph = graph
         self.v = v
         self.group = group
-        self.max_r = max_r
-        pts, radii = ball(graph, v, max_r)
+        pts, radii = ball(graph, v, KERNEL_RADIUS)
         self.ball_pts = pts
         self.ball_radii = radii
-        stab = base_stabilizer(graph, v, group)
-        T, stab = stab_action_table(graph, stab, pts)
+        T, stab = stab_action_table(graph, graph.vertex_stabilizer(v, group), pts)
         self.stab = stab
+        # smallest radius any element moves; KERNEL_RADIUS + 1 if none
         moved = T != pts[None, :]
-        # smallest radius any element moves; identity and deep kernels get max_r+1
-        first_moved = np.where(
-            moved.any(axis=1),
-            np.where(moved, radii[None, :], max_r + 1).min(axis=1),
-            max_r + 1,
-        )
+        first_moved = np.where(moved, radii[None, :], KERNEL_RADIUS + 1).min(axis=1)
         if first_moved.min() < 1:
             raise AssertionError("stabilizer element moves its own vertex")
         self.first_moved = first_moved
@@ -209,6 +206,11 @@ class KernelData:
     def kernel(self, i: int) -> SmallGroup:
         els = [self.stab.elems[j] for j in np.where(self.first_moved > i)[0]]
         return self.stab.subgroup(els, name=f"{self.group}_z{self.v}^[{i}]")
+
+    @functools.cached_property
+    def o3(self) -> SmallGroup:
+        """O_3(G_z^[1])."""
+        return self.kernel(1).p_core(3)
 
     def induced_neighbor_group(self) -> tuple[SmallGroup, SmallGroup]:
         """(induced permutation group on the neighbors, its kernel).
@@ -234,39 +236,41 @@ class KernelData:
         return induced, kern
 
 
+def kernel_data(graph: CosetGraph, v: int, group: str) -> KernelData:
+    """The one KernelData of (v, group), kept on the graph."""
+    kd = graph._kernels.get((v, group))
+    if kd is None:
+        kd = graph._kernels[(v, group)] = KernelData(graph, v, group)
+    return kd
+
+
 # ---------------------------------------------------------------------------
 # local characteristic and pushing up
 
 
-def o3_of_first_kernel(graph: CosetGraph, v: int, group: str) -> SmallGroup:
-    kd = KernelData(graph, v, group, max_r=1)
-    return kd.kernel(1).p_core(3)
-
-
-def local_characteristic(graph: CosetGraph, group: str, p: int = 3) -> tuple[bool, list]:
-    """C_{G_{x_i}}(O_p(G_z^[1])) <= O_p(G_z^[1]) for z, x_i among the two
+def local_characteristic(graph: CosetGraph, group: str) -> tuple[bool, list]:
+    """C_{G_{x_i}}(O_3(G_z^[1])) <= O_3(G_z^[1]) for z, x_i among the two
     base vertices at distance <= 1 (the two orbit representatives)."""
-    x1, x2 = graph.base_x1, graph.base_x2
+    kds = [kernel_data(graph, z, group) for z in (graph.base_x1, graph.base_x2)]
     details = []
     ok = True
-    qz = {z: KernelData(graph, z, group, max_r=1).kernel(1).p_core(p) for z in (x1, x2)}
-    for z in (x1, x2):
-        for xi in (x1, x2):
-            stab = base_stabilizer(graph, xi, group)
-            c = stab.centralizer(qz[z].gens_list())
-            contained = c.eset <= qz[z].eset
+    for kz in kds:
+        q = kz.o3
+        for kx in kds:
+            c = kx.stab.centralizer(q.gens_list())
+            contained = c.eset <= q.eset
             ok = ok and contained
             details.append({
-                "z": z, "xi": xi, "|O_p|": len(qz[z]),
+                "z": kz.v, "xi": kx.v, "|O_p|": len(q),
                 "|centralizer|": len(c), "contained": contained,
             })
     return ok, details
 
 
-def pushing_up(graph: CosetGraph, group: str, p: int = 3) -> tuple[bool, dict]:
-    lc, details = local_characteristic(graph, group, p)
-    q1 = o3_of_first_kernel(graph, graph.base_x1, group)
-    q2 = o3_of_first_kernel(graph, graph.base_x2, group)
+def pushing_up(graph: CosetGraph, group: str) -> tuple[bool, dict]:
+    lc, details = local_characteristic(graph, group)
+    q1 = kernel_data(graph, graph.base_x1, group).o3
+    q2 = kernel_data(graph, graph.base_x2, group).o3
     contained = q1.eset <= q2.eset
     return lc and contained, {
         "local_characteristic": lc,
@@ -282,7 +286,7 @@ def pushing_up(graph: CosetGraph, group: str, p: int = 3) -> tuple[bool, dict]:
 
 
 def sampled_vertex_checks(
-    graph: CosetGraph, group: str, p: int = 3,
+    graph: CosetGraph, group: str,
     n_wide: int = 100, n_deep: int = 12, seed: int = 38,
 ) -> dict:
     """Spot checks at random non-base vertices, guarding the reduction of
@@ -291,7 +295,7 @@ def sampled_vertex_checks(
 
     wide: the conjugate stabilizer really fixes its vertex (spot-checked
     on a sample of its elements) and has the right order.
-    deep: recompute G_v^[1] as an intersection of vertex stabilizers and
+    deep: recompute G_v^[1] as the stabilizer of v and its neighbors and
     reverify the centralizer condition directly.
     """
     rng = np.random.default_rng(seed)
@@ -317,11 +321,10 @@ def sampled_vertex_checks(
     for v in deep_ids:
         v = int(v)
         stab = graph.vertex_stabilizer(v, group)
-        kern = set(stab.eset)
-        for u in graph.neighbors(v):
-            kern &= graph.vertex_stabilizer(int(u), group).eset
-        k1 = stab.subgroup(kern)
-        q = k1.p_core(p)
+        # G_v^[1] = G_v n (pointwise stabilizer of the neighbors); G_v is
+        # not passed to arc_stabilizer, which would conjugate K_side again
+        k1 = stab.intersect(arc_stabilizer(graph, graph.neighbors(v), group))
+        q = k1.p_core(3)
         c = stab.centralizer(q.gens_list())
         if not c.eset <= q.eset:
             deep_ok = False

@@ -52,6 +52,16 @@ class CacheMismatch(RuntimeError):
     """Cache file does not match the requested configuration."""
 
 
+def row_keys(rows) -> np.ndarray:
+    """One uint64 per row of an integer array: a xor-multiply mix of its
+    entries (exact only where its users check it)."""
+    h = np.zeros(len(rows), dtype=np.uint64)
+    for col in np.asarray(rows, dtype=np.uint64).T:
+        h = (h ^ col) * _MIX
+        h ^= h >> np.uint64(32)
+    return h
+
+
 def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
     """Right transversal of K12 in K: representatives t of the cosets
     K12.t, scanned in canonical order so the choice is deterministic."""
@@ -91,6 +101,7 @@ class CosetGraph:
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
     _perm_cache: dict = dfield(default_factory=dict)
+    _kernels: dict = dfield(default_factory=dict)  # (vertex, group) -> arcs.KernelData
 
     # -- sizes and ids ----------------------------------------------------
 
@@ -173,14 +184,15 @@ class CosetGraph:
     # -- stabilizers ---------------------------------------------------
 
     def vertex_stabilizer(self, g: int, group: str = "K") -> SmallGroup:
-        """(K_side)^rep, filtered to twist {0,3} for group="H"."""
+        """(K_side)^rep, filtered to twist {0,3} for group="H"; at the base
+        vertices the generated groups K1, K2, H1, H2 themselves, with their
+        closure links."""
         side = self.side_of(g)
-        base = self.ng.K1 if side == 1 else self.ng.K2
-        rep = self.rep_element(g)
         if self.local_id(g) == 0:
-            stab = base
-        else:
-            stab = base.conjugate(rep, name=f"K_v{g}")
+            return {("K", 1): self.ng.K1, ("K", 2): self.ng.K2,
+                    ("H", 1): self.ng.H1, ("H", 2): self.ng.H2}[(group, side)]
+        base = self.ng.K1 if side == 1 else self.ng.K2
+        stab = base.conjugate(self.rep_element(g), name=f"K_v{g}")
         if group == "H":
             return self.ng.h_part(stab, name=f"H_v{g}")
         return stab
@@ -199,14 +211,8 @@ class CosetGraph:
     def _keys(self, side: int, pm, pt) -> np.ndarray:
         """Fingerprint key of the coset K_side.g of each probe g."""
         F = conj_fingerprints(self.ops, pm, pt, *self.zsets[side])
-        if side == 1:
-            # Z^g = {1, y, y^-1}: its least nonidentity key names y, hence Z^g
-            return F[:, 0]
-        h = np.zeros(len(F), dtype=np.uint64)
-        for col in F.T:
-            h = (h ^ col) * _MIX
-            h ^= h >> np.uint64(32)
-        return h
+        # side 1: Z^g = {1, y, y^-1}, and its least nonidentity key names y
+        return F[:, 0] if side == 1 else row_keys(F)
 
     def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
         """Vertex id of each fingerprint key (-1 when the coset is not a
@@ -443,70 +449,54 @@ def export_edge_list(graph: CosetGraph, path: str) -> int:
     return len(order)
 
 
-def graph6_bytes_header(n: int) -> bytes:
+def _sparse6_size(n: int) -> bytes:
+    """N(n) of nauty's formats.txt: 1, 4 or 8 bytes."""
     if n <= 62:
         return bytes([n + 63])
     if n <= 258047:
-        return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    raise ValueError("graph too large for the 3-byte graph6 size field")
+        return bytes([126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)])
+    return bytes([126, 126] + [((n >> s) & 63) + 63 for s in range(30, -1, -6)])
 
 
-def export_graph6(graph_or_edges, path: str, n: int | None = None,
-                  col_chunk: int = 1024) -> int:
-    """graph6 writer: upper-triangle bits in column-major order, packed
-    6 bits per byte, processed in column chunks to bound memory.
-    Accepts a CosetGraph or an (E,2) array of global id pairs.
-    Returns the number of vertices written."""
-    if isinstance(graph_or_edges, CosetGraph):
-        g = graph_or_edges
-        u = g.edges[:, 0].astype(np.int64)
-        v = g.edges[:, 1].astype(np.int64) + g.n1
-        n = g.nv
-    else:
-        e = np.asarray(graph_or_edges, dtype=np.int64)
-        u, v = e[:, 0], e[:, 1]
-        if n is None:
-            n = int(max(u.max(), v.max())) + 1
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    order = np.argsort(hi, kind="stable")
+def sparse6_bytes(n: int, edges) -> bytes:
+    """sparse6 encoding (nauty's formats.txt) of the simple graph on
+    0..n-1 with the given (E,2) edges, from ':' to the final newline.
+
+    Edges go in order of their larger end v, each as a (b, x) pair with
+    x = the smaller end: b = 0 stays at the current v, b = 1 moves to v+1,
+    and a longer jump first sends (1, v) to set the current vertex.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    order = np.lexsort((lo, hi))
     lo, hi = lo[order], hi[order]
-    starts = np.searchsorted(hi, np.arange(n + 1))
+    k = max(1, (n - 1).bit_length())
+    prev = np.concatenate([[0], hi[:-1]])
+    jump = hi > prev + 1
+    # per edge: an optional (1, hi) jump, then (hi == prev + 1, lo)
+    b = np.stack([np.ones(len(hi), dtype=np.int64),
+                  (hi == prev + 1).astype(np.int64)], 1)
+    x = np.stack([hi, lo], 1)
+    keep = np.stack([jump, np.ones(len(hi), dtype=bool)], 1)
+    b, x = b[keep], x[keep]
+    shifts = np.arange(k - 1, -1, -1)
+    bits = np.concatenate([b[:, None], (x[:, None] >> shifts) & 1], 1).ravel()
+    pad = -len(bits) % 6
+    cur = int(hi[-1]) if len(hi) else 0
+    if k < 6 and n == 1 << k and cur == n - 2 and pad > k:
+        # plain 1-padding would read as a loop at n-1
+        tail = [0] + [1] * (pad - 1)
+    else:
+        tail = [1] * pad
+    bits = np.concatenate([bits, tail]).astype(np.uint8).reshape(-1, 6)
+    body = bits @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return b":" + _sparse6_size(n) + body.tobytes() + b"\n"
 
+
+def export_sparse6(graph: CosetGraph, path: str) -> int:
+    """The graph in sparse6, global ids; returns the vertex count."""
+    u = graph.edges[:, 0].astype(np.int64)
+    v = graph.edges[:, 1].astype(np.int64) + graph.n1
     with open(path, "wb") as f:
-        f.write(graph6_bytes_header(n))
-        carry = np.zeros(0, dtype=np.uint8)
-        for c0 in range(1, n, col_chunk):
-            c1 = min(n, c0 + col_chunk)
-            lens = np.arange(c0, c1)
-            total = int(lens.sum())
-            bits = np.zeros(total, dtype=np.uint8)
-            offs = np.concatenate([[0], np.cumsum(lens)])
-            for j in range(c0, c1):
-                s, e2 = starts[j], starts[j + 1]
-                if e2 > s:
-                    bits[offs[j - c0] + lo[s:e2]] = 1
-            bits = np.concatenate([carry, bits])
-            nfull = (len(bits) // 6) * 6
-            chunk, carry = bits[:nfull], bits[nfull:]
-            if nfull:
-                six = chunk.reshape(-1, 6)
-                vals = (six * np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)).sum(
-                    axis=1, dtype=np.uint8) + 63
-                f.write(vals.astype(np.uint8).tobytes())
-        if len(carry):
-            pad = np.zeros(6 - len(carry), dtype=np.uint8)
-            six = np.concatenate([carry, pad])
-            val = int((six * np.array([32, 16, 8, 4, 2, 1])).sum()) + 63
-            f.write(bytes([val]))
-        f.write(b"\n")
-    return n
-
-
-def read_graph6_header(path: str) -> int:
-    """Vertex count from a graph6 file written by export_graph6."""
-    with open(path, "rb") as f:
-        b = f.read(4)
-    if b[0] != 126:
-        return b[0] - 63
-    return ((b[1] - 63) << 12) | ((b[2] - 63) << 6) | (b[3] - 63)
+        f.write(sparse6_bytes(graph.nv, np.stack([u, v], 1)))
+    return graph.nv

@@ -65,19 +65,26 @@ class Perm:
 
 def _close(gens, identity):
     """Subgroup generated by gens, as a set (finite, so the product
-    closure already contains inverses)."""
+    closure already contains inverses).  A generator already in the span
+    is skipped; a new one g adds the coset span.g and then closes the new
+    elements under every kept generator."""
     els = {identity}
-    frontier = [identity]
-    gens = [g for g in gens if g != identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in els:
-                    els.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    kept = []
+    for g in gens:
+        if g in els:
+            continue
+        kept.append(g)
+        frontier = [x * g for x in els]
+        els.update(frontier)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for h in kept:
+                    y = x * h
+                    if y not in els:
+                        els.add(y)
+                        nxt.append(y)
+            frontier = nxt
     return els
 
 

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .amalgam import analyze, shape_d2, shape_e2
-from .arcs import (KernelData, arc_orbits, arc_stabilizer, ball,
-                   base_stabilizer, arc_count_formula, local_characteristic,
-                   max_local_s, pushing_up, sampled_vertex_checks)
+from .arcs import (KernelData, arc_count_formula, arc_orbits, arc_stabilizer,
+                   ball, kernel_data, local_characteristic, max_local_s,
+                   orbit_partition, pushing_up, sampled_vertex_checks)
 from .coset import (CacheMismatch, CosetGraph, build_graph, export_edge_list,
-                    export_graph6, load_cache, save_cache)
+                    export_sparse6, load_cache, save_cache)
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
 from .grp import (Perm, SmallGroup, direct_product, is_split_extension,
                   iso_check, named_groups, reference_groups)
@@ -128,9 +128,8 @@ class VerifyContext:
         return g
 
     def kern(self, group: str, side: int) -> KernelData:
-        v = self.graph.base_x1 if side == 1 else self.graph.base_x2
-        return self._memo(("kern", group, side),
-                          lambda: KernelData(self.graph, v, group, max_r=5))
+        g = self.graph
+        return kernel_data(g, g.base_x1 if side == 1 else g.base_x2, group)
 
     def mls(self, group: str):
         return self._memo(("mls", group), lambda: max_local_s(self.graph, group))
@@ -173,40 +172,16 @@ class VerifyContext:
             ng = self.ng
             gens = (ng.K1.gens + ng.K2.gens) if group == "K" else (ng.H1.gens + ng.H2.gens)
             perms = [g.perm(x) for x in dict.fromkeys(gens)]
-            e = g.edges
-            u = e[:, 0].astype(np.int64)
-            v = e[:, 1].astype(np.int64) + g.n1
-            keys = u * np.int64(g.nv) + v
-            order = np.argsort(keys)
-            skeys = keys[order]
-            visited = np.zeros(len(keys), dtype=bool)
-            frontier = np.array([np.searchsorted(skeys, keys[0])])
-            visited[frontier] = True
-            su, sv = u[order], v[order]
-            while len(frontier):
-                nxt = []
-                for p in perms:
-                    iu, iv = p[su[frontier]], p[sv[frontier]]
-                    lo = np.minimum(iu, iv)
-                    hi = np.maximum(iu, iv)
-                    ik = lo * np.int64(g.nv) + hi
-                    pos = np.searchsorted(skeys, ik)
-                    assert (skeys[pos] == ik).all(), "edge image is not an edge"
-                    fresh = pos[~visited[pos]]
-                    if len(fresh):
-                        visited[np.unique(fresh)] = True
-                        nxt.append(np.unique(fresh))
-                frontier = np.unique(np.concatenate(nxt)) if nxt else np.zeros(0, int)
-            return bool(visited.all())
+            edges = g.edges.astype(np.int64) + np.array([0, g.n1])
+            return len(orbit_partition(edges, perms)) == 1
         return self._memo(("edgetrans", group), run)
 
     def split_searches(self):
         def run():
             out = {}
             for group, side in (("H", 1), ("H", 2), ("K", 1), ("K", 2)):
-                gz = base_stabilizer(self.graph, self.graph.base_x1 if side == 1
-                                     else self.graph.base_x2, group)
-                n = self.kern(group, side).kernel(1).p_core(3)
+                kd = self.kern(group, side)
+                gz, n = kd.stab, kd.o3
                 ok, comp = is_split_extension(gz, n, witness=True)
                 out[f"{group}_x{side}"] = {
                     "group_order": len(gz), "normal_order": len(n),
@@ -799,7 +774,7 @@ def build_claims() -> list[Claim]:
                      "and the H_{x1} kernel chain matches", ("H",))
     def t12i(ctx):
         ok1, d = _kernel_claim(ctx, "H", 1)
-        w1 = ctx.kern("H", 1).kernel(1).p_core(3)
+        w1 = ctx.kern("H", 1).o3
         sp = w1.structure_predicates(3)
         ok = ok1 and sp["order"] == 9 and sp["is_elementary_abelian"]
         d["W1_predicates"] = sp
@@ -809,7 +784,7 @@ def build_claims() -> list[Claim]:
                       "exponent 3 and the H_{x2} kernel chain matches", ("H",))
     def t12ii(ctx):
         ok1, d = _kernel_claim(ctx, "H", 2)
-        w2 = ctx.kern("H", 2).kernel(1).p_core(3)
+        w2 = ctx.kern("H", 2).o3
         sp = w2.structure_predicates(3)
         ok = ok1 and sp["order"] == 27 and sp["exponent"] == 3 and sp["is_special"]
         d["W2_predicates"] = sp
@@ -819,8 +794,8 @@ def build_claims() -> list[Claim]:
                        "kernel chain matches", ("K",))
     def t12iii(ctx):
         ok1, d = _kernel_claim(ctx, "K", 1)
-        w1 = ctx.kern("H", 1).kernel(1).p_core(3)
-        wh1 = ctx.kern("K", 1).kernel(1).p_core(3)
+        w1 = ctx.kern("H", 1).o3
+        wh1 = ctx.kern("K", 1).o3
         dp = direct_product(_regular(w1), ctx.refs["C3"])
         ok = ok1 and iso_check(wh1, dp)
         d["Wh1_iso_W1xC3"] = bool(ok)
@@ -830,8 +805,8 @@ def build_claims() -> list[Claim]:
                       "kernel chain matches", ("K",))
     def t12iv(ctx):
         ok1, d = _kernel_claim(ctx, "K", 2)
-        w2 = ctx.kern("H", 2).kernel(1).p_core(3)
-        wh2 = ctx.kern("K", 2).kernel(1).p_core(3)
+        w2 = ctx.kern("H", 2).o3
+        wh2 = ctx.kern("K", 2).o3
         dp = direct_product(_regular(w2), ctx.refs["C3"])
         ok = ok1 and iso_check(wh2, dp)
         d["Wh2_iso_W2xC3"] = bool(ok)
@@ -914,7 +889,7 @@ def _kernel_claim(ctx, group: str, side: int):
     kd = ctx.kern(group, side)
     k1 = kd.kernel(1)
     named = {"Q1": ng.Q1, "Q2": ng.Q2, "Qh1": ng.Qh1, "Qh2": ng.Qh2}[exp["o3_name"]]
-    o3 = k1.p_core(3)
+    o3 = kd.o3
     d = {"|G_z^[1]|": len(k1), "|O3|": len(o3)}
     ok = len(k1) == exp["k1_order"] and o3.eset == named.eset
 
@@ -1131,7 +1106,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export the graph")
     _add_common(p)
-    p.add_argument("--format", choices=["edge-list", "graph6"],
+    p.add_argument("--format", choices=["edge-list", "sparse6"],
                    required=True)
     p.add_argument("--out", required=True)
 
@@ -1205,8 +1180,8 @@ def main(argv=None) -> int:
                 n = export_edge_list(g, args.out)
                 print(f"{n} edges written to {args.out}")
             else:
-                n = export_graph6(g, args.out)
-                print(f"graph6 with {n} vertices written to {args.out}")
+                n = export_sparse6(g, args.out)
+                print(f"sparse6 with {n} vertices written to {args.out}")
             return EXIT_OK
 
         if args.cmd == "arcs":

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from psu38 import arcs
 from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
-                        arc_stabilizer, ball, enumerate_arcs,
-                        local_characteristic, max_local_s, pushing_up,
-                        sampled_vertex_checks)
+                        arc_stabilizer, ball, enumerate_arcs, kernel_data,
+                        local_characteristic, max_local_s, orbit_partition,
+                        pushing_up, sampled_vertex_checks)
 from psu38.grp import SmallGroup, iso_check
+from psu38.harness import VerifyContext
+
+from conftest import CACHE_DIR
 
 
 def test_arc_counts_match_valency_products(graph):
@@ -168,3 +172,95 @@ def test_edge_stabilizer_order_on_sampled_edges(graph, ng):
         sv = graph.vertex_stabilizer(graph.n1 + int(v), "K")
         inter = su.eset & sv.eset
         assert len(inter) == 324
+
+
+def _cycle_edges(n):
+    return np.array([(i, (i + 1) % n) for i in range(n)])
+
+
+def test_orbit_partition_on_a_cycle():
+    n = 6
+    rows = _cycle_edges(n)
+    rotation = (np.arange(n) + 1) % n
+    reflection = (-np.arange(n)) % n
+    assert orbit_partition(rows, [rotation]) == [6]
+    # directed edges (i, i+1) go to (-i, -i-1): a row only when reversed,
+    # so take both directions; the reflection pairs them up
+    both = np.concatenate([rows, rows[:, ::-1]])
+    assert orbit_partition(both, [reflection]) == [2] * 6
+    assert orbit_partition(both, [rotation, reflection]) == [12]
+    assert orbit_partition(both, [rotation]) == [6, 6]
+    assert orbit_partition(rows, [np.arange(n)]) == [1] * 6
+    assert orbit_partition(rows, []) == [1] * 6
+
+
+def _bfs_orbit_sizes(rows, perms):
+    """Orbit sizes by a plain BFS over a dict of rows: the reference."""
+    index = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    seen, sizes = set(), []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, frontier = 1, [start]
+        while frontier:
+            i = frontier.pop()
+            for p in perms:
+                j = index[tuple(p[rows[i]].tolist())]
+                if j not in seen:
+                    seen.add(j)
+                    comp += 1
+                    frontier.append(j)
+        sizes.append(comp)
+    return sorted(sizes, reverse=True)
+
+
+def test_orbit_partition_matches_bfs(graph):
+    for v, s, group in ((graph.base_x1, 6, "K"), (graph.base_x1, 6, "H"),
+                        (graph.base_x2, 4, "H"), (graph.base_x1, 8, "K")):
+        rows = enumerate_arcs(graph, v, s)
+        stab = graph.vertex_stabilizer(v, group)
+        perms = [graph.perm(g) for g in stab.gens_list()]
+        assert orbit_partition(rows, perms) == _bfs_orbit_sizes(rows, perms)
+        # a subgroup's orbits: the first generator alone
+        assert orbit_partition(rows, perms[:1]) == _bfs_orbit_sizes(rows, perms[:1])
+
+
+def test_orbit_partition_rejects_bad_rows():
+    rows = _cycle_edges(5)
+    rotation = (np.arange(5) + 1) % 5
+    with pytest.raises(AssertionError):
+        orbit_partition(np.concatenate([rows, rows[:1]]), [rotation])
+    with pytest.raises(AssertionError):
+        orbit_partition(rows[:4], [rotation])
+    with pytest.raises(AssertionError):
+        orbit_partition(rows, [(-np.arange(5)) % 5])
+
+
+def test_one_kernel_record_per_base_vertex(monkeypatch):
+    calls = []
+    init = KernelData.__init__
+
+    def counted(self, *args):
+        calls.append(args[1:])
+        init(self, *args)
+    monkeypatch.setattr(arcs.KernelData, "__init__", counted)
+    ctx = VerifyContext(cache_dir=CACHE_DIR)
+    g = ctx.graph
+    kd = ctx.kern("K", 1)
+    assert local_characteristic(g, "K")[0]
+    assert pushing_up(g, "H")[0]
+    ctx.split_searches()
+    assert len(calls) == 4
+    assert sorted(calls) == sorted([(g.base_x1, "K"), (g.base_x2, "K"),
+                                    (g.base_x1, "H"), (g.base_x2, "H")])
+    assert kernel_data(g, g.base_x1, "K") is kd is ctx.kern("K", 1)
+    assert kd.o3 is kd.o3
+    assert kd.o3.eset == kd.kernel(1).p_core(3).eset == ctx.ng.Qh1.eset
+
+
+def test_base_vertex_stabilizers_are_the_generated_groups(graph, ng):
+    for v, group, G in ((graph.base_x1, "K", ng.K1), (graph.base_x2, "K", ng.K2),
+                        (graph.base_x1, "H", ng.H1), (graph.base_x2, "H", ng.H2)):
+        stab = graph.vertex_stabilizer(v, group)
+        assert stab is G and stab.parent is not None

@@ -10,8 +10,8 @@ import networkx as nx
 from psu38 import coset
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CacheMismatch, CosetGraph,
                          build_graph, coset_canon, export_edge_list,
-                         export_graph6, group_hash, load_cache,
-                         read_graph6_header, save_cache, transversal)
+                         export_sparse6, group_hash, load_cache, save_cache,
+                         sparse6_bytes, transversal)
 from psu38.fastops import FieldOps, SubgroupArrays, bunpack, coset_canon_keys
 from psu38.gf64 import GF64
 from psu38.grp import named_groups
@@ -174,28 +174,43 @@ def test_export_edge_list(graph, tmp_path):
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split())))
 
 
-def test_graph6_small_graphs_against_networkx(tmp_path):
+def _edge_set(edges):
+    return sorted(tuple(sorted(map(int, e))) for e in edges)
+
+
+def test_sparse6_small_graphs_against_networkx():
+    # the example of nauty's formats.txt
+    assert sparse6_bytes(7, [(0, 1), (0, 2), (1, 2), (5, 6)]) == b":Fa@x^\n"
     rng = random.Random(11)
-    for n, p in ((5, 0.5), (26, 0.2), (63, 0.1), (80, 0.07)):
+    cases = [(n, p) for n in (1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 62, 63, 64, 80)
+             for p in (0.0, 0.1, 0.5, 0.9)]
+    for n, p in cases:
         g = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6))
-        edges = np.array([(u, v) for u, v in g.edges()], dtype=np.int64)
-        path = str(tmp_path / f"g{n}.g6")
-        if len(edges) == 0:
-            edges = np.zeros((0, 2), dtype=np.int64)
-        export_graph6(edges, path, n=n, col_chunk=7)
-        with open(path, "rb") as fh:
-            data = fh.read().strip()
-        back = nx.from_graph6_bytes(data)
-        assert sorted(back.edges()) == sorted(g.edges())
-        assert read_graph6_header(path) == n
+        back = nx.from_sparse6_bytes(sparse6_bytes(n, list(g.edges())).strip())
+        assert back.number_of_nodes() == n
+        assert _edge_set(back.edges()) == _edge_set(g.edges())
 
 
-def test_graph6_header_for_full_size():
-    from psu38.coset import graph6_bytes_header
-    h = graph6_bytes_header(59584)
-    assert h[0] == 126
-    n = ((h[1] - 63) << 12) | ((h[2] - 63) << 6) | (h[3] - 63)
-    assert n == 59584
+def test_sparse6_padding_cases():
+    # n = 2^k with k < 6: when the last edge ends at n-2, padding with
+    # 1-bits alone would decode as a loop at n-1
+    rng = random.Random(5)
+    for n in (4, 8, 16, 32):
+        pairs = [(a, b) for b in range(n - 1) for a in range(b)]
+        last = [p for p in pairs if p[1] == n - 2]
+        for _ in range(200):
+            edges = set(rng.sample(pairs, rng.randrange(len(pairs) // 4 + 1)))
+            edges.add(rng.choice(last))
+            data = sparse6_bytes(n, sorted(edges))
+            back = nx.from_sparse6_bytes(data.strip())
+            assert back.number_of_nodes() == n
+            assert _edge_set(back.edges()) == _edge_set(edges), (n, edges, data)
+    # edgeless graphs: the size field alone, in its 1-, 4- and 8-byte forms
+    none = np.zeros((0, 2), dtype=np.int64)
+    assert sparse6_bytes(5, none) == b":D\n"
+    for n in (0, 5, 62, 63, 258047, 258048):
+        back = nx.from_sparse6_bytes(sparse6_bytes(n, none).strip())
+        assert (back.number_of_nodes(), back.number_of_edges()) == (n, 0)
 
 
 def test_build_deterministic(ng):
@@ -324,11 +339,14 @@ def test_save_cache_removes_its_temp_file_on_failure(graph, tmp_path, monkeypatc
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.slow
-def test_graph6_full_export(graph, tmp_path):
-    path = str(tmp_path / "full.g6")
-    n = export_graph6(graph, path)
-    assert n == 59584
-    assert read_graph6_header(path) == 59584
-    expected_bytes = 4 + (59584 * 59583 // 2 + 5) // 6 + 1
-    assert os.path.getsize(path) == expected_bytes
+def test_sparse6_full_export(graph, tmp_path):
+    path = str(tmp_path / "full.s6")
+    assert export_sparse6(graph, path) == 59584
+    assert os.path.getsize(path) < 1_000_000
+    with open(path, "rb") as fh:
+        back = nx.from_sparse6_bytes(fh.read().strip())
+    assert back.number_of_nodes() == 59584
+    assert back.number_of_edges() == 102144
+    u = graph.edges[:, 0].astype(np.int64)
+    v = graph.edges[:, 1].astype(np.int64) + graph.n1
+    assert _edge_set(back.edges()) == _edge_set(zip(u, v))

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, cyclic_group,
-                       dihedral_18, direct_product, is_split_extension,
-                       iso_check, reference_groups, sym_group)
+from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, _close,
+                       cyclic_group, dihedral_18, direct_product,
+                       is_split_extension, iso_check, reference_groups,
+                       sym_group)
 
 
 def test_closure_orders(ng):
@@ -117,6 +118,50 @@ def test_normal_closure(ng):
     nc = ng.H1.normal_closure([ng.p["B"]])
     assert ng.H1.is_normal(nc)
     assert len(nc) == 9  # <B>^H1 = Q1
+
+
+def _bfs_close(gens, identity):
+    """Closure by a plain BFS under every generator: the oracle for _close."""
+    els, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in els:
+                    els.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return els
+
+
+def test_close_with_redundant_generators(ng, refs):
+    assert _close(ng.K1.sorted_elems(), ng.K1.identity) == ng.K1.eset
+    assert _close([ng.K1.identity], ng.K1.identity) == {ng.K1.identity}
+    rng = random.Random(7)
+    for G in (ng.K1, ng.K2, ng.H2, refs["AGL23"], refs["SP2"]):
+        els = G.sorted_elems()
+        for _ in range(4):
+            gens = rng.sample(els, rng.randrange(1, 6))
+            assert _close(gens, G.identity) == _bfs_close(gens, G.identity)
+
+
+def test_normal_closure_of_many_generators(ng):
+    # a conjugation-closed seed closed by the plain BFS, as before
+    rng = random.Random(3)
+    for G in (ng.K1, ng.K2, ng.H1, ng.H2, ng.Q2, ng.S):
+        xs = rng.sample(G.sorted_elems(), 2)
+        seed = set(xs)
+        while True:
+            more = {g.inv() * x * g for x in seed for g in G.gens_list()} - seed
+            if not more:
+                break
+            seed |= more
+        expected = _bfs_close(sorted(seed), G.identity)
+        nc = G.normal_closure(xs)
+        assert nc.eset == expected
+        assert G.normal_closure(sorted(seed)).eset == expected
+        assert G.is_normal(nc)
 
 
 def test_quotient(ng, refs):

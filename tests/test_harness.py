@@ -131,6 +131,19 @@ def test_cli_export_edge_list(tmp_path, capsys, graph):
         assert sum(1 for _ in fh) == 102144
 
 
+def test_cli_export_sparse6(tmp_path, capsys, graph):
+    import networkx as nx
+    path = str(tmp_path / "delta.s6")
+    rc = main(["export", "--format", "sparse6", "--out", path,
+               "--cache-dir", CACHE_DIR])
+    assert rc == 0
+    assert "sparse6 with 59584 vertices" in capsys.readouterr().out
+    with open(path, "rb") as fh:
+        back = nx.from_sparse6_bytes(fh.read().strip())
+    assert back.number_of_nodes() == 59584
+    assert back.number_of_edges() == 102144
+
+
 def test_cli_no_rebuild_missing_cache(tmp_path):
     rc = main(["verify", "--no-rebuild", "--cache-dir", str(tmp_path / "none"),
                "--claims", "FLD"])
