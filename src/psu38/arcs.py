@@ -2,8 +2,9 @@
 G_z^[i], and the local characteristic / pushing up predicates.
 
 Group elements act on vertices on the right through CosetGraph.perm;
-stabilizer subgroups evaluate their whole action table incrementally
-along their closure tree, one permutation gather per element.
+a base-vertex stabilizer evaluates its whole action table along its
+closure tree, one permutation gather per element.  Other stabilizers stay
+packed keys (CosetGraph.stabilizer_keys, fixers) until a SmallGroup is needed.
 """
 
 from __future__ import annotations
@@ -78,20 +79,6 @@ def arc_count_formula(graph: CosetGraph, v: int, s: int) -> int:
 # stabilizer actions
 
 
-def stab_action_table(graph: CosetGraph, S: SmallGroup, pts: np.ndarray) -> np.ndarray:
-    """(|S|, len(pts)) table of images pts . S[i], evaluated along the
-    closure tree; requires S built by SmallGroup.generate."""
-    if S.parent is None:
-        S = S.regenerate()
-    gperm = [graph.perm(g) for g in S.gens]
-    n = len(S.elems)
-    T = np.empty((n, len(pts)), dtype=np.int64)
-    T[0] = pts
-    for i in range(1, n):
-        T[i] = gperm[S.genidx[i]][T[S.parent[i]]]
-    return T, S
-
-
 def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
     """Orbit sizes, largest first, of the group generated by the vertex
     permutations perms acting entrywise on the rows of an integer array.
@@ -104,7 +91,7 @@ def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
     rows = np.asarray(rows, dtype=np.int64)
     n = len(rows)
     keys = row_keys(rows)
-    order = np.argsort(keys)
+    order = np.argsort(keys).astype(np.int32)  # the kept images are int32 too
     skeys = keys[order]
     if (skeys[1:] == skeys[:-1]).any():
         raise AssertionError("two rows share a key (a repeated row?)")
@@ -164,14 +151,10 @@ def max_local_s(graph: CosetGraph, group: str) -> tuple[int, list]:
 
 
 def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
-    """Pointwise stabilizer of the arc: intersection of the vertex
-    stabilizers, as explicit element sets."""
-    arc = [int(x) for x in arc]
-    stab0 = graph.vertex_stabilizer(arc[0], group)
-    cur = set(stab0.eset)
-    for v in arc[1:]:
-        cur &= graph.vertex_stabilizer(v, group).eset
-    return stab0.subgroup(cur, name=f"{group}_arc")
+    """Pointwise stabilizer of the arc: the elements of the stabilizer of
+    arc[0] that fix the other arc vertices."""
+    keys = graph.fixers(graph.stabilizer_keys(int(arc[0]), group), arc[1:])
+    return graph.group_from_keys(keys, f"{group}_arc")
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +167,24 @@ KERNEL_RADIUS = 5
 class KernelData:
     """Kernels G_z^[i] for one base vertex and group, i <= KERNEL_RADIUS,
     plus O_3(G_z^[1]) and the induced permutation group on the neighbors.
-    Use kernel_data(), which keeps one per (vertex, group) on the graph."""
+    Use kernel_data(), which keeps one per (vertex, group) on the graph.
+    It holds no reference back to the graph, so a graph nobody uses is
+    freed at once, not at the next cyclic garbage collection."""
 
     def __init__(self, graph: CosetGraph, v: int, group: str):
-        self.graph = graph
         self.v = v
         self.group = group
         pts, radii = ball(graph, v, KERNEL_RADIUS)
         self.ball_pts = pts
         self.ball_radii = radii
-        T, stab = stab_action_table(graph, graph.vertex_stabilizer(v, group), pts)
-        self.stab = stab
+        # images of the ball under each element of the stabilizer, along
+        # the closure tree that SmallGroup.generate built
+        self.stab = S = graph.vertex_stabilizer(v, group)
+        gperm = [graph.perm(g) for g in S.gens]
+        T = np.empty((len(S.elems), len(pts)), dtype=np.int64)
+        T[0] = pts
+        for i in range(1, len(S.elems)):
+            T[i] = gperm[S.genidx[i]][T[S.parent[i]]]
         # smallest radius any element moves; KERNEL_RADIUS + 1 if none
         moved = T != pts[None, :]
         first_moved = np.where(moved, radii[None, :], KERNEL_RADIUS + 1).min(axis=1)
@@ -218,7 +208,7 @@ class KernelData:
         The kernel here is computed by permutation filtering, independent
         of the radius bookkeeping in self.first_moved.
         """
-        nbrs = sorted(int(x) for x in self.graph.neighbors(self.v))
+        nbrs = sorted(int(x) for x in self.ball_pts[self.ball_radii == 1])
         pos = {u: i for i, u in enumerate(nbrs)}
         cols = [int(np.where(self.ball_pts == u)[0][0]) for u in nbrs]
         sub = self.action_table[:, cols]
@@ -293,39 +283,30 @@ def sampled_vertex_checks(
     "for all z" conditions to orbit representatives against convention
     bugs.
 
-    wide: the conjugate stabilizer really fixes its vertex (spot-checked
-    on a sample of its elements) and has the right order.
-    deep: recompute G_v^[1] as the stabilizer of v and its neighbors and
-    reverify the centralizer condition directly.
+    wide: the conjugate stabilizer has the right order and every one of
+    its elements fixes its vertex.
+    deep: recompute G_v^[1] as the elements of G_v that fix v's
+    neighbors and reverify the centralizer condition directly.
     """
     rng = np.random.default_rng(seed)
     wide_ids = rng.choice(graph.nv, size=min(n_wide, graph.nv), replace=False)
     wide_ok = True
     for v in wide_ids:
         v = int(v)
-        stab = graph.vertex_stabilizer(v, group)
-        side = graph.side_of(v)
+        keys = graph.stabilizer_keys(v, group)
         expect = {
             ("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324,
-        }[(group, side)]
-        if len(stab) != expect:
-            wide_ok = False
-            break
-        els = stab.sorted_elems()
-        sample = [els[int(i)] for i in rng.integers(0, len(els), size=8)]
-        if any(graph.image(v, g) != v for g in sample):
+        }[(group, graph.side_of(v))]
+        if len(keys) != expect or len(graph.fixers(keys, [v])) != expect:
             wide_ok = False
             break
     deep_ids = rng.choice(graph.nv, size=min(n_deep, graph.nv), replace=False)
     deep_ok = True
     for v in deep_ids:
         v = int(v)
-        stab = graph.vertex_stabilizer(v, group)
-        # G_v^[1] = G_v n (pointwise stabilizer of the neighbors); G_v is
-        # not passed to arc_stabilizer, which would conjugate K_side again
-        k1 = stab.intersect(arc_stabilizer(graph, graph.neighbors(v), group))
-        q = k1.p_core(3)
-        c = stab.centralizer(q.gens_list())
+        keys = graph.stabilizer_keys(v, group)
+        q = graph.group_from_keys(graph.fixers(keys, graph.neighbors(v))).p_core(3)
+        c = graph.group_from_keys(keys).centralizer(q.gens_list())
         if not c.eset <= q.eset:
             deep_ok = False
             break

@@ -21,6 +21,11 @@ fewer vertices).
 The BFS runs one layer at a time from the base edge, with one batched
 product per layer and side; each layer's new vertices are numbered in
 key order, so ids are deterministic and the base vertices are 0 and n1.
+
+Group elements are handled as packed keys: image_batch acts rowwise,
+stabilizer_keys conjugates all of K_side in one batch, and fixers keeps
+the keys that fix given vertices, which gives arc stabilizers and
+kernels without intersecting conjugates.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ CACHE_VERSION = 3
 CACHE_HEADER = struct.Struct("<IIQQQ32sQ32s")
 GROUP_ORDER = 6 * 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # |PSU_3(8):C_6|
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+KEY_CHUNK = 8192  # probes per conj_fingerprints call; bounds its temporaries
 
 
 class CacheMismatch(RuntimeError):
@@ -96,6 +102,7 @@ class CosetGraph:
     repmats: dict = dfield(default_factory=dict)
     reptw: dict = dfield(default_factory=dict)
     zsets: dict = dfield(default_factory=dict)     # side -> (zm, zt)
+    ksets: dict = dfield(default_factory=dict)     # side -> (km, kt), K_side unpacked
     fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 fingerprint keys
     korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
     indptr: np.ndarray | None = None
@@ -115,12 +122,9 @@ class CosetGraph:
     def local_id(self, g: int) -> int:
         return g if g < self.n1 else g - self.n1
 
-    def rep_key(self, g: int) -> int:
-        side = self.side_of(g)
-        return int(self.reps[side][self.local_id(g)])
-
     def rep_element(self, g: int) -> PElement:
-        return PElement(Element.from_key(self.field, self.rep_key(g)))
+        key = int(self.reps[self.side_of(g)][self.local_id(g)])
+        return PElement(Element.from_key(self.field, key))
 
     def neighbors(self, g: int) -> np.ndarray:
         return self.indices[self.indptr[g]:self.indptr[g + 1]]
@@ -138,33 +142,33 @@ class CosetGraph:
 
     # -- group action ------------------------------------------------------
 
-    def image_batch(self, gids: np.ndarray, x: PElement) -> np.ndarray:
-        """Right action: K.g -> K.(g x), resolved to vertex ids."""
+    def image_batch(self, gids, keys) -> np.ndarray:
+        """Right action, rowwise: vertex K.g of gids[i] goes to K.(g x),
+        x the element of packed key keys[i]; a single key acts on every
+        vertex.  Resolved to vertex ids."""
         gids = np.asarray(gids, dtype=np.int64)
+        xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
+        xm, xt = np.broadcast_to(xm, (len(gids), 3, 3)), np.broadcast_to(xt, len(gids))
         out = np.empty(len(gids), dtype=np.int64)
-        xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
-        for side in (1, 2):
-            sel = np.where((gids >= self.n1) == (side == 2))[0]
-            if len(sel) == 0:
-                continue
-            lids = gids[sel] - (0 if side == 1 else self.n1)
-            pm, pt = self.ops.bsmul_right(
-                self.repmats[side][lids], self.reptw[side][lids], (xm[0], int(xt[0]))
-            )
+        for side, off in ((1, 0), (2, self.n1)):
+            sel = np.flatnonzero((gids >= self.n1) == (side == 2))
+            lids = gids[sel] - off
+            pm, pt = self.ops.bsmul(self.repmats[side][lids], self.reptw[side][lids],
+                                    xm[sel], xt[sel])
             ids = self._resolve(side, self._keys(side, pm, pt))
             if (ids < 0).any():
                 raise AssertionError("action image is not a known vertex")
-            out[sel] = ids + (0 if side == 1 else self.n1)
+            out[sel] = ids + off
         return out
 
     def image(self, g: int, x: PElement) -> int:
-        return int(self.image_batch(np.array([g]), x)[0])
+        return int(self.image_batch([g], x.key)[0])
 
     def perm(self, x: PElement) -> np.ndarray:
         """Full vertex permutation of one group element (cached)."""
         p = self._perm_cache.get(x.key)
         if p is None:
-            p = self.image_batch(np.arange(self.nv), x)
+            p = self.image_batch(np.arange(self.nv), x.key)
             self._perm_cache[x.key] = p
         return p
 
@@ -183,19 +187,42 @@ class CosetGraph:
 
     # -- stabilizers ---------------------------------------------------
 
+    def stabilizer_keys(self, g: int, group: str = "K") -> np.ndarray:
+        """Sorted packed keys of the stabilizer (K_side)^rep of vertex g, by
+        one batched conjugation rep^-1 k rep; group="H" conjugates only
+        the twists {0, 3}, and conjugation keeps the twist."""
+        side, lid = self.side_of(g), self.local_id(g)
+        km, kt = self.ksets[side]
+        if group == "H":
+            km, kt = km[kt % 3 == 0], kt[kt % 3 == 0]
+        rm = np.repeat(self.repmats[side][lid:lid + 1], len(kt), axis=0)
+        rt = np.repeat(self.reptw[side][lid:lid + 1], len(kt))
+        m, t = self.ops.bsmul(*self.ops.binv(rm, rt), km, kt)
+        return np.unique(self.ops.bpkeys(*self.ops.bsmul(m, t, rm, rt)))
+
+    def fixers(self, keys, gids) -> np.ndarray:
+        """The keys whose elements fix every vertex in gids, by one rowwise
+        image_batch over all (vertex, element) pairs."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        gids = np.asarray(gids, dtype=np.int64)
+        img = self.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
+        return keys[(img.reshape(len(gids), len(keys)) == gids[:, None]).all(axis=0)]
+
+    def group_from_keys(self, keys, name: str = "") -> SmallGroup:
+        """The SmallGroup on the elements of these packed keys, which must
+        be closed under products."""
+        return SmallGroup.from_set(
+            (PElement(Element.from_key(self.field, int(k))) for k in keys),
+            self.ng.K1.identity, name)
+
     def vertex_stabilizer(self, g: int, group: str = "K") -> SmallGroup:
-        """(K_side)^rep, filtered to twist {0,3} for group="H"; at the base
-        vertices the generated groups K1, K2, H1, H2 themselves, with their
-        closure links."""
-        side = self.side_of(g)
+        """The group on stabilizer_keys(g, group); at the base vertices the
+        generated groups K1, K2, H1, H2 themselves, with their closure
+        links."""
         if self.local_id(g) == 0:
             return {("K", 1): self.ng.K1, ("K", 2): self.ng.K2,
-                    ("H", 1): self.ng.H1, ("H", 2): self.ng.H2}[(group, side)]
-        base = self.ng.K1 if side == 1 else self.ng.K2
-        stab = base.conjugate(self.rep_element(g), name=f"K_v{g}")
-        if group == "H":
-            return self.ng.h_part(stab, name=f"H_v{g}")
-        return stab
+                    ("H", 1): self.ng.H1, ("H", 2): self.ng.H2}[(group, self.side_of(g))]
+        return self.group_from_keys(self.stabilizer_keys(g, group), f"{group}_v{g}")
 
     def group_order_from_graph(self) -> int:
         """|<K1,K2>| by orbit-stabilizer on side-1 cosets; cross-checked
@@ -210,9 +237,13 @@ class CosetGraph:
 
     def _keys(self, side: int, pm, pt) -> np.ndarray:
         """Fingerprint key of the coset K_side.g of each probe g."""
-        F = conj_fingerprints(self.ops, pm, pt, *self.zsets[side])
-        # side 1: Z^g = {1, y, y^-1}, and its least nonidentity key names y
-        return F[:, 0] if side == 1 else row_keys(F)
+        out = np.empty(len(pm), dtype=np.uint64)
+        for lo in range(0, len(pm), KEY_CHUNK):
+            hi = lo + KEY_CHUNK
+            F = conj_fingerprints(self.ops, pm[lo:hi], pt[lo:hi], *self.zsets[side])
+            # side 1: Z^g = {1, y, y^-1}, and its least nonidentity key names y
+            out[lo:hi] = F[:, 0] if side == 1 else row_keys(F)
+        return out
 
     def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
         """Vertex id of each fingerprint key (-1 when the coset is not a
@@ -268,10 +299,12 @@ def _arm(graph: CosetGraph) -> None:
     for name, z, parent in (("Z(K1)", z1, ng.K1), ("Z(Qh2)", z2, ng.K2)):
         if not parent.is_normal(z):
             raise AssertionError(f"{name} is not normal in {parent.name}")
-    for side, z in ((1, z1), (2, z2)):
+    for side, z, K in ((1, z1, ng.K1), (2, z2, ng.K2)):
         keys = np.array([x.key for x in z.sorted_elems() if x != z.identity],
                         dtype=np.uint64)
         graph.zsets[side] = bunpack(keys)
+        graph.ksets[side] = bunpack(np.array([x.key for x in K.sorted_elems()],
+                                             dtype=np.uint64))
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
         graph.repmats[side] = np.zeros((0, 3, 3), dtype=np.uint8)
         graph.reptw[side] = np.zeros(0, dtype=np.uint8)
@@ -337,8 +370,9 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
 
 def _assert_base_edge(graph: CosetGraph) -> None:
-    """x1 and x2 are adjacent, degrees are (4,3), and the stabilizer of
-    x3 = K1.E is the conjugate K1^E; this pins the orientation."""
+    """x1 and x2 are adjacent, degrees are (4,3), and the conjugate
+    K1^rep of x3 = K1.E has |K1| elements, all fixing x3 under the
+    action; this pins the orientation and the stored representative."""
     ng = graph.ng
     x1, x2 = graph.base_x1, graph.base_x2
     if x2 not in graph.neighbors(x1):
@@ -349,9 +383,8 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     x3 = graph.image(x1, E)
     if x3 == x1 or graph.side_of(x3) != 1:
         raise AssertionError("K1.E did not land on a new side-1 vertex")
-    stab = graph.vertex_stabilizer(x3, "K")
-    conj = ng.K1.conjugate_set(graph.rep_element(x3))
-    if frozenset(stab.eset) != conj:
+    keys = graph.stabilizer_keys(x3, "K")
+    if len(keys) != len(ng.K1) or len(graph.fixers(keys, [x3])) != len(keys):
         raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
 
 

@@ -66,12 +66,6 @@ class FieldOps:
         hf = self.FROB[gt[:, None, None], hm]
         return self.bmm(gm, hf), (gt + ht) % 6
 
-    def bsmul_right(self, gm, gt, h):
-        """Batch of left factors times one fixed right factor h=(hm,ht)."""
-        hm, ht = h
-        hf = self.FROB[gt[:, None, None], np.broadcast_to(hm, gm.shape)]
-        return self.bmm(gm, hf), (gt + ht) % 6
-
     def binv(self, gm, gt):
         """Rowwise inverse of unitary semilinear elements."""
         ms = self.FROB[3, gm.transpose(0, 2, 1)]
@@ -162,7 +156,8 @@ def conj_fingerprints(
             # g^-1 z^-1 g is the inverse of a conjugate already made
             conj.append(ops.binv(*conj[zkeys.index(zinv[i])]))
         else:
-            m1, t1 = ops.bsmul_right(im, it, (zm[i], int(zt[i])))
+            m1, t1 = ops.bsmul(im, it, np.broadcast_to(zm[i], im.shape),
+                               np.broadcast_to(zt[i], it.shape))
             conj.append(ops.bsmul(m1, t1, pm, pt))
     F = np.stack([ops.bpkeys(m, t) for m, t in conj], axis=1)
     F.sort(axis=1)

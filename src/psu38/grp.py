@@ -175,12 +175,6 @@ class SmallGroup:
         """Subgroup from an explicit (closed) element subset."""
         return SmallGroup.from_set(elements, self.identity, name)
 
-    def regenerate(self) -> "SmallGroup":
-        """Fresh closure from a generating set, restoring parent links."""
-        g = SmallGroup.generate(self.gens_list(), name=self.name)
-        assert g.eset == self.eset
-        return g
-
     # -- basics -----------------------------------------------------------
 
     @property
@@ -353,10 +347,6 @@ class SmallGroup:
 
     def intersect(self, other: "SmallGroup") -> "SmallGroup":
         return self.subgroup(self.eset & other.eset)
-
-    def conjugate_set(self, g) -> frozenset:
-        gi = g.inv()
-        return frozenset(gi * h * g for h in self.elems)
 
     def conjugate(self, g, name: str = "") -> "SmallGroup":
         gi = g.inv()

@@ -6,6 +6,7 @@ from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
                         arc_stabilizer, ball, enumerate_arcs, kernel_data,
                         local_characteristic, max_local_s, orbit_partition,
                         pushing_up, sampled_vertex_checks)
+from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext
 
@@ -162,6 +163,20 @@ def test_centralizer_check_at_x1(ctx, ng):
 def test_sampled_vertex_checks(graph):
     out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=3, seed=5)
     assert out["wide_ok"] and out["deep_ok"]
+
+
+def test_sampled_vertex_checks_catch_a_wrong_conjugation(graph, ng, monkeypatch):
+    """Stabilizers conjugated by rep^-1 instead of rep have the right order
+    but do not fix their vertices; the wide check must see it."""
+    def by_inverse(self, v, group="K"):
+        C = (ng.K1 if self.side_of(v) == 1 else ng.K2).conjugate(
+            self.rep_element(v).inv())
+        if group == "H":
+            C = ng.h_part(C)
+        return np.array(sorted(x.key for x in C.elems), dtype=np.uint64)
+    monkeypatch.setattr(CosetGraph, "stabilizer_keys", by_inverse)
+    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
+    assert out["wide_sample"] == 12 and not out["wide_ok"]
 
 
 def test_edge_stabilizer_order_on_sampled_edges(graph, ng):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import random
@@ -107,6 +108,54 @@ def test_vertex_stabilizers(graph, ng):
         assert len(hstab) == (432 if side == 1 else 324)
     v2 = graph.n1 + random.Random(8).randrange(graph.n2)
     assert len(graph.vertex_stabilizer(v2, "H")) == 324
+
+
+def test_stabilizer_keys_match_python_conjugation(graph, ng):
+    """The batched conjugation equals SmallGroup.conjugate by the rep, and
+    its H part, at each base vertex and at sampled vertices of each side."""
+    rng = random.Random(13)
+    for K, off, n in ((ng.K1, 0, graph.n1), (ng.K2, graph.n1, graph.n2)):
+        for v in [off] + [off + rng.randrange(1, n) for _ in range(2)]:
+            C = K.conjugate(graph.rep_element(v))
+            for group, G in (("K", C), ("H", ng.h_part(C))):
+                want = sorted(x.key for x in G.elems)
+                assert graph.stabilizer_keys(v, group).tolist() == want
+
+
+def test_image_batch_is_rowwise(graph, ng):
+    rng = random.Random(14)
+    gids = rng.sample(range(graph.nv), 12)
+    els = [rng.choice(ng.K1.elems) * rng.choice(ng.K2.elems) for _ in gids]
+    keys = np.array([x.key for x in els], dtype=np.uint64)
+    got = graph.image_batch(gids, keys)
+    assert got.tolist() == [graph.image(v, x) for v, x in zip(gids, els)]
+    # a single key acts on every vertex, as a full row of keys does
+    x = els[0]
+    ids = np.array(gids)
+    assert np.array_equal(graph.image_batch(ids, x.key), graph.perm(x)[ids])
+    assert np.array_equal(graph.image_batch(ids, np.full(len(ids), x.key)),
+                          graph.perm(x)[ids])
+
+
+def test_fixers_of_x1_in_K2_is_K12(graph, ng):
+    keys = np.array([x.key for x in ng.K2.elems], dtype=np.uint64)
+    got = graph.fixers(keys, [graph.base_x1])
+    assert sorted(got.tolist()) == sorted(x.key for x in ng.K12.elems)
+    assert len(graph.fixers(keys, [])) == len(keys)
+
+
+def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
+    coset._assert_base_edge(graph)
+    x3 = graph.image(graph.base_x1, ng.p["E"])
+    w = 1 if x3 != 1 else 2
+    g = copy.copy(graph)
+    g.reps, g.repmats, g.reptw = ({s: a.copy() for s, a in d.items()}
+                                  for d in (graph.reps, graph.repmats, graph.reptw))
+    g._perm_cache, g._kernels = {}, {}
+    for d in (g.reps, g.repmats, g.reptw):
+        d[1][x3] = d[1][w]
+    with pytest.raises(AssertionError, match="not K1 conjugated by the rep"):
+        coset._assert_base_edge(g)
 
 
 def test_action_is_right_action(graph, ng):
@@ -247,10 +296,10 @@ def test_fingerprint_key_against_canonical_oracle(graph, ng):
         canon = coset_canon_keys(ops, sub, graph.repmats[side][lids],
                                  graph.reptw[side][lids])
         assert len(np.unique(canon)) == len(lids)
-        pm, pt = ops.bsmul_right(graph.repmats[side][lids],
-                                 graph.reptw[side][lids], (xm[0], int(xt[0])))
+        pm, pt = ops.bsmul(graph.repmats[side][lids], graph.reptw[side][lids],
+                           np.repeat(xm, len(lids), axis=0), np.repeat(xt, len(lids)))
         want = coset_canon_keys(ops, sub, pm, pt)
-        img = graph.image_batch(lids + off, x) - off
+        img = graph.image_batch(lids + off, x.key) - off
         got = coset_canon_keys(ops, sub, graph.repmats[side][img],
                                graph.reptw[side][img])
         assert np.array_equal(got, want)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -220,3 +222,13 @@ def test_claim_exception_becomes_failure(monkeypatch, capsys):
     rc = main(["verify", "--claims", "X", "--cache-dir", CACHE_DIR])
     assert rc == EXIT_ERROR == 4
     assert "[ERROR] X.2" in capsys.readouterr().out
+
+
+def test_perfbench_wrappers_find_every_name():
+    """perfbench/spans.py wraps psu38's functions and methods by name; a
+    renamed or deleted one would break every traced benchmark run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import psu38, spans; "
+            "spans.instrument(spans.Tracer())")
+    subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench"),
+                    os.path.join(root, "src")], check=True, timeout=120)
