@@ -42,25 +42,22 @@ def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_arcs(graph: CosetGraph, v: int, s: int) -> np.ndarray:
-    """All s-arcs starting at v: paths with no immediate backtracking."""
-    if s == 0:
-        return np.array([[v]], dtype=np.int64)
-    first_steps = [(v, int(u)) for u in sorted(graph.neighbors(v))]
-    out = []
+    """All s-arcs starting at v: paths with no immediate backtracking.
 
-    def extend(prefix):
-        if len(prefix) == s + 1:
-            out.append(prefix)
-            return
-        last, prev = prefix[-1], prefix[-2]
-        for w in graph.neighbors(last):
-            w = int(w)
-            if w != prev:
-                extend(prefix + (w,))
-
-    for step in first_steps:
-        extend(step)
-    return np.array(out, dtype=np.int64)
+    Grown one step at a time: each prefix in order, followed by each of
+    its last vertex's neighbors in ascending order, except the vertex
+    before it.  The rows come out in lexicographic order of the choices
+    made, the order of a depth-first search."""
+    arcs = np.array([[v]], dtype=np.int64)
+    for _ in range(s):
+        last = arcs[:, -1]
+        lo, deg = graph.indptr[last], graph.indptr[last + 1] - graph.indptr[last]
+        rows = np.repeat(np.arange(len(arcs)), deg)
+        # position of each neighbor in the CSR row of its prefix's end
+        nb = graph.indices[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(len(rows))]
+        keep = nb != (arcs[rows, -2] if arcs.shape[1] > 1 else -1)
+        arcs = np.column_stack([arcs[rows[keep]], nb[keep]])
+    return arcs
 
 
 def arc_count_formula(graph: CosetGraph, v: int, s: int) -> int:

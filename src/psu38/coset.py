@@ -165,10 +165,11 @@ class CosetGraph:
         return int(self.image_batch([g], x.key)[0])
 
     def perm(self, x: PElement) -> np.ndarray:
-        """Full vertex permutation of one group element (cached)."""
+        """Full vertex permutation of one group element, as int32 (cached;
+        half the memory of the int64 ids image_batch returns)."""
         p = self._perm_cache.get(x.key)
         if p is None:
-            p = self.image_batch(np.arange(self.nv), x.key)
+            p = self.image_batch(np.arange(self.nv), x.key).astype(np.int32)
             self._perm_cache[x.key] = p
         return p
 

@@ -46,9 +46,7 @@ class FieldOps:
         self.MUL = field.MUL
         self.MULF = field.MUL.reshape(-1)  # MULF[a << 6 | b] = a.b
         self.FROB = field.FROB
-        self.AMUL = field.MUL[field.alpha]
-        self.A2MUL = field.MUL[field.alpha2]
-        self.SCALARS = np.array([1, field.alpha, field.alpha2], dtype=np.uint8)
+        self.LEAD = np.array(field.lead_scalar, dtype=np.uint8)
 
     # -- batched element algebra ---------------------------------------
 
@@ -77,12 +75,11 @@ class FieldOps:
 
         Scaling keeps the zero pattern, and the first nonzero entry m0 is
         the most significant nonzero field of the key, so the least
-        multiple is the one with the least s.m0; the three s.m0 are
-        distinct, so one packing suffices."""
+        multiple is the one scaled by GF64.lead_scalar[m0]; one packing
+        suffices."""
         flat = mats.reshape(len(mats), 9)
         lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
-        pick = np.stack([lead, self.AMUL[lead], self.A2MUL[lead]]).argmin(axis=0)
-        return bpack(self.MUL[self.SCALARS[pick][:, None, None], mats], tw)
+        return bpack(self.MUL[self.LEAD[lead][:, None, None], mats], tw)
 
 
 class SubgroupArrays:

@@ -1,11 +1,16 @@
 """Exact arithmetic in GF(2^6).
 
 Elements are ints 0..63; bit i is the coefficient of x^i in the residue
-class modulo a fixed degree-6 primitive polynomial.  Addition is XOR,
-multiplication goes through exp/log tables built from repeated
-multiplication by the class of x, so the tables are valid exactly when
-that class generates the 63 units (which also forces the modulus to be
-irreducible).
+class modulo a fixed degree-6 primitive polynomial.  Addition is XOR.
+The exp/log tables come from repeated multiplication by the class of x,
+so they are valid exactly when that class generates the 63 units (which
+also forces the modulus to be irreducible); the full 64x64 product table
+and the Frobenius powers are read off them.
+
+Each table exists twice: as numpy arrays (MUL, FROB) for the batched
+kernels, and as tuples of tuples (mulrows, frobrows) for scalar Python
+code, where mulrows[a][b] = a.b is one lookup per product.  lead_scalar
+is the one definition of the projective canonical scalar.
 """
 
 from __future__ import annotations
@@ -60,19 +65,16 @@ class GF64:
             log[v] = i
         self.log = log
 
-        mul = np.zeros((64, 64), dtype=np.uint8)
-        for a in range(1, 64):
-            la = log[a]
-            for b in range(1, 64):
-                mul[a, b] = self.exp[la + log[b]]
-        self.MUL = mul
-        frob = np.zeros((6, 64), dtype=np.uint8)
-        frob[0] = np.arange(64, dtype=np.uint8)
-        for k in range(1, 6):
-            for a in range(64):
-                v = int(frob[k - 1, a])
-                frob[k, a] = mul[v, v]
-        self.FROB = frob
+        # mulrows[a][b] = a.b and frobrows[k][a] = a^(2^k)
+        self.mulrows = tuple(
+            tuple(self.exp[log[a] + log[b]] if a and b else 0 for b in range(64))
+            for a in range(64))
+        frob = [tuple(range(64))]
+        for _ in range(5):
+            frob.append(tuple(self.mulrows[v][v] for v in frob[-1]))
+        self.frobrows = tuple(frob)
+        self.MUL = np.array(self.mulrows, dtype=np.uint8)
+        self.FROB = np.array(self.frobrows, dtype=np.uint8)
 
         self.zeta = 2
         self.beta = exp[7]
@@ -80,6 +82,13 @@ class GF64:
         self.alpha2 = exp[42]
         if self.order(self.beta) != 9 or self.order(self.alpha) != 3:
             raise BadModulus("derived constants have wrong order")
+        # lead_scalar[a]: the s in {1, alpha, alpha^2} with the least s.a
+        # (1 for a = 0).  The three s.a of a nonzero a are distinct, so
+        # scaling a matrix by lead_scalar[first nonzero entry] gives the
+        # least packed key of its three scalar multiples.
+        scalars = (1, self.alpha, self.alpha2)
+        self.lead_scalar = tuple(
+            min(scalars, key=lambda s: self.mulrows[s][a]) for a in range(64))
 
     # -- scalar operations ------------------------------------------------
 
@@ -88,9 +97,7 @@ class GF64:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return self.mulrows[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -104,11 +111,11 @@ class GF64:
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(2^k); k is taken mod 6."""
-        return int(self.FROB[k % 6, a])
+        return self.frobrows[k % 6][a]
 
     def conj(self, a: int) -> int:
         """tau = frobenius cubed, the order-2 automorphism x -> x^8."""
-        return int(self.FROB[3, a])
+        return self.frobrows[3][a]
 
     def order(self, a: int) -> int:
         if a == 0:

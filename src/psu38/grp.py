@@ -304,21 +304,22 @@ class SmallGroup:
         return self.subgroup(out)
 
     def is_normal(self, H: "SmallGroup") -> bool:
-        return all(
-            (g.inv() * h * g) in H.eset
-            for g in self.gens_list()
-            for h in H.gens_list()
-        )
+        hgens = H.gens_list()
+        for g in self.gens_list():
+            gi = g.inv()
+            if not all((gi * h * g) in H.eset for h in hgens):
+                return False
+        return True
 
     def normal_closure(self, xs) -> "SmallGroup":
-        gens = self.gens_list()
+        gens = [(g.inv(), g) for g in self.gens_list()]
         seed = set(xs)
         frontier = list(seed)
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
-                    y = g.inv() * x * g
+                for gi, g in gens:
+                    y = gi * x * g
                     if y not in seed:
                         seed.add(y)
                         nxt.append(y)
@@ -391,15 +392,14 @@ class SmallGroup:
     def core(self, H: "SmallGroup") -> "SmallGroup":
         """Normal core of H in G: the intersection of all G-conjugates of
         H, found by a search over conjugates under G's generators."""
-        gens = self.gens_list()
+        gens = [(g.inv(), g) for g in self.gens_list()]
         core = set(H.eset)
         seen = {H.eset}
         frontier = [H.eset]
         while frontier and len(core) > 1:
             nxt = []
             for S in frontier:
-                for g in gens:
-                    gi = g.inv()
+                for gi, g in gens:
                     T = frozenset(gi * h * g for h in S)
                     if T not in seen:
                         seen.add(T)
@@ -412,7 +412,7 @@ class SmallGroup:
 
     def conj_classes(self) -> list[frozenset]:
         if self._class_list is None:
-            gens = self.gens_list()
+            gens = [(h.inv(), h) for h in self.gens_list()]
             done = set()
             classes = []
             for g in self.sorted_elems():
@@ -423,8 +423,8 @@ class SmallGroup:
                 while fr:
                     nf = []
                     for x in fr:
-                        for h in gens:
-                            y = h.inv() * x * h
+                        for hi, h in gens:
+                            y = hi * x * h
                             if y not in orb:
                                 orb.add(y)
                                 nf.append(y)
@@ -444,14 +444,6 @@ class SmallGroup:
                     cls[x] = (self.element_order(x), size)
             self._classes = cls
         return self._classes
-
-    def class_equation_ok(self) -> bool:
-        """Classes partition G and the singletons are exactly the center."""
-        classes = self.conj_classes()
-        if sum(len(c) for c in classes) != len(self.elems):
-            return False
-        singles = {next(iter(c)) for c in classes if len(c) == 1}
-        return singles == set(self.center().eset)
 
     # -- quotient ---------------------------------------------------------
 

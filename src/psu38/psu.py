@@ -9,6 +9,12 @@ i.e. the right factor acts first on column vectors.  PElement is the
 image modulo the scalar subgroup <alpha I> (the matrix Z), represented by
 the scalar multiple whose packed serialization is smallest.
 
+Products, inverses and the canonical form are each one pass over the
+entries, through the tuple tables of GF64: a product is three lookups in
+rows of the product table per entry, and the canonical multiple is the
+matrix scaled once by GF64.lead_scalar of its first nonzero entry, so a
+PElement product is packed once.
+
 The paper-facing conventions (which commutator bracket, which direction
 of conjugation by sigma) are not stated in the source material and are
 resolved empirically by resolve_conventions(); see check_relations().
@@ -27,10 +33,9 @@ from .gf64 import GF64
 
 
 def pack(mat: tuple[int, ...], twist: int) -> int:
-    k = 0
-    for v in mat:
-        k = (k << 6) | v
-    return (k << 3) | twist
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = mat
+    return ((((((((((m0 << 6 | m1) << 6 | m2) << 6 | m3) << 6 | m4) << 6 | m5)
+               << 6 | m6) << 6 | m7) << 6 | m8) << 3) | twist)
 
 
 def unpack(key: int) -> tuple[tuple[int, ...], int]:
@@ -41,6 +46,42 @@ def unpack(key: int) -> tuple[tuple[int, ...], int]:
         mat[i] = key & 63
         key >>= 6
     return tuple(mat), twist
+
+
+def _product(f: GF64, a: tuple[int, ...], e: int, n: tuple[int, ...]) -> tuple[int, ...]:
+    """Entries of the matrix a . rho^e(n): one row of the product table
+    per entry of a, one lookup in it per term."""
+    if e:
+        fr = f.frobrows[e]
+        n = [fr[v] for v in n]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = n
+    rows = f.mulrows
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = [rows[v] for v in a]
+    return (r0[b0] ^ r1[b3] ^ r2[b6], r0[b1] ^ r1[b4] ^ r2[b7], r0[b2] ^ r1[b5] ^ r2[b8],
+            r3[b0] ^ r4[b3] ^ r5[b6], r3[b1] ^ r4[b4] ^ r5[b7], r3[b2] ^ r4[b5] ^ r5[b8],
+            r6[b0] ^ r7[b3] ^ r8[b6], r6[b1] ^ r7[b4] ^ r8[b7], r6[b2] ^ r7[b5] ^ r8[b8])
+
+
+def _inverse(f: GF64, m: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """Matrix of (m, e)^-1 = (rho^-e(m*), -e) for unitary m: the conjugate
+    transpose (entrywise rho^3) and rho^-e are one table, rho^(3-e).  With
+    e = 0 it is the conjugate transpose m*."""
+    fr = f.frobrows[(9 - e) % 6]
+    return (fr[m[0]], fr[m[3]], fr[m[6]], fr[m[1]], fr[m[4]], fr[m[7]],
+            fr[m[2]], fr[m[5]], fr[m[8]])
+
+
+def _canonical_mat(f: GF64, mat: tuple[int, ...]) -> tuple[int, ...]:
+    """The scalar multiple of mat with the least packed key: scaled once,
+    by the lead scalar of its first nonzero entry."""
+    for v in mat:
+        if v:
+            break
+    s = f.lead_scalar[v]
+    if s == 1:
+        return mat
+    row = f.mulrows[s]
+    return tuple([row[v] for v in mat])
 
 
 class Element:
@@ -65,72 +106,17 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         f = self.field
-        exp, log = f.exp, f.log
-        n = other.mat
-        e = self.twist
-        if e:
-            fr = f.FROB[e]
-            n = tuple(int(fr[v]) for v in n)
-        a = self.mat
-        c = [0] * 9
-        for i in (0, 3, 6):
-            a0, a1, a2 = a[i], a[i + 1], a[i + 2]
-            for j in (0, 1, 2):
-                v = 0
-                b = n[j]
-                if a0 and b:
-                    v ^= exp[log[a0] + log[b]]
-                b = n[3 + j]
-                if a1 and b:
-                    v ^= exp[log[a1] + log[b]]
-                b = n[6 + j]
-                if a2 and b:
-                    v ^= exp[log[a2] + log[b]]
-                c[i + j] = v
-        return Element(f, tuple(c), e + other.twist)
+        return Element(f, _product(f, self.mat, self.twist, other.mat),
+                       self.twist + other.twist)
 
     def star(self) -> "Element":
         """Conjugate transpose (entrywise tau, then transpose); twist kept."""
-        f = self.field
-        m = self.mat
-        conj = f.FROB[3]
-        mt = tuple(int(conj[m[3 * j + i]]) for i in range(3) for j in range(3))
-        return Element(f, mt, self.twist)
+        return Element(self.field, _inverse(self.field, self.mat, 0), self.twist)
 
     def inv(self) -> "Element":
         """Inverse, using M^-1 = M* for unitary M."""
-        f = self.field
         e = self.twist
-        mi = self.star().mat
-        if e:
-            fr = f.FROB[(6 - e) % 6]
-            mi = tuple(int(fr[v]) for v in mi)
-        return Element(f, mi, (6 - e) % 6)
-
-    def inv_generic(self) -> "Element":
-        """Inverse via adjugate/determinant; no unitarity assumption."""
-        f = self.field
-        m = self.mat
-        d = self.det()
-        if d == 0:
-            raise ZeroDivisionError("singular matrix")
-        di = f.inv(d)
-        adj = [0] * 9
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                # char 2: cofactor signs vanish
-                adj[3 * i + j] = f.add(
-                    f.mul(m[3 * r[0] + c[0]], m[3 * r[1] + c[1]]),
-                    f.mul(m[3 * r[0] + c[1]], m[3 * r[1] + c[0]]),
-                )
-        mi = tuple(f.mul(di, v) for v in adj)
-        e = self.twist
-        if e:
-            fr = f.FROB[(6 - e) % 6]
-            mi = tuple(int(fr[v]) for v in mi)
-        return Element(f, mi, (6 - e) % 6)
+        return Element(self.field, _inverse(self.field, self.mat, e), 6 - e)
 
     def det(self) -> int:
         f = self.field
@@ -150,26 +136,16 @@ class Element:
         return prod == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
     def star_matrix_times_self(self) -> tuple[int, ...]:
-        f = self.field
-        a = self.star().mat
-        b = self.mat
-        c = [0] * 9
-        for i in range(3):
-            for j in range(3):
-                v = 0
-                for k in range(3):
-                    v ^= f.mul(a[3 * i + k], b[3 * k + j])
-                c[3 * i + j] = v
-        return tuple(c)
+        return _product(self.field, self.star().mat, 0, self.mat)
 
     def frob_image(self, k: int = 1) -> "Element":
         """Entrywise rho^k image, twist unchanged."""
-        fr = self.field.FROB[k % 6]
-        return Element(self.field, tuple(int(fr[v]) for v in self.mat), self.twist)
+        fr = self.field.frobrows[k % 6]
+        return Element(self.field, tuple([fr[v] for v in self.mat]), self.twist)
 
     def scalar_mul(self, s: int) -> "Element":
-        f = self.field
-        return Element(f, tuple(f.mul(s, v) for v in self.mat), self.twist)
+        row = self.field.mulrows[s]
+        return Element(self.field, tuple([row[v] for v in self.mat]), self.twist)
 
     def power(self, k: int) -> "Element":
         if k < 0:
@@ -198,13 +174,8 @@ class Element:
 
 def canonicalize(el: Element) -> Element:
     """Least packed serialization among {M, alpha M, alpha^2 M}."""
-    f = el.field
-    best = el
-    for s in (f.alpha, f.alpha2):
-        c = el.scalar_mul(s)
-        if c.key < best.key:
-            best = c
-    return best
+    mat = _canonical_mat(el.field, el.mat)
+    return el if mat is el.mat else Element(el.field, mat, el.twist)
 
 
 class PElement:
@@ -217,11 +188,22 @@ class PElement:
         self.el = c
         self.key = c.key
 
+    @staticmethod
+    def _canonical(f: GF64, mat: tuple[int, ...], twist: int) -> "PElement":
+        """The class of (mat, twist), packed once."""
+        p = PElement.__new__(PElement)
+        p.el = el = Element(f, _canonical_mat(f, mat), twist)
+        p.key = el.key
+        return p
+
     def __mul__(self, other: "PElement") -> "PElement":
-        return PElement(self.el * other.el)
+        a, b = self.el, other.el
+        f = a.field
+        return PElement._canonical(f, _product(f, a.mat, a.twist, b.mat), a.twist + b.twist)
 
     def inv(self) -> "PElement":
-        return PElement(self.el.inv())
+        a = self.el
+        return PElement._canonical(a.field, _inverse(a.field, a.mat, a.twist), 6 - a.twist)
 
     @property
     def twist(self) -> int:

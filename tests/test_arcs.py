@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
                         pushing_up, sampled_vertex_checks)
 from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
-from psu38.harness import VerifyContext
+from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
 
@@ -21,6 +24,45 @@ def test_arc_counts_match_valency_products(graph):
     assert arc_count_formula(graph, graph.base_x2, 5) == 108
     assert arc_count_formula(graph, graph.base_x1, 5) == 144
     assert len(enumerate_arcs(graph, graph.base_x1, 0)) == 1
+
+
+def recursive_arcs(graph, v, s):
+    """Depth-first reference enumeration of the s-arcs at v."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == s + 1:
+            out.append(prefix)
+            return
+        for w in sorted(int(w) for w in graph.neighbors(prefix[-1])):
+            if len(prefix) < 2 or w != prefix[-2]:
+                extend(prefix + [w])
+
+    extend([v])
+    return out
+
+
+def test_arc_order_equals_depth_first_reference(graph):
+    for v in (graph.base_x1, graph.base_x2):
+        for s in range(1, 7):
+            got = enumerate_arcs(graph, v, s)
+            assert got.dtype == np.int64
+            assert got.tolist() == recursive_arcs(graph, v, s)
+
+
+def test_graph_is_freed_when_its_context_is_dropped():
+    """No reference cycle keeps the graph: with the cyclic collector off,
+    it goes as soon as its context does, also after arc orbit claims."""
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = VerifyContext(cache_dir=CACHE_DIR)
+        run_claims(ctx, claim_filter="L3.9,L3.11.ii")
+        ref = weakref.ref(ctx.graph)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_arcs_are_nonbacktracking_paths(graph):

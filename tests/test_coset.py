@@ -137,6 +137,14 @@ def test_image_batch_is_rowwise(graph, ng):
                           graph.perm(x)[ids])
 
 
+def test_perm_is_int32_and_equals_image_batch(graph, ng):
+    for x in (ng.p["E"], ng.p["sigma"], ng.K2.elems[5]):
+        p = graph.perm(x)
+        assert p.dtype == np.int32
+        assert np.array_equal(p, graph.image_batch(np.arange(graph.nv), x.key))
+        assert graph.perm(x) is p  # cached
+
+
 def test_fixers_of_x1_in_K2_is_K12(graph, ng):
     keys = np.array([x.key for x in ng.K2.elems], dtype=np.uint64)
     got = graph.fixers(keys, [graph.base_x1])

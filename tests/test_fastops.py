@@ -83,8 +83,8 @@ def test_bpkeys_is_min_of_three_scalar_multiples(f, ops):
     am, at = to_arrays(random_elements(f, 60, seed=14))
     mats = np.concatenate([mats, am])
     tw = np.concatenate([rng.integers(0, 6, 3000).astype(np.uint8), at])
-    want = np.minimum(np.minimum(bpack(mats, tw), bpack(ops.AMUL[mats], tw)),
-                      bpack(ops.A2MUL[mats], tw))
+    want = np.minimum(np.minimum(bpack(mats, tw), bpack(f.MUL[f.alpha][mats], tw)),
+                      bpack(f.MUL[f.alpha2][mats], tw))
     assert np.array_equal(ops.bpkeys(mats, tw), want)
 
 

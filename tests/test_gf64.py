@@ -111,3 +111,26 @@ def test_field_isomorphism_between_moduli():
     assert ok_mul
     # additive structure is NOT preserved by this naive map in general;
     # group-level invariance is covered by the acceptance suite instead
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
+def test_lead_scalar_minimises_the_lead_entry(modulus):
+    """lead_scalar[a] is the s in {1, alpha, alpha^2} with the least s.a,
+    computed here by polymul_mod; the three values are distinct."""
+    f = GF64(modulus)
+    assert f.lead_scalar[0] == 1
+    for a in range(1, 64):
+        vals = {s: polymul_mod(s, a, modulus) for s in (1, f.alpha, f.alpha2)}
+        assert len(set(vals.values())) == 3
+        assert f.lead_scalar[a] == min(vals, key=vals.get)
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
+def test_frobenius_rows_match_schoolbook(modulus):
+    f = GF64(modulus)
+    assert f.FROB.tolist() == [list(r) for r in f.frobrows]
+    for a in range(64):
+        x = a
+        for k in range(6):
+            assert f.frobrows[k][a] == x
+            x = polymul_mod(x, x, modulus)

@@ -2,9 +2,51 @@ import random
 
 import pytest
 
-from psu38.gf64 import GF64
+from psu38.gf64 import GF64, polymul_mod
 from psu38.psu import (Element, PElement, canonicalize, check_relations,
                        comm_std, make_generators, pack, pgenerators, unpack)
+
+
+def inv_adjugate(el: Element) -> Element:
+    """Inverse via adjugate/determinant, with no unitarity assumption: an
+    oracle for Element.inv."""
+    f = el.field
+    m = el.mat
+    d = el.det()
+    if d == 0:
+        raise ZeroDivisionError("singular matrix")
+    di = f.inv(d)
+    adj = [0] * 9
+    for i in range(3):
+        for j in range(3):
+            r = [k for k in range(3) if k != j]
+            c = [k for k in range(3) if k != i]
+            # char 2: cofactor signs vanish
+            adj[3 * i + j] = f.add(
+                f.mul(m[3 * r[0] + c[0]], m[3 * r[1] + c[1]]),
+                f.mul(m[3 * r[0] + c[1]], m[3 * r[1] + c[0]]),
+            )
+    e = (6 - el.twist) % 6
+    mi = tuple(f.frobenius(f.mul(di, v), e) for v in adj)
+    return Element(f, mi, e)
+
+
+def schoolbook_product(modulus: int, a: Element, b: Element) -> tuple:
+    """(a.mat . rho^e(b.mat), twist) from polymul_mod alone, no tables."""
+    def frob(x, k):
+        for _ in range(k):
+            x = polymul_mod(x, x, modulus)
+        return x
+
+    n = [frob(v, a.twist) for v in b.mat]
+    c = []
+    for i in range(3):
+        for j in range(3):
+            v = 0
+            for k in range(3):
+                v ^= polymul_mod(a.mat[3 * i + k], n[3 * k + j], modulus)
+            c.append(v)
+    return tuple(c), (a.twist + b.twist) % 6
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +118,7 @@ def test_inverse_against_adjugate(f, g):
         el = Element.identity(f)
         for _ in range(rng.randint(1, 12)):
             el = el * g[rng.choice(names)]
-        assert el.inv() == el.inv_generic()
+        assert el.inv() == inv_adjugate(el)
 
 
 def test_unitarity_preserved_by_products(f, g):
@@ -173,3 +215,40 @@ def test_commutator_example(f, g):
 def test_bad_matrix_rejected(f):
     el = Element(f, (1, 1, 0, 0, 1, 0, 0, 0, 1), 0)
     assert not el.is_unitary()
+
+
+def test_product_matches_schoolbook(f, ng):
+    """Element products (row-table lookups) equal the schoolbook product
+    over polymul_mod on random pairs from K1 and K2, under every twist."""
+    rng = random.Random(29)
+    pool = [x.el.mat for x in ng.K1.elems + ng.K2.elems]
+    for _ in range(400):
+        a = Element(f, rng.choice(pool), rng.randrange(6))
+        for tb in range(6):
+            b = Element(f, rng.choice(pool), tb)
+            c = a * b
+            assert (c.mat, c.twist) == schoolbook_product(f.modulus, a, b)
+
+
+def test_canonicalize_is_min_of_three_scalar_multiples(f):
+    """One scaling by the lead scalar gives the least of the three packed
+    scalar multiples, also with 0 to 8 leading zero entries."""
+    rng = random.Random(31)
+    for i in range(3000):
+        mat = tuple(0 if j < i % 9 else rng.randrange(64) for j in range(9))
+        tw = rng.randrange(6)
+        want = min(pack(tuple(polymul_mod(s, v, f.modulus) for v in mat), tw)
+                   for s in (1, f.alpha, f.alpha2))
+        el = Element(f, mat, tw)
+        assert canonicalize(el).key == want
+        assert PElement(el).key == want
+
+
+def test_pelement_product_and_inverse_are_canonical(ng):
+    """PElement products and inverses, built in one pass, are the classes
+    of the Element products and inverses."""
+    rng = random.Random(37)
+    for _ in range(300):
+        x, y = rng.choice(ng.K1.elems), rng.choice(ng.K2.elems)
+        assert (x * y).key == canonicalize(x.el * y.el).key
+        assert x.inv().key == canonicalize(x.el.inv()).key
