@@ -13,9 +13,8 @@ import functools
 
 import numpy as np
 
-from .coset import CosetGraph, row_keys
+from .coset import CosetGraph
 from .grp import Perm, SmallGroup
-
 
 # ---------------------------------------------------------------------------
 # balls and arcs
@@ -74,6 +73,19 @@ def arc_count_formula(graph: CosetGraph, v: int, s: int) -> int:
 
 # ---------------------------------------------------------------------------
 # stabilizer actions
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def row_keys(rows) -> np.ndarray:
+    """One uint64 per row of an integer array: a xor-multiply mix of its
+    entries (exact only where its users check it)."""
+    h = np.zeros(len(rows), dtype=np.uint64)
+    for col in np.asarray(rows, dtype=np.uint64).T:
+        h = (h ^ col) * _MIX
+        h ^= h >> np.uint64(32)
+    return h
 
 
 def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:

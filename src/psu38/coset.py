@@ -8,21 +8,23 @@ downstream checks rely on.  That stabilizer does not depend on which
 element g of the coset is kept, so a vertex's representative is simply
 the first probe that reached it.
 
-A coset is keyed by its conjugate fingerprint Z^g, where Z is Z(K1)
-(order 3) on side 1 and Z(Qh2) (order 9) on side 2: Z is normal in
-K_side, so Z^g is the same for every g in the coset.  The fingerprint is
-packed into one uint64 per vertex, and probes are resolved by a binary
-search in the sorted keys of their side.  The key is exact, and this is
-checked whenever a graph is built or loaded: the keys of each side are
-pairwise distinct and n_side . |K_side| = |G| = 33,094,656, so they name
-each coset of G/K_side once (a key that merged two cosets would leave
+A coset is keyed by its conjugate fingerprint Y^g, where Y = {1, y, y^-1}
+is an order-3 subgroup normal in K_side: Z(K1) on side 1, and on side 2
+the one order-3 subgroup of Z(Qh2) that K2 normalizes.  Y^g is the same
+for every g in the coset, and the key is the least projective key of
+g^-1 y g and its inverse, one uint64 per vertex; probes are resolved by a
+binary search in the sorted keys of their side.  The key is exact, and
+this is checked whenever a graph is built or loaded: the keys of each side
+are pairwise distinct and n_side . |K_side| = |G| = 33,094,656, so they
+name each coset of G/K_side once (a key that merged two cosets would leave
 fewer vertices).
 
 The BFS runs one layer at a time from the base edge, with one batched
 product per layer and side; each layer's new vertices are numbered in
 key order, so ids are deterministic and the base vertices are 0 and n1.
 
-Group elements are handled as packed keys: image_batch acts rowwise,
+Group elements are handled as packed keys: image_batch acts rowwise, by
+conjugating each vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x),
 stabilizer_keys conjugates all of K_side in one batch, and fixers keeps
 the keys that fix given vertices, which gives arc stabilizers and
 kernels without intersecting conjugates.
@@ -45,27 +47,16 @@ from .grp import NamedGroups, SmallGroup
 from .psu import Element, PElement
 
 CACHE_MAGIC = b"PSU38GR\x00"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 # version, modulus, n1, n2, edge count; then the group hash, the payload
 # length and the payload's SHA-256
 CACHE_HEADER = struct.Struct("<IIQQQ32sQ32s")
 GROUP_ORDER = 6 * 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # |PSU_3(8):C_6|
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 KEY_CHUNK = 8192  # probes per conj_fingerprints call; bounds its temporaries
 
 
 class CacheMismatch(RuntimeError):
     """Cache file does not match the requested configuration."""
-
-
-def row_keys(rows) -> np.ndarray:
-    """One uint64 per row of an integer array: a xor-multiply mix of its
-    entries (exact only where its users check it)."""
-    h = np.zeros(len(rows), dtype=np.uint64)
-    for col in np.asarray(rows, dtype=np.uint64).T:
-        h = (h ^ col) * _MIX
-        h ^= h >> np.uint64(32)
-    return h
 
 
 def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
@@ -101,9 +92,9 @@ class CosetGraph:
     ops: FieldOps | None = None
     repmats: dict = dfield(default_factory=dict)
     reptw: dict = dfield(default_factory=dict)
-    zsets: dict = dfield(default_factory=dict)     # side -> (zm, zt)
+    ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
     ksets: dict = dfield(default_factory=dict)     # side -> (km, kt), K_side unpacked
-    fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 fingerprint keys
+    fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
     korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
@@ -145,17 +136,16 @@ class CosetGraph:
     def image_batch(self, gids, keys) -> np.ndarray:
         """Right action, rowwise: vertex K.g of gids[i] goes to K.(g x),
         x the element of packed key keys[i]; a single key acts on every
-        vertex.  Resolved to vertex ids."""
+        vertex.  The image is keyed by x^-1 c x, c the element that the
+        vertex's fingerprint key packs.  Resolved to vertex ids."""
         gids = np.asarray(gids, dtype=np.int64)
         xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
-        xm, xt = np.broadcast_to(xm, (len(gids), 3, 3)), np.broadcast_to(xt, len(gids))
         out = np.empty(len(gids), dtype=np.int64)
         for side, off in ((1, 0), (2, self.n1)):
             sel = np.flatnonzero((gids >= self.n1) == (side == 2))
-            lids = gids[sel] - off
-            pm, pt = self.ops.bsmul(self.repmats[side][lids], self.reptw[side][lids],
-                                    xm[sel], xt[sel])
-            ids = self._resolve(side, self._keys(side, pm, pt))
+            x = (xm, xt) if len(xt) == 1 else (xm[sel], xt[sel])
+            c = bunpack(self.fkeys[side][gids[sel] - off])
+            ids = self._resolve(side, self._conj_keys(*x, *c))
             if (ids < 0).any():
                 raise AssertionError("action image is not a known vertex")
             out[sel] = ids + off
@@ -238,12 +228,15 @@ class CosetGraph:
 
     def _keys(self, side: int, pm, pt) -> np.ndarray:
         """Fingerprint key of the coset K_side.g of each probe g."""
-        out = np.empty(len(pm), dtype=np.uint64)
-        for lo in range(0, len(pm), KEY_CHUNK):
-            hi = lo + KEY_CHUNK
-            F = conj_fingerprints(self.ops, pm[lo:hi], pt[lo:hi], *self.zsets[side])
-            # side 1: Z^g = {1, y, y^-1}, and its least nonidentity key names y
-            out[lo:hi] = F[:, 0] if side == 1 else row_keys(F)
+        return self._conj_keys(pm, pt, *self.ysets[side])
+
+    def _conj_keys(self, am, at, ym, yt) -> np.ndarray:
+        """conj_fingerprints KEY_CHUNK rows at a time; a single row of
+        either argument is broadcast against the other."""
+        out = np.empty(len(yt) if len(at) == 1 else len(at), dtype=np.uint64)
+        for lo in range(0, len(out), KEY_CHUNK):
+            part = [v if len(v) == 1 else v[lo:lo + KEY_CHUNK] for v in (am, at, ym, yt)]
+            out[lo:lo + KEY_CHUNK] = conj_fingerprints(self.ops, *part)
         return out
 
     def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
@@ -292,18 +285,19 @@ class CosetGraph:
 def _arm(graph: CosetGraph) -> None:
     ng = graph.ng
     graph.ops = FieldOps(graph.field)
-    # fingerprint sets: nonidentity elements of a normal subgroup of K_side
-    z1 = ng.K1.center()
-    if len(z1) < 3:
-        raise AssertionError("Z(K1) unexpectedly small; fingerprints need it")
-    z2 = ng.Qh2.center()  # normal in K2 since Qh2 = O_3(K2) is
-    for name, z, parent in (("Z(K1)", z1, ng.K1), ("Z(Qh2)", z2, ng.K2)):
-        if not parent.is_normal(z):
-            raise AssertionError(f"{name} is not normal in {parent.name}")
-    for side, z, K in ((1, z1, ng.K1), (2, z2, ng.K2)):
-        keys = np.array([x.key for x in z.sorted_elems() if x != z.identity],
-                        dtype=np.uint64)
-        graph.zsets[side] = bunpack(keys)
+    # fingerprint elements: the y of an order-3 subgroup Y = {1, y, y^-1}
+    # normal in K_side.  Side 1 takes Z(K1); side 2 the one order-3
+    # subgroup of Z(Qh2) (order 9) that every generator of K2 maps to
+    # itself, found as the y with y^k in {y, y^-1} for each generator k.
+    z1 = [y for y in ng.K1.center().sorted_elems() if y != ng.K1.identity]
+    gens = [(k, k.inv()) for k in ng.K2.gens_list()]
+    y2 = [y for y in ng.Qh2.center().sorted_elems() if y != ng.K2.identity
+          and all(ki * y * k in (y, y.inv()) for k, ki in gens)]
+    for name, ys in (("Z(K1)", z1), ("Y2 in Z(Qh2)", y2)):
+        if len(ys) != 2:
+            raise AssertionError(f"{name}: {len(ys)} candidates for y, not 2")
+    for side, ys, K in ((1, z1, ng.K1), (2, y2, ng.K2)):
+        graph.ysets[side] = bunpack(np.array([ys[0].key], dtype=np.uint64))
         graph.ksets[side] = bunpack(np.array([x.key for x in K.sorted_elems()],
                                              dtype=np.uint64))
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
@@ -425,9 +419,11 @@ def save_cache(graph: CosetGraph, path: str) -> None:
 
 
 def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
-    """Load and check a cache; any defect of the file is a CacheMismatch."""
+    """Load and check a cache; any defect of the file is a CacheMismatch.
+    The payload is read through a view of the file bytes, and only the
+    edges are copied out of it, so the bytes are freed once it returns."""
     with open(path, "rb") as f:
-        data = f.read()
+        data = memoryview(f.read())
     if data[:len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise CacheMismatch("bad magic")
     head = len(CACHE_MAGIC) + CACHE_HEADER.size
@@ -448,10 +444,10 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
         raise CacheMismatch("payload length does not match the vertex and edge counts")
     if hashlib.sha256(payload).digest() != digest:
         raise CacheMismatch("payload digest mismatch")
-    reps1 = np.frombuffer(payload, "<u8", n1, 0).astype(np.uint64)
-    reps2 = np.frombuffer(payload, "<u8", n2, 8 * n1).astype(np.uint64)
-    edges = np.frombuffer(payload, "<u4", 2 * ne, 8 * (n1 + n2))
-    edges = edges.astype(np.uint32).reshape(ne, 2)
+    # _register copies the reps; the edges are copied here
+    reps1 = np.frombuffer(payload, "<u8", n1, 0)
+    reps2 = np.frombuffer(payload, "<u8", n2, 8 * n1)
+    edges = np.frombuffer(payload, "<u4", 2 * ne, 8 * (n1 + n2)).reshape(ne, 2).copy()
     if ne and (int(edges[:, 0].max()) >= n1 or int(edges[:, 1].max()) >= n2):
         raise CacheMismatch("edge id out of range")
     graph = CosetGraph(ng.field, ng)

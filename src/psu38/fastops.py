@@ -4,8 +4,8 @@ on packed element arrays.
 Element batches are (m,3,3) uint8 matrices plus (m,) uint8 twists.
 Packed keys are uint64 and agree bit for bit with psu.pack, so python
 Element objects and array rows interconvert freely.  Everything here is
-pure and deterministic.  The graph keys its vertices by
-conj_fingerprints; coset_canon_keys is the exact canonical-form scan,
+pure and deterministic.  The graph keys its vertices, and acts on them,
+by conj_fingerprints; coset_canon_keys is the exact canonical-form scan,
 kept as a test oracle.
 """
 
@@ -134,28 +134,17 @@ def coset_canon_keys(
 
 
 def conj_fingerprints(
-    ops: FieldOps, pm: np.ndarray, pt: np.ndarray, zm: np.ndarray, zt: np.ndarray
+    ops: FieldOps, am: np.ndarray, at: np.ndarray, ym: np.ndarray, yt: np.ndarray
 ) -> np.ndarray:
-    """(m, nz) sorted projective keys of g^-1 z g over the fingerprint set.
+    """(m,) vertex keys: the least projective key of c = a^-1 y a and of
+    c^-1, rowwise; a or y may be a single row, broadcast against the other.
 
-    The fingerprint set is the nonidentity part of a normal subgroup Z of
-    the coset subgroup K, so the row is constant on cosets Kg: replacing
-    g by kg conjugates Z by k, which permutes Z.  Rows are sorted to kill
-    that permutation.  The row names the conjugate subgroup Z^g; the graph
-    packs it into its vertex key.
+    The key names the order-3 subgroup {1, c, c^-1} = Y^a.  When Y is
+    normal in the coset subgroup K, Y^a is the same for every a in the
+    coset Ka, so the graph keys the coset by it; since Y^(ax) = x^-1 Y^a x,
+    the image of a vertex under x is the key of x^-1 c x, with a = x and
+    y = c.
     """
-    im, it = ops.binv(pm, pt)
-    zkeys = list(ops.bpkeys(zm, zt))
-    zinv = ops.bpkeys(*ops.binv(zm, zt))
-    conj = []
-    for i in range(len(zm)):
-        if zinv[i] in zkeys[:i]:
-            # g^-1 z^-1 g is the inverse of a conjugate already made
-            conj.append(ops.binv(*conj[zkeys.index(zinv[i])]))
-        else:
-            m1, t1 = ops.bsmul(im, it, np.broadcast_to(zm[i], im.shape),
-                               np.broadcast_to(zt[i], it.shape))
-            conj.append(ops.bsmul(m1, t1, pm, pt))
-    F = np.stack([ops.bpkeys(m, t) for m, t in conj], axis=1)
-    F.sort(axis=1)
-    return F
+    im, it = ops.binv(am, at)
+    cm, ct = ops.bsmul(*ops.bsmul(im, it, ym, yt), am, at)
+    return np.minimum(ops.bpkeys(cm, ct), ops.bpkeys(*ops.binv(cm, ct)))

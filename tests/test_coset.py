@@ -9,14 +9,14 @@ import pytest
 import networkx as nx
 
 from psu38 import coset
-from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CacheMismatch, CosetGraph,
-                         build_graph, coset_canon, export_edge_list,
+from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch,
+                         CosetGraph, build_graph, coset_canon, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
                          sparse6_bytes, transversal)
-from psu38.fastops import FieldOps, SubgroupArrays, bunpack, coset_canon_keys
-from psu38.gf64 import GF64
+from psu38.fastops import SubgroupArrays, bpack, bunpack, coset_canon_keys
+from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
-from psu38.psu import PElement
+from psu38.psu import Element, PElement
 
 
 def test_transversal_sizes(ng):
@@ -135,6 +135,62 @@ def test_image_batch_is_rowwise(graph, ng):
     assert np.array_equal(graph.image_batch(ids, x.key), graph.perm(x)[ids])
     assert np.array_equal(graph.image_batch(ids, np.full(len(ids), x.key)),
                           graph.perm(x)[ids])
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
+def test_side_two_fingerprint_subgroup(modulus):
+    """_arm's Y2 = {1, y, y^-1} has order 3, lies in Z(Qh2), is normal in
+    K2, and is the only order-3 subgroup of Z(Qh2) that K2 normalizes;
+    side 1 keys by Z(K1), of order 3."""
+    ng = named_groups(GF64(modulus))
+    g = CosetGraph(ng.field, ng)
+    coset._arm(g)
+    y1, y = (PElement(Element.from_key(ng.field, int(bpack(*g.ysets[s])[0])))
+             for s in (1, 2))
+    assert ng.K1.center().eset == {ng.K1.identity, y1, y1.inv()}
+    Z = ng.Qh2.center()
+    assert len(Z) == 9 and y in Z.eset and ng.K2.element_order(y) == 3
+    Y = frozenset({Z.identity, y, y.inv()})
+    assert all(k.inv() * z * k in Y for k in ng.K2.elems for z in Y)
+    subgroups = {frozenset({Z.identity, z, z.inv()}) for z in Z.elems if z != Z.identity}
+    assert len(subgroups) == 4 and Y in subgroups
+    for S in subgroups - {Y}:
+        assert any(frozenset(k.inv() * z * k for z in S) != S for k in ng.K2.elems)
+
+
+def _old_image_batch(graph, gids, keys):
+    """The action as it was computed before it read the stored
+    fingerprints, rowwise: the key of the coset of rep(v).x."""
+    xm, xt = bunpack(keys)
+    out = np.empty(len(gids), dtype=np.int64)
+    for side, off in ((1, 0), (2, graph.n1)):
+        sel = np.flatnonzero((gids >= graph.n1) == (side == 2))
+        lids = gids[sel] - off
+        pm, pt = graph.ops.bsmul(graph.repmats[side][lids], graph.reptw[side][lids],
+                                 xm[sel], xt[sel])
+        out[sel] = graph._resolve(side, graph._keys(side, pm, pt)) + off
+    return out
+
+
+def test_action_by_fingerprints_equals_the_rep_product(graph, ng):
+    """perm(x) for each generator, on every vertex, and image_batch on
+    random rowwise (vertex, element) pairs, equal the key of rep(v).x."""
+    allv = np.arange(graph.nv)
+    gens = [ng.p[name] for name in ("A", "B", "C", "D", "E", "F", "sigma")]
+    for x in gens:
+        want = _old_image_batch(graph, allv, np.full(graph.nv, x.key, dtype=np.uint64))
+        assert (want >= 0).all()
+        assert np.array_equal(graph.perm(x), want)
+    rng = random.Random(15)
+    gids = np.array([rng.randrange(graph.nv) for _ in range(2000)])
+    els = []
+    for _ in range(2000):
+        x = rng.choice(gens)
+        for _ in range(rng.randrange(6)):
+            x = x * rng.choice(gens)
+        els.append(x)
+    keys = np.array([x.key for x in els], dtype=np.uint64)
+    assert np.array_equal(graph.image_batch(gids, keys), _old_image_batch(graph, gids, keys))
 
 
 def test_perm_is_int32_and_equals_image_batch(graph, ng):
@@ -360,6 +416,9 @@ def test_cache_rejects_damaged_files(graph, tmp_path):
         load_cache(path, graph.ng)
     _rewrite(fresh(), edit_header=lambda f: f.__setitem__(6, f[6] - 8))
     with pytest.raises(CacheMismatch, match="header says"):
+        load_cache(path, graph.ng)
+    _rewrite(fresh(), edit_header=lambda f: f.__setitem__(0, 3))
+    with pytest.raises(CacheMismatch, match=f"cache version 3 != {CACHE_VERSION}"):
         load_cache(path, graph.ng)
     _rewrite(fresh(), edit_header=lambda f: f.__setitem__(4, f[4] - 1))
     with pytest.raises(CacheMismatch, match="vertex and edge counts"):

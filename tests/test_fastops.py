@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (FieldOps, SubgroupArrays, bpack, bunpack,
                            conj_fingerprints, coset_canon_keys)
 from psu38.gf64 import GF64
@@ -111,20 +112,40 @@ def test_coset_canon_is_coset_invariant(f, ops, ng):
 
 
 def test_fingerprint_invariance(f, ops, ng):
-    z = ng.Qh2.center()
-    zk = np.array([x.key for x in z.sorted_elems() if x != z.identity],
-                  dtype=np.uint64)
-    zm, zt = bunpack(zk)
+    """The pair kernel is the least key of a^-1 y a and of its inverse, for
+    rowwise or broadcast a and y, and it is constant on the cosets K.a
+    when {1, y, y^-1} is normal in K: Z(K1) on side 1, the graph's Y2 on
+    side 2.  Another order-3 subgroup of Z(Qh2) is not coset-invariant."""
+    g = CosetGraph(ng.field, ng)
+    _arm(g)
+    y1, y2 = (PElement(Element.from_key(ng.field, int(bpack(*g.ysets[s])[0])))
+              for s in (1, 2))
     rng = random.Random(10)
     probes = [PElement(x) for x in random_elements(f, 10, seed=8)]
-    shifted = [rng.choice(ng.K2.elems) * p for p in probes]
     pm, pt = to_arrays([p.el for p in probes])
-    sm, st = to_arrays([p.el for p in shifted])
-    fa = conj_fingerprints(ops, pm, pt, zm, zt)
-    fb = conj_fingerprints(ops, sm, st, zm, zt)
-    assert np.array_equal(fa, fb)
-    # each row is the sorted keys of the conjugates g^-1 z g
-    nonid = [x for x in z.sorted_elems() if x != z.identity]
-    for row, g in zip(fa, probes):
-        assert row.tolist() == sorted((g.inv() * x * g).key for x in nonid)
-
+    for y, K in ((y1, ng.K1), (y2, ng.K2)):
+        ym, yt = to_arrays([y.el])
+        shifted = [rng.choice(K.elems) * p for p in probes]
+        fa = conj_fingerprints(ops, pm, pt, ym, yt)
+        assert np.array_equal(fa, conj_fingerprints(
+            ops, *to_arrays([p.el for p in shifted]), ym, yt))
+        want = [min((p.inv() * y * p).key, (p.inv() * y.inv() * p).key)
+                for p in probes]
+        assert fa.tolist() == want
+        # y rowwise against one a, and both rowwise
+        ys = [p.inv() * y * p for p in probes]
+        a = probes[3]
+        got = conj_fingerprints(ops, *to_arrays([a.el]), *to_arrays([c.el for c in ys]))
+        assert got.tolist() == [min((a.inv() * c * a).key, (a.inv() * c.inv() * a).key)
+                                for c in ys]
+        rows = conj_fingerprints(ops, pm, pt, *to_arrays([c.el for c in ys]))
+        assert rows.tolist() == [min((p.inv() * c * p).key, (p.inv() * c.inv() * p).key)
+                                 for p, c in zip(probes, ys)]
+    Z = ng.Qh2.center()
+    other = next(z for z in Z.sorted_elems()
+                 if z not in (Z.identity, y2, y2.inv()))
+    om, ot = to_arrays([other.el])
+    shifted = [k * p for p in probes for k in ng.K2.gens_list()]
+    moved = conj_fingerprints(ops, *to_arrays([s.el for s in shifted]), om, ot)
+    fixed = np.repeat(conj_fingerprints(ops, pm, pt, om, ot), len(ng.K2.gens_list()))
+    assert not np.array_equal(moved, fixed)
