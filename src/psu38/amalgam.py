@@ -49,7 +49,7 @@ def compute_X(am: Amalgam) -> SmallGroup:
     nondecreasing, independent of alternation order (asserted), and
     probed for minimality by dropping single generators."""
     seed = am.G12.subgroup(_close(am.T1.gens_list() + am.T2.gens_list(),
-                                  am.G12.identity))
+                                  am.G12.identity)[0])
     results = []
     for order in ((1, 2), (2, 1)):
         X = seed
@@ -71,7 +71,7 @@ def compute_X(am: Amalgam) -> SmallGroup:
     gens = X.gens_list()
     for k in range(len(gens)):
         sub = seed.eset | {g for j, g in enumerate(gens) if j != k}
-        Y = am.G12.subgroup(_close(sorted(sub), am.G12.identity))
+        Y = am.G12.subgroup(_close(sorted(sub), am.G12.identity)[0])
         if Y.eset == X.eset:
             continue
         while True:

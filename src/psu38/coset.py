@@ -90,8 +90,6 @@ class CosetGraph:
     edges: np.ndarray | None = None                # (E,2) uint32 per-side id pairs
     # runtime
     ops: FieldOps | None = None
-    repmats: dict = dfield(default_factory=dict)
-    reptw: dict = dfield(default_factory=dict)
     ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
     ksets: dict = dfield(default_factory=dict)     # side -> (km, kt), K_side unpacked
     fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
@@ -186,8 +184,7 @@ class CosetGraph:
         km, kt = self.ksets[side]
         if group == "H":
             km, kt = km[kt % 3 == 0], kt[kt % 3 == 0]
-        rm = np.repeat(self.repmats[side][lid:lid + 1], len(kt), axis=0)
-        rt = np.repeat(self.reptw[side][lid:lid + 1], len(kt))
+        rm, rt = bunpack(np.repeat(self.reps[side][lid:lid + 1], len(kt)))
         m, t = self.ops.bsmul(*self.ops.binv(rm, rt), km, kt)
         return np.unique(self.ops.bpkeys(*self.ops.bsmul(m, t, rm, rt)))
 
@@ -249,10 +246,7 @@ class CosetGraph:
 
     def _register(self, side: int, reps: np.ndarray, fkeys: np.ndarray) -> None:
         """Append vertices, given their rep keys and fingerprint keys."""
-        mats, tw = bunpack(reps)
         self.reps[side] = np.concatenate([self.reps[side], reps])
-        self.repmats[side] = np.concatenate([self.repmats[side], mats])
-        self.reptw[side] = np.concatenate([self.reptw[side], tw])
         self.fkeys[side] = np.concatenate([self.fkeys[side], fkeys])
         self.korder[side] = np.argsort(self.fkeys[side], kind="stable")
 
@@ -301,8 +295,6 @@ def _arm(graph: CosetGraph) -> None:
         graph.ksets[side] = bunpack(np.array([x.key for x in K.sorted_elems()],
                                              dtype=np.uint64))
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
-        graph.repmats[side] = np.zeros((0, 3, 3), dtype=np.uint8)
-        graph.reptw[side] = np.zeros(0, dtype=np.uint8)
         graph.fkeys[side] = np.zeros(0, dtype=np.uint64)
         graph.korder[side] = np.zeros(0, dtype=np.int64)
 
@@ -334,11 +326,9 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             tm, tt = trans[side]
             k = len(tm)
             # probes t.g, frontier-major: row i*k + j is t_j . rep(src[i])
-            pm, pt = ops.bsmul(
-                np.tile(tm, (len(src), 1, 1)), np.tile(tt, len(src)),
-                np.repeat(graph.repmats[side][src], k, axis=0),
-                np.repeat(graph.reptw[side][src], k),
-            )
+            rm, rt = bunpack(graph.reps[side][src])
+            pm, pt = ops.bsmul(np.tile(tm, (len(src), 1, 1)), np.tile(tt, len(src)),
+                               np.repeat(rm, k, axis=0), np.repeat(rt, k))
             keys = graph._keys(tgt, pm, pt)
             ids = graph._resolve(tgt, keys)
             miss = np.flatnonzero(ids < 0)

@@ -63,29 +63,59 @@ class Perm:
 # small helpers
 
 
-def _close(gens, identity):
-    """Subgroup generated by gens, as a set (finite, so the product
-    closure already contains inverses).  A generator already in the span
-    is skipped; a new one g adds the coset span.g and then closes the new
-    elements under every kept generator."""
-    els = {identity}
+def _close(gens, identity, cap=None):
+    """Subgroup generated by gens as its closure tree (elems, parent,
+    genidx): the elements in discovery order, the identity first, with
+    elems[i] = elems[parent[i]] * gens[genidx[i]] the product that first
+    reached elems[i] (finite, so the product closure contains inverses).
+
+    A generator already in the span is skipped; a new one g adds the
+    coset span.g and then closes the new elements under every kept
+    generator.  So the span of each prefix of gens is a prefix of elems.
+    More than cap elements raise ClosureCapExceeded."""
+    elems, parent, genidx = [identity], [0], [-1]
+    index = {identity: 0}
     kept = []
-    for g in gens:
-        if g in els:
+
+    def add(y, pi, gi):
+        if cap is not None and len(elems) >= cap:
+            raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+        index[y] = len(elems)
+        elems.append(y)
+        parent.append(pi)
+        genidx.append(gi)
+
+    for gi, g in enumerate(gens):
+        if g in index:
             continue
-        kept.append(g)
-        frontier = [x * g for x in els]
-        els.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in kept:
-                    y = x * h
-                    if y not in els:
-                        els.add(y)
-                        nxt.append(y)
-            frontier = nxt
-    return els
+        kept.append((gi, g))
+        i = len(elems)
+        for pi in range(i):
+            add(elems[pi] * g, pi, gi)  # new, since g is not in the span
+        while i < len(elems):
+            x = elems[i]
+            for hi, h in kept:
+                y = x * h
+                if y not in index:
+                    add(y, i, hi)
+            i += 1
+    return elems, parent, genidx
+
+
+def _conj_orbit(seeds, gens, on_sets=False):
+    """The orbit of the seeds under conjugation x -> g^-1 x g by the group
+    that gens generate, yielded in discovery order; with on_sets=True the
+    points are frozensets of elements, conjugated elementwise."""
+    pairs = [(g.inv(), g) for g in gens]
+    orbit = list(dict.fromkeys(seeds))
+    seen = set(orbit)
+    for x in orbit:  # grows while it is walked
+        yield x
+        for gi, g in pairs:
+            y = frozenset(gi * h * g for h in x) if on_sets else gi * x * g
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
 
 
 def _pow(x, k, identity):
@@ -114,9 +144,9 @@ class SmallGroup:
     """An explicitly enumerated group.
 
     `elems` is in closure discovery order with elems[0] the identity.
-    When built by generate(), `parent`/`genidx` record the BFS tree
-    (elems[i] = elems[parent[i]] * gens[genidx[i]]), which downstream
-    code uses to evaluate vertex actions incrementally.
+    When built by generate(), `parent`/`genidx` record the closure tree
+    of _close (elems[i] = elems[parent[i]] * gens[genidx[i]]), which
+    downstream code uses to evaluate vertex actions incrementally.
     """
 
     def __init__(self, elems, gens, identity, parent=None, genidx=None, name=""):
@@ -140,26 +170,7 @@ class SmallGroup:
         if not gens:
             raise ValueError("need at least one generator")
         e = gens[0] * gens[0].inv()
-        elems = [e]
-        seen = {e: 0}
-        parent = [0]
-        genidx = [-1]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for pi in frontier:
-                x = elems[pi]
-                for gi, g in enumerate(gens):
-                    y = x * g
-                    if y not in seen:
-                        if len(elems) >= cap:
-                            raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-                        seen[y] = len(elems)
-                        elems.append(y)
-                        parent.append(pi)
-                        genidx.append(gi)
-                        nxt.append(len(elems) - 1)
-            frontier = nxt
+        elems, parent, genidx = _close(gens, e, cap)
         return SmallGroup(elems, gens, e, parent, genidx, name)
 
     @staticmethod
@@ -235,7 +246,7 @@ class SmallGroup:
             if x in span:
                 continue
             gens.append(x)
-            span = _close(gens, self.identity)
+            span = set(_close(gens, self.identity)[0])
             if len(span) == len(self.elems):
                 return gens
         raise AssertionError("element set is not closed under multiplication")
@@ -285,9 +296,9 @@ class SmallGroup:
     # -- structural subgroups -------------------------------------------
 
     def center(self) -> "SmallGroup":
-        gens = self.gens_list()
-        z = [x for x in self.elems if all(x * g == g * x for g in gens)]
-        return self.subgroup(z, name=f"Z({self.name})" if self.name else "")
+        z = self.centralizer(self.gens_list())
+        z.name = f"Z({self.name})" if self.name else ""
+        return z
 
     def centralizer(self, xs) -> "SmallGroup":
         xs = list(xs)
@@ -312,19 +323,8 @@ class SmallGroup:
         return True
 
     def normal_closure(self, xs) -> "SmallGroup":
-        gens = [(g.inv(), g) for g in self.gens_list()]
-        seed = set(xs)
-        frontier = list(seed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, g in gens:
-                    y = gi * x * g
-                    if y not in seed:
-                        seed.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return self.subgroup(_close(sorted(seed), self.identity))
+        orbit = _conj_orbit(xs, self.gens_list())
+        return self.subgroup(_close(sorted(orbit), self.identity)[0])
 
     def derived(self) -> "SmallGroup":
         gens = self.gens_list()
@@ -337,14 +337,14 @@ class SmallGroup:
             raise ValueError("frattini_p is only used on p-groups here")
         d = self.derived()
         pw = {_pow(x, p, self.identity) for x in self.elems}
-        return self.subgroup(_close(sorted(d.eset | pw), self.identity))
+        return self.subgroup(_close(sorted(d.eset | pw), self.identity)[0])
 
     def commutator_subgroup(self, X: "SmallGroup", Y: "SmallGroup") -> "SmallGroup":
         """[X, Y] for subgroups X, Y of self (commutators over all pairs,
         then product closure; the pair set is conjugation-closed enough
         because both conventions' commutators are mutually inverse)."""
         comms = {x.inv() * y.inv() * x * y for x in X.elems for y in Y.elems}
-        return self.subgroup(_close(sorted(comms), self.identity))
+        return self.subgroup(_close(sorted(comms), self.identity)[0])
 
     def intersect(self, other: "SmallGroup") -> "SmallGroup":
         return self.subgroup(self.eset & other.eset)
@@ -373,7 +373,7 @@ class SmallGroup:
                     continue
                 o = self.element_order(x)
                 if o == p ** _pval(o, p) and o > 1:
-                    cand = _close(pgens + [x], self.identity)
+                    cand = _close(pgens + [x], self.identity)[0]
                     if len(cand) % p == 0 and len(cand) == p ** _pval(len(cand), p):
                         pgens.append(x)
                         P = self.subgroup(cand)
@@ -391,46 +391,24 @@ class SmallGroup:
 
     def core(self, H: "SmallGroup") -> "SmallGroup":
         """Normal core of H in G: the intersection of all G-conjugates of
-        H, found by a search over conjugates under G's generators."""
-        gens = [(g.inv(), g) for g in self.gens_list()]
+        H, walked along their orbit until it is trivial."""
         core = set(H.eset)
-        seen = {H.eset}
-        frontier = [H.eset]
-        while frontier and len(core) > 1:
-            nxt = []
-            for S in frontier:
-                for gi, g in gens:
-                    T = frozenset(gi * h * g for h in S)
-                    if T not in seen:
-                        seen.add(T)
-                        nxt.append(T)
-                        core &= T
-            frontier = nxt
+        for T in _conj_orbit([H.eset], self.gens_list(), on_sets=True):
+            core &= T
+            if len(core) == 1:
+                break
         return self.subgroup(core)
 
     # -- conjugacy classes ----------------------------------------------
 
     def conj_classes(self) -> list[frozenset]:
         if self._class_list is None:
-            gens = [(h.inv(), h) for h in self.gens_list()]
             done = set()
             classes = []
             for g in self.sorted_elems():
-                if g in done:
-                    continue
-                orb = {g}
-                fr = [g]
-                while fr:
-                    nf = []
-                    for x in fr:
-                        for hi, h in gens:
-                            y = hi * x * h
-                            if y not in orb:
-                                orb.add(y)
-                                nf.append(y)
-                    fr = nf
-                classes.append(frozenset(orb))
-                done |= orb
+                if g not in done:
+                    classes.append(frozenset(_conj_orbit([g], self.gens_list())))
+                    done |= classes[-1]
             self._class_list = classes
         return self._class_list
 
@@ -554,10 +532,12 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
         by_inv2.setdefault(inv2[h], []).append(h)
 
     # generating sequence of G1, greedily preferring elements with the
-    # fewest candidate images (ties broken canonically)
+    # fewest candidate images (ties broken canonically); G1's closure tree
+    # over it, whose span of gens1[:i+1] is the prefix elems[:ends[i+1]]
     gens1: list = []
-    span = {G1.identity}
-    while len(span) < len(G1):
+    elems, ends = [G1.identity], [1]
+    while len(elems) < len(G1):
+        span = set(elems)
         best = None
         for g in G1.sorted_elems():
             if g in span:
@@ -568,56 +548,27 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
             if best is None or k < best[0]:
                 best = (k, g)
         gens1.append(best[1])
-        span = _close(gens1, G1.identity)
-    n = len(G1)
-
-    def extend(mapping, gens, imgs):
-        """Grow the partial map over <gens>; None on any inconsistency."""
-        m = dict(mapping)
-        fr = list(m.keys())
-        while fr:
-            nf = []
-            for x in fr:
-                mx = m[x]
-                for g, h in zip(gens, imgs):
-                    y = x * g
-                    my = mx * h
-                    prev = m.get(y)
-                    if prev is None:
-                        m[y] = my
-                        nf.append(y)
-                    elif prev != my:
-                        return None
-            fr = nf
-        if len(set(m.values())) != len(m):
-            return None
-        return m
+        elems, parent, genidx = _close(gens1, G1.identity)
+        ends.append(len(elems))
+    pos = {x: i for i, x in enumerate(elems)}
+    mul = [[pos[x * g] for g in gens1] for x in elems]
 
     # Iterative DFS over candidate image tuples.  Composing a candidate
     # isomorphism with an inner automorphism of G2 is free, so the first
     # image ranges over one representative per conjugacy class, and
     # deeper candidates are reduced to orbit representatives under the
     # centralizer of the images already placed.  Pairwise product
-    # invariants prefilter before the closure extension runs.
-    stack = [({G1.identity: G2.identity}, [], G2.elems)]
+    # invariants prefilter.  A candidate h for gens1[i] maps the new part
+    # of the prefix along the tree, then must be injective and keep
+    # f(x g_j) = f(x) h_j for the new x and j <= i.  The old x with j = i
+    # are tree edges, and earlier depths checked the rest, so at the last
+    # depth every pair holds: that is the whole homomorphism test.
+    stack = [([G2.identity], [], G2.elems)]
     while stack:
-        mapping, imgs, cent = stack.pop()
+        img, imgs, cent = stack.pop()
         i = len(imgs)
         if i == len(gens1):
-            if len(mapping) != n:
-                continue
-            ok = True
-            for x in G1.elems:
-                mx = mapping[x]
-                for g, h in zip(gens1, imgs):
-                    if mapping[x * g] != mx * h:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return mapping
-            continue
+            return dict(zip(elems, img))
         g = gens1[i]
         cands = []
         seen: set = set()
@@ -634,11 +585,16 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
                     break
             if fits:
                 cands.append(h)
+        lo, hi = ends[i], ends[i + 1]
         for h in reversed(cands):
-            m2 = extend(mapping, gens1[: i + 1], imgs + [h])
-            if m2 is not None and len(m2) <= n:
+            hs = imgs + [h]
+            m = img + [None] * (hi - lo)
+            for t in range(lo, hi):
+                m[t] = m[parent[t]] * hs[genidx[t]]
+            if len(set(m)) == hi and all(m[mul[x][j]] == m[x] * hs[j]
+                                         for x in range(lo, hi) for j in range(i + 1)):
                 newcent = [c for c in cent if c * h == h * c]
-                stack.append((m2, imgs + [h], newcent))
+                stack.append((m, hs, newcent))
     return None
 
 
@@ -753,9 +709,9 @@ def affine_refs() -> AffineRefs:
 
     t1 = _affine_perm(1, 0, 0, 1, 1, 0, idx, pts)
     t2 = _affine_perm(1, 0, 0, 1, 0, 1, idx, pts)
-    v = agl.subgroup(_close([t1, t2], ident), name="V")
+    v = agl.subgroup(_close([t1, t2], ident)[0], name="V")
     u = _affine_perm(1, 1, 0, 1, 0, 0, idx, pts)
-    syl3 = agl.subgroup(_close([t1, t2, u], ident), name="S")
+    syl3 = agl.subgroup(_close([t1, t2, u], ident)[0], name="S")
     assert len(v) == 9 and len(syl3) == 27
 
     v0 = v.subgroup(
@@ -783,7 +739,7 @@ def _index2_variants(agl_s, syl3, v, v0):
     cand_sets = set()
     for r in range(1, len(q)):
         for comb in combinations(q.sorted_elems(), r):
-            s = frozenset(_close(list(comb), q.identity))
+            s = frozenset(_close(list(comb), q.identity)[0])
             if len(s) == half:
                 cand_sets.add(s)
     sharp = star = None
@@ -941,7 +897,7 @@ def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
     els = Q2.sorted_elems()
     for i, a in enumerate(els):
         for b in els[i + 1:]:
-            s = frozenset(_close([a, b], Q2.identity))
+            s = frozenset(_close([a, b], Q2.identity)[0])
             if len(s) != 9 or s in seen:
                 continue
             seen.add(s)

@@ -209,16 +209,6 @@ class Claim:
     info_only: bool = False
 
 
-@dataclass
-class ClaimResult:
-    id: str
-    statement: str
-    groups: tuple
-    verdict: str
-    witness: dict
-    seconds: float
-
-
 def _gen_closure(ng, names) -> SmallGroup:
     gens = [ng.p[n] for n in names]
     return SmallGroup.generate(gens, name="<" + ",".join(names) + ">")
@@ -431,10 +421,8 @@ def build_claims() -> list[Claim]:
     def l34ii(ctx):
         ng = ctx.ng
         zq2 = ng.Q2.center()
-        n1 = all(g.inv() * h * g in ng.Q2.eset
-                 for g in ng.S.gens_list() for h in ng.Q2.gens_list())
-        n2 = all(g.inv() * h * g in ng.Qh2.eset
-                 for g in ng.S.gens_list() for h in ng.Qh2.gens_list())
+        n1 = ng.S.is_normal(ng.Q2)
+        n2 = ng.S.is_normal(ng.Qh2)
         meet = ng.S.eset & ng.Q2.eset
         q = ng.S.quotient(ng.S.subgroup(zq2.eset))
         ok = (n1 and n2 and meet == zq2.eset
@@ -446,8 +434,7 @@ def build_claims() -> list[Claim]:
                        "Lambda triple, and S induces Sym(3) on it")
     def l34iii(ctx):
         ng = ctx.ng
-        n0 = all(g.inv() * h * g in ng.Qstar.eset
-                 for g in ng.S.gens_list() for h in ng.Qstar.gens_list())
+        n0 = ng.S.is_normal(ng.Qstar)
         lam_sets = [L.eset for L in ng.Lambda]
 
         def perm_of(g):
@@ -534,7 +521,7 @@ def build_claims() -> list[Claim]:
         d["C_O3(H2)(Fsigma3)_eq_<E>"] = ce.eset == ebar.eset
         ok = ok and d["T1_matches_named_gens"] and d["T2_matches_named_gens"] \
             and d["X_eq_H12"] and d["C_O3(H2)(Fsigma3)_eq_<E>"]
-        return ok, _plain(d)
+        return ok, d
 
     @claim("L3.6.ii", "the amalgam (K1, K2; K1 n K2) has shape E2", ("K",))
     def l36ii(ctx):
@@ -554,7 +541,7 @@ def build_claims() -> list[Claim]:
         ok = ok and d["T1_matches_named_gens"] and d["T2_matches_named_gens"] \
             and d["X_eq_K12"] and d["C_O3(K2)(Fsigma3)_eq_<s2,E>"] \
             and d["C_O3(K2)(Fsigma3)_iso_SP2"]
-        return ok, _plain(d)
+        return ok, d
 
     # -- graph scale -------------------------------------------------------
 
@@ -600,8 +587,7 @@ def build_claims() -> list[Claim]:
     @claim("P3.7.ii", "K-graph is of pushing up type for the base 1-arc "
                       "and prime 3", ("K",))
     def p37ii(ctx):
-        ok, d = pushing_up(ctx.graph, "K")
-        return ok, _plain(d)
+        return pushing_up(ctx.graph, "K")
 
     @claim("P3.7.iii", "the stabilizer in K of the named 5-arc equals "
                        "Z(O_3(K_{x1,x2})) = Z(Qh2), of order 9 = C3 x C3",
@@ -998,7 +984,7 @@ def run_claims(ctx: VerifyContext, group: str = "both",
         # dot-separated segments: "L3.1" selects L3.1.* but not L3.10.*
         return any(cid == p or cid.startswith(p + ".") for p in prefixes)
 
-    results = []
+    records = []
     overall = True
     t_all = time.time()
     for c in claims:
@@ -1020,8 +1006,9 @@ def run_claims(ctx: VerifyContext, group: str = "both",
         else:
             verdict = "pass" if ok else "fail"
             overall = overall and ok
-        results.append(ClaimResult(c.id, c.statement, c.groups, verdict,
-                                   _plain(witness), dt))
+        records.append({"id": c.id, "statement": c.statement,
+                        "groups": list(c.groups), "verdict": verdict,
+                        "witness": _plain(witness), "seconds": dt})
         ctx._log(f"[{verdict.upper():4s}] {c.id} ({dt:.2f}s)")
     rel = ctx.relations
     report = {
@@ -1037,11 +1024,7 @@ def run_claims(ctx: VerifyContext, group: str = "both",
         },
         "overall": overall,
         "total_seconds": time.time() - t_all,
-        "claims": [
-            {"id": r.id, "statement": r.statement, "groups": list(r.groups),
-             "verdict": r.verdict, "witness": r.witness, "seconds": r.seconds}
-            for r in results
-        ],
+        "claims": records,
     }
     return report
 

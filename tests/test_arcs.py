@@ -320,4 +320,7 @@ def test_base_vertex_stabilizers_are_the_generated_groups(graph, ng):
     for v, group, G in ((graph.base_x1, "K", ng.K1), (graph.base_x2, "K", ng.K2),
                         (graph.base_x1, "H", ng.H1), (graph.base_x2, "H", ng.H2)):
         stab = graph.vertex_stabilizer(v, group)
-        assert stab is G and stab.parent is not None
+        assert stab is G and len(stab.parent) == len(stab.genidx) == len(stab)
+        for i in range(1, len(stab)):
+            assert stab.parent[i] < i
+            assert stab.elems[i] == stab.elems[stab.parent[i]] * stab.gens[stab.genidx[i]]

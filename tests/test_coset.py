@@ -166,8 +166,7 @@ def _old_image_batch(graph, gids, keys):
     for side, off in ((1, 0), (2, graph.n1)):
         sel = np.flatnonzero((gids >= graph.n1) == (side == 2))
         lids = gids[sel] - off
-        pm, pt = graph.ops.bsmul(graph.repmats[side][lids], graph.reptw[side][lids],
-                                 xm[sel], xt[sel])
+        pm, pt = graph.ops.bsmul(*bunpack(graph.reps[side][lids]), xm[sel], xt[sel])
         out[sel] = graph._resolve(side, graph._keys(side, pm, pt)) + off
     return out
 
@@ -213,11 +212,9 @@ def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
     x3 = graph.image(graph.base_x1, ng.p["E"])
     w = 1 if x3 != 1 else 2
     g = copy.copy(graph)
-    g.reps, g.repmats, g.reptw = ({s: a.copy() for s, a in d.items()}
-                                  for d in (graph.reps, graph.repmats, graph.reptw))
+    g.reps = {s: a.copy() for s, a in graph.reps.items()}
     g._perm_cache, g._kernels = {}, {}
-    for d in (g.reps, g.repmats, g.reptw):
-        d[1][x3] = d[1][w]
+    g.reps[1][x3] = g.reps[1][w]
     with pytest.raises(AssertionError, match="not K1 conjugated by the rep"):
         coset._assert_base_edge(g)
 
@@ -357,22 +354,21 @@ def test_fingerprint_key_against_canonical_oracle(graph, ng):
         sub = SubgroupArrays.from_group(ops, K)
         n = graph.n1 if side == 1 else graph.n2
         lids = rng.choice(n, size=200, replace=False)
-        canon = coset_canon_keys(ops, sub, graph.repmats[side][lids],
-                                 graph.reptw[side][lids])
+        rm, rt = bunpack(graph.reps[side][lids])
+        canon = coset_canon_keys(ops, sub, rm, rt)
         assert len(np.unique(canon)) == len(lids)
-        pm, pt = ops.bsmul(graph.repmats[side][lids], graph.reptw[side][lids],
-                           np.repeat(xm, len(lids), axis=0), np.repeat(xt, len(lids)))
+        pm, pt = ops.bsmul(rm, rt, np.repeat(xm, len(lids), axis=0),
+                           np.repeat(xt, len(lids)))
         want = coset_canon_keys(ops, sub, pm, pt)
         img = graph.image_batch(lids + off, x.key) - off
-        got = coset_canon_keys(ops, sub, graph.repmats[side][img],
-                               graph.reptw[side][img])
+        got = coset_canon_keys(ops, sub, *bunpack(graph.reps[side][img]))
         assert np.array_equal(got, want)
     # the single-element oracle agrees with the batch
     v = graph.n1 + 7
     assert coset_canon(ops, SubgroupArrays.from_group(ops, ng.K2),
                        graph.rep_element(v)).key == int(coset_canon_keys(
         ops, SubgroupArrays.from_group(ops, ng.K2),
-        graph.repmats[2][7:8], graph.reptw[2][7:8])[0])
+        *bunpack(graph.reps[2][7:8]))[0])
 
 
 def _rewrite(path, edit_header=None, edit_payload=None):

@@ -28,9 +28,18 @@ def test_closure_of_identity(ng):
     assert len(triv) == 1
 
 
-def test_closure_cap(ng):
+def test_closure_cap(ng, refs):
     with pytest.raises(ClosureCapExceeded):
         SmallGroup.generate(ng.K1.gens, cap=100)
+    # the cap is the largest order allowed
+    for G in (ng.K2, refs["AGL23"]):
+        gens = G.gens_list()
+        assert len(_close(gens, G.identity, cap=len(G))[0]) == len(G)
+        assert len(SmallGroup.generate(gens, cap=len(G))) == len(G)
+        with pytest.raises(ClosureCapExceeded):
+            _close(gens, G.identity, cap=len(G) - 1)
+        with pytest.raises(ClosureCapExceeded):
+            SmallGroup.generate(gens, cap=len(G) - 1)
 
 
 def test_lagrange_property(ng):
@@ -145,14 +154,43 @@ def _bfs_close(gens, identity):
 
 
 def test_close_with_redundant_generators(ng, refs):
-    assert _close(ng.K1.sorted_elems(), ng.K1.identity) == ng.K1.eset
-    assert _close([ng.K1.identity], ng.K1.identity) == {ng.K1.identity}
+    assert set(_close(ng.K1.sorted_elems(), ng.K1.identity)[0]) == ng.K1.eset
+    assert _close([ng.K1.identity], ng.K1.identity) == ([ng.K1.identity], [0], [-1])
     rng = random.Random(7)
     for G in (ng.K1, ng.K2, ng.H2, refs["AGL23"], refs["SP2"]):
         els = G.sorted_elems()
         for _ in range(4):
             gens = rng.sample(els, rng.randrange(1, 6))
-            assert _close(gens, G.identity) == _bfs_close(gens, G.identity)
+            assert set(_close(gens, G.identity)[0]) == _bfs_close(gens, G.identity)
+
+
+def _assert_closure_tree(gens, identity):
+    """_close's tree: each element once, the identity first, every parent
+    before its child with elems[i] == elems[parent[i]] * gens[genidx[i]],
+    and the span of each prefix of gens a prefix of elems."""
+    elems, parent, genidx = _close(gens, identity)
+    assert elems[0] == identity and len(set(elems)) == len(elems)
+    assert len(parent) == len(genidx) == len(elems)
+    for i in range(1, len(elems)):
+        assert parent[i] < i
+        assert elems[i] == elems[parent[i]] * gens[genidx[i]]
+    for k in range(1, len(gens) + 1):
+        span = _bfs_close(gens[:k], identity)
+        assert set(elems[:len(span)]) == span
+    return elems
+
+
+def test_close_tree_and_prefix_spans(ng, refs):
+    rng = random.Random(11)
+    groups = [ng.Q2, ng.S, ng.H1, ng.H2, ng.Qh2, ng.K1, ng.K2, refs["AGL23"],
+              refs["AGL23S_sharp"], refs["SP2"], refs["Dih18xC2"],
+              refs["C3xAGL23S"]]
+    for G in groups:
+        assert set(_assert_closure_tree(G.gens_list(), G.identity)) == G.eset
+        gens = rng.sample(G.sorted_elems(), 4)  # random, often redundant
+        assert set(_assert_closure_tree(gens, G.identity)) == _bfs_close(gens, G.identity)
+        H = SmallGroup.generate(G.gens_list())
+        assert (H.elems, H.parent, H.genidx) == _close(G.gens_list(), G.identity)
 
 
 def test_normal_closure_of_many_generators(ng):
@@ -231,13 +269,40 @@ def test_reference_group_isos(refs):
     assert not iso_check(refs["AGL23S_sharp"], refs["AGL23S_star"])
 
 
-def test_iso_witness_is_homomorphism(refs):
-    ok, m = iso_check(refs["AGL13"], refs["Sym3"], witness=True)
-    assert ok
-    for a in refs["AGL13"].elems:
-        for b in refs["AGL13"].gens_list():
-            assert m[a * b] == m[a] * m[b]
-    assert len(set(m.values())) == len(refs["Sym3"])
+def test_iso_witness_is_homomorphism(ng, refs):
+    """The witness maps G1 onto G2, so it is a bijection, and keeps
+    m(x g) = m(x) m(g) for every x and every generator g, so it is a
+    homomorphism.  In an elementary abelian group every candidate image
+    passes the invariant filters, so there the search meets non-injective
+    maps first."""
+    for G1, G2 in ((refs["AGL13"], refs["Sym3"]), (ng.H1, refs["AGL23"]),
+                   (ng.K12, refs["C3xAGL23S"]), (refs["AGL23S"], ng.H12),
+                   (ng.Q1, refs["C3xC3"]), (refs["E27"], refs["E27"])):
+        ok, m = iso_check(G1, G2, witness=True)
+        assert ok
+        assert set(m) == G1.eset and set(m.values()) == G2.eset
+        for a in G1.elems:
+            for b in G1.gens_list():
+                assert m[a * b] == m[a] * m[b]
+    assert iso_check(refs["AGL23S_sharp"], refs["AGL23S_star"], witness=True) == (False, None)
+
+
+def test_core_and_classes_against_plain_oracles(ng, refs):
+    def conj(x, g):
+        return g.inv() * x * g
+
+    cases = [(ng.H2, ng.H12), (ng.H1, ng.H1.sylow(3)), (ng.H1, ng.H1.sylow(2)),
+             (refs["AGL23"], refs["GL23"]), (refs["Sym4"], refs["Sym4"].sylow(2)),
+             (refs["Sym4"], refs["Sym4"].sylow(3))]
+    for G, H in cases:
+        want = frozenset.intersection(
+            *(frozenset(conj(h, g) for h in H.elems) for g in G.elems))
+        assert G.core(H).eset == want
+    for G in (ng.Q2, ng.S, ng.H12, refs["Sym4"], refs["AGL23S"]):
+        want = {frozenset(conj(x, g) for g in G.elems) for x in G.elems}
+        got = G.conj_classes()
+        assert set(got) == want and len(got) == len(want)
+        assert [min(c) for c in got] == sorted(min(c) for c in want)
 
 
 def test_iso_reflexive_symmetric(ng, refs):
