@@ -4,7 +4,9 @@ G_z^[i], and the local characteristic / pushing up predicates.
 Group elements act on vertices on the right through CosetGraph.perm;
 a base-vertex stabilizer evaluates its whole action table along its
 closure tree, one permutation gather per element.  Other stabilizers stay
-packed keys (CosetGraph.stabilizer_keys, fixers) until a SmallGroup is needed.
+packed keys (CosetGraph.stabilizer_keys, fixers) until a SmallGroup is
+needed, or are pulled back to the base stabilizer's own elements by the
+conjugation that stabilizer_keys applies (local_condition_at).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import functools
 
 import numpy as np
 
-from .coset import CosetGraph
-from .grp import Perm, SmallGroup
+from .coset import KEY_CHUNK, CosetGraph
+from .grp import Perm, SmallGroup, _close
 
 # ---------------------------------------------------------------------------
 # balls and arcs
@@ -95,22 +97,28 @@ def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
     Rows are found by a binary search in their sorted row_keys, which is
     exact: the keys are pairwise distinct, and every row found is compared
     with the image it stands for.  Raises if a row repeats (or two rows
-    share a key) or an image is not a row.
+    share a key) or an image is not a row.  Keys and images are computed
+    KEY_CHUNK rows at a time, which bounds the temporaries.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = len(rows)
-    keys = row_keys(rows)
+    chunks = [slice(lo, lo + KEY_CHUNK) for lo in range(0, n, KEY_CHUNK)]
+    keys = np.empty(n, dtype=np.uint64)
+    for c in chunks:
+        keys[c] = row_keys(rows[c])
     order = np.argsort(keys).astype(np.int32)  # the kept images are int32 too
     skeys = keys[order]
+    del keys
     if (skeys[1:] == skeys[:-1]).any():
         raise AssertionError("two rows share a key (a repeated row?)")
     images = []
     for p in perms:
-        im = p[rows]
-        pos = np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)
-        j = order[pos]
-        if not np.array_equal(rows[j], im):
-            raise AssertionError("an image row is not a row")
+        j = np.empty(n, dtype=np.int32)
+        for c in chunks:
+            im = p[rows[c]]
+            j[c] = order[np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)]
+            if not np.array_equal(rows[j[c]], im):
+                raise AssertionError("an image row is not a row")
         images.append(j)
     # each generator permutes the rows, so an orbit is a union of cycles:
     # lowering every label to the least label of its images, with pointer
@@ -162,8 +170,8 @@ def max_local_s(graph: CosetGraph, group: str) -> tuple[int, list]:
 def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
     """Pointwise stabilizer of the arc: the elements of the stabilizer of
     arc[0] that fix the other arc vertices."""
-    keys = graph.fixers(graph.stabilizer_keys(int(arc[0]), group), arc[1:])
-    return graph.group_from_keys(keys, f"{group}_arc")
+    keys = graph.stabilizer_keys(int(arc[0]), group)
+    return graph.group_from_keys(keys[graph.fixers(keys, arc[1:])], f"{group}_arc")
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +192,6 @@ class KernelData:
         self.v = v
         self.group = group
         pts, radii = ball(graph, v, KERNEL_RADIUS)
-        self.ball_pts = pts
-        self.ball_radii = radii
         # images of the ball under each element of the stabilizer, along
         # the closure tree that SmallGroup.generate built
         self.stab = S = graph.vertex_stabilizer(v, group)
@@ -200,7 +206,9 @@ class KernelData:
         if first_moved.min() < 1:
             raise AssertionError("stabilizer element moves its own vertex")
         self.first_moved = first_moved
-        self.action_table = T
+        # only the neighbors' columns are kept, for induced_neighbor_group
+        self.nbr_pts = pts[radii == 1]
+        self.nbr_images = T[:, radii == 1]
 
     def kernel(self, i: int) -> SmallGroup:
         els = [self.stab.elems[j] for j in np.where(self.first_moved > i)[0]]
@@ -217,10 +225,9 @@ class KernelData:
         The kernel here is computed by permutation filtering, independent
         of the radius bookkeeping in self.first_moved.
         """
-        nbrs = sorted(int(x) for x in self.ball_pts[self.ball_radii == 1])
+        nbrs = sorted(self.nbr_pts.tolist())
         pos = {u: i for i, u in enumerate(nbrs)}
-        cols = [int(np.where(self.ball_pts == u)[0][0]) for u in nbrs]
-        sub = self.action_table[:, cols]
+        sub = self.nbr_images[:, np.argsort(self.nbr_pts)]
         ident = tuple(range(len(nbrs)))
         images = set()
         kernel_els = []
@@ -284,6 +291,27 @@ def pushing_up(graph: CosetGraph, group: str) -> tuple[bool, dict]:
 # sampled redundancy checks
 
 
+def local_condition_at(graph: CosetGraph, v: int, group: str) -> dict:
+    """C_{G_v}(O_3(G_v^[1])) <= O_3(G_v^[1]) at any vertex v, computed in
+    the base stabilizer G_side of v's side.
+
+    Key i of stabilizer_keys(v) is rep^-1 k_i rep, k_i the i-th element of
+    G_side in sorted order, so the fixers of v's neighbors name the
+    preimage of G_v^[1] in G_side, and k -> rep^-1 k rep carries O_3 and
+    centralizers across.  The preimage must be closed under products
+    ("closed"); a wrong conjugation would break that first.
+    """
+    base = graph.base_stabilizer(graph.side_of(v), group)
+    els = base.sorted_elems()
+    fix = [els[i] for i in graph.fixers(graph.stabilizer_keys(v, group),
+                                        graph.neighbors(v))]
+    kern = base.subgroup(_close(fix, base.identity)[0])
+    q = kern.p_core(3)
+    c = base.centralizer(q.gens_list())
+    return {"|O_p|": len(q), "|centralizer|": len(c), "closed": len(kern) == len(fix),
+            "contained": c.eset <= q.eset}
+
+
 def sampled_vertex_checks(
     graph: CosetGraph, group: str,
     n_wide: int = 100, n_deep: int = 12, seed: int = 38,
@@ -295,7 +323,8 @@ def sampled_vertex_checks(
     wide: the conjugate stabilizer has the right order and every one of
     its elements fixes its vertex.
     deep: recompute G_v^[1] as the elements of G_v that fix v's
-    neighbors and reverify the centralizer condition directly.
+    neighbors and reverify the centralizer condition directly
+    (local_condition_at).
     """
     rng = np.random.default_rng(seed)
     wide_ids = rng.choice(graph.nv, size=min(n_wide, graph.nv), replace=False)
@@ -312,11 +341,8 @@ def sampled_vertex_checks(
     deep_ids = rng.choice(graph.nv, size=min(n_deep, graph.nv), replace=False)
     deep_ok = True
     for v in deep_ids:
-        v = int(v)
-        keys = graph.stabilizer_keys(v, group)
-        q = graph.group_from_keys(graph.fixers(keys, graph.neighbors(v))).p_core(3)
-        c = graph.group_from_keys(keys).centralizer(q.gens_list())
-        if not c.eset <= q.eset:
+        d = local_condition_at(graph, int(v), group)
+        if not (d["closed"] and d["contained"]):
             deep_ok = False
             break
     return {

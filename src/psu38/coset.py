@@ -25,9 +25,10 @@ key order, so ids are deterministic and the base vertices are 0 and n1.
 
 Group elements are handled as packed keys: image_batch acts rowwise, by
 conjugating each vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x),
-stabilizer_keys conjugates all of K_side in one batch, and fixers keeps
-the keys that fix given vertices, which gives arc stabilizers and
-kernels without intersecting conjugates.
+stabilizer_keys conjugates all of K_side in one batch, in K_side's own
+sorted order, and fixers gives the indices of the keys that fix given
+vertices, which gives arc stabilizers and kernels without intersecting
+conjugates.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class CosetGraph:
     # runtime
     ops: FieldOps | None = None
     ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
-    ksets: dict = dfield(default_factory=dict)     # side -> (km, kt), K_side unpacked
+    ksets: dict = dfield(default_factory=dict)     # (side, group) -> (km, kt), sorted
     fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
     korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
     indptr: np.ndarray | None = None
@@ -177,39 +178,45 @@ class CosetGraph:
     # -- stabilizers ---------------------------------------------------
 
     def stabilizer_keys(self, g: int, group: str = "K") -> np.ndarray:
-        """Sorted packed keys of the stabilizer (K_side)^rep of vertex g, by
-        one batched conjugation rep^-1 k rep; group="H" conjugates only
-        the twists {0, 3}, and conjugation keeps the twist."""
+        """Packed keys of the stabilizer (G_side)^rep of vertex g, G_side
+        the stabilizer of the base vertex of g's side (K1, K2, H1 or H2),
+        by one batched conjugation: key i is rep^-1 k_i rep, k_i the i-th
+        of G_side.sorted_elems()."""
         side, lid = self.side_of(g), self.local_id(g)
-        km, kt = self.ksets[side]
-        if group == "H":
-            km, kt = km[kt % 3 == 0], kt[kt % 3 == 0]
+        km, kt = self.ksets[side, group]
         rm, rt = bunpack(np.repeat(self.reps[side][lid:lid + 1], len(kt)))
         m, t = self.ops.bsmul(*self.ops.binv(rm, rt), km, kt)
-        return np.unique(self.ops.bpkeys(*self.ops.bsmul(m, t, rm, rt)))
+        return self.ops.bpkeys(*self.ops.bsmul(m, t, rm, rt))
 
     def fixers(self, keys, gids) -> np.ndarray:
-        """The keys whose elements fix every vertex in gids, by one rowwise
-        image_batch over all (vertex, element) pairs."""
+        """Ascending indices of the keys whose elements fix every vertex in
+        gids, by one rowwise image_batch over all (vertex, element) pairs."""
         keys = np.asarray(keys, dtype=np.uint64)
         gids = np.asarray(gids, dtype=np.int64)
         img = self.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
-        return keys[(img.reshape(len(gids), len(keys)) == gids[:, None]).all(axis=0)]
+        fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
+        return np.flatnonzero(fixed.all(axis=0))
 
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
         """The SmallGroup on the elements of these packed keys, which must
-        be closed under products."""
-        return SmallGroup.from_set(
-            (PElement(Element.from_key(self.field, int(k))) for k in keys),
-            self.ng.K1.identity, name)
+        be closed under products: table elements when K1 or K2 holds them
+        all."""
+        els = self.ng.interned(keys) or [
+            PElement(Element.from_key(self.field, int(k))) for k in keys]
+        return SmallGroup.from_set(els, self.ng.K1.identity, name)
+
+    def base_stabilizer(self, side: int, group: str = "K") -> SmallGroup:
+        """The generated group K1, K2, H1 or H2 that fixes the base vertex
+        of a side, with its closure links."""
+        ng = self.ng
+        return {("K", 1): ng.K1, ("K", 2): ng.K2, ("H", 1): ng.H1, ("H", 2): ng.H2}[
+            group, side]
 
     def vertex_stabilizer(self, g: int, group: str = "K") -> SmallGroup:
         """The group on stabilizer_keys(g, group); at the base vertices the
-        generated groups K1, K2, H1, H2 themselves, with their closure
-        links."""
+        base stabilizer itself."""
         if self.local_id(g) == 0:
-            return {("K", 1): self.ng.K1, ("K", 2): self.ng.K2,
-                    ("H", 1): self.ng.H1, ("H", 2): self.ng.H2}[(group, self.side_of(g))]
+            return self.base_stabilizer(self.side_of(g), group)
         return self.group_from_keys(self.stabilizer_keys(g, group), f"{group}_v{g}")
 
     def group_order_from_graph(self) -> int:
@@ -264,16 +271,17 @@ class CosetGraph:
                     f"is not |G| = {GROUP_ORDER}")
 
     def _build_csr(self) -> None:
+        """Both directions of every edge as one sorted key src.nv + dst:
+        indptr counts the sources, indices are the destinations."""
+        nv = np.int64(self.nv)
         u = self.edges[:, 0].astype(np.int64)
         v = self.edges[:, 1].astype(np.int64) + self.n1
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        key = np.concatenate([u * nv + v, v * nv + u])
+        del u, v
+        key.sort()
         self.indptr = np.zeros(self.nv + 1, dtype=np.int64)
-        np.add.at(self.indptr, src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.indices = dst.astype(np.int32)
+        np.cumsum(np.bincount(key // nv, minlength=self.nv), out=self.indptr[1:])
+        self.indices = (key % nv).astype(np.int32)
 
 
 def _arm(graph: CosetGraph) -> None:
@@ -290,10 +298,12 @@ def _arm(graph: CosetGraph) -> None:
     for name, ys in (("Z(K1)", z1), ("Y2 in Z(Qh2)", y2)):
         if len(ys) != 2:
             raise AssertionError(f"{name}: {len(ys)} candidates for y, not 2")
-    for side, ys, K in ((1, z1, ng.K1), (2, y2, ng.K2)):
+    for side, ys in ((1, z1), (2, y2)):
         graph.ysets[side] = bunpack(np.array([ys[0].key], dtype=np.uint64))
-        graph.ksets[side] = bunpack(np.array([x.key for x in K.sorted_elems()],
-                                             dtype=np.uint64))
+        for group in ("K", "H"):
+            G = graph.base_stabilizer(side, group)
+            graph.ksets[side, group] = bunpack(
+                np.array([x.key for x in G.sorted_elems()], dtype=np.uint64))
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
         graph.fkeys[side] = np.zeros(0, dtype=np.uint64)
         graph.korder[side] = np.zeros(0, dtype=np.int64)

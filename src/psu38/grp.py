@@ -3,11 +3,14 @@ thousand): closure, structural subgroups, predicates, quotients,
 isomorphism testing, reference constructions, split-extension search.
 
 There are two element types: psu.PElement for the subgroups of
-PSU_3(8) x| C6, and Perm for everything else.  Reference groups,
-quotients (the action on cosets), direct products (perms on a
-disjoint union of points) and the holomorph are all permutation groups
-on at most 108 points.  The engine only needs *, .inv(), hashing,
-equality and a total order, so both types go through the same code.
+PSU_3(8) x| C6, and Perm for everything else.  The subgroups of K1 and
+K2 hold the interned psu.TableElements of their ambient group's table (a
+PElement subclass with the same keys, equality and order), so their
+products are index walks.  Reference groups, quotients (the action on
+cosets), direct products (perms on a disjoint union of points) and the
+holomorph are all permutation groups on at most 108 points.  The engine
+only needs *, .inv(), hashing, equality and a total order, so both types
+go through the same code.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
 from math import gcd
 
+from .fastops import FieldOps
 from .gf64 import GF64
-from .psu import PElement, pgenerators
+from .psu import ElementTable, PElement, pgenerators
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -866,21 +870,42 @@ class NamedGroups:
         """Intersection with H = PSU_3(8) . <sigma^3>: twist in {0, 3}."""
         return G.subgroup([x for x in G.elems if x.twist in (0, 3)], name=name)
 
+    def interned(self, keys) -> list | None:
+        """The elements of these packed keys from the table of the first of
+        K1, K2 that holds them all; None if neither does."""
+        for K in (self.K1, self.K2):
+            index = K.identity.tab.index
+            try:
+                return [index[int(k)] for k in keys]
+            except KeyError:
+                pass
+        return None
+
 
 def named_groups(field: GF64) -> NamedGroups:
+    """K1 and K2 by their PElement closures, then as the interned elements
+    of one ElementTable each; every other named group is generated over
+    the table elements of its ambient group, with the same generators in
+    the same order as a PElement closure would take."""
     p = pgenerators(field)
     A, B, C, D, E, F = p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]
     s2, s3 = p["sigma2"], p["sigma3"]
-    Q1 = SmallGroup.generate([A, B], name="Q1")
-    Q2 = SmallGroup.generate([A, B, C], name="Q2")
-    Qstar = SmallGroup.generate([B, C], name="Q*")
-    S = SmallGroup.generate([E, F, s3], name="S")
-    H1 = SmallGroup.generate([A, B, C, D, s3], name="H1")
-    H2 = SmallGroup.generate([A, B, C, E, F, s3], name="H2")
-    Qh1 = SmallGroup.generate([A, B, s2], name="Qh1")
-    Qh2 = SmallGroup.generate([A, B, C, s2], name="Qh2")
-    K1 = SmallGroup.generate([A, B, C, D, s3, s2], name="K1")
-    K2 = SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2")
+    K1, K2 = _as_tables(FieldOps(field),
+                        SmallGroup.generate([A, B, C, D, s3, s2], name="K1"),
+                        SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2"))
+
+    def gen(K, xs, name):
+        index = K.identity.tab.index
+        return SmallGroup.generate([index[x.key] for x in xs], name=name)
+
+    Q1 = gen(K1, [A, B], "Q1")
+    Q2 = gen(K1, [A, B, C], "Q2")
+    Qstar = gen(K1, [B, C], "Q*")
+    S = gen(K2, [E, F, s3], "S")
+    H1 = gen(K1, [A, B, C, D, s3], "H1")
+    H2 = gen(K2, [A, B, C, E, F, s3], "H2")
+    Qh1 = gen(K1, [A, B, s2], "Qh1")
+    Qh2 = gen(K2, [A, B, C, s2], "Qh2")
     H12 = H1.intersect(H2)
     H12.name = "H12"
     K12 = K1.intersect(K2)
@@ -888,6 +913,20 @@ def named_groups(field: GF64) -> NamedGroups:
     ng = NamedGroups(field, p, Q1, Q2, Qstar, S, H1, H2, Qh1, Qh2, K1, K2, H12, K12)
     ng.Lambda = _lambda_subgroups(Q2, Qstar)
     return ng
+
+
+def _as_tables(ops: FieldOps, *groups: SmallGroup) -> list[SmallGroup]:
+    """Each generated group again, with the same order, generators and
+    closure tree, over the TableElements of one ElementTable; the tables
+    are one family, so a product of factors from two tables is taken in
+    one that holds both."""
+    tabs = [ElementTable(ops, G.elems, G.parent, G.genidx, G.gens) for G in groups]
+    out = []
+    for tab, G in zip(tabs, groups):
+        tab.family = (tab,) + tuple(t for t in tabs if t is not tab)
+        out.append(SmallGroup(tab.elems, [tab.index[g.key] for g in G.gens],
+                              tab.elems[0], G.parent, G.genidx, G.name))
+    return out
 
 
 def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:

@@ -210,7 +210,7 @@ class Claim:
 
 
 def _gen_closure(ng, names) -> SmallGroup:
-    gens = [ng.p[n] for n in names]
+    gens = ng.interned([ng.p[n].key for n in names]) or [ng.p[n] for n in names]
     return SmallGroup.generate(gens, name="<" + ",".join(names) + ">")
 
 

@@ -324,3 +324,55 @@ def test_base_vertex_stabilizers_are_the_generated_groups(graph, ng):
         for i in range(1, len(stab)):
             assert stab.parent[i] < i
             assert stab.elems[i] == stab.elems[stab.parent[i]] * stab.gens[stab.genidx[i]]
+
+
+def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
+    """On the 12 deep vertices of sampled_vertex_checks, for K and H, the
+    condition pulled back to the base stabilizer has the |O_3|, |C| and
+    containment of G_v^[1] and G_v built from their own keys, and the
+    pulled-back O_3 conjugated by the rep is G_v^[1]'s O_3."""
+    rng = np.random.default_rng(38)
+    rng.choice(graph.nv, size=100, replace=False)  # the wide sample
+    deep = rng.choice(graph.nv, size=12, replace=False)
+    for group in ("K", "H"):
+        for v in map(int, deep):
+            keys = graph.stabilizer_keys(v, group)
+            fixed = keys[graph.fixers(keys, graph.neighbors(v))]
+            q = graph.group_from_keys(fixed).p_core(3)
+            c = graph.group_from_keys(keys).centralizer(q.gens_list())
+            got = arcs.local_condition_at(graph, v, group)
+            assert got == {"|O_p|": len(q), "|centralizer|": len(c), "closed": True,
+                           "contained": c.eset <= q.eset}
+            assert got["contained"]
+            r = graph.rep_element(v)
+            base = graph.base_stabilizer(graph.side_of(v), group)
+            els = base.sorted_elems()
+            fix = [els[i] for i in graph.fixers(keys, graph.neighbors(v))]
+            pq = base.subgroup(fix).p_core(3)
+            assert {(r.inv() * x * r).key for x in pq.elems} == {x.key for x in q.elems}
+
+
+def test_orbit_partition_across_key_chunks(graph, monkeypatch):
+    """Chunk boundaries inside the rows change nothing, and a bad image in
+    a later chunk is still caught."""
+    rows = enumerate_arcs(graph, graph.base_x1, 6)
+    stab = graph.vertex_stabilizer(graph.base_x1, "H")
+    perms = [graph.perm(g) for g in stab.gens_list()]
+    want = _bfs_orbit_sizes(rows, perms)
+    monkeypatch.setattr(arcs, "KEY_CHUNK", 7)
+    assert orbit_partition(rows, perms) == want
+    cyc = _cycle_edges(20)
+    rotation = (np.arange(20) + 1) % 20
+    assert orbit_partition(cyc, [rotation]) == [20]
+    with pytest.raises(AssertionError):
+        orbit_partition(cyc[:-1], [rotation])
+
+
+def test_kernel_data_keeps_only_the_neighbor_columns(graph):
+    for v, group in ((graph.base_x1, "K"), (graph.base_x2, "H")):
+        kd = kernel_data(graph, v, group)
+        assert sorted(kd.nbr_pts.tolist()) == sorted(graph.neighbors(v).tolist())
+        assert kd.nbr_images.shape == (len(kd.stab), graph.degree(v))
+        for j in (0, 1, len(kd.stab) - 1):
+            p = graph.perm(kd.stab.elems[j])
+            assert kd.nbr_images[j].tolist() == p[kd.nbr_pts].tolist()

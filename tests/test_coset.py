@@ -112,14 +112,19 @@ def test_vertex_stabilizers(graph, ng):
 
 def test_stabilizer_keys_match_python_conjugation(graph, ng):
     """The batched conjugation equals SmallGroup.conjugate by the rep, and
-    its H part, at each base vertex and at sampled vertices of each side."""
+    its H part, at each base vertex and at sampled vertices of each side;
+    key i is rep^-1 k_i rep, k_i the i-th element of the base stabilizer."""
     rng = random.Random(13)
     for K, off, n in ((ng.K1, 0, graph.n1), (ng.K2, graph.n1, graph.n2)):
+        side = graph.side_of(off)
         for v in [off] + [off + rng.randrange(1, n) for _ in range(2)]:
-            C = K.conjugate(graph.rep_element(v))
+            r = graph.rep_element(v)
+            C = K.conjugate(r)
             for group, G in (("K", C), ("H", ng.h_part(C))):
-                want = sorted(x.key for x in G.elems)
-                assert graph.stabilizer_keys(v, group).tolist() == want
+                got = graph.stabilizer_keys(v, group).tolist()
+                assert sorted(got) == sorted(x.key for x in G.elems)
+                base = graph.base_stabilizer(side, group).sorted_elems()
+                assert got == [(r.inv() * k * r).key for k in base]
 
 
 def test_image_batch_is_rowwise(graph, ng):
@@ -203,8 +208,9 @@ def test_perm_is_int32_and_equals_image_batch(graph, ng):
 def test_fixers_of_x1_in_K2_is_K12(graph, ng):
     keys = np.array([x.key for x in ng.K2.elems], dtype=np.uint64)
     got = graph.fixers(keys, [graph.base_x1])
-    assert sorted(got.tolist()) == sorted(x.key for x in ng.K12.elems)
-    assert len(graph.fixers(keys, [])) == len(keys)
+    assert np.all(np.diff(got) > 0)
+    assert sorted(keys[got].tolist()) == sorted(x.key for x in ng.K12.elems)
+    assert graph.fixers(keys, []).tolist() == list(range(len(keys)))
 
 
 def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
@@ -462,3 +468,17 @@ def test_sparse6_full_export(graph, tmp_path):
     u = graph.edges[:, 0].astype(np.int64)
     v = graph.edges[:, 1].astype(np.int64) + graph.n1
     assert _edge_set(back.edges()) == _edge_set(zip(u, v))
+
+
+def test_csr_equals_the_lexsorted_adjacency(graph):
+    """indptr and indices are those of both edge directions sorted by
+    (source, destination)."""
+    u = graph.edges[:, 0].astype(np.int64)
+    v = graph.edges[:, 1].astype(np.int64) + graph.n1
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(graph.nv + 1, dtype=np.int64)
+    np.add.at(indptr, src[order] + 1, 1)
+    assert graph.indptr.dtype == np.int64 and graph.indices.dtype == np.int32
+    assert np.array_equal(graph.indptr, np.cumsum(indptr))
+    assert np.array_equal(graph.indices, dst[order])

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, _close,
-                       cyclic_group, dihedral_18, direct_product,
-                       is_split_extension, iso_check, reference_groups,
-                       sym_group)
+                       _lambda_subgroups, cyclic_group, dihedral_18,
+                       direct_product, is_split_extension, iso_check,
+                       reference_groups, sym_group)
+from psu38.psu import PElement, TableElement
 
 
 def test_closure_orders(ng):
@@ -382,3 +383,36 @@ def test_generating_set_roundtrip(ng):
         H = SmallGroup.generate(gens)
         assert H.eset == G.eset
         assert len(gens) <= 6
+
+
+# the generators named_groups gives each group, in order
+NAMED_GENS = {
+    "Q1": "A B", "Q2": "A B C", "Qstar": "B C", "S": "E F sigma3",
+    "H1": "A B C D sigma3", "H2": "A B C E F sigma3", "Qh1": "A B sigma2",
+    "Qh2": "A B C sigma2", "K1": "A B C D sigma3 sigma2",
+    "K2": "A B C E F sigma3 sigma2",
+}
+
+
+def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
+    """Each named group has the keys of elems, gens, parent and genidx of
+    the PElement closure of its generators, and its elements are the
+    interned elements of its ambient group's table."""
+    def keys(xs):
+        return [x.key for x in xs]
+
+    old = {}
+    for name, gens in NAMED_GENS.items():
+        G, P = getattr(ng, name), SmallGroup.generate(
+            [ng.p[n] for n in gens.split()])
+        old[name] = P
+        assert type(P.identity) is PElement
+        assert keys(G.elems) == keys(P.elems) and keys(G.gens) == keys(P.gens)
+        assert G.parent == P.parent and G.genidx == P.genidx
+        ambient = ng.K2 if name in ("S", "H2", "Qh2", "K2") else ng.K1
+        tab = ambient.identity.tab
+        assert all(type(x) is TableElement and x.tab is tab for x in G.elems + G.gens)
+    for name, a, b in (("H12", "H1", "H2"), ("K12", "K1", "K2")):
+        assert keys(getattr(ng, name).elems) == keys(old[a].intersect(old[b]).elems)
+    lam = _lambda_subgroups(old["Q2"], old["Qstar"])
+    assert [keys(L.elems) for L in ng.Lambda] == [keys(L.elems) for L in lam]

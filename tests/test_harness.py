@@ -232,3 +232,12 @@ def test_perfbench_wrappers_find_every_name():
             "spans.instrument(spans.Tracer())")
     subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench"),
                     os.path.join(root, "src")], check=True, timeout=120)
+
+
+def test_python_dash_m_psu38_runs_the_cli_without_warnings():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "psu38", "field-table"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.strip().splitlines()) == 64

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from psu38.gf64 import GF64, polymul_mod
-from psu38.psu import (Element, PElement, canonicalize, check_relations,
-                       comm_std, make_generators, pack, pgenerators, unpack)
+from psu38.psu import (Element, PElement, TableElement, canonicalize,
+                       check_relations, comm_std, make_generators, pack,
+                       pgenerators, unpack)
 
 
 def inv_adjugate(el: Element) -> Element:
@@ -252,3 +253,82 @@ def test_pelement_product_and_inverse_are_canonical(ng):
         x, y = rng.choice(ng.K1.elems), rng.choice(ng.K2.elems)
         assert (x * y).key == canonicalize(x.el * y.el).key
         assert x.inv().key == canonicalize(x.el.inv()).key
+
+
+def _plain(x) -> PElement:
+    """x as a plain PElement, outside every table."""
+    return PElement(x.el)
+
+
+def test_table_products_and_inverses_equal_pelement_ones(ng):
+    """Within K1 and within K2, table products and inverses are the
+    interned PElement products and inverses."""
+    rng = random.Random(41)
+    for K in (ng.K1, ng.K2):
+        tab = K.identity.tab
+        for _ in range(1000):
+            x, y = rng.choice(K.elems), rng.choice(K.elems)
+            z = x * y
+            assert type(z) is TableElement and z.tab is tab
+            assert z.key == (_plain(x) * _plain(y)).key
+            assert tab.index[z.key] is z
+            assert x.inv() is tab.index[_plain(x).inv().key]
+        assert all(x * x.inv() is K.identity for x in K.elems)
+
+
+def test_table_products_across_tables_and_with_plain_elements(ng):
+    """K12 elements of either table multiply in the table of the other
+    factor; a plain PElement on either side is looked up by key; D.E lies
+    in neither table and is the PElement product."""
+    rng = random.Random(43)
+    t1, t2 = ng.K1.identity.tab, ng.K2.identity.tab
+    k12 = [x.key for x in ng.K12.elems]
+    for _ in range(300):
+        k = rng.choice(k12)
+        a1, a2 = t1.index[k], t2.index[k]
+        x, y = rng.choice(ng.K1.elems), rng.choice(ng.K2.elems)
+        # the left factor's table when it holds the right factor
+        for left, right, tab in ((x, a2, t1), (y, a1, t2),
+                                 (a2, x, t2 if x.key in t2.index else t1),
+                                 (a1, y, t1 if y.key in t1.index else t2),
+                                 (_plain(x), a1, t1), (a2, _plain(y), t2)):
+            z = left * right
+            assert z.key == (_plain(left) * _plain(right)).key
+            assert type(z) is TableElement and z.tab is tab
+    p = ng.p
+    D, E = t1.index[p["D"].key], t2.index[p["E"].key]
+    assert D.key not in t2.index and E.key not in t1.index
+    for z in (D * E, p["D"] * E, D * p["E"]):
+        assert type(z) is PElement
+        assert z.key == (p["D"] * p["E"]).key
+
+
+def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
+    """The fallback looks PElement.__mul__ up when it runs, so a wrapper
+    installed later sees it; products inside a table do not call it."""
+    calls = []
+    mul = PElement.__mul__
+
+    def counted(a, b):
+        calls.append((a.key, b.key))
+        return mul(a, b)
+    monkeypatch.setattr(PElement, "__mul__", counted)
+    D = ng.K1.identity.tab.index[ng.p["D"].key]
+    E = ng.K2.identity.tab.index[ng.p["E"].key]
+    ng.K1.elems[7] * ng.K1.elems[9]
+    assert calls == []
+    assert (D * E).key == mul(ng.p["D"], ng.p["E"]).key
+    assert calls == [(D.key, E.key)]
+
+
+def test_table_elements_compare_and_hash_as_pelements(ng):
+    rng = random.Random(47)
+    pool = ng.K1.elems + ng.K2.elems
+    for _ in range(500):
+        x, y = rng.choice(pool), rng.choice(pool)
+        px, py = _plain(x), _plain(y)
+        assert x == px and px == x and hash(x) == hash(px)
+        assert (x == y) == (px == py) and (x != y) == (px != py)
+        assert (x < y) == (px < py)
+    assert sorted(pool) == sorted(pool, key=lambda x: x.key)
+    assert {x: 1 for x in pool} == {_plain(x): 1 for x in pool}
