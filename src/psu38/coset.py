@@ -366,8 +366,8 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
 def _assert_base_edge(graph: CosetGraph) -> None:
     """x1 and x2 are adjacent, degrees are (4,3), and the conjugate
-    K1^rep of x3 = K1.E has |K1| elements, all fixing x3 under the
-    action; this pins the orientation and the stored representative."""
+    K1^rep of x3 = K1.E has |K1| distinct elements, all fixing x3 under
+    the action; this pins the orientation and the stored representative."""
     ng = graph.ng
     x1, x2 = graph.base_x1, graph.base_x2
     if x2 not in graph.neighbors(x1):
@@ -379,7 +379,7 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     if x3 == x1 or graph.side_of(x3) != 1:
         raise AssertionError("K1.E did not land on a new side-1 vertex")
     keys = graph.stabilizer_keys(x3, "K")
-    if len(keys) != len(ng.K1) or len(graph.fixers(keys, [x3])) != len(keys):
+    if len(np.unique(keys)) != len(ng.K1) or len(graph.fixers(keys, [x3])) != len(keys):
         raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
 
 

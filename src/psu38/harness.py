@@ -209,9 +209,17 @@ class Claim:
     info_only: bool = False
 
 
+def _named(ng, names) -> list:
+    """The named elements as table elements of K1 or K2; raises if
+    neither holds them all."""
+    els = ng.interned([ng.p[n].key for n in names])
+    if els is None:
+        raise ValueError(f"{names} do not all lie in K1 or in K2")
+    return els
+
+
 def _gen_closure(ng, names) -> SmallGroup:
-    gens = ng.interned([ng.p[n].key for n in names]) or [ng.p[n] for n in names]
-    return SmallGroup.generate(gens, name="<" + ",".join(names) + ">")
+    return SmallGroup.generate(_named(ng, names), name="<" + ",".join(names) + ">")
 
 
 def _split_shape(ctx, G, N, quot_ref: str) -> dict:
@@ -516,7 +524,7 @@ def build_claims() -> list[Claim]:
         d["T2_matches_named_gens"] = am.T2.eset == t2.eset
         d["X_eq_H12"] = am.X.eset == ng.H12.eset
         o3h2 = ng.H2.p_core(3)
-        ce = o3h2.centralizer([ng.p["Fsigma3"]])
+        ce = o3h2.centralizer(_named(ng, ["Fsigma3"]))
         ebar = _gen_closure(ng, ["E"])
         d["C_O3(H2)(Fsigma3)_eq_<E>"] = ce.eset == ebar.eset
         ok = ok and d["T1_matches_named_gens"] and d["T2_matches_named_gens"] \
@@ -534,7 +542,7 @@ def build_claims() -> list[Claim]:
         d["T2_matches_named_gens"] = am.T2.eset == t2.eset
         d["X_eq_K12"] = am.X.eset == ng.K12.eset
         o3k2 = ng.K2.p_core(3)
-        ce = o3k2.centralizer([ng.p["Fsigma3"]])
+        ce = o3k2.centralizer(_named(ng, ["Fsigma3"]))
         s2e = _gen_closure(ng, ["sigma2", "E"])
         d["C_O3(K2)(Fsigma3)_eq_<s2,E>"] = ce.eset == s2e.eset
         d["C_O3(K2)(Fsigma3)_iso_SP2"] = iso_check(ce, ctx.refs["SP2"])

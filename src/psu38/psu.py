@@ -251,11 +251,6 @@ class TableElement(PElement):
             i = R[i]
         return tab.elems[i]
 
-    def __rmul__(self, other):
-        # a PElement on the left: Python tries the subclass's reflected
-        # product first
-        return self.tab.mixed(other, self)
-
     def inv(self) -> "TableElement":
         tab = self.tab
         return tab.elems[tab.inv[self.i]]

@@ -328,28 +328,54 @@ def test_base_vertex_stabilizers_are_the_generated_groups(graph, ng):
 
 def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
     """On the 12 deep vertices of sampled_vertex_checks, for K and H, the
-    condition pulled back to the base stabilizer has the |O_3|, |C| and
-    containment of G_v^[1] and G_v built from their own keys, and the
-    pulled-back O_3 conjugated by the rep is G_v^[1]'s O_3."""
+    pulled-back G_v^[1] is the base kernel, whose O_3 and centralizer in
+    the base stabilizer have the |O_3|, |C| and containment of G_v^[1]
+    and G_v built from their own keys; the base O_3 conjugated by the rep
+    is G_v^[1]'s O_3."""
     rng = np.random.default_rng(38)
     rng.choice(graph.nv, size=100, replace=False)  # the wide sample
     deep = rng.choice(graph.nv, size=12, replace=False)
     for group in ("K", "H"):
         for v in map(int, deep):
+            assert arcs.local_condition_at(graph, v, group)
             keys = graph.stabilizer_keys(v, group)
             fixed = keys[graph.fixers(keys, graph.neighbors(v))]
             q = graph.group_from_keys(fixed).p_core(3)
             c = graph.group_from_keys(keys).centralizer(q.gens_list())
-            got = arcs.local_condition_at(graph, v, group)
-            assert got == {"|O_p|": len(q), "|centralizer|": len(c), "closed": True,
-                           "contained": c.eset <= q.eset}
-            assert got["contained"]
+            side = graph.side_of(v)
+            base = graph.base_stabilizer(side, group)
+            z = graph.base_x1 if side == 1 else graph.base_x2
+            bq = kernel_data(graph, z, group).o3
+            bc = base.centralizer(bq.gens_list())
+            assert (len(bq), len(bc), bc.eset <= bq.eset) == (len(q), len(c),
+                                                            c.eset <= q.eset)
+            assert c.eset <= q.eset
             r = graph.rep_element(v)
-            base = graph.base_stabilizer(graph.side_of(v), group)
-            els = base.sorted_elems()
-            fix = [els[i] for i in graph.fixers(keys, graph.neighbors(v))]
-            pq = base.subgroup(fix).p_core(3)
-            assert {(r.inv() * x * r).key for x in pq.elems} == {x.key for x in q.elems}
+            assert {(r.inv() * x * r).key for x in bq.elems} == {x.key for x in q.elems}
+
+
+def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):
+    """Keys of the right stabilizer in another order still pass the wide
+    check, but their fixers no longer pull back to the base kernel."""
+    keys_of = CosetGraph.stabilizer_keys
+    monkeypatch.setattr(CosetGraph, "stabilizer_keys",
+                        lambda self, v, group="K": np.roll(keys_of(self, v, group), 1))
+    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=3, seed=5)
+    assert out["wide_ok"] and not out["deep_ok"]
+
+
+def test_sampled_vertex_checks_count_distinct_keys(graph, monkeypatch):
+    """A repeated key leaves the right number of keys, all fixing the
+    vertex, but too few distinct elements; the wide check must see it."""
+    keys_of = CosetGraph.stabilizer_keys
+
+    def repeated(self, v, group="K"):
+        keys = keys_of(self, v, group).copy()
+        keys[1] = keys[0]
+        return keys
+    monkeypatch.setattr(CosetGraph, "stabilizer_keys", repeated)
+    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
+    assert not out["wide_ok"]
 
 
 def test_orbit_partition_across_key_chunks(graph, monkeypatch):

@@ -225,6 +225,19 @@ def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
         coset._assert_base_edge(g)
 
 
+def test_base_edge_check_counts_distinct_keys(graph, monkeypatch):
+    """|K1| keys that all fix x3 but repeat one element fail the check."""
+    keys_of = CosetGraph.stabilizer_keys
+
+    def repeated(self, v, group="K"):
+        keys = keys_of(self, v, group).copy()
+        keys[1] = keys[0]
+        return keys
+    monkeypatch.setattr(CosetGraph, "stabilizer_keys", repeated)
+    with pytest.raises(AssertionError, match="not K1 conjugated by the rep"):
+        coset._assert_base_edge(graph)
+
+
 def test_action_is_right_action(graph, ng):
     rng = random.Random(9)
     p = ng.p

@@ -6,7 +6,7 @@ import sys
 import jsonschema
 import pytest
 
-from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext,
+from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closure,
                            build_claims, factorization, format_report, main,
                            run_claims)
 
@@ -28,6 +28,16 @@ def test_factorization():
     assert factorization(25536) == {2: 6, 3: 1, 7: 1, 19: 1}
     assert factorization(34048) == {2: 8, 7: 1, 19: 1}
     assert factorization(33094656) == {2: 10, 3: 5, 7: 1, 19: 1}
+
+
+def test_gen_closure_is_over_table_elements(ng):
+    """Claim groups are generated inside the K1 or K2 table; generators
+    that no one table holds are refused, not multiplied as PElements."""
+    for names, K in ((["C", "D"], ng.K1), (["E", "F"], ng.K2)):
+        G = _gen_closure(ng, names)
+        assert all(x.tab is K.identity.tab for x in G.elems)
+    with pytest.raises(ValueError):
+        _gen_closure(ng, ["D", "E"])
 
 
 def test_group_filtering(ctx):

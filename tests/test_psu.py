@@ -278,8 +278,9 @@ def test_table_products_and_inverses_equal_pelement_ones(ng):
 
 def test_table_products_across_tables_and_with_plain_elements(ng):
     """K12 elements of either table multiply in the table of the other
-    factor; a plain PElement on either side is looked up by key; D.E lies
-    in neither table and is the PElement product."""
+    factor; a plain PElement on the right is looked up by key, and one on
+    the left gives the PElement product; D.E lies in neither table and is
+    the PElement product."""
     rng = random.Random(43)
     t1, t2 = ng.K1.identity.tab, ng.K2.identity.tab
     k12 = [x.key for x in ng.K12.elems]
@@ -291,10 +292,12 @@ def test_table_products_across_tables_and_with_plain_elements(ng):
         for left, right, tab in ((x, a2, t1), (y, a1, t2),
                                  (a2, x, t2 if x.key in t2.index else t1),
                                  (a1, y, t1 if y.key in t1.index else t2),
-                                 (_plain(x), a1, t1), (a2, _plain(y), t2)):
+                                 (a2, _plain(y), t2)):
             z = left * right
             assert z.key == (_plain(left) * _plain(right)).key
             assert type(z) is TableElement and z.tab is tab
+        z = _plain(x) * a1
+        assert type(z) is PElement and z.key == (_plain(x) * _plain(a1)).key
     p = ng.p
     D, E = t1.index[p["D"].key], t2.index[p["E"].key]
     assert D.key not in t2.index and E.key not in t1.index
