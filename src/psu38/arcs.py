@@ -23,23 +23,23 @@ from .grp import Perm, SmallGroup
 
 
 def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices within distance r of v in BFS order, with their radii."""
-    ids = [v]
-    radii = [0]
-    seen = {v}
-    frontier = [v]
-    for d in range(1, r + 1):
-        nxt = []
-        for u in frontier:
-            for w in graph.neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    ids.append(w)
-                    radii.append(d)
-        frontier = nxt
-    return np.array(ids, dtype=np.int64), np.array(radii, dtype=np.int64)
+    """Vertices within distance r of v, one BFS layer after another (each
+    layer in ascending order), with their radii: one CSR gather per layer."""
+    seen = np.zeros(graph.nv, dtype=bool)
+    seen[v] = True
+    layers = [np.array([v], dtype=np.int64)]
+    while len(layers) <= r:
+        last = layers[-1]
+        lo, deg = graph.indptr[last], graph.indptr[last + 1] - graph.indptr[last]
+        nb = np.unique(graph.indices[np.repeat(lo - np.cumsum(deg) + deg, deg)
+                                     + np.arange(deg.sum())])
+        nb = nb[~seen[nb]].astype(np.int64)
+        if not len(nb):
+            break
+        seen[nb] = True
+        layers.append(nb)
+    radii = np.repeat(np.arange(len(layers)), [len(x) for x in layers])
+    return np.concatenate(layers), radii
 
 
 def enumerate_arcs(graph: CosetGraph, v: int, s: int) -> np.ndarray:

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import (FieldOps, SubgroupArrays, bunpack, conj_fingerprints,
-                      coset_canon_keys)
+from .fastops import FieldOps, bunpack, conj_fingerprints
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import Element, PElement
@@ -71,14 +70,6 @@ def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
             cover.update(h * t for h in K12.elems)
     assert len(ts) * len(K12) == len(K)
     return ts
-
-
-def coset_canon(ops: FieldOps, sub: SubgroupArrays, g: PElement) -> PElement:
-    """Least representative of the coset K.g by an exact scan; a test
-    oracle for the fingerprint key."""
-    pm, pt = bunpack(np.array([g.key], dtype=np.uint64))
-    key = coset_canon_keys(ops, sub, pm, pt)[0]
-    return PElement(Element.from_key(ops.field, int(key)))
 
 
 @dataclass
@@ -111,10 +102,6 @@ class CosetGraph:
 
     def local_id(self, g: int) -> int:
         return g if g < self.n1 else g - self.n1
-
-    def rep_element(self, g: int) -> PElement:
-        key = int(self.reps[self.side_of(g)][self.local_id(g)])
-        return PElement(Element.from_key(self.field, key))
 
     def neighbors(self, g: int) -> np.ndarray:
         return self.indices[self.indptr[g]:self.indptr[g + 1]]
@@ -200,10 +187,13 @@ class CosetGraph:
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
         """The SmallGroup on the elements of these packed keys, which must
         be closed under products: table elements when K1 or K2 holds them
-        all."""
-        els = self.ng.interned(keys) or [
-            PElement(Element.from_key(self.field, int(k))) for k in keys]
-        return SmallGroup.from_set(els, self.ng.K1.identity, name)
+        all, else plain PElements."""
+        els = self.ng.interned(keys)
+        if els is not None:
+            return SmallGroup.from_set(els, els[0].tab.elems[0], name)
+        ident = PElement(Element.identity(self.field))
+        return SmallGroup.from_set(
+            [PElement(Element.from_key(self.field, int(k))) for k in keys], ident, name)
 
     def base_stabilizer(self, side: int, group: str = "K") -> SmallGroup:
         """The generated group K1, K2, H1 or H2 that fixes the base vertex

@@ -97,10 +97,6 @@ class SubgroupArrays:
                 self.by_twist.append((e, np.ascontiguousarray(mats[sel])))
         self.n = len(keys)
 
-    @staticmethod
-    def from_group(ops: FieldOps, G) -> "SubgroupArrays":
-        return SubgroupArrays(ops, (x.key for x in G.elems))
-
 
 def coset_canon_keys(
     ops: FieldOps,

@@ -3,14 +3,16 @@ thousand): closure, structural subgroups, predicates, quotients,
 isomorphism testing, reference constructions, split-extension search.
 
 There are two element types: psu.PElement for the subgroups of
-PSU_3(8) x| C6, and Perm for everything else.  The subgroups of K1 and
-K2 hold the interned psu.TableElements of their ambient group's table (a
-PElement subclass with the same keys, equality and order), so their
-products are index walks.  Reference groups, quotients (the action on
-cosets), direct products (perms on a disjoint union of points) and the
-holomorph are all permutation groups on at most 108 points.  The engine
-only needs *, .inv(), hashing, equality and a total order, so both types
-go through the same code.
+PSU_3(8) x| C6, and Perm for everything else.  A group generated over
+plain PElements is one ElementTable, read off the closure that
+enumerates it: its elements are interned TableElements (a PElement
+subclass with the same keys, equality and order) whose products are
+index walks, and the groups generated inside it (every named subgroup of
+K1 and K2) hold the same elements.  Reference groups, quotients (the
+action on cosets), direct products (perms on a disjoint union of points)
+and the holomorph are all permutation groups on at most 108 points.  The
+engine only needs *, .inv(), hashing, equality and a total order, so
+both types go through the same code.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from .fastops import FieldOps
 from .gf64 import GF64
-from .psu import ElementTable, PElement, pgenerators
+from .psu import PElement, pgenerators
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -63,47 +64,117 @@ class Perm:
         return f"Perm{self.im}"
 
 
+class TableElement(PElement):
+    """One interned element of an ElementTable.  It is a PElement with the
+    same el and key, so equality, hashing and order are unchanged; a
+    product with an element of its own table walks an index list and
+    returns the interned result, and the inverse is one lookup."""
+
+    __slots__ = ("tab", "i", "path")
+
+    def __mul__(self, other):
+        tab = self.tab
+        if other.__class__ is not TableElement or other.tab is not tab:
+            y = tab.index.get(other.key)
+            if y is None:
+                x = other.tab.index.get(self.key) if other.__class__ is TableElement else None
+                # looked up at call time, so a wrapper installed on PElement sees it
+                return PElement.__mul__(self, other) if x is None else x * other
+            other = y
+        i = self.i
+        for R in other.path:
+            i = R[i]
+        return tab.elems[i]
+
+    def inv(self) -> "TableElement":
+        tab = self.tab
+        return tab.elems[tab.inv[self.i]]
+
+
+class ElementTable:
+    """A finite group given by one _close call (elems, parent, genidx,
+    right), as interned TableElements in the same order.
+
+    path[j] lists the right[] rows of the generators along j's tree path,
+    so elems[i] * elems[j] is index i carried through path[j].  Inverses
+    follow the tree: elems[j]^-1 = g^-1 elems[parent[j]]^-1 with
+    g = gens[genidx[j]], and g^-1 is the last index that the walk along
+    right[g] from the identity reaches before it returns there.  Every
+    entry is an index that the closure found, so no product leaves the
+    group.
+
+    A right factor outside the table is looked up in it by key; failing
+    that, the left factor is looked up in the right factor's table, and a
+    product that no one table holds is the PElement product."""
+
+    def __init__(self, elems, parent, genidx, right):
+        self.elems: list[TableElement] = []
+        self.index: dict[int, TableElement] = {}
+        for j, x in enumerate(elems):
+            t = TableElement.__new__(TableElement)
+            t.el, t.key, t.tab, t.i = x.el, x.key, self, j
+            t.path = self.elems[parent[j]].path + (right[genidx[j]],) if j else ()
+            self.elems.append(t)
+            self.index[t.key] = t
+        ginv = {}
+        for g, R in right.items():
+            k = R[0]
+            while R[k]:
+                k = R[k]
+            ginv[g] = k
+        self.inv = inv = [0] * len(elems)
+        for j in range(1, len(elems)):
+            k = ginv[genidx[j]]
+            for R in self.elems[inv[parent[j]]].path:
+                k = R[k]
+            inv[j] = k
+
+
 # ---------------------------------------------------------------------------
 # small helpers
 
 
 def _close(gens, identity, cap=None):
     """Subgroup generated by gens as its closure tree (elems, parent,
-    genidx): the elements in discovery order, the identity first, with
-    elems[i] = elems[parent[i]] * gens[genidx[i]] the product that first
-    reached elems[i] (finite, so the product closure contains inverses).
+    genidx) and its right-multiplication table: the elements in discovery
+    order, the identity first, with elems[i] = elems[parent[i]] *
+    gens[genidx[i]] the product that first reached elems[i] (finite, so
+    the product closure contains inverses), and right[gi][i] the index of
+    elems[i] * gens[gi] for each kept generator gi.
 
     A generator already in the span is skipped; a new one g adds the
     coset span.g and then closes the new elements under every kept
-    generator.  So the span of each prefix of gens is a prefix of elems.
-    More than cap elements raise ClosureCapExceeded."""
+    generator.  So the span of each prefix of gens is a prefix of elems,
+    and each product elems[i] * g is taken once.  More than cap elements
+    raise ClosureCapExceeded."""
     elems, parent, genidx = [identity], [0], [-1]
     index = {identity: 0}
-    kept = []
+    kept, right = [], {}
 
     def add(y, pi, gi):
         if cap is not None and len(elems) >= cap:
             raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-        index[y] = len(elems)
+        j = index[y] = len(elems)
         elems.append(y)
         parent.append(pi)
         genidx.append(gi)
+        return j
 
     for gi, g in enumerate(gens):
         if g in index:
             continue
-        kept.append((gi, g))
         i = len(elems)
-        for pi in range(i):
-            add(elems[pi] * g, pi, gi)  # new, since g is not in the span
+        # new, since g is not in the span
+        right[gi] = [add(elems[pi] * g, pi, gi) for pi in range(i)]
+        kept.append((gi, g, right[gi]))
         while i < len(elems):
             x = elems[i]
-            for hi, h in kept:
+            for hi, h, row in kept:
                 y = x * h
-                if y not in index:
-                    add(y, i, hi)
+                j = index.get(y)
+                row.append(add(y, i, hi) if j is None else j)
             i += 1
-    return elems, parent, genidx
+    return elems, parent, genidx, right
 
 
 def _conj_orbit(seeds, gens, on_sets=False):
@@ -170,11 +241,17 @@ class SmallGroup:
 
     @staticmethod
     def generate(gens, cap: int = 2_000_000, name: str = "") -> "SmallGroup":
+        """The group gens generate, with its closure tree; over plain
+        PElements, as the elements of a new ElementTable."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
         e = gens[0] * gens[0].inv()
-        elems, parent, genidx = _close(gens, e, cap)
+        elems, parent, genidx, right = _close(gens, e, cap)
+        if type(e) is PElement:
+            tab = ElementTable(elems, parent, genidx, right)
+            elems, e = tab.elems, tab.elems[0]
+            gens = [tab.index[g.key] for g in gens]
         return SmallGroup(elems, gens, e, parent, genidx, name)
 
     @staticmethod
@@ -552,10 +629,8 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
             if best is None or k < best[0]:
                 best = (k, g)
         gens1.append(best[1])
-        elems, parent, genidx = _close(gens1, G1.identity)
+        elems, parent, genidx, right = _close(gens1, G1.identity)
         ends.append(len(elems))
-    pos = {x: i for i, x in enumerate(elems)}
-    mul = [[pos[x * g] for g in gens1] for x in elems]
 
     # Iterative DFS over candidate image tuples.  Composing a candidate
     # isomorphism with an inner automorphism of G2 is free, so the first
@@ -595,7 +670,7 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
             m = img + [None] * (hi - lo)
             for t in range(lo, hi):
                 m[t] = m[parent[t]] * hs[genidx[t]]
-            if len(set(m)) == hi and all(m[mul[x][j]] == m[x] * hs[j]
+            if len(set(m)) == hi and all(m[right[j][x]] == m[x] * hs[j]
                                          for x in range(lo, hi) for j in range(i + 1)):
                 newcent = [c for c in cent if c * h == h * c]
                 stack.append((m, hs, newcent))
@@ -883,16 +958,15 @@ class NamedGroups:
 
 
 def named_groups(field: GF64) -> NamedGroups:
-    """K1 and K2 by their PElement closures, then as the interned elements
-    of one ElementTable each; every other named group is generated over
-    the table elements of its ambient group, with the same generators in
-    the same order as a PElement closure would take."""
+    """K1 and K2 generated over the plain generators, so each is one
+    ElementTable; every other named group is generated over the table
+    elements of its ambient group, with the same generators in the same
+    order as a PElement closure would take."""
     p = pgenerators(field)
     A, B, C, D, E, F = p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]
     s2, s3 = p["sigma2"], p["sigma3"]
-    K1, K2 = _as_tables(FieldOps(field),
-                        SmallGroup.generate([A, B, C, D, s3, s2], name="K1"),
-                        SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2"))
+    K1 = SmallGroup.generate([A, B, C, D, s3, s2], name="K1")
+    K2 = SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2")
 
     def gen(K, xs, name):
         index = K.identity.tab.index
@@ -913,20 +987,6 @@ def named_groups(field: GF64) -> NamedGroups:
     ng = NamedGroups(field, p, Q1, Q2, Qstar, S, H1, H2, Qh1, Qh2, K1, K2, H12, K12)
     ng.Lambda = _lambda_subgroups(Q2, Qstar)
     return ng
-
-
-def _as_tables(ops: FieldOps, *groups: SmallGroup) -> list[SmallGroup]:
-    """Each generated group again, with the same order, generators and
-    closure tree, over the TableElements of one ElementTable; the tables
-    are one family, so a product of factors from two tables is taken in
-    one that holds both."""
-    tabs = [ElementTable(ops, G.elems, G.parent, G.genidx, G.gens) for G in groups]
-    out = []
-    for tab, G in zip(tabs, groups):
-        tab.family = (tab,) + tuple(t for t in tabs if t is not tab)
-        out.append(SmallGroup(tab.elems, [tab.index[g.key] for g in G.gens],
-                              tab.elems[0], G.parent, G.genidx, G.name))
-    return out
 
 
 def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:

@@ -154,10 +154,11 @@ class VerifyContext:
             g = self.graph
             p = self.ng.p
             x1, x2 = g.base_x1, g.base_x2
+            # K2.D.E and K1.E.D, one right action at a time
             x3 = g.image(x1, p["E"])
             x0 = g.image(x2, p["D"])
-            x4 = g.image(x2, p["D"] * p["E"])
-            xm1 = g.image(x1, p["E"] * p["D"])
+            x4 = g.image(x0, p["E"])
+            xm1 = g.image(x3, p["D"])
             arc = [xm1, x0, x1, x2, x3, x4]
             for a, b in zip(arc, arc[1:]):
                 assert b in g.neighbors(a), "named cosets do not form a path"
@@ -925,9 +926,7 @@ def _kernel_claim(ctx, group: str, side: int):
 
     # proof-level witnesses: the kernel is the named p-group extended by
     # the expected involution
-    wit_gen = {"H": {1: ["F"], 2: ["Fsigma3"]},
-               "K": {1: ["F"], 2: ["Fsigma3"]}}[group][side]
-    ext = SmallGroup.generate(named.gens + [ng.p[w] for w in wit_gen])
+    ext = SmallGroup.generate(named.gens + _named(ng, ["F"] if side == 1 else ["Fsigma3"]))
     d["k1_matches_named_extension"] = ext.eset == k1.eset
     ok = ok and d["k1_matches_named_extension"]
     return ok, d

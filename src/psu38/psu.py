@@ -15,11 +15,10 @@ rows of the product table per entry, and the canonical multiple is the
 matrix scaled once by GF64.lead_scalar of its first nonzero entry, so a
 PElement product is packed once.
 
-Inside a finite group given by its closure tree (K1 and K2, see
-grp.named_groups), each element is one interned TableElement of an
-ElementTable, and a product is a walk through index lists along the
-right factor's tree path; PElement arithmetic builds those tables and
-serves products that no table holds.
+This module is matrix arithmetic only.  The groups that the claims work
+in are tables of interned elements built from PElement closures
+(grp.ElementTable); PElement products build those tables and serve the
+products that no table holds.
 
 The paper-facing conventions (which commutator bracket, which direction
 of conjugation by sigma) are not stated in the source material and are
@@ -31,9 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
-from .fastops import bunpack
 from .gf64 import GF64
 
 # serialization: 9 entries of 6 bits, row-major, first entry most
@@ -152,10 +148,6 @@ class Element:
         fr = self.field.frobrows[k % 6]
         return Element(self.field, tuple([fr[v] for v in self.mat]), self.twist)
 
-    def scalar_mul(self, s: int) -> "Element":
-        row = self.field.mulrows[s]
-        return Element(self.field, tuple([row[v] for v in self.mat]), self.twist)
-
     def power(self, k: int) -> "Element":
         if k < 0:
             return self.inv().power(-k)
@@ -229,88 +221,6 @@ class PElement:
 
     def __repr__(self):
         return f"PElement(key={self.key:#x})"
-
-
-class TableElement(PElement):
-    """One interned element of an ElementTable.  It is a PElement with the
-    same el and key, so equality, hashing and order are unchanged; a
-    product with an element of its own table walks an index list and
-    returns the interned result, and the inverse is one lookup."""
-
-    __slots__ = ("tab", "i", "path")
-
-    def __mul__(self, other):
-        tab = self.tab
-        if other.__class__ is not TableElement or other.tab is not tab:
-            y = tab.index.get(other.key)
-            if y is None:
-                return tab.mixed(self, other)
-            other = y
-        i = self.i
-        for R in other.path:
-            i = R[i]
-        return tab.elems[i]
-
-    def inv(self) -> "TableElement":
-        tab = self.tab
-        return tab.elems[tab.inv[self.i]]
-
-
-class ElementTable:
-    """A finite group given by a closure tree (elems, parent, genidx over
-    gens, with elems[j] = elems[parent[j]] * gens[genidx[j]]), as interned
-    TableElements in the same order.
-
-    right[g][i] is the index of elems[i] * gens[g], and path[j] lists the
-    right[] of the generators along j's tree path, so elems[i] * elems[j]
-    is elems[i] carried through path[j].  Both tables come from batched
-    exact products (FieldOps), each located by its projective key among the
-    group's keys; a product that left the group would raise.
-
-    A right factor from outside the table is looked up in it by key;
-    failing that, the product is taken in the first table of `family` (this
-    one, then the others of one NamedGroups) that holds both factors, and
-    otherwise it is the PElement product."""
-
-    def __init__(self, ops, elems, parent, genidx, gens):
-        n = len(elems)
-        keys = np.array([x.key for x in elems], dtype=np.uint64)
-        order = np.argsort(keys)
-        skeys = keys[order]
-        ids = list(range(n))  # the index lists share these int objects
-
-        def locate(m, t) -> list[int]:
-            k = ops.bpkeys(m, t)
-            pos = np.minimum(np.searchsorted(skeys, k), n - 1)
-            if not np.array_equal(skeys[pos], k):
-                raise AssertionError("a product left the group")
-            return [ids[j] for j in order[pos].tolist()]
-
-        xm, xt = bunpack(keys)
-        right = {}
-        for g in sorted(set(genidx[1:])):
-            gm, gt = bunpack(np.repeat(np.uint64(gens[g].key), n))
-            right[g] = locate(*ops.bsmul(xm, xt, gm, gt))
-        self.inv = locate(*ops.binv(xm, xt))
-        self.elems: list[TableElement] = []
-        self.index: dict[int, TableElement] = {}
-        for j, x in enumerate(elems):
-            t = TableElement.__new__(TableElement)
-            t.el, t.key, t.tab, t.i = x.el, x.key, self, ids[j]
-            t.path = self.elems[parent[j]].path + (right[genidx[j]],) if j else ()
-            self.elems.append(t)
-            self.index[t.key] = t
-        self.family = (self,)
-
-    def mixed(self, a, b) -> PElement:
-        """a * b, one factor not in this table: in the first table of the
-        family that holds both, else the PElement product."""
-        for tab in self.family:
-            x, y = tab.index.get(a.key), tab.index.get(b.key)
-            if x is not None and y is not None:
-                return x * y
-        # looked up at call time, so a wrapper installed on PElement sees it
-        return PElement.__mul__(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
 from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
+from psu38.psu import PElement
 
 from conftest import CACHE_DIR
+from oracles import rep_element
 
 
 def test_arc_counts_match_valency_products(graph):
@@ -80,6 +82,31 @@ def test_ball_sizes(graph):
     assert radii.max() == 2
     pts2, _ = ball(graph, graph.base_x2, 2)
     assert len(pts2) == 1 + 3 + 9
+
+
+def _bfs_radii(graph, v, r) -> dict:
+    """vertex -> distance from v, for distances up to r, by a plain BFS."""
+    radius, frontier = {v: 0}, [v]
+    for d in range(1, r + 1):
+        nxt = []
+        for u in frontier:
+            for w in graph.neighbors(u).tolist():
+                if w not in radius:
+                    radius[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return radius
+
+
+def test_ball_equals_a_plain_bfs(graph):
+    """At both base vertices with radius 5, and over the whole graph, each
+    vertex comes once, layers in order, with its BFS distance."""
+    for v, r in ((graph.base_x1, 5), (graph.base_x2, 5), (graph.base_x2, 64)):
+        ids, radii = ball(graph, v, r)
+        assert ids.dtype == radii.dtype == np.int64
+        assert len(set(ids.tolist())) == len(ids) and (np.diff(radii) >= 0).all()
+        assert dict(zip(ids.tolist(), radii.tolist())) == _bfs_radii(graph, v, r)
+    assert len(ids) == graph.nv
 
 
 def test_five_arc_transitivity_orbit_sizes(graph):
@@ -212,7 +239,7 @@ def test_sampled_vertex_checks_catch_a_wrong_conjugation(graph, ng, monkeypatch)
     but do not fix their vertices; the wide check must see it."""
     def by_inverse(self, v, group="K"):
         C = (ng.K1 if self.side_of(v) == 1 else ng.K2).conjugate(
-            self.rep_element(v).inv())
+            rep_element(self, v).inv())
         if group == "H":
             C = ng.h_part(C)
         return np.array(sorted(x.key for x in C.elems), dtype=np.uint64)
@@ -340,8 +367,12 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             assert arcs.local_condition_at(graph, v, group)
             keys = graph.stabilizer_keys(v, group)
             fixed = keys[graph.fixers(keys, graph.neighbors(v))]
+            gv = graph.group_from_keys(keys)
+            if graph.ng.interned(keys) is None:  # outside K1 and K2: plain elements
+                assert type(gv.identity) is PElement
+                assert all(type(x) is PElement for x in gv.elems)
             q = graph.group_from_keys(fixed).p_core(3)
-            c = graph.group_from_keys(keys).centralizer(q.gens_list())
+            c = gv.centralizer(q.gens_list())
             side = graph.side_of(v)
             base = graph.base_stabilizer(side, group)
             z = graph.base_x1 if side == 1 else graph.base_x2
@@ -350,7 +381,7 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             assert (len(bq), len(bc), bc.eset <= bq.eset) == (len(q), len(c),
                                                             c.eset <= q.eset)
             assert c.eset <= q.eset
-            r = graph.rep_element(v)
+            r = rep_element(graph, v)
             assert {(r.inv() * x * r).key for x in bq.elems} == {x.key for x in q.elems}
 
 

@@ -10,13 +10,15 @@ import networkx as nx
 
 from psu38 import coset
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch,
-                         CosetGraph, build_graph, coset_canon, export_edge_list,
+                         CosetGraph, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
                          sparse6_bytes, transversal)
-from psu38.fastops import SubgroupArrays, bpack, bunpack, coset_canon_keys
+from psu38.fastops import bpack, bunpack, coset_canon_keys
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import Element, PElement
+
+from oracles import coset_canon, rep_element, subgroup_arrays
 
 
 def test_transversal_sizes(ng):
@@ -58,8 +60,8 @@ def test_adjacency_matches_coset_intersection(graph, ng):
     rng = random.Random(5)
 
     def intersects(u, v):
-        gu = graph.rep_element(u)
-        gv = graph.rep_element(v)
+        gu = rep_element(graph, u)
+        gv = rep_element(graph, v)
         t = gv * gu.inv()
         return any((k2.inv() * t) in ng.K1.eset for k2 in ng.K2.elems)
 
@@ -77,7 +79,7 @@ def test_adjacency_matches_coset_intersection(graph, ng):
 
 def test_coset_canon_invariance(graph, ng):
     ops = graph.ops
-    sub = SubgroupArrays.from_group(ops, ng.K1)
+    sub = subgroup_arrays(ops, ng.K1)
     rng = random.Random(6)
     g = PElement(ng.p["E"].el * ng.p["D"].el)
     c = coset_canon(ops, sub, g)
@@ -118,7 +120,7 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
     for K, off, n in ((ng.K1, 0, graph.n1), (ng.K2, graph.n1, graph.n2)):
         side = graph.side_of(off)
         for v in [off] + [off + rng.randrange(1, n) for _ in range(2)]:
-            r = graph.rep_element(v)
+            r = rep_element(graph, v)
             C = K.conjugate(r)
             for group, G in (("K", C), ("H", ng.h_part(C))):
                 got = graph.stabilizer_keys(v, group).tolist()
@@ -370,7 +372,7 @@ def test_fingerprint_key_against_canonical_oracle(graph, ng):
     x = ng.p["E"] * ng.p["sigma"] * ng.p["A"] * ng.p["D"]
     xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
     for side, K, off in ((1, ng.K1, 0), (2, ng.K2, graph.n1)):
-        sub = SubgroupArrays.from_group(ops, K)
+        sub = subgroup_arrays(ops, K)
         n = graph.n1 if side == 1 else graph.n2
         lids = rng.choice(n, size=200, replace=False)
         rm, rt = bunpack(graph.reps[side][lids])
@@ -384,9 +386,9 @@ def test_fingerprint_key_against_canonical_oracle(graph, ng):
         assert np.array_equal(got, want)
     # the single-element oracle agrees with the batch
     v = graph.n1 + 7
-    assert coset_canon(ops, SubgroupArrays.from_group(ops, ng.K2),
-                       graph.rep_element(v)).key == int(coset_canon_keys(
-        ops, SubgroupArrays.from_group(ops, ng.K2),
+    assert coset_canon(ops, subgroup_arrays(ops, ng.K2),
+                       rep_element(graph, v)).key == int(coset_canon_keys(
+        ops, subgroup_arrays(ops, ng.K2),
         *bunpack(graph.reps[2][7:8]))[0])
 
 

@@ -1,12 +1,14 @@
+import ast
+import os
 import random
 
 import pytest
 
-from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, _close,
-                       _lambda_subgroups, cyclic_group, dihedral_18,
+from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
+                       _close, _lambda_subgroups, cyclic_group, dihedral_18,
                        direct_product, is_split_extension, iso_check,
                        reference_groups, sym_group)
-from psu38.psu import PElement, TableElement
+from psu38.psu import PElement
 
 
 def test_closure_orders(ng):
@@ -156,7 +158,7 @@ def _bfs_close(gens, identity):
 
 def test_close_with_redundant_generators(ng, refs):
     assert set(_close(ng.K1.sorted_elems(), ng.K1.identity)[0]) == ng.K1.eset
-    assert _close([ng.K1.identity], ng.K1.identity) == ([ng.K1.identity], [0], [-1])
+    assert _close([ng.K1.identity], ng.K1.identity) == ([ng.K1.identity], [0], [-1], {})
     rng = random.Random(7)
     for G in (ng.K1, ng.K2, ng.H2, refs["AGL23"], refs["SP2"]):
         els = G.sorted_elems()
@@ -169,7 +171,7 @@ def _assert_closure_tree(gens, identity):
     """_close's tree: each element once, the identity first, every parent
     before its child with elems[i] == elems[parent[i]] * gens[genidx[i]],
     and the span of each prefix of gens a prefix of elems."""
-    elems, parent, genidx = _close(gens, identity)
+    elems, parent, genidx, _ = _close(gens, identity)
     assert elems[0] == identity and len(set(elems)) == len(elems)
     assert len(parent) == len(genidx) == len(elems)
     for i in range(1, len(elems)):
@@ -191,7 +193,7 @@ def test_close_tree_and_prefix_spans(ng, refs):
         gens = rng.sample(G.sorted_elems(), 4)  # random, often redundant
         assert set(_assert_closure_tree(gens, G.identity)) == _bfs_close(gens, G.identity)
         H = SmallGroup.generate(G.gens_list())
-        assert (H.elems, H.parent, H.genidx) == _close(G.gens_list(), G.identity)
+        assert (H.elems, H.parent, H.genidx) == _close(G.gens_list(), G.identity)[:3]
 
 
 def test_normal_closure_of_many_generators(ng):
@@ -385,6 +387,148 @@ def test_generating_set_roundtrip(ng):
         assert len(gens) <= 6
 
 
+def _plain(x) -> PElement:
+    """x as a plain PElement, outside every table."""
+    return PElement(x.el)
+
+
+def _assert_right_table(gens, identity, cap=None):
+    """_close's right table: one row per kept generator (those not in the
+    span of the ones before), with right[gi][i] the index of
+    elems[i] * gens[gi]."""
+    elems, parent, genidx, right = _close(gens, identity, cap)
+    index = {x: i for i, x in enumerate(elems)}
+    kept = [gi for gi, g in enumerate(gens)
+            if g not in _bfs_close(gens[:gi], identity)]
+    assert sorted(right) == kept == sorted(set(genidx[1:]))
+    for gi in kept:
+        assert right[gi] == [index[x * gens[gi]] for x in elems]
+    return elems, right
+
+
+def test_close_records_the_right_multiplication_table(ng, refs):
+    """On plain PElements, on table elements and on Perms, with a
+    redundant generator, and at the cap boundary."""
+    p = ng.p
+    ident = _plain(ng.K1.identity)
+    AB = p["A"] * p["B"]
+    elems, right = _assert_right_table([p["A"], p["B"], AB, p["C"]], ident)
+    assert len(elems) == 27 and 2 not in right
+    assert all(type(x) is PElement for x in elems)
+    K2 = ng.K2
+    gens = K2.gens + [K2.gens[0] * K2.gens[1]]
+    elems, right = _assert_right_table(gens, K2.identity)
+    assert elems == K2.elems and len(gens) - 1 not in right
+    for G in (ng.K1, ng.H2, refs["AGL23"], refs["C3xAGL23S"]):
+        gens = G.gens_list()
+        gens = gens[:1] + [gens[0] * gens[0]] + gens[1:]
+        elems, right = _assert_right_table(gens, G.identity, cap=len(G))
+        assert len(elems) == len(G) and 1 not in right
+        with pytest.raises(ClosureCapExceeded):
+            _close(gens, G.identity, cap=len(G) - 1)
+
+
+def test_generate_over_plain_pelements_is_a_table_group(ng):
+    """generate() over plain PElements interns the closure in a new table,
+    with the same keys, tree and generators; inside it products and
+    inverses are the PElement ones."""
+    p = ng.p
+    gens = [p["A"], p["B"], p["C"], p["F"]]
+    G = SmallGroup.generate(gens)
+    elems, parent, genidx, _ = _close(gens, _plain(ng.K1.identity))
+    tab = G.identity.tab
+    assert [x.key for x in G.elems] == [x.key for x in elems]
+    assert (G.parent, G.genidx) == (parent, genidx)
+    assert all(type(x) is TableElement and x.tab is tab for x in G.elems + G.gens)
+    assert tab is not ng.K1.identity.tab and tab is not ng.K2.identity.tab
+    assert [x.key for x in G.gens] == [x.key for x in gens]
+    for x in G.elems:
+        assert x.inv().key == _plain(x).inv().key
+        for y in G.gens:
+            assert (x * y).key == (_plain(x) * _plain(y)).key
+
+
+def test_table_products_and_inverses_equal_pelement_ones(ng):
+    """Within K1 and within K2, table products and inverses are the
+    interned PElement products and inverses."""
+    rng = random.Random(41)
+    for K in (ng.K1, ng.K2):
+        tab = K.identity.tab
+        for _ in range(1000):
+            x, y = rng.choice(K.elems), rng.choice(K.elems)
+            z = x * y
+            assert type(z) is TableElement and z.tab is tab
+            assert z.key == (_plain(x) * _plain(y)).key
+            assert tab.index[z.key] is z
+            assert x.inv() is tab.index[_plain(x).inv().key]
+        assert all(x * x.inv() is K.identity for x in K.elems)
+        assert all(tab.elems[tab.inv[x.i]].key == _plain(x).inv().key for x in K.elems)
+
+
+def test_table_products_across_tables_and_with_plain_elements(ng):
+    """One rule for a right factor from outside the left factor's table:
+    it is looked up there by key; else the left factor is looked up in the
+    right factor's table; else (D.E: K1 holds D only, K2 holds E only) the
+    product is the PElement product.  A plain PElement on the left gives
+    the PElement product."""
+    rng = random.Random(43)
+    t1, t2 = ng.K1.identity.tab, ng.K2.identity.tab
+    k12 = [x.key for x in ng.K12.elems]
+    only1 = [x for x in ng.K1.elems if x.key not in t2.index]
+    only2 = [x for x in ng.K2.elems if x.key not in t1.index]
+    for _ in range(300):
+        k = rng.choice(k12)
+        a1, a2 = t1.index[k], t2.index[k]
+        x, y = rng.choice(only1), rng.choice(only2)
+        for left, right, tab in (
+                (x, a2, t1), (y, a1, t2), (a2, _plain(y), t2),  # right factor here
+                (a1, y, t2), (a2, x, t1)):                       # left factor there
+            z = left * right
+            assert type(z) is TableElement and z.tab is tab
+            assert z.key == (_plain(left) * _plain(right)).key
+        z = _plain(x) * a1
+        assert type(z) is PElement and z.key == (_plain(x) * _plain(a1)).key
+    p = ng.p
+    D, E = t1.index[p["D"].key], t2.index[p["E"].key]
+    assert D.key not in t2.index and E.key not in t1.index
+    for z in (D * E, D * p["E"], p["D"] * E):
+        assert type(z) is PElement and z.key == (p["D"] * p["E"]).key
+
+
+def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
+    """The fallback looks PElement.__mul__ up when it runs, so a wrapper
+    installed later sees it; products inside one table, or across tables
+    that one of them holds, do not call it."""
+    calls = []
+    mul = PElement.__mul__
+
+    def counted(a, b):
+        calls.append((a.key, b.key))
+        return mul(a, b)
+    monkeypatch.setattr(PElement, "__mul__", counted)
+    D = ng.K1.identity.tab.index[ng.p["D"].key]
+    E = ng.K2.identity.tab.index[ng.p["E"].key]
+    ng.K1.elems[7] * ng.K1.elems[9]
+    ng.K12.elems[5] * ng.K2.elems[9]
+    ng.K2.elems[9] * ng.K12.elems[5]
+    assert calls == []
+    assert (D * E).key == mul(ng.p["D"], ng.p["E"]).key
+    assert calls == [(D.key, E.key)]
+
+
+def test_table_elements_compare_and_hash_as_pelements(ng):
+    rng = random.Random(47)
+    pool = ng.K1.elems + ng.K2.elems
+    for _ in range(500):
+        x, y = rng.choice(pool), rng.choice(pool)
+        px, py = _plain(x), _plain(y)
+        assert x == px and px == x and hash(x) == hash(px)
+        assert (x == y) == (px == py) and (x != y) == (px != py)
+        assert (x < y) == (px < py)
+    assert sorted(pool) == sorted(pool, key=lambda x: x.key)
+    assert {x: 1 for x in pool} == {_plain(x): 1 for x in pool}
+
+
 # the generators named_groups gives each group, in order
 NAMED_GENS = {
     "Q1": "A B", "Q2": "A B C", "Qstar": "B C", "S": "E F sigma3",
@@ -396,19 +540,21 @@ NAMED_GENS = {
 
 def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
     """Each named group has the keys of elems, gens, parent and genidx of
-    the PElement closure of its generators, and its elements are the
+    the plain PElement closure of its generators, and its elements are the
     interned elements of its ambient group's table."""
     def keys(xs):
         return [x.key for x in xs]
 
+    ident = _plain(ng.K1.identity)
     old = {}
     for name, gens in NAMED_GENS.items():
-        G, P = getattr(ng, name), SmallGroup.generate(
-            [ng.p[n] for n in gens.split()])
-        old[name] = P
-        assert type(P.identity) is PElement
-        assert keys(G.elems) == keys(P.elems) and keys(G.gens) == keys(P.gens)
-        assert G.parent == P.parent and G.genidx == P.genidx
+        gens = [ng.p[n] for n in gens.split()]
+        elems, parent, genidx, _ = _close(gens, ident)
+        assert all(type(x) is PElement for x in elems)
+        G = getattr(ng, name)
+        old[name] = SmallGroup(elems, gens, ident)
+        assert keys(G.elems) == keys(elems) and keys(G.gens) == keys(gens)
+        assert G.parent == parent and G.genidx == genidx
         ambient = ng.K2 if name in ("S", "H2", "Qh2", "K2") else ng.K1
         tab = ambient.identity.tab
         assert all(type(x) is TableElement and x.tab is tab for x in G.elems + G.gens)
@@ -416,3 +562,27 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
         assert keys(getattr(ng, name).elems) == keys(old[a].intersect(old[b]).elems)
     lam = _lambda_subgroups(old["Q2"], old["Qstar"])
     assert [keys(L.elems) for L in ng.Lambda] == [keys(L.elems) for L in lam]
+
+
+def _imports(module: str) -> set[str]:
+    """The modules that src/psu38/<module>.py imports, relative ones with
+    their leading dots."""
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "psu38", module + ".py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out.add("." * node.level + (node.module or ""))
+    return out
+
+
+def test_psu_is_matrix_arithmetic_and_grp_holds_the_tables():
+    """psu imports only gf64 from the package and no numpy; grp, which
+    builds the group tables from its closures, does not import fastops."""
+    psu = _imports("psu")
+    assert {m for m in psu if m.startswith((".", "psu38"))} == {".gf64"}
+    assert not any(m.split(".")[0] == "numpy" for m in psu)
+    assert not any(m.endswith("fastops") for m in _imports("grp"))

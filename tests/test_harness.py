@@ -10,6 +10,8 @@ from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closur
                            build_claims, factorization, format_report, main,
                            run_claims)
 
+from psu38.psu import PElement
+
 from conftest import CACHE_DIR
 
 
@@ -38,6 +40,22 @@ def test_gen_closure_is_over_table_elements(ng):
         assert all(x.tab is K.identity.tab for x in G.elems)
     with pytest.raises(ValueError):
         _gen_closure(ng, ["D", "E"])
+
+
+def test_full_catalog_makes_no_pelement_products(monkeypatch):
+    """After named_groups, a warm run of the whole catalog multiplies table
+    elements and Perms only: PElement.__mul__ is never called."""
+    ctx = VerifyContext(cache_dir=CACHE_DIR)
+    ctx.ng
+    calls = []
+    mul = PElement.__mul__
+
+    def counted(a, b):
+        calls.append((a.key, b.key))
+        return mul(a, b)
+    monkeypatch.setattr(PElement, "__mul__", counted)
+    assert run_claims(ctx)["overall"]
+    assert calls == []
 
 
 def test_group_filtering(ctx):
