@@ -4,9 +4,10 @@ G_z^[i], and the local characteristic / pushing up predicates.
 Group elements act on vertices on the right through CosetGraph.perm;
 a base-vertex stabilizer evaluates its whole action table along its
 closure tree, one permutation gather per element.  Other stabilizers stay
-packed keys (CosetGraph.stabilizer_keys, fixers) until a SmallGroup is
-needed, or are pulled back to the base stabilizer's own elements by the
-conjugation that stabilizer_keys applies (local_condition_at).
+packed keys (CosetGraph.stabilizer_keys, fixers): an arc stabilizer is a
+SmallGroup only inside K1 or K2 (the named arc's lies in K2), and a
+vertex's kernel is pulled back to the base stabilizer's own elements by
+the conjugation that stabilizer_keys applies (local_condition_at).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .coset import KEY_CHUNK, CosetGraph
+from .coset import CosetGraph
 from .grp import Perm, SmallGroup
 
 # ---------------------------------------------------------------------------
@@ -97,28 +98,21 @@ def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
     Rows are found by a binary search in their sorted row_keys, which is
     exact: the keys are pairwise distinct, and every row found is compared
     with the image it stands for.  Raises if a row repeats (or two rows
-    share a key) or an image is not a row.  Keys and images are computed
-    KEY_CHUNK rows at a time, which bounds the temporaries.
+    share a key) or an image is not a row.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = len(rows)
-    chunks = [slice(lo, lo + KEY_CHUNK) for lo in range(0, n, KEY_CHUNK)]
-    keys = np.empty(n, dtype=np.uint64)
-    for c in chunks:
-        keys[c] = row_keys(rows[c])
-    order = np.argsort(keys).astype(np.int32)  # the kept images are int32 too
+    keys = row_keys(rows)
+    order = np.argsort(keys)
     skeys = keys[order]
-    del keys
     if (skeys[1:] == skeys[:-1]).any():
         raise AssertionError("two rows share a key (a repeated row?)")
     images = []
     for p in perms:
-        j = np.empty(n, dtype=np.int32)
-        for c in chunks:
-            im = p[rows[c]]
-            j[c] = order[np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)]
-            if not np.array_equal(rows[j[c]], im):
-                raise AssertionError("an image row is not a row")
+        im = p[rows]
+        j = order[np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)]
+        if not np.array_equal(rows[j], im):
+            raise AssertionError("an image row is not a row")
         images.append(j)
     # each generator permutes the rows, so an orbit is a union of cycles:
     # lowering every label to the least label of its images, with pointer

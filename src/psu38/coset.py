@@ -185,15 +185,13 @@ class CosetGraph:
         return np.flatnonzero(fixed.all(axis=0))
 
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
-        """The SmallGroup on the elements of these packed keys, which must
-        be closed under products: table elements when K1 or K2 holds them
-        all, else plain PElements."""
+        """The SmallGroup on the table elements of these packed keys, which
+        must be closed under products; raises if neither K1 nor K2 holds
+        them all."""
         els = self.ng.interned(keys)
-        if els is not None:
-            return SmallGroup.from_set(els, els[0].tab.elems[0], name)
-        ident = PElement(Element.identity(self.field))
-        return SmallGroup.from_set(
-            [PElement(Element.from_key(self.field, int(k))) for k in keys], ident, name)
+        if els is None:
+            raise ValueError("the keys do not all lie in K1 or in K2")
+        return SmallGroup.from_set(els, els[0].tab.elems[0], name)
 
     def base_stabilizer(self, side: int, group: str = "K") -> SmallGroup:
         """The generated group K1, K2, H1 or H2 that fixes the base vertex
@@ -203,11 +201,11 @@ class CosetGraph:
             group, side]
 
     def vertex_stabilizer(self, g: int, group: str = "K") -> SmallGroup:
-        """The group on stabilizer_keys(g, group); at the base vertices the
-        base stabilizer itself."""
-        if self.local_id(g) == 0:
-            return self.base_stabilizer(self.side_of(g), group)
-        return self.group_from_keys(self.stabilizer_keys(g, group), f"{group}_v{g}")
+        """The base stabilizer of a base vertex; raises at any other vertex,
+        whose stabilizer stays packed keys (stabilizer_keys)."""
+        if self.local_id(g) != 0:
+            raise ValueError(f"vertex {g} is not a base vertex")
+        return self.base_stabilizer(self.side_of(g), group)
 
     def group_order_from_graph(self) -> int:
         """|<K1,K2>| by orbit-stabilizer on side-1 cosets; cross-checked

@@ -26,7 +26,7 @@ from . import __version__
 from .amalgam import analyze, shape_d2, shape_e2
 from .arcs import (KernelData, arc_count_formula, arc_orbits, arc_stabilizer,
                    ball, kernel_data, local_characteristic, max_local_s,
-                   orbit_partition, pushing_up, sampled_vertex_checks)
+                   pushing_up, sampled_vertex_checks)
 from .coset import (CacheMismatch, CosetGraph, build_graph, export_edge_list,
                     export_sparse6, load_cache, save_cache)
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
@@ -167,14 +167,37 @@ class VerifyContext:
             return arc
         return self._memo("paper_arc", build)
 
+    def is_automorphism(self, x) -> bool:
+        """Whether the group element x acts as a graph automorphism,
+        checked once per element key."""
+        return self._memo(("aut", x.key), lambda: self.graph.is_graph_automorphism(x))
+
+    def connected(self) -> bool:
+        """Whether the whole-graph ball around x1 reaches every vertex."""
+        g = self.graph
+        return self._memo("connected", lambda: len(ball(g, g.base_x1, g.nv)[0]) == g.nv)
+
     def edge_orbit_transitive(self, group: str) -> bool:
+        """Whether G = <G1, G2> (H or K) is transitive on the edges, from
+        three checked premises: each generator of G1 and G2 is a graph
+        automorphism, the graph is connected, and G1, G2 (the stabilizers
+        of x1, x2) each have one orbit on the 1-arcs at their vertex.
+
+        Proof (Giudici, Li and Praeger, Trans. AMS 356 (2004)): by local
+        transitivity the orbit O of the base edge holds every edge at x1
+        and at x2, so both lie in the set S of vertices whose edges all
+        lie in O.  S is G-invariant, as G acts by automorphisms, and closed
+        under adjacency: an edge at a vertex of S lies in O, so its other
+        end is an image of x1 or x2.  The graph is connected, so S holds
+        every vertex and O every edge.
+        """
         def run():
             g = self.graph
-            ng = self.ng
-            gens = (ng.K1.gens + ng.K2.gens) if group == "K" else (ng.H1.gens + ng.H2.gens)
-            perms = [g.perm(x) for x in dict.fromkeys(gens)]
-            edges = g.edges.astype(np.int64) + np.array([0, g.n1])
-            return len(orbit_partition(edges, perms)) == 1
+            gens = [x for side in (1, 2) for x in g.base_stabilizer(side, group).gens]
+            return (all(self.is_automorphism(x) for x in dict.fromkeys(gens))
+                    and self.connected()
+                    and all(arc_orbits(g, v, 1, group)["transitive"]
+                            for v in (g.base_x1, g.base_x2)))
         return self._memo(("edgetrans", group), run)
 
     def split_searches(self):
@@ -562,8 +585,7 @@ def build_claims() -> list[Claim]:
         deg = np.diff(g.indptr)
         d1 = set(deg[:g.n1].tolist())
         d2 = set(deg[g.n1:].tolist())
-        pts, _ = ball(g, g.base_x1, 64)
-        connected = len(pts) == g.nv
+        connected = ctx.connected()
         ok = (g.n1 == 25536 and g.n2 == 34048 and len(g.edges) == 102144
               and d1 == {4} and d2 == {3} and connected
               and factorization(g.n1) == {2: 6, 3: 1, 7: 1, 19: 1}
@@ -666,7 +688,7 @@ def build_claims() -> list[Claim]:
         ok = True
         for n in gen_names:
             x = ng.p[n]
-            a = g.is_graph_automorphism(x)
+            a = ctx.is_automorphism(x)
             trivial = bool(np.array_equal(g.perm(x), np.arange(g.nv)))
             autos[n] = {"automorphism": a, "acts_trivially": trivial}
             ok &= a and not trivial

@@ -43,16 +43,6 @@ def pack(mat: tuple[int, ...], twist: int) -> int:
                << 6 | m6) << 6 | m7) << 6 | m8) << 3) | twist)
 
 
-def unpack(key: int) -> tuple[tuple[int, ...], int]:
-    twist = key & 7
-    key >>= 3
-    mat = [0] * 9
-    for i in range(8, -1, -1):
-        mat[i] = key & 63
-        key >>= 6
-    return tuple(mat), twist
-
-
 def _product(f: GF64, a: tuple[int, ...], e: int, n: tuple[int, ...]) -> tuple[int, ...]:
     """Entries of the matrix a . rho^e(n): one row of the product table
     per entry of a, one lookup in it per term."""
@@ -103,11 +93,6 @@ class Element:
     @staticmethod
     def identity(field: GF64) -> "Element":
         return Element(field, (1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
-
-    @staticmethod
-    def from_key(field: GF64, key: int) -> "Element":
-        mat, twist = unpack(key)
-        return Element(field, mat, twist)
 
     def __mul__(self, other: "Element") -> "Element":
         f = self.field

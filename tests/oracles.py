@@ -4,7 +4,24 @@ are checked against.  psu38 itself uses none of them."""
 import numpy as np
 
 from psu38.fastops import SubgroupArrays, bunpack, coset_canon_keys
+from psu38.grp import SmallGroup
 from psu38.psu import Element, PElement
+
+
+def unpack(key: int) -> tuple[tuple[int, ...], int]:
+    """The (matrix, twist) that psu.pack packs into key."""
+    twist = key & 7
+    key >>= 3
+    mat = [0] * 9
+    for i in range(8, -1, -1):
+        mat[i] = key & 63
+        key >>= 6
+    return tuple(mat), twist
+
+
+def element_from_key(field, key: int) -> Element:
+    mat, twist = unpack(key)
+    return Element(field, mat, twist)
 
 
 def scalar_mul(el: Element, s: int) -> Element:
@@ -23,10 +40,29 @@ def coset_canon(ops, sub: SubgroupArrays, g: PElement) -> PElement:
     for the fingerprint key."""
     pm, pt = bunpack(np.array([g.key], dtype=np.uint64))
     key = coset_canon_keys(ops, sub, pm, pt)[0]
-    return PElement(Element.from_key(ops.field, int(key)))
+    return PElement(element_from_key(ops.field, int(key)))
 
 
 def rep_element(graph, v: int) -> PElement:
     """The stored representative of vertex v, as a plain PElement."""
     key = int(graph.reps[graph.side_of(v)][graph.local_id(v)])
-    return PElement(Element.from_key(graph.field, key))
+    return PElement(element_from_key(graph.field, key))
+
+
+def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
+    """graph.group_from_keys, and the group on plain PElements where
+    neither K1 nor K2 holds the keys (the stabilizer of a non-base
+    vertex)."""
+    if graph.ng.interned(keys) is not None:
+        return graph.group_from_keys(keys, name)
+    return SmallGroup.from_set(
+        [PElement(element_from_key(graph.field, int(k))) for k in keys],
+        PElement(Element.identity(graph.field)), name)
+
+
+def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
+    """The stabilizer of any vertex as a group: the base stabilizer at a
+    base vertex, else the group on its stabilizer_keys."""
+    if graph.local_id(v) == 0:
+        return graph.vertex_stabilizer(v, group)
+    return group_from_keys(graph, graph.stabilizer_keys(v, group), f"{group}_v{v}")

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from psu38 import arcs
+from psu38 import arcs, harness
 from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
                         arc_stabilizer, ball, enumerate_arcs, kernel_data,
                         local_characteristic, max_local_s, orbit_partition,
@@ -15,7 +15,7 @@ from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
 from conftest import CACHE_DIR
-from oracles import rep_element
+from oracles import group_from_keys, rep_element, vertex_stabilizer
 
 
 def test_arc_counts_match_valency_products(graph):
@@ -252,8 +252,8 @@ def test_edge_stabilizer_order_on_sampled_edges(graph, ng):
     rng = np.random.default_rng(12)
     for i in rng.choice(len(graph.edges), size=4, replace=False):
         u, v = graph.edges[int(i)]
-        su = graph.vertex_stabilizer(int(u), "K")
-        sv = graph.vertex_stabilizer(graph.n1 + int(v), "K")
+        su = vertex_stabilizer(graph, int(u), "K")
+        sv = vertex_stabilizer(graph, graph.n1 + int(v), "K")
         inter = su.eset & sv.eset
         assert len(inter) == 324
 
@@ -321,6 +321,63 @@ def test_orbit_partition_rejects_bad_rows():
         orbit_partition(rows, [(-np.arange(5)) % 5])
 
 
+def test_edge_orbits_agree_with_the_premises(ctx, graph):
+    """The exhaustive oracle: the generators of G1 and G2 have one orbit
+    on all 102,144 edges, for H and for K, as the stage finds from its
+    premises."""
+    ng = ctx.ng
+    edges = graph.edges.astype(np.int64) + np.array([0, graph.n1])
+    for group, G1, G2 in (("H", ng.H1, ng.H2), ("K", ng.K1, ng.K2)):
+        perms = [graph.perm(x) for x in dict.fromkeys(G1.gens + G2.gens)]
+        assert orbit_partition(edges, perms) == [len(edges)]
+        assert ctx.edge_orbit_transitive(group) is True
+
+
+def _context_over(ctx):
+    """A fresh VerifyContext, no stage computed, on the session's groups
+    and graph."""
+    fresh = VerifyContext(cache_dir=CACHE_DIR)
+    for key in ("field", "ng", "refs", "graph"):
+        fresh._cache[key] = getattr(ctx, key)
+    return fresh
+
+
+def _edge_transitivity_fails(ctx):
+    fresh = _context_over(ctx)
+    verdicts = {c["id"]: c["verdict"]
+                for c in run_claims(fresh, claim_filter="L3.5.i")["claims"]}
+    return fresh.edge_orbit_transitive("H") is False and verdicts["L3.5.i"] == "fail"
+
+
+def test_edge_transitivity_needs_every_generator_an_automorphism(ctx, monkeypatch):
+    bad = ctx.ng.H2.gens[0].key
+    is_aut = CosetGraph.is_graph_automorphism
+    monkeypatch.setattr(CosetGraph, "is_graph_automorphism",
+                        lambda self, x: x.key != bad and is_aut(self, x))
+    assert _edge_transitivity_fails(ctx)
+
+
+def test_edge_transitivity_needs_a_connected_graph(ctx, monkeypatch):
+    monkeypatch.setattr(harness, "ball",
+                        lambda g, v, r: tuple(a[:-1] for a in ball(g, v, r)))
+    assert _edge_transitivity_fails(ctx)
+
+
+def test_edge_transitivity_needs_local_transitivity(ctx, monkeypatch):
+    """Two orbits on the 1-arcs at x2."""
+    part = arcs.orbit_partition
+    x2 = ctx.graph.base_x2
+
+    def split(rows, perms):
+        sizes = part(rows, perms)
+        if rows.shape[1] == 2 and rows[0, 0] == x2:
+            return [len(rows) - 1, 1]
+        return sizes
+    monkeypatch.setattr(arcs, "orbit_partition", split)
+    assert arc_orbits(ctx.graph, x2, 1, "H")["orbit_count"] == 2
+    assert _edge_transitivity_fails(ctx)
+
+
 def test_one_kernel_record_per_base_vertex(monkeypatch):
     calls = []
     init = KernelData.__init__
@@ -367,11 +424,11 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             assert arcs.local_condition_at(graph, v, group)
             keys = graph.stabilizer_keys(v, group)
             fixed = keys[graph.fixers(keys, graph.neighbors(v))]
-            gv = graph.group_from_keys(keys)
+            gv = group_from_keys(graph, keys)
             if graph.ng.interned(keys) is None:  # outside K1 and K2: plain elements
                 assert type(gv.identity) is PElement
                 assert all(type(x) is PElement for x in gv.elems)
-            q = graph.group_from_keys(fixed).p_core(3)
+            q = group_from_keys(graph, fixed).p_core(3)
             c = gv.centralizer(q.gens_list())
             side = graph.side_of(v)
             base = graph.base_stabilizer(side, group)
@@ -407,22 +464,6 @@ def test_sampled_vertex_checks_count_distinct_keys(graph, monkeypatch):
     monkeypatch.setattr(CosetGraph, "stabilizer_keys", repeated)
     out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
     assert not out["wide_ok"]
-
-
-def test_orbit_partition_across_key_chunks(graph, monkeypatch):
-    """Chunk boundaries inside the rows change nothing, and a bad image in
-    a later chunk is still caught."""
-    rows = enumerate_arcs(graph, graph.base_x1, 6)
-    stab = graph.vertex_stabilizer(graph.base_x1, "H")
-    perms = [graph.perm(g) for g in stab.gens_list()]
-    want = _bfs_orbit_sizes(rows, perms)
-    monkeypatch.setattr(arcs, "KEY_CHUNK", 7)
-    assert orbit_partition(rows, perms) == want
-    cyc = _cycle_edges(20)
-    rotation = (np.arange(20) + 1) % 20
-    assert orbit_partition(cyc, [rotation]) == [20]
-    with pytest.raises(AssertionError):
-        orbit_partition(cyc[:-1], [rotation])
 
 
 def test_kernel_data_keeps_only_the_neighbor_columns(graph):

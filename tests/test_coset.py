@@ -16,9 +16,10 @@ from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch
 from psu38.fastops import bpack, bunpack, coset_canon_keys
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
-from psu38.psu import Element, PElement
+from psu38.psu import PElement
 
-from oracles import coset_canon, rep_element, subgroup_arrays
+from oracles import (coset_canon, element_from_key, rep_element, subgroup_arrays,
+                     vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -102,14 +103,19 @@ def test_vertex_stabilizers(graph, ng):
     rng = random.Random(7)
     for _ in range(3):
         v = rng.randrange(graph.nv)
-        stab = graph.vertex_stabilizer(v, "K")
+        stab = vertex_stabilizer(graph, v, "K")
         side = graph.side_of(v)
         assert len(stab) == (1296 if side == 1 else 972)
         assert graph.image(v, stab.elems[5]) == v
-        hstab = graph.vertex_stabilizer(v, "H")
+        hstab = vertex_stabilizer(graph, v, "H")
         assert len(hstab) == (432 if side == 1 else 324)
+        # off the base vertices the program keeps stabilizers as keys
+        with pytest.raises(ValueError):
+            graph.vertex_stabilizer(v, "K")
+        with pytest.raises(ValueError):
+            graph.group_from_keys(graph.stabilizer_keys(v, "K"))
     v2 = graph.n1 + random.Random(8).randrange(graph.n2)
-    assert len(graph.vertex_stabilizer(v2, "H")) == 324
+    assert len(vertex_stabilizer(graph, v2, "H")) == 324
 
 
 def test_stabilizer_keys_match_python_conjugation(graph, ng):
@@ -152,7 +158,7 @@ def test_side_two_fingerprint_subgroup(modulus):
     ng = named_groups(GF64(modulus))
     g = CosetGraph(ng.field, ng)
     coset._arm(g)
-    y1, y = (PElement(Element.from_key(ng.field, int(bpack(*g.ysets[s])[0])))
+    y1, y = (PElement(element_from_key(ng.field, int(bpack(*g.ysets[s])[0])))
              for s in (1, 2))
     assert ng.K1.center().eset == {ng.K1.identity, y1, y1.inv()}
     Z = ng.Qh2.center()

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import jsonschema
 import pytest
 
+from psu38 import arcs, harness
+from psu38.gf64 import DEFAULT_MODULUS
 from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closure,
                            build_claims, factorization, format_report, main,
                            run_claims)
@@ -42,9 +45,27 @@ def test_gen_closure_is_over_table_elements(ng):
         _gen_closure(ng, ["D", "E"])
 
 
+def _perfbench_workload(monkeypatch):
+    """perfbench/workload.py, loaded read-only for its claim digests; the
+    search path it extends is restored after the test."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workload", os.path.join(root, "perfbench", "workload.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def test_full_catalog_makes_no_pelement_products(monkeypatch):
     """After named_groups, a warm run of the whole catalog multiplies table
-    elements and Perms only: PElement.__mul__ is never called."""
+    elements and Perms only: PElement.__mul__ is never called.  The same
+    run gives every benchmarked claim the digest recorded in
+    perfbench/reference.json, and orbit_partition never sees more rows
+    than the 1,944 8-arcs at x2 (no pass over the edges)."""
+    workload = _perfbench_workload(monkeypatch)
+    with open(workload.REFERENCE) as f:
+        reference = json.load(f)[f"{DEFAULT_MODULUS:#x}"]
     ctx = VerifyContext(cache_dir=CACHE_DIR)
     ctx.ng
     calls = []
@@ -54,8 +75,22 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
         calls.append((a.key, b.key))
         return mul(a, b)
     monkeypatch.setattr(PElement, "__mul__", counted)
-    assert run_claims(ctx)["overall"]
+    rows = []
+    part = arcs.orbit_partition
+
+    def counted_rows(r, perms):
+        rows.append(len(r))
+        return part(r, perms)
+    for mod in (arcs, harness):
+        if hasattr(mod, "orbit_partition"):
+            monkeypatch.setattr(mod, "orbit_partition", counted_rows)
+    rep = run_claims(ctx)
+    assert rep["overall"]
     assert calls == []
+    assert rows and max(rows) <= 1944
+    digests = {c["id"]: workload.claim_digest(c) for c in rep["claims"]
+               if c["id"] not in workload.SKIPPED_CLAIMS}
+    assert digests == reference
 
 
 def test_group_filtering(ctx):
