@@ -23,12 +23,15 @@ The BFS runs one layer at a time from the base edge, with one batched
 product per layer and side; each layer's new vertices are numbered in
 key order, so ids are deterministic and the base vertices are 0 and n1.
 
-Group elements are handled as packed keys: image_batch acts rowwise, by
-conjugating each vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x),
-stabilizer_keys conjugates all of K_side in one batch, in K_side's own
-sorted order, and fixers gives the indices of the keys that fix given
-vertices, which gives arc stabilizers and kernels without intersecting
-conjugates.
+Group elements are handled as packed keys.  The action conjugates each
+vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
+graph under one element, by the table lookups of fastops.linear_conj_keys,
+and image_batch, rowwise, by conj_fingerprints.  stabilizer_keys
+conjugates all of K_side in one batch, in K_side's own sorted order.
+fixers gives the indices of the keys that fix given vertices, by
+membership in K_side (x fixes K_side.r exactly when r x r^-1 lies in
+K_side), which gives arc stabilizers and kernels without intersecting
+conjugates or resolving a vertex.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import FieldOps, bunpack, conj_fingerprints
+from .fastops import FieldOps, bpack, bunpack, conj_fingerprints, linear_conj_keys
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import Element, PElement
@@ -84,6 +87,7 @@ class CosetGraph:
     ops: FieldOps | None = None
     ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
     ksets: dict = dfield(default_factory=dict)     # (side, group) -> (km, kt), sorted
+    kkeys: dict = dfield(default_factory=dict)     # side -> sorted uint64 keys of K_side
     fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
     korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
     indptr: np.ndarray | None = None
@@ -141,26 +145,40 @@ class CosetGraph:
         return int(self.image_batch([g], x.key)[0])
 
     def perm(self, x: PElement) -> np.ndarray:
-        """Full vertex permutation of one group element, as int32 (cached;
-        half the memory of the int64 ids image_batch returns)."""
+        """Full vertex permutation of one group element, as int32 (cached).
+        The image keys are those image_batch computes, by the table lookups
+        of linear_conj_keys on each side's stored fingerprint elements;
+        raises if an image is not a known vertex."""
         p = self._perm_cache.get(x.key)
         if p is None:
-            p = self.image_batch(np.arange(self.nv), x.key).astype(np.int32)
+            xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
+            p = np.empty(self.nv, dtype=np.int32)
+            for side, off in ((1, 0), (2, self.n1)):
+                keys = linear_conj_keys(self.ops, xm, xt, self.fkeys[side])
+                ids = self._resolve(side, keys)
+                if (ids < 0).any():
+                    raise AssertionError("action image is not a known vertex")
+                p[off:off + len(ids)] = ids + off
             self._perm_cache[x.key] = p
         return p
 
     def is_graph_automorphism(self, x: PElement) -> bool:
+        """Whether perm(x) is a bijection that maps the edge set onto
+        itself; the stored edges are in ascending u.nv + v order (builds
+        make them so and load_cache requires it), so only the images are
+        sorted."""
         p = self.perm(x)
-        if len(np.unique(p)) != self.nv:
+        if not (np.bincount(p, minlength=self.nv) == 1).all():
             return False
-        u = self.edges[:, 0].astype(np.int64)
-        v = self.edges[:, 1].astype(np.int64) + self.n1
-        ekeys = np.sort(u * np.int64(self.nv) + v)
+        u, v = self._edge_ends()
         pu, pv = p[u], p[v]
-        lo = np.minimum(pu, pv)
-        hi = np.maximum(pu, pv)
-        ikeys = np.sort(lo * np.int64(self.nv) + hi)
-        return bool(np.array_equal(ekeys, ikeys))
+        ikeys = np.sort(np.minimum(pu, pv) * np.int64(self.nv) + np.maximum(pu, pv))
+        return bool(np.array_equal(u * np.int64(self.nv) + v, ikeys))
+
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Global ids of the side-1 and side-2 end of each edge, int64."""
+        return (self.edges[:, 0].astype(np.int64),
+                self.edges[:, 1].astype(np.int64) + self.n1)
 
     # -- stabilizers ---------------------------------------------------
 
@@ -171,18 +189,37 @@ class CosetGraph:
         of G_side.sorted_elems()."""
         side, lid = self.side_of(g), self.local_id(g)
         km, kt = self.ksets[side, group]
-        rm, rt = bunpack(np.repeat(self.reps[side][lid:lid + 1], len(kt)))
+        rm, rt = bunpack(self.reps[side][lid:lid + 1])  # one row, broadcast
         m, t = self.ops.bsmul(*self.ops.binv(rm, rt), km, kt)
         return self.ops.bpkeys(*self.ops.bsmul(m, t, rm, rt))
 
     def fixers(self, keys, gids) -> np.ndarray:
         """Ascending indices of the keys whose elements fix every vertex in
-        gids, by one rowwise image_batch over all (vertex, element) pairs."""
+        gids.  Vertex g is the coset K_side.r, r = rep(g) (_check_keys
+        proves it), and x fixes it exactly when r x r^-1 lies in K_side, so
+        this is one rowwise product over all (vertex, element) pairs and a
+        binary search in K_side's sorted keys; no vertex is resolved."""
         keys = np.asarray(keys, dtype=np.uint64)
         gids = np.asarray(gids, dtype=np.int64)
-        img = self.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
-        fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
-        return np.flatnonzero(fixed.all(axis=0))
+        on2 = gids >= self.n1
+        rk = np.empty(len(gids), dtype=np.uint64)
+        rk[~on2] = self.reps[1][gids[~on2]]
+        rk[on2] = self.reps[2][gids[on2] - self.n1]
+        n = len(keys)
+        rm, rt = bunpack(rk)
+        im, it = self.ops.binv(rm, rt)
+        xm, xt = bunpack(keys)
+        m, t = self.ops.bsmul(np.repeat(rm, n, axis=0), np.repeat(rt, n),
+                              np.tile(xm, (len(gids), 1, 1)), np.tile(xt, len(gids)))
+        conj = self.ops.bpkeys(*self.ops.bsmul(m, t, np.repeat(im, n, axis=0),
+                                               np.repeat(it, n)))
+        member = np.empty(len(conj), dtype=bool)
+        rows2 = np.repeat(on2, n)
+        for side, sel in ((1, ~rows2), (2, rows2)):
+            ks = self.kkeys[side]
+            pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
+            member[sel] = ks[pos] == conj[sel]
+        return np.flatnonzero(member.reshape(len(gids), n).all(axis=0))
 
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
         """The SmallGroup on the table elements of these packed keys, which
@@ -262,8 +299,7 @@ class CosetGraph:
         """Both directions of every edge as one sorted key src.nv + dst:
         indptr counts the sources, indices are the destinations."""
         nv = np.int64(self.nv)
-        u = self.edges[:, 0].astype(np.int64)
-        v = self.edges[:, 1].astype(np.int64) + self.n1
+        u, v = self._edge_ends()
         key = np.concatenate([u * nv + v, v * nv + u])
         del u, v
         key.sort()
@@ -292,6 +328,7 @@ def _arm(graph: CosetGraph) -> None:
             G = graph.base_stabilizer(side, group)
             graph.ksets[side, group] = bunpack(
                 np.array([x.key for x in G.sorted_elems()], dtype=np.uint64))
+        graph.kkeys[side] = bpack(*graph.ksets[side, "K"])
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
         graph.fkeys[side] = np.zeros(0, dtype=np.uint64)
         graph.korder[side] = np.zeros(0, dtype=np.int64)
@@ -355,7 +392,8 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 def _assert_base_edge(graph: CosetGraph) -> None:
     """x1 and x2 are adjacent, degrees are (4,3), and the conjugate
     K1^rep of x3 = K1.E has |K1| distinct elements, all fixing x3 under
-    the action; this pins the orientation and the stored representative."""
+    the action on fingerprints; this pins the orientation and the stored
+    representative (fixers, which reads only the rep, would not)."""
     ng = graph.ng
     x1, x2 = graph.base_x1, graph.base_x2
     if x2 not in graph.neighbors(x1):
@@ -367,7 +405,8 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     if x3 == x1 or graph.side_of(x3) != 1:
         raise AssertionError("K1.E did not land on a new side-1 vertex")
     keys = graph.stabilizer_keys(x3, "K")
-    if len(np.unique(keys)) != len(ng.K1) or len(graph.fixers(keys, [x3])) != len(keys):
+    images = graph.image_batch(np.full(len(keys), x3), keys)
+    if len(np.unique(keys)) != len(ng.K1) or (images != x3).any():
         raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
 
 
@@ -438,6 +477,8 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     edges = np.frombuffer(payload, "<u4", 2 * ne, 8 * (n1 + n2)).reshape(ne, 2).copy()
     if ne and (int(edges[:, 0].max()) >= n1 or int(edges[:, 1].max()) >= n2):
         raise CacheMismatch("edge id out of range")
+    if (np.diff(edges[:, 0].astype(np.int64) * (n1 + n2) + edges[:, 1]) <= 0).any():
+        raise CacheMismatch("edges are not in strictly ascending order")
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     for side, reps in ((1, reps1), (2, reps2)):
@@ -457,14 +498,13 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
 
 
 def export_edge_list(graph: CosetGraph, path: str) -> int:
-    """One "u v" line per edge in global ids, ascending; returns line count."""
-    u = graph.edges[:, 0].astype(np.int64)
-    v = graph.edges[:, 1].astype(np.int64) + graph.n1
-    order = np.lexsort((v, u))
+    """One "u v" line per edge in global ids, in the stored ascending
+    order; returns line count."""
+    u, v = graph._edge_ends()
     with open(path, "w") as f:
-        for i in order:
-            f.write(f"{u[i]} {v[i]}\n")
-    return len(order)
+        for a, b in zip(u.tolist(), v.tolist()):
+            f.write(f"{a} {b}\n")
+    return len(u)
 
 
 def _sparse6_size(n: int) -> bytes:
@@ -513,8 +553,7 @@ def sparse6_bytes(n: int, edges) -> bytes:
 
 def export_sparse6(graph: CosetGraph, path: str) -> int:
     """The graph in sparse6, global ids; returns the vertex count."""
-    u = graph.edges[:, 0].astype(np.int64)
-    v = graph.edges[:, 1].astype(np.int64) + graph.n1
+    u, v = graph._edge_ends()
     with open(path, "wb") as f:
         f.write(sparse6_bytes(graph.nv, np.stack([u, v], 1)))
     return graph.nv

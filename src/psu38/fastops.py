@@ -4,9 +4,10 @@ on packed element arrays.
 Element batches are (m,3,3) uint8 matrices plus (m,) uint8 twists.
 Packed keys are uint64 and agree bit for bit with psu.pack, so python
 Element objects and array rows interconvert freely.  Everything here is
-pure and deterministic.  The graph keys its vertices, and acts on them,
-by conj_fingerprints; coset_canon_keys is the exact canonical-form scan,
-kept as a test oracle.
+pure and deterministic.  The graph keys its vertices by conj_fingerprints
+and acts on them rowwise through it too; a whole-graph action goes through
+linear_conj_keys, the same keys by table lookups.  coset_canon_keys is the
+exact canonical-form scan, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from .gf64 import GF64
 U64 = np.uint64
 _W = (U64(64) ** np.arange(8, -1, -1, dtype=np.uint64)) * U64(8)
 KEY_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
+# bit offset of matrix entry j in a packed key
+_SHIFT = U64(3) + U64(6) * np.arange(8, -1, -1, dtype=np.uint64)
+# row j*64 + v: the matrix whose entry j is v and whose other entries are 0
+_UNITS = np.zeros((9, 64, 9), dtype=np.uint8)
+_UNITS[np.arange(9), :, np.arange(9)] = np.arange(64, dtype=np.uint8)
+_UNITS = _UNITS.reshape(576, 3, 3)
 
 
 def bpack(mats: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -144,3 +151,48 @@ def conj_fingerprints(
     im, it = ops.binv(am, at)
     cm, ct = ops.bsmul(*ops.bsmul(im, it, ym, yt), am, at)
     return np.minimum(ops.bpkeys(cm, ct), ops.bpkeys(*ops.binv(cm, ct)))
+
+
+def conj_tables(ops: FieldOps, xm, xt, twists) -> np.ndarray:
+    """Key tables of c -> x^-1 c x, x one element, for the elements c of
+    each twist in twists.  For a fixed twist this map, and c -> x^-1 c^-1 x
+    (binv is linear in the matrix), is GF(2)-linear in the 54 matrix bits
+    of c, and so is scaling by a projective scalar.  Row (i*9 + j)*64 + v
+    holds the images of the matrix with entry j equal to v and the rest 0,
+    of twist twists[i], as packed keys: 3 columns for the scalar multiples
+    of x^-1 c x, then 3 for x^-1 c^-1 x; the rows of entry 0 carry the
+    image twist.  A key of any c is then the XOR of 9 rows."""
+    ct = np.repeat(np.asarray(twists, dtype=np.uint8), 576)
+    cm = np.tile(_UNITS, (len(twists), 1, 1))
+    im, it = ops.binv(cm, ct)
+    xim, xit = ops.binv(xm, xt)
+    m, t = ops.bsmul(*ops.bsmul(xim, xit, np.concatenate([cm, im]),
+                                np.concatenate([ct, it])), xm, xt)
+    f = ops.field
+    scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
+    scaled = ops.MUL[scalars[None, :, None, None], m[:, None]].reshape(-1, 9)
+    keys = (scaled.astype(np.uint64) @ _W).reshape(len(m), 3)
+    keys += np.where(np.arange(len(m)) % 576 < 64, t, 0).astype(np.uint64)[:, None]
+    return np.concatenate(np.split(keys, 2), axis=1)
+
+
+def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray) -> np.ndarray:
+    """conj_fingerprints(ops, x, c) for one element x and every c packed
+    in ckeys: the least projective key of x^-1 c x and of its inverse, as
+    an XOR of 9 lookups in conj_tables per c (Albrecht, Bard and Hart,
+    Algorithm 898, ACM TOMS 37 (2010)).  One table set per twist present
+    in ckeys; no product and no inverse is taken per row."""
+    tw = (ckeys & U64(7)).astype(np.intp)
+    twists = np.flatnonzero(np.bincount(tw, minlength=8))
+    tables = conj_tables(ops, xm, xt, twists)
+    slot = np.zeros(8, dtype=np.intp)
+    slot[twists] = np.arange(len(twists)) * 576
+    base = slot[tw]
+    acc = np.zeros((len(ckeys), 6), dtype=np.uint64)
+    for j in range(9):
+        entry = ((ckeys >> _SHIFT[j]) & U64(63)).astype(np.intp)
+        acc ^= np.take(tables, base + (entry + 64 * j), axis=0)
+    best = acc[:, 0].copy()
+    for col in range(1, 6):  # faster than acc.min(axis=1) on 6 columns
+        np.minimum(best, acc[:, col], out=best)
+    return best

@@ -66,3 +66,19 @@ def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
     if graph.local_id(v) == 0:
         return graph.vertex_stabilizer(v, group)
     return group_from_keys(graph, graph.stabilizer_keys(v, group), f"{group}_v{v}")
+
+
+def perm_by_images(graph, x: PElement) -> np.ndarray:
+    """graph.perm(x) by one whole-graph image_batch (conj_fingerprints on
+    every vertex), uncached."""
+    return graph.image_batch(np.arange(graph.nv), x.key).astype(np.int32)
+
+
+def fixers_by_images(graph, keys, gids) -> np.ndarray:
+    """graph.fixers by resolving the image of every (vertex, element) pair
+    with one rowwise image_batch."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    gids = np.asarray(gids, dtype=np.int64)
+    img = graph.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
+    fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
+    return np.flatnonzero(fixed.all(axis=0))

@@ -15,7 +15,7 @@ from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
 from conftest import CACHE_DIR
-from oracles import group_from_keys, rep_element, vertex_stabilizer
+from oracles import fixers_by_images, group_from_keys, rep_element, vertex_stabilizer
 
 
 def test_arc_counts_match_valency_products(graph):
@@ -440,6 +440,28 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             assert c.eset <= q.eset
             r = rep_element(graph, v)
             assert {(r.inv() * x * r).key for x in bq.elems} == {x.key for x in q.elems}
+
+
+def test_fixers_equal_the_image_oracle(ctx, graph, ng):
+    """fixers by membership in K_side equals fixers by resolved images: on
+    the 12 deep vertices of sampled_vertex_checks, for their stabilizers
+    and for K2, at the vertex and at its neighbors, and along the paper
+    arc, for K and H."""
+    rng = np.random.default_rng(38)
+    rng.choice(graph.nv, size=100, replace=False)  # the wide sample
+    deep = rng.choice(graph.nv, size=12, replace=False)
+    k2 = np.array([x.key for x in ng.K2.elems], dtype=np.uint64)
+    arc = ctx.paper_arc()
+    for group in ("K", "H"):
+        for v in map(int, deep):
+            for keys in (graph.stabilizer_keys(v, group), k2):
+                for gids in ([v], graph.neighbors(v)):
+                    got = graph.fixers(keys, gids)
+                    assert np.array_equal(got, fixers_by_images(graph, keys, gids))
+        keys = graph.stabilizer_keys(int(arc[0]), group)
+        for i in range(1, len(arc) + 1):
+            got = graph.fixers(keys, arc[1:i])
+            assert len(got) and np.array_equal(got, fixers_by_images(graph, keys, arc[1:i]))
 
 
 def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):

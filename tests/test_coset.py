@@ -13,13 +13,20 @@ from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch
                          CosetGraph, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
                          sparse6_bytes, transversal)
-from psu38.fastops import bpack, bunpack, coset_canon_keys
+from psu38.fastops import (bpack, bunpack, conj_fingerprints, coset_canon_keys,
+                           linear_conj_keys)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
 
-from oracles import (coset_canon, element_from_key, rep_element, subgroup_arrays,
-                     vertex_stabilizer)
+from oracles import (coset_canon, element_from_key, fixers_by_images, perm_by_images,
+                     rep_element, subgroup_arrays, vertex_stabilizer)
+
+
+@pytest.fixture(scope="module")
+def graph43():
+    """The graph built under the modulus 0x43."""
+    return build_graph(named_groups(GF64(0b1000011)))
 
 
 def test_transversal_sizes(ng):
@@ -205,12 +212,38 @@ def test_action_by_fingerprints_equals_the_rep_product(graph, ng):
     assert np.array_equal(graph.image_batch(gids, keys), _old_image_batch(graph, gids, keys))
 
 
-def test_perm_is_int32_and_equals_image_batch(graph, ng):
-    for x in (ng.p["E"], ng.p["sigma"], ng.K2.elems[5]):
-        p = graph.perm(x)
-        assert p.dtype == np.int32
-        assert np.array_equal(p, graph.image_batch(np.arange(graph.nv), x.key))
-        assert graph.perm(x) is p  # cached
+def test_perm_is_int32_and_equals_image_batch(graph, graph43):
+    """Under two moduli, on every vertex, for A-F, sigma and random K1.K2
+    products: the table-lookup keys equal conj_fingerprints of the stored
+    fingerprint elements bit for bit, and perm equals the whole-graph
+    image_batch."""
+    for g, seed in ((graph, 1), (graph43, 2)):
+        ng = g.ng
+        rng = random.Random(seed)
+        els = [ng.p[n] for n in ("A", "B", "C", "D", "E", "F", "sigma")]
+        els += [rng.choice(ng.K1.elems) * rng.choice(ng.K2.elems) for _ in range(3)]
+        els += [ng.K2.elems[5]]
+        for x in els:
+            xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
+            for side in (1, 2):
+                fk = g.fkeys[side]
+                want = conj_fingerprints(g.ops, xm, xt, *bunpack(fk))
+                assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk), want)
+            p = g.perm(x)
+            assert p.dtype == np.int32
+            assert np.array_equal(p, perm_by_images(g, x))
+            assert g.perm(x) is p  # cached
+
+
+def test_perm_raises_on_an_unknown_image(graph, ng):
+    """A stored fingerprint element off by one bit conjugates to no
+    vertex's key."""
+    g = copy.copy(graph)
+    g.fkeys = {**graph.fkeys, 2: graph.fkeys[2].copy()}
+    g.fkeys[2][7] ^= np.uint64(8)
+    g._perm_cache = {}
+    with pytest.raises(AssertionError, match="not a known vertex"):
+        g.perm(ng.p["A"])
 
 
 def test_fixers_of_x1_in_K2_is_K12(graph, ng):
@@ -218,6 +251,7 @@ def test_fixers_of_x1_in_K2_is_K12(graph, ng):
     got = graph.fixers(keys, [graph.base_x1])
     assert np.all(np.diff(got) > 0)
     assert sorted(keys[got].tolist()) == sorted(x.key for x in ng.K12.elems)
+    assert np.array_equal(got, fixers_by_images(graph, keys, [graph.base_x1]))
     assert graph.fixers(keys, []).tolist() == list(range(len(keys)))
 
 
@@ -464,6 +498,17 @@ def test_cache_rejects_damaged_files(graph, tmp_path):
 
     _rewrite(fresh(), edit_payload=dup_rep)
     with pytest.raises(CacheMismatch, match="duplicate vertex keys"):
+        load_cache(path, graph.ng)
+
+    def swap_edges(payload):
+        off = 8 * (graph.n1 + graph.n2) + 8 * 1000
+        payload[off:off + 16] = payload[off + 8:off + 16] + payload[off:off + 8]
+        return payload
+
+    # the same edge set in another order would make is_graph_automorphism,
+    # which compares against the stored order, answer False
+    _rewrite(fresh(), edit_payload=swap_edges)
+    with pytest.raises(CacheMismatch, match="not in strictly ascending order"):
         load_cache(path, graph.ng)
     assert load_cache(fresh(), graph.ng).n1 == graph.n1
 

@@ -5,7 +5,7 @@ import pytest
 
 from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints,
-                           coset_canon_keys)
+                           coset_canon_keys, linear_conj_keys)
 from psu38.gf64 import GF64
 from psu38.psu import Element, PElement, make_generators
 
@@ -151,3 +151,16 @@ def test_fingerprint_invariance(f, ops, ng):
     moved = conj_fingerprints(ops, *to_arrays([s.el for s in shifted]), om, ot)
     fixed = np.repeat(conj_fingerprints(ops, pm, pt, om, ot), len(ng.K2.gens_list()))
     assert not np.array_equal(moved, fixed)
+
+
+def test_linear_conj_keys_match_conj_fingerprints(f, ops):
+    """On a batch of every twist, for several x with and without sigma,
+    the table lookups give conj_fingerprints' keys bit for bit."""
+    cs = random_elements(f, 400, seed=31)
+    ckeys = np.array([c.key for c in cs], dtype=np.uint64)
+    assert len(np.unique(ckeys & np.uint64(7))) == 6
+    for x in random_elements(f, 6, seed=32):
+        xm, xt = to_arrays([x])
+        want = conj_fingerprints(ops, xm, xt, *bunpack(ckeys))
+        assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys), want)
+        assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys[::7]), want[::7])

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from psu38 import arcs, harness
+from psu38 import arcs, coset, harness
 from psu38.gf64 import DEFAULT_MODULUS
 from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closure,
                            build_claims, factorization, format_report, main,
@@ -61,13 +61,23 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     """After named_groups, a warm run of the whole catalog multiplies table
     elements and Perms only: PElement.__mul__ is never called.  The same
     run gives every benchmarked claim the digest recorded in
-    perfbench/reference.json, and orbit_partition never sees more rows
-    than the 1,944 8-arcs at x2 (no pass over the edges)."""
+    perfbench/reference.json, orbit_partition never sees more rows
+    than the 1,944 8-arcs at x2 (no pass over the edges), and once the
+    graph is loaded conj_fingerprints sees only the rowwise image calls
+    of paper_arc and L3.9: perm and fixers do not resolve vertices."""
     workload = _perfbench_workload(monkeypatch)
     with open(workload.REFERENCE) as f:
         reference = json.load(f)[f"{DEFAULT_MODULUS:#x}"]
     ctx = VerifyContext(cache_dir=CACHE_DIR)
     ctx.ng
+    ctx.graph
+    fingerprint_rows = []
+    fingerprints = coset.conj_fingerprints
+
+    def counted_fingerprints(ops, am, at, ym, yt):
+        fingerprint_rows.append(max(len(at), len(yt)))
+        return fingerprints(ops, am, at, ym, yt)
+    monkeypatch.setattr(coset, "conj_fingerprints", counted_fingerprints)
     calls = []
     mul = PElement.__mul__
 
@@ -88,6 +98,9 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     assert rep["overall"]
     assert calls == []
     assert rows and max(rows) <= 1944
+    # paper_arc's 4 single images, then L3.9's 9 elements of the arc
+    # stabilizer at each of the 3 far ends
+    assert fingerprint_rows == [1, 1, 1, 1, 9, 9, 9]
     digests = {c["id"]: workload.claim_digest(c) for c in rep["claims"]
                if c["id"] not in workload.SKIPPED_CLAIMS}
     assert digests == reference
