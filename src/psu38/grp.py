@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
 from math import gcd
+from operator import itemgetter
 
 from .gf64 import GF64
 from .psu import PElement, pgenerators
@@ -33,6 +34,9 @@ class ClosureCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+_new = object.__new__
+
+
 class Perm:
     """Permutation of range(n); p*q applies p first, then q."""
 
@@ -42,8 +46,12 @@ class Perm:
         self.im = tuple(im)
 
     def __mul__(self, other: "Perm") -> "Perm":
-        oi = other.im
-        return Perm([oi[i] for i in self.im])
+        im = self.im
+        p = _new(Perm)
+        # itemgetter of one index returns a scalar, and of none raises
+        p.im = itemgetter(*im)(other.im) if len(im) > 1 else tuple(
+            other.im[i] for i in im)
+        return p
 
     def inv(self) -> "Perm":
         r = [0] * len(self.im)
@@ -236,6 +244,10 @@ class SmallGroup:
         self._classes: dict | None = None
         self._class_list: list | None = None
         self._sorted: list | None = None
+        self._refined: dict | None = None
+        self._by_refined: dict | None = None
+        # iso_check results with this group second, by the first's eset
+        self._iso: dict = {}
 
     # -- construction -----------------------------------------------------
 
@@ -293,11 +305,13 @@ class SmallGroup:
     def element_order(self, x) -> int:
         o = self._orders.get(x)
         if o is None:
-            r, o = x, 1
-            while r != self.identity:
-                r = r * x
-                o += 1
-            self._orders[x] = o
+            # x^k has order o / gcd(o, k): one walk orders all of <x>
+            pw = [x]
+            while pw[-1] != self.identity:
+                pw.append(pw[-1] * x)
+            o = len(pw)
+            for k, y in enumerate(pw, 1):
+                self._orders[y] = o // gcd(o, k)
         return o
 
     def order_profile(self) -> Counter:
@@ -498,9 +512,10 @@ class SmallGroup:
         if self._classes is None:
             cls = {}
             for c in self.conj_classes():
-                size = len(c)
+                # conjugates have one order: one label tuple per class
+                label = (self.element_order(next(iter(c))), len(c))
                 for x in c:
-                    cls[x] = (self.element_order(x), size)
+                    cls[x] = label
             self._classes = cls
         return self._classes
 
@@ -552,27 +567,45 @@ def direct_product(*groups: SmallGroup) -> SmallGroup:
 def _refined_invariants(G: SmallGroup) -> dict:
     """Per-element invariant labels: conjugacy class data sharpened by the
     labels of small powers, iterated to a fixed point.  Isomorphisms
-    preserve these labels, so they are safe candidate filters."""
-    inv = {}
+    preserve these labels, so they are safe candidate filters.  Cached;
+    the rounds run on lists by element index."""
+    if G._refined is not None:
+        return G._refined
+    cls = G.conj_class_invariants()
+    index = {g: i for i, g in enumerate(G.elems)}
+    sq, cu = [], []
     for g in G.elems:
-        o, s = G.conj_class_invariants()[g]
-        inv[g] = (o, s)
+        g2 = g * g
+        sq.append(index[g2])
+        cu.append(index[g2 * g])
+    lab = first = [cls[g] for g in G.elems]
     for _ in range(3):
-        nxt = {}
-        for g in G.elems:
-            g2 = g * g
-            g3 = g2 * g
-            nxt[g] = (inv[g], inv[g2], inv[g3])
+        nxt = [(a, lab[i], lab[k]) for a, i, k in zip(lab, sq, cu)]
         # compress labels to keep tuples small
-        labels = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
-        new = {g: labels[v] for g, v in nxt.items()}
-        if len(set(new.values())) == len(set(inv.values())):
+        labels = {v: i for i, v in enumerate(sorted(set(nxt)))}
+        new = [labels[v] for v in nxt]
+        if len(set(new)) == len(set(lab)):
             break
         # keep the original pair visible in the label for readability of
         # candidate filtering
-        inv = {g: (inv[g][0] if isinstance(inv[g], tuple) else inv[g], new[g])
-               for g in G.elems}
-    return inv
+        lab = [(a[0] if isinstance(a, tuple) else a, b) for a, b in zip(lab, new)]
+        # one tuple per distinct label, as the labels stay cached on G
+        distinct: dict = {}
+        lab = [distinct.setdefault(t, t) for t in lab]
+    G._refined = cls if lab is first else dict(zip(G.elems, lab))
+    return G._refined
+
+
+def _by_refined(G: SmallGroup) -> dict:
+    """Refined invariant label -> the elements with it, in sorted order.
+    Cached."""
+    if G._by_refined is None:
+        inv = _refined_invariants(G)
+        by: dict = {}
+        for h in G.sorted_elems():
+            by.setdefault(inv[h], []).append(h)
+        G._by_refined = by
+    return G._by_refined
 
 
 def iso_check(G1: SmallGroup, G2: SmallGroup, witness: bool = False):
@@ -583,20 +616,39 @@ def iso_check(G1: SmallGroup, G2: SmallGroup, witness: bool = False):
     choice dies at the scale of the subgroup generated so far rather
     than of the whole group.  Returns bool, or (bool, map) with
     witness=True.
+
+    The search reads G1 only through its element set, so what it finds
+    (None, or G1's generating sequence and the images of its generators
+    in G2) is kept on G2 under G1.eset: a later call with the same set and
+    G2 (the same reference group, asked again by another claim) reuses
+    it, and the memo goes when G2 does.  A witness map is built from the
+    images along G1's closure tree, as the search built it.
     """
-    result = _iso_search(G1, G2)
-    if witness:
-        return result is not None, result
-    return result is not None
+    memo = G2._iso
+    if G1.eset not in memo:
+        memo[G1.eset] = _iso_search(G1, G2)
+    found = memo[G1.eset]
+    if not witness:
+        return found is not None
+    if found is None:
+        return False, None
+    gens1, imgs = found
+    elems, parent, genidx, _ = _close(gens1, G1.identity)
+    m = [G2.identity]
+    for t in range(1, len(elems)):
+        m.append(m[parent[t]] * imgs[genidx[t]])
+    return True, dict(zip(elems, m))
 
 
 def _iso_search(G1: SmallGroup, G2: SmallGroup):
+    """None if G1 and G2 are not isomorphic, else a generating sequence of
+    G1 and the images of an isomorphism onto G2."""
     if len(G1) != len(G2):
         return None
     if G1.order_profile() != G2.order_profile():
         return None
     if len(G1) == 1:
-        return {G1.identity: G2.identity}
+        return [], []
     if G1.is_abelian() != G2.is_abelian():
         return None
     cls1 = G1.conj_class_invariants()
@@ -607,73 +659,71 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
     inv2 = _refined_invariants(G2)
     if Counter(inv1.values()) != Counter(inv2.values()):
         return None
-
-    by_inv2: dict = {}
-    for h in G2.sorted_elems():
-        by_inv2.setdefault(inv2[h], []).append(h)
+    by_inv2 = _by_refined(G2)
 
     # generating sequence of G1, greedily preferring elements with the
-    # fewest candidate images (ties broken canonically); G1's closure tree
-    # over it, whose span of gens1[:i+1] is the prefix elems[:ends[i+1]]
+    # fewest candidate images (ties broken canonically: the sort is
+    # stable); G1's closure tree over it, whose span of gens1[:i+1] is the
+    # prefix elems[:ends[i+1]].  Every label of G1 is one of G2's, as the
+    # label counts agree.
+    order = iter(sorted(G1.sorted_elems(), key=lambda g: len(by_inv2[inv1[g]])))
     gens1: list = []
     elems, ends = [G1.identity], [1]
     while len(elems) < len(G1):
         span = set(elems)
-        best = None
-        for g in G1.sorted_elems():
-            if g in span:
-                continue
-            k = len(by_inv2.get(inv1[g], ()))
-            if k == 0:
-                return None
-            if best is None or k < best[0]:
-                best = (k, g)
-        gens1.append(best[1])
+        gens1.append(next(g for g in order if g not in span))
         elems, parent, genidx, right = _close(gens1, G1.identity)
         ends.append(len(elems))
 
-    # Iterative DFS over candidate image tuples.  Composing a candidate
-    # isomorphism with an inner automorphism of G2 is free, so the first
-    # image ranges over one representative per conjugacy class, and
-    # deeper candidates are reduced to orbit representatives under the
-    # centralizer of the images already placed.  Pairwise product
-    # invariants prefilter.  A candidate h for gens1[i] maps the new part
-    # of the prefix along the tree, then must be injective and keep
-    # f(x g_j) = f(x) h_j for the new x and j <= i.  The old x with j = i
-    # are tree edges, and earlier depths checked the rest, so at the last
-    # depth every pair holds: that is the whole homomorphism test.
-    stack = [([G2.identity], [], G2.elems)]
-    while stack:
-        img, imgs, cent = stack.pop()
-        i = len(imgs)
-        if i == len(gens1):
-            return dict(zip(elems, img))
+    def candidates(i, imgs, cent):
+        """Images for gens1[i], one per orbit of cent (the centralizer of
+        imgs) in by_inv2 order, that pass the pairwise product invariants,
+        each with its centralizer in cent.  Lazy: an orbit is conjugated
+        only when the search reaches it."""
         g = gens1[i]
-        cands = []
         seen: set = set()
         cpairs = [(c.inv(), c) for c in cent]
         for h in by_inv2[inv1[g]]:
             if h in seen:
                 continue
-            orbit = {ci * h * c for ci, c in cpairs}
-            seen |= orbit
-            fits = True
-            for gj, hj in zip(gens1[:i], imgs):
-                if inv1[gj * g] != inv2[hj * h] or inv1[g * gj] != inv2[h * hj]:
-                    fits = False
-                    break
-            if fits:
-                cands.append(h)
+            # h's conjugates under cent: its orbit, and where they equal h,
+            # the centralizer of h in cent
+            conj = [ci * h * c for ci, c in cpairs]
+            seen.update(conj)
+            if all(inv1[gj * g] == inv2[hj * h] and inv1[g * gj] == inv2[h * hj]
+                   for gj, hj in zip(gens1, imgs)):
+                yield h, [c for c, y in zip(cent, conj) if y == h]
+
+    # Depth-first search over candidate image tuples, each depth's
+    # candidates generated only as the search reaches them.  Composing a
+    # candidate isomorphism with an inner automorphism of G2 is free, so
+    # the first image ranges over one representative per conjugacy class,
+    # and deeper candidates are reduced to orbit representatives under the
+    # centralizer of the images already placed.  A candidate h for
+    # gens1[i] maps the new part of the prefix along the tree, then must
+    # be injective and keep f(x g_j) = f(x) h_j for the new x and j <= i.
+    # The old x with j = i are tree edges, and earlier depths checked the
+    # rest, so at the last depth every pair holds: that is the whole
+    # homomorphism test.
+    stack = [([G2.identity], [], candidates(0, [], G2.elems))]
+    while stack:
+        img, imgs, cands = stack[-1]
+        found = next(cands, None)
+        if found is None:
+            stack.pop()
+            continue
+        h, cent = found
+        i = len(imgs)
         lo, hi = ends[i], ends[i + 1]
-        for h in reversed(cands):
-            hs = imgs + [h]
-            m = img + [None] * (hi - lo)
-            for t in range(lo, hi):
-                m[t] = m[parent[t]] * hs[genidx[t]]
-            if len(set(m)) == hi and all(m[right[j][x]] == m[x] * hs[j]
-                                         for x in range(lo, hi) for j in range(i + 1)):
-                newcent = [c for c in cent if c * h == h * c]
-                stack.append((m, hs, newcent))
+        hs = imgs + [h]
+        m = img + [None] * (hi - lo)
+        for t in range(lo, hi):
+            m[t] = m[parent[t]] * hs[genidx[t]]
+        if len(set(m)) == hi and all(m[right[j][x]] == m[x] * hs[j]
+                                     for x in range(lo, hi) for j in range(i + 1)):
+            if i + 1 == len(gens1):
+                return gens1, hs
+            stack.append((m, hs, candidates(i + 1, hs, cent)))
     return None
 
 

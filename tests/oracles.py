@@ -1,10 +1,12 @@
 """Test oracles: plain, direct computations that the program's fast paths
 are checked against.  psu38 itself uses none of them."""
 
+from collections import Counter
+
 import numpy as np
 
 from psu38.fastops import SubgroupArrays, bunpack, coset_canon_keys
-from psu38.grp import SmallGroup
+from psu38.grp import Perm, SmallGroup, _close
 from psu38.psu import Element, PElement
 
 
@@ -82,3 +84,126 @@ def fixers_by_images(graph, keys, gids) -> np.ndarray:
     img = graph.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
     fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
     return np.flatnonzero(fixed.all(axis=0))
+
+
+def perm_product(p: Perm, q: Perm) -> Perm:
+    """p * q (p first, then q) by a list of q's images along p."""
+    oi = q.im
+    return Perm([oi[i] for i in p.im])
+
+
+def refined_invariants(G: SmallGroup) -> dict:
+    """Per-element invariant labels: conjugacy class data sharpened by the
+    labels of small powers, iterated to a fixed point.  Isomorphisms
+    preserve these labels, so they are safe candidate filters.  Not
+    cached on G."""
+    inv = {}
+    for g in G.elems:
+        o, s = G.conj_class_invariants()[g]
+        inv[g] = (o, s)
+    for _ in range(3):
+        nxt = {}
+        for g in G.elems:
+            g2 = g * g
+            g3 = g2 * g
+            nxt[g] = (inv[g], inv[g2], inv[g3])
+        # compress labels to keep tuples small
+        labels = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
+        new = {g: labels[v] for g, v in nxt.items()}
+        if len(set(new.values())) == len(set(inv.values())):
+            break
+        # keep the original pair visible in the label for readability of
+        # candidate filtering
+        inv = {g: (inv[g][0] if isinstance(inv[g], tuple) else inv[g], new[g])
+               for g in G.elems}
+    return inv
+
+
+def iso_search(G1: SmallGroup, G2: SmallGroup):
+    """The isomorphism search of grp.iso_check with no memo and no cached
+    invariants, each orbit and centralizer by its own products: None, or
+    the isomorphism as a dict."""
+    if len(G1) != len(G2):
+        return None
+    if G1.order_profile() != G2.order_profile():
+        return None
+    if len(G1) == 1:
+        return {G1.identity: G2.identity}
+    if G1.is_abelian() != G2.is_abelian():
+        return None
+    cls1 = G1.conj_class_invariants()
+    cls2 = G2.conj_class_invariants()
+    if Counter(cls1.values()) != Counter(cls2.values()):
+        return None
+    inv1 = refined_invariants(G1)
+    inv2 = refined_invariants(G2)
+    if Counter(inv1.values()) != Counter(inv2.values()):
+        return None
+
+    by_inv2: dict = {}
+    for h in G2.sorted_elems():
+        by_inv2.setdefault(inv2[h], []).append(h)
+
+    # generating sequence of G1, greedily preferring elements with the
+    # fewest candidate images (ties broken canonically); G1's closure tree
+    # over it, whose span of gens1[:i+1] is the prefix elems[:ends[i+1]]
+    gens1: list = []
+    elems, ends = [G1.identity], [1]
+    while len(elems) < len(G1):
+        span = set(elems)
+        best = None
+        for g in G1.sorted_elems():
+            if g in span:
+                continue
+            k = len(by_inv2.get(inv1[g], ()))
+            if k == 0:
+                return None
+            if best is None or k < best[0]:
+                best = (k, g)
+        gens1.append(best[1])
+        elems, parent, genidx, right = _close(gens1, G1.identity)
+        ends.append(len(elems))
+
+    # Iterative DFS over candidate image tuples.  Composing a candidate
+    # isomorphism with an inner automorphism of G2 is free, so the first
+    # image ranges over one representative per conjugacy class, and
+    # deeper candidates are reduced to orbit representatives under the
+    # centralizer of the images already placed.  Pairwise product
+    # invariants prefilter.  A candidate h for gens1[i] maps the new part
+    # of the prefix along the tree, then must be injective and keep
+    # f(x g_j) = f(x) h_j for the new x and j <= i.  The old x with j = i
+    # are tree edges, and earlier depths checked the rest, so at the last
+    # depth every pair holds: that is the whole homomorphism test.
+    stack = [([G2.identity], [], G2.elems)]
+    while stack:
+        img, imgs, cent = stack.pop()
+        i = len(imgs)
+        if i == len(gens1):
+            return dict(zip(elems, img))
+        g = gens1[i]
+        cands = []
+        seen: set = set()
+        cpairs = [(c.inv(), c) for c in cent]
+        for h in by_inv2[inv1[g]]:
+            if h in seen:
+                continue
+            orbit = {ci * h * c for ci, c in cpairs}
+            seen |= orbit
+            fits = True
+            for gj, hj in zip(gens1[:i], imgs):
+                if inv1[gj * g] != inv2[hj * h] or inv1[g * gj] != inv2[h * hj]:
+                    fits = False
+                    break
+            if fits:
+                cands.append(h)
+        lo, hi = ends[i], ends[i + 1]
+        for h in reversed(cands):
+            hs = imgs + [h]
+            m = img + [None] * (hi - lo)
+            for t in range(lo, hi):
+                m[t] = m[parent[t]] * hs[genidx[t]]
+            if len(set(m)) == hi and all(m[right[j][x]] == m[x] * hs[j]
+                                         for x in range(lo, hi) for j in range(i + 1)):
+                newcent = [c for c in cent if c * h == h * c]
+                stack.append((m, hs, newcent))
+    return None

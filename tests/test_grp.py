@@ -10,6 +10,8 @@ from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
                        reference_groups, sym_group)
 from psu38.psu import PElement
 
+from oracles import perm_product
+
 
 def test_closure_orders(ng):
     assert len(ng.Q1) == 9
@@ -231,6 +233,39 @@ def test_perm_basics():
     assert (p * q).im == tuple(q.im[i] for i in p.im)
     assert p * p.inv() == Perm((0, 1, 2))
 
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 12, 30, 108])
+def test_perm_product_equals_the_list_product(n):
+    rng = random.Random(n)
+    perms = [Perm(rng.sample(range(n), n)) for _ in range(12)]
+    for p in perms:
+        for q in perms:
+            r = p * q
+            assert type(r) is Perm and type(r.im) is tuple
+            assert r == perm_product(p, q) and hash(r) == hash(perm_product(p, q))
+
+
+def test_degree_one_perms_generate_and_quotient(refs):
+    e = Perm((0,))
+    G = SmallGroup.generate([e])
+    assert G.elems == [e] and G.identity.im == (0,)
+    assert G.quotient(G).elems == [e]
+    # the quotient by the whole group acts on its one coset
+    for N in (refs["Sym4"], refs["AGL23S"]):
+        Q = N.quotient(N)
+        assert Q.elems == [e] and Q.gens_list() and iso_check(Q, G)
+
+
+def test_element_orders_equal_the_power_walk(ng, refs):
+    """element_order orders all of <x> from one walk; each order equals
+    the length of x's own walk back to the identity."""
+    for G in (refs["C3xAGL23"], refs["Dih18xC2"], ng.K12, ng.S):
+        G = SmallGroup(G.elems, G.gens, G.identity)
+        for x in G.elems:
+            r, o = x, 1
+            while r != G.identity:
+                r, o = r * x, o + 1
+            assert G.element_order(x) == o
 
 def test_sp2_model(refs):
     g = refs["SP2"]

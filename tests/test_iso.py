@@ -1,0 +1,157 @@
+"""iso_check against the search it replaced, on every pair that a warm run
+of the whole catalog asks, and the scope of its memo."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from psu38 import amalgam, grp, harness
+from psu38.grp import Perm, direct_product, iso_check, reference_groups
+from psu38.harness import VerifyContext, run_claims
+
+from conftest import CACHE_DIR
+from oracles import iso_search, refined_invariants
+
+# Perm products in one warm run of all 54 claims on a fresh context
+# (374,748 while every iso_check searched and a product built a list)
+CATALOG_PERM_PRODUCTS = 198_559
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    """One warm run of the whole catalog on a fresh context, recording
+    every iso_check call with its verdict, every search actually run and
+    the number of Perm products."""
+    calls, searches, products = [], [], [0]
+    iso, search, mul = grp.iso_check, grp._iso_search, Perm.__mul__
+
+    def recorded(G1, G2, witness=False):
+        ok = iso(G1, G2, witness)
+        calls.append((G1, G2, ok))
+        return ok
+
+    def counted_search(G1, G2):
+        searches.append((G1, G2))
+        return search(G1, G2)
+
+    def counted_mul(p, q):
+        products[0] += 1
+        return mul(p, q)
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (amalgam, harness):
+            mp.setattr(mod, "iso_check", recorded)
+        mp.setattr(grp, "_iso_search", counted_search)
+        mp.setattr(Perm, "__mul__", counted_mul)
+        ctx = VerifyContext(cache_dir=CACHE_DIR)
+        rep = run_claims(ctx)
+    assert rep["overall"]
+    return SimpleNamespace(ctx=ctx, calls=calls, searches=searches,
+                           products=products[0])
+
+
+def _distinct(pairs):
+    """One (G1, G2) per G1 element set and G2 object, first seen first."""
+    out = {}
+    for G1, G2, *_ in pairs:
+        out.setdefault((G1.eset, id(G2)), (G1, G2))
+    return list(out.values())
+
+
+def _assert_isomorphism(G1, G2, m):
+    """m is a bijection G1 -> G2 with m(x g) = m(x) m(g) for every x and
+    every generator g, so a homomorphism."""
+    assert set(m) == G1.eset and set(m.values()) == G2.eset
+    for g in G1.gens_list():
+        for x in G1.elems:
+            assert m[x * g] == m[x] * m[g]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The (G1, G2) of every search that iso_check runs from here on."""
+    ran = []
+    search = grp._iso_search
+
+    def counted(G1, G2):
+        ran.append((G1, G2))
+        return search(G1, G2)
+    monkeypatch.setattr(grp, "_iso_search", counted)
+    return ran
+
+
+def test_every_catalog_pair_agrees_with_the_old_search(catalog):
+    """The same verdict as the search without memo or cached invariants,
+    on the first call and on every memo hit, and with witness=True the
+    same map, a bijective homomorphism."""
+    assert len(catalog.calls) == 47
+    for G1, G2, ok in catalog.calls:
+        assert ok == (iso_search(G1, G2) is not None)
+    for G1, G2 in _distinct(catalog.calls):
+        want = iso_search(G1, G2)
+        ok, m = iso_check(G1, G2, witness=True)
+        assert ok == (want is not None) and m == want
+        if ok:
+            _assert_isomorphism(G1, G2, m)
+
+
+def test_cached_invariants_equal_the_uncached_ones(catalog):
+    groups = {id(G): G for G1, G2, _ in catalog.calls for G in (G1, G2)}
+    for G in groups.values():
+        assert G.conj_class_invariants() == {
+            x: (G.element_order(x), len(c)) for c in G.conj_classes() for x in c}
+        inv = refined_invariants(G)
+        assert grp._refined_invariants(G) == inv
+        by: dict = {}
+        for h in G.sorted_elems():
+            by.setdefault(inv[h], []).append(h)
+        assert grp._by_refined(G) == by
+
+
+def test_one_search_per_distinct_pair_in_a_catalog_run(catalog):
+    distinct = _distinct(catalog.calls)
+    assert len(catalog.searches) == len(distinct) < len(catalog.calls)
+    assert [(G1.eset, G2) for G1, G2 in catalog.searches] == [
+        (G1.eset, G2) for G1, G2 in distinct]
+
+
+def test_memo_goes_with_the_reference_groups(catalog, searches):
+    """A pair the catalog asked is not searched again on its context, but
+    is on fresh reference groups and on a fresh context."""
+    ctx = catalog.ctx
+    H1 = ctx.ng.H1
+    assert iso_check(H1, ctx.refs["AGL23"]) and searches == []
+    refs = reference_groups()
+    assert refs["AGL23"] is not ctx.refs["AGL23"] and refs["AGL23"]._iso == {}
+    assert iso_check(H1, refs["AGL23"]) and len(searches) == 1
+    assert iso_check(H1, refs["AGL23"]) and len(searches) == 1
+    fresh = VerifyContext(cache_dir=CACHE_DIR)
+    assert iso_check(H1, fresh.refs["AGL23"]) and len(searches) == 2
+
+
+def test_witness_from_a_memo_hit_is_the_first_map(ng, searches):
+    refs = reference_groups()
+    first = iso_check(ng.K12, refs["C3xAGL23S"], witness=True)
+    again = iso_check(ng.K12, refs["C3xAGL23S"], witness=True)
+    assert first[0] and first == again and first[1] is not again[1]
+    assert iso_check(ng.K12, refs["C3xAGL23S"]) and len(searches) == 1
+    assert first[1] == iso_search(ng.K12, refs["C3xAGL23S"])
+
+
+def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
+    refs = reference_groups()
+    pairs = [(refs["AGL23S_sharp"], refs["AGL23S_star"]),
+             (refs["C9"], refs["C3xC3"]),
+             (refs["Dih18"], direct_product(refs["C3"], refs["Sym3"])),
+             (refs["SP2"], refs["E27"])]
+    for G1, G2 in pairs:
+        assert iso_search(G1, G2) is None
+        assert iso_check(G1, G2) is False
+        assert iso_check(G1, G2) is False
+        assert iso_check(G1, G2, witness=True) == (False, None)
+    assert len(searches) == len(pairs)
+
+
+def test_catalog_perm_products_are_pinned(catalog):
+    """The count repeats exactly for a fixed modulus; a change to it is a
+    change in the group engine's work and should be explained."""
+    assert catalog.products == CATALOG_PERM_PRODUCTS
