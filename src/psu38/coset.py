@@ -390,16 +390,18 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
 
 def _assert_base_edge(graph: CosetGraph) -> None:
-    """x1 and x2 are adjacent, degrees are (4,3), and the conjugate
-    K1^rep of x3 = K1.E has |K1| distinct elements, all fixing x3 under
-    the action on fingerprints; this pins the orientation and the stored
-    representative (fixers, which reads only the rep, would not)."""
+    """Every side-1 vertex has degree 4 and every side-2 vertex degree 3,
+    x1 and x2 are adjacent, and the conjugate K1^rep of x3 = K1.E has
+    |K1| distinct elements, all fixing x3 under the action on
+    fingerprints; this pins the orientation and the stored representative
+    (fixers, which reads only the rep, would not)."""
     ng = graph.ng
     x1, x2 = graph.base_x1, graph.base_x2
+    deg = np.diff(graph.indptr)
+    if (deg[:graph.n1] != 4).any() or (deg[graph.n1:] != 3).any():
+        raise AssertionError("degrees are not 4 on side 1 and 3 on side 2")
     if x2 not in graph.neighbors(x1):
         raise AssertionError("base vertices are not adjacent")
-    if graph.degree(x1) != 4 or graph.degree(x2) != 3:
-        raise AssertionError("base degrees are not (4,3)")
     E = ng.p["E"]
     x3 = graph.image(x1, E)
     if x3 == x1 or graph.side_of(x3) != 1:
@@ -447,8 +449,10 @@ def save_cache(graph: CosetGraph, path: str) -> None:
 
 def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     """Load and check a cache; any defect of the file is a CacheMismatch.
-    The payload is read through a view of the file bytes, and only the
-    edges are copied out of it, so the bytes are freed once it returns."""
+    A loaded graph passes the checks a built one does: distinct vertex
+    keys, and the degrees and base edge of _assert_base_edge.  The payload
+    is read through a view of the file bytes, and only the edges are
+    copied out of it, so the bytes are freed once it returns."""
     with open(path, "rb") as f:
         data = memoryview(f.read())
     if data[:len(CACHE_MAGIC)] != CACHE_MAGIC:
@@ -483,13 +487,14 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     _arm(graph)
     for side, reps in ((1, reps1), (2, reps2)):
         graph._register(side, reps, graph._keys(side, *bunpack(reps)))
-    try:
-        graph._check_keys()
-    except AssertionError as e:
-        raise CacheMismatch(str(e)) from None
     graph.edges = edges
     graph.n1, graph.n2 = int(n1), int(n2)
     graph._build_csr()
+    try:
+        graph._check_keys()
+        _assert_base_edge(graph)
+    except AssertionError as e:
+        raise CacheMismatch(str(e)) from None
     return graph
 
 

@@ -185,6 +185,22 @@ def _close(gens, identity, cap=None):
     return elems, parent, genidx, right
 
 
+def _greedy(cands, identity):
+    """The greedy generating sequence of cands: each candidate outside the
+    span of those kept before it.  That is exactly what _close keeps when
+    given every candidate in order, so one closure returns the kept
+    candidates gens, its tree (elems, parent, genidx, right) with genidx
+    and right renumbered to gens, and ends, where elems[:ends[i]] is the
+    span of gens[:i]."""
+    elems, parent, genidx, right = _close(cands, identity)
+    pos = {gi: k for k, gi in enumerate(right)}
+    gens = [cands[gi] for gi in right]
+    # the coset span.g starts with g = elems[0] * g
+    ends = [row[0] for row in right.values()] + [len(elems)]
+    genidx = [-1] + [pos[gi] for gi in genidx[1:]]
+    return gens, ends, (elems, parent, genidx, dict(enumerate(right.values())))
+
+
 def _conj_orbit(seeds, gens, on_sets=False):
     """The orbit of the seeds under conjugation x -> g^-1 x g by the group
     that gens generate, yielded in discovery order; with on_sets=True the
@@ -314,9 +330,6 @@ class SmallGroup:
                 self._orders[y] = o // gcd(o, k)
         return o
 
-    def order_profile(self) -> Counter:
-        return Counter(self.element_order(x) for x in self.elems)
-
     def exponent(self) -> int:
         e = 1
         for x in self.elems:
@@ -331,20 +344,15 @@ class SmallGroup:
 
     def generating_set(self) -> list:
         """Small deterministic generating set: greedy over elements sorted
-        by decreasing order."""
+        by decreasing order.  The span holds every element, so it is the
+        element set exactly when the sizes agree."""
         if len(self.elems) == 1:
             return [self.identity]
         cand = sorted(self.elems, key=lambda x: (-self.element_order(x), x))
-        gens: list = []
-        span = {self.identity}
-        for x in cand:
-            if x in span:
-                continue
-            gens.append(x)
-            span = set(_close(gens, self.identity)[0])
-            if len(span) == len(self.elems):
-                return gens
-        raise AssertionError("element set is not closed under multiplication")
+        gens, ends, _ = _greedy(cand, self.identity)
+        if ends[-1] != len(self.elems):
+            raise AssertionError("element set is not closed under multiplication")
+        return gens
 
     # -- predicates ---------------------------------------------------
 
@@ -455,27 +463,22 @@ class SmallGroup:
     def sylow(self, p: int) -> "SmallGroup":
         """One Sylow p-subgroup, grown greedily inside successive
         normalizers; deterministic because candidates are scanned in
-        sorted order."""
-        n = len(self.elems)
-        target = p ** _pval(n, p)
+        sorted order.  An x of p-power order outside P that normalizes P
+        makes P<x> a p-group larger than P.  Orders in G divide |G|, so a
+        p-power is an order (or a subgroup's size) that divides target."""
+        target = p ** _pval(len(self.elems), p)
         P = self.subgroup([self.identity])
         pgens: list = []
         while len(P) < target:
             N = self.normalizer(P) if pgens else self
-            grown = False
-            for x in N.sorted_elems():
-                if x in P.eset:
-                    continue
-                o = self.element_order(x)
-                if o == p ** _pval(o, p) and o > 1:
-                    cand = _close(pgens + [x], self.identity)[0]
-                    if len(cand) % p == 0 and len(cand) == p ** _pval(len(cand), p):
-                        pgens.append(x)
-                        P = self.subgroup(cand)
-                        grown = True
-                        break
-            if not grown:
+            x = next((x for x in N.sorted_elems()
+                      if x not in P.eset and target % self.element_order(x) == 0), None)
+            if x is None:
                 raise AssertionError("sylow growth stalled")
+            pgens.append(x)
+            P = self.subgroup(_close(pgens, self.identity)[0])
+            if target % len(P):
+                raise AssertionError("P<x> is not a p-group")
         return P
 
     def p_core(self, p: int) -> "SmallGroup":
@@ -645,35 +648,20 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
     G1 and the images of an isomorphism onto G2."""
     if len(G1) != len(G2):
         return None
-    if G1.order_profile() != G2.order_profile():
-        return None
     if len(G1) == 1:
         return [], []
-    if G1.is_abelian() != G2.is_abelian():
-        return None
-    cls1 = G1.conj_class_invariants()
-    cls2 = G2.conj_class_invariants()
-    if Counter(cls1.values()) != Counter(cls2.values()):
-        return None
     inv1 = _refined_invariants(G1)
     inv2 = _refined_invariants(G2)
     if Counter(inv1.values()) != Counter(inv2.values()):
         return None
     by_inv2 = _by_refined(G2)
 
-    # generating sequence of G1, greedily preferring elements with the
+    # greedy generating sequence of G1, preferring elements with the
     # fewest candidate images (ties broken canonically: the sort is
-    # stable); G1's closure tree over it, whose span of gens1[:i+1] is the
-    # prefix elems[:ends[i+1]].  Every label of G1 is one of G2's, as the
-    # label counts agree.
-    order = iter(sorted(G1.sorted_elems(), key=lambda g: len(by_inv2[inv1[g]])))
-    gens1: list = []
-    elems, ends = [G1.identity], [1]
-    while len(elems) < len(G1):
-        span = set(elems)
-        gens1.append(next(g for g in order if g not in span))
-        elems, parent, genidx, right = _close(gens1, G1.identity)
-        ends.append(len(elems))
+    # stable), with G1's closure tree over it.  Every label of G1 is one
+    # of G2's, as the label counts agree.
+    gens1, ends, (_, parent, genidx, right) = _greedy(
+        sorted(G1.sorted_elems(), key=lambda g: len(by_inv2[inv1[g]])), G1.identity)
 
     def candidates(i, imgs, cent):
         """Images for gens1[i], one per orbit of cent (the centralizer of

@@ -230,7 +230,6 @@ class Claim:
     statement: str
     groups: tuple
     fn: object
-    info_only: bool = False
 
 
 def _named(ng, names) -> list:
@@ -246,27 +245,12 @@ def _gen_closure(ng, names) -> SmallGroup:
     return SmallGroup.generate(_named(ng, names), name="<" + ",".join(names) + ">")
 
 
-def _split_shape(ctx, G, N, quot_ref: str) -> dict:
-    """N normal in G, quotient iso to the named reference, complement
-    search verdict."""
-    refs = ctx.refs
-    q = G.quotient(N)
-    split, comp = is_split_extension(G, N, witness=True)
-    return {
-        "order": len(G),
-        "normal": G.is_normal(N),
-        "quotient_iso": iso_check(q, refs[quot_ref]),
-        "split": bool(split),
-        "complement_order": len(comp) if comp else None,
-    }
-
-
 def build_claims() -> list[Claim]:
     cl: list[Claim] = []
 
-    def claim(id, statement, groups=("H", "K"), info_only=False):
+    def claim(id, statement, groups=("H", "K")):
         def deco(fn):
-            cl.append(Claim(id, statement, groups, fn, info_only))
+            cl.append(Claim(id, statement, groups, fn))
             return fn
         return deco
 
@@ -485,29 +469,28 @@ def build_claims() -> list[Claim]:
         return ok, {"normalizes_Qstar": n0, "Fsigma3_trivial": fs3_trivial,
                     "induced_order": len(induced)}
 
-    @claim("L3.4.iv", "|H2| = 324, Q2 is normal with H2/Q2 = AGL_1(3) x C2, "
-                      "and H2/Z(Q2) = AGL_2(3,S), extension over Q2 recorded")
-    def l34iv(ctx):
-        ng = ctx.ng
-        d = _split_shape(ctx, ng.H2, ng.Q2, "C2xAGL13")
-        zq = ng.H2.subgroup(ng.Q2.center().eset)
-        q2 = ng.H2.quotient(zq)
-        d["H2/Z(Q2)_iso_AGL23S"] = iso_check(q2, ctx.refs["AGL23S"])
-        ok = (d["order"] == 324 and d["normal"] and d["quotient_iso"]
-              and d["H2/Z(Q2)_iso_AGL23S"])
-        return ok, d
+    def l34_shape(g, n, order):
+        """|G| = order, N normal in G with G/N = AGL_1(3) x C2, the
+        complement search verdict, and G/Z(N) = AGL_2(3,S), for the named
+        groups G = ng.<g> and N = ng.<n>."""
+        def body(ctx):
+            G, N, refs = getattr(ctx.ng, g), getattr(ctx.ng, n), ctx.refs
+            q = G.quotient(N)
+            split, comp = is_split_extension(G, N, witness=True)
+            d = {"order": len(G), "normal": G.is_normal(N),
+                 "quotient_iso": iso_check(q, refs["C2xAGL13"]),
+                 "split": bool(split),
+                 "complement_order": len(comp) if comp else None}
+            key = f"{G.name}/Z({N.name})_iso_AGL23S"
+            d[key] = iso_check(G.quotient(G.subgroup(N.center().eset)), refs["AGL23S"])
+            return d["order"] == order and d["normal"] and d["quotient_iso"] and d[key], d
+        return body
 
-    @claim("L3.4.v", "|K2| = 972, Qh2 is normal with K2/Qh2 = AGL_1(3) x C2, "
-                     "and K2/Z(Qh2) = AGL_2(3,S)")
-    def l34v(ctx):
-        ng = ctx.ng
-        d = _split_shape(ctx, ng.K2, ng.Qh2, "C2xAGL13")
-        zq = ng.K2.subgroup(ng.Qh2.center().eset)
-        q2 = ng.K2.quotient(zq)
-        d["K2/Z(Qh2)_iso_AGL23S"] = iso_check(q2, ctx.refs["AGL23S"])
-        ok = (d["order"] == 972 and d["normal"] and d["quotient_iso"]
-              and d["K2/Z(Qh2)_iso_AGL23S"])
-        return ok, d
+    claim("L3.4.iv", "|H2| = 324, Q2 is normal with H2/Q2 = AGL_1(3) x C2, "
+                     "and H2/Z(Q2) = AGL_2(3,S), extension over Q2 recorded"
+          )(l34_shape("H2", "Q2", 324))
+    claim("L3.4.v", "|K2| = 972, Qh2 is normal with K2/Qh2 = AGL_1(3) x C2, "
+                    "and K2/Z(Qh2) = AGL_2(3,S)")(l34_shape("K2", "Qh2", 972))
 
     @claim("L3.5.i", "H1 n H2 = <A,B,C,F,sigma^3> of order 108, isomorphic "
                      "to AGL_2(3,S); the edge-transitive H count gives "
@@ -805,27 +788,21 @@ def build_claims() -> list[Claim]:
         d["W2_predicates"] = sp
         return ok, d
 
-    @claim("T1.2.iii", "Wh1 = O_3(K_{x1}^[1]) = W1 x C3 and the K_{x1} "
-                       "kernel chain matches", ("K",))
-    def t12iii(ctx):
-        ok1, d = _kernel_claim(ctx, "K", 1)
-        w1 = ctx.kern("H", 1).o3
-        wh1 = ctx.kern("K", 1).o3
-        dp = direct_product(_regular(w1), ctx.refs["C3"])
-        ok = ok1 and iso_check(wh1, dp)
-        d["Wh1_iso_W1xC3"] = bool(ok)
-        return ok, d
+    def t12_wh(side):
+        """Wh = O_3(K_x^[1]) = W x C3, with W = O_3(H_x^[1]), and the K_x
+        kernel chain matches, at the base vertex of this side."""
+        def body(ctx):
+            ok1, d = _kernel_claim(ctx, "K", side)
+            dp = direct_product(_regular(ctx.kern("H", side).o3), ctx.refs["C3"])
+            ok = ok1 and iso_check(ctx.kern("K", side).o3, dp)
+            d[f"Wh{side}_iso_W{side}xC3"] = bool(ok)
+            return ok, d
+        return body
 
-    @claim("T1.2.iv", "Wh2 = O_3(K_{x2}^[1]) = W2 x C3 and the K_{x2} "
-                      "kernel chain matches", ("K",))
-    def t12iv(ctx):
-        ok1, d = _kernel_claim(ctx, "K", 2)
-        w2 = ctx.kern("H", 2).o3
-        wh2 = ctx.kern("K", 2).o3
-        dp = direct_product(_regular(w2), ctx.refs["C3"])
-        ok = ok1 and iso_check(wh2, dp)
-        d["Wh2_iso_W2xC3"] = bool(ok)
-        return ok, d
+    claim("T1.2.iii", "Wh1 = O_3(K_{x1}^[1]) = W1 x C3 and the K_{x1} "
+                      "kernel chain matches", ("K",))(t12_wh(1))
+    claim("T1.2.iv", "Wh2 = O_3(K_{x2}^[1]) = W2 x C3 and the K_{x2} "
+                     "kernel chain matches", ("K",))(t12_wh(2))
 
     @claim("NS.1", "at least one of the four extensions G_z over "
                    "O_3(G_z^[1]) is non-split (exhaustive complement search)")
@@ -850,8 +827,7 @@ def build_claims() -> list[Claim]:
 
     @claim("AMB.1", "definition-text note: the shape definition is titled "
                     "with ASL_2(3,S) but its body conditions use "
-                    "AGL_2(3,S); the body conditions are what is checked",
-           info_only=True)
+                    "AGL_2(3,S); the body conditions are what is checked")
     def amb1(ctx):
         return None, {"used": "AGL2(3,S) body conditions"}
 
@@ -1030,7 +1006,7 @@ def run_claims(ctx: VerifyContext, group: str = "both",
         dt = time.time() - t0
         if verdict == "error":
             overall = False
-        elif c.info_only or ok is None:
+        elif ok is None:
             verdict = "info"
         else:
             verdict = "pass" if ok else "fail"

@@ -92,6 +92,52 @@ def perm_product(p: Perm, q: Perm) -> Perm:
     return Perm([oi[i] for i in p.im])
 
 
+def order_profile(G: SmallGroup) -> Counter:
+    """How many elements of G have each order."""
+    return Counter(G.element_order(x) for x in G.elems)
+
+
+def greedy_prefixes(cands, identity):
+    """The greedy generating sequence of cands (each candidate outside the
+    span of those taken before it) by closing every prefix from scratch:
+    the sequence, the span sizes ends (ends[i] = |<gens[:i]>|) and the
+    closure tree of the whole sequence."""
+    gens, ends = [], [1]
+    tree = ([identity], [0], [-1], {})
+    span = {identity}
+    for x in cands:
+        if x in span:
+            continue
+        gens.append(x)
+        tree = _close(gens, identity)
+        span = set(tree[0])
+        ends.append(len(span))
+    return gens, ends, tree
+
+
+def generating_set(G: SmallGroup) -> list:
+    """SmallGroup.generating_set by closing each prefix: greedy over the
+    elements by decreasing order."""
+    if len(G) == 1:
+        return [G.identity]
+    cand = sorted(G.elems, key=lambda x: (-G.element_order(x), x))
+    gens, ends, _ = greedy_prefixes(cand, G.identity)
+    if ends[-1] != len(G):
+        raise AssertionError("element set is not closed under multiplication")
+    return gens
+
+
+def iso_generators(G1: SmallGroup, G2: SmallGroup):
+    """The generating sequence of G1 that the isomorphism search onto G2
+    takes, with its ends and tree as greedy_prefixes gives them: greedy,
+    preferring elements with the fewest candidate images (ties broken
+    canonically)."""
+    inv1, inv2 = refined_invariants(G1), refined_invariants(G2)
+    images = Counter(inv2.values())
+    cands = sorted(G1.sorted_elems(), key=lambda g: images[inv1[g]])
+    return greedy_prefixes(cands, G1.identity)
+
+
 def refined_invariants(G: SmallGroup) -> dict:
     """Per-element invariant labels: conjugacy class data sharpened by the
     labels of small powers, iterated to a fixed point.  Isomorphisms
@@ -125,7 +171,7 @@ def iso_search(G1: SmallGroup, G2: SmallGroup):
     the isomorphism as a dict."""
     if len(G1) != len(G2):
         return None
-    if G1.order_profile() != G2.order_profile():
+    if order_profile(G1) != order_profile(G2):
         return None
     if len(G1) == 1:
         return {G1.identity: G2.identity}
@@ -144,25 +190,9 @@ def iso_search(G1: SmallGroup, G2: SmallGroup):
     for h in G2.sorted_elems():
         by_inv2.setdefault(inv2[h], []).append(h)
 
-    # generating sequence of G1, greedily preferring elements with the
-    # fewest candidate images (ties broken canonically); G1's closure tree
-    # over it, whose span of gens1[:i+1] is the prefix elems[:ends[i+1]]
-    gens1: list = []
-    elems, ends = [G1.identity], [1]
-    while len(elems) < len(G1):
-        span = set(elems)
-        best = None
-        for g in G1.sorted_elems():
-            if g in span:
-                continue
-            k = len(by_inv2.get(inv1[g], ()))
-            if k == 0:
-                return None
-            if best is None or k < best[0]:
-                best = (k, g)
-        gens1.append(best[1])
-        elems, parent, genidx, right = _close(gens1, G1.identity)
-        ends.append(len(elems))
+    # G1's closure tree over its generating sequence, whose span of
+    # gens1[:i+1] is the prefix elems[:ends[i+1]]
+    gens1, ends, (elems, parent, genidx, right) = iso_generators(G1, G2)
 
     # Iterative DFS over candidate image tuples.  Composing a candidate
     # isomorphism with an inner automorphism of G2 is free, so the first

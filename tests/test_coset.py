@@ -513,6 +513,35 @@ def test_cache_rejects_damaged_files(graph, tmp_path):
     assert load_cache(fresh(), graph.ng).n1 == graph.n1
 
 
+def _save_with_edges(graph, path, edit):
+    """save_cache of graph with its edges edited: a file whose header,
+    digest and edge order are all valid."""
+    g = copy.copy(graph)
+    g.edges = graph.edges.copy()
+    edit(g.edges)
+    save_cache(g, path)
+    return path
+
+
+def test_cache_with_a_valid_digest_but_wrong_edges_is_rejected(graph, tmp_path):
+    """A loaded graph is pinned like a built one.  Moving x1's four edges
+    from side-2 vertices 0..3 to 1..4 leaves x2 with degree 2; moving the
+    last edge one vertex on changes two degrees far from the base edge."""
+    assert graph.edges[:4].tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
+    path = str(tmp_path / "g.psu38")
+
+    def shift_base(edges):
+        edges[:4, 1] += 1
+
+    def shift_last(edges):
+        edges[-1, 1] += 1
+    for edit in (shift_base, shift_last):
+        _save_with_edges(graph, path, edit)
+        with pytest.raises(CacheMismatch, match="degrees are not 4 on side 1 and 3"):
+            load_cache(path, graph.ng)
+    assert load_cache(_save_with_edges(graph, path, lambda e: None), graph.ng).n1 == graph.n1
+
+
 def test_save_cache_removes_its_temp_file_on_failure(graph, tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
-                       _close, _lambda_subgroups, cyclic_group, dihedral_18,
+                       _close, _greedy, _lambda_subgroups, cyclic_group, dihedral_18,
                        direct_product, is_split_extension, iso_check,
                        reference_groups, sym_group)
 from psu38.psu import PElement
 
-from oracles import perm_product
+from oracles import greedy_prefixes, perm_product
 
 
 def test_closure_orders(ng):
@@ -420,6 +420,24 @@ def test_generating_set_roundtrip(ng):
         H = SmallGroup.generate(gens)
         assert H.eset == G.eset
         assert len(gens) <= 6
+
+
+def test_greedy_is_the_prefix_loop_in_one_closure(ng, refs):
+    """_greedy keeps each candidate outside the span of those before it,
+    with the span ends and tree of closing every prefix, also over
+    redundant and repeated candidates."""
+    for G in (ng.Q2, ng.H12, refs["AGL23S"], refs["Sym4"]):
+        els = G.sorted_elems()
+        for cands in (els, els[::-1], G.gens_list() * 2):
+            assert _greedy(cands, G.identity) == greedy_prefixes(cands, G.identity)
+
+
+def test_generating_set_rejects_an_unclosed_set(refs):
+    S4 = refs["Sym4"]
+    G = SmallGroup.from_set(S4.sorted_elems()[:5], S4.identity)
+    assert len(G) == 5
+    with pytest.raises(AssertionError, match="not closed under multiplication"):
+        G.generating_set()
 
 
 def _plain(x) -> PElement:

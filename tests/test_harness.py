@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -5,10 +6,11 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from psu38 import arcs, coset, harness
-from psu38.gf64 import DEFAULT_MODULUS
+from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS
 from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closure,
                            build_claims, factorization, format_report, main,
                            run_claims)
@@ -57,6 +59,17 @@ def _perfbench_workload(monkeypatch):
     return mod
 
 
+def _assert_reference_digests(monkeypatch, rep):
+    """Every benchmarked claim of the report has the digest recorded in
+    perfbench/reference.json for the report's modulus."""
+    workload = _perfbench_workload(monkeypatch)
+    with open(workload.REFERENCE) as f:
+        reference = json.load(f)[f"{rep['environment']['modulus']:#x}"]
+    digests = {c["id"]: workload.claim_digest(c) for c in rep["claims"]
+               if c["id"] not in workload.SKIPPED_CLAIMS}
+    assert digests == reference
+
+
 def test_full_catalog_makes_no_pelement_products(monkeypatch):
     """After named_groups, a warm run of the whole catalog multiplies table
     elements and Perms only: PElement.__mul__ is never called.  The same
@@ -65,9 +78,6 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     than the 1,944 8-arcs at x2 (no pass over the edges), and once the
     graph is loaded conj_fingerprints sees only the rowwise image calls
     of paper_arc and L3.9: perm and fixers do not resolve vertices."""
-    workload = _perfbench_workload(monkeypatch)
-    with open(workload.REFERENCE) as f:
-        reference = json.load(f)[f"{DEFAULT_MODULUS:#x}"]
     ctx = VerifyContext(cache_dir=CACHE_DIR)
     ctx.ng
     ctx.graph
@@ -101,9 +111,17 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     # paper_arc's 4 single images, then L3.9's 9 elements of the arc
     # stabilizer at each of the 3 far ends
     assert fingerprint_rows == [1, 1, 1, 1, 9, 9, 9]
-    digests = {c["id"]: workload.claim_digest(c) for c in rep["claims"]
-               if c["id"] not in workload.SKIPPED_CLAIMS}
-    assert digests == reference
+    assert rep["environment"]["modulus"] == DEFAULT_MODULUS
+    _assert_reference_digests(monkeypatch, rep)
+
+
+def test_alt_modulus_claim_digests_match_the_reference(monkeypatch):
+    """The same read-only digest comparison under the alternate modulus
+    0x43, so a witness change there fails here and not only in the
+    benchmark."""
+    rep = run_claims(VerifyContext(modulus=ALT_MODULI[0], cache_dir=CACHE_DIR))
+    assert rep["overall"] and rep["environment"]["modulus"] == 0x43
+    _assert_reference_digests(monkeypatch, rep)
 
 
 def test_group_filtering(ctx):
@@ -123,7 +141,8 @@ def test_claim_filter_prefix(ctx):
 def test_report_schema(ctx):
     rep = run_claims(ctx, claim_filter="FLD,SU,CONV,RG,AMB")
     jsonschema.validate(rep, REPORT_SCHEMA)
-    assert any(c["verdict"] == "info" for c in rep["claims"])
+    # AMB.1 returns no verdict, which run_claims reports as info
+    assert [c["id"] for c in rep["claims"] if c["verdict"] == "info"] == ["AMB.1"]
     text = format_report(rep)
     assert "OVERALL: PASS" in text
 
@@ -251,6 +270,24 @@ def test_cli_no_rebuild_loads_once_and_rejects_a_truncated_cache(
         fh.truncate(path.stat().st_size // 2)
     assert main(argv) == 3
     assert "cache mismatch" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_cache_with_wrong_edges(tmp_path, capsys, graph):
+    """A file with a valid digest but x1's edges moved from side-2 vertices
+    0..3 to 1..4: --no-rebuild exits 3, and verify rebuilds it."""
+    from psu38.coset import load_cache, save_cache
+
+    bad = copy.copy(graph)
+    bad.edges = graph.edges.copy()
+    bad.edges[:4, 1] += 1
+    path = tmp_path / "graph-5b.psu38"
+    save_cache(bad, str(path))
+    argv = ["verify", "--cache-dir", str(tmp_path), "--claims", "L3.10.partial.i"]
+    assert main(argv + ["--no-rebuild"]) == 3
+    assert "degrees are not 4 on side 1" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert main(argv + ["--no-rebuild"]) == 0
+    assert np.array_equal(load_cache(str(path), graph.ng).edges, graph.edges)
 
 
 def test_env_cache_dir(monkeypatch, tmp_path):

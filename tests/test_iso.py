@@ -10,43 +10,83 @@ from psu38.grp import Perm, direct_product, iso_check, reference_groups
 from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
-from oracles import iso_search, refined_invariants
+import oracles
+from oracles import greedy_prefixes, iso_generators, iso_search, refined_invariants
 
-# Perm products in one warm run of all 54 claims on a fresh context
-# (374,748 while every iso_check searched and a product built a list)
-CATALOG_PERM_PRODUCTS = 198_559
+# Perm products in one warm run of all 54 claims on a fresh context, the
+# reference groups' construction included (198,559 while generating_set
+# and the search closed every prefix of their generators and the search
+# compared order profiles, abelianness and class labels; 374,748 while
+# every iso_check searched and a product built a list)
+CATALOG_PERM_PRODUCTS = 194_061
+# grp._close calls in run_claims once the named groups, the reference
+# groups and the graph are loaded, 16 of them stopped at the cap of
+# is_split_extension (521 with the prefix closures)
+CATALOG_CLOSES = 313
 
 
 @pytest.fixture(scope="module")
 def catalog():
     """One warm run of the whole catalog on a fresh context, recording
     every iso_check call with its verdict, every search actually run and
-    the number of Perm products."""
-    calls, searches, products = [], [], [0]
+    every generating_set call, each with its result and the _greedy calls
+    it made itself (input and result), the number of Perm products and
+    the number of grp._close calls."""
+    calls, searches, gensets, products, closes = [], [], [], [0], [0]
     iso, search, mul = grp.iso_check, grp._iso_search, Perm.__mul__
+    generating_set, greedy, close = (
+        grp.SmallGroup.generating_set, grp._greedy, grp._close)
+    # the _greedy calls of each recorded call in progress, innermost last
+    stack: list = [[]]
 
     def recorded(G1, G2, witness=False):
         ok = iso(G1, G2, witness)
         calls.append((G1, G2, ok))
         return ok
 
+    def own_greedy(fn, *args):
+        stack.append([])
+        try:
+            return fn(*args), stack[-1]
+        finally:
+            stack.pop()
+
     def counted_search(G1, G2):
-        searches.append((G1, G2))
-        return search(G1, G2)
+        found, own = own_greedy(search, G1, G2)
+        searches.append((G1, G2, found, own))
+        return found
+
+    def recorded_generating_set(G):
+        gens, own = own_greedy(generating_set, G)
+        gensets.append((G, gens, own))
+        return gens
+
+    def recorded_greedy(cands, identity):
+        found = greedy(cands, identity)
+        stack[-1].append((cands, identity, found))
+        return found
 
     def counted_mul(p, q):
         products[0] += 1
         return mul(p, q)
+
+    def counted_close(*args, **kw):
+        closes[0] += 1
+        return close(*args, **kw)
     with pytest.MonkeyPatch.context() as mp:
         for mod in (amalgam, harness):
             mp.setattr(mod, "iso_check", recorded)
         mp.setattr(grp, "_iso_search", counted_search)
         mp.setattr(Perm, "__mul__", counted_mul)
         ctx = VerifyContext(cache_dir=CACHE_DIR)
+        ctx.ng, ctx.refs, ctx.graph
+        mp.setattr(grp.SmallGroup, "generating_set", recorded_generating_set)
+        mp.setattr(grp, "_greedy", recorded_greedy)
+        mp.setattr(grp, "_close", counted_close)
         rep = run_claims(ctx)
-    assert rep["overall"]
-    return SimpleNamespace(ctx=ctx, calls=calls, searches=searches,
-                           products=products[0])
+    assert rep["overall"] and stack == [[]]
+    return SimpleNamespace(ctx=ctx, calls=calls, searches=searches, gensets=gensets,
+                           products=products[0], closes=closes[0])
 
 
 def _distinct(pairs):
@@ -110,8 +150,39 @@ def test_cached_invariants_equal_the_uncached_ones(catalog):
 def test_one_search_per_distinct_pair_in_a_catalog_run(catalog):
     distinct = _distinct(catalog.calls)
     assert len(catalog.searches) == len(distinct) < len(catalog.calls)
-    assert [(G1.eset, G2) for G1, G2 in catalog.searches] == [
+    assert [(G1.eset, G2) for G1, G2, *_ in catalog.searches] == [
         (G1.eset, G2) for G1, G2 in distinct]
+
+
+def test_generating_sets_equal_the_prefix_loop(catalog):
+    """generating_set takes its generators from one closure: on every group
+    a catalog pass asks, the same generators as the old loop, and on its
+    own candidates the same span ends and tree as closing every prefix."""
+    assert len(catalog.gensets) > 50
+    for G, gens, own in catalog.gensets:
+        assert gens == oracles.generating_set(G)
+        assert len(own) == (len(G) > 1)
+        for cands, identity, found in own:
+            assert found[0] == gens
+            assert found == greedy_prefixes(cands, identity)
+
+
+def test_search_generators_and_results_equal_the_prefix_loop(catalog):
+    """The search takes G1's generators from one closure: on every pair a
+    catalog pass searches, the same generators, span ends and tree as
+    closing every prefix, and the same isomorphism as the old search."""
+    assert len(catalog.searches) == 23
+    for G1, G2, found, own in catalog.searches:
+        old = iso_generators(G1, G2)
+        assert [greedy_found for _, _, greedy_found in own] == [old]
+        want = iso_search(G1, G2)
+        assert found == (old[0], [want[g] for g in old[0]])
+
+
+def test_catalog_closures_are_pinned(catalog):
+    """One closure per greedy generating set and per search: a change to
+    the count is a change in the group engine's work."""
+    assert catalog.closes == CATALOG_CLOSES
 
 
 def test_memo_goes_with_the_reference_groups(catalog, searches):
