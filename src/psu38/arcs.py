@@ -7,7 +7,9 @@ closure tree, one permutation gather per element.  Other stabilizers stay
 packed keys (CosetGraph.stabilizer_keys, fixers): an arc stabilizer is a
 SmallGroup only inside K1 or K2 (the named arc's lies in K2), and a
 vertex's kernel is pulled back to the base stabilizer's own elements by
-the conjugation that stabilizer_keys applies (local_condition_at).
+the conjugation that stabilizer_keys applies (local_condition_at).  The
+wide sampled check takes its vertices in batches of one side
+(stabilizer_key_rows, fixes), so its table lookups run per batch.
 """
 
 from __future__ import annotations
@@ -305,6 +307,10 @@ def local_condition_at(graph: CosetGraph, v: int, group: str) -> bool:
     return pulled == kernel_data(graph, z, group).kernel(1).eset
 
 
+# wide-check vertices per batch: bounds its tables and keys to a few MB
+WIDE_CHUNK = 25
+
+
 def sampled_vertex_checks(
     graph: CosetGraph, group: str,
     n_wide: int = 100, n_deep: int = 12, seed: int = 38,
@@ -314,21 +320,27 @@ def sampled_vertex_checks(
     bugs.
 
     wide: the conjugate stabilizer has the right number of distinct
-    elements and every one of them fixes its vertex.
+    elements and every one of them fixes its vertex; batched over the
+    sample one side at a time, WIDE_CHUNK vertices per stabilizer_key_rows
+    and fixes call.
     deep: recompute G_v^[1] as the elements of G_v that fix v's
     neighbors and check that it is the base kernel conjugated by v's rep
     (local_condition_at), so the centralizer condition carries over.
     """
     rng = np.random.default_rng(seed)
     wide_ids = rng.choice(graph.nv, size=min(n_wide, graph.nv), replace=False)
+    sides = (wide_ids[wide_ids < graph.n1], wide_ids[wide_ids >= graph.n1])
     wide_ok = True
-    for v in wide_ids:
-        v = int(v)
-        keys = graph.stabilizer_keys(v, group)
+    for chunk in (ids[lo:lo + WIDE_CHUNK] for ids in sides
+                  for lo in range(0, len(ids), WIDE_CHUNK)):
         expect = {
             ("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324,
-        }[(group, graph.side_of(v))]
-        if len(np.unique(keys)) != expect or len(graph.fixers(keys, [v])) != expect:
+        }[(group, graph.side_of(int(chunk[0])))]
+        keys = graph.stabilizer_key_rows(chunk, group)
+        srt = np.sort(keys, axis=1)
+        distinct = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
+        fixed = graph.fixes(keys, chunk).sum(axis=1)
+        if (distinct != expect).any() or (fixed != expect).any():
             wide_ok = False
             break
     deep_ids = rng.choice(graph.nv, size=min(n_deep, graph.nv), replace=False)

@@ -26,12 +26,15 @@ key order, so ids are deterministic and the base vertices are 0 and n1.
 Group elements are handled as packed keys.  The action conjugates each
 vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
 graph under one element, by the table lookups of fastops.linear_conj_keys,
-and image_batch, rowwise, by conj_fingerprints.  stabilizer_keys
-conjugates all of K_side in one batch, in K_side's own sorted order.
-fixers gives the indices of the keys that fix given vertices, by
-membership in K_side (x fixes K_side.r exactly when r x r^-1 lies in
-K_side), which gives arc stabilizers and kernels without intersecting
-conjugates or resolving a vertex.
+and image_batch, rowwise, by conj_fingerprints.  stabilizer_keys (and
+stabilizer_key_rows, for a batch of vertices of one side) conjugates all
+of K_side by each rep, in K_side's own sorted order, by lookups in one
+table set per rep.  fixes and fixers tell which keys fix given vertices,
+by membership in K_side (x fixes K_side.r exactly when r x r^-1 lies in
+K_side), by lookups in one table set of r^-1 per vertex; that gives arc
+stabilizers and kernels without intersecting conjugates or resolving a
+vertex.  A table set conjugates 54 bit matrices per twist, against the
+|K_side| rows of a product per rep, so the lookups pay even for one rep.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import FieldOps, bpack, bunpack, conj_fingerprints, linear_conj_keys
+from .fastops import FieldOps, bunpack, conj_fingerprints, linear_conj_keys
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import Element, PElement
@@ -86,8 +89,7 @@ class CosetGraph:
     # runtime
     ops: FieldOps | None = None
     ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
-    ksets: dict = dfield(default_factory=dict)     # (side, group) -> (km, kt), sorted
-    kkeys: dict = dfield(default_factory=dict)     # side -> sorted uint64 keys of K_side
+    kkeys: dict = dfield(default_factory=dict)     # (side, group) -> sorted uint64 keys
     fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
     korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
     indptr: np.ndarray | None = None
@@ -184,42 +186,57 @@ class CosetGraph:
 
     def stabilizer_keys(self, g: int, group: str = "K") -> np.ndarray:
         """Packed keys of the stabilizer (G_side)^rep of vertex g, G_side
-        the stabilizer of the base vertex of g's side (K1, K2, H1 or H2),
-        by one batched conjugation: key i is rep^-1 k_i rep, k_i the i-th
-        of G_side.sorted_elems()."""
-        side, lid = self.side_of(g), self.local_id(g)
-        km, kt = self.ksets[side, group]
-        rm, rt = bunpack(self.reps[side][lid:lid + 1])  # one row, broadcast
-        m, t = self.ops.bsmul(*self.ops.binv(rm, rt), km, kt)
-        return self.ops.bpkeys(*self.ops.bsmul(m, t, rm, rt))
+        the stabilizer of the base vertex of g's side (K1, K2, H1 or H2):
+        key i is rep^-1 k_i rep, k_i the i-th of G_side.sorted_elems()."""
+        return self.stabilizer_key_rows([g], group)[0]
 
-    def fixers(self, keys, gids) -> np.ndarray:
-        """Ascending indices of the keys whose elements fix every vertex in
-        gids.  Vertex g is the coset K_side.r, r = rep(g) (_check_keys
-        proves it), and x fixes it exactly when r x r^-1 lies in K_side, so
-        this is one rowwise product over all (vertex, element) pairs and a
-        binary search in K_side's sorted keys; no vertex is resolved."""
+    def stabilizer_key_rows(self, gids, group: str = "K") -> np.ndarray:
+        """stabilizer_keys of each vertex in gids, all on one side, as the
+        rows of a (len(gids), |G_side|) array: table lookups in one
+        conj_tables set per rep (linear_conj_keys), no product per key."""
+        gids = np.asarray(gids, dtype=np.int64)
+        on2 = gids >= self.n1
+        if on2.any() != on2.all():
+            raise ValueError("stabilizer_key_rows takes the vertices of one side")
+        side = 2 if on2[0] else 1
+        ks = self.kkeys[side, group]
+        rm, rt = bunpack(self.reps[side][gids - (self.n1 if side == 2 else 0)])
+        keys = linear_conj_keys(self.ops, rm, rt, np.tile(ks, len(gids)),
+                                np.repeat(np.arange(len(gids)), len(ks)), inverse=False)
+        return keys.reshape(len(gids), len(ks))
+
+    def fixes(self, keys, gids) -> np.ndarray:
+        """Whether the element of key keys[i, j] fixes vertex gids[i], as a
+        bool array of keys' shape (len(gids), k).  Vertex g is the coset
+        K_side.r, r = rep(g) (_check_keys proves it), and x fixes it
+        exactly when r x r^-1 lies in K_side: table lookups in one
+        conj_tables set of r^-1 per vertex, then a binary search in
+        K_side's sorted keys; no vertex is resolved."""
         keys = np.asarray(keys, dtype=np.uint64)
         gids = np.asarray(gids, dtype=np.int64)
+        if not keys.size:
+            return np.zeros(keys.shape, dtype=bool)
         on2 = gids >= self.n1
         rk = np.empty(len(gids), dtype=np.uint64)
         rk[~on2] = self.reps[1][gids[~on2]]
         rk[on2] = self.reps[2][gids[on2] - self.n1]
-        n = len(keys)
-        rm, rt = bunpack(rk)
-        im, it = self.ops.binv(rm, rt)
-        xm, xt = bunpack(keys)
-        m, t = self.ops.bsmul(np.repeat(rm, n, axis=0), np.repeat(rt, n),
-                              np.tile(xm, (len(gids), 1, 1)), np.tile(xt, len(gids)))
-        conj = self.ops.bpkeys(*self.ops.bsmul(m, t, np.repeat(im, n, axis=0),
-                                               np.repeat(it, n)))
+        k = keys.shape[1]
+        conj = linear_conj_keys(self.ops, *self.ops.binv(*bunpack(rk)), keys.reshape(-1),
+                                np.repeat(np.arange(len(gids)), k), inverse=False)
         member = np.empty(len(conj), dtype=bool)
-        rows2 = np.repeat(on2, n)
+        rows2 = np.repeat(on2, k)
         for side, sel in ((1, ~rows2), (2, rows2)):
-            ks = self.kkeys[side]
+            ks = self.kkeys[side, "K"]
             pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
             member[sel] = ks[pos] == conj[sel]
-        return np.flatnonzero(member.reshape(len(gids), n).all(axis=0))
+        return member.reshape(keys.shape)
+
+    def fixers(self, keys, gids) -> np.ndarray:
+        """Ascending indices of the keys whose elements fix every vertex in
+        gids (fixes, with the same keys at each vertex)."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        rows = np.broadcast_to(keys, (len(gids), len(keys)))
+        return np.flatnonzero(self.fixes(rows, gids).all(axis=0))
 
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
         """The SmallGroup on the table elements of these packed keys, which
@@ -326,9 +343,8 @@ def _arm(graph: CosetGraph) -> None:
         graph.ysets[side] = bunpack(np.array([ys[0].key], dtype=np.uint64))
         for group in ("K", "H"):
             G = graph.base_stabilizer(side, group)
-            graph.ksets[side, group] = bunpack(
-                np.array([x.key for x in G.sorted_elems()], dtype=np.uint64))
-        graph.kkeys[side] = bpack(*graph.ksets[side, "K"])
+            graph.kkeys[side, group] = np.array([x.key for x in G.sorted_elems()],
+                                                dtype=np.uint64)
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
         graph.fkeys[side] = np.zeros(0, dtype=np.uint64)
         graph.korder[side] = np.zeros(0, dtype=np.int64)

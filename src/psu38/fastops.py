@@ -5,9 +5,11 @@ Element batches are (m,3,3) uint8 matrices plus (m,) uint8 twists.
 Packed keys are uint64 and agree bit for bit with psu.pack, so python
 Element objects and array rows interconvert freely.  Everything here is
 pure and deterministic.  The graph keys its vertices by conj_fingerprints
-and acts on them rowwise through it too; a whole-graph action goes through
-linear_conj_keys, the same keys by table lookups.  coset_canon_keys is the
-exact canonical-form scan, kept as a test oracle.
+and acts on them rowwise through it too.  Conjugation of many elements c by
+a few elements x goes through linear_conj_keys, table lookups in
+conj_tables built from the 54 bit matrices: the whole-graph action (the
+same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1.
+coset_canon_keys is the exact canonical-form scan, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ _W = (U64(64) ** np.arange(8, -1, -1, dtype=np.uint64)) * U64(8)
 KEY_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 # bit offset of matrix entry j in a packed key
 _SHIFT = U64(3) + U64(6) * np.arange(8, -1, -1, dtype=np.uint64)
-# row j*64 + v: the matrix whose entry j is v and whose other entries are 0
-_UNITS = np.zeros((9, 64, 9), dtype=np.uint8)
-_UNITS[np.arange(9), :, np.arange(9)] = np.arange(64, dtype=np.uint8)
-_UNITS = _UNITS.reshape(576, 3, 3)
 
 
 def bpack(mats: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -153,46 +151,77 @@ def conj_fingerprints(
     return np.minimum(ops.bpkeys(cm, ct), ops.bpkeys(*ops.binv(cm, ct)))
 
 
-def conj_tables(ops: FieldOps, xm, xt, twists) -> np.ndarray:
-    """Key tables of c -> x^-1 c x, x one element, for the elements c of
-    each twist in twists.  For a fixed twist this map, and c -> x^-1 c^-1 x
-    (binv is linear in the matrix), is GF(2)-linear in the 54 matrix bits
-    of c, and so is scaling by a projective scalar.  Row (i*9 + j)*64 + v
-    holds the images of the matrix with entry j equal to v and the rest 0,
-    of twist twists[i], as packed keys: 3 columns for the scalar multiples
-    of x^-1 c x, then 3 for x^-1 c^-1 x; the rows of entry 0 carry the
-    image twist.  A key of any c is then the XOR of 9 rows."""
-    ct = np.repeat(np.asarray(twists, dtype=np.uint8), 576)
-    cm = np.tile(_UNITS, (len(twists), 1, 1))
-    im, it = ops.binv(cm, ct)
+def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarray:
+    """Key tables of c -> x^-1 c x, one table set per row x of (xm, xt),
+    for the elements c of each twist in twists.  For a fixed twist this
+    map, and c -> x^-1 c^-1 x (binv is linear in the matrix), is
+    GF(2)-linear in the 54 matrix bits of c, and so are scaling by a
+    projective scalar and packing the matrix.  Row
+    ((a*len(twists) + i)*9 + j)*64 + v of the result holds the images
+    under x_a of the matrix with entry j equal to v and the rest 0, of
+    twist twists[i], as packed keys: 3 columns for the scalar multiples of
+    x^-1 c x, then, with inverse, 3 for x^-1 c^-1 x; the rows of entry 0
+    carry the image twist.  A key of any c is then the XOR of 9 rows.
+
+    Only the 54 bit matrices are conjugated, E_pq(u) with u = 2^b at
+    entry j = (p, q), and the 64 rows of each entry are filled by XOR
+    doubling, row v the XOR of the images of v's bits.  With x = (m, -e)
+    and x^-1 = (m', e), semilinear products give those images as outer
+    products: x^-1 E_pq(u) x = m'[:, p] . rho^e(u) . rho^(e+t)(m)[q, :]
+    for c of twist t, and E_pq(u)^-1 = E_qp(rho^(3-t)(u)) of twist -t."""
+    xm, xt = np.asarray(xm, dtype=np.uint8), np.asarray(xt, dtype=np.uint8)
+    nx, nt = len(xt), len(twists)
     xim, xit = ops.binv(xm, xt)
-    m, t = ops.bsmul(*ops.bsmul(xim, xit, np.concatenate([cm, im]),
-                                np.concatenate([ct, it])), xm, xt)
+    e, t = np.broadcast_arrays(xit.astype(np.intp)[:, None],
+                               np.asarray(twists, dtype=np.intp))
+    # per (x, c or c^-1, twist): the Frobenius powers applied to u and to
+    # m, and the image twist
+    kinds = [(e, e + t, t)] + ([(e + 3 - t, e - t, -t)] if inverse else [])
+    eu, em, et = (np.stack(v, 1) % 6 for v in zip(*kinds))  # (nx, nk, nt)
+    nk = len(kinds)
     f = ops.field
     scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
-    scaled = ops.MUL[scalars[None, :, None, None], m[:, None]].reshape(-1, 9)
-    keys = (scaled.astype(np.uint64) @ _W).reshape(len(m), 3)
-    keys += np.where(np.arange(len(m)) % 576 < 64, t, 0).astype(np.uint64)[:, None]
-    return np.concatenate(np.split(keys, 2), axis=1)
+    su = ops.MUL[ops.FROB[eu[..., None], 1 << np.arange(6)][..., None], scalars]
+    right = ops.FROB[em[..., None, None], xm[:, None, None]]  # (nx, nk, nt, 3, 3)
+    # left[x, k, t, p, b, s, r] = m'[r, p] . (scalar s) . rho(2^b)
+    left = ops.MUL[xim.transpose(0, 2, 1)[:, None, None, :, None, None, :],
+                   su[:, :, :, None, :, :, None]]
+    # img[x, k, t, p, q, b, s, r, col]: entry (r, col) of the image of E_pq
+    img = ops.MULF[(left.astype(np.uint16) << 6)[:, :, :, :, None, :, :, :, None]
+                   | right[:, :, :, None, :, None, None, None, :]]
+    if inverse:  # entry (p, q) of c is entry (q, p) of c^-1
+        img[:, 1] = img[:, 1].swapaxes(2, 3)
+    bits = (img.reshape(-1, 9).astype(np.uint64) @ _W).reshape(nx, nk, nt, 9, 6, 3)
+    tab = np.zeros((nx, nk, nt, 9, 64, 3), dtype=np.uint64)
+    for b in range(6):
+        tab[:, :, :, :, 1 << b:2 << b] = tab[:, :, :, :, :1 << b] ^ bits[:, :, :, :, b, None]
+    tab[:, :, :, 0] += et[..., None, None].astype(np.uint64)
+    return tab.transpose(0, 2, 3, 4, 1, 5).reshape(nx * nt * 576, nk * 3)
 
 
-def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray) -> np.ndarray:
-    """conj_fingerprints(ops, x, c) for one element x and every c packed
-    in ckeys: the least projective key of x^-1 c x and of its inverse, as
-    an XOR of 9 lookups in conj_tables per c (Albrecht, Bard and Hart,
-    Algorithm 898, ACM TOMS 37 (2010)).  One table set per twist present
-    in ckeys; no product and no inverse is taken per row."""
+def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
+                     inverse: bool = True) -> np.ndarray:
+    """Keys of x^-1 c x for every c packed in ckeys, x the row xidx[i] of
+    (xm, xt) for ckeys[i] (row 0 for all when xidx is None): with inverse,
+    conj_fingerprints' key, the least projective key of x^-1 c x and of
+    its inverse; without, the projective key of x^-1 c x alone (bpkeys).
+    Each is an XOR of 9 lookups in conj_tables per c (Albrecht, Bard and
+    Hart, Algorithm 898, ACM TOMS 37 (2010)), with one table set per x
+    and twist present in ckeys; no product and no inverse is taken per
+    row."""
     tw = (ckeys & U64(7)).astype(np.intp)
     twists = np.flatnonzero(np.bincount(tw, minlength=8))
-    tables = conj_tables(ops, xm, xt, twists)
+    tables = conj_tables(ops, xm, xt, twists, inverse)
     slot = np.zeros(8, dtype=np.intp)
     slot[twists] = np.arange(len(twists)) * 576
     base = slot[tw]
-    acc = np.zeros((len(ckeys), 6), dtype=np.uint64)
+    if xidx is not None:
+        base += np.asarray(xidx, dtype=np.intp) * (len(twists) * 576)
+    acc = np.zeros((len(ckeys), tables.shape[1]), dtype=np.uint64)
     for j in range(9):
         entry = ((ckeys >> _SHIFT[j]) & U64(63)).astype(np.intp)
         acc ^= np.take(tables, base + (entry + 64 * j), axis=0)
     best = acc[:, 0].copy()
-    for col in range(1, 6):  # faster than acc.min(axis=1) on 6 columns
+    for col in range(1, acc.shape[1]):  # faster than acc.min(axis=1)
         np.minimum(best, acc[:, col], out=best)
     return best

@@ -319,8 +319,12 @@ class SmallGroup:
         return self.eset <= other.eset
 
     def element_order(self, x) -> int:
-        o = self._orders.get(x)
-        if o is None:
+        if not self._orders:
+            # keyed by the group's own elements: assigning to a key equal
+            # to a stored one keeps the stored key object
+            self._orders = dict.fromkeys(self.elems, 0)
+        o = self._orders[x]
+        if not o:
             # x^k has order o / gcd(o, k): one walk orders all of <x>
             pw = [x]
             while pw[-1] != self.identity:
@@ -465,18 +469,22 @@ class SmallGroup:
         normalizers; deterministic because candidates are scanned in
         sorted order.  An x of p-power order outside P that normalizes P
         makes P<x> a p-group larger than P.  Orders in G divide |G|, so a
-        p-power is an order (or a subgroup's size) that divides target."""
+        p-power is an order (or a subgroup's size) that divides target.
+        Since x normalizes P, P<x> is the union of the cosets P.x^i, built
+        from P's own elements until x^i falls in P."""
         target = p ** _pval(len(self.elems), p)
         P = self.subgroup([self.identity])
-        pgens: list = []
         while len(P) < target:
-            N = self.normalizer(P) if pgens else self
+            N = self.normalizer(P) if len(P) > 1 else self
             x = next((x for x in N.sorted_elems()
                       if x not in P.eset and target % self.element_order(x) == 0), None)
             if x is None:
                 raise AssertionError("sylow growth stalled")
-            pgens.append(x)
-            P = self.subgroup(_close(pgens, self.identity)[0])
+            els, xi = list(P.elems), x
+            while xi not in P.eset:
+                els += [h * xi for h in P.elems]
+                xi = xi * x
+            P = self.subgroup(els)
             if target % len(P):
                 raise AssertionError("P<x> is not a p-group")
         return P
@@ -501,13 +509,18 @@ class SmallGroup:
 
     def conj_classes(self) -> list[frozenset]:
         if self._class_list is None:
-            done = set()
-            classes = []
+            # class number by the group's own elements, which stay the keys
+            # (as in element_order), so the classes hold no conjugates
+            which = dict.fromkeys(self.elems, -1)
+            classes: list = []
             for g in self.sorted_elems():
-                if g not in done:
-                    classes.append(frozenset(_conj_orbit([g], self.gens_list())))
-                    done |= classes[-1]
-            self._class_list = classes
+                if which[g] < 0:
+                    for y in _conj_orbit([g], self.gens_list()):
+                        which[y] = len(classes)
+                    classes.append([])
+            for x, i in which.items():
+                classes[i].append(x)
+            self._class_list = [frozenset(c) for c in classes]
         return self._class_list
 
     def conj_class_invariants(self) -> dict:
@@ -611,36 +624,24 @@ def _by_refined(G: SmallGroup) -> dict:
     return G._by_refined
 
 
-def iso_check(G1: SmallGroup, G2: SmallGroup, witness: bool = False):
+def iso_check(G1: SmallGroup, G2: SmallGroup) -> bool:
     """Backtracking isomorphism test, sound and complete at these orders.
 
     Candidate generator images are filtered by refined class invariants;
     partial maps are extended subgroup-by-subgroup so an inconsistent
     choice dies at the scale of the subgroup generated so far rather
-    than of the whole group.  Returns bool, or (bool, map) with
-    witness=True.
+    than of the whole group.
 
     The search reads G1 only through its element set, so what it finds
     (None, or G1's generating sequence and the images of its generators
     in G2) is kept on G2 under G1.eset: a later call with the same set and
     G2 (the same reference group, asked again by another claim) reuses
-    it, and the memo goes when G2 does.  A witness map is built from the
-    images along G1's closure tree, as the search built it.
+    it, and the memo goes when G2 does.
     """
     memo = G2._iso
     if G1.eset not in memo:
         memo[G1.eset] = _iso_search(G1, G2)
-    found = memo[G1.eset]
-    if not witness:
-        return found is not None
-    if found is None:
-        return False, None
-    gens1, imgs = found
-    elems, parent, genidx, _ = _close(gens1, G1.identity)
-    m = [G2.identity]
-    for t in range(1, len(elems)):
-        m.append(m[parent[t]] * imgs[genidx[t]])
-    return True, dict(zip(elems, m))
+    return memo[G1.eset] is not None
 
 
 def _iso_search(G1: SmallGroup, G2: SmallGroup):

@@ -5,8 +5,8 @@ from collections import Counter
 
 import numpy as np
 
-from psu38.fastops import SubgroupArrays, bunpack, coset_canon_keys
-from psu38.grp import Perm, SmallGroup, _close
+from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys
+from psu38.grp import Perm, SmallGroup, _close, _pval, iso_check
 from psu38.psu import Element, PElement
 
 
@@ -86,6 +86,69 @@ def fixers_by_images(graph, keys, gids) -> np.ndarray:
     return np.flatnonzero(fixed.all(axis=0))
 
 
+# row j*64 + v: the matrix whose entry j is v and whose other entries are 0
+_UNITS = np.zeros((9, 64, 9), dtype=np.uint8)
+_UNITS[np.arange(9), :, np.arange(9)] = np.arange(64, dtype=np.uint8)
+_UNITS = _UNITS.reshape(576, 3, 3)
+
+
+def conj_tables(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
+    """fastops.conj_tables by conjugating all 576 unit matrices (entry j
+    equal to v, the rest 0) of each twist by each x with bsmul."""
+    parts = []
+    for a in range(len(xt)):
+        ct = np.repeat(np.asarray(twists, dtype=np.uint8), 576)
+        cm = np.tile(_UNITS, (len(twists), 1, 1))
+        if inverse:
+            im, it = ops.binv(cm, ct)
+            cm, ct = np.concatenate([cm, im]), np.concatenate([ct, it])
+        x = xm[a:a + 1], xt[a:a + 1]
+        m, t = ops.bsmul(*ops.bsmul(*ops.binv(*x), cm, ct), *x)
+        f = ops.field
+        scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
+        scaled = ops.MUL[scalars[None, :, None, None], m[:, None]].reshape(-1, 9)
+        keys = (scaled.astype(np.uint64) @ _W).reshape(len(m), 3)
+        keys += np.where(np.arange(len(m)) % 576 < 64, t, 0).astype(np.uint64)[:, None]
+        parts.append(np.concatenate(np.split(keys, 2 if inverse else 1), axis=1))
+    return np.concatenate(parts)
+
+
+def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
+    """graph.stabilizer_keys by one batched bsmul conjugation of the base
+    stabilizer's sorted elements by the rep."""
+    side, lid = graph.side_of(g), graph.local_id(g)
+    km, kt = bunpack(graph.kkeys[side, group])
+    rm, rt = bunpack(graph.reps[side][lid:lid + 1])  # one row, broadcast
+    m, t = graph.ops.bsmul(*graph.ops.binv(rm, rt), km, kt)
+    return graph.ops.bpkeys(*graph.ops.bsmul(m, t, rm, rt))
+
+
+def fixers(graph, keys, gids) -> np.ndarray:
+    """graph.fixers by one rowwise bsmul product r x r^-1 over all
+    (vertex, element) pairs and a binary search in K_side's sorted keys."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    gids = np.asarray(gids, dtype=np.int64)
+    on2 = gids >= graph.n1
+    rk = np.empty(len(gids), dtype=np.uint64)
+    rk[~on2] = graph.reps[1][gids[~on2]]
+    rk[on2] = graph.reps[2][gids[on2] - graph.n1]
+    n = len(keys)
+    ops = graph.ops
+    rm, rt = bunpack(rk)
+    im, it = ops.binv(rm, rt)
+    xm, xt = bunpack(keys)
+    m, t = ops.bsmul(np.repeat(rm, n, axis=0), np.repeat(rt, n),
+                     np.tile(xm, (len(gids), 1, 1)), np.tile(xt, len(gids)))
+    conj = ops.bpkeys(*ops.bsmul(m, t, np.repeat(im, n, axis=0), np.repeat(it, n)))
+    member = np.empty(len(conj), dtype=bool)
+    rows2 = np.repeat(on2, n)
+    for side, sel in ((1, ~rows2), (2, rows2)):
+        ks = graph.kkeys[side, "K"]
+        pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
+        member[sel] = ks[pos] == conj[sel]
+    return np.flatnonzero(member.reshape(len(gids), n).all(axis=0))
+
+
 def perm_product(p: Perm, q: Perm) -> Perm:
     """p * q (p first, then q) by a list of q's images along p."""
     oi = q.im
@@ -136,6 +199,40 @@ def iso_generators(G1: SmallGroup, G2: SmallGroup):
     images = Counter(inv2.values())
     cands = sorted(G1.sorted_elems(), key=lambda g: images[inv1[g]])
     return greedy_prefixes(cands, G1.identity)
+
+
+def iso_map(G1: SmallGroup, G2: SmallGroup):
+    """The isomorphism that iso_check found, as a dict, or None if there
+    is none: rebuilt from what its search kept in G2._iso (G1's generating
+    sequence and the images of its generators) along G1's closure tree
+    over that sequence, as the search built it."""
+    if not iso_check(G1, G2):
+        return None
+    gens1, imgs = G2._iso[G1.eset]
+    elems, parent, genidx, _ = _close(gens1, G1.identity)
+    m = [G2.identity]
+    for t in range(1, len(elems)):
+        m.append(m[parent[t]] * imgs[genidx[t]])
+    return dict(zip(elems, m))
+
+
+def sylow(G: SmallGroup, p: int) -> SmallGroup:
+    """SmallGroup.sylow by closing all of P's generators from scratch at
+    each growth step."""
+    target = p ** _pval(len(G.elems), p)
+    P = G.subgroup([G.identity])
+    pgens: list = []
+    while len(P) < target:
+        N = G.normalizer(P) if pgens else G
+        x = next((x for x in N.sorted_elems()
+                  if x not in P.eset and target % G.element_order(x) == 0), None)
+        if x is None:
+            raise AssertionError("sylow growth stalled")
+        pgens.append(x)
+        P = G.subgroup(_close(pgens, G.identity)[0])
+        if target % len(P):
+            raise AssertionError("P<x> is not a p-group")
+    return P
 
 
 def refined_invariants(G: SmallGroup) -> dict:

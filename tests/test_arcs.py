@@ -15,6 +15,7 @@ from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
 from conftest import CACHE_DIR
+import oracles
 from oracles import fixers_by_images, group_from_keys, rep_element, vertex_stabilizer
 
 
@@ -235,15 +236,19 @@ def test_sampled_vertex_checks(graph):
 
 
 def test_sampled_vertex_checks_catch_a_wrong_conjugation(graph, ng, monkeypatch):
-    """Stabilizers conjugated by rep^-1 instead of rep have the right order
-    but do not fix their vertices; the wide check must see it."""
-    def by_inverse(self, v, group="K"):
-        C = (ng.K1 if self.side_of(v) == 1 else ng.K2).conjugate(
-            rep_element(self, v).inv())
-        if group == "H":
-            C = ng.h_part(C)
-        return np.array(sorted(x.key for x in C.elems), dtype=np.uint64)
-    monkeypatch.setattr(CosetGraph, "stabilizer_keys", by_inverse)
+    """Stabilizers conjugated by rep^-1 instead of rep, injected through
+    the batched stabilizer_key_rows, have the right order but do not fix
+    their vertices; the wide check must see it."""
+    def by_inverse(self, gids, group="K"):
+        rows = []
+        for v in map(int, gids):
+            C = (ng.K1 if self.side_of(v) == 1 else ng.K2).conjugate(
+                rep_element(self, v).inv())
+            if group == "H":
+                C = ng.h_part(C)
+            rows.append(sorted(x.key for x in C.elems))
+        return np.array(rows, dtype=np.uint64)
+    monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", by_inverse)
     out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
     assert out["wide_sample"] == 12 and not out["wide_ok"]
 
@@ -464,26 +469,60 @@ def test_fixers_equal_the_image_oracle(ctx, graph, ng):
             assert len(got) and np.array_equal(got, fixers_by_images(graph, keys, arc[1:i]))
 
 
+def test_stabilizer_keys_and_fixers_equal_the_bsmul_oracles(graph):
+    """The table lookups of stabilizer_key_rows, stabilizer_keys, fixes and
+    fixers equal the bsmul products they replaced: at the base vertices
+    and on the wide and deep samples of sampled_vertex_checks, for K and
+    H, fixers at the vertex, at its neighbors and at both together, and
+    fixes row by row for each side's wide sample."""
+    rng = np.random.default_rng(38)
+    wide = rng.choice(graph.nv, size=100, replace=False)
+    deep = rng.choice(graph.nv, size=12, replace=False)
+    vs = [graph.base_x1, graph.base_x2] + wide.tolist() + deep.tolist()
+    for group in ("K", "H"):
+        for v in vs:
+            want = oracles.stabilizer_keys(graph, v, group)
+            keys = graph.stabilizer_keys(v, group)
+            assert np.array_equal(keys, want)
+            nb = graph.neighbors(v)
+            for gids in ([v], nb, np.concatenate([[v], nb])):
+                assert np.array_equal(graph.fixers(keys, gids),
+                                      oracles.fixers(graph, keys, gids))
+        for ids in (wide[wide < graph.n1], wide[wide >= graph.n1]):
+            rows = graph.stabilizer_key_rows(ids, group)
+            fixed = graph.fixes(rows, ids)
+            assert len(rows) == len(fixed) == len(ids)
+            for v, row, fx in zip(map(int, ids), rows, fixed):
+                assert np.array_equal(row, oracles.stabilizer_keys(graph, v, group))
+                assert np.array_equal(np.flatnonzero(fx), oracles.fixers(graph, row, [v]))
+                assert fx.all()
+    with pytest.raises(ValueError, match="one side"):
+        graph.stabilizer_key_rows([graph.base_x1, graph.base_x2])
+
+
 def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):
-    """Keys of the right stabilizer in another order still pass the wide
-    check, but their fixers no longer pull back to the base kernel."""
-    keys_of = CosetGraph.stabilizer_keys
-    monkeypatch.setattr(CosetGraph, "stabilizer_keys",
-                        lambda self, v, group="K": np.roll(keys_of(self, v, group), 1))
+    """Keys of the right stabilizer in another order, injected through the
+    batched stabilizer_key_rows, still pass the wide check, but their
+    fixers no longer pull back to the base kernel."""
+    rows_of = CosetGraph.stabilizer_key_rows
+    monkeypatch.setattr(CosetGraph, "stabilizer_key_rows",
+                        lambda self, gids, group="K": np.roll(rows_of(self, gids, group),
+                                                              1, axis=1))
     out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=3, seed=5)
     assert out["wide_ok"] and not out["deep_ok"]
 
 
 def test_sampled_vertex_checks_count_distinct_keys(graph, monkeypatch):
-    """A repeated key leaves the right number of keys, all fixing the
-    vertex, but too few distinct elements; the wide check must see it."""
-    keys_of = CosetGraph.stabilizer_keys
+    """A repeated key, injected through the batched stabilizer_key_rows,
+    leaves the right number of keys, all fixing the vertex, but too few
+    distinct elements; the wide check must see it."""
+    rows_of = CosetGraph.stabilizer_key_rows
 
-    def repeated(self, v, group="K"):
-        keys = keys_of(self, v, group).copy()
-        keys[1] = keys[0]
-        return keys
-    monkeypatch.setattr(CosetGraph, "stabilizer_keys", repeated)
+    def repeated(self, gids, group="K"):
+        rows = rows_of(self, gids, group)
+        rows[:, 1] = rows[:, 0]
+        return rows
+    monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", repeated)
     out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
     assert not out["wide_ok"]
 

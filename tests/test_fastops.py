@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from psu38.coset import CosetGraph, _arm
-from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints,
+from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints, conj_tables,
                            coset_canon_keys, linear_conj_keys)
-from psu38.gf64 import GF64
+from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.psu import Element, PElement, make_generators
 
+import oracles
 from oracles import element_from_key, subgroup_arrays
 
 
@@ -164,3 +165,48 @@ def test_linear_conj_keys_match_conj_fingerprints(f, ops):
         want = conj_fingerprints(ops, xm, xt, *bunpack(ckeys))
         assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys), want)
         assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys[::7]), want[::7])
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS, ALT_MODULI[0]))
+def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
+    """Tables filled by XOR doubling from the 54 bit matrices equal the
+    tables of all 576 unit matrices, for six x at once (one of each
+    twist), each of the 6 twists of c alone, all together and {2, 4},
+    with and without the inverse columns."""
+    f = GF64(modulus)
+    ops = FieldOps(f)
+    sigma = make_generators(f)["sigma"]
+    xs = random_elements(f, 6, seed=33, sigma=False)
+    for k in range(6):
+        for _ in range(k):
+            xs[k] = xs[k] * sigma
+    xm, xt = to_arrays(xs)
+    assert xt.tolist() == list(range(6))
+    for inverse in (True, False):
+        for twists in [[t] for t in range(6)] + [list(range(6)), [2, 4]]:
+            got = conj_tables(ops, xm, xt, twists, inverse)
+            want = oracles.conj_tables(ops, xm, xt, twists, inverse)
+            assert got.shape == want.shape == (6 * len(twists) * 576, 6 if inverse else 3)
+            assert np.array_equal(got, want)
+
+
+def test_linear_conj_keys_per_row_elements(f, ops):
+    """With a row index naming each row's x, the keys are those of one x
+    at a time; without the inverse columns they are bpkeys(x^-1 c x)."""
+    cs = random_elements(f, 300, seed=34)
+    ckeys = np.array([c.key for c in cs], dtype=np.uint64)
+    xs = random_elements(f, 4, seed=35)
+    xm, xt = to_arrays(xs)
+    xidx = np.arange(len(ckeys)) % len(xs)
+    for inverse in (True, False):
+        got = linear_conj_keys(ops, xm, xt, ckeys, xidx, inverse=inverse)
+        for a in range(len(xs)):
+            rows = xidx == a
+            want = linear_conj_keys(ops, xm[a:a + 1], xt[a:a + 1], ckeys[rows],
+                                    inverse=inverse)
+            assert np.array_equal(got[rows], want)
+    im, it = ops.binv(xm, xt)
+    cm, ct = bunpack(ckeys)
+    m, t = ops.bsmul(*ops.bsmul(im[xidx], it[xidx], cm, ct), xm[xidx], xt[xidx])
+    assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys, xidx, inverse=False),
+                          ops.bpkeys(m, t))

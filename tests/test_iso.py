@@ -11,18 +11,22 @@ from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
 import oracles
-from oracles import greedy_prefixes, iso_generators, iso_search, refined_invariants
+from oracles import greedy_prefixes, iso_generators, iso_map, iso_search, refined_invariants
 
 # Perm products in one warm run of all 54 claims on a fresh context, the
 # reference groups' construction included (198,559 while generating_set
 # and the search closed every prefix of their generators and the search
 # compared order profiles, abelianness and class labels; 374,748 while
-# every iso_check searched and a product built a list)
-CATALOG_PERM_PRODUCTS = 194_061
+# every iso_check searched and a product built a list; 194,061 while the
+# conjugacy classes held conjugates: conj_class_invariants orders one
+# member of each class, and the classes of the group's own elements
+# iterate in another order, so a few classes order a different member)
+CATALOG_PERM_PRODUCTS = 194_056
 # grp._close calls in run_claims once the named groups, the reference
 # groups and the graph are loaded, 16 of them stopped at the cap of
-# is_split_extension (521 with the prefix closures)
-CATALOG_CLOSES = 313
+# is_split_extension (521 with the prefix closures; 313 while sylow closed
+# all of P's generators at each of its 50 growth steps)
+CATALOG_CLOSES = 263
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +34,17 @@ def catalog():
     """One warm run of the whole catalog on a fresh context, recording
     every iso_check call with its verdict, every search actually run and
     every generating_set call, each with its result and the _greedy calls
-    it made itself (input and result), the number of Perm products and
-    the number of grp._close calls."""
-    calls, searches, gensets, products, closes = [], [], [], [0], [0]
+    it made itself (input and result), every sylow call with its result,
+    the number of Perm products and the number of grp._close calls."""
+    calls, searches, gensets, sylows, products, closes = [], [], [], [], [0], [0]
     iso, search, mul = grp.iso_check, grp._iso_search, Perm.__mul__
-    generating_set, greedy, close = (
-        grp.SmallGroup.generating_set, grp._greedy, grp._close)
+    generating_set, greedy, close, sylow = (
+        grp.SmallGroup.generating_set, grp._greedy, grp._close, grp.SmallGroup.sylow)
     # the _greedy calls of each recorded call in progress, innermost last
     stack: list = [[]]
 
-    def recorded(G1, G2, witness=False):
-        ok = iso(G1, G2, witness)
+    def recorded(G1, G2):
+        ok = iso(G1, G2)
         calls.append((G1, G2, ok))
         return ok
 
@@ -73,6 +77,11 @@ def catalog():
     def counted_close(*args, **kw):
         closes[0] += 1
         return close(*args, **kw)
+
+    def recorded_sylow(G, p):
+        P = sylow(G, p)
+        sylows.append((G, p, P))
+        return P
     with pytest.MonkeyPatch.context() as mp:
         for mod in (amalgam, harness):
             mp.setattr(mod, "iso_check", recorded)
@@ -83,10 +92,11 @@ def catalog():
         mp.setattr(grp.SmallGroup, "generating_set", recorded_generating_set)
         mp.setattr(grp, "_greedy", recorded_greedy)
         mp.setattr(grp, "_close", counted_close)
+        mp.setattr(grp.SmallGroup, "sylow", recorded_sylow)
         rep = run_claims(ctx)
     assert rep["overall"] and stack == [[]]
     return SimpleNamespace(ctx=ctx, calls=calls, searches=searches, gensets=gensets,
-                           products=products[0], closes=closes[0])
+                           sylows=sylows, products=products[0], closes=closes[0])
 
 
 def _distinct(pairs):
@@ -121,16 +131,16 @@ def searches(monkeypatch):
 
 def test_every_catalog_pair_agrees_with_the_old_search(catalog):
     """The same verdict as the search without memo or cached invariants,
-    on the first call and on every memo hit, and with witness=True the
-    same map, a bijective homomorphism."""
+    on the first call and on every memo hit, and the same map (rebuilt
+    from the memo by oracles.iso_map), a bijective homomorphism."""
     assert len(catalog.calls) == 47
     for G1, G2, ok in catalog.calls:
         assert ok == (iso_search(G1, G2) is not None)
     for G1, G2 in _distinct(catalog.calls):
         want = iso_search(G1, G2)
-        ok, m = iso_check(G1, G2, witness=True)
-        assert ok == (want is not None) and m == want
-        if ok:
+        m = iso_map(G1, G2)
+        assert m == want
+        if m is not None:
             _assert_isomorphism(G1, G2, m)
 
 
@@ -179,6 +189,34 @@ def test_search_generators_and_results_equal_the_prefix_loop(catalog):
         assert found == (old[0], [want[g] for g in old[0]])
 
 
+def test_sylow_subgroups_equal_the_closure_loop(catalog):
+    """sylow grows P<x> from P's cosets: on every call of a catalog pass,
+    the same subgroup, in the same element order, as closing all of P's
+    generators at each step."""
+    assert len(catalog.sylows) > 10
+    for G, p, P in catalog.sylows:
+        want = oracles.sylow(G, p)
+        assert P.elems == want.elems and len(P) == p ** grp._pval(len(G), p)
+
+
+def test_element_caches_keep_the_groups_own_elements(catalog):
+    """After a catalog pass, the order, class and class-list caches of every
+    group it compared or reduced to a Sylow subgroup hold only the group's
+    own element objects (counted by object id), not conjugates or powers
+    equal to them."""
+    groups = {id(G): G for G1, G2, _ in catalog.calls for G in (G1, G2)}
+    groups.update((id(G), G) for G, _, P in catalog.sylows)
+    groups.update((id(G), G) for G in catalog.ctx.refs.values())
+    cached = dups = 0
+    for G in groups.values():
+        own = {id(x) for x in G.elems}
+        keys = list(G._orders) + list(G._classes or ()) + [
+            x for c in G._class_list or () for x in c]
+        cached += len(keys)
+        dups += sum(id(x) not in own for x in keys)
+    assert cached > 10_000 and dups == 0
+
+
 def test_catalog_closures_are_pinned(catalog):
     """One closure per greedy generating set and per search: a change to
     the count is a change in the group engine's work."""
@@ -201,11 +239,11 @@ def test_memo_goes_with_the_reference_groups(catalog, searches):
 
 def test_witness_from_a_memo_hit_is_the_first_map(ng, searches):
     refs = reference_groups()
-    first = iso_check(ng.K12, refs["C3xAGL23S"], witness=True)
-    again = iso_check(ng.K12, refs["C3xAGL23S"], witness=True)
-    assert first[0] and first == again and first[1] is not again[1]
+    first = iso_map(ng.K12, refs["C3xAGL23S"])
+    again = iso_map(ng.K12, refs["C3xAGL23S"])
+    assert first is not None and first == again and first is not again
     assert iso_check(ng.K12, refs["C3xAGL23S"]) and len(searches) == 1
-    assert first[1] == iso_search(ng.K12, refs["C3xAGL23S"])
+    assert first == iso_search(ng.K12, refs["C3xAGL23S"])
 
 
 def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
@@ -218,7 +256,7 @@ def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
         assert iso_search(G1, G2) is None
         assert iso_check(G1, G2) is False
         assert iso_check(G1, G2) is False
-        assert iso_check(G1, G2, witness=True) == (False, None)
+        assert iso_map(G1, G2) is None
     assert len(searches) == len(pairs)
 
 
