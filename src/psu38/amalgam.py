@@ -134,7 +134,7 @@ def shape_d2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
         "G1_iso_AGL23": iso_check(am.G1, refs["AGL23"]),
         "G12_iso_AGL23S": iso_check(am.G12, refs["AGL23S"]),
         "G2_over_O3X_iso_C2xAGL13": iso_check(qa, refs["C2xAGL13"]),
-        "G2_over_O3X_split": is_split_extension(am.G2, o3x),
+        "G2_over_O3X_split": is_split_extension(am.G2, o3x) is not None,
         "T2_iso_sharp": iso_check(am.T2, refs["AGL23S_sharp"]),
         "C_O3(G2)(T)_iso_C9": iso_check(cent, refs["C9"]),
     })
@@ -175,7 +175,7 @@ def shape_e2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
         "G1_iso_C3xAGL23": iso_check(am.G1, refs["C3xAGL23"]),
         "G12_iso_C3xAGL23S": iso_check(am.G12, refs["C3xAGL23S"]),
         "G2_over_O3X_iso_C2xAGL13": iso_check(qa, refs["C2xAGL13"]),
-        "G2_over_O3X_split": is_split_extension(am.G2, o3x),
+        "G2_over_O3X_split": is_split_extension(am.G2, o3x) is not None,
         "T2_iso_C3xsharp": iso_check(am.T2, refs["C3xAGL23S_sharp"]),
         "|G2/C(Z(O3X))|": len(am.G2) // len(c2),
         "semidirect_iso_star": iso_check(sd, refs["AGL23S_star"]),

@@ -4,12 +4,13 @@ G_z^[i], and the local characteristic / pushing up predicates.
 Group elements act on vertices on the right through CosetGraph.perm;
 a base-vertex stabilizer evaluates its whole action table along its
 closure tree, one permutation gather per element.  Other stabilizers stay
-packed keys (CosetGraph.stabilizer_keys, fixers): an arc stabilizer is a
-SmallGroup only inside K1 or K2 (the named arc's lies in K2), and a
-vertex's kernel is pulled back to the base stabilizer's own elements by
-the conjugation that stabilizer_keys applies (local_condition_at).  The
-wide sampled check takes its vertices in batches of one side
-(stabilizer_key_rows, fixes), so its table lookups run per batch.
+packed keys, through the one batched pair CosetGraph.stabilizer_key_rows
+and fixes: an arc stabilizer is a SmallGroup only inside K1 or K2 (the
+named arc's lies in K2), and the kernels G_v^[1] of a batch of vertices
+of one side are pulled back to the base stabilizer's own elements by the
+conjugation that stabilizer_key_rows applies (pulled_back_kernels).  Both
+halves of the sampled vertex checks take their vertices in batches of
+one side, so their table lookups run per batch.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def max_local_s(graph: CosetGraph, group: str) -> tuple[int, list]:
 def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
     """Pointwise stabilizer of the arc: the elements of the stabilizer of
     arc[0] that fix the other arc vertices."""
-    keys = graph.stabilizer_keys(int(arc[0]), group)
-    return graph.group_from_keys(keys[graph.fixers(keys, arc[1:])], f"{group}_arc")
+    keys = graph.stabilizer_key_rows([int(arc[0])], group)[0]
+    fixed = graph.fixes(np.broadcast_to(keys, (len(arc) - 1, len(keys))), arc[1:])
+    return graph.group_from_keys(keys[fixed.all(axis=0)], f"{group}_arc")
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +289,27 @@ def pushing_up(graph: CosetGraph, group: str) -> tuple[bool, dict]:
 # sampled redundancy checks
 
 
-def local_condition_at(graph: CosetGraph, v: int, group: str) -> bool:
-    """Whether G_v^[1] is the base kernel G_side^[1] conjugated by v's
-    rep, G_side the stabilizer of the base vertex z of v's side; then
-    C_{G_v}(O_3(G_v^[1])) <= O_3(G_v^[1]) at v is the condition that
-    local_characteristic checks at z.
-
-    Key i of stabilizer_keys(v) is rep^-1 k_i rep, k_i the i-th element of
-    G_side in sorted order, so the fixers of v's neighbors name the
-    preimage of G_v^[1] in G_side, which must be exactly the kernel that
-    kernel_data(z) finds by the permutation action.
-    """
-    side = graph.side_of(v)
-    base = graph.base_stabilizer(side, group)
-    els = base.sorted_elems()
-    pulled = {els[i] for i in graph.fixers(graph.stabilizer_keys(v, group),
-                                           graph.neighbors(v))}
-    z = graph.base_x1 if side == 1 else graph.base_x2
-    return pulled == kernel_data(graph, z, group).kernel(1).eset
+def pulled_back_kernels(graph: CosetGraph, gids, group: str) -> np.ndarray:
+    """G_v^[1] of each vertex v in gids, all on one side, pulled back to
+    the base stabilizer: row i marks the keys of stabilizer_key_rows that
+    fix every neighbor of gids[i], by one fixes call over all neighbors
+    (_assert_base_edge pins each side's degree)."""
+    keys = graph.stabilizer_key_rows(gids, group)
+    deg = graph.degree(int(gids[0]))
+    nbrs = graph.indices[graph.indptr[gids][:, None] + np.arange(deg)]
+    fixed = graph.fixes(np.repeat(keys, deg, axis=0), nbrs.reshape(-1))
+    return fixed.reshape(len(gids), deg, -1).all(axis=1)
 
 
-# wide-check vertices per batch: bounds its tables and keys to a few MB
-WIDE_CHUNK = 25
+# sampled vertices per batch: bounds its tables and keys to a few MB
+SAMPLE_CHUNK = 25
+
+
+def _side_batches(graph: CosetGraph, ids: np.ndarray):
+    """The ids of side 1, then of side 2, at most SAMPLE_CHUNK at a time."""
+    for part in (ids[ids < graph.n1], ids[ids >= graph.n1]):
+        for lo in range(0, len(part), SAMPLE_CHUNK):
+            yield part[lo:lo + SAMPLE_CHUNK]
 
 
 def sampled_vertex_checks(
@@ -317,22 +318,21 @@ def sampled_vertex_checks(
 ) -> dict:
     """Spot checks at random non-base vertices, guarding the reduction of
     "for all z" conditions to orbit representatives against convention
-    bugs.
+    bugs.  Both halves run one side at a time, SAMPLE_CHUNK vertices per
+    stabilizer_key_rows and fixes call.
 
     wide: the conjugate stabilizer has the right number of distinct
-    elements and every one of them fixes its vertex; batched over the
-    sample one side at a time, WIDE_CHUNK vertices per stabilizer_key_rows
-    and fixes call.
-    deep: recompute G_v^[1] as the elements of G_v that fix v's
-    neighbors and check that it is the base kernel conjugated by v's rep
-    (local_condition_at), so the centralizer condition carries over.
+    elements and every one of them fixes its vertex.
+    deep: recompute G_v^[1] as the elements of G_v that fix v's neighbors
+    and check that it is the base kernel G_z^[1] conjugated by v's rep
+    (pulled_back_kernels against G_z^[1] over the base stabilizer's
+    sorted elements), so the centralizer condition carries over.
     """
     rng = np.random.default_rng(seed)
     wide_ids = rng.choice(graph.nv, size=min(n_wide, graph.nv), replace=False)
-    sides = (wide_ids[wide_ids < graph.n1], wide_ids[wide_ids >= graph.n1])
+    deep_ids = rng.choice(graph.nv, size=min(n_deep, graph.nv), replace=False)
     wide_ok = True
-    for chunk in (ids[lo:lo + WIDE_CHUNK] for ids in sides
-                  for lo in range(0, len(ids), WIDE_CHUNK)):
+    for chunk in _side_batches(graph, wide_ids):
         expect = {
             ("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324,
         }[(group, graph.side_of(int(chunk[0])))]
@@ -343,13 +343,15 @@ def sampled_vertex_checks(
         if (distinct != expect).any() or (fixed != expect).any():
             wide_ok = False
             break
-    deep_ids = rng.choice(graph.nv, size=min(n_deep, graph.nv), replace=False)
     deep_ok = True
-    for v in deep_ids:
-        if not local_condition_at(graph, int(v), group):
+    for chunk in _side_batches(graph, deep_ids):
+        kd = kernel_data(graph, graph.base_x1 if chunk[0] < graph.n1 else graph.base_x2, group)
+        kern = kd.kernel(1).eset
+        if not (pulled_back_kernels(graph, chunk, group)
+                == [x in kern for x in kd.stab.sorted_elems()]).all():
             deep_ok = False
             break
     return {
         "wide_sample": len(wide_ids), "wide_ok": wide_ok,
-        "deep_sample": len(deep_ids), "deep_ok": bool(deep_ok),
+        "deep_sample": len(deep_ids), "deep_ok": deep_ok,
     }

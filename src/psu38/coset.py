@@ -26,15 +26,21 @@ key order, so ids are deterministic and the base vertices are 0 and n1.
 Group elements are handled as packed keys.  The action conjugates each
 vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
 graph under one element, by the table lookups of fastops.linear_conj_keys,
-and image_batch, rowwise, by conj_fingerprints.  stabilizer_keys (and
-stabilizer_key_rows, for a batch of vertices of one side) conjugates all
-of K_side by each rep, in K_side's own sorted order, by lookups in one
-table set per rep.  fixes and fixers tell which keys fix given vertices,
-by membership in K_side (x fixes K_side.r exactly when r x r^-1 lies in
-K_side), by lookups in one table set of r^-1 per vertex; that gives arc
-stabilizers and kernels without intersecting conjugates or resolving a
-vertex.  A table set conjugates 54 bit matrices per twist, against the
-|K_side| rows of a product per rep, so the lookups pay even for one rep.
+and image_batch, rowwise, by conj_fingerprints.  Every stabilizer question
+goes through one batched pair.  stabilizer_key_rows conjugates all of
+K_side by the rep of each vertex of a batch, in K_side's own sorted order,
+by lookups in one table set per rep.  fixes tells which keys fix given
+vertices, by membership in K_side (x fixes K_side.r exactly when r x r^-1
+lies in K_side), by lookups in one table set of r^-1 per vertex; that
+gives arc stabilizers and kernels without intersecting conjugates or
+resolving a vertex.  A table set conjugates 54 bit matrices per twist,
+against the |K_side| rows of a product per rep, so the lookups pay even
+for one rep.
+
+A loaded cache is also proved adjacent edge by edge (_assert_adjacency):
+K1.r and K2.s meet exactly when r s^-1 lies in K1 K2.  A build does not
+need it: its edges are resolved probes t.rep(u), exact once _check_keys
+has proved the key.
 """
 
 from __future__ import annotations
@@ -91,7 +97,8 @@ class CosetGraph:
     ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
     kkeys: dict = dfield(default_factory=dict)     # (side, group) -> sorted uint64 keys
     fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
-    korder: dict = dfield(default_factory=dict)    # side -> ids sorted by fingerprint key
+    skeys: dict = dfield(default_factory=dict)     # side -> fkeys sorted
+    sids: dict = dfield(default_factory=dict)      # side -> int32 id of each of skeys
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
     _perm_cache: dict = dfield(default_factory=dict)
@@ -184,21 +191,18 @@ class CosetGraph:
 
     # -- stabilizers ---------------------------------------------------
 
-    def stabilizer_keys(self, g: int, group: str = "K") -> np.ndarray:
-        """Packed keys of the stabilizer (G_side)^rep of vertex g, G_side
-        the stabilizer of the base vertex of g's side (K1, K2, H1 or H2):
-        key i is rep^-1 k_i rep, k_i the i-th of G_side.sorted_elems()."""
-        return self.stabilizer_key_rows([g], group)[0]
-
     def stabilizer_key_rows(self, gids, group: str = "K") -> np.ndarray:
-        """stabilizer_keys of each vertex in gids, all on one side, as the
-        rows of a (len(gids), |G_side|) array: table lookups in one
+        """Packed keys of the stabilizer (G_side)^rep of each vertex in
+        gids, all on one side, as the rows of a (len(gids), |G_side|)
+        array (no rows for no vertex), G_side the stabilizer of that
+        side's base vertex (K1, K2, H1 or H2): key i is rep^-1 k_i rep,
+        k_i the i-th of G_side.sorted_elems().  Table lookups in one
         conj_tables set per rep (linear_conj_keys), no product per key."""
         gids = np.asarray(gids, dtype=np.int64)
         on2 = gids >= self.n1
-        if on2.any() != on2.all():
+        if on2.any() and not on2.all():
             raise ValueError("stabilizer_key_rows takes the vertices of one side")
-        side = 2 if on2[0] else 1
+        side = 2 if on2.any() else 1
         ks = self.kkeys[side, group]
         rm, rt = bunpack(self.reps[side][gids - (self.n1 if side == 2 else 0)])
         keys = linear_conj_keys(self.ops, rm, rt, np.tile(ks, len(gids)),
@@ -231,20 +235,11 @@ class CosetGraph:
             member[sel] = ks[pos] == conj[sel]
         return member.reshape(keys.shape)
 
-    def fixers(self, keys, gids) -> np.ndarray:
-        """Ascending indices of the keys whose elements fix every vertex in
-        gids (fixes, with the same keys at each vertex)."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        rows = np.broadcast_to(keys, (len(gids), len(keys)))
-        return np.flatnonzero(self.fixes(rows, gids).all(axis=0))
-
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
         """The SmallGroup on the table elements of these packed keys, which
         must be closed under products; raises if neither K1 nor K2 holds
         them all."""
         els = self.ng.interned(keys)
-        if els is None:
-            raise ValueError("the keys do not all lie in K1 or in K2")
         return SmallGroup.from_set(els, els[0].tab.elems[0], name)
 
     def base_stabilizer(self, side: int, group: str = "K") -> SmallGroup:
@@ -256,7 +251,7 @@ class CosetGraph:
 
     def vertex_stabilizer(self, g: int, group: str = "K") -> SmallGroup:
         """The base stabilizer of a base vertex; raises at any other vertex,
-        whose stabilizer stays packed keys (stabilizer_keys)."""
+        whose stabilizer stays packed keys (stabilizer_key_rows)."""
         if self.local_id(g) != 0:
             raise ValueError(f"vertex {g} is not a base vertex")
         return self.base_stabilizer(self.side_of(g), group)
@@ -288,23 +283,25 @@ class CosetGraph:
     def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
         """Vertex id of each fingerprint key (-1 when the coset is not a
         known vertex)."""
-        fk, order = self.fkeys[side], self.korder[side]
-        pos = np.minimum(np.searchsorted(fk, keys, sorter=order), len(fk) - 1)
-        ids = order[pos]
-        return np.where(fk[ids] == keys, ids, -1)
+        sk = self.skeys[side]
+        pos = np.minimum(np.searchsorted(sk, keys), len(sk) - 1)
+        return np.where(sk[pos] == keys, self.sids[side][pos], -1)
 
     def _register(self, side: int, reps: np.ndarray, fkeys: np.ndarray) -> None:
-        """Append vertices, given their rep keys and fingerprint keys."""
+        """Append vertices, given their rep keys and fingerprint keys, and
+        sort the side's keys again, with their ids alongside."""
         self.reps[side] = np.concatenate([self.reps[side], reps])
         self.fkeys[side] = np.concatenate([self.fkeys[side], fkeys])
-        self.korder[side] = np.argsort(self.fkeys[side], kind="stable")
+        order = np.argsort(self.fkeys[side], kind="stable")
+        self.skeys[side] = self.fkeys[side][order]
+        self.sids[side] = order.astype(np.int32)
 
     def _check_keys(self) -> None:
         """The proof that the fingerprint key is exact: on each side the
         keys are pairwise distinct, so the vertices are distinct cosets,
         and there are |G|/|K_side| of them, so they are all the cosets."""
         for side, K in ((1, self.ng.K1), (2, self.ng.K2)):
-            fk = self.fkeys[side][self.korder[side]]
+            fk = self.skeys[side]
             if (fk[1:] == fk[:-1]).any():
                 raise AssertionError(f"side {side}: duplicate vertex keys")
             if len(fk) * len(K) != GROUP_ORDER:
@@ -346,8 +343,8 @@ def _arm(graph: CosetGraph) -> None:
             graph.kkeys[side, group] = np.array([x.key for x in G.sorted_elems()],
                                                 dtype=np.uint64)
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
-        graph.fkeys[side] = np.zeros(0, dtype=np.uint64)
-        graph.korder[side] = np.zeros(0, dtype=np.int64)
+        graph.fkeys[side] = graph.skeys[side] = np.zeros(0, dtype=np.uint64)
+        graph.sids[side] = np.zeros(0, dtype=np.int32)
 
 
 def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
@@ -410,7 +407,7 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     x1 and x2 are adjacent, and the conjugate K1^rep of x3 = K1.E has
     |K1| distinct elements, all fixing x3 under the action on
     fingerprints; this pins the orientation and the stored representative
-    (fixers, which reads only the rep, would not)."""
+    (fixes, which reads only the rep, would not)."""
     ng = graph.ng
     x1, x2 = graph.base_x1, graph.base_x2
     deg = np.diff(graph.indptr)
@@ -422,10 +419,39 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     x3 = graph.image(x1, E)
     if x3 == x1 or graph.side_of(x3) != 1:
         raise AssertionError("K1.E did not land on a new side-1 vertex")
-    keys = graph.stabilizer_keys(x3, "K")
+    keys = graph.stabilizer_key_rows([x3], "K")[0]
     images = graph.image_batch(np.full(len(keys), x3), keys)
     if len(np.unique(keys)) != len(ng.K1) or (images != x3).any():
         raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
+
+
+def _assert_adjacency(graph: CosetGraph) -> None:
+    """Every stored edge (u, v) joins two cosets that meet: K1.r and K2.s
+    meet exactly when r s^-1 lies in K1 K2, r and s the reps, and K1 K2 =
+    K1 T, T the transversal of K12 in K2, has |K1||K2|/|K12| = 3,888
+    elements.  With _check_keys (the vertices are exactly the cosets), the
+    strictly ascending edge order (the edges are distinct) and degree 4 =
+    |K1 K2|/|K2| on side 1, it proves that the stored edges are exactly
+    the coset graph's.  One batched product per KEY_CHUNK edges, then a
+    binary search in the sorted keys of K1 T; each side-2 rep is inverted
+    once."""
+    ng, ops = graph.ng, graph.ops
+    km, kt = bunpack(graph.kkeys[1, "K"])
+    tm, tt = bunpack(np.array([t.key for t in transversal(ng.K2, ng.K12)], dtype=np.uint64))
+    n = len(kt)
+    prods = np.unique(ops.bpkeys(*ops.bsmul(
+        np.tile(km, (len(tt), 1, 1)), np.tile(kt, len(tt)),
+        np.repeat(tm, n, axis=0), np.repeat(tt, n))))
+    if len(prods) != len(ng.K1) * len(ng.K2) // len(ng.K12):
+        raise AssertionError(f"K1 K2 has {len(prods)} elements, not |K1||K2|/|K12|")
+    rm, rt = bunpack(graph.reps[1])
+    sm, st = ops.binv(*bunpack(graph.reps[2]))
+    for lo in range(0, len(graph.edges), KEY_CHUNK):
+        u, v = graph.edges[lo:lo + KEY_CHUNK].T
+        keys = ops.bpkeys(*ops.bsmul(rm[u], rt[u], sm[v], st[v]))
+        pos = np.minimum(np.searchsorted(prods, keys), len(prods) - 1)
+        if (prods[pos] != keys).any():
+            raise AssertionError("a stored edge joins two cosets that do not meet")
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +491,10 @@ def save_cache(graph: CosetGraph, path: str) -> None:
 
 def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     """Load and check a cache; any defect of the file is a CacheMismatch.
-    A loaded graph passes the checks a built one does: distinct vertex
-    keys, and the degrees and base edge of _assert_base_edge.  The payload
+    A loaded graph passes the checks a built one does (distinct vertex
+    keys, and the degrees and base edge of _assert_base_edge), and each
+    stored edge is proved an edge of the coset graph (_assert_adjacency),
+    which a build's resolved probes need not be.  The payload
     is read through a view of the file bytes, and only the edges are
     copied out of it, so the bytes are freed once it returns."""
     with open(path, "rb") as f:
@@ -509,6 +537,7 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     try:
         graph._check_keys()
         _assert_base_edge(graph)
+        _assert_adjacency(graph)
     except AssertionError as e:
         raise CacheMismatch(str(e)) from None
     return graph

@@ -8,11 +8,12 @@ plain PElements is one ElementTable, read off the closure that
 enumerates it: its elements are interned TableElements (a PElement
 subclass with the same keys, equality and order) whose products are
 index walks, and the groups generated inside it (every named subgroup of
-K1 and K2) hold the same elements.  Reference groups, quotients (the
-action on cosets), direct products (perms on a disjoint union of points)
-and the holomorph are all permutation groups on at most 108 points.  The
-engine only needs *, .inv(), hashing, equality and a total order, so
-both types go through the same code.
+K1 and K2) hold the same elements; a product across two tables is taken
+in one that holds both factors, and raises if none does.  Reference
+groups, quotients (the action on cosets), direct products (perms on a
+disjoint union of points) and the holomorph are all permutation groups on
+at most 108 points.  The engine only needs *, .inv(), hashing, equality
+and a total order, so both types go through the same code.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class TableElement(PElement):
         if other.__class__ is not TableElement or other.tab is not tab:
             y = tab.index.get(other.key)
             if y is None:
-                x = other.tab.index.get(self.key) if other.__class__ is TableElement else None
-                # looked up at call time, so a wrapper installed on PElement sees it
-                return PElement.__mul__(self, other) if x is None else x * other
+                if other.__class__ is not TableElement or self.key not in other.tab.index:
+                    raise ValueError("no table holds both factors of the product")
+                return other.tab.index[self.key] * other
             other = y
         i = self.i
         for R in other.path:
@@ -112,8 +113,8 @@ class ElementTable:
     group.
 
     A right factor outside the table is looked up in it by key; failing
-    that, the left factor is looked up in the right factor's table, and a
-    product that no one table holds is the PElement product."""
+    that, the left factor is looked up in the right factor's table; a
+    product that no one table holds raises ValueError."""
 
     def __init__(self, elems, parent, genidx, right):
         self.elems: list[TableElement] = []
@@ -720,8 +721,9 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
 # split extension search
 
 
-def is_split_extension(G: SmallGroup, N: SmallGroup, witness: bool = False):
-    """True iff N has a complement in G: C <= G with C n N = 1, CN = G.
+def is_split_extension(G: SmallGroup, N: SmallGroup) -> SmallGroup | None:
+    """A complement of N in G, C <= G with C n N = 1 and CN = G, the first
+    one the search generates; None if N has none.
 
     Exhaustive over tuples of lifts of a generating set of G/N.
     Complete: a complement C maps isomorphically onto G/N, so the
@@ -732,8 +734,7 @@ def is_split_extension(G: SmallGroup, N: SmallGroup, witness: bool = False):
     """
     Q = G.quotient(N)
     if len(Q) == 1:
-        triv = G.subgroup([G.identity])
-        return (True, triv) if witness else True
+        return G.subgroup([G.identity])
     index, _ = G._coset_index(N)
     qgens = Q.generating_set()
     lifts = []
@@ -743,7 +744,7 @@ def is_split_extension(G: SmallGroup, N: SmallGroup, witness: bool = False):
         cand = [g for g in G.sorted_elems()
                 if index[g] == q.im[0] and G.element_order(g) == o]
         if not cand:
-            return (False, None) if witness else False
+            return None
         lifts.append(cand)
     target = len(Q)
     for tup in iproduct(*lifts):
@@ -752,8 +753,8 @@ def is_split_extension(G: SmallGroup, N: SmallGroup, witness: bool = False):
         except ClosureCapExceeded:
             continue
         if len(C) == target and len(C.eset & N.eset) == 1:
-            return (True, G.subgroup(C.eset)) if witness else True
-    return (False, None) if witness else False
+            return G.subgroup(C.eset)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -984,16 +985,16 @@ class NamedGroups:
         """Intersection with H = PSU_3(8) . <sigma^3>: twist in {0, 3}."""
         return G.subgroup([x for x in G.elems if x.twist in (0, 3)], name=name)
 
-    def interned(self, keys) -> list | None:
+    def interned(self, keys) -> list:
         """The elements of these packed keys from the table of the first of
-        K1, K2 that holds them all; None if neither does."""
+        K1, K2 that holds them all; raises ValueError if neither does."""
         for K in (self.K1, self.K2):
             index = K.identity.tab.index
             try:
                 return [index[int(k)] for k in keys]
             except KeyError:
                 pass
-        return None
+        raise ValueError("the keys do not all lie in K1 or in K2")
 
 
 def named_groups(field: GF64) -> NamedGroups:

@@ -116,13 +116,13 @@ class VerifyContext:
                 return g
             except CacheMismatch as e:
                 self._log(f"cache rejected ({e}); rebuilding")
-        t0 = time.time()
+        t0 = time.perf_counter()
         g = build_graph(
             self.ng,
             progress=(lambda a, b: self._log(f"  bfs {a}+{b} vertices"))
             if self.verbose else None,
         )
-        self._log(f"graph built in {time.time() - t0:.1f}s")
+        self._log(f"graph built in {time.perf_counter() - t0:.1f}s")
         os.makedirs(self.cache_dir, exist_ok=True)
         save_cache(g, path)
         return g
@@ -206,11 +206,11 @@ class VerifyContext:
             for group, side in (("H", 1), ("H", 2), ("K", 1), ("K", 2)):
                 kd = self.kern(group, side)
                 gz, n = kd.stab, kd.o3
-                ok, comp = is_split_extension(gz, n, witness=True)
+                comp = is_split_extension(gz, n)
                 out[f"{group}_x{side}"] = {
                     "group_order": len(gz), "normal_order": len(n),
-                    "split": bool(ok),
-                    "complement_order": len(comp) if comp else None,
+                    "split": comp is not None,
+                    "complement_order": len(comp) if comp is not None else None,
                 }
             return out
         return self._memo("splits", run)
@@ -235,10 +235,7 @@ class Claim:
 def _named(ng, names) -> list:
     """The named elements as table elements of K1 or K2; raises if
     neither holds them all."""
-    els = ng.interned([ng.p[n].key for n in names])
-    if els is None:
-        raise ValueError(f"{names} do not all lie in K1 or in K2")
-    return els
+    return ng.interned([ng.p[n].key for n in names])
 
 
 def _gen_closure(ng, names) -> SmallGroup:
@@ -476,11 +473,11 @@ def build_claims() -> list[Claim]:
         def body(ctx):
             G, N, refs = getattr(ctx.ng, g), getattr(ctx.ng, n), ctx.refs
             q = G.quotient(N)
-            split, comp = is_split_extension(G, N, witness=True)
+            comp = is_split_extension(G, N)
             d = {"order": len(G), "normal": G.is_normal(N),
                  "quotient_iso": iso_check(q, refs["C2xAGL13"]),
-                 "split": bool(split),
-                 "complement_order": len(comp) if comp else None}
+                 "split": comp is not None,
+                 "complement_order": len(comp) if comp is not None else None}
             key = f"{G.name}/Z({N.name})_iso_AGL23S"
             d[key] = iso_check(G.quotient(G.subgroup(N.center().eset)), refs["AGL23S"])
             return d["order"] == order and d["normal"] and d["quotient_iso"] and d[key], d
@@ -616,7 +613,7 @@ def build_claims() -> list[Claim]:
               and o3.eset == ng.Qh2.eset
               and iso_check(ka, ctx.refs["C3xC3"]))
         # orbit-stabilizer cross check at the arc's initial vertex
-        stab_first = len(ctx.graph.stabilizer_keys(arc[0], "K"))
+        stab_first = ctx.graph.stabilizer_key_rows([arc[0]], "K").shape[1]
         count = arc_count_formula(ctx.graph, arc[0], 5)
         ok = ok and stab_first == len(ka) * count
         return ok, {"|K_arc|": len(ka), "arc": [int(x) for x in arc],
@@ -884,9 +881,9 @@ def _kernel_claim(ctx, group: str, side: int):
     d = {"|G_z^[1]|": len(k1), "|O3|": len(o3)}
     ok = len(k1) == exp["k1_order"] and o3.eset == named.eset
 
-    split, comp = is_split_extension(k1, o3, witness=True)
+    split = is_split_extension(k1, o3) is not None
     q = k1.quotient(o3)
-    d["k1_split_over_O3"] = bool(split)
+    d["k1_split_over_O3"] = split
     d["k1_quotient_C2"] = len(q) == 2
     ok = ok and split and len(q) == 2
 
@@ -991,19 +988,19 @@ def run_claims(ctx: VerifyContext, group: str = "both",
 
     records = []
     overall = True
-    t_all = time.time()
+    t_all = time.perf_counter()
     for c in claims:
         if group != "both" and group not in c.groups:
             continue
         if prefixes and not matches(c.id):
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         verdict = None
         try:
             ok, witness = c.fn(ctx)
         except Exception as e:  # a crash is an error verdict, not a crash of the run
             verdict, witness = "error", {"error": repr(e)}
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         if verdict == "error":
             overall = False
         elif ok is None:
@@ -1028,7 +1025,7 @@ def run_claims(ctx: VerifyContext, group: str = "both",
             "python": sys.version.split()[0],
         },
         "overall": overall,
-        "total_seconds": time.time() - t_all,
+        "total_seconds": time.perf_counter() - t_all,
         "claims": records,
     }
     return report

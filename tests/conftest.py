@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from psu38.coset import build_graph
 from psu38.gf64 import GF64
 from psu38.grp import named_groups, reference_groups
 from psu38.harness import VerifyContext
@@ -34,3 +35,9 @@ def refs(ctx):
 @pytest.fixture(scope="session")
 def graph(ctx):
     return ctx.graph
+
+
+@pytest.fixture(scope="session")
+def graph43():
+    """The graph built under the modulus 0x43."""
+    return build_graph(named_groups(GF64(0b1000011)))

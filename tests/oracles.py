@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 
+from psu38.arcs import kernel_data
 from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys
 from psu38.grp import Perm, SmallGroup, _close, _pval, iso_check
 from psu38.psu import Element, PElement
@@ -45,6 +46,12 @@ def coset_canon(ops, sub: SubgroupArrays, g: PElement) -> PElement:
     return PElement(element_from_key(ops.field, int(key)))
 
 
+def plain(x) -> PElement:
+    """x as a plain PElement, outside every table: its products with
+    elements of K1 or K2 are PElement products, which no table limits."""
+    return PElement(x.el)
+
+
 def rep_element(graph, v: int) -> PElement:
     """The stored representative of vertex v, as a plain PElement."""
     key = int(graph.reps[graph.side_of(v)][graph.local_id(v)])
@@ -55,8 +62,10 @@ def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
     """graph.group_from_keys, and the group on plain PElements where
     neither K1 nor K2 holds the keys (the stabilizer of a non-base
     vertex)."""
-    if graph.ng.interned(keys) is not None:
+    try:
         return graph.group_from_keys(keys, name)
+    except ValueError:
+        pass
     return SmallGroup.from_set(
         [PElement(element_from_key(graph.field, int(k))) for k in keys],
         PElement(Element.identity(graph.field)), name)
@@ -64,10 +73,10 @@ def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
 
 def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
     """The stabilizer of any vertex as a group: the base stabilizer at a
-    base vertex, else the group on its stabilizer_keys."""
+    base vertex, else the group on its stabilizer_key_rows."""
     if graph.local_id(v) == 0:
         return graph.vertex_stabilizer(v, group)
-    return group_from_keys(graph, graph.stabilizer_keys(v, group), f"{group}_v{v}")
+    return group_from_keys(graph, graph.stabilizer_key_rows([v], group)[0], f"{group}_v{v}")
 
 
 def perm_by_images(graph, x: PElement) -> np.ndarray:
@@ -77,8 +86,9 @@ def perm_by_images(graph, x: PElement) -> np.ndarray:
 
 
 def fixers_by_images(graph, keys, gids) -> np.ndarray:
-    """graph.fixers by resolving the image of every (vertex, element) pair
-    with one rowwise image_batch."""
+    """The indices of the keys whose elements fix every vertex in gids
+    (graph.fixes, reduced over the vertices) by resolving the image of
+    every (vertex, element) pair with one rowwise image_batch."""
     keys = np.asarray(keys, dtype=np.uint64)
     gids = np.asarray(gids, dtype=np.int64)
     img = graph.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
@@ -114,8 +124,8 @@ def conj_tables(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
 
 
 def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
-    """graph.stabilizer_keys by one batched bsmul conjugation of the base
-    stabilizer's sorted elements by the rep."""
+    """graph.stabilizer_key_rows([g], group)[0] by one batched bsmul
+    conjugation of the base stabilizer's sorted elements by the rep."""
     side, lid = graph.side_of(g), graph.local_id(g)
     km, kt = bunpack(graph.kkeys[side, group])
     rm, rt = bunpack(graph.reps[side][lid:lid + 1])  # one row, broadcast
@@ -124,8 +134,10 @@ def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
 
 
 def fixers(graph, keys, gids) -> np.ndarray:
-    """graph.fixers by one rowwise bsmul product r x r^-1 over all
-    (vertex, element) pairs and a binary search in K_side's sorted keys."""
+    """The indices of the keys whose elements fix every vertex in gids
+    (graph.fixes, reduced over the vertices) by one rowwise bsmul product
+    r x r^-1 over all (vertex, element) pairs and a binary search in
+    K_side's sorted keys."""
     keys = np.asarray(keys, dtype=np.uint64)
     gids = np.asarray(gids, dtype=np.int64)
     on2 = gids >= graph.n1
@@ -147,6 +159,25 @@ def fixers(graph, keys, gids) -> np.ndarray:
         pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
         member[sel] = ks[pos] == conj[sel]
     return np.flatnonzero(member.reshape(len(gids), n).all(axis=0))
+
+
+def pulled_back_kernel(graph, v: int, group: str = "K") -> frozenset:
+    """G_v^[1] pulled back to the base stabilizer G_side of v's side, one
+    vertex at a time by the bsmul oracles: the elements k of G_side whose
+    conjugate rep^-1 k rep fixes every neighbor of v."""
+    els = graph.base_stabilizer(graph.side_of(v), group).sorted_elems()
+    idx = fixers(graph, stabilizer_keys(graph, v, group), graph.neighbors(v))
+    return frozenset(els[i] for i in idx)
+
+
+def local_condition_at(graph, v: int, group: str = "K") -> bool:
+    """The per-vertex reference for the deep half of
+    arcs.sampled_vertex_checks: whether G_v^[1] is the base kernel
+    G_z^[1] conjugated by v's rep, z the base vertex of v's side; then
+    C_{G_v}(O_3(G_v^[1])) <= O_3(G_v^[1]) at v is the condition that
+    local_characteristic checks at z."""
+    z = graph.base_x1 if graph.side_of(v) == 1 else graph.base_x2
+    return pulled_back_kernel(graph, v, group) == kernel_data(graph, z, group).kernel(1).eset
 
 
 def perm_product(p: Perm, q: Perm) -> Perm:

@@ -8,7 +8,7 @@ from psu38 import arcs, harness
 from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
                         arc_stabilizer, ball, enumerate_arcs, kernel_data,
                         local_characteristic, max_local_s, orbit_partition,
-                        pushing_up, sampled_vertex_checks)
+                        pulled_back_kernels, pushing_up, sampled_vertex_checks)
 from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
@@ -415,22 +415,34 @@ def test_base_vertex_stabilizers_are_the_generated_groups(graph, ng):
             assert stab.elems[i] == stab.elems[stab.parent[i]] * stab.gens[stab.genidx[i]]
 
 
+def _fixers(graph, keys, gids):
+    """Indices of the keys whose elements fix every vertex in gids."""
+    rows = np.broadcast_to(keys, (len(gids), len(keys)))
+    return np.flatnonzero(graph.fixes(rows, gids).all(axis=0))
+
+
+def _deep_sample(graph):
+    rng = np.random.default_rng(38)
+    rng.choice(graph.nv, size=100, replace=False)  # the wide sample
+    return rng.choice(graph.nv, size=12, replace=False)
+
+
 def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
     """On the 12 deep vertices of sampled_vertex_checks, for K and H, the
     pulled-back G_v^[1] is the base kernel, whose O_3 and centralizer in
     the base stabilizer have the |O_3|, |C| and containment of G_v^[1]
     and G_v built from their own keys; the base O_3 conjugated by the rep
     is G_v^[1]'s O_3."""
-    rng = np.random.default_rng(38)
-    rng.choice(graph.nv, size=100, replace=False)  # the wide sample
-    deep = rng.choice(graph.nv, size=12, replace=False)
+    deep = _deep_sample(graph)
     for group in ("K", "H"):
         for v in map(int, deep):
-            assert arcs.local_condition_at(graph, v, group)
-            keys = graph.stabilizer_keys(v, group)
-            fixed = keys[graph.fixers(keys, graph.neighbors(v))]
+            assert oracles.local_condition_at(graph, v, group)
+            keys = graph.stabilizer_key_rows([v], group)[0]
+            fixed = keys[_fixers(graph, keys, graph.neighbors(v))]
             gv = group_from_keys(graph, keys)
-            if graph.ng.interned(keys) is None:  # outside K1 and K2: plain elements
+            try:
+                graph.ng.interned(keys)
+            except ValueError:  # outside K1 and K2: plain elements
                 assert type(gv.identity) is PElement
                 assert all(type(x) is PElement for x in gv.elems)
             q = group_from_keys(graph, fixed).p_core(3)
@@ -448,33 +460,31 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
 
 
 def test_fixers_equal_the_image_oracle(ctx, graph, ng):
-    """fixers by membership in K_side equals fixers by resolved images: on
-    the 12 deep vertices of sampled_vertex_checks, for their stabilizers
-    and for K2, at the vertex and at its neighbors, and along the paper
-    arc, for K and H."""
-    rng = np.random.default_rng(38)
-    rng.choice(graph.nv, size=100, replace=False)  # the wide sample
-    deep = rng.choice(graph.nv, size=12, replace=False)
+    """fixes by membership in K_side, reduced over the vertices, equals
+    fixers by resolved images: on the 12 deep vertices of
+    sampled_vertex_checks, for their stabilizers and for K2, at the vertex
+    and at its neighbors, and along the paper arc, for K and H."""
+    deep = _deep_sample(graph)
     k2 = np.array([x.key for x in ng.K2.elems], dtype=np.uint64)
     arc = ctx.paper_arc()
     for group in ("K", "H"):
         for v in map(int, deep):
-            for keys in (graph.stabilizer_keys(v, group), k2):
+            for keys in (graph.stabilizer_key_rows([v], group)[0], k2):
                 for gids in ([v], graph.neighbors(v)):
-                    got = graph.fixers(keys, gids)
+                    got = _fixers(graph, keys, gids)
                     assert np.array_equal(got, fixers_by_images(graph, keys, gids))
-        keys = graph.stabilizer_keys(int(arc[0]), group)
+        keys = graph.stabilizer_key_rows([int(arc[0])], group)[0]
         for i in range(1, len(arc) + 1):
-            got = graph.fixers(keys, arc[1:i])
+            got = _fixers(graph, keys, arc[1:i])
             assert len(got) and np.array_equal(got, fixers_by_images(graph, keys, arc[1:i]))
 
 
 def test_stabilizer_keys_and_fixers_equal_the_bsmul_oracles(graph):
-    """The table lookups of stabilizer_key_rows, stabilizer_keys, fixes and
-    fixers equal the bsmul products they replaced: at the base vertices
-    and on the wide and deep samples of sampled_vertex_checks, for K and
-    H, fixers at the vertex, at its neighbors and at both together, and
-    fixes row by row for each side's wide sample."""
+    """The table lookups of stabilizer_key_rows and fixes equal the bsmul
+    products they replaced: at the base vertices and on the wide and deep
+    samples of sampled_vertex_checks, for K and H, fixes reduced over the
+    vertex, its neighbors and both together, and fixes row by row for
+    each side's wide sample."""
     rng = np.random.default_rng(38)
     wide = rng.choice(graph.nv, size=100, replace=False)
     deep = rng.choice(graph.nv, size=12, replace=False)
@@ -482,11 +492,11 @@ def test_stabilizer_keys_and_fixers_equal_the_bsmul_oracles(graph):
     for group in ("K", "H"):
         for v in vs:
             want = oracles.stabilizer_keys(graph, v, group)
-            keys = graph.stabilizer_keys(v, group)
+            keys = graph.stabilizer_key_rows([v], group)[0]
             assert np.array_equal(keys, want)
             nb = graph.neighbors(v)
             for gids in ([v], nb, np.concatenate([[v], nb])):
-                assert np.array_equal(graph.fixers(keys, gids),
+                assert np.array_equal(_fixers(graph, keys, gids),
                                       oracles.fixers(graph, keys, gids))
         for ids in (wide[wide < graph.n1], wide[wide >= graph.n1]):
             rows = graph.stabilizer_key_rows(ids, group)
@@ -498,6 +508,27 @@ def test_stabilizer_keys_and_fixers_equal_the_bsmul_oracles(graph):
                 assert fx.all()
     with pytest.raises(ValueError, match="one side"):
         graph.stabilizer_key_rows([graph.base_x1, graph.base_x2])
+    # a side may draw no sampled vertex: no vertex gives no row
+    assert graph.stabilizer_key_rows([], "H").shape == (0, 432)
+
+
+def test_batched_deep_check_equals_the_per_vertex_oracle(graph, graph43):
+    """Under 0x5b and 0x43, for K and H, on the 12 deep vertices of
+    sampled_vertex_checks and both base vertices: each row of
+    pulled_back_kernels, one batch per side, is the pulled-back set of
+    oracles.local_condition_at, and the batched deep verdict is the
+    oracle's."""
+    for g in (graph, graph43):
+        deep = _deep_sample(g)
+        vs = np.concatenate([[g.base_x1, g.base_x2], deep])
+        for group in ("K", "H"):
+            for ids in (vs[vs < g.n1], vs[vs >= g.n1]):
+                els = g.base_stabilizer(g.side_of(int(ids[0])), group).sorted_elems()
+                for v, row in zip(map(int, ids), pulled_back_kernels(g, ids, group)):
+                    got = frozenset(els[i] for i in np.flatnonzero(row))
+                    assert got == oracles.pulled_back_kernel(g, v, group)
+            want = all(oracles.local_condition_at(g, int(v), group) for v in deep)
+            assert want and sampled_vertex_checks(g, group)["deep_ok"] == want
 
 
 def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import networkx as nx
 
-from psu38 import coset
+from psu38 import coset, harness
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch,
                          CosetGraph, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
@@ -20,13 +20,7 @@ from psu38.grp import named_groups
 from psu38.psu import PElement
 
 from oracles import (coset_canon, element_from_key, fixers_by_images, perm_by_images,
-                     rep_element, subgroup_arrays, vertex_stabilizer)
-
-
-@pytest.fixture(scope="module")
-def graph43():
-    """The graph built under the modulus 0x43."""
-    return build_graph(named_groups(GF64(0b1000011)))
+                     plain, rep_element, subgroup_arrays, vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -71,7 +65,7 @@ def test_adjacency_matches_coset_intersection(graph, ng):
         gu = rep_element(graph, u)
         gv = rep_element(graph, v)
         t = gv * gu.inv()
-        return any((k2.inv() * t) in ng.K1.eset for k2 in ng.K2.elems)
+        return any((plain(k2.inv()) * t) in ng.K1.eset for k2 in ng.K2.elems)
 
     for _ in range(6):
         u = rng.randrange(graph.n1)
@@ -93,7 +87,7 @@ def test_coset_canon_invariance(graph, ng):
     c = coset_canon(ops, sub, g)
     for _ in range(10):
         k = rng.choice(ng.K1.elems)
-        assert coset_canon(ops, sub, k * g) == c
+        assert coset_canon(ops, sub, plain(k) * g) == c
     # idempotence: the canon of the canon is itself
     assert coset_canon(ops, sub, c) == c
     # members of the subgroup all canonize to the trivial coset's rep
@@ -120,7 +114,7 @@ def test_vertex_stabilizers(graph, ng):
         with pytest.raises(ValueError):
             graph.vertex_stabilizer(v, "K")
         with pytest.raises(ValueError):
-            graph.group_from_keys(graph.stabilizer_keys(v, "K"))
+            graph.group_from_keys(graph.stabilizer_key_rows([v], "K")[0])
     v2 = graph.n1 + random.Random(8).randrange(graph.n2)
     assert len(vertex_stabilizer(graph, v2, "H")) == 324
 
@@ -136,7 +130,7 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
             r = rep_element(graph, v)
             C = K.conjugate(r)
             for group, G in (("K", C), ("H", ng.h_part(C))):
-                got = graph.stabilizer_keys(v, group).tolist()
+                got = graph.stabilizer_key_rows([v], group)[0].tolist()
                 assert sorted(got) == sorted(x.key for x in G.elems)
                 base = graph.base_stabilizer(side, group).sorted_elems()
                 assert got == [(r.inv() * k * r).key for k in base]
@@ -145,7 +139,7 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
 def test_image_batch_is_rowwise(graph, ng):
     rng = random.Random(14)
     gids = rng.sample(range(graph.nv), 12)
-    els = [rng.choice(ng.K1.elems) * rng.choice(ng.K2.elems) for _ in gids]
+    els = [plain(rng.choice(ng.K1.elems)) * rng.choice(ng.K2.elems) for _ in gids]
     keys = np.array([x.key for x in els], dtype=np.uint64)
     got = graph.image_batch(gids, keys)
     assert got.tolist() == [graph.image(v, x) for v, x in zip(gids, els)]
@@ -221,7 +215,7 @@ def test_perm_is_int32_and_equals_image_batch(graph, graph43):
         ng = g.ng
         rng = random.Random(seed)
         els = [ng.p[n] for n in ("A", "B", "C", "D", "E", "F", "sigma")]
-        els += [rng.choice(ng.K1.elems) * rng.choice(ng.K2.elems) for _ in range(3)]
+        els += [plain(rng.choice(ng.K1.elems)) * rng.choice(ng.K2.elems) for _ in range(3)]
         els += [ng.K2.elems[5]]
         for x in els:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
@@ -248,11 +242,10 @@ def test_perm_raises_on_an_unknown_image(graph, ng):
 
 def test_fixers_of_x1_in_K2_is_K12(graph, ng):
     keys = np.array([x.key for x in ng.K2.elems], dtype=np.uint64)
-    got = graph.fixers(keys, [graph.base_x1])
-    assert np.all(np.diff(got) > 0)
+    got = np.flatnonzero(graph.fixes(keys[None, :], [graph.base_x1])[0])
     assert sorted(keys[got].tolist()) == sorted(x.key for x in ng.K12.elems)
     assert np.array_equal(got, fixers_by_images(graph, keys, [graph.base_x1]))
-    assert graph.fixers(keys, []).tolist() == list(range(len(keys)))
+    assert graph.fixes(np.zeros((0, len(keys)), dtype=np.uint64), []).shape == (0, len(keys))
 
 
 def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
@@ -269,13 +262,13 @@ def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
 
 def test_base_edge_check_counts_distinct_keys(graph, monkeypatch):
     """|K1| keys that all fix x3 but repeat one element fail the check."""
-    keys_of = CosetGraph.stabilizer_keys
+    rows_of = CosetGraph.stabilizer_key_rows
 
-    def repeated(self, v, group="K"):
-        keys = keys_of(self, v, group).copy()
-        keys[1] = keys[0]
-        return keys
-    monkeypatch.setattr(CosetGraph, "stabilizer_keys", repeated)
+    def repeated(self, gids, group="K"):
+        rows = rows_of(self, gids, group)
+        rows[:, 1] = rows[:, 0]
+        return rows
+    monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", repeated)
     with pytest.raises(AssertionError, match="not K1 conjugated by the rep"):
         coset._assert_base_edge(graph)
 
@@ -287,7 +280,7 @@ def test_action_is_right_action(graph, ng):
         v = rng.randrange(graph.nv)
         x = rng.choice(ng.K1.elems)
         y = rng.choice(ng.K2.elems)
-        assert graph.image(graph.image(v, x), y) == graph.image(v, x * y)
+        assert graph.image(graph.image(v, x), y) == graph.image(v, plain(x) * y)
 
 
 def test_stabilizer_permutes_neighbors(graph, ng):
@@ -540,6 +533,42 @@ def test_cache_with_a_valid_digest_but_wrong_edges_is_rejected(graph, tmp_path):
         with pytest.raises(CacheMismatch, match="degrees are not 4 on side 1 and 3"):
             load_cache(path, graph.ng)
     assert load_cache(_save_with_edges(graph, path, lambda e: None), graph.ng).n1 == graph.n1
+
+
+def _swap_edge_ends(edges):
+    """The adjacency probe: the side-2 ends of the first edge at side-1
+    vertices 1000 and 20000 trade places, and the edges are sorted again;
+    degrees, edge order and the base edge stay intact."""
+    i, j = (int(np.flatnonzero(edges[:, 0] == u)[0]) for u in (1000, 20000))
+    edges[[i, j], 1] = edges[[j, i], 1]
+    edges[:] = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def test_cache_with_swapped_edge_ends_is_rejected(graph, tmp_path, capsys):
+    """A digest-valid file with two swapped edge ends passes every check
+    but the adjacency proof; load_cache rejects it, and verify exits 3
+    under --no-rebuild instead of reporting failed claims."""
+    path = str(tmp_path / f"graph-{graph.field.modulus:02x}.psu38")
+    _save_with_edges(graph, path, _swap_edge_ends)
+    with pytest.raises(CacheMismatch, match="cosets that do not meet"):
+        load_cache(path, graph.ng)
+    assert harness.main(["verify", "--no-rebuild", "--claims", "FLD",
+                         "--cache-dir", str(tmp_path)]) == harness.EXIT_CACHE
+    assert "cosets that do not meet" in capsys.readouterr().err
+
+
+def test_adjacency_proof_rejects_one_corrupted_edge_end(graph):
+    g = copy.copy(graph)
+    g.edges = graph.edges.copy()
+    g.edges[5000, 1] = (int(g.edges[5000, 1]) + 1) % graph.n2
+    with pytest.raises(AssertionError, match="cosets that do not meet"):
+        coset._assert_adjacency(g)
+
+
+def test_adjacency_proof_passes_the_built_graphs(graph, graph43):
+    """Under 0x5b and 0x43 every edge of the graph joins cosets that meet."""
+    for g in (graph, graph43):
+        coset._assert_adjacency(g)
 
 
 def test_save_cache_removes_its_temp_file_on_failure(graph, tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
                        reference_groups, sym_group)
 from psu38.psu import PElement
 
-from oracles import greedy_prefixes, iso_map, perm_product
+from oracles import greedy_prefixes, iso_map, perm_product, plain
 
 
 def test_closure_orders(ng):
@@ -376,21 +376,22 @@ def test_sharp_star_defining_conditions(refs):
 def test_split_extension_known_cases(ng, refs):
     agl = refs["AGL23"]
     v = refs["V"]
-    ok, comp = is_split_extension(agl, v, witness=True)
-    assert ok and len(comp) == 48 and len(comp.eset & v.eset) == 1
+    comp = is_split_extension(agl, v)
+    assert len(comp) == 48 and len(comp.eset & v.eset) == 1
     c9 = refs["C9"]
     c3 = c9.subgroup([x for x in c9.elems if c9.element_order(x) in (1, 3)])
-    assert not is_split_extension(c9, c3)
-    # trivial normal subgroup always splits
+    assert is_split_extension(c9, c3) is None
+    # the trivial and the whole group always split, with each other as complement
     triv = agl.subgroup([agl.identity])
-    assert is_split_extension(agl, triv)
+    assert is_split_extension(agl, triv).eset == agl.eset
+    assert is_split_extension(agl, agl).eset == triv.eset
 
 
 def test_split_extension_four_construction_cases(ng):
-    assert is_split_extension(ng.H1, ng.Q1)
-    assert is_split_extension(ng.K1, ng.Qh1)
-    assert not is_split_extension(ng.H2, ng.Q2)
-    assert not is_split_extension(ng.K2, ng.Qh2)
+    assert is_split_extension(ng.H1, ng.Q1) is not None
+    assert is_split_extension(ng.K1, ng.Qh1) is not None
+    assert is_split_extension(ng.H2, ng.Q2) is None
+    assert is_split_extension(ng.K2, ng.Qh2) is None
 
 
 def test_direct_product(refs):
@@ -440,11 +441,6 @@ def test_generating_set_rejects_an_unclosed_set(refs):
         G.generating_set()
 
 
-def _plain(x) -> PElement:
-    """x as a plain PElement, outside every table."""
-    return PElement(x.el)
-
-
 def _assert_right_table(gens, identity, cap=None):
     """_close's right table: one row per kept generator (those not in the
     span of the ones before), with right[gi][i] the index of
@@ -463,7 +459,7 @@ def test_close_records_the_right_multiplication_table(ng, refs):
     """On plain PElements, on table elements and on Perms, with a
     redundant generator, and at the cap boundary."""
     p = ng.p
-    ident = _plain(ng.K1.identity)
+    ident = plain(ng.K1.identity)
     AB = p["A"] * p["B"]
     elems, right = _assert_right_table([p["A"], p["B"], AB, p["C"]], ident)
     assert len(elems) == 27 and 2 not in right
@@ -488,7 +484,7 @@ def test_generate_over_plain_pelements_is_a_table_group(ng):
     p = ng.p
     gens = [p["A"], p["B"], p["C"], p["F"]]
     G = SmallGroup.generate(gens)
-    elems, parent, genidx, _ = _close(gens, _plain(ng.K1.identity))
+    elems, parent, genidx, _ = _close(gens, plain(ng.K1.identity))
     tab = G.identity.tab
     assert [x.key for x in G.elems] == [x.key for x in elems]
     assert (G.parent, G.genidx) == (parent, genidx)
@@ -496,9 +492,9 @@ def test_generate_over_plain_pelements_is_a_table_group(ng):
     assert tab is not ng.K1.identity.tab and tab is not ng.K2.identity.tab
     assert [x.key for x in G.gens] == [x.key for x in gens]
     for x in G.elems:
-        assert x.inv().key == _plain(x).inv().key
+        assert x.inv().key == plain(x).inv().key
         for y in G.gens:
-            assert (x * y).key == (_plain(x) * _plain(y)).key
+            assert (x * y).key == (plain(x) * plain(y)).key
 
 
 def test_table_products_and_inverses_equal_pelement_ones(ng):
@@ -511,19 +507,19 @@ def test_table_products_and_inverses_equal_pelement_ones(ng):
             x, y = rng.choice(K.elems), rng.choice(K.elems)
             z = x * y
             assert type(z) is TableElement and z.tab is tab
-            assert z.key == (_plain(x) * _plain(y)).key
+            assert z.key == (plain(x) * plain(y)).key
             assert tab.index[z.key] is z
-            assert x.inv() is tab.index[_plain(x).inv().key]
+            assert x.inv() is tab.index[plain(x).inv().key]
         assert all(x * x.inv() is K.identity for x in K.elems)
-        assert all(tab.elems[tab.inv[x.i]].key == _plain(x).inv().key for x in K.elems)
+        assert all(tab.elems[tab.inv[x.i]].key == plain(x).inv().key for x in K.elems)
 
 
 def test_table_products_across_tables_and_with_plain_elements(ng):
     """One rule for a right factor from outside the left factor's table:
     it is looked up there by key; else the left factor is looked up in the
     right factor's table; else (D.E: K1 holds D only, K2 holds E only) the
-    product is the PElement product.  A plain PElement on the left gives
-    the PElement product."""
+    product raises, since no claim takes a product outside K1 and K2.  A
+    plain PElement on the left gives the PElement product."""
     rng = random.Random(43)
     t1, t2 = ng.K1.identity.tab, ng.K2.identity.tab
     k12 = [x.key for x in ng.K12.elems]
@@ -534,24 +530,27 @@ def test_table_products_across_tables_and_with_plain_elements(ng):
         a1, a2 = t1.index[k], t2.index[k]
         x, y = rng.choice(only1), rng.choice(only2)
         for left, right, tab in (
-                (x, a2, t1), (y, a1, t2), (a2, _plain(y), t2),  # right factor here
+                (x, a2, t1), (y, a1, t2), (a2, plain(y), t2),  # right factor here
                 (a1, y, t2), (a2, x, t1)):                       # left factor there
             z = left * right
             assert type(z) is TableElement and z.tab is tab
-            assert z.key == (_plain(left) * _plain(right)).key
-        z = _plain(x) * a1
-        assert type(z) is PElement and z.key == (_plain(x) * _plain(a1)).key
+            assert z.key == (plain(left) * plain(right)).key
+        z = plain(x) * a1
+        assert type(z) is PElement and z.key == (plain(x) * plain(a1)).key
     p = ng.p
     D, E = t1.index[p["D"].key], t2.index[p["E"].key]
     assert D.key not in t2.index and E.key not in t1.index
-    for z in (D * E, D * p["E"], p["D"] * E):
-        assert type(z) is PElement and z.key == (p["D"] * p["E"]).key
+    for left, right in ((D, E), (D, p["E"])):
+        with pytest.raises(ValueError, match="no table holds both factors"):
+            left * right
+    z = p["D"] * E
+    assert type(z) is PElement and z.key == (p["D"] * p["E"]).key
 
 
 def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
-    """The fallback looks PElement.__mul__ up when it runs, so a wrapper
-    installed later sees it; products inside one table, or across tables
-    that one of them holds, do not call it."""
+    """Table products never call PElement.__mul__: not inside one table,
+    not across tables that one of them holds, and not for D.E, which no
+    table holds and which raises instead of falling back to it."""
     calls = []
     mul = PElement.__mul__
 
@@ -564,9 +563,9 @@ def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
     ng.K1.elems[7] * ng.K1.elems[9]
     ng.K12.elems[5] * ng.K2.elems[9]
     ng.K2.elems[9] * ng.K12.elems[5]
+    with pytest.raises(ValueError, match="no table holds both factors"):
+        D * E
     assert calls == []
-    assert (D * E).key == mul(ng.p["D"], ng.p["E"]).key
-    assert calls == [(D.key, E.key)]
 
 
 def test_table_elements_compare_and_hash_as_pelements(ng):
@@ -574,12 +573,12 @@ def test_table_elements_compare_and_hash_as_pelements(ng):
     pool = ng.K1.elems + ng.K2.elems
     for _ in range(500):
         x, y = rng.choice(pool), rng.choice(pool)
-        px, py = _plain(x), _plain(y)
+        px, py = plain(x), plain(y)
         assert x == px and px == x and hash(x) == hash(px)
         assert (x == y) == (px == py) and (x != y) == (px != py)
         assert (x < y) == (px < py)
     assert sorted(pool) == sorted(pool, key=lambda x: x.key)
-    assert {x: 1 for x in pool} == {_plain(x): 1 for x in pool}
+    assert {x: 1 for x in pool} == {plain(x): 1 for x in pool}
 
 
 # the generators named_groups gives each group, in order
@@ -598,7 +597,7 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
     def keys(xs):
         return [x.key for x in xs]
 
-    ident = _plain(ng.K1.identity)
+    ident = plain(ng.K1.identity)
     old = {}
     for name, gens in NAMED_GENS.items():
         gens = [ng.p[n] for n in gens.split()]
