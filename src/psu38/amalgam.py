@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .grp import Perm, SmallGroup, iso_check, is_split_extension, _close
+from .grp import Perm, SmallGroup, iso_check, is_split_extension
 
 
 @dataclass
@@ -30,9 +30,9 @@ class Amalgam:
 def core_in(G12: SmallGroup, Gi: SmallGroup) -> SmallGroup:
     """Normal core of G12 in Gi: the largest subgroup of G12 normal in Gi,
     computed as the intersection of the Gi-conjugates of G12."""
-    assert G12.eset <= Gi.eset
+    assert G12 <= Gi
     out = Gi.core(G12)
-    assert Gi.is_normal(out) and out.eset <= G12.eset
+    assert Gi.is_normal(out) and out <= G12
     return out
 
 
@@ -40,7 +40,7 @@ def _closure_step(am: Amalgam, X: SmallGroup, order: tuple[int, int]) -> SmallGr
     for i in order:
         Gi = am.G1 if i == 1 else am.G2
         nc = Gi.normal_closure(X.gens_list())
-        X = am.G12.subgroup(am.G12.eset & nc.eset)
+        X = am.G12.intersect(nc)
     return X
 
 
@@ -48,38 +48,36 @@ def compute_X(am: Amalgam) -> SmallGroup:
     """Fixed point of X -> G12 n <X^{Gi}> starting from <T1 T2>; monotone
     nondecreasing, independent of alternation order (asserted), and
     probed for minimality by dropping single generators."""
-    seed = am.G12.subgroup(_close(am.T1.gens_list() + am.T2.gens_list(),
-                                  am.G12.identity)[0])
+    seed = am.G12.span(am.T1.gens_list() + am.T2.gens_list())
     results = []
     for order in ((1, 2), (2, 1)):
         X = seed
         while True:
             Y = _closure_step(am, X, order)
-            if Y.eset == X.eset:
+            if Y.iset == X.iset:
                 break
-            assert X.eset <= Y.eset, "iteration must be monotone"
+            assert X.iset <= Y.iset, "iteration must be monotone"
             X = Y
         results.append(X)
-    assert results[0].eset == results[1].eset, "fixed point depends on order"
+    assert results[0].iset == results[1].iset, "fixed point depends on order"
     X = results[0]
     # closure conditions at the fixed point
     for i in (1, 2):
         Gi = am.G1 if i == 1 else am.G2
         nc = Gi.normal_closure(X.gens_list())
-        assert X.eset == am.G12.eset & nc.eset
+        assert X.iset == am.G12.intersect(nc).iset
     # minimality probe: any proper sub-seed must iterate back up to X
     gens = X.gens_list()
     for k in range(len(gens)):
-        sub = seed.eset | {g for j, g in enumerate(gens) if j != k}
-        Y = am.G12.subgroup(_close(sorted(sub), am.G12.identity)[0])
-        if Y.eset == X.eset:
+        Y = am.G12.span(seed.elems + [g for j, g in enumerate(gens) if j != k])
+        if Y.iset == X.iset:
             continue
         while True:
             Z = _closure_step(am, Y, (1, 2))
-            if Z.eset == Y.eset:
+            if Z.iset == Y.iset:
                 break
             Y = Z
-        assert Y.eset == X.eset, "found a smaller closed subgroup above T1 T2"
+        assert Y.iset == X.iset, "found a smaller closed subgroup above T1 T2"
     return X
 
 

@@ -2,30 +2,42 @@
 thousand): closure, structural subgroups, predicates, quotients,
 isomorphism testing, reference constructions, split-extension search.
 
-There are two element types: psu.PElement for the subgroups of
-PSU_3(8) x| C6, and Perm for everything else.  A group generated over
-plain PElements is one ElementTable, read off the closure that
-enumerates it: its elements are interned TableElements (a PElement
-subclass with the same keys, equality and order) whose products are
-index walks, and the groups generated inside it (every named subgroup of
-K1 and K2) hold the same elements; a product across two tables is taken
-in one that holds both factors, and raises if none does.  Reference
-groups, quotients (the action on cosets), direct products (perms on a
-disjoint union of points) and the holomorph are all permutation groups on
-at most 108 points.  The engine only needs *, .inv(), hashing, equality
-and a total order, so both types go through the same code.
+Every group lives in one ambient Table, read off the _close call that
+enumerated the ambient group on values (a PElement's canonical matrix and
+twist, a Perm's images): its elements in discovery order, one
+right-multiplication row per generator, the inverse of each element, the
+rank of each element in the sorted order, and lazily, one conjugation row
+per generator.  An element is an index into its table: a product x*y
+carries x along the rows of y's closure-tree path, and the conjugation by
+a generator is a permutation of the indices.  A SmallGroup is its table and
+the indices of its elements (as a list in element order and as a
+frozenset), so every engine operation (closures, orders, conjugacy
+orbits, centralizers, normalizers, cores, Sylow subgroups, cosets and the
+isomorphism search) walks lists of ints.
+
+There are two kinds of table.  A group generated over plain PElements
+(K1, K2) is a table of interned TableElements, PElements with the same
+keys, equality and order; every named subgroup of K1 and K2 is a set of
+indices in one of the two.  Reference groups, quotients (the action on
+cosets), direct products (perms on a disjoint union of points) and the
+holomorph are tables of Perms on at most 108 points.  Element objects
+appear only at the boundary: elems, gens, eset and the arguments and
+results of the public methods.  Two groups in different tables are
+compared through their elements' keys (PElement keys, Perm images).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
+from functools import partial
 from math import gcd
 from operator import itemgetter
 
 from .gf64 import GF64
-from .psu import PElement, pgenerators
+from .psu import PElement, pgenerators, value_product
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -74,82 +86,211 @@ class Perm:
 
 
 class TableElement(PElement):
-    """One interned element of an ElementTable.  It is a PElement with the
-    same el and key, so equality, hashing and order are unchanged; a
-    product with an element of its own table walks an index list and
-    returns the interned result, and the inverse is one lookup."""
+    """One interned element of a PElement table, at index i.  It is a
+    PElement with the same el and key, so equality, hashing and order are
+    unchanged.  It refers to its table weakly, so a table and its elements
+    form no reference cycle and a dropped table is freed at once.
 
-    __slots__ = ("tab", "i", "path")
+    A product takes the right factor's index in the left factor's table;
+    failing that, the left factor's index in the right factor's table; a
+    product that no one table holds raises ValueError."""
+
+    __slots__ = ("_tab", "i")
+
+    @property
+    def tab(self) -> "Table":
+        return self._tab()
 
     def __mul__(self, other):
-        tab = self.tab
-        if other.__class__ is not TableElement or other.tab is not tab:
-            y = tab.index.get(other.key)
-            if y is None:
-                if other.__class__ is not TableElement or self.key not in other.tab.index:
-                    raise ValueError("no table holds both factors of the product")
-                return other.tab.index[self.key] * other
-            other = y
-        i = self.i
-        for R in other.path:
-            i = R[i]
-        return tab.elems[i]
+        tab = self._tab()
+        j = tab.find(other)
+        if j is not None:
+            return tab.elems[tab.mul(self.i, j)]
+        if other.__class__ is TableElement:
+            tab = other._tab()
+            i = tab.pos.get(self.key)
+            if i is not None:
+                return tab.elems[tab.mul(i, other.i)]
+        raise ValueError("no table holds both factors of the product")
 
     def inv(self) -> "TableElement":
-        tab = self.tab
+        tab = self._tab()
         return tab.elems[tab.inv[self.i]]
 
 
-class ElementTable:
-    """A finite group given by one _close call (elems, parent, genidx,
-    right), as interned TableElements in the same order.
+class Table:
+    """An ambient group as index lists, from one _close call: its elements
+    (plain PElements or Perms, in discovery order), parent, genidx and
+    right.
 
     path[j] lists the right[] rows of the generators along j's tree path,
-    so elems[i] * elems[j] is index i carried through path[j].  Inverses
-    follow the tree: elems[j]^-1 = g^-1 elems[parent[j]]^-1 with
-    g = gens[genidx[j]], and g^-1 is the last index that the walk along
-    right[g] from the identity reaches before it returns there.  Every
-    entry is an index that the closure found, so no product leaves the
-    group.
-
-    A right factor outside the table is looked up in it by key; failing
-    that, the left factor is looked up in the right factor's table; a
-    product that no one table holds raises ValueError."""
+    so index i times index j is i carried through path[j].  Inverses follow
+    the tree: elems[j]^-1 = g^-1 elems[parent[j]]^-1 with g = gens[genidx[j]],
+    and g^-1 is the last index that the walk along right[g] from the
+    identity reaches before it returns there.  rank orders the indices as
+    the elements sort (PElement keys, Perm images).  The conjugation row of
+    a generator g, x -> g^-1 x g, is inv[R[inv[R[x]]]] with R = right[g];
+    that of any element composes the generators' rows along its path."""
 
     def __init__(self, elems, parent, genidx, right):
-        self.elems: list[TableElement] = []
-        self.index: dict[int, TableElement] = {}
-        for j, x in enumerate(elems):
-            t = TableElement.__new__(TableElement)
-            t.el, t.key, t.tab, t.i = x.el, x.key, self, j
-            t.path = self.elems[parent[j]].path + (right[genidx[j]],) if j else ()
-            self.elems.append(t)
-            self.index[t.key] = t
+        n = self.n = len(elems)
+        self.parent, self.genidx = parent, genidx
+        self.rows = list(right.values())
+        path = self.path = [()] * n
+        for j in range(1, n):
+            path[j] = path[parent[j]] + (right[genidx[j]],)
+        if isinstance(elems[0], PElement):
+            self.keys = [x.key for x in elems]
+            ref = weakref.ref(self)
+            self.elems = []
+            for j, x in enumerate(elems):
+                t = TableElement.__new__(TableElement)
+                t.el, t.key, t._tab, t.i = x.el, x.key, ref, j
+                self.elems.append(t)
+            # key -> interned element
+            self.index = dict(zip(self.keys, self.elems))
+        else:
+            self.keys = [x.im for x in elems]
+            self.elems = list(elems)
+        self.pos = {k: j for j, k in enumerate(self.keys)}
         ginv = {}
         for g, R in right.items():
             k = R[0]
             while R[k]:
                 k = R[k]
             ginv[g] = k
-        self.inv = inv = [0] * len(elems)
-        for j in range(1, len(elems)):
+        self.inv = inv = [0] * n
+        for j in range(1, n):
             k = ginv[genidx[j]]
-            for R in self.elems[inv[parent[j]]].path:
+            for R in path[inv[parent[j]]]:
                 k = R[k]
             inv[j] = k
+        self.orders = [0] * n
+        self._rank: list | None = None
+        # generator index -> its conjugation row, built on first use
+        self._crows: dict | None = None
+
+    # -- indices and elements ---------------------------------------------
+
+    def find(self, x) -> int | None:
+        """The index of the element x, or None if the table lacks it: found
+        by what identifies x across tables, a PElement's key or a Perm's
+        images."""
+        if x.__class__ is TableElement and x._tab() is self:
+            return x.i
+        return self.pos.get(x.key if isinstance(x, PElement) else x.im)
+
+    def at(self, x) -> int:
+        j = self.find(x)
+        if j is None:
+            raise ValueError("the element is not in this table")
+        return j
+
+    @property
+    def rank(self) -> list:
+        if self._rank is None:
+            r = self._rank = [0] * self.n
+            for k, i in enumerate(sorted(range(self.n), key=self.keys.__getitem__)):
+                r[i] = k
+        return self._rank
+
+    # -- arithmetic on indices --------------------------------------------
+
+    def mul(self, i: int, j: int) -> int:
+        for R in self.path[j]:
+            i = R[i]
+        return i
+
+    def conj(self, x: int, g: int) -> int:
+        """g^-1 x g."""
+        rows = self._crows
+        if rows is not None and g in rows:
+            return rows[g][x]
+        for R in self.path[g]:
+            x = R[x]
+        return self.mul(self.inv[g], x)
+
+    def right_of(self, h: int, uses: int = 0):
+        """x -> x*h as a function of x: a row lookup for a generator, or
+        for an element used on at least half the table (its row, composed
+        along its path); else a walk along h's path."""
+        p = self.path[h]
+        if len(p) == 1:
+            return p[0].__getitem__
+        if p and 2 * uses >= self.n:
+            row = p[0]
+            for R in p[1:]:
+                row = [R[v] for v in row]
+            return row.__getitem__
+
+        def walk(x):
+            for R in p:
+                x = R[x]
+            return x
+        return walk
+
+    def conj_row(self, h: int) -> list:
+        """The permutation x -> h^-1 x h of the indices: kept for the
+        generators (the right row R of a generator starts with its index,
+        R[0]), composed from theirs along h's path for any other h."""
+        rows = self._crows
+        if rows is None:
+            inv = self.inv
+            rows = self._crows = {R[0]: [inv[R[inv[R[x]]]] for x in range(self.n)]
+                                  for R in self.rows}
+        row = rows.get(h)
+        if row is None:
+            p = self.path[h]
+            row = rows[p[0][0]] if p else list(range(self.n))
+            for R in p[1:]:
+                c = rows[R[0]]
+                row = [c[v] for v in row]
+        return row
+
+    def conj_of(self, g: int, uses: int = 0):
+        """x -> g^-1 x g as a function of x: a row lookup for a generator
+        or for an element used on at least half the table."""
+        if len(self.path[g]) == 1 or 2 * uses >= self.n:
+            return self.conj_row(g).__getitem__
+        return lambda x: self.conj(x, g)
+
+    def order(self, x: int) -> int:
+        """The order of element x; x^k has order o / gcd(o, k), so one
+        walk orders all of <x>."""
+        o = self.orders[x]
+        if not o:
+            f = self.right_of(x)
+            pw = [x]
+            while pw[-1]:
+                pw.append(f(pw[-1]))
+            o = len(pw)
+            for k, y in enumerate(pw, 1):
+                self.orders[y] = o // gcd(o, k)
+        return o
+
+    def pow(self, x: int, k: int) -> int:
+        r, f = 0, self.right_of(x)
+        for _ in range(k):
+            r = f(r)
+        return r
 
 
 # ---------------------------------------------------------------------------
 # small helpers
 
 
-def _close(gens, identity, cap=None):
+def _close(gens, identity, cap, by):
     """Subgroup generated by gens as its closure tree (elems, parent,
     genidx) and its right-multiplication table: the elements in discovery
     order, the identity first, with elems[i] = elems[parent[i]] *
     gens[genidx[i]] the product that first reached elems[i] (finite, so
     the product closure contains inverses), and right[gi][i] the index of
     elems[i] * gens[gi] for each kept generator gi.
+
+    by(g) is the function x -> x*g: on the values that build a Table
+    (PElement matrices and twists, Perm images) the products of
+    psu.value_product and _compose, and Table.right_of on the indices of
+    one table.
 
     A generator already in the span is skipped; a new one g adds the
     coset span.g and then closes the new elements under every kept
@@ -173,60 +314,34 @@ def _close(gens, identity, cap=None):
         if g in index:
             continue
         i = len(elems)
+        f = by(g)
         # new, since g is not in the span
-        right[gi] = [add(elems[pi] * g, pi, gi) for pi in range(i)]
-        kept.append((gi, g, right[gi]))
+        right[gi] = [add(f(elems[pi]), pi, gi) for pi in range(i)]
+        kept.append((gi, f, right[gi]))
         while i < len(elems):
             x = elems[i]
             for hi, h, row in kept:
-                y = x * h
+                y = h(x)
                 j = index.get(y)
                 row.append(add(y, i, hi) if j is None else j)
             i += 1
     return elems, parent, genidx, right
 
 
-def _greedy(cands, identity):
+def _greedy(cands, identity, by):
     """The greedy generating sequence of cands: each candidate outside the
     span of those kept before it.  That is exactly what _close keeps when
     given every candidate in order, so one closure returns the kept
     candidates gens, its tree (elems, parent, genidx, right) with genidx
     and right renumbered to gens, and ends, where elems[:ends[i]] is the
     span of gens[:i]."""
-    elems, parent, genidx, right = _close(cands, identity)
+    elems, parent, genidx, right = _close(cands, identity, None, by)
     pos = {gi: k for k, gi in enumerate(right)}
     gens = [cands[gi] for gi in right]
     # the coset span.g starts with g = elems[0] * g
     ends = [row[0] for row in right.values()] + [len(elems)]
     genidx = [-1] + [pos[gi] for gi in genidx[1:]]
     return gens, ends, (elems, parent, genidx, dict(enumerate(right.values())))
-
-
-def _conj_orbit(seeds, gens, on_sets=False):
-    """The orbit of the seeds under conjugation x -> g^-1 x g by the group
-    that gens generate, yielded in discovery order; with on_sets=True the
-    points are frozensets of elements, conjugated elementwise."""
-    pairs = [(g.inv(), g) for g in gens]
-    orbit = list(dict.fromkeys(seeds))
-    seen = set(orbit)
-    for x in orbit:  # grows while it is walked
-        yield x
-        for gi, g in pairs:
-            y = frozenset(gi * h * g for h in x) if on_sets else gi * x * g
-            if y not in seen:
-                seen.add(y)
-                orbit.append(y)
-
-
-def _pow(x, k, identity):
-    r = identity
-    b = x
-    while k:
-        if k & 1:
-            r = r * b
-        b = b * b
-        k >>= 1
-    return r
 
 
 def _pval(n, p):
@@ -237,144 +352,285 @@ def _pval(n, p):
     return v
 
 
+def _orbit(seeds, fs):
+    """The orbit of the seed points under the functions fs (each one a
+    permutation of the points), in discovery order."""
+    orbit = list(dict.fromkeys(seeds))
+    seen = set(orbit)
+    for x in orbit:  # grows while it is walked
+        for f in fs:
+            y = f(x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
+
+
+def _common_table(xs) -> Table | None:
+    """The first table of a TableElement among xs that holds all of xs;
+    None if none of xs is a TableElement."""
+    tabs = dict.fromkeys(x._tab() for x in xs if x.__class__ is TableElement)
+    for tab in tabs:
+        if all(tab.find(x) is not None for x in xs):
+            return tab
+    if tabs:
+        raise ValueError("no table holds all the elements")
+    return None
+
+
+def _compose(g: tuple):
+    """Right multiplication by the Perm with images g, on image tuples."""
+    at = g.__getitem__
+    return lambda x: tuple(map(at, x))
+
+
+def _as_perm(im: tuple) -> Perm:
+    p = _new(Perm)
+    p.im = im
+    return p
+
+
+def _new_table(gens, identity=None, cap=None) -> Table:
+    """The table of the group that the plain PElements or Perms gens
+    generate, closed on values that hash and compare as tuples do: a
+    PElement as the (matrix, twist) of its canonical representative, a Perm
+    as its images."""
+    if gens[0].__class__ is not Perm:
+        if identity is None:
+            identity = gens[0] * gens[0].inv()
+        f = identity.el.field
+        vals, parent, genidx, right = _close(
+            [(g.el.mat, g.el.twist) for g in gens], (identity.el.mat, identity.el.twist),
+            cap, lambda g: partial(value_product, f, b=g))
+        return Table([PElement._canonical(f, m, t) for m, t in vals], parent, genidx, right)
+    e = tuple(range(len(gens[0].im))) if identity is None else identity.im
+    elems, parent, genidx, right = _close([g.im for g in gens], e, cap, _compose)
+    return Table([_as_perm(im) for im in elems], parent, genidx, right)
+
+
 # ---------------------------------------------------------------------------
 
 
 class SmallGroup:
-    """An explicitly enumerated group.
+    """An explicitly enumerated group: a set of indices in one ambient
+    Table.
 
-    `elems` is in closure discovery order with elems[0] the identity.
-    When built by generate(), `parent`/`genidx` record the closure tree
-    of _close (elems[i] = elems[parent[i]] * gens[genidx[i]]), which
-    downstream code uses to evaluate vertex actions incrementally.
+    idx lists the indices in element order, the identity (index 0) first:
+    closure discovery order when built by generate(), else the identity
+    and then sorted order.  When built by generate(), `parent`/`genidx`
+    record the closure tree of _close (elems[i] = elems[parent[i]] *
+    gens[genidx[i]]), which downstream code uses to evaluate vertex
+    actions incrementally.  Caches (orders, classes, invariants) are keyed
+    by indices.
     """
 
-    def __init__(self, elems, gens, identity, parent=None, genidx=None, name=""):
-        self.elems = list(elems)
-        self.gens = list(gens)
-        self.identity = identity
+    def __init__(self, tab: Table, idx, gens=(), parent=None, genidx=None, name=""):
+        self.tab = tab
+        self.idx = idx if type(idx) is list else list(idx)
+        self._iset: frozenset | None = None
+        self._gens = list(gens)
         self.parent = parent
         self.genidx = genidx
         self.name = name
-        self.eset = frozenset(self.elems)
-        self._orders: dict = {}
-        self._classes: dict | None = None
-        self._class_list: list | None = None
+        self._elems: list | None = None
+        self._eset: frozenset | None = None
+        self._handles: frozenset | None = None
         self._sorted: list | None = None
+        self._classes: list | None = None
+        self._class_of: dict | None = None
+        self._labels: dict | None = None
         self._refined: dict | None = None
         self._by_refined: dict | None = None
-        # iso_check results with this group second, by the first's eset
+        # iso_check results with this group second, by the first's handles
         self._iso: dict = {}
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def generate(gens, cap: int = 2_000_000, name: str = "") -> "SmallGroup":
-        """The group gens generate, with its closure tree; over plain
-        PElements, as the elements of a new ElementTable."""
+        """The group gens generate, with its closure tree: inside the table
+        of its TableElement generators, else (plain PElements or Perms) as
+        a new table."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        e = gens[0] * gens[0].inv()
-        elems, parent, genidx, right = _close(gens, e, cap)
-        if type(e) is PElement:
-            tab = ElementTable(elems, parent, genidx, right)
-            elems, e = tab.elems, tab.elems[0]
-            gens = [tab.index[g.key] for g in gens]
-        return SmallGroup(elems, gens, e, parent, genidx, name)
+        tab = _common_table(gens)
+        if tab is None:
+            tab = _new_table(gens, cap=cap)
+            return SmallGroup(tab, range(tab.n), [tab.at(g) for g in gens],
+                              tab.parent, tab.genidx, name)
+        ig = [tab.at(g) for g in gens]
+        elems, parent, genidx, _ = _close(ig, 0, cap, tab.right_of)
+        return SmallGroup(tab, elems, ig, parent, genidx, name)
 
     @staticmethod
     def from_set(elements, identity, name: str = "") -> "SmallGroup":
         """Group on an explicit element set that is closed under products:
-        the identity first, then the rest in sorted order.  Generators are
-        found lazily on first use."""
-        els = sorted(set(elements))
-        return SmallGroup([identity] + [x for x in els if x != identity], [],
-                          identity, name=name)
+        the identity first, then the rest in sorted order.  The table is
+        the identity's; for a Perm or plain PElement identity, a new one
+        generated by the set.  Generators are found lazily on first use."""
+        elements = list(elements)
+        if identity.__class__ is TableElement:
+            tab = identity.tab
+        else:
+            tab = _new_table(sorted(set(elements)) or [identity], identity)
+        return SmallGroup._of(tab, [tab.at(x) for x in elements], name)
+
+    @staticmethod
+    def _of(tab: Table, idx, name: str = "") -> "SmallGroup":
+        """The group on these indices of tab: the identity first, then the
+        rest in sorted order."""
+        rest = set(idx)
+        rest.discard(0)
+        return SmallGroup(tab, [0] + sorted(rest, key=tab.rank.__getitem__), name=name)
+
+    def _sub(self, idx, name: str = "") -> "SmallGroup":
+        return SmallGroup._of(self.tab, idx, name)
 
     def subgroup(self, elements, name: str = "") -> "SmallGroup":
         """Subgroup from an explicit (closed) element subset."""
-        return SmallGroup.from_set(elements, self.identity, name)
+        return self._sub(map(self.tab.at, elements), name)
+
+    def span(self, xs, name: str = "") -> "SmallGroup":
+        """The subgroup that the elements xs generate, as subgroup() orders
+        it."""
+        tab = self.tab
+        return self._sub(_close([tab.at(x) for x in xs], 0, None, tab.right_of)[0], name)
+
+    @property
+    def iset(self) -> frozenset:
+        """The indices as a set, built on first use."""
+        if self._iset is None:
+            self._iset = frozenset(self.idx)
+        return self._iset
+
+    # -- boundary ---------------------------------------------------------
+
+    @property
+    def elems(self) -> list:
+        if self._elems is None:
+            self._elems = [self.tab.elems[i] for i in self.idx]
+        return self._elems
+
+    @property
+    def eset(self) -> frozenset:
+        if self._eset is None:
+            self._eset = frozenset(self.elems)
+        return self._eset
+
+    @property
+    def gens(self) -> list:
+        return [self.tab.elems[i] for i in self._gens]
+
+    @property
+    def identity(self):
+        return self.tab.elems[0]
+
+    def handles(self) -> frozenset:
+        """The keys (PElements) or images (Perms) of the elements: equal for
+        two groups with the same elements, in any tables."""
+        if self._handles is None:
+            keys = self.tab.keys
+            self._handles = frozenset([keys[i] for i in self.idx])
+        return self._handles
+
+    def _ix(self, H: "SmallGroup") -> list:
+        """H's elements as indices in this group's table."""
+        if H.tab is self.tab:
+            return H.idx
+        keys, at = H.tab.keys, self.tab.pos
+        try:
+            return [at[keys[i]] for i in H.idx]
+        except KeyError:
+            raise ValueError("the group is not in this table") from None
+
+    def _ixgens(self, H: "SmallGroup") -> list:
+        gens = H._gl()
+        if H.tab is self.tab:
+            return gens
+        return [self.tab.at(H.tab.elems[i]) for i in gens]
 
     # -- basics -----------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elems)
+        return len(self.idx)
 
     def __len__(self):
-        return len(self.elems)
+        return len(self.idx)
 
     def __contains__(self, x) -> bool:
-        return x in self.eset
+        return self.tab.find(x) in self.iset
 
     def __iter__(self):
         return iter(self.elems)
 
-    def sorted_elems(self) -> list:
+    def _srt(self) -> list:
+        """The indices in sorted element order."""
         if self._sorted is None:
-            self._sorted = sorted(self.elems)
+            self._sorted = sorted(self.idx, key=self.tab.rank.__getitem__)
         return self._sorted
 
+    def sorted_elems(self) -> list:
+        return [self.tab.elems[i] for i in self._srt()]
+
     def __le__(self, other: "SmallGroup") -> bool:
-        return self.eset <= other.eset
+        if other.tab is self.tab:
+            return self.iset <= other.iset
+        return self.handles() <= other.handles()
 
     def element_order(self, x) -> int:
-        if not self._orders:
-            # keyed by the group's own elements: assigning to a key equal
-            # to a stored one keeps the stored key object
-            self._orders = dict.fromkeys(self.elems, 0)
-        o = self._orders[x]
-        if not o:
-            # x^k has order o / gcd(o, k): one walk orders all of <x>
-            pw = [x]
-            while pw[-1] != self.identity:
-                pw.append(pw[-1] * x)
-            o = len(pw)
-            for k, y in enumerate(pw, 1):
-                self._orders[y] = o // gcd(o, k)
-        return o
+        return self.tab.order(self.tab.at(x))
 
     def exponent(self) -> int:
         e = 1
-        for x in self.elems:
-            o = self.element_order(x)
+        for x in self.idx:
+            o = self.tab.order(x)
             e = e * o // gcd(e, o)
         return e
 
+    def _gl(self) -> list:
+        """The generators as indices, found by _generating_set if none."""
+        if not self._gens:
+            self._gens = self._generating_set()
+        return self._gens
+
     def gens_list(self) -> list:
-        if not self.gens:
-            self.gens = self.generating_set()
-        return self.gens
+        return [self.tab.elems[i] for i in self._gl()]
 
     def generating_set(self) -> list:
+        return [self.tab.elems[i] for i in self._generating_set()]
+
+    def _generating_set(self) -> list:
         """Small deterministic generating set: greedy over elements sorted
         by decreasing order.  The span holds every element, so it is the
         element set exactly when the sizes agree."""
-        if len(self.elems) == 1:
-            return [self.identity]
-        cand = sorted(self.elems, key=lambda x: (-self.element_order(x), x))
-        gens, ends, _ = _greedy(cand, self.identity)
-        if ends[-1] != len(self.elems):
+        if len(self.idx) == 1:
+            return [0]
+        tab = self.tab
+        order, rank = tab.order, tab.rank
+        cand = sorted(self.idx, key=lambda x: (-order(x), rank[x]))
+        gens, ends, _ = _greedy(cand, 0, tab.right_of)
+        if ends[-1] != len(self.idx):
             raise AssertionError("element set is not closed under multiplication")
         return gens
 
     # -- predicates ---------------------------------------------------
 
     def is_abelian(self) -> bool:
-        gens = self.gens_list()
-        return all(a * b == b * a for a in gens for b in gens)
+        gens, mul = self._gl(), self.tab.mul
+        return all(mul(a, b) == mul(b, a) for a in gens for b in gens)
 
     def is_elementary_abelian(self, p: int) -> bool:
-        return self.is_abelian() and all(
-            self.element_order(x) in (1, p) for x in self.elems
-        )
+        order = self.tab.order
+        return self.is_abelian() and all(order(x) in (1, p) for x in self.idx)
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(x) == len(self.elems) for x in self.elems)
+        order, n = self.tab.order, len(self.idx)
+        return any(order(x) == n for x in self.idx)
 
     def is_p_group(self, p: int) -> bool:
-        n = len(self.elems)
+        n = len(self.idx)
         while n % p == 0:
             n //= p
         return n == 1
@@ -386,14 +642,14 @@ class SmallGroup:
         z = self.center()
         d = self.derived()
         f = self.frattini_p(p)
-        return z.eset == d.eset == f.eset
+        return z.iset == d.iset == f.iset
 
     def is_extraspecial(self, p: int) -> bool:
         return self.is_special(p) and len(self.center()) == p
 
     def structure_predicates(self, p: int = 3) -> dict:
         return {
-            "order": len(self.elems),
+            "order": len(self.idx),
             "exponent": self.exponent(),
             "is_cyclic": self.is_cyclic(),
             "is_abelian": self.is_abelian(),
@@ -404,63 +660,90 @@ class SmallGroup:
     # -- structural subgroups -------------------------------------------
 
     def center(self) -> "SmallGroup":
-        z = self.centralizer(self.gens_list())
+        z = self._centralizer(self._gl())
         z.name = f"Z({self.name})" if self.name else ""
         return z
 
     def centralizer(self, xs) -> "SmallGroup":
-        xs = list(xs)
-        c = [g for g in self.elems if all(g * x == x * g for x in xs)]
-        return self.subgroup(c)
+        return self._centralizer([self.tab.at(x) for x in xs])
+
+    def _centralizer(self, xs) -> "SmallGroup":
+        """The g that commute with every x: fixed points of x's conjugation
+        row where it pays, else g*x == x*g."""
+        tab = self.tab
+        keep = self.idx
+        for x in dict.fromkeys(xs):
+            f = tab.conj_of(x, len(keep))
+            keep = [g for g in keep if f(g) == g]
+        return self._sub(keep)
 
     def normalizer(self, H: "SmallGroup") -> "SmallGroup":
-        hgens = H.gens_list()
-        out = []
-        for g in self.elems:
-            gi = g.inv()
-            if all((gi * h * g) in H.eset for h in hgens):
-                out.append(g)
-        return self.subgroup(out)
+        hgens, hset = self._ixgens(H), frozenset(self._ix(H))
+        conj = self.tab.conj
+        return self._sub([g for g in self.idx
+                          if all(conj(h, g) in hset for h in hgens)])
 
     def is_normal(self, H: "SmallGroup") -> bool:
-        hgens = H.gens_list()
-        for g in self.gens_list():
-            gi = g.inv()
-            if not all((gi * h * g) in H.eset for h in hgens):
-                return False
-        return True
+        hgens, hset = self._ixgens(H), frozenset(self._ix(H))
+        conj = self.tab.conj
+        return all(conj(h, g) in hset for g in self._gl() for h in hgens)
 
     def normal_closure(self, xs) -> "SmallGroup":
-        orbit = _conj_orbit(xs, self.gens_list())
-        return self.subgroup(_close(sorted(orbit), self.identity)[0])
+        return self._normal_closure([self.tab.at(x) for x in xs])
+
+    def _normal_closure(self, xs) -> "SmallGroup":
+        tab = self.tab
+        fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
+        seed = sorted(_orbit(xs, fs), key=tab.rank.__getitem__)
+        return self._sub(_close(seed, 0, None, tab.right_of)[0])
 
     def derived(self) -> "SmallGroup":
-        gens = self.gens_list()
-        comms = {a.inv() * b.inv() * a * b for a in self.elems for b in gens}
-        return self.normal_closure(comms)
+        tab = self.tab
+        mul, inv = tab.mul, tab.inv
+        comms = {mul(mul(mul(inv[a], inv[b]), a), b) for a in self.idx for b in self._gl()}
+        return self._normal_closure(comms)
 
     def frattini_p(self, p: int) -> "SmallGroup":
         """Phi(G) = G' <g^p> for a p-group."""
         if not self.is_p_group(p):
             raise ValueError("frattini_p is only used on p-groups here")
+        tab = self.tab
         d = self.derived()
-        pw = {_pow(x, p, self.identity) for x in self.elems}
-        return self.subgroup(_close(sorted(d.eset | pw), self.identity)[0])
+        pw = {tab.pow(x, p) for x in self.idx}
+        return self._sub(_close(sorted(d.iset | pw, key=tab.rank.__getitem__), 0,
+                                None, tab.right_of)[0])
 
     def commutator_subgroup(self, X: "SmallGroup", Y: "SmallGroup") -> "SmallGroup":
         """[X, Y] for subgroups X, Y of self (commutators over all pairs,
         then product closure; the pair set is conjugation-closed enough
         because both conventions' commutators are mutually inverse)."""
-        comms = {x.inv() * y.inv() * x * y for x in X.elems for y in Y.elems}
-        return self.subgroup(_close(sorted(comms), self.identity)[0])
+        tab = self.tab
+        mul, inv = tab.mul, tab.inv
+        ys = self._ix(Y)
+        comms = {mul(mul(mul(inv[x], inv[y]), x), y) for x in self._ix(X) for y in ys}
+        return self._sub(_close(sorted(comms, key=tab.rank.__getitem__), 0,
+                                None, tab.right_of)[0])
 
     def intersect(self, other: "SmallGroup") -> "SmallGroup":
-        return self.subgroup(self.eset & other.eset)
+        """self n other, as a subgroup of self (in self's table)."""
+        if other.tab is self.tab:
+            return self._sub(self.iset & other.iset)
+        keys, pos = other.tab.keys, self.tab.pos
+        mine = {pos.get(keys[i]) for i in other.idx}
+        return self._sub(self.iset & mine)
 
     def conjugate(self, g, name: str = "") -> "SmallGroup":
-        gi = g.inv()
-        c = SmallGroup.from_set([gi * h * g for h in self.elems], self.identity, name)
-        c.gens = [gi * h * g for h in self.gens]
+        """G^g; for g outside the table, a group of plain PElements in a
+        new table."""
+        tab = self.tab
+        j = tab.find(g)
+        if j is None:
+            gi = g.inv()
+            c = SmallGroup.from_set([gi * h * g for h in self.elems], gi * g, name)
+            c._gens = [c.tab.at(gi * h * g) for h in self.gens]
+            return c
+        c = self._sub([tab.conj(h, j) for h in self.idx], name)
+        c._gens = [tab.conj(h, j) for h in self._gens]
         return c
 
     # -- Sylow machinery --------------------------------------------------
@@ -469,97 +752,134 @@ class SmallGroup:
         """One Sylow p-subgroup, grown greedily inside successive
         normalizers; deterministic because candidates are scanned in
         sorted order.  An x of p-power order outside P that normalizes P
-        makes P<x> a p-group larger than P.  Orders in G divide |G|, so a
-        p-power is an order (or a subgroup's size) that divides target.
-        Since x normalizes P, P<x> is the union of the cosets P.x^i, built
-        from P's own elements until x^i falls in P."""
-        target = p ** _pval(len(self.elems), p)
-        P = self.subgroup([self.identity])
+        (maps the generators of P into P) makes P<x> a p-group larger than
+        P.  Orders in G divide |G|, so a p-power is an order (or a
+        subgroup's size) that divides target.  Since x normalizes P, P<x>
+        is the union of the cosets P.x^i, built from P's own elements until
+        x^i falls in P."""
+        tab = self.tab
+        order, conj = tab.order, tab.conj
+        target = p ** _pval(len(self.idx), p)
+        P, pset, pgens = [0], {0}, []
         while len(P) < target:
-            N = self.normalizer(P) if len(P) > 1 else self
-            x = next((x for x in N.sorted_elems()
-                      if x not in P.eset and target % self.element_order(x) == 0), None)
+            x = next((x for x in self._srt()
+                      if x not in pset and target % order(x) == 0
+                      and all(conj(h, x) in pset for h in pgens)), None)
             if x is None:
                 raise AssertionError("sylow growth stalled")
-            els, xi = list(P.elems), x
-            while xi not in P.eset:
-                els += [h * xi for h in P.elems]
-                xi = xi * x
-            P = self.subgroup(els)
+            els, xi = list(P), x
+            while xi not in pset:
+                f = tab.right_of(xi)
+                els += [f(h) for h in P]
+                xi = tab.mul(xi, x)
+            P = SmallGroup._of(tab, els).idx
+            pset = set(P)
+            pgens.append(x)
             if target % len(P):
                 raise AssertionError("P<x> is not a p-group")
-        return P
+        return self._sub(P)
 
     def p_core(self, p: int) -> "SmallGroup":
         """O_p(G): the normal core of one Sylow p-subgroup."""
-        if len(self.elems) % p != 0:
-            return self.subgroup([self.identity])
+        if len(self.idx) % p != 0:
+            return self._sub([0])
         return self.core(self.sylow(p))
 
     def core(self, H: "SmallGroup") -> "SmallGroup":
         """Normal core of H in G: the intersection of all G-conjugates of
         H, walked along their orbit until it is trivial."""
-        core = set(H.eset)
-        for T in _conj_orbit([H.eset], self.gens_list(), on_sets=True):
+        tab = self.tab
+        fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
+        core = frozenset(self._ix(H))
+        orbit, seen = [core], {core}
+        for T in orbit:  # grows while it is walked
             core &= T
             if len(core) == 1:
                 break
-        return self.subgroup(core)
+            for f in fs:
+                U = frozenset(map(f, T))
+                if U not in seen:
+                    seen.add(U)
+                    orbit.append(U)
+        return self._sub(core)
 
     # -- conjugacy classes ----------------------------------------------
 
-    def conj_classes(self) -> list[frozenset]:
-        if self._class_list is None:
-            # class number by the group's own elements, which stay the keys
-            # (as in element_order), so the classes hold no conjugates
-            which = dict.fromkeys(self.elems, -1)
+    def _class_lists(self) -> list:
+        """The conjugacy classes as index lists, numbered by their least
+        element, each in orbit order; _class_of maps an index to its
+        class."""
+        if self._classes is None:
+            tab = self.tab
+            fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
+            which: dict = {}
             classes: list = []
-            for g in self.sorted_elems():
-                if which[g] < 0:
-                    for y in _conj_orbit([g], self.gens_list()):
-                        which[y] = len(classes)
-                    classes.append([])
-            for x, i in which.items():
-                classes[i].append(x)
-            self._class_list = [frozenset(c) for c in classes]
-        return self._class_list
+            for g in self._srt():
+                if g not in which:
+                    orbit = _orbit([g], fs)
+                    which.update(dict.fromkeys(orbit, len(classes)))
+                    classes.append(orbit)
+            self._classes, self._class_of = classes, which
+        return self._classes
+
+    def conj_classes(self) -> list[frozenset]:
+        els = self.tab.elems
+        return [frozenset([els[i] for i in c]) for c in self._class_lists()]
+
+    def _class_labels(self) -> dict:
+        """Index -> (order, class size); cached."""
+        if self._labels is None:
+            order = self.tab.order
+            lab = {}
+            for c in self._class_lists():
+                # conjugates have one order: one label tuple per class
+                t = (order(c[0]), len(c))
+                for x in c:
+                    lab[x] = t
+            self._labels = lab
+        return self._labels
 
     def conj_class_invariants(self) -> dict:
-        """Map element -> (order, class size); cached."""
-        if self._classes is None:
-            cls = {}
-            for c in self.conj_classes():
-                # conjugates have one order: one label tuple per class
-                label = (self.element_order(next(iter(c))), len(c))
-                for x in c:
-                    cls[x] = label
-            self._classes = cls
-        return self._classes
+        """Map element -> (order, class size)."""
+        els = self.tab.elems
+        return {els[i]: t for i, t in self._class_labels().items()}
 
     # -- quotient ---------------------------------------------------------
 
     def _coset_index(self, N: "SmallGroup") -> tuple[dict, list]:
-        """(g -> coset number, least element of each coset) for a normal
+        """(index -> coset number, least index of each coset) for a normal
         N: coset 0 is N, the others are numbered by their least element."""
-        index: dict = {}
+        coset: dict = {}
         reps = []
-        for g in [self.identity] + self.sorted_elems():
-            if g not in index:
-                for n in N.elems:
-                    index[g * n] = len(reps)
+        nidx = self._ix(N)
+        tab = self.tab
+        path = tab.path
+        for g in [0] + self._srt():
+            if g not in coset:
+                c = len(reps)
+                for n in nidx:
+                    x = g
+                    for R in path[n]:
+                        x = R[x]
+                    coset[x] = c
                 reps.append(g)
-        return index, reps
+        return coset, reps
 
     def quotient(self, N: "SmallGroup") -> "SmallGroup":
         """G/N as the permutation group that G induces by right
         multiplication on the cosets of N (regular, so faithful on G/N)."""
         if not self.is_normal(N):
             raise ValueError("quotient by a non-normal subgroup")
-        index, reps = self._coset_index(N)
-        perms = [Perm([index[r * g] for r in reps]) for g in self.gens_list()]
+        return self._quotient(N, *self._coset_index(N))
+
+    def _quotient(self, N, coset, reps) -> "SmallGroup":
+        perms = []
+        for g in self._gl():
+            f = self.tab.right_of(g)
+            perms.append(Perm([coset[f(r)] for r in reps]))
         q = SmallGroup.generate(
             perms, name=f"{self.name}/{N.name}" if self.name and N.name else "")
-        assert len(q) * len(N) == len(self.elems)
+        assert len(q) * len(N) == len(self.idx)
         return q
 
 
@@ -582,20 +902,21 @@ def direct_product(*groups: SmallGroup) -> SmallGroup:
 
 
 def _refined_invariants(G: SmallGroup) -> dict:
-    """Per-element invariant labels: conjugacy class data sharpened by the
-    labels of small powers, iterated to a fixed point.  Isomorphisms
-    preserve these labels, so they are safe candidate filters.  Cached;
-    the rounds run on lists by element index."""
+    """Per-element invariant labels, by index: conjugacy class data
+    sharpened by the labels of small powers, iterated to a fixed point.
+    Isomorphisms preserve these labels, so they are safe candidate
+    filters.  Cached; the rounds run on lists by position in G.idx."""
     if G._refined is not None:
         return G._refined
-    cls = G.conj_class_invariants()
-    index = {g: i for i, g in enumerate(G.elems)}
+    cls = G._class_labels()
+    mul = G.tab.mul
+    where = {g: k for k, g in enumerate(G.idx)}
     sq, cu = [], []
-    for g in G.elems:
-        g2 = g * g
-        sq.append(index[g2])
-        cu.append(index[g2 * g])
-    lab = first = [cls[g] for g in G.elems]
+    for g in G.idx:
+        g2 = mul(g, g)
+        sq.append(where[g2])
+        cu.append(where[mul(g2, g)])
+    lab = first = [cls[g] for g in G.idx]
     for _ in range(3):
         nxt = [(a, lab[i], lab[k]) for a, i, k in zip(lab, sq, cu)]
         # compress labels to keep tuples small
@@ -609,17 +930,17 @@ def _refined_invariants(G: SmallGroup) -> dict:
         # one tuple per distinct label, as the labels stay cached on G
         distinct: dict = {}
         lab = [distinct.setdefault(t, t) for t in lab]
-    G._refined = cls if lab is first else dict(zip(G.elems, lab))
+    G._refined = cls if lab is first else dict(zip(G.idx, lab))
     return G._refined
 
 
 def _by_refined(G: SmallGroup) -> dict:
-    """Refined invariant label -> the elements with it, in sorted order.
+    """Refined invariant label -> the indices with it, in sorted order.
     Cached."""
     if G._by_refined is None:
         inv = _refined_invariants(G)
         by: dict = {}
-        for h in G.sorted_elems():
+        for h in G._srt():
             by.setdefault(inv[h], []).append(h)
         G._by_refined = by
     return G._by_refined
@@ -635,19 +956,20 @@ def iso_check(G1: SmallGroup, G2: SmallGroup) -> bool:
 
     The search reads G1 only through its element set, so what it finds
     (None, or G1's generating sequence and the images of its generators
-    in G2) is kept on G2 under G1.eset: a later call with the same set and
-    G2 (the same reference group, asked again by another claim) reuses
-    it, and the memo goes when G2 does.
+    in G2, as elements) is kept on G2 under G1.handles(): a later call with
+    the same set and G2 (the same reference group, asked again by another
+    claim) reuses it, and the memo goes when G2 does.
     """
     memo = G2._iso
-    if G1.eset not in memo:
-        memo[G1.eset] = _iso_search(G1, G2)
-    return memo[G1.eset] is not None
+    key = G1.handles()
+    if key not in memo:
+        memo[key] = _iso_search(G1, G2)
+    return memo[key] is not None
 
 
 def _iso_search(G1: SmallGroup, G2: SmallGroup):
     """None if G1 and G2 are not isomorphic, else a generating sequence of
-    G1 and the images of an isomorphism onto G2."""
+    G1 and the images of an isomorphism onto G2, as elements."""
     if len(G1) != len(G2):
         return None
     if len(G1) == 1:
@@ -657,30 +979,36 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
     if Counter(inv1.values()) != Counter(inv2.values()):
         return None
     by_inv2 = _by_refined(G2)
+    t1, t2 = G1.tab, G2.tab
+    mul1, mul2, conj2 = t1.mul, t2.mul, t2.conj
 
     # greedy generating sequence of G1, preferring elements with the
     # fewest candidate images (ties broken canonically: the sort is
     # stable), with G1's closure tree over it.  Every label of G1 is one
     # of G2's, as the label counts agree.
     gens1, ends, (_, parent, genidx, right) = _greedy(
-        sorted(G1.sorted_elems(), key=lambda g: len(by_inv2[inv1[g]])), G1.identity)
+        sorted(G1._srt(), key=lambda g: len(by_inv2[inv1[g]])), 0, t1.right_of)
 
     def candidates(i, imgs, cent):
         """Images for gens1[i], one per orbit of cent (the centralizer of
         imgs) in by_inv2 order, that pass the pairwise product invariants,
         each with its centralizer in cent.  Lazy: an orbit is conjugated
-        only when the search reaches it."""
+        only when the search reaches it.  At the first depth cent is G2:
+        the orbits are G2's classes, and the centralizer of h is the fixed
+        points of its conjugation row."""
         g = gens1[i]
         seen: set = set()
-        cpairs = [(c.inv(), c) for c in cent]
         for h in by_inv2[inv1[g]]:
             if h in seen:
                 continue
-            # h's conjugates under cent: its orbit, and where they equal h,
-            # the centralizer of h in cent
-            conj = [ci * h * c for ci, c in cpairs]
+            if i == 0:
+                seen.update(G2._class_lists()[G2._class_of[h]])
+                yield h, None
+                continue
+            conj = [conj2(h, c) for c in cent]
             seen.update(conj)
-            if all(inv1[gj * g] == inv2[hj * h] and inv1[g * gj] == inv2[h * hj]
+            if all(inv1[mul1(gj, g)] == inv2[mul2(hj, h)]
+                   and inv1[mul1(g, gj)] == inv2[mul2(h, hj)]
                    for gj, hj in zip(gens1, imgs)):
                 yield h, [c for c, y in zip(cent, conj) if y == h]
 
@@ -695,25 +1023,29 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
     # The old x with j = i are tree edges, and earlier depths checked the
     # rest, so at the last depth every pair holds: that is the whole
     # homomorphism test.
-    stack = [([G2.identity], [], candidates(0, [], G2.elems))]
+    stack = [([0], [], [], candidates(0, [], None))]
     while stack:
-        img, imgs, cands = stack[-1]
+        img, imgs, fs, cands = stack[-1]
         found = next(cands, None)
         if found is None:
             stack.pop()
             continue
         h, cent = found
+        if cent is None:
+            row = t2.conj_row(h)
+            cent = [c for c in G2.idx if row[c] == c]
         i = len(imgs)
         lo, hi = ends[i], ends[i + 1]
         hs = imgs + [h]
+        hf = fs + [t2.right_of(h, (hi - lo) * (i + 2))]
         m = img + [None] * (hi - lo)
         for t in range(lo, hi):
-            m[t] = m[parent[t]] * hs[genidx[t]]
-        if len(set(m)) == hi and all(m[right[j][x]] == m[x] * hs[j]
+            m[t] = hf[genidx[t]](m[parent[t]])
+        if len(set(m)) == hi and all(m[right[j][x]] == hf[j](m[x])
                                      for x in range(lo, hi) for j in range(i + 1)):
             if i + 1 == len(gens1):
-                return gens1, hs
-            stack.append((m, hs, candidates(i + 1, hs, cent)))
+                return [t1.elems[g] for g in gens1], [t2.elems[h] for h in hs]
+            stack.append((m, hs, hf, candidates(i + 1, hs, cent)))
     return None
 
 
@@ -732,28 +1064,30 @@ def is_split_extension(G: SmallGroup, N: SmallGroup) -> SmallGroup | None:
     restricted to lifts of order exactly ord(q) because C meets N
     trivially.
     """
-    Q = G.quotient(N)
+    if not G.is_normal(N):
+        raise ValueError("quotient by a non-normal subgroup")
+    coset, reps = G._coset_index(N)
+    Q = G._quotient(N, coset, reps)
     if len(Q) == 1:
-        return G.subgroup([G.identity])
-    index, _ = G._coset_index(N)
-    qgens = Q.generating_set()
+        return G._sub([0])
+    tab = G.tab
     lifts = []
-    for q in qgens:
+    for q in Q._generating_set():
         # q maps coset 0 = N to the coset it stands for
-        o = Q.element_order(q)
-        cand = [g for g in G.sorted_elems()
-                if index[g] == q.im[0] and G.element_order(g) == o]
+        o, c = Q.tab.order(q), Q.tab.keys[q][0]
+        cand = [g for g in G._srt() if coset[g] == c and tab.order(g) == o]
         if not cand:
             return None
         lifts.append(cand)
     target = len(Q)
+    nset = frozenset(G._ix(N))
     for tup in iproduct(*lifts):
         try:
-            C = SmallGroup.generate(list(tup), cap=target)
+            C = _close(tup, 0, target, tab.right_of)[0]
         except ClosureCapExceeded:
             continue
-        if len(C) == target and len(C.eset & N.eset) == 1:
-            return G.subgroup(C.eset)
+        if len(C) == target and len(nset.intersection(C)) == 1:
+            return G._sub(C)
     return None
 
 
@@ -828,15 +1162,14 @@ def affine_refs() -> AffineRefs:
 
     t1 = _affine_perm(1, 0, 0, 1, 1, 0, idx, pts)
     t2 = _affine_perm(1, 0, 0, 1, 0, 1, idx, pts)
-    v = agl.subgroup(_close([t1, t2], ident)[0], name="V")
+    v = agl.span([t1, t2], name="V")
     u = _affine_perm(1, 1, 0, 1, 0, 0, idx, pts)
-    syl3 = agl.subgroup(_close([t1, t2, u], ident)[0], name="S")
+    syl3 = agl.span([t1, t2, u], name="S")
     assert len(v) == 9 and len(syl3) == 27
 
-    v0 = v.subgroup(
-        [x for x in v.elems if all(x * s == s * x for s in syl3.elems)], name="V0"
-    )
-    assert v0.eset == syl3.center().eset and len(v0) == 3
+    v0 = v.centralizer(syl3.gens_list())
+    v0.name = "V0"
+    assert v0.iset == syl3.center().iset and len(v0) == 3
 
     agl_s = agl.normalizer(syl3)
     agl_s.name = "AGL2(3,S)"
@@ -851,38 +1184,38 @@ def _index2_variants(agl_s, syl3, v, v0):
     as C_X(V0) C_X(V/V0); # centralizes V/V0 exactly on S and induces
     GL_1(3) on V0's side, * the other way around."""
     der = agl_s.derived()
-    q = agl_s.quotient(der)
-    index, _ = agl_s._coset_index(der)
+    coset, reps = agl_s._coset_index(der)
+    q = agl_s._quotient(der, coset, reps)
     assert q.is_abelian()
     half = len(q) // 2
+    qt, tab = q.tab, agl_s.tab
+    mul, inv = tab.mul, tab.inv
     cand_sets = set()
     for r in range(1, len(q)):
-        for comb in combinations(q.sorted_elems(), r):
-            s = frozenset(_close(list(comb), q.identity)[0])
+        for comb in combinations(q._srt(), r):
+            s = frozenset(_close(comb, 0, None, qt.right_of)[0])
             if len(s) == half:
                 cand_sets.add(s)
     sharp = star = None
-    # a quotient element x stands for the coset x.im[0]
-    for s in sorted(cand_sets, key=lambda fs: sorted(x.im[0] for x in fs)):
-        cosets = {x.im[0] for x in s}
-        X = agl_s.subgroup([g for g in agl_s.elems if index[g] in cosets])
-        if len(X) != half * len(der) or not syl3.eset <= X.eset:
+    # a quotient element x stands for the coset its images start with
+    for s in sorted(cand_sets, key=lambda fs: sorted(qt.keys[x][0] for x in fs)):
+        cosets = {qt.keys[x][0] for x in s}
+        X = agl_s._sub([g for g in agl_s.idx if coset[g] in cosets])
+        if len(X) != half * len(der) or not syl3.iset <= X.iset:
             continue
-        c_v0 = X.centralizer(v0.elems)
-        c_vq = X.subgroup(
-            [x for x in X.elems
-             if all((x.inv() * t * x) * t.inv() in v0.eset for t in v.elems)]
-        )
-        prod = {a * b for a in c_v0.elems for b in c_vq.elems}
-        if prod != set(X.eset):
+        c_v0 = X._centralizer(v0.idx)
+        v0set = v0.iset
+        c_vq = X._sub([x for x in X.idx
+                       if all(mul(tab.conj(t, x), inv[t]) in v0set for t in v.idx)])
+        if {mul(a, b) for a in c_v0.idx for b in c_vq.idx} != X.iset:
             continue
-        if c_vq.eset == syl3.eset and len(c_v0) == 2 * len(syl3):
+        if c_vq.iset == syl3.iset and len(c_v0) == 2 * len(syl3):
             assert sharp is None, "sharp subgroup not unique"
             sharp = X
-        elif c_v0.eset == syl3.eset and len(c_vq) == 2 * len(syl3):
+        elif c_v0.iset == syl3.iset and len(c_vq) == 2 * len(syl3):
             assert star is None, "star subgroup not unique"
             star = X
-    assert sharp is not None and star is not None and sharp.eset != star.eset
+    assert sharp is not None and star is not None and sharp.iset != star.iset
     sharp.name = "AGL2(3,S)#"
     star.name = "AGL2(3,S)*"
     return sharp, star
@@ -989,7 +1322,7 @@ class NamedGroups:
         """The elements of these packed keys from the table of the first of
         K1, K2 that holds them all; raises ValueError if neither does."""
         for K in (self.K1, self.K2):
-            index = K.identity.tab.index
+            index = K.tab.index
             try:
                 return [index[int(k)] for k in keys]
             except KeyError:
@@ -999,9 +1332,9 @@ class NamedGroups:
 
 def named_groups(field: GF64) -> NamedGroups:
     """K1 and K2 generated over the plain generators, so each is one
-    ElementTable; every other named group is generated over the table
-    elements of its ambient group, with the same generators in the same
-    order as a PElement closure would take."""
+    Table; every other named group is generated inside the table of its
+    ambient group, with the same generators in the same order as a
+    PElement closure would take."""
     p = pgenerators(field)
     A, B, C, D, E, F = p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]
     s2, s3 = p["sigma2"], p["sigma3"]
@@ -1009,7 +1342,7 @@ def named_groups(field: GF64) -> NamedGroups:
     K2 = SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2")
 
     def gen(K, xs, name):
-        index = K.identity.tab.index
+        index = K.tab.index
         return SmallGroup.generate([index[x.key] for x in xs], name=name)
 
     Q1 = gen(K1, [A, B], "Q1")
@@ -1033,15 +1366,20 @@ def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
     """Order-9 elementary abelian subgroups of Q2 other than Q*."""
     seen = set()
     out = []
-    els = Q2.sorted_elems()
+    els = Q2._srt()
+    right_of = Q2.tab.right_of
     for i, a in enumerate(els):
         for b in els[i + 1:]:
-            s = frozenset(_close([a, b], Q2.identity)[0])
+            # a closure past 9 elements is not one of them: stop it there
+            try:
+                s = frozenset(_close((a, b), 0, 9, right_of)[0])
+            except ClosureCapExceeded:
+                continue
             if len(s) != 9 or s in seen:
                 continue
             seen.add(s)
-            sub = Q2.subgroup(s)
-            if sub.is_elementary_abelian(3) and s != Qstar.eset:
+            sub = Q2._sub(s)
+            if sub.is_elementary_abelian(3) and s != Qstar.iset:
                 out.append(sub)
     out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
     return out

@@ -16,9 +16,9 @@ matrix scaled once by GF64.lead_scalar of its first nonzero entry, so a
 PElement product is packed once.
 
 This module is matrix arithmetic only.  The groups that the claims work
-in are tables of interned elements built from PElement closures
-(grp.ElementTable); PElement products build those tables and serve the
-products that no table holds.
+in are index tables built from PElement closures (grp.Table);
+PElement products build those tables and serve the products that no
+table holds.
 
 The paper-facing conventions (which commutator bracket, which direction
 of conjugation by sigma) are not stated in the source material and are
@@ -77,6 +77,14 @@ def _canonical_mat(f: GF64, mat: tuple[int, ...]) -> tuple[int, ...]:
         return mat
     row = f.mulrows[s]
     return tuple([row[v] for v in mat])
+
+
+def value_product(f: GF64, a: tuple, b: tuple) -> tuple:
+    """The product of two projective classes, each given as the (matrix,
+    twist) of its canonical representative, as the same pair: what
+    PElement.__mul__ computes, with no Element or PElement made."""
+    (m, e), (n, k) = a, b
+    return _canonical_mat(f, _product(f, m, e, n)), (e + k) % 6
 
 
 class Element:

@@ -7,8 +7,24 @@ import numpy as np
 
 from psu38.arcs import kernel_data
 from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys
-from psu38.grp import Perm, SmallGroup, _close, _pval, iso_check
+from psu38.grp import Perm, SmallGroup, _close, _greedy, _pval, iso_check
 from psu38.psu import Element, PElement
+
+
+def times(g):
+    """Right multiplication by the element object g, by its own product."""
+    return lambda x: x * g
+
+
+def close(gens, identity, cap=None):
+    """grp._close on element objects (PElements, TableElements, Perms),
+    multiplied as objects."""
+    return _close(gens, identity, cap, times)
+
+
+def greedy(cands, identity):
+    """grp._greedy on element objects, multiplied as objects."""
+    return _greedy(cands, identity, times)
 
 
 def unpack(key: int) -> tuple[tuple[int, ...], int]:
@@ -203,7 +219,7 @@ def greedy_prefixes(cands, identity):
         if x in span:
             continue
         gens.append(x)
-        tree = _close(gens, identity)
+        tree = close(gens, identity)
         span = set(tree[0])
         ends.append(len(span))
     return gens, ends, tree
@@ -239,8 +255,8 @@ def iso_map(G1: SmallGroup, G2: SmallGroup):
     over that sequence, as the search built it."""
     if not iso_check(G1, G2):
         return None
-    gens1, imgs = G2._iso[G1.eset]
-    elems, parent, genidx, _ = _close(gens1, G1.identity)
+    gens1, imgs = G2._iso[G1.handles()]
+    elems, parent, genidx, _ = close(gens1, G1.identity)
     m = [G2.identity]
     for t in range(1, len(elems)):
         m.append(m[parent[t]] * imgs[genidx[t]])
@@ -260,7 +276,7 @@ def sylow(G: SmallGroup, p: int) -> SmallGroup:
         if x is None:
             raise AssertionError("sylow growth stalled")
         pgens.append(x)
-        P = G.subgroup(_close(pgens, G.identity)[0])
+        P = G.subgroup(close(pgens, G.identity)[0])
         if target % len(P):
             raise AssertionError("P<x> is not a p-group")
     return P
@@ -365,3 +381,183 @@ def iso_search(G1: SmallGroup, G2: SmallGroup):
                 newcent = [c for c in cent if c * h == h * c]
                 stack.append((m, hs, newcent))
     return None
+
+
+# ---------------------------------------------------------------------------
+# the group engine on element objects
+
+
+def _conj_orbit(seeds, gens, on_sets=False):
+    """The orbit of the seeds under conjugation x -> g^-1 x g by the group
+    that gens generate, yielded in discovery order; with on_sets=True the
+    points are frozensets of elements, conjugated elementwise."""
+    pairs = [(g.inv(), g) for g in gens]
+    orbit = list(dict.fromkeys(seeds))
+    seen = set(orbit)
+    for x in orbit:  # grows while it is walked
+        yield x
+        for gi, g in pairs:
+            y = frozenset(gi * h * g for h in x) if on_sets else gi * x * g
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+
+
+class ObjGroup:
+    """An explicitly enumerated group on element objects (PElements,
+    TableElements or Perms), every operation by element products, hashing
+    and comparison: the engine that grp.SmallGroup computes on table
+    indices, as it was before, for comparison."""
+
+    def __init__(self, elems, gens, identity, parent=None, genidx=None):
+        self.elems = list(elems)
+        self.gens = list(gens)
+        self.identity = identity
+        self.parent, self.genidx = parent, genidx
+        self.eset = frozenset(self.elems)
+        self._orders: dict = {}
+        self._classes: dict | None = None
+
+    @staticmethod
+    def generate(gens, cap=None) -> "ObjGroup":
+        gens = list(gens)
+        e = gens[0] * gens[0].inv()
+        elems, parent, genidx, _ = close(gens, e, cap)
+        return ObjGroup(elems, gens, e, parent, genidx)
+
+    @staticmethod
+    def from_set(elements, identity) -> "ObjGroup":
+        els = sorted(set(elements))
+        return ObjGroup([identity] + [x for x in els if x != identity], [], identity)
+
+    @staticmethod
+    def of(G: SmallGroup) -> "ObjGroup":
+        """The same elements, generators and tree as the engine's G."""
+        return ObjGroup(G.elems, G.gens, G.identity, G.parent, G.genidx)
+
+    def subgroup(self, elements) -> "ObjGroup":
+        return ObjGroup.from_set(elements, self.identity)
+
+    def __len__(self):
+        return len(self.elems)
+
+    def sorted_elems(self) -> list:
+        return sorted(self.elems)
+
+    def element_order(self, x) -> int:
+        o = self._orders.get(x)
+        if o is None:
+            r, o = x, 1
+            while r != self.identity:
+                r, o = r * x, o + 1
+            self._orders[x] = o
+        return o
+
+    def gens_list(self) -> list:
+        if not self.gens:
+            self.gens = self.generating_set()
+        return self.gens
+
+    def generating_set(self) -> list:
+        return generating_set(self)
+
+    def is_abelian(self) -> bool:
+        gens = self.gens_list()
+        return all(a * b == b * a for a in gens for b in gens)
+
+    def is_elementary_abelian(self, p: int) -> bool:
+        return self.is_abelian() and all(
+            self.element_order(x) in (1, p) for x in self.elems)
+
+    def center(self) -> "ObjGroup":
+        return self.centralizer(self.gens_list())
+
+    def centralizer(self, xs) -> "ObjGroup":
+        xs = list(xs)
+        return self.subgroup([g for g in self.elems if all(g * x == x * g for x in xs)])
+
+    def normalizer(self, H) -> "ObjGroup":
+        hgens = H.gens_list()
+        return self.subgroup([g for g in self.elems
+                              if all(g.inv() * h * g in H.eset for h in hgens)])
+
+    def is_normal(self, H) -> bool:
+        return all(g.inv() * h * g in H.eset
+                   for g in self.gens_list() for h in H.gens_list())
+
+    def normal_closure(self, xs) -> "ObjGroup":
+        orbit = _conj_orbit(xs, self.gens_list())
+        return self.subgroup(close(sorted(orbit), self.identity)[0])
+
+    def intersect(self, other) -> "ObjGroup":
+        return self.subgroup(self.eset & other.eset)
+
+    def sylow(self, p: int) -> "ObjGroup":
+        return sylow(self, p)
+
+    def p_core(self, p: int) -> "ObjGroup":
+        if len(self.elems) % p != 0:
+            return self.subgroup([self.identity])
+        return self.core(self.sylow(p))
+
+    def core(self, H) -> "ObjGroup":
+        core = set(H.eset)
+        for T in _conj_orbit([H.eset], self.gens_list(), on_sets=True):
+            core &= T
+            if len(core) == 1:
+                break
+        return self.subgroup(core)
+
+    def conj_classes(self) -> list[frozenset]:
+        which = dict.fromkeys(self.elems, -1)
+        classes: list = []
+        for g in self.sorted_elems():
+            if which[g] < 0:
+                for y in _conj_orbit([g], self.gens_list()):
+                    which[y] = len(classes)
+                classes.append([])
+        for x, i in which.items():
+            classes[i].append(x)
+        return [frozenset(c) for c in classes]
+
+    def conj_class_invariants(self) -> dict:
+        """Element -> (order, class size); cached, as refined_invariants
+        reads it once per element."""
+        if self._classes is None:
+            self._classes = {x: (self.element_order(x), len(c))
+                             for c in self.conj_classes() for x in c}
+        return self._classes
+
+    def coset_index(self, N) -> tuple[dict, list]:
+        index: dict = {}
+        reps = []
+        for g in [self.identity] + self.sorted_elems():
+            if g not in index:
+                for n in N.elems:
+                    index[g * n] = len(reps)
+                reps.append(g)
+        return index, reps
+
+    def quotient(self, N) -> "ObjGroup":
+        if not self.is_normal(N):
+            raise ValueError("quotient by a non-normal subgroup")
+        index, reps = self.coset_index(N)
+        return ObjGroup.generate(
+            [Perm([index[r * g] for r in reps]) for g in self.gens_list()])
+
+
+def lambda_subgroups(Q2: ObjGroup, Qstar: ObjGroup) -> list[ObjGroup]:
+    """Order-9 elementary abelian subgroups of Q2 other than Q*, by
+    closing every pair of elements."""
+    seen, out = set(), []
+    els = Q2.sorted_elems()
+    for i, a in enumerate(els):
+        for b in els[i + 1:]:
+            s = frozenset(close([a, b], Q2.identity)[0])
+            if len(s) == 9 and s not in seen:
+                seen.add(s)
+                sub = Q2.subgroup(s)
+                if sub.is_elementary_abelian(3) and s != Qstar.eset:
+                    out.append(sub)
+    out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
+    return out

@@ -12,7 +12,6 @@ from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
 from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
-from psu38.psu import PElement
 
 from conftest import CACHE_DIR
 import oracles
@@ -442,9 +441,9 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             gv = group_from_keys(graph, keys)
             try:
                 graph.ng.interned(keys)
-            except ValueError:  # outside K1 and K2: plain elements
-                assert type(gv.identity) is PElement
-                assert all(type(x) is PElement for x in gv.elems)
+            except ValueError:  # outside K1 and K2: a table of its own
+                assert gv.tab not in (graph.ng.K1.tab, graph.ng.K2.tab)
+                assert {x.key for x in gv.elems} == set(keys.tolist())
             q = group_from_keys(graph, fixed).p_core(3)
             c = gv.centralizer(q.gens_list())
             side = graph.side_of(v)

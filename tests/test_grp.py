@@ -1,16 +1,22 @@
 import ast
+import gc
 import os
 import random
+import weakref
 
 import pytest
 
 from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
-                       _close, _greedy, _lambda_subgroups, cyclic_group, dihedral_18,
+                       cyclic_group, dihedral_18,
                        direct_product, is_split_extension, iso_check,
                        reference_groups, sym_group)
+from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
-from oracles import greedy_prefixes, iso_map, perm_product, plain
+from conftest import CACHE_DIR
+
+from oracles import (ObjGroup, close, greedy, greedy_prefixes, iso_map, lambda_subgroups,
+                     perm_product, plain)
 
 
 def test_closure_orders(ng):
@@ -39,10 +45,10 @@ def test_closure_cap(ng, refs):
     # the cap is the largest order allowed
     for G in (ng.K2, refs["AGL23"]):
         gens = G.gens_list()
-        assert len(_close(gens, G.identity, cap=len(G))[0]) == len(G)
+        assert len(close(gens, G.identity, cap=len(G))[0]) == len(G)
         assert len(SmallGroup.generate(gens, cap=len(G))) == len(G)
         with pytest.raises(ClosureCapExceeded):
-            _close(gens, G.identity, cap=len(G) - 1)
+            close(gens, G.identity, cap=len(G) - 1)
         with pytest.raises(ClosureCapExceeded):
             SmallGroup.generate(gens, cap=len(G) - 1)
 
@@ -159,21 +165,21 @@ def _bfs_close(gens, identity):
 
 
 def test_close_with_redundant_generators(ng, refs):
-    assert set(_close(ng.K1.sorted_elems(), ng.K1.identity)[0]) == ng.K1.eset
-    assert _close([ng.K1.identity], ng.K1.identity) == ([ng.K1.identity], [0], [-1], {})
+    assert set(close(ng.K1.sorted_elems(), ng.K1.identity)[0]) == ng.K1.eset
+    assert close([ng.K1.identity], ng.K1.identity) == ([ng.K1.identity], [0], [-1], {})
     rng = random.Random(7)
     for G in (ng.K1, ng.K2, ng.H2, refs["AGL23"], refs["SP2"]):
         els = G.sorted_elems()
         for _ in range(4):
             gens = rng.sample(els, rng.randrange(1, 6))
-            assert set(_close(gens, G.identity)[0]) == _bfs_close(gens, G.identity)
+            assert set(close(gens, G.identity)[0]) == _bfs_close(gens, G.identity)
 
 
 def _assert_closure_tree(gens, identity):
     """_close's tree: each element once, the identity first, every parent
     before its child with elems[i] == elems[parent[i]] * gens[genidx[i]],
     and the span of each prefix of gens a prefix of elems."""
-    elems, parent, genidx, _ = _close(gens, identity)
+    elems, parent, genidx, _ = close(gens, identity)
     assert elems[0] == identity and len(set(elems)) == len(elems)
     assert len(parent) == len(genidx) == len(elems)
     for i in range(1, len(elems)):
@@ -195,7 +201,7 @@ def test_close_tree_and_prefix_spans(ng, refs):
         gens = rng.sample(G.sorted_elems(), 4)  # random, often redundant
         assert set(_assert_closure_tree(gens, G.identity)) == _bfs_close(gens, G.identity)
         H = SmallGroup.generate(G.gens_list())
-        assert (H.elems, H.parent, H.genidx) == _close(G.gens_list(), G.identity)[:3]
+        assert (H.elems, H.parent, H.genidx) == close(G.gens_list(), G.identity)[:3]
 
 
 def test_normal_closure_of_many_generators(ng):
@@ -260,7 +266,10 @@ def test_element_orders_equal_the_power_walk(ng, refs):
     """element_order orders all of <x> from one walk; each order equals
     the length of x's own walk back to the identity."""
     for G in (refs["C3xAGL23"], refs["Dih18xC2"], ng.K12, ng.S):
-        G = SmallGroup(G.elems, G.gens, G.identity)
+        # a new table, with no orders known yet
+        G = SmallGroup.generate([plain(x) if isinstance(x, PElement) else x
+                                 for x in G.gens_list()])
+        assert not any(G.tab.orders)
         for x in G.elems:
             r, o = x, 1
             while r != G.identity:
@@ -285,15 +294,16 @@ def test_quotient_is_regular_action_on_cosets(ng, refs):
         Q = G.quotient(N)
         assert len(Q) * len(N) == len(G)
         index, reps = G._coset_index(N)
+        at = G.tab.at
         assert len(reps) == len(Q) and set(index.values()) == set(range(len(Q)))
-        assert {index[n] for n in N.elems} == {0}
+        assert set(index) == G.iset and {index[at(n)] for n in N.elems} == {0}
         # Q acts regularly on the cosets: q is fixed by where it sends N
         assert sorted(q.im[0] for q in Q.elems) == list(range(len(Q)))
         # g -> its coset's perm is a homomorphism onto Q
         image = {q.im[0]: q for q in Q.elems}
         for _ in range(30):
             a, b = rng.choice(G.elems), rng.choice(G.elems)
-            assert image[index[a * b]] == image[index[a]] * image[index[b]]
+            assert image[index[at(a * b)]] == image[index[at(a)]] * image[index[at(b)]]
         assert iso_check(G.quotient(G.subgroup([G.identity])), G)
 
 
@@ -430,7 +440,7 @@ def test_greedy_is_the_prefix_loop_in_one_closure(ng, refs):
     for G in (ng.Q2, ng.H12, refs["AGL23S"], refs["Sym4"]):
         els = G.sorted_elems()
         for cands in (els, els[::-1], G.gens_list() * 2):
-            assert _greedy(cands, G.identity) == greedy_prefixes(cands, G.identity)
+            assert greedy(cands, G.identity) == greedy_prefixes(cands, G.identity)
 
 
 def test_generating_set_rejects_an_unclosed_set(refs):
@@ -445,7 +455,7 @@ def _assert_right_table(gens, identity, cap=None):
     """_close's right table: one row per kept generator (those not in the
     span of the ones before), with right[gi][i] the index of
     elems[i] * gens[gi]."""
-    elems, parent, genidx, right = _close(gens, identity, cap)
+    elems, parent, genidx, right = close(gens, identity, cap)
     index = {x: i for i, x in enumerate(elems)}
     kept = [gi for gi, g in enumerate(gens)
             if g not in _bfs_close(gens[:gi], identity)]
@@ -474,7 +484,7 @@ def test_close_records_the_right_multiplication_table(ng, refs):
         elems, right = _assert_right_table(gens, G.identity, cap=len(G))
         assert len(elems) == len(G) and 1 not in right
         with pytest.raises(ClosureCapExceeded):
-            _close(gens, G.identity, cap=len(G) - 1)
+            close(gens, G.identity, cap=len(G) - 1)
 
 
 def test_generate_over_plain_pelements_is_a_table_group(ng):
@@ -484,7 +494,7 @@ def test_generate_over_plain_pelements_is_a_table_group(ng):
     p = ng.p
     gens = [p["A"], p["B"], p["C"], p["F"]]
     G = SmallGroup.generate(gens)
-    elems, parent, genidx, _ = _close(gens, plain(ng.K1.identity))
+    elems, parent, genidx, _ = close(gens, plain(ng.K1.identity))
     tab = G.identity.tab
     assert [x.key for x in G.elems] == [x.key for x in elems]
     assert (G.parent, G.genidx) == (parent, genidx)
@@ -601,10 +611,10 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
     old = {}
     for name, gens in NAMED_GENS.items():
         gens = [ng.p[n] for n in gens.split()]
-        elems, parent, genidx, _ = _close(gens, ident)
+        elems, parent, genidx, _ = close(gens, ident)
         assert all(type(x) is PElement for x in elems)
         G = getattr(ng, name)
-        old[name] = SmallGroup(elems, gens, ident)
+        old[name] = ObjGroup(elems, gens, ident)
         assert keys(G.elems) == keys(elems) and keys(G.gens) == keys(gens)
         assert G.parent == parent and G.genidx == genidx
         ambient = ng.K2 if name in ("S", "H2", "Qh2", "K2") else ng.K1
@@ -612,7 +622,7 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
         assert all(type(x) is TableElement and x.tab is tab for x in G.elems + G.gens)
     for name, a, b in (("H12", "H1", "H2"), ("K12", "K1", "K2")):
         assert keys(getattr(ng, name).elems) == keys(old[a].intersect(old[b]).elems)
-    lam = _lambda_subgroups(old["Q2"], old["Qstar"])
+    lam = lambda_subgroups(old["Q2"], old["Qstar"])
     assert [keys(L.elems) for L in ng.Lambda] == [keys(L.elems) for L in lam]
 
 
@@ -638,3 +648,24 @@ def test_psu_is_matrix_arithmetic_and_grp_holds_the_tables():
     assert {m for m in psu if m.startswith((".", "psu38"))} == {".gf64"}
     assert not any(m.split(".")[0] == "numpy" for m in psu)
     assert not any(m.endswith("fastops") for m in _imports("grp"))
+
+
+def test_tables_are_freed_when_their_context_is_dropped():
+    """A table holds its elements and an element refers to its table only
+    weakly, so with the cyclic garbage collector off, K1's table goes as
+    soon as the context that built it does: after claims have filled the
+    engine's caches and the isomorphism memos, and with its elements
+    still alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = VerifyContext(cache_dir=CACHE_DIR)
+        assert run_claims(ctx, claim_filter="L3.2,L3.4,L3.5,L3.6.i,RG")["overall"]
+        tabs = [ctx.ng.K1.identity.tab, ctx.ng.K2.identity.tab, ctx.refs["AGL23"].tab]
+        refs = [weakref.ref(t) for t in tabs]
+        kept = ctx.ng.K1.elems[5]
+        del ctx, tabs
+        assert [r() for r in refs] == [None, None, None]
+        assert kept.key and kept.tab is None
+    finally:
+        gc.enable()

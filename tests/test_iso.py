@@ -11,35 +11,52 @@ from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
 import oracles
-from oracles import greedy_prefixes, iso_generators, iso_map, iso_search, refined_invariants
+from oracles import (ObjGroup, greedy_prefixes, iso_generators, iso_map, iso_search,
+                     refined_invariants)
 
 # Perm products in one warm run of all 54 claims on a fresh context, the
-# reference groups' construction included (198,559 while generating_set
-# and the search closed every prefix of their generators and the search
-# compared order profiles, abelianness and class labels; 374,748 while
-# every iso_check searched and a product built a list; 194,061 while the
-# conjugacy classes held conjugates: conj_class_invariants orders one
-# member of each class, and the classes of the group's own elements
-# iterate in another order, so a few classes order a different member)
-CATALOG_PERM_PRODUCTS = 194_056
+# reference groups' construction included: none.  Since the group engine
+# runs on table indices, a Perm table is closed on image tuples (_close
+# with _compose), and the search and every structural subgroup of a Perm
+# group are index walks (194,056 while the engine multiplied Perms;
+# 198,559 while generating_set and the search closed every prefix of their
+# generators and the search compared order profiles, abelianness and class
+# labels; 374,748 while every iso_check searched and a product built a
+# list)
+CATALOG_PERM_PRODUCTS = 0
 # grp._close calls in run_claims once the named groups, the reference
 # groups and the graph are loaded, 16 of them stopped at the cap of
-# is_split_extension (521 with the prefix closures; 313 while sylow closed
-# all of P's generators at each of its 50 growth steps)
-CATALOG_CLOSES = 263
+# is_split_extension.  CATALOG_OBJECT_CLOSES of them close Perm image
+# tuples, each to build a table (47 quotients, direct products and
+# holomorph groups by generate, 9 induced groups by from_set); the rest
+# close table indices.  (263 while sylow found the generators of each
+# normalizer it grew P in by a closure, and from_set built no table; 521
+# with the prefix closures; 313 while sylow closed all of P's generators
+# at each of its 50 growth steps)
+CATALOG_CLOSES = 247
+CATALOG_OBJECT_CLOSES = 56
+
+
+def _elements(found, tab):
+    """A _greedy result on indices of tab, with its indices as elements."""
+    gens, ends, (elems, parent, genidx, right) = found
+    els = tab.elems
+    return [els[g] for g in gens], ends, ([els[x] for x in elems], parent, genidx, right)
 
 
 @pytest.fixture(scope="module")
 def catalog():
     """One warm run of the whole catalog on a fresh context, recording
     every iso_check call with its verdict, every search actually run and
-    every generating_set call, each with its result and the _greedy calls
-    it made itself (input and result), every sylow call with its result,
-    the number of Perm products and the number of grp._close calls."""
-    calls, searches, gensets, sylows, products, closes = [], [], [], [], [0], [0]
+    every _generating_set call, each with its result and the _greedy
+    calls it made itself (input and result, as elements), every sylow call
+    with its result, the number of Perm products and the number of
+    grp._close calls, on indices and on objects."""
+    calls, searches, gensets, sylows = [], [], [], []
+    products, closes, object_closes = [0], [0], [0]
     iso, search, mul = grp.iso_check, grp._iso_search, Perm.__mul__
     generating_set, greedy, close, sylow = (
-        grp.SmallGroup.generating_set, grp._greedy, grp._close, grp.SmallGroup.sylow)
+        grp.SmallGroup._generating_set, grp._greedy, grp._close, grp.SmallGroup.sylow)
     # the _greedy calls of each recorded call in progress, innermost last
     stack: list = [[]]
 
@@ -62,21 +79,24 @@ def catalog():
 
     def recorded_generating_set(G):
         gens, own = own_greedy(generating_set, G)
-        gensets.append((G, gens, own))
+        gensets.append((G, [G.tab.elems[g] for g in gens], own))
         return gens
 
-    def recorded_greedy(cands, identity):
-        found = greedy(cands, identity)
-        stack[-1].append((cands, identity, found))
+    def recorded_greedy(cands, identity, by):
+        found = greedy(cands, identity, by)
+        tab = by.__self__
+        stack[-1].append(([tab.elems[c] for c in cands], tab.elems[identity],
+                          _elements(found, tab)))
         return found
 
     def counted_mul(p, q):
         products[0] += 1
         return mul(p, q)
 
-    def counted_close(*args, **kw):
+    def counted_close(gens, identity, cap, by):
         closes[0] += 1
-        return close(*args, **kw)
+        object_closes[0] += not isinstance(getattr(by, "__self__", None), grp.Table)
+        return close(gens, identity, cap, by)
 
     def recorded_sylow(G, p):
         P = sylow(G, p)
@@ -89,14 +109,15 @@ def catalog():
         mp.setattr(Perm, "__mul__", counted_mul)
         ctx = VerifyContext(cache_dir=CACHE_DIR)
         ctx.ng, ctx.refs, ctx.graph
-        mp.setattr(grp.SmallGroup, "generating_set", recorded_generating_set)
+        mp.setattr(grp.SmallGroup, "_generating_set", recorded_generating_set)
         mp.setattr(grp, "_greedy", recorded_greedy)
         mp.setattr(grp, "_close", counted_close)
         mp.setattr(grp.SmallGroup, "sylow", recorded_sylow)
         rep = run_claims(ctx)
     assert rep["overall"] and stack == [[]]
     return SimpleNamespace(ctx=ctx, calls=calls, searches=searches, gensets=gensets,
-                           sylows=sylows, products=products[0], closes=closes[0])
+                           sylows=sylows, products=products[0], closes=closes[0],
+                           object_closes=object_closes[0])
 
 
 def _distinct(pairs):
@@ -130,14 +151,18 @@ def searches(monkeypatch):
 
 
 def test_every_catalog_pair_agrees_with_the_old_search(catalog):
-    """The same verdict as the search without memo or cached invariants,
-    on the first call and on every memo hit, and the same map (rebuilt
-    from the memo by oracles.iso_map), a bijective homomorphism."""
+    """The same verdict as the search on element objects without memo or
+    cached invariants, on the first call and on every memo hit, and the
+    same map (rebuilt from the memo by oracles.iso_map), a bijective
+    homomorphism."""
     assert len(catalog.calls) == 47
-    for G1, G2, ok in catalog.calls:
-        assert ok == (iso_search(G1, G2) is not None)
+    old = {}
     for G1, G2 in _distinct(catalog.calls):
-        want = iso_search(G1, G2)
+        old[G1.eset, id(G2)] = iso_search(ObjGroup.of(G1), ObjGroup.of(G2))
+    for G1, G2, ok in catalog.calls:
+        assert ok == (old[G1.eset, id(G2)] is not None)
+    for G1, G2 in _distinct(catalog.calls):
+        want = old[G1.eset, id(G2)]
         m = iso_map(G1, G2)
         assert m == want
         if m is not None:
@@ -147,14 +172,16 @@ def test_every_catalog_pair_agrees_with_the_old_search(catalog):
 def test_cached_invariants_equal_the_uncached_ones(catalog):
     groups = {id(G): G for G1, G2, _ in catalog.calls for G in (G1, G2)}
     for G in groups.values():
+        els = G.tab.elems
         assert G.conj_class_invariants() == {
             x: (G.element_order(x), len(c)) for c in G.conj_classes() for x in c}
-        inv = refined_invariants(G)
-        assert grp._refined_invariants(G) == inv
+        assert G.conj_class_invariants() == ObjGroup.of(G).conj_class_invariants()
+        inv = refined_invariants(ObjGroup.of(G))
+        assert {els[i]: v for i, v in grp._refined_invariants(G).items()} == inv
         by: dict = {}
         for h in G.sorted_elems():
             by.setdefault(inv[h], []).append(h)
-        assert grp._by_refined(G) == by
+        assert {k: [els[i] for i in v] for k, v in grp._by_refined(G).items()} == by
 
 
 def test_one_search_per_distinct_pair_in_a_catalog_run(catalog):
@@ -165,12 +192,13 @@ def test_one_search_per_distinct_pair_in_a_catalog_run(catalog):
 
 
 def test_generating_sets_equal_the_prefix_loop(catalog):
-    """generating_set takes its generators from one closure: on every group
-    a catalog pass asks, the same generators as the old loop, and on its
-    own candidates the same span ends and tree as closing every prefix."""
+    """generating_set takes its generators from one closure on indices: on
+    every group a catalog pass asks, the same generators as the old loop on
+    element objects, and on its own candidates the same span ends and tree
+    as closing every prefix."""
     assert len(catalog.gensets) > 50
     for G, gens, own in catalog.gensets:
-        assert gens == oracles.generating_set(G)
+        assert gens == oracles.generating_set(ObjGroup.of(G))
         assert len(own) == (len(G) > 1)
         for cands, identity, found in own:
             assert found[0] == gens
@@ -183,44 +211,47 @@ def test_search_generators_and_results_equal_the_prefix_loop(catalog):
     closing every prefix, and the same isomorphism as the old search."""
     assert len(catalog.searches) == 23
     for G1, G2, found, own in catalog.searches:
-        old = iso_generators(G1, G2)
+        O1, O2 = ObjGroup.of(G1), ObjGroup.of(G2)
+        old = iso_generators(O1, O2)
         assert [greedy_found for _, _, greedy_found in own] == [old]
-        want = iso_search(G1, G2)
+        want = iso_search(O1, O2)
         assert found == (old[0], [want[g] for g in old[0]])
 
 
 def test_sylow_subgroups_equal_the_closure_loop(catalog):
-    """sylow grows P<x> from P's cosets: on every call of a catalog pass,
-    the same subgroup, in the same element order, as closing all of P's
-    generators at each step."""
+    """sylow grows P<x> from P's cosets on indices: on every call of a
+    catalog pass, the same subgroup, in the same element order, as closing
+    all of P's generators at each step on element objects, inside
+    normalizers found by element products."""
     assert len(catalog.sylows) > 10
     for G, p, P in catalog.sylows:
-        want = oracles.sylow(G, p)
+        want = ObjGroup.of(G).sylow(p)
         assert P.elems == want.elems and len(P) == p ** grp._pval(len(G), p)
 
 
 def test_element_caches_keep_the_groups_own_elements(catalog):
-    """After a catalog pass, the order, class and class-list caches of every
-    group it compared or reduced to a Sylow subgroup hold only the group's
-    own element objects (counted by object id), not conjugates or powers
-    equal to them."""
+    """After a catalog pass, the order, class and invariant caches of every
+    group it compared or reduced to a Sylow subgroup are keyed by the
+    indices of the group's own elements in its table, and hold no element
+    objects; a table's orders are ints."""
     groups = {id(G): G for G1, G2, _ in catalog.calls for G in (G1, G2)}
     groups.update((id(G), G) for G, _, P in catalog.sylows)
     groups.update((id(G), G) for G in catalog.ctx.refs.values())
-    cached = dups = 0
+    cached = strays = 0
     for G in groups.values():
-        own = {id(x) for x in G.elems}
-        keys = list(G._orders) + list(G._classes or ()) + [
-            x for c in G._class_list or () for x in c]
+        keys = list(G._class_of or ()) + list(G._labels or ()) + list(
+            G._refined or ()) + [x for c in G._classes or () for x in c]
         cached += len(keys)
-        dups += sum(id(x) not in own for x in keys)
-    assert cached > 10_000 and dups == 0
+        strays += sum(type(x) is not int or x not in G.iset for x in keys)
+        assert all(type(o) is int for o in G.tab.orders)
+    assert cached > 10_000 and strays == 0
 
 
 def test_catalog_closures_are_pinned(catalog):
     """One closure per greedy generating set and per search: a change to
     the count is a change in the group engine's work."""
     assert catalog.closes == CATALOG_CLOSES
+    assert catalog.object_closes == CATALOG_OBJECT_CLOSES
 
 
 def test_memo_goes_with_the_reference_groups(catalog, searches):
@@ -243,7 +274,7 @@ def test_witness_from_a_memo_hit_is_the_first_map(ng, searches):
     again = iso_map(ng.K12, refs["C3xAGL23S"])
     assert first is not None and first == again and first is not again
     assert iso_check(ng.K12, refs["C3xAGL23S"]) and len(searches) == 1
-    assert first == iso_search(ng.K12, refs["C3xAGL23S"])
+    assert first == iso_search(ObjGroup.of(ng.K12), ObjGroup.of(refs["C3xAGL23S"]))
 
 
 def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
