@@ -56,7 +56,7 @@ import numpy as np
 from .fastops import FieldOps, bunpack, conj_fingerprints, linear_conj_keys
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
-from .psu import Element, PElement
+from .psu import IDENTITY, PElement
 
 CACHE_MAGIC = b"PSU38GR\x00"
 CACHE_VERSION = 4
@@ -361,7 +361,7 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
         keys = np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64)
         trans[side] = bunpack(keys)
 
-    ident = np.array([PElement(Element.identity(ng.field)).key], dtype=np.uint64)
+    ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
         graph._register(side, ident, graph._keys(side, *bunpack(ident)))
 

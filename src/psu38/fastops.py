@@ -1,10 +1,14 @@
-"""Vectorized kernels for the graph build: batched GF(64) matrix algebra
-on packed element arrays.
+"""Vectorized kernels: batched GF(64) matrix algebra on packed element
+arrays, the one implementation of the program's matrix products.
 
 Element batches are (m,3,3) uint8 matrices plus (m,) uint8 twists.
-Packed keys are uint64 and agree bit for bit with psu.pack, so python
-Element objects and array rows interconvert freely.  Everything here is
-pure and deterministic.  The graph keys its vertices by conj_fingerprints
+Packed keys are uint64 (bpack: 9 entries of 6 bits, row-major, first
+entry most significant, then the twist in the low 3 bits); comparing keys
+as integers is the "lexicographically least" order of canonical forms.
+psu's elements, the group tables of grp and the graph all hold packed
+keys and reach products, inverses and canonical keys (bsmul, binv,
+bpkeys) through bunpack and bpack.  Everything here is pure and
+deterministic.  The graph keys its vertices by conj_fingerprints
 and acts on them rowwise through it too.  Conjugation of many elements c by
 a few elements x goes through linear_conj_keys, table lookups in
 conj_tables built from the 54 bit matrices: the whole-graph action (the
@@ -26,7 +30,7 @@ _SHIFT = U64(3) + U64(6) * np.arange(8, -1, -1, dtype=np.uint64)
 
 
 def bpack(mats: np.ndarray, tw: np.ndarray) -> np.ndarray:
-    """(m,3,3)+(m,) -> (m,) uint64 keys; matches psu.pack."""
+    """(m,3,3)+(m,) -> (m,) uint64 keys."""
     flat = mats.reshape(len(mats), 9).astype(np.uint64)
     return flat @ _W + tw.astype(np.uint64)
 

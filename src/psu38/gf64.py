@@ -7,10 +7,11 @@ so they are valid exactly when that class generates the 63 units (which
 also forces the modulus to be irreducible); the full 64x64 product table
 and the Frobenius powers are read off them.
 
-Each table exists twice: as numpy arrays (MUL, FROB) for the batched
-kernels, and as tuples of tuples (mulrows, frobrows) for scalar Python
-code, where mulrows[a][b] = a.b is one lookup per product.  lead_scalar
-is the one definition of the projective canonical scalar.
+The product table MUL[a, b] = a.b and the Frobenius powers
+FROB[k, a] = a^(2^k) are numpy arrays, read by the batched kernels of
+fastops, the one place that multiplies matrices.  The scalar operations
+read exp and log.  lead_scalar is the one definition of the projective
+canonical scalar.
 """
 
 from __future__ import annotations
@@ -65,16 +66,12 @@ class GF64:
             log[v] = i
         self.log = log
 
-        # mulrows[a][b] = a.b and frobrows[k][a] = a^(2^k)
-        self.mulrows = tuple(
-            tuple(self.exp[log[a] + log[b]] if a and b else 0 for b in range(64))
-            for a in range(64))
-        frob = [tuple(range(64))]
-        for _ in range(5):
-            frob.append(tuple(self.mulrows[v][v] for v in frob[-1]))
-        self.frobrows = tuple(frob)
-        self.MUL = np.array(self.mulrows, dtype=np.uint8)
-        self.FROB = np.array(self.frobrows, dtype=np.uint8)
+        # MUL[a, b] = a.b and FROB[k, a] = a^(2^k), from the logs of the
+        # nonzero elements
+        E, L = np.array(self.exp, dtype=np.uint8), np.array(log)
+        nz = np.arange(64) > 0
+        self.MUL = np.where(nz[:, None] & nz, E[L[:, None] + L], 0).astype(np.uint8)
+        self.FROB = np.where(nz, E[(L << np.arange(6)[:, None]) % 63], 0).astype(np.uint8)
 
         self.zeta = 2
         self.beta = exp[7]
@@ -88,7 +85,7 @@ class GF64:
         # least packed key of its three scalar multiples.
         scalars = (1, self.alpha, self.alpha2)
         self.lead_scalar = tuple(
-            min(scalars, key=lambda s: self.mulrows[s][a]) for a in range(64))
+            min(scalars, key=lambda s: self.mul(s, a)) for a in range(64))
 
     # -- scalar operations ------------------------------------------------
 
@@ -97,7 +94,7 @@ class GF64:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        return self.mulrows[a][b]
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -111,11 +108,11 @@ class GF64:
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(2^k); k is taken mod 6."""
-        return self.frobrows[k % 6][a]
+        return self.exp[(self.log[a] << (k % 6)) % 63] if a else 0
 
     def conj(self, a: int) -> int:
         """tau = frobenius cubed, the order-2 automorphism x -> x^8."""
-        return self.frobrows[3][a]
+        return self.frobenius(a, 3)
 
     def order(self, a: int) -> int:
         if a == 0:

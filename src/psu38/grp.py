@@ -3,8 +3,8 @@ thousand): closure, structural subgroups, predicates, quotients,
 isomorphism testing, reference constructions, split-extension search.
 
 Every group lives in one ambient Table, read off the _close call that
-enumerated the ambient group on values (a PElement's canonical matrix and
-twist, a Perm's images): its elements in discovery order, one
+enumerated the ambient group on values (a PElement's packed key, a Perm's
+images): its elements in discovery order, one
 right-multiplication row per generator, the inverse of each element, the
 rank of each element in the sorted order, and lazily, one conjugation row
 per generator.  An element is an index into its table: a product x*y
@@ -32,12 +32,14 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
-from functools import partial
 from math import gcd
 from operator import itemgetter
 
+import numpy as np
+
+from .fastops import bunpack, linear_conj_keys
 from .gf64 import GF64
-from .psu import PElement, pgenerators, value_product
+from .psu import IDENTITY, PElement, pgenerators
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -87,7 +89,7 @@ class Perm:
 
 class TableElement(PElement):
     """One interned element of a PElement table, at index i.  It is a
-    PElement with the same el and key, so equality, hashing and order are
+    PElement with the same key, so equality, hashing and order are
     unchanged.  It refers to its table weakly, so a table and its elements
     form no reference cycle and a dropped table is freed at once.
 
@@ -145,7 +147,7 @@ class Table:
             self.elems = []
             for j, x in enumerate(elems):
                 t = TableElement.__new__(TableElement)
-                t.el, t.key, t._tab, t.i = x.el, x.key, ref, j
+                t.ops, t.key, t._tab, t.i = x.ops, x.key, ref, j
                 self.elems.append(t)
             # key -> interned element
             self.index = dict(zip(self.keys, self.elems))
@@ -209,6 +211,12 @@ class Table:
         for R in self.path[g]:
             x = R[x]
         return self.mul(self.inv[g], x)
+
+    def by(self, h: int):
+        """_close's by on this table's indices: a list of x to the list of
+        the x*h."""
+        f = self.right_of(h)
+        return lambda xs: list(map(f, xs))
 
     def right_of(self, h: int, uses: int = 0):
         """x -> x*h as a function of x: a row lookup for a generator, or
@@ -287,16 +295,18 @@ def _close(gens, identity, cap, by):
     the product closure contains inverses), and right[gi][i] the index of
     elems[i] * gens[gi] for each kept generator gi.
 
-    by(g) is the function x -> x*g: on the values that build a Table
-    (PElement matrices and twists, Perm images) the products of
-    psu.value_product and _compose, and Table.right_of on the indices of
-    one table.
+    by(g) maps a list of x to the list of the x*g: on the values that build
+    a Table, packed PElement keys by one bsmul and bpkeys (_key_products)
+    and Perm images by _compose, and on the indices of one table by
+    Table.by.
 
     A generator already in the span is skipped; a new one g adds the
     coset span.g and then closes the new elements under every kept
-    generator.  So the span of each prefix of gens is a prefix of elems,
-    and each product elems[i] * g is taken once.  More than cap elements
-    raise ClosureCapExceeded."""
+    generator, one layer at a time: each kept generator maps the whole
+    layer, and the products are taken up in (parent index, generator)
+    order.  So the span of each prefix of gens is a prefix of elems, and
+    each product elems[i] * g is taken once.  More than cap elements raise
+    ClosureCapExceeded."""
     elems, parent, genidx = [identity], [0], [-1]
     index = {identity: 0}
     kept, right = [], {}
@@ -313,18 +323,18 @@ def _close(gens, identity, cap, by):
     for gi, g in enumerate(gens):
         if g in index:
             continue
-        i = len(elems)
+        lo = len(elems)
         f = by(g)
         # new, since g is not in the span
-        right[gi] = [add(f(elems[pi]), pi, gi) for pi in range(i)]
+        right[gi] = [add(y, pi, gi) for pi, y in enumerate(f(elems[:lo]))]
         kept.append((gi, f, right[gi]))
-        while i < len(elems):
-            x = elems[i]
-            for hi, h, row in kept:
-                y = h(x)
-                j = index.get(y)
-                row.append(add(y, i, hi) if j is None else j)
-            i += 1
+        while lo < len(elems):
+            layer = elems[lo:]
+            for pi, ys in enumerate(zip(*[h(layer) for _, h, _ in kept]), lo):
+                for (hi, _, row), y in zip(kept, ys):
+                    j = index.get(y)
+                    row.append(add(y, pi, hi) if j is None else j)
+            lo += len(layer)
     return elems, parent, genidx, right
 
 
@@ -379,9 +389,17 @@ def _common_table(xs) -> Table | None:
 
 
 def _compose(g: tuple):
-    """Right multiplication by the Perm with images g, on image tuples."""
+    """Right multiplication by the Perm with images g, on a list of image
+    tuples."""
     at = g.__getitem__
-    return lambda x: tuple(map(at, x))
+    return lambda xs: [tuple(map(at, x)) for x in xs]
+
+
+def _key_products(ops, g: int):
+    """Right multiplication by the PElement with key g, on a list of
+    PElement keys: one bsmul and one bpkeys for the list."""
+    gm, gt = bunpack([g])
+    return lambda xs: ops.bpkeys(*ops.bsmul(*bunpack(xs), gm, gt)).tolist()
 
 
 def _as_perm(im: tuple) -> Perm:
@@ -392,17 +410,13 @@ def _as_perm(im: tuple) -> Perm:
 
 def _new_table(gens, identity=None, cap=None) -> Table:
     """The table of the group that the plain PElements or Perms gens
-    generate, closed on values that hash and compare as tuples do: a
-    PElement as the (matrix, twist) of its canonical representative, a Perm
-    as its images."""
+    generate, closed on values that hash and compare as ints and tuples do:
+    a PElement's packed key, a Perm's images."""
     if gens[0].__class__ is not Perm:
-        if identity is None:
-            identity = gens[0] * gens[0].inv()
-        f = identity.el.field
-        vals, parent, genidx, right = _close(
-            [(g.el.mat, g.el.twist) for g in gens], (identity.el.mat, identity.el.twist),
-            cap, lambda g: partial(value_product, f, b=g))
-        return Table([PElement._canonical(f, m, t) for m, t in vals], parent, genidx, right)
+        ops = gens[0].ops
+        keys, parent, genidx, right = _close([g.key for g in gens], IDENTITY, cap,
+                                             lambda g: _key_products(ops, g))
+        return Table([PElement(ops, k) for k in keys], parent, genidx, right)
     e = tuple(range(len(gens[0].im))) if identity is None else identity.im
     elems, parent, genidx, right = _close([g.im for g in gens], e, cap, _compose)
     return Table([_as_perm(im) for im in elems], parent, genidx, right)
@@ -460,7 +474,7 @@ class SmallGroup:
             return SmallGroup(tab, range(tab.n), [tab.at(g) for g in gens],
                               tab.parent, tab.genidx, name)
         ig = [tab.at(g) for g in gens]
-        elems, parent, genidx, _ = _close(ig, 0, cap, tab.right_of)
+        elems, parent, genidx, _ = _close(ig, 0, cap, tab.by)
         return SmallGroup(tab, elems, ig, parent, genidx, name)
 
     @staticmethod
@@ -495,7 +509,7 @@ class SmallGroup:
         """The subgroup that the elements xs generate, as subgroup() orders
         it."""
         tab = self.tab
-        return self._sub(_close([tab.at(x) for x in xs], 0, None, tab.right_of)[0], name)
+        return self._sub(_close([tab.at(x) for x in xs], 0, None, tab.by)[0], name)
 
     @property
     def iset(self) -> frozenset:
@@ -610,7 +624,7 @@ class SmallGroup:
         tab = self.tab
         order, rank = tab.order, tab.rank
         cand = sorted(self.idx, key=lambda x: (-order(x), rank[x]))
-        gens, ends, _ = _greedy(cand, 0, tab.right_of)
+        gens, ends, _ = _greedy(cand, 0, tab.by)
         if ends[-1] != len(self.idx):
             raise AssertionError("element set is not closed under multiplication")
         return gens
@@ -695,7 +709,7 @@ class SmallGroup:
         tab = self.tab
         fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
         seed = sorted(_orbit(xs, fs), key=tab.rank.__getitem__)
-        return self._sub(_close(seed, 0, None, tab.right_of)[0])
+        return self._sub(_close(seed, 0, None, tab.by)[0])
 
     def derived(self) -> "SmallGroup":
         tab = self.tab
@@ -711,7 +725,7 @@ class SmallGroup:
         d = self.derived()
         pw = {tab.pow(x, p) for x in self.idx}
         return self._sub(_close(sorted(d.iset | pw, key=tab.rank.__getitem__), 0,
-                                None, tab.right_of)[0])
+                                None, tab.by)[0])
 
     def commutator_subgroup(self, X: "SmallGroup", Y: "SmallGroup") -> "SmallGroup":
         """[X, Y] for subgroups X, Y of self (commutators over all pairs,
@@ -722,7 +736,7 @@ class SmallGroup:
         ys = self._ix(Y)
         comms = {mul(mul(mul(inv[x], inv[y]), x), y) for x in self._ix(X) for y in ys}
         return self._sub(_close(sorted(comms, key=tab.rank.__getitem__), 0,
-                                None, tab.right_of)[0])
+                                None, tab.by)[0])
 
     def intersect(self, other: "SmallGroup") -> "SmallGroup":
         """self n other, as a subgroup of self (in self's table)."""
@@ -733,14 +747,16 @@ class SmallGroup:
         return self._sub(self.iset & mine)
 
     def conjugate(self, g, name: str = "") -> "SmallGroup":
-        """G^g; for g outside the table, a group of plain PElements in a
-        new table."""
+        """G^g; for a PElement g outside the table, a group of plain
+        PElements in a new table, their keys conjugated in one batch."""
         tab = self.tab
         j = tab.find(g)
         if j is None:
-            gi = g.inv()
-            c = SmallGroup.from_set([gi * h * g for h in self.elems], gi * g, name)
-            c._gens = [c.tab.at(gi * h * g) for h in self.gens]
+            ks = np.array([tab.keys[i] for i in self.idx + self._gens], dtype=np.uint64)
+            ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False).tolist()
+            els = [PElement(g.ops, k) for k in ks]
+            c = SmallGroup.from_set(els[:len(self)], PElement(g.ops, IDENTITY), name)
+            c._gens = [c.tab.at(x) for x in els[len(self):]]
             return c
         c = self._sub([tab.conj(h, j) for h in self.idx], name)
         c._gens = [tab.conj(h, j) for h in self._gens]
@@ -987,7 +1003,7 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
     # stable), with G1's closure tree over it.  Every label of G1 is one
     # of G2's, as the label counts agree.
     gens1, ends, (_, parent, genidx, right) = _greedy(
-        sorted(G1._srt(), key=lambda g: len(by_inv2[inv1[g]])), 0, t1.right_of)
+        sorted(G1._srt(), key=lambda g: len(by_inv2[inv1[g]])), 0, t1.by)
 
     def candidates(i, imgs, cent):
         """Images for gens1[i], one per orbit of cent (the centralizer of
@@ -1083,7 +1099,7 @@ def is_split_extension(G: SmallGroup, N: SmallGroup) -> SmallGroup | None:
     nset = frozenset(G._ix(N))
     for tup in iproduct(*lifts):
         try:
-            C = _close(tup, 0, target, tab.right_of)[0]
+            C = _close(tup, 0, target, tab.by)[0]
         except ClosureCapExceeded:
             continue
         if len(C) == target and len(nset.intersection(C)) == 1:
@@ -1193,7 +1209,7 @@ def _index2_variants(agl_s, syl3, v, v0):
     cand_sets = set()
     for r in range(1, len(q)):
         for comb in combinations(q._srt(), r):
-            s = frozenset(_close(comb, 0, None, qt.right_of)[0])
+            s = frozenset(_close(comb, 0, None, qt.by)[0])
             if len(s) == half:
                 cand_sets.add(s)
     sharp = star = None
@@ -1367,12 +1383,12 @@ def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
     seen = set()
     out = []
     els = Q2._srt()
-    right_of = Q2.tab.right_of
+    by = Q2.tab.by
     for i, a in enumerate(els):
         for b in els[i + 1:]:
             # a closure past 9 elements is not one of them: stop it there
             try:
-                s = frozenset(_close((a, b), 0, 9, right_of)[0])
+                s = frozenset(_close((a, b), 0, 9, by)[0])
             except ClosureCapExceeded:
                 continue
             if len(s) != 9 or s in seen:

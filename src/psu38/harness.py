@@ -29,10 +29,11 @@ from .arcs import (KernelData, arc_count_formula, arc_orbits, arc_stabilizer,
                    pushing_up, sampled_vertex_checks)
 from .coset import (CacheMismatch, CosetGraph, build_graph, export_edge_list,
                     export_sparse6, load_cache, save_cache)
+from .fastops import FieldOps
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
 from .grp import (Perm, SmallGroup, direct_product, is_split_extension,
                   iso_check, named_groups, reference_groups)
-from .psu import check_relations, make_generators
+from .psu import check_relations, make_generators, special_unitary, words
 
 EXIT_OK = 0
 EXIT_CLAIM_FAIL = 1
@@ -130,6 +131,12 @@ class VerifyContext:
     def kern(self, group: str, side: int) -> KernelData:
         g = self.graph
         return kernel_data(g, g.base_x1 if side == 1 else g.base_x2, group)
+
+    def kernel_claim(self, group: str, side: int):
+        """The verdict and witness of the kernel chain at one base vertex
+        (_kernel_claim), shared by the claims that check it."""
+        return self._memo(("kernel_claim", group, side),
+                          lambda: _kernel_claim(self, group, side))
 
     def mls(self, group: str):
         return self._memo(("mls", group), lambda: max_local_s(self.graph, group))
@@ -263,6 +270,9 @@ def build_claims() -> list[Claim]:
         ok &= f.mul(f.alpha, f.conj(f.alpha)) == 1
         ok &= all(f.mul(a, b) == polymul_mod(a, b, f.modulus)
                   for a in range(64) for b in range(64))
+        # the kernels' tables hold the same products and Frobenius powers
+        ok &= f.MUL.tolist() == [[f.mul(a, b) for b in range(64)] for a in range(64)]
+        ok &= f.FROB.tolist() == [[f.frobenius(a, k) for a in range(64)] for k in range(6)]
         ok &= all(f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
                   for a in range(64) for b in range(0, 64, 7))
         ok &= all(f.frobenius(f.mul(a, b)) == f.mul(f.frobenius(a), f.frobenius(b))
@@ -274,14 +284,13 @@ def build_claims() -> list[Claim]:
     @claim("SU.1", "the seven defining matrices are unitary with determinant 1 "
                    "and satisfy C^3=Z, D^2=F, E^3=B at matrix level")
     def su1(ctx):
-        g = ctx.gens
-        ok = all(g[k].is_unitary() and g[k].det() == 1
-                 for k in ("A", "B", "C", "D", "E", "F", "Z"))
-        ok &= g["C"].power(3) == g["Z"]
-        ok &= g["D"] * g["D"] == g["F"]
-        ok &= g["E"].power(3) == g["B"]
-        inv_ok = g["A"].inv() == g["A"] * g["A"]
-        inv_ok &= g["D"].inv() * g["D"].inv() == g["F"].inv()
+        g, ops = ctx.gens, FieldOps(ctx.field)
+        ok = all(special_unitary(ops, [g[k] for k in ("A", "B", "C", "D", "E", "F", "Z")]))
+        c3, d2, e3, a_inv, a2, d_inv2, f_inv = words(ops, g, [
+            ("C", "C", "C"), ("D", "D"), ("E", "E", "E"), ("A'",), ("A", "A"),
+            ("D'", "D'"), ("F'",)])
+        ok = ok and c3 == g["Z"] and d2 == g["F"] and e3 == g["B"]
+        inv_ok = a_inv == a2 and d_inv2 == f_inv
         return ok and inv_ok, {"inverse_identities": inv_ok}
 
     @claim("CONV.1", "exactly one commutator/conjugation convention pair "
@@ -632,13 +641,13 @@ def build_claims() -> list[Claim]:
                      "[2] = Qh1, [3] = [4] = Z(K1) = C3, [5] = 1; induced "
                      "action on the 4 neighbors is Sym(4)", ("K",))
     def l38i(ctx):
-        return _kernel_claim(ctx, "K", 1)
+        return ctx.kernel_claim("K", 1)
 
     @claim("L3.8.ii", "K_{x2} kernels: [1] = Qh2 x| C2 (order 162, split), "
                       "[2] = [3] = Z(Qh2) = C3 x C3, [4] = 1; induced "
                       "action on the 3 neighbors is Sym(3)", ("K",))
     def l38ii(ctx):
-        return _kernel_claim(ctx, "K", 2)
+        return ctx.kernel_claim("K", 2)
 
     @claim("L3.9", "K is transitive on 6-arcs at the valency-3 base vertex, "
                    "and the named 5-arc stabilizer is transitive on the far "
@@ -695,13 +704,13 @@ def build_claims() -> list[Claim]:
     @claim("L3.11.i.1", "H_{x1} kernels: [1] = Q1 x| C2 (order 18, split), "
                         "[2] = Q1, [3] = 1; induced Sym(4)", ("H",))
     def l311i1(ctx):
-        return _kernel_claim(ctx, "H", 1)
+        return ctx.kernel_claim("H", 1)
 
     @claim("L3.11.i.2", "H_{x2} kernels: [1] = Q2 x| C2 (order 54, split), "
                         "[2] = [3] = Z(Q2) = C3, [4] = 1; induced Sym(3)",
            ("H",))
     def l311i2(ctx):
-        return _kernel_claim(ctx, "H", 2)
+        return ctx.kernel_claim("H", 2)
 
     @claim("L3.11.ii", "H is transitive on 6-arcs at the valency-3 base "
                        "vertex; 6-arc orbit counts at the valency-4 vertex "
@@ -768,7 +777,8 @@ def build_claims() -> list[Claim]:
     @claim("T1.2.i", "W1 = O_3(H_{x1}^[1]) is elementary abelian of order 9 "
                      "and the H_{x1} kernel chain matches", ("H",))
     def t12i(ctx):
-        ok1, d = _kernel_claim(ctx, "H", 1)
+        ok1, d = ctx.kernel_claim("H", 1)
+        d = dict(d)
         w1 = ctx.kern("H", 1).o3
         sp = w1.structure_predicates(3)
         ok = ok1 and sp["order"] == 9 and sp["is_elementary_abelian"]
@@ -778,7 +788,8 @@ def build_claims() -> list[Claim]:
     @claim("T1.2.ii", "W2 = O_3(H_{x2}^[1]) is special of order 27 and "
                       "exponent 3 and the H_{x2} kernel chain matches", ("H",))
     def t12ii(ctx):
-        ok1, d = _kernel_claim(ctx, "H", 2)
+        ok1, d = ctx.kernel_claim("H", 2)
+        d = dict(d)
         w2 = ctx.kern("H", 2).o3
         sp = w2.structure_predicates(3)
         ok = ok1 and sp["order"] == 27 and sp["exponent"] == 3 and sp["is_special"]
@@ -789,7 +800,8 @@ def build_claims() -> list[Claim]:
         """Wh = O_3(K_x^[1]) = W x C3, with W = O_3(H_x^[1]), and the K_x
         kernel chain matches, at the base vertex of this side."""
         def body(ctx):
-            ok1, d = _kernel_claim(ctx, "K", side)
+            ok1, d = ctx.kernel_claim("K", side)
+            d = dict(d)
             dp = direct_product(_regular(ctx.kern("H", side).o3), ctx.refs["C3"])
             ok = ok1 and iso_check(ctx.kern("K", side).o3, dp)
             d[f"Wh{side}_iso_W{side}xC3"] = bool(ok)

@@ -2,23 +2,27 @@
 are checked against.  psu38 itself uses none of them."""
 
 from collections import Counter
+from functools import cache
+from itertools import permutations
 
 import numpy as np
 
 from psu38.arcs import kernel_data
 from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys
-from psu38.grp import Perm, SmallGroup, _close, _greedy, _pval, iso_check
-from psu38.psu import Element, PElement
+from psu38.gf64 import polymul_mod
+from psu38.grp import ClosureCapExceeded, Perm, SmallGroup, _close, _greedy, _pval, iso_check
+from psu38.psu import IDENTITY, PElement
 
 
 def times(g):
-    """Right multiplication by the element object g, by its own product."""
-    return lambda x: x * g
+    """Right multiplication by the element object g, by its own product,
+    on a list of elements."""
+    return lambda xs: [x * g for x in xs]
 
 
 def close(gens, identity, cap=None):
-    """grp._close on element objects (PElements, TableElements, Perms),
-    multiplied as objects."""
+    """grp._close on element objects (PElements, TableElements, Perms, or
+    the Python Elements and ProjElements below), multiplied as objects."""
     return _close(gens, identity, cap, times)
 
 
@@ -27,8 +31,69 @@ def greedy(cands, identity):
     return _greedy(cands, identity, times)
 
 
+def sequential_close(gens, identity, cap=None):
+    """grp._close as it was before it mapped whole layers: one element at
+    a time, each multiplied by every kept generator in turn, on element
+    objects.  The same (elems, parent, genidx, right), as products are
+    taken up in (parent index, generator) order either way."""
+    elems, parent, genidx = [identity], [0], [-1]
+    index = {identity: 0}
+    kept, right = [], {}
+
+    def add(y, pi, gi):
+        if cap is not None and len(elems) >= cap:
+            raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+        j = index[y] = len(elems)
+        elems.append(y)
+        parent.append(pi)
+        genidx.append(gi)
+        return j
+
+    for gi, g in enumerate(gens):
+        if g in index:
+            continue
+        i = len(elems)
+        right[gi] = [add(elems[pi] * g, pi, gi) for pi in range(i)]
+        kept.append((gi, g, right[gi]))
+        while i < len(elems):
+            x = elems[i]
+            for hi, h, row in kept:
+                y = x * h
+                j = index.get(y)
+                row.append(add(y, i, hi) if j is None else j)
+            i += 1
+    return elems, parent, genidx, right
+
+
+# ---------------------------------------------------------------------------
+# GF(64) matrix arithmetic in plain Python: tuple tables and one pass over
+# the entries per product, an implementation independent of the numpy
+# kernels of fastops that the program multiplies with
+
+
+@cache
+def tables(field) -> tuple:
+    """(mulrows, frobrows) of the field as tuples of tuples, from the
+    schoolbook product: mulrows[a][b] = a.b and frobrows[k][a] = a^(2^k)."""
+    mulrows = tuple(tuple(polymul_mod(a, b, field.modulus) for b in range(64))
+                    for a in range(64))
+    frob = [tuple(range(64))]
+    for _ in range(5):
+        frob.append(tuple(mulrows[v][v] for v in frob[-1]))
+    return mulrows, tuple(frob)
+
+
+def pack(mat: tuple, twist: int) -> int:
+    """The packed key: 9 entries of 6 bits, row-major, first entry most
+    significant, then the twist in the low 3 bits."""
+    key = 0
+    for v in mat:
+        key = key << 6 | v
+    return key << 3 | twist
+
+
 def unpack(key: int) -> tuple[tuple[int, ...], int]:
-    """The (matrix, twist) that psu.pack packs into key."""
+    """The (matrix, twist) that pack packs into key."""
     twist = key & 7
     key >>= 3
     mat = [0] * 9
@@ -38,15 +103,240 @@ def unpack(key: int) -> tuple[tuple[int, ...], int]:
     return tuple(mat), twist
 
 
+def _product(f, a: tuple, e: int, n: tuple) -> tuple:
+    """Entries of the matrix a . rho^e(n): one row of the product table
+    per entry of a, one lookup in it per term."""
+    rows, frob = tables(f)
+    if e:
+        fr = frob[e]
+        n = [fr[v] for v in n]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = n
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = [rows[v] for v in a]
+    return (r0[b0] ^ r1[b3] ^ r2[b6], r0[b1] ^ r1[b4] ^ r2[b7], r0[b2] ^ r1[b5] ^ r2[b8],
+            r3[b0] ^ r4[b3] ^ r5[b6], r3[b1] ^ r4[b4] ^ r5[b7], r3[b2] ^ r4[b5] ^ r5[b8],
+            r6[b0] ^ r7[b3] ^ r8[b6], r6[b1] ^ r7[b4] ^ r8[b7], r6[b2] ^ r7[b5] ^ r8[b8])
+
+
+def _inverse(f, m: tuple, e: int) -> tuple:
+    """Matrix of (m, e)^-1 = (rho^-e(m*), -e) for unitary m: the conjugate
+    transpose (entrywise rho^3) and rho^-e are one table, rho^(3-e)."""
+    fr = tables(f)[1][(9 - e) % 6]
+    return (fr[m[0]], fr[m[3]], fr[m[6]], fr[m[1]], fr[m[4]], fr[m[7]],
+            fr[m[2]], fr[m[5]], fr[m[8]])
+
+
+def _canonical_mat(f, mat: tuple) -> tuple:
+    """The scalar multiple of mat with the least packed key: scaled once,
+    by the lead scalar of its first nonzero entry."""
+    for v in mat:
+        if v:
+            break
+    s = f.lead_scalar[v]
+    if s == 1:
+        return mat
+    row = tables(f)[0][s]
+    return tuple([row[v] for v in mat])
+
+
+class Element:
+    """Exact semilinear unitary map (M, e); immutable value, composing by
+    (M, e) * (N, f) = (M . rho^e(N), e + f mod 6)."""
+
+    __slots__ = ("field", "mat", "twist", "key")
+
+    def __init__(self, field, mat: tuple, twist: int = 0):
+        self.field = field
+        self.mat = mat
+        self.twist = twist % 6
+        self.key = pack(mat, self.twist)
+
+    @staticmethod
+    def identity(field) -> "Element":
+        return Element(field, (1, 0, 0, 0, 1, 0, 0, 0, 1), 0)
+
+    def __mul__(self, other: "Element") -> "Element":
+        f = self.field
+        return Element(f, _product(f, self.mat, self.twist, other.mat),
+                       self.twist + other.twist)
+
+    def star(self) -> "Element":
+        """Conjugate transpose (entrywise tau, then transpose); twist kept."""
+        return Element(self.field, _inverse(self.field, self.mat, 0), self.twist)
+
+    def inv(self) -> "Element":
+        """Inverse, using M^-1 = M* for unitary M."""
+        e = self.twist
+        return Element(self.field, _inverse(self.field, self.mat, e), 6 - e)
+
+    def det(self) -> int:
+        f = self.field
+        m = self.mat
+        t = 0
+        for p in permutations(range(3)):
+            v = 1
+            for i in range(3):
+                v = f.mul(v, m[3 * i + p[i]])
+            t ^= v
+        return t
+
+    def is_unitary(self) -> bool:
+        return self.star_matrix_times_self() == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
+    def star_matrix_times_self(self) -> tuple:
+        return _product(self.field, self.star().mat, 0, self.mat)
+
+    def frob_image(self, k: int = 1) -> "Element":
+        """Entrywise rho^k image, twist unchanged."""
+        fr = tables(self.field)[1][k % 6]
+        return Element(self.field, tuple([fr[v] for v in self.mat]), self.twist)
+
+    def power(self, k: int) -> "Element":
+        if k < 0:
+            return self.inv().power(-k)
+        r = Element.identity(self.field)
+        b = self
+        while k:
+            if k & 1:
+                r = r * b
+            b = b * b
+            k >>= 1
+        return r
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Element) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __lt__(self, other: "Element") -> bool:
+        return self.key < other.key
+
+    def __repr__(self):
+        return f"Element(key={self.key:#x}, twist={self.twist})"
+
+
+def canonicalize(el: Element) -> Element:
+    """Least packed serialization among {M, alpha M, alpha^2 M}."""
+    mat = _canonical_mat(el.field, el.mat)
+    return el if mat is el.mat else Element(el.field, mat, el.twist)
+
+
+class ProjElement:
+    """Projective class of an Element, stored in canonical form: the
+    Python counterpart of psu.PElement."""
+
+    __slots__ = ("el", "key")
+
+    def __init__(self, el: Element):
+        c = canonicalize(el)
+        self.el = c
+        self.key = c.key
+
+    @staticmethod
+    def _canonical(f, mat: tuple, twist: int) -> "ProjElement":
+        p = ProjElement.__new__(ProjElement)
+        p.el = el = Element(f, _canonical_mat(f, mat), twist)
+        p.key = el.key
+        return p
+
+    def __mul__(self, other: "ProjElement") -> "ProjElement":
+        a, b = self.el, other.el
+        f = a.field
+        return ProjElement._canonical(f, _product(f, a.mat, a.twist, b.mat),
+                                      a.twist + b.twist)
+
+    def inv(self) -> "ProjElement":
+        a = self.el
+        return ProjElement._canonical(a.field, _inverse(a.field, a.mat, a.twist),
+                                      6 - a.twist)
+
+    @property
+    def twist(self) -> int:
+        return self.el.twist
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ProjElement) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __lt__(self, other: "ProjElement") -> bool:
+        return self.key < other.key
+
+    def __repr__(self):
+        return f"ProjElement(key={self.key:#x})"
+
+
 def element_from_key(field, key: int) -> Element:
     mat, twist = unpack(key)
     return Element(field, mat, twist)
 
 
+def obj(x, field=None) -> ProjElement:
+    """The class of x (a PElement, or a packed key under field) as a
+    ProjElement, whose products are the Python ones."""
+    if field is None:
+        field, x = x.ops.field, x.key
+    return ProjElement(element_from_key(field, int(x)))
+
+
 def scalar_mul(el: Element, s: int) -> Element:
     """el with its matrix scaled by the field element s, twist kept."""
-    row = el.field.mulrows[s]
+    row = tables(el.field)[0][s]
     return Element(el.field, tuple([row[v] for v in el.mat]), el.twist)
+
+
+def comm_std(x: Element, y: Element) -> Element:
+    """[x, y] = x^-1 y^-1 x y."""
+    return x.inv() * y.inv() * x * y
+
+
+def comm_alt(x: Element, y: Element) -> Element:
+    """[x, y] = x y x^-1 y^-1."""
+    return x * y * x.inv() * y.inv()
+
+
+def conj_right(x: Element, g: Element) -> Element:
+    """x^g = g^-1 x g."""
+    return g.inv() * x * g
+
+
+def conj_left(x: Element, g: Element) -> Element:
+    """x^g = g x g^-1."""
+    return g * x * g.inv()
+
+
+def relation_rows(g: dict, comm, conj) -> list[tuple[str, bool]]:
+    """The relation table on the Elements g under one convention pair."""
+    A, B, C, D, E, F, Z, S = (g[k] for k in ("A", "B", "C", "D", "E", "F", "Z", "sigma"))
+    Z2 = Z * Z
+    one = Element.identity(A.field)
+    return [
+        ("C^3=Z", C.power(3) == Z),
+        ("D^2=F", D * D == F),
+        ("E^3=B", E.power(3) == B),
+        ("[A,B]=Z^2", comm(A, B) == Z2),
+        ("[A,C]=BZ^2", comm(A, C) == B * Z2),
+        ("[B,C]=1", comm(B, C) == one),
+        ("[D,A]=BA", comm(D, A) == B * A),
+        ("[D,B]=A^2B", comm(D, B) == A * A * B),
+        ("A^s=A", conj(A, S) == A),
+        ("B^s=B^-1", conj(B, S) == B.inv()),
+        ("C^s=C^2", conj(C, S) == C * C),
+        ("D^s=D^-1", conj(D, S) == D.inv()),
+        ("[E,A]=BC", comm(E, A) == B * C),
+        ("[E,B]=1", comm(E, B) == one),
+        ("[E,C]=1", comm(E, C) == one),
+        ("[F,A]=A^2", comm(F, A) == A * A),
+        ("[F,B]=B^2", comm(F, B) == B * B),
+        ("[F,C]=1", comm(F, C) == one),
+        ("[F,E]=E^2", comm(F, E) == E * E),
+        ("E^s=E^2", conj(E, S) == E * E),
+        ("F^s=F", conj(F, S) == F),
+    ]
+
+
+# ---------------------------------------------------------------------------
 
 
 def subgroup_arrays(ops, G) -> SubgroupArrays:
@@ -54,24 +344,23 @@ def subgroup_arrays(ops, G) -> SubgroupArrays:
     return SubgroupArrays(ops, (x.key for x in G.elems))
 
 
-def coset_canon(ops, sub: SubgroupArrays, g: PElement) -> PElement:
+def coset_canon(ops, sub: SubgroupArrays, g) -> ProjElement:
     """Least representative of the coset K.g by an exact scan; an oracle
     for the fingerprint key."""
     pm, pt = bunpack(np.array([g.key], dtype=np.uint64))
     key = coset_canon_keys(ops, sub, pm, pt)[0]
-    return PElement(element_from_key(ops.field, int(key)))
+    return obj(key, ops.field)
 
 
 def plain(x) -> PElement:
     """x as a plain PElement, outside every table: its products with
     elements of K1 or K2 are PElement products, which no table limits."""
-    return PElement(x.el)
+    return PElement(x.ops, x.key)
 
 
 def rep_element(graph, v: int) -> PElement:
     """The stored representative of vertex v, as a plain PElement."""
-    key = int(graph.reps[graph.side_of(v)][graph.local_id(v)])
-    return PElement(element_from_key(graph.field, key))
+    return PElement(graph.ops, int(graph.reps[graph.side_of(v)][graph.local_id(v)]))
 
 
 def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
@@ -82,9 +371,8 @@ def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
         return graph.group_from_keys(keys, name)
     except ValueError:
         pass
-    return SmallGroup.from_set(
-        [PElement(element_from_key(graph.field, int(k))) for k in keys],
-        PElement(Element.identity(graph.field)), name)
+    return SmallGroup.from_set([PElement(graph.ops, int(k)) for k in keys],
+                               PElement(graph.ops, IDENTITY), name)
 
 
 def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:

@@ -15,7 +15,8 @@ from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
 import oracles
-from oracles import fixers_by_images, group_from_keys, rep_element, vertex_stabilizer
+from oracles import (fixers_by_images, group_from_keys, obj, rep_element,
+                     vertex_stabilizer)
 
 
 def test_arc_counts_match_valency_products(graph):
@@ -454,8 +455,8 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             assert (len(bq), len(bc), bc.eset <= bq.eset) == (len(q), len(c),
                                                             c.eset <= q.eset)
             assert c.eset <= q.eset
-            r = rep_element(graph, v)
-            assert {(r.inv() * x * r).key for x in bq.elems} == {x.key for x in q.elems}
+            r = obj(rep_element(graph, v))
+            assert {(r.inv() * obj(x) * r).key for x in bq.elems} == {x.key for x in q.elems}
 
 
 def test_fixers_equal_the_image_oracle(ctx, graph, ng):

@@ -19,8 +19,8 @@ from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
 
-from oracles import (coset_canon, element_from_key, fixers_by_images, perm_by_images,
-                     plain, rep_element, subgroup_arrays, vertex_stabilizer)
+from oracles import (coset_canon, fixers_by_images, obj, perm_by_images, plain,
+                     rep_element, subgroup_arrays, vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -61,11 +61,13 @@ def test_adjacency_matches_coset_intersection(graph, ng):
     intersect, i.e. g h^-1 lies in K2 K1 (scanned exhaustively)."""
     rng = random.Random(5)
 
+    k1 = {x.key for x in ng.K1.elems}
+
     def intersects(u, v):
-        gu = rep_element(graph, u)
-        gv = rep_element(graph, v)
+        gu = obj(rep_element(graph, u))
+        gv = obj(rep_element(graph, v))
         t = gv * gu.inv()
-        return any((plain(k2.inv()) * t) in ng.K1.eset for k2 in ng.K2.elems)
+        return any((obj(k2).inv() * t).key in k1 for k2 in ng.K2.elems)
 
     for _ in range(6):
         u = rng.randrange(graph.n1)
@@ -83,15 +85,15 @@ def test_coset_canon_invariance(graph, ng):
     ops = graph.ops
     sub = subgroup_arrays(ops, ng.K1)
     rng = random.Random(6)
-    g = PElement(ng.p["E"].el * ng.p["D"].el)
+    g = obj(ng.p["E"]) * obj(ng.p["D"])
     c = coset_canon(ops, sub, g)
     for _ in range(10):
         k = rng.choice(ng.K1.elems)
-        assert coset_canon(ops, sub, plain(k) * g) == c
+        assert coset_canon(ops, sub, obj(k) * g) == c
     # idempotence: the canon of the canon is itself
     assert coset_canon(ops, sub, c) == c
     # members of the subgroup all canonize to the trivial coset's rep
-    ident = PElement(ng.p["A"].el * ng.p["A"].el.inv())
+    ident = obj(ng.p["A"]) * obj(ng.p["A"]).inv()
     c0 = coset_canon(ops, sub, ident)
     for _ in range(5):
         assert coset_canon(ops, sub, rng.choice(ng.K1.elems)) == c0
@@ -129,11 +131,12 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
         for v in [off] + [off + rng.randrange(1, n) for _ in range(2)]:
             r = rep_element(graph, v)
             C = K.conjugate(r)
+            ro = obj(r)
             for group, G in (("K", C), ("H", ng.h_part(C))):
                 got = graph.stabilizer_key_rows([v], group)[0].tolist()
                 assert sorted(got) == sorted(x.key for x in G.elems)
                 base = graph.base_stabilizer(side, group).sorted_elems()
-                assert got == [(r.inv() * k * r).key for k in base]
+                assert got == [(ro.inv() * obj(k) * ro).key for k in base]
 
 
 def test_image_batch_is_rowwise(graph, ng):
@@ -159,8 +162,7 @@ def test_side_two_fingerprint_subgroup(modulus):
     ng = named_groups(GF64(modulus))
     g = CosetGraph(ng.field, ng)
     coset._arm(g)
-    y1, y = (PElement(element_from_key(ng.field, int(bpack(*g.ysets[s])[0])))
-             for s in (1, 2))
+    y1, y = (PElement(ng.p["A"].ops, int(bpack(*g.ysets[s])[0])) for s in (1, 2))
     assert ng.K1.center().eset == {ng.K1.identity, y1, y1.inv()}
     Z = ng.Qh2.center()
     assert len(Z) == 9 and y in Z.eset and ng.K2.element_order(y) == 3
@@ -196,6 +198,7 @@ def test_action_by_fingerprints_equals_the_rep_product(graph, ng):
         assert np.array_equal(graph.perm(x), want)
     rng = random.Random(15)
     gids = np.array([rng.randrange(graph.nv) for _ in range(2000)])
+    gens = [obj(x) for x in gens]
     els = []
     for _ in range(2000):
         x = rng.choice(gens)

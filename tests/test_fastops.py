@@ -7,10 +7,10 @@ from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints, conj_tables,
                            coset_canon_keys, linear_conj_keys)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
-from psu38.psu import Element, PElement, make_generators
+from psu38.psu import make_generators
 
 import oracles
-from oracles import element_from_key, plain, subgroup_arrays
+from oracles import Element, ProjElement, element_from_key, obj, subgroup_arrays
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,8 @@ def ops(f):
 
 
 def random_elements(f, n, seed=23, sigma=True):
-    g = make_generators(f)
+    """n random words in the generators, as oracle Elements."""
+    g = {k: element_from_key(f, v) for k, v in make_generators(f).items()}
     names = list("ABCDEF") + (["sigma"] if sigma else [])
     rng = random.Random(seed)
     out = []
@@ -49,6 +50,7 @@ def test_pack_roundtrip(f):
 
 
 def test_bsmul_matches_element_mul(f, ops):
+    """bsmul against the oracle's Element products."""
     a = random_elements(f, 60, seed=1)
     b = random_elements(f, 60, seed=2)
     am, at = to_arrays(a)
@@ -72,7 +74,7 @@ def test_bpkeys_matches_pelement(f, ops):
     a = random_elements(f, 80, seed=4)
     am, at = to_arrays(a)
     got = ops.bpkeys(am, at)
-    want = np.array([PElement(x).key for x in a], dtype=np.uint64)
+    want = np.array([ProjElement(x).key for x in a], dtype=np.uint64)
     assert np.array_equal(got, want)
 
 
@@ -95,19 +97,19 @@ def test_bpkeys_is_min_of_three_scalar_multiples(f, ops):
 def test_coset_canon_against_bruteforce(f, ops, ng):
     """Exact oracle: scan every subgroup multiple in python."""
     sub = subgroup_arrays(ops, ng.S)
-    probes = [PElement(x) for x in random_elements(f, 12, seed=5)]
+    probes = [ProjElement(x) for x in random_elements(f, 12, seed=5)]
     pm, pt = to_arrays([p.el for p in probes])
     got = coset_canon_keys(ops, sub, pm, pt)
     for i, pr in enumerate(probes):
-        want = min((plain(k) * pr).key for k in ng.S.elems)
+        want = min((obj(k) * pr).key for k in ng.S.elems)
         assert int(got[i]) == want
 
 
 def test_coset_canon_is_coset_invariant(f, ops, ng):
     sub = subgroup_arrays(ops, ng.Qh2)
     rng = random.Random(9)
-    probes = [PElement(x) for x in random_elements(f, 8, seed=6)]
-    shifted = [plain(rng.choice(ng.Qh2.elems)) * p for p in probes]
+    probes = [ProjElement(x) for x in random_elements(f, 8, seed=6)]
+    shifted = [obj(rng.choice(ng.Qh2.elems)) * p for p in probes]
     pm, pt = to_arrays([p.el for p in probes])
     sm, st = to_arrays([p.el for p in shifted])
     assert np.array_equal(coset_canon_keys(ops, sub, pm, pt),
@@ -121,14 +123,13 @@ def test_fingerprint_invariance(f, ops, ng):
     side 2.  Another order-3 subgroup of Z(Qh2) is not coset-invariant."""
     g = CosetGraph(ng.field, ng)
     _arm(g)
-    y1, y2 = (PElement(element_from_key(ng.field, int(bpack(*g.ysets[s])[0])))
-              for s in (1, 2))
+    y1, y2 = (obj(bpack(*g.ysets[s])[0], ng.field) for s in (1, 2))
     rng = random.Random(10)
-    probes = [PElement(x) for x in random_elements(f, 10, seed=8)]
+    probes = [ProjElement(x) for x in random_elements(f, 10, seed=8)]
     pm, pt = to_arrays([p.el for p in probes])
     for y, K in ((y1, ng.K1), (y2, ng.K2)):
         ym, yt = to_arrays([y.el])
-        shifted = [plain(rng.choice(K.elems)) * p for p in probes]
+        shifted = [obj(rng.choice(K.elems)) * p for p in probes]
         fa = conj_fingerprints(ops, pm, pt, ym, yt)
         assert np.array_equal(fa, conj_fingerprints(
             ops, *to_arrays([p.el for p in shifted]), ym, yt))
@@ -146,9 +147,9 @@ def test_fingerprint_invariance(f, ops, ng):
                                  for p, c in zip(probes, ys)]
     Z = ng.Qh2.center()
     other = next(z for z in Z.sorted_elems()
-                 if z not in (Z.identity, y2, y2.inv()))
-    om, ot = to_arrays([other.el])
-    shifted = [plain(k) * p for p in probes for k in ng.K2.gens_list()]
+                 if z.key not in (Z.identity.key, y2.key, y2.inv().key))
+    om, ot = to_arrays([other])
+    shifted = [obj(k) * p for p in probes for k in ng.K2.gens_list()]
     moved = conj_fingerprints(ops, *to_arrays([s.el for s in shifted]), om, ot)
     fixed = np.repeat(conj_fingerprints(ops, pm, pt, om, ot), len(ng.K2.gens_list()))
     assert not np.array_equal(moved, fixed)
@@ -175,7 +176,7 @@ def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
     with and without the inverse columns."""
     f = GF64(modulus)
     ops = FieldOps(f)
-    sigma = make_generators(f)["sigma"]
+    sigma = element_from_key(f, make_generators(f)["sigma"])
     xs = random_elements(f, 6, seed=33, sigma=False)
     for k in range(6):
         for _ in range(k):

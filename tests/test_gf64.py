@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from psu38.gf64 import ALT_MODULI, BadModulus, DEFAULT_MODULUS, GF64, polymul_mod
 
+import oracles
+
 elems = st.integers(min_value=0, max_value=63)
 
 
@@ -127,10 +129,14 @@ def test_lead_scalar_minimises_the_lead_entry(modulus):
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
 def test_frobenius_rows_match_schoolbook(modulus):
+    """The kernels' MUL and FROB arrays equal the oracle's tuple tables,
+    and the scalar frobenius the repeated schoolbook square."""
     f = GF64(modulus)
-    assert f.FROB.tolist() == [list(r) for r in f.frobrows]
+    mulrows, frobrows = oracles.tables(f)
+    assert f.MUL.tolist() == [list(r) for r in mulrows]
+    assert f.FROB.tolist() == [list(r) for r in frobrows]
     for a in range(64):
         x = a
         for k in range(6):
-            assert f.frobrows[k][a] == x
+            assert frobrows[k][a] == x == f.frobenius(a, k)
             x = polymul_mod(x, x, modulus)

@@ -6,17 +6,18 @@ import weakref
 
 import pytest
 
+from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
                        cyclic_group, dihedral_18,
                        direct_product, is_split_extension, iso_check,
-                       reference_groups, sym_group)
+                       named_groups, reference_groups, sym_group)
 from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
 from conftest import CACHE_DIR
 
-from oracles import (ObjGroup, close, greedy, greedy_prefixes, iso_map, lambda_subgroups,
-                     perm_product, plain)
+from oracles import (ObjGroup, ProjElement, close, greedy, greedy_prefixes, iso_map,
+                     lambda_subgroups, obj, perm_product, plain, sequential_close)
 
 
 def test_closure_orders(ng):
@@ -51,6 +52,11 @@ def test_closure_cap(ng, refs):
             close(gens, G.identity, cap=len(G) - 1)
         with pytest.raises(ClosureCapExceeded):
             SmallGroup.generate(gens, cap=len(G) - 1)
+    # plain PElements: the closure on packed keys, a bsmul per layer
+    gens = [plain(x) for x in ng.K2.gens_list()]
+    assert len(SmallGroup.generate(gens, cap=len(ng.K2))) == len(ng.K2)
+    with pytest.raises(ClosureCapExceeded):
+        SmallGroup.generate(gens, cap=len(ng.K2) - 1)
 
 
 def test_lagrange_property(ng):
@@ -202,6 +208,16 @@ def test_close_tree_and_prefix_spans(ng, refs):
         assert set(_assert_closure_tree(gens, G.identity)) == _bfs_close(gens, G.identity)
         H = SmallGroup.generate(G.gens_list())
         assert (H.elems, H.parent, H.genidx) == close(G.gens_list(), G.identity)[:3]
+
+
+def test_layered_close_equals_the_element_at_a_time_closure(ng, refs):
+    """_close, which maps whole layers, gives the tree and the right table
+    of the element-at-a-time closure, on table elements and on Perms, for
+    the groups' generators and for random, often redundant ones."""
+    rng = random.Random(13)
+    for G in (ng.Q2, ng.H2, ng.K1, refs["AGL23"], refs["SP2"], refs["C3xAGL23S"]):
+        for gens in (G.gens_list(), rng.sample(G.sorted_elems(), 4)):
+            assert close(gens, G.identity) == sequential_close(gens, G.identity)
 
 
 def test_normal_closure_of_many_generators(ng):
@@ -494,7 +510,7 @@ def test_generate_over_plain_pelements_is_a_table_group(ng):
     p = ng.p
     gens = [p["A"], p["B"], p["C"], p["F"]]
     G = SmallGroup.generate(gens)
-    elems, parent, genidx, _ = close(gens, plain(ng.K1.identity))
+    elems, parent, genidx, _ = close([obj(x) for x in gens], obj(ng.K1.identity))
     tab = G.identity.tab
     assert [x.key for x in G.elems] == [x.key for x in elems]
     assert (G.parent, G.genidx) == (parent, genidx)
@@ -502,9 +518,9 @@ def test_generate_over_plain_pelements_is_a_table_group(ng):
     assert tab is not ng.K1.identity.tab and tab is not ng.K2.identity.tab
     assert [x.key for x in G.gens] == [x.key for x in gens]
     for x in G.elems:
-        assert x.inv().key == plain(x).inv().key
+        assert x.inv().key == obj(x).inv().key
         for y in G.gens:
-            assert (x * y).key == (plain(x) * plain(y)).key
+            assert (x * y).key == (obj(x) * obj(y)).key
 
 
 def test_table_products_and_inverses_equal_pelement_ones(ng):
@@ -517,11 +533,11 @@ def test_table_products_and_inverses_equal_pelement_ones(ng):
             x, y = rng.choice(K.elems), rng.choice(K.elems)
             z = x * y
             assert type(z) is TableElement and z.tab is tab
-            assert z.key == (plain(x) * plain(y)).key
+            assert z.key == (obj(x) * obj(y)).key
             assert tab.index[z.key] is z
-            assert x.inv() is tab.index[plain(x).inv().key]
+            assert x.inv() is tab.index[obj(x).inv().key]
         assert all(x * x.inv() is K.identity for x in K.elems)
-        assert all(tab.elems[tab.inv[x.i]].key == plain(x).inv().key for x in K.elems)
+        assert all(tab.elems[tab.inv[x.i]].key == obj(x).inv().key for x in K.elems)
 
 
 def test_table_products_across_tables_and_with_plain_elements(ng):
@@ -544,9 +560,9 @@ def test_table_products_across_tables_and_with_plain_elements(ng):
                 (a1, y, t2), (a2, x, t1)):                       # left factor there
             z = left * right
             assert type(z) is TableElement and z.tab is tab
-            assert z.key == (plain(left) * plain(right)).key
+            assert z.key == (obj(left) * obj(right)).key
         z = plain(x) * a1
-        assert type(z) is PElement and z.key == (plain(x) * plain(a1)).key
+        assert type(z) is PElement and z.key == (obj(x) * obj(a1)).key
     p = ng.p
     D, E = t1.index[p["D"].key], t2.index[p["E"].key]
     assert D.key not in t2.index and E.key not in t1.index
@@ -554,7 +570,7 @@ def test_table_products_across_tables_and_with_plain_elements(ng):
         with pytest.raises(ValueError, match="no table holds both factors"):
             left * right
     z = p["D"] * E
-    assert type(z) is PElement and z.key == (p["D"] * p["E"]).key
+    assert type(z) is PElement and z.key == (obj(p["D"]) * obj(p["E"])).key
 
 
 def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
@@ -602,17 +618,17 @@ NAMED_GENS = {
 
 def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
     """Each named group has the keys of elems, gens, parent and genidx of
-    the plain PElement closure of its generators, and its elements are the
-    interned elements of its ambient group's table."""
+    the closure of its generators over the oracle's Python products, and
+    its elements are the interned elements of its ambient group's table."""
     def keys(xs):
         return [x.key for x in xs]
 
-    ident = plain(ng.K1.identity)
+    ident = obj(ng.K1.identity)
     old = {}
     for name, gens in NAMED_GENS.items():
-        gens = [ng.p[n] for n in gens.split()]
+        gens = [obj(ng.p[n]) for n in gens.split()]
         elems, parent, genidx, _ = close(gens, ident)
-        assert all(type(x) is PElement for x in elems)
+        assert all(type(x) is ProjElement for x in elems)
         G = getattr(ng, name)
         old[name] = ObjGroup(elems, gens, ident)
         assert keys(G.elems) == keys(elems) and keys(G.gens) == keys(gens)
@@ -626,28 +642,53 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
     assert [keys(L.elems) for L in ng.Lambda] == [keys(L.elems) for L in lam]
 
 
-def _imports(module: str) -> set[str]:
-    """The modules that src/psu38/<module>.py imports, relative ones with
-    their leading dots."""
-    path = os.path.join(os.path.dirname(__file__), "..", "src", "psu38", module + ".py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            out |= {a.name for a in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            out.add("." * node.level + (node.module or ""))
-    return out
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
+def test_k1_k2_tables_equal_the_oracle_closure(ng, modulus):
+    """K1's and K2's tables, closed on packed keys one layer at a time by
+    the kernels, are the element-at-a-time closures over the oracle's
+    Python value products: the keys in discovery order, parent, genidx and
+    the right rows."""
+    if modulus != DEFAULT_MODULUS:
+        ng = named_groups(GF64(modulus))
+    for name in ("K1", "K2"):
+        gens = [obj(ng.p[n]) for n in NAMED_GENS[name].split()]
+        elems, parent, genidx, right = sequential_close(gens, obj(ng.p["Z"]))
+        tab = getattr(ng, name).tab
+        assert tab.keys == [x.key for x in elems]
+        assert (tab.parent, tab.genidx) == (parent, genidx)
+        assert tab.rows == list(right.values())
 
 
-def test_psu_is_matrix_arithmetic_and_grp_holds_the_tables():
-    """psu imports only gf64 from the package and no numpy; grp, which
-    builds the group tables from its closures, does not import fastops."""
-    psu = _imports("psu")
-    assert {m for m in psu if m.startswith((".", "psu38"))} == {".gf64"}
-    assert not any(m.split(".")[0] == "numpy" for m in psu)
-    assert not any(m.endswith("fastops") for m in _imports("grp"))
+# what multiplies GF(64) matrices: the numpy tables and the kernels of
+# fastops, and the Python arithmetic that now lives in tests/oracles.py
+TABLES = {"MUL", "MULF", "FROB"}
+PRODUCTS = {"bmm", "bsmul", "binv", "bpkeys", "Element", "_product", "_inverse",
+            "_canonical_mat", "value_product", "canonicalize"}
+
+
+def test_fastops_is_the_one_matrix_arithmetic():
+    """No module of src/psu38 but fastops subscripts the product or
+    Frobenius tables or defines a matrix product, and none keeps tuple
+    copies of the tables: the kernels are the one implementation of GF(64)
+    matrix products, inverses and canonical keys (the Python one is the
+    test oracle).  gf64 builds the tables as whole arrays."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "psu38")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("mulrows", "frobrows")), name
+            if name == "fastops.py":
+                continue
+            if isinstance(node, ast.Subscript):
+                v = node.value
+                assert getattr(v, "attr", getattr(v, "id", None)) not in TABLES, (
+                    name, node.lineno)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in PRODUCTS, (name, node.name)
 
 
 def test_tables_are_freed_when_their_context_is_dropped():

@@ -77,7 +77,9 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     perfbench/reference.json, orbit_partition never sees more rows
     than the 1,944 8-arcs at x2 (no pass over the edges), and once the
     graph is loaded conj_fingerprints sees only the rowwise image calls
-    of paper_arc and L3.9: perm and fixers do not resolve vertices."""
+    of paper_arc and L3.9: perm and fixers do not resolve vertices.  The
+    kernel chain of each base vertex and group runs once (4 bodies for 8
+    claims)."""
     ctx = VerifyContext(cache_dir=CACHE_DIR)
     ctx.ng
     ctx.graph
@@ -104,9 +106,20 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     for mod in (arcs, harness):
         if hasattr(mod, "orbit_partition"):
             monkeypatch.setattr(mod, "orbit_partition", counted_rows)
+    bodies = []
+    kernel_claim = harness._kernel_claim
+
+    def counted_kernel_claim(ctx, group, side):
+        bodies.append((group, side))
+        return kernel_claim(ctx, group, side)
+    monkeypatch.setattr(harness, "_kernel_claim", counted_kernel_claim)
     rep = run_claims(ctx)
     assert rep["overall"]
     assert calls == []
+    assert sorted(bodies) == [("H", 1), ("H", 2), ("K", 1), ("K", 2)]
+    # T1.2.* add their keys to copies: the shared witnesses keep their own
+    shared = {k: ctx.kernel_claim(*k)[1] for k in bodies}
+    assert not any(key.startswith(("W1", "W2", "Wh")) for d in shared.values() for key in d)
     assert rows and max(rows) <= 1944
     # paper_arc's 4 single images, then L3.9's 9 elements of the arc
     # stabilizer at each of the 3 far ends

@@ -27,7 +27,7 @@ def _check(G, picks):
     gens = [els[k % len(els)] for k in picks]
     tab = G.tab
     # closure order on indices and on objects
-    order = _close([tab.at(g) for g in gens], 0, None, tab.right_of)[0]
+    order = _close([tab.at(g) for g in gens], 0, None, tab.by)[0]
     assert [tab.elems[i] for i in order] == close(gens, G.identity)[0]
     H = G.span(gens)
     O, OH = ObjGroup.of(G), ObjGroup.of(H)
