@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .grp import Perm, SmallGroup, iso_check, is_split_extension
+from .grp import SmallGroup, iso_check, is_split_extension
 
 
 @dataclass
@@ -150,8 +150,8 @@ def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
     translations by Z's generators and the conjugations by G's."""
     zl = Z.sorted_elems()
     zi = {x: i for i, x in enumerate(zl)}
-    shifts = [Perm([zi[x * z] for x in zl]) for z in Z.gens_list()]
-    auts = [Perm([zi[g.inv() * x * g] for x in zl]) for g in G.gens_list()]
+    shifts = [tuple([zi[x * z] for x in zl]) for z in Z.gens_list()]
+    auts = [tuple([zi[g.inv() * x * g] for x in zl]) for g in G.gens_list()]
     sd = SmallGroup.generate(shifts + auts, name=f"{Z.name} x| aut")
     # the translations are regular and the automorphisms fix Z's identity
     assert len(sd) == len(zl) * len(SmallGroup.generate(auts))

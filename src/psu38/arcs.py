@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .coset import CosetGraph
-from .grp import Perm, SmallGroup
+from .grp import SmallGroup
 
 # ---------------------------------------------------------------------------
 # balls and arcs
@@ -234,7 +234,7 @@ class KernelData:
             images.add(im)
             if im == ident:
                 kernel_els.append(self.stab.elems[j])
-        induced = SmallGroup.from_set(map(Perm, images), Perm(ident),
+        induced = SmallGroup.from_set(images, ident,
                                       name=f"{self.group}_z{self.v}^D(z)")
         kern = self.stab.subgroup(kernel_els)
         return induced, kern

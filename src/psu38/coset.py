@@ -490,15 +490,19 @@ def save_cache(graph: CosetGraph, path: str) -> None:
 
 
 def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
-    """Load and check a cache; any defect of the file is a CacheMismatch.
+    """Load and check a cache; any defect of the file, an unreadable one
+    included, is a CacheMismatch.
     A loaded graph passes the checks a built one does (distinct vertex
     keys, and the degrees and base edge of _assert_base_edge), and each
     stored edge is proved an edge of the coset graph (_assert_adjacency),
     which a build's resolved probes need not be.  The payload
     is read through a view of the file bytes, and only the edges are
     copied out of it, so the bytes are freed once it returns."""
-    with open(path, "rb") as f:
-        data = memoryview(f.read())
+    try:
+        with open(path, "rb") as f:
+            data = memoryview(f.read())
+    except OSError as e:
+        raise CacheMismatch(f"unreadable: {e}") from None
     if data[:len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise CacheMismatch("bad magic")
     head = len(CACHE_MAGIC) + CACHE_HEADER.size

@@ -3,8 +3,8 @@ thousand): closure, structural subgroups, predicates, quotients,
 isomorphism testing, reference constructions, split-extension search.
 
 Every group lives in one ambient Table, read off the _close call that
-enumerated the ambient group on values (a PElement's packed key, a Perm's
-images): its elements in discovery order, one
+enumerated the ambient group on values (a PElement's packed key, a
+permutation's image tuple): its elements in discovery order, one
 right-multiplication row per generator, the inverse of each element, the
 rank of each element in the sorted order, and lazily, one conjugation row
 per generator.  An element is an index into its table: a product x*y
@@ -19,11 +19,13 @@ There are two kinds of table.  A group generated over plain PElements
 (K1, K2) is a table of interned TableElements, PElements with the same
 keys, equality and order; every named subgroup of K1 and K2 is a set of
 indices in one of the two.  Reference groups, quotients (the action on
-cosets), direct products (perms on a disjoint union of points) and the
-holomorph are tables of Perms on at most 108 points.  Element objects
-appear only at the boundary: elems, gens, eset and the arguments and
-results of the public methods.  Two groups in different tables are
-compared through their elements' keys (PElement keys, Perm images).
+cosets), direct products (permutations of a disjoint union of points) and
+the holomorph are tables of permutations of at most 108 points, each
+element its image tuple: (p[0], p[1], ...), where p*q applies p first,
+then q.  Element objects appear only at the boundary: elems, gens, eset
+and the arguments and results of the public methods.  Two groups in
+different tables are compared through their elements' keys (PElement
+keys, image tuples).
 """
 
 from __future__ import annotations
@@ -33,11 +35,8 @@ from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
 from math import gcd
-from operator import itemgetter
 
-import numpy as np
-
-from .fastops import bunpack, linear_conj_keys
+from .fastops import bunpack
 from .gf64 import GF64
 from .psu import IDENTITY, PElement, pgenerators
 
@@ -47,44 +46,6 @@ class ClosureCapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-
-
-_new = object.__new__
-
-
-class Perm:
-    """Permutation of range(n); p*q applies p first, then q."""
-
-    __slots__ = ("im",)
-
-    def __init__(self, im):
-        self.im = tuple(im)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        im = self.im
-        p = _new(Perm)
-        # itemgetter of one index returns a scalar, and of none raises
-        p.im = itemgetter(*im)(other.im) if len(im) > 1 else tuple(
-            other.im[i] for i in im)
-        return p
-
-    def inv(self) -> "Perm":
-        r = [0] * len(self.im)
-        for i, j in enumerate(self.im):
-            r[j] = i
-        return Perm(r)
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.im == other.im
-
-    def __hash__(self):
-        return hash(self.im)
-
-    def __lt__(self, other: "Perm"):
-        return self.im < other.im
-
-    def __repr__(self):
-        return f"Perm{self.im}"
 
 
 class TableElement(PElement):
@@ -122,15 +83,15 @@ class TableElement(PElement):
 
 class Table:
     """An ambient group as index lists, from one _close call: its elements
-    (plain PElements or Perms, in discovery order), parent, genidx and
-    right.
+    (plain PElements or image tuples, in discovery order), parent, genidx
+    and right.  In a tuple table, keys and elems are one list.
 
     path[j] lists the right[] rows of the generators along j's tree path,
     so index i times index j is i carried through path[j].  Inverses follow
     the tree: elems[j]^-1 = g^-1 elems[parent[j]]^-1 with g = gens[genidx[j]],
     and g^-1 is the last index that the walk along right[g] from the
     identity reaches before it returns there.  rank orders the indices as
-    the elements sort (PElement keys, Perm images).  The conjugation row of
+    the elements sort (PElement keys, image tuples).  The conjugation row of
     a generator g, x -> g^-1 x g, is inv[R[inv[R[x]]]] with R = right[g];
     that of any element composes the generators' rows along its path."""
 
@@ -152,8 +113,7 @@ class Table:
             # key -> interned element
             self.index = dict(zip(self.keys, self.elems))
         else:
-            self.keys = [x.im for x in elems]
-            self.elems = list(elems)
+            self.keys = self.elems = elems
         self.pos = {k: j for j, k in enumerate(self.keys)}
         ginv = {}
         for g, R in right.items():
@@ -176,11 +136,11 @@ class Table:
 
     def find(self, x) -> int | None:
         """The index of the element x, or None if the table lacks it: found
-        by what identifies x across tables, a PElement's key or a Perm's
-        images."""
+        by what identifies x across tables, a PElement's key or an image
+        tuple itself."""
         if x.__class__ is TableElement and x._tab() is self:
             return x.i
-        return self.pos.get(x.key if isinstance(x, PElement) else x.im)
+        return self.pos.get(x.key if isinstance(x, PElement) else x)
 
     def at(self, x) -> int:
         j = self.find(x)
@@ -297,7 +257,7 @@ def _close(gens, identity, cap, by):
 
     by(g) maps a list of x to the list of the x*g: on the values that build
     a Table, packed PElement keys by one bsmul and bpkeys (_key_products)
-    and Perm images by _compose, and on the indices of one table by
+    and image tuples by _compose, and on the indices of one table by
     Table.by.
 
     A generator already in the span is skipped; a new one g adds the
@@ -389,7 +349,7 @@ def _common_table(xs) -> Table | None:
 
 
 def _compose(g: tuple):
-    """Right multiplication by the Perm with images g, on a list of image
+    """Right multiplication by the permutation g, on a list of image
     tuples."""
     at = g.__getitem__
     return lambda xs: [tuple(map(at, x)) for x in xs]
@@ -402,24 +362,17 @@ def _key_products(ops, g: int):
     return lambda xs: ops.bpkeys(*ops.bsmul(*bunpack(xs), gm, gt)).tolist()
 
 
-def _as_perm(im: tuple) -> Perm:
-    p = _new(Perm)
-    p.im = im
-    return p
-
-
 def _new_table(gens, identity=None, cap=None) -> Table:
-    """The table of the group that the plain PElements or Perms gens
-    generate, closed on values that hash and compare as ints and tuples do:
-    a PElement's packed key, a Perm's images."""
-    if gens[0].__class__ is not Perm:
-        ops = gens[0].ops
-        keys, parent, genidx, right = _close([g.key for g in gens], IDENTITY, cap,
-                                             lambda g: _key_products(ops, g))
-        return Table([PElement(ops, k) for k in keys], parent, genidx, right)
-    e = tuple(range(len(gens[0].im))) if identity is None else identity.im
-    elems, parent, genidx, right = _close([g.im for g in gens], e, cap, _compose)
-    return Table([_as_perm(im) for im in elems], parent, genidx, right)
+    """The table of the group that the plain PElements or image tuples
+    gens generate, closed on ints and tuples: a PElement's packed key, a
+    permutation's images."""
+    if isinstance(gens[0], tuple):
+        e = tuple(range(len(gens[0])) if identity is None else identity)
+        return Table(*_close(gens, e, cap, _compose))
+    ops = gens[0].ops
+    keys, parent, genidx, right = _close([g.key for g in gens], IDENTITY, cap,
+                                         lambda g: _key_products(ops, g))
+    return Table([PElement(ops, k) for k in keys], parent, genidx, right)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +416,8 @@ class SmallGroup:
     @staticmethod
     def generate(gens, cap: int = 2_000_000, name: str = "") -> "SmallGroup":
         """The group gens generate, with its closure tree: inside the table
-        of its TableElement generators, else (plain PElements or Perms) as
-        a new table."""
+        of its TableElement generators, else (plain PElements or image
+        tuples) as a new table."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
@@ -481,8 +434,9 @@ class SmallGroup:
     def from_set(elements, identity, name: str = "") -> "SmallGroup":
         """Group on an explicit element set that is closed under products:
         the identity first, then the rest in sorted order.  The table is
-        the identity's; for a Perm or plain PElement identity, a new one
-        generated by the set.  Generators are found lazily on first use."""
+        the identity's; for an image tuple or plain PElement identity, a
+        new one generated by the set.  Generators are found lazily on
+        first use."""
         elements = list(elements)
         if identity.__class__ is TableElement:
             tab = identity.tab
@@ -541,7 +495,7 @@ class SmallGroup:
         return self.tab.elems[0]
 
     def handles(self) -> frozenset:
-        """The keys (PElements) or images (Perms) of the elements: equal for
+        """The keys (PElements) or image tuples of the elements: equal for
         two groups with the same elements, in any tables."""
         if self._handles is None:
             keys = self.tab.keys
@@ -747,17 +701,9 @@ class SmallGroup:
         return self._sub(self.iset & mine)
 
     def conjugate(self, g, name: str = "") -> "SmallGroup":
-        """G^g; for a PElement g outside the table, a group of plain
-        PElements in a new table, their keys conjugated in one batch."""
+        """G^g for an element g of the table; ValueError for any other."""
         tab = self.tab
-        j = tab.find(g)
-        if j is None:
-            ks = np.array([tab.keys[i] for i in self.idx + self._gens], dtype=np.uint64)
-            ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False).tolist()
-            els = [PElement(g.ops, k) for k in ks]
-            c = SmallGroup.from_set(els[:len(self)], PElement(g.ops, IDENTITY), name)
-            c._gens = [c.tab.at(x) for x in els[len(self):]]
-            return c
+        j = tab.at(g)
         c = self._sub([tab.conj(h, j) for h in self.idx], name)
         c._gens = [tab.conj(h, j) for h in self._gens]
         return c
@@ -892,7 +838,7 @@ class SmallGroup:
         perms = []
         for g in self._gl():
             f = self.tab.right_of(g)
-            perms.append(Perm([coset[f(r)] for r in reps]))
+            perms.append(tuple([coset[f(r)] for r in reps]))
         q = SmallGroup.generate(
             perms, name=f"{self.name}/{N.name}" if self.name and N.name else "")
         assert len(q) * len(N) == len(self.idx)
@@ -902,14 +848,14 @@ class SmallGroup:
 def direct_product(*groups: SmallGroup) -> SmallGroup:
     """Permutation groups acting side by side on a disjoint union of
     their points."""
-    degrees = [len(G.identity.im) for G in groups]
+    degrees = [len(G.identity) for G in groups]
     gens = []
     for i, G in enumerate(groups):
         lo = sum(degrees[:i])
         for x in G.gens_list():
             im = list(range(sum(degrees)))
-            im[lo:lo + degrees[i]] = [lo + j for j in x.im]
-            gens.append(Perm(im))
+            im[lo:lo + degrees[i]] = [lo + j for j in x]
+            gens.append(tuple(im))
     return SmallGroup.generate(gens)
 
 
@@ -1111,55 +1057,42 @@ def is_split_extension(G: SmallGroup, N: SmallGroup) -> SmallGroup | None:
 # reference groups
 
 
+def _cycle(n: int) -> tuple:
+    return tuple(range(1, n)) + (0,)
+
+
 def sym_group(n: int) -> SmallGroup:
-    cyc = Perm(tuple(list(range(1, n)) + [0]))
-    tr = Perm(tuple([1, 0] + list(range(2, n))))
-    return SmallGroup.generate([cyc, tr], name=f"Sym({n})")
+    return SmallGroup.generate([_cycle(n), (1, 0) + tuple(range(2, n))],
+                               name=f"Sym({n})")
 
 
 def cyclic_group(n: int) -> SmallGroup:
-    return SmallGroup.generate([Perm(tuple(list(range(1, n)) + [0]))], name=f"C{n}")
+    return SmallGroup.generate([_cycle(n)], name=f"C{n}")
 
 
 def dihedral_18() -> SmallGroup:
-    r = Perm(tuple(list(range(1, 9)) + [0]))
-    s = Perm(tuple((-i) % 9 for i in range(9)))
-    return SmallGroup.generate([r, s], name="Dih(18)")
+    s = tuple((-i) % 9 for i in range(9))
+    return SmallGroup.generate([_cycle(9), s], name="Dih(18)")
 
 
 def agl1_group() -> SmallGroup:
     """AGL_1(3): affine maps x -> ax + b on GF(3), as perms of 3 points."""
-    els = [Perm((a * x + b) % 3 for x in range(3)) for a in (1, 2) for b in range(3)]
-    g = SmallGroup.from_set(els, Perm((0, 1, 2)), name="AGL1(3)")
+    els = [tuple((a * x + b) % 3 for x in range(3)) for a in (1, 2) for b in range(3)]
+    g = SmallGroup.from_set(els, (0, 1, 2), name="AGL1(3)")
     assert len(g) == 6
     return g
 
 
-def _affine_perm(a, b, c, d, e, f, idx, pts) -> Perm:
-    im = []
-    for (x, y) in pts:
-        im.append(idx[((a * x + b * y + e) % 3, (c * x + d * y + f) % 3)])
-    return Perm(im)
+def _affine_perm(a, b, c, d, e, f, idx, pts) -> tuple:
+    return tuple(idx[((a * x + b * y + e) % 3, (c * x + d * y + f) % 3)]
+                 for (x, y) in pts)
 
 
-@dataclass
-class AffineRefs:
-    """AGL_2(3) on the 9 affine points, with the distinguished Sylow-3
-    subgroup S, V = O_3(AGL_2(3)), V0 = C_V(S) = Z(S), the normalizer
-    AGL_2(3,S) and its two index-2 subgroups picked out by their action
-    on V0 and V/V0."""
-
-    agl: SmallGroup
-    gl: SmallGroup
-    syl3: SmallGroup
-    v: SmallGroup
-    v0: SmallGroup
-    agl_s: SmallGroup
-    sharp: SmallGroup
-    star: SmallGroup
-
-
-def affine_refs() -> AffineRefs:
+def affine_refs() -> dict[str, SmallGroup]:
+    """AGL_2(3) on the 9 affine points, its GL_2(3), the distinguished
+    Sylow-3 subgroup S, V = O_3(AGL_2(3)), V0 = C_V(S) = Z(S), the
+    normalizer AGL_2(3,S) and its two index-2 subgroups picked out by
+    their action on V0 and V/V0, under their reference_groups names."""
     pts = [(x, y) for y in range(3) for x in range(3)]
     idx = {p: i for i, p in enumerate(pts)}
     els = []
@@ -1170,29 +1103,25 @@ def affine_refs() -> AffineRefs:
         gl_els.append(_affine_perm(a, b, c, d, 0, 0, idx, pts))
         for e, f in iproduct(range(3), repeat=2):
             els.append(_affine_perm(a, b, c, d, e, f, idx, pts))
-    ident = Perm(range(9))
-    agl = SmallGroup.from_set(els, ident, name="AGL2(3)")
-    assert len(agl) == 432
+    agl = SmallGroup.from_set(els, tuple(range(9)), name="AGL2(3)")
     gl = agl.subgroup(gl_els, name="GL2(3)")
-    assert len(gl) == 48
 
     t1 = _affine_perm(1, 0, 0, 1, 1, 0, idx, pts)
     t2 = _affine_perm(1, 0, 0, 1, 0, 1, idx, pts)
     v = agl.span([t1, t2], name="V")
     u = _affine_perm(1, 1, 0, 1, 0, 0, idx, pts)
     syl3 = agl.span([t1, t2, u], name="S")
-    assert len(v) == 9 and len(syl3) == 27
 
     v0 = v.centralizer(syl3.gens_list())
     v0.name = "V0"
-    assert v0.iset == syl3.center().iset and len(v0) == 3
+    assert v0.iset == syl3.center().iset
 
     agl_s = agl.normalizer(syl3)
     agl_s.name = "AGL2(3,S)"
-    assert len(agl_s) == 108
 
     sharp, star = _index2_variants(agl_s, syl3, v, v0)
-    return AffineRefs(agl, gl, syl3, v, v0, agl_s, sharp, star)
+    return {"AGL23": agl, "GL23": gl, "S_syl3": syl3, "V": v, "V0": v0,
+            "AGL23S": agl_s, "AGL23S_sharp": sharp, "AGL23S_star": star}
 
 
 def _index2_variants(agl_s, syl3, v, v0):
@@ -1240,8 +1169,8 @@ def _index2_variants(agl_s, syl3, v, v0):
 def sp2_group() -> SmallGroup:
     """The extraspecial group of order 27 and exponent 9, as the affine
     maps x -> 4^j x + i of Z9, generated by x + 1 and 4x."""
-    g = SmallGroup.generate([Perm((x + 1) % 9 for x in range(9)),
-                             Perm(4 * x % 9 for x in range(9))], name="SP2")
+    g = SmallGroup.generate([_cycle(9), tuple(4 * x % 9 for x in range(9))],
+                            name="SP2")
     assert len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3)
     return g
 
@@ -1257,30 +1186,21 @@ def pgl23_group(gl: SmallGroup) -> SmallGroup:
 def reference_groups() -> dict[str, SmallGroup]:
     """All reference groups used by the structure and shape checks, with
     construction self-checks baked in."""
-    aff = affine_refs()
+    refs = affine_refs()
     sym3 = sym_group(3)
-    sym4 = sym_group(4)
+    agl13 = agl1_group()
     c2 = cyclic_group(2)
     c3 = cyclic_group(3)
-    c9 = cyclic_group(9)
     c3xc3 = direct_product(c3, c3)
     dih18 = dihedral_18()
-    refs = {
+    refs.update({
         "Sym3": sym3,
-        "Sym4": sym4,
-        "AGL13": agl1_group(),
-        "GL23": aff.gl,
-        "PGL23": pgl23_group(aff.gl),
-        "AGL23": aff.agl,
-        "AGL23S": aff.agl_s,
-        "AGL23S_sharp": aff.sharp,
-        "AGL23S_star": aff.star,
-        "V": aff.v,
-        "V0": aff.v0,
-        "S_syl3": aff.syl3,
+        "Sym4": sym_group(4),
+        "AGL13": agl13,
+        "PGL23": pgl23_group(refs["GL23"]),
         "C2": c2,
         "C3": c3,
-        "C9": c9,
+        "C9": cyclic_group(9),
         "C3xC3": c3xc3,
         "E9": c3xc3,
         "E27": direct_product(c3, c3, c3),
@@ -1288,11 +1208,11 @@ def reference_groups() -> dict[str, SmallGroup]:
         "Dih18": dih18,
         "Dih18xC2": direct_product(dih18, c2),
         "Sym3xC2": direct_product(sym3, c2),
-        "C2xAGL13": direct_product(c2, agl1_group()),
-        "C3xAGL23": direct_product(c3, aff.agl),
-        "C3xAGL23S": direct_product(c3, aff.agl_s),
-        "C3xAGL23S_sharp": direct_product(c3, aff.sharp),
-    }
+        "C2xAGL13": direct_product(c2, agl13),
+        "C3xAGL23": direct_product(c3, refs["AGL23"]),
+        "C3xAGL23S": direct_product(c3, refs["AGL23S"]),
+        "C3xAGL23S_sharp": direct_product(c3, refs["AGL23S_sharp"]),
+    })
     expected = {
         "Sym3": 6, "Sym4": 24, "AGL13": 6, "GL23": 48, "PGL23": 24,
         "AGL23": 432, "AGL23S": 108, "AGL23S_sharp": 54, "AGL23S_star": 54,

@@ -31,8 +31,8 @@ from .coset import (CacheMismatch, CosetGraph, build_graph, export_edge_list,
                     export_sparse6, load_cache, save_cache)
 from .fastops import FieldOps
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
-from .grp import (Perm, SmallGroup, direct_product, is_split_extension,
-                  iso_check, named_groups, reference_groups)
+from .grp import (SmallGroup, direct_product, is_split_extension, iso_check,
+                  named_groups, reference_groups)
 from .psu import check_relations, make_generators, special_unitary, words
 
 EXIT_OK = 0
@@ -71,10 +71,19 @@ class VerifyContext:
         self.use_cache = use_cache
         self.verbose = verbose
         self._cache: dict = {}
+        self._failed: dict = {}
 
     def _memo(self, key, fn):
+        """The stage's value, computed once; a stage that raised raises
+        its exception again rather than running a second time."""
+        if key in self._failed:
+            raise self._failed[key]
         if key not in self._cache:
-            self._cache[key] = fn()
+            try:
+                self._cache[key] = fn()
+            except Exception as e:
+                self._failed[key] = e
+                raise
         return self._cache[key]
 
     @property
@@ -466,8 +475,7 @@ def build_claims() -> list[Claim]:
                 im.append(lam_sets.index(c))
             return tuple(im)
 
-        induced = SmallGroup.from_set({Perm(perm_of(g)) for g in ng.S.elems},
-                                      Perm((0, 1, 2)))
+        induced = SmallGroup.from_set({perm_of(g) for g in ng.S.elems}, (0, 1, 2))
         fs3 = _gen_closure(ng, ["Fsigma3"])
         fs3_trivial = all(perm_of(g) == (0, 1, 2) for g in fs3.elems)
         ok = n0 and fs3_trivial and len(induced) == 6 and iso_check(
@@ -1199,6 +1207,9 @@ def main(argv=None) -> int:
     except CacheMismatch as e:
         print(f"cache mismatch: {e}", file=sys.stderr)
         return EXIT_CACHE
+    except OSError as e:  # a path that cannot be read or written
+        print(f"file error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_CONFIG
 
 

@@ -4,14 +4,44 @@ are checked against.  psu38 itself uses none of them."""
 from collections import Counter
 from functools import cache
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
 from psu38.arcs import kernel_data
-from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys
+from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys, linear_conj_keys
 from psu38.gf64 import polymul_mod
-from psu38.grp import ClosureCapExceeded, Perm, SmallGroup, _close, _greedy, _pval, iso_check
+from psu38.grp import ClosureCapExceeded, SmallGroup, _close, _greedy, _pval, iso_check
 from psu38.psu import IDENTITY, PElement
+
+
+class Perm(tuple):
+    """A permutation of range(n) as its image tuple, with products: p*q
+    applies p first, then q.  It compares and hashes as its tuple does, so
+    it stands for an element of the engine's permutation tables, which
+    are plain image tuples."""
+
+    __slots__ = ()
+
+    def __mul__(self, other) -> "Perm":
+        # itemgetter of one index returns a scalar, and of none raises
+        return Perm(itemgetter(*self)(other) if len(self) > 1 else
+                    [other[i] for i in self])
+
+    def inv(self) -> "Perm":
+        r = [0] * len(self)
+        for i, j in enumerate(self):
+            r[j] = i
+        return Perm(r)
+
+    def __repr__(self):
+        return f"Perm{tuple(self)}"
+
+
+def boxed(x):
+    """x as an element with products: an image tuple as a Perm, any other
+    element as it is."""
+    return Perm(x) if isinstance(x, tuple) else x
 
 
 def times(g):
@@ -21,14 +51,15 @@ def times(g):
 
 
 def close(gens, identity, cap=None):
-    """grp._close on element objects (PElements, TableElements, Perms, or
-    the Python Elements and ProjElements below), multiplied as objects."""
-    return _close(gens, identity, cap, times)
+    """grp._close on element objects (PElements, TableElements, image
+    tuples as Perms, or the Python Elements and ProjElements below),
+    multiplied as objects."""
+    return _close(list(map(boxed, gens)), boxed(identity), cap, times)
 
 
 def greedy(cands, identity):
     """grp._greedy on element objects, multiplied as objects."""
-    return _greedy(cands, identity, times)
+    return _greedy(list(map(boxed, cands)), boxed(identity), times)
 
 
 def sequential_close(gens, identity, cap=None):
@@ -36,6 +67,7 @@ def sequential_close(gens, identity, cap=None):
     a time, each multiplied by every kept generator in turn, on element
     objects.  The same (elems, parent, genidx, right), as products are
     taken up in (parent index, generator) order either way."""
+    gens, identity = list(map(boxed, gens)), boxed(identity)
     elems, parent, genidx = [identity], [0], [-1]
     index = {identity: 0}
     kept, right = [], {}
@@ -486,8 +518,19 @@ def local_condition_at(graph, v: int, group: str = "K") -> bool:
 
 def perm_product(p: Perm, q: Perm) -> Perm:
     """p * q (p first, then q) by a list of q's images along p."""
-    oi = q.im
-    return Perm([oi[i] for i in p.im])
+    return Perm([q[i] for i in p])
+
+
+def conjugate(G: SmallGroup, g: PElement, name: str = "") -> SmallGroup:
+    """G^g for any PElement g, in or outside G's table: a group of plain
+    PElements in a new table, their keys conjugated in one batch by
+    linear_conj_keys, with G's generators conjugated as its generators."""
+    ks = np.array([G.tab.keys[i] for i in G.idx + G._gens], dtype=np.uint64)
+    ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False).tolist()
+    els = [PElement(g.ops, k) for k in ks]
+    c = SmallGroup.from_set(els[:len(G)], PElement(g.ops, IDENTITY), name)
+    c._gens = [c.tab.at(x) for x in els[len(G):]]
+    return c
 
 
 def order_profile(G: SmallGroup) -> Counter:
@@ -545,9 +588,9 @@ def iso_map(G1: SmallGroup, G2: SmallGroup):
         return None
     gens1, imgs = G2._iso[G1.handles()]
     elems, parent, genidx, _ = close(gens1, G1.identity)
-    m = [G2.identity]
+    m = [boxed(G2.identity)]
     for t in range(1, len(elems)):
-        m.append(m[parent[t]] * imgs[genidx[t]])
+        m.append(m[parent[t]] * boxed(imgs[genidx[t]]))
     return dict(zip(elems, m))
 
 
@@ -693,9 +736,9 @@ def _conj_orbit(seeds, gens, on_sets=False):
 
 class ObjGroup:
     """An explicitly enumerated group on element objects (PElements,
-    TableElements or Perms), every operation by element products, hashing
-    and comparison: the engine that grp.SmallGroup computes on table
-    indices, as it was before, for comparison."""
+    TableElements or the Perms above), every operation by element
+    products, hashing and comparison: the engine that grp.SmallGroup
+    computes on table indices, as it was before, for comparison."""
 
     def __init__(self, elems, gens, identity, parent=None, genidx=None):
         self.elems = list(elems)
@@ -720,8 +763,10 @@ class ObjGroup:
 
     @staticmethod
     def of(G: SmallGroup) -> "ObjGroup":
-        """The same elements, generators and tree as the engine's G."""
-        return ObjGroup(G.elems, G.gens, G.identity, G.parent, G.genidx)
+        """The same elements, generators and tree as the engine's G, the
+        image tuples of a permutation group as Perms."""
+        return ObjGroup(map(boxed, G.elems), map(boxed, G.gens), boxed(G.identity),
+                        G.parent, G.genidx)
 
     def subgroup(self, elements) -> "ObjGroup":
         return ObjGroup.from_set(elements, self.identity)

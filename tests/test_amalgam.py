@@ -61,9 +61,8 @@ def test_shapes(ctx, amH, amK, refs):
 def test_shape_fails_on_weak_amalgam():
     sym4 = sym_group(4)
     # G1 = Sym({0,1,2}), G2 = Sym({1,2,3}) inside Sym(4), G12 = <(1 2)>
-    from psu38.grp import Perm
-    g1 = SmallGroup.generate([Perm((1, 0, 2, 3)), Perm((1, 2, 0, 3))])
-    g2 = SmallGroup.generate([Perm((0, 2, 1, 3)), Perm((0, 2, 3, 1))])
+    g1 = SmallGroup.generate([(1, 0, 2, 3), (1, 2, 0, 3)])
+    g2 = SmallGroup.generate([(0, 2, 1, 3), (0, 2, 3, 1)])
     g12 = sym4.subgroup(g1.eset & g2.eset)
     assert len(g1) == 6 and len(g2) == 6 and len(g12) == 2
     am = analyze("weak", g1, g2, g12)

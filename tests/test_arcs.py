@@ -15,7 +15,7 @@ from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
 import oracles
-from oracles import (fixers_by_images, group_from_keys, obj, rep_element,
+from oracles import (conjugate, fixers_by_images, group_from_keys, obj, rep_element,
                      vertex_stabilizer)
 
 
@@ -242,8 +242,8 @@ def test_sampled_vertex_checks_catch_a_wrong_conjugation(graph, ng, monkeypatch)
     def by_inverse(self, gids, group="K"):
         rows = []
         for v in map(int, gids):
-            C = (ng.K1 if self.side_of(v) == 1 else ng.K2).conjugate(
-                rep_element(self, v).inv())
+            C = conjugate(ng.K1 if self.side_of(v) == 1 else ng.K2,
+                          rep_element(self, v).inv())
             if group == "H":
                 C = ng.h_part(C)
             rows.append(sorted(x.key for x in C.elems))

@@ -19,8 +19,8 @@ from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
 
-from oracles import (coset_canon, fixers_by_images, obj, perm_by_images, plain,
-                     rep_element, subgroup_arrays, vertex_stabilizer)
+from oracles import (conjugate, coset_canon, fixers_by_images, obj, perm_by_images,
+                     plain, rep_element, subgroup_arrays, vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -122,7 +122,7 @@ def test_vertex_stabilizers(graph, ng):
 
 
 def test_stabilizer_keys_match_python_conjugation(graph, ng):
-    """The batched conjugation equals SmallGroup.conjugate by the rep, and
+    """The batched conjugation equals the oracle conjugate by the rep, and
     its H part, at each base vertex and at sampled vertices of each side;
     key i is rep^-1 k_i rep, k_i the i-th element of the base stabilizer."""
     rng = random.Random(13)
@@ -130,13 +130,39 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
         side = graph.side_of(off)
         for v in [off] + [off + rng.randrange(1, n) for _ in range(2)]:
             r = rep_element(graph, v)
-            C = K.conjugate(r)
+            C = conjugate(K, r)
             ro = obj(r)
             for group, G in (("K", C), ("H", ng.h_part(C))):
                 got = graph.stabilizer_key_rows([v], group)[0].tolist()
                 assert sorted(got) == sorted(x.key for x in G.elems)
                 base = graph.base_stabilizer(side, group).sorted_elems()
                 assert got == [(ro.inv() * obj(k) * ro).key for k in base]
+
+
+def test_every_vertex_is_fixed_by_its_stabilizer_generators(graph, ng):
+    """The stabilizer certificate: for each of the 391,552 pairs of a
+    vertex v and a generator k of its side's base stabilizer (K1 or K2),
+    rep(v)^-1 k rep(v), by bsmul, fixes v under image_batch.  The reversed
+    conjugation rep(v) k rep(v)^-1 moves vertices on both sides, so the
+    check can fail."""
+    ops = graph.ops
+    pairs = 0
+    for side, K, off in ((1, ng.K1, 0), (2, ng.K2, graph.n1)):
+        n, g = len(graph.reps[side]), len(K.gens)
+        # row v*g + j pairs vertex v with generator j
+        gids = np.repeat(np.arange(n) + off, g)
+        rm, rt = bunpack(graph.reps[side])
+        im, it = ops.binv(rm, rt)
+        r = np.repeat(rm, g, axis=0), np.repeat(rt, g)
+        ri = np.repeat(im, g, axis=0), np.repeat(it, g)
+        km, kt = bunpack(np.array([k.key for k in K.gens], dtype=np.uint64))
+        k = np.tile(km, (n, 1, 1)), np.tile(kt, n)
+        fixed = ops.bpkeys(*ops.bsmul(*ops.bsmul(*ri, *k), *r))
+        assert (graph.image_batch(gids, fixed) == gids).all()
+        reversed_ = ops.bpkeys(*ops.bsmul(*ops.bsmul(*r, *k), *ri))
+        assert (graph.image_batch(gids, reversed_) != gids).any()
+        pairs += len(gids)
+    assert pairs == 391_552
 
 
 def test_image_batch_is_rowwise(graph, ng):

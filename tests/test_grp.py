@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
-from psu38.grp import (ClosureCapExceeded, Perm, SmallGroup, TableElement,
+from psu38.grp import (ClosureCapExceeded, SmallGroup, TableElement,
                        cyclic_group, dihedral_18,
                        direct_product, is_split_extension, iso_check,
                        named_groups, reference_groups, sym_group)
@@ -16,8 +16,9 @@ from psu38.psu import PElement
 
 from conftest import CACHE_DIR
 
-from oracles import (ObjGroup, ProjElement, close, greedy, greedy_prefixes, iso_map,
-                     lambda_subgroups, obj, perm_product, plain, sequential_close)
+from oracles import (ObjGroup, Perm, ProjElement, boxed, close, conjugate, greedy,
+                     greedy_prefixes, iso_map, lambda_subgroups, obj, perm_product,
+                     plain, sequential_close)
 
 
 def test_closure_orders(ng):
@@ -155,8 +156,30 @@ def test_normal_closure(ng):
     assert len(nc) == 9  # <B>^H1 = Q1
 
 
+def test_conjugate_within_the_table(ng, refs):
+    """G^g for an element g of G's table, as element products give it and,
+    on K1, as the oracle's batched key conjugation does, with G's
+    generators conjugated as its generators; ValueError for an element
+    the table lacks."""
+    for G, g in ((ng.Q2, ng.K1.sorted_elems()[100]),
+                 (refs["V"], refs["AGL23"].sorted_elems()[200])):
+        gens = G.gens_list()
+        C = G.conjugate(g)
+        b = boxed(g)
+        assert C.eset == {b.inv() * boxed(x) * b for x in G.elems}
+        assert C.gens == [b.inv() * boxed(x) * b for x in gens]
+    g = ng.K1.sorted_elems()[100]
+    assert ng.Q2.conjugate(g).eset == conjugate(ng.Q2, plain(g)).eset
+    outside = next(x for x in ng.K2.elems if x not in ng.K1)
+    transposition = (1, 0) + tuple(range(2, 9))
+    for G, g in ((ng.Q2, outside), (refs["V"], transposition)):
+        with pytest.raises(ValueError):
+            G.conjugate(g)
+
+
 def _bfs_close(gens, identity):
     """Closure by a plain BFS under every generator: the oracle for _close."""
+    gens, identity = list(map(boxed, gens)), boxed(identity)
     els, frontier = {identity}, [identity]
     while frontier:
         nxt = []
@@ -185,6 +208,7 @@ def _assert_closure_tree(gens, identity):
     """_close's tree: each element once, the identity first, every parent
     before its child with elems[i] == elems[parent[i]] * gens[genidx[i]],
     and the span of each prefix of gens a prefix of elems."""
+    gens = list(map(boxed, gens))
     elems, parent, genidx, _ = close(gens, identity)
     assert elems[0] == identity and len(set(elems)) == len(elems)
     assert len(parent) == len(genidx) == len(elems)
@@ -252,8 +276,8 @@ def test_quotient(ng, refs):
 def test_perm_basics():
     p = Perm((1, 2, 0))
     q = Perm((0, 2, 1))
-    assert (p * q).im == tuple(q.im[i] for i in p.im)
-    assert p * p.inv() == Perm((0, 1, 2))
+    assert p * q == tuple(q[i] for i in p)
+    assert p * p.inv() == (0, 1, 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 12, 30, 108])
@@ -263,14 +287,14 @@ def test_perm_product_equals_the_list_product(n):
     for p in perms:
         for q in perms:
             r = p * q
-            assert type(r) is Perm and type(r.im) is tuple
+            assert type(r) is Perm
             assert r == perm_product(p, q) and hash(r) == hash(perm_product(p, q))
 
 
 def test_degree_one_perms_generate_and_quotient(refs):
-    e = Perm((0,))
+    e = (0,)
     G = SmallGroup.generate([e])
-    assert G.elems == [e] and G.identity.im == (0,)
+    assert G.elems == [e] and type(G.identity) is tuple
     assert G.quotient(G).elems == [e]
     # the quotient by the whole group acts on its one coset
     for N in (refs["Sym4"], refs["AGL23S"]):
@@ -286,7 +310,7 @@ def test_element_orders_equal_the_power_walk(ng, refs):
         G = SmallGroup.generate([plain(x) if isinstance(x, PElement) else x
                                  for x in G.gens_list()])
         assert not any(G.tab.orders)
-        for x in G.elems:
+        for x in ObjGroup.of(G).elems:
             r, o = x, 1
             while r != G.identity:
                 r, o = r * x, o + 1
@@ -314,11 +338,12 @@ def test_quotient_is_regular_action_on_cosets(ng, refs):
         assert len(reps) == len(Q) and set(index.values()) == set(range(len(Q)))
         assert set(index) == G.iset and {index[at(n)] for n in N.elems} == {0}
         # Q acts regularly on the cosets: q is fixed by where it sends N
-        assert sorted(q.im[0] for q in Q.elems) == list(range(len(Q)))
+        assert sorted(q[0] for q in Q.elems) == list(range(len(Q)))
         # g -> its coset's perm is a homomorphism onto Q
-        image = {q.im[0]: q for q in Q.elems}
+        image = {q[0]: q for q in ObjGroup.of(Q).elems}
+        els = ObjGroup.of(G).elems
         for _ in range(30):
-            a, b = rng.choice(G.elems), rng.choice(G.elems)
+            a, b = rng.choice(els), rng.choice(els)
             assert image[index[at(a * b)]] == image[index[at(a)]] * image[index[at(b)]]
         assert iso_check(G.quotient(G.subgroup([G.identity])), G)
 
@@ -345,15 +370,16 @@ def test_iso_witness_is_homomorphism(ng, refs):
         m = iso_map(G1, G2)
         assert m is not None
         assert set(m) == G1.eset and set(m.values()) == G2.eset
-        for a in G1.elems:
-            for b in G1.gens_list():
+        for a in map(boxed, G1.elems):
+            for b in map(boxed, G1.gens_list()):
                 assert m[a * b] == m[a] * m[b]
     assert iso_map(refs["AGL23S_sharp"], refs["AGL23S_star"]) is None
 
 
 def test_core_and_classes_against_plain_oracles(ng, refs):
     def conj(x, g):
-        return g.inv() * x * g
+        g = boxed(g)
+        return g.inv() * boxed(x) * g
 
     cases = [(ng.H2, ng.H12), (ng.H1, ng.H1.sylow(3)), (ng.H1, ng.H1.sylow(2)),
              (refs["AGL23"], refs["GL23"]), (refs["Sym4"], refs["Sym4"].sylow(2)),
@@ -384,19 +410,21 @@ def test_v0_is_center_of_sylow(refs):
 def test_sharp_star_defining_conditions(refs):
     agl_s = refs["AGL23S"]
     v, v0, s = refs["V"], refs["V0"], refs["S_syl3"]
+    vs = ObjGroup.of(v).elems
     for name, want_cvq_is_s in (("AGL23S_sharp", True), ("AGL23S_star", False)):
         X = refs[name]
         assert len(X) == 54
         c_v0 = X.centralizer(v0.elems)
         c_vq = X.subgroup(
-            [x for x in X.elems
-             if all((x.inv() * t * x) * t.inv() in v0.eset for t in v.elems)]
+            [x for x in ObjGroup.of(X).elems
+             if all((x.inv() * t * x) * t.inv() in v0.eset for t in vs)]
         )
         if want_cvq_is_s:
             assert c_vq.eset == s.eset and len(c_v0) == 54
         else:
             assert c_v0.eset == s.eset and len(c_vq) == 54
-        assert {a * b for a in c_v0.elems for b in c_vq.elems} == set(X.eset)
+        assert {a * b for a in ObjGroup.of(c_v0).elems
+                for b in c_vq.elems} == set(X.eset)
 
 
 def test_split_extension_known_cases(ng, refs):
@@ -471,6 +499,7 @@ def _assert_right_table(gens, identity, cap=None):
     """_close's right table: one row per kept generator (those not in the
     span of the ones before), with right[gi][i] the index of
     elems[i] * gens[gi]."""
+    gens = list(map(boxed, gens))
     elems, parent, genidx, right = close(gens, identity, cap)
     index = {x: i for i, x in enumerate(elems)}
     kept = [gi for gi, g in enumerate(gens)
@@ -495,7 +524,7 @@ def test_close_records_the_right_multiplication_table(ng, refs):
     elems, right = _assert_right_table(gens, K2.identity)
     assert elems == K2.elems and len(gens) - 1 not in right
     for G in (ng.K1, ng.H2, refs["AGL23"], refs["C3xAGL23S"]):
-        gens = G.gens_list()
+        gens = list(map(boxed, G.gens_list()))
         gens = gens[:1] + [gens[0] * gens[0]] + gens[1:]
         elems, right = _assert_right_table(gens, G.identity, cap=len(G))
         assert len(elems) == len(G) and 1 not in right

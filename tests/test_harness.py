@@ -303,6 +303,50 @@ def test_cli_rejects_a_cache_with_wrong_edges(tmp_path, capsys, graph):
     assert np.array_equal(load_cache(str(path), graph.ng).edges, graph.edges)
 
 
+def test_cli_no_rebuild_rejects_an_unreadable_cache(tmp_path, capsys):
+    """A cache path that is a directory is a cache mismatch, not a crash."""
+    (tmp_path / "graph-5b.psu38").mkdir()
+    argv = ["verify", "--no-rebuild", "--cache-dir", str(tmp_path), "--claims", "FLD"]
+    assert main(argv) == 3
+    assert "cache mismatch" in capsys.readouterr().err
+
+
+def test_cli_report_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    rc = main(["verify", "--claims", "FLD", "--out", str(tmp_path),
+               "--cache-dir", CACHE_DIR])
+    assert rc == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_cli_build_into_a_regular_file_is_a_config_error(tmp_path, monkeypatch,
+                                                         capsys, graph):
+    """The graph cannot be saved: the cache directory is a regular file.
+    The session's graph stands in for the build."""
+    monkeypatch.setattr(harness, "build_graph", lambda ng, progress=None: graph)
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main(["build", "--cache-dir", str(path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_a_failed_graph_stage_runs_once(tmp_path, monkeypatch, capsys, graph):
+    """A graph that is built but cannot be saved (the cache directory is
+    a regular file) makes every graph claim an error after one build:
+    exit 4, and no rebuild per claim.  The session's graph stands in for
+    the build."""
+    builds = []
+
+    def counted(ng, progress=None):
+        builds.append(1)
+        return graph
+    monkeypatch.setattr(harness, "build_graph", counted)
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main(["verify", "--claims", "T1.1,L3.10", "--cache-dir", str(path)]) == 4
+    assert len(builds) == 1
+    assert "[ERROR]" in capsys.readouterr().out
+
+
 def test_env_cache_dir(monkeypatch, tmp_path):
     monkeypatch.setenv("AMALGAM_CACHE_DIR", str(tmp_path))
     ctx = VerifyContext()

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psu38.grp import _close
 
-from oracles import ObjGroup, close, generating_set
+from oracles import ObjGroup, boxed, close, generating_set
 
 settings.register_profile(
     "index-engine", derandomize=True, max_examples=40, deadline=None,
@@ -24,7 +24,8 @@ def _check(G, picks):
     equals the object version: as element lists where the order is part
     of the result, else as sets."""
     els = G.sorted_elems()
-    gens = [els[k % len(els)] for k in picks]
+    # image tuples as Perms, which the object engine multiplies
+    gens = [boxed(els[k % len(els)]) for k in picks]
     tab = G.tab
     # closure order on indices and on objects
     order = _close([tab.at(g) for g in gens], 0, None, tab.by)[0]

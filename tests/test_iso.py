@@ -6,27 +6,17 @@ from types import SimpleNamespace
 import pytest
 
 from psu38 import amalgam, grp, harness
-from psu38.grp import Perm, direct_product, iso_check, reference_groups
+from psu38.grp import direct_product, iso_check, reference_groups
 from psu38.harness import VerifyContext, run_claims
 
 from conftest import CACHE_DIR
 import oracles
-from oracles import (ObjGroup, greedy_prefixes, iso_generators, iso_map, iso_search,
-                     refined_invariants)
+from oracles import (ObjGroup, boxed, greedy_prefixes, iso_generators, iso_map,
+                     iso_search, refined_invariants)
 
-# Perm products in one warm run of all 54 claims on a fresh context, the
-# reference groups' construction included: none.  Since the group engine
-# runs on table indices, a Perm table is closed on image tuples (_close
-# with _compose), and the search and every structural subgroup of a Perm
-# group are index walks (194,056 while the engine multiplied Perms;
-# 198,559 while generating_set and the search closed every prefix of their
-# generators and the search compared order profiles, abelianness and class
-# labels; 374,748 while every iso_check searched and a product built a
-# list)
-CATALOG_PERM_PRODUCTS = 0
 # grp._close calls in run_claims once the named groups, the reference
 # groups and the graph are loaded.  CATALOG_OBJECT_CLOSES of them close
-# Perm image tuples, each to build a table (quotients, direct products and
+# image tuples, each to build a table (quotients, direct products and
 # holomorph groups by generate, induced groups by from_set); the rest
 # close table indices.  (247 and 56 while the kernel chain of each base
 # vertex ran once for each of its two claims; 263 while sylow found the
@@ -52,11 +42,11 @@ def catalog():
     every iso_check call with its verdict, every search actually run and
     every _generating_set call, each with its result and the _greedy
     calls it made itself (input and result, as elements), every sylow call
-    with its result, the number of Perm products and the number of
-    grp._close calls, on indices and on objects."""
+    with its result, and the number of grp._close calls, on indices and
+    on objects."""
     calls, searches, gensets, sylows = [], [], [], []
-    products, closes, object_closes = [0], [0], [0]
-    iso, search, mul = grp.iso_check, grp._iso_search, Perm.__mul__
+    closes, object_closes = [0], [0]
+    iso, search = grp.iso_check, grp._iso_search
     generating_set, greedy, close, sylow = (
         grp.SmallGroup._generating_set, grp._greedy, grp._close, grp.SmallGroup.sylow)
     # the _greedy calls of each recorded call in progress, innermost last
@@ -91,10 +81,6 @@ def catalog():
                           _elements(found, tab)))
         return found
 
-    def counted_mul(p, q):
-        products[0] += 1
-        return mul(p, q)
-
     def counted_close(gens, identity, cap, by):
         closes[0] += 1
         object_closes[0] += not isinstance(getattr(by, "__self__", None), grp.Table)
@@ -108,7 +94,6 @@ def catalog():
         for mod in (amalgam, harness):
             mp.setattr(mod, "iso_check", recorded)
         mp.setattr(grp, "_iso_search", counted_search)
-        mp.setattr(Perm, "__mul__", counted_mul)
         ctx = VerifyContext(cache_dir=CACHE_DIR)
         ctx.ng, ctx.refs, ctx.graph
         mp.setattr(grp.SmallGroup, "_generating_set", recorded_generating_set)
@@ -118,7 +103,7 @@ def catalog():
         rep = run_claims(ctx)
     assert rep["overall"] and stack == [[]]
     return SimpleNamespace(ctx=ctx, calls=calls, searches=searches, gensets=gensets,
-                           sylows=sylows, products=products[0], closes=closes[0],
+                           sylows=sylows, closes=closes[0],
                            object_closes=object_closes[0])
 
 
@@ -134,8 +119,8 @@ def _assert_isomorphism(G1, G2, m):
     """m is a bijection G1 -> G2 with m(x g) = m(x) m(g) for every x and
     every generator g, so a homomorphism."""
     assert set(m) == G1.eset and set(m.values()) == G2.eset
-    for g in G1.gens_list():
-        for x in G1.elems:
+    for g in map(boxed, G1.gens_list()):
+        for x in map(boxed, G1.elems):
             assert m[x * g] == m[x] * m[g]
 
 
@@ -294,6 +279,9 @@ def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
 
 
 def test_catalog_perm_products_are_pinned(catalog):
-    """The count repeats exactly for a fixed modulus; a change to it is a
-    change in the group engine's work and should be explained."""
-    assert catalog.products == CATALOG_PERM_PRODUCTS
+    """A catalog run makes no permutation products, by construction: the
+    engine has no permutation class, and the elements of every reference
+    group are plain image tuples, which have no group product."""
+    assert not hasattr(grp, "Perm")
+    refs = catalog.ctx.refs.values()
+    assert all(type(x) is tuple for G in refs for x in G.elems + G.gens_list())
