@@ -19,9 +19,13 @@ are pairwise distinct and n_side . |K_side| = |G| = 33,094,656, so they
 name each coset of G/K_side once (a key that merged two cosets would leave
 fewer vertices).
 
-The BFS runs one layer at a time from the base edge, with one batched
-product per layer and side; each layer's new vertices are numbered in
-key order, so ids are deterministic and the base vertices are 0 and n1.
+The BFS runs one layer at a time from the base edge.  A probe t.r (t in
+the transversal, r a frontier rep) is keyed as r^-1 (t^-1 y t) r, with
+the k elements t^-1 y t fixed per side, so no probe is multiplied out;
+only each new vertex's rep t.r is, one batched product per layer and
+side.  After the first layer no vertex probes back to its parent.  Each
+layer's new vertices are numbered in key order, so ids are deterministic
+and the base vertices are 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
 vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
@@ -268,8 +272,15 @@ class CosetGraph:
     # -- vertex keys -------------------------------------------------------
 
     def _keys(self, side: int, pm, pt) -> np.ndarray:
-        """Fingerprint key of the coset K_side.g of each probe g."""
+        """Fingerprint key of the coset K_side.g of each element g."""
         return self._conj_keys(pm, pt, *self.ysets[side])
+
+    def _probe_keys(self, rm, rt, cm, ct) -> np.ndarray:
+        """Fingerprint key of r^-1 c r for each rep r and each of the k
+        elements c, rep-major: row i*k + j conjugates c_j by r_i."""
+        n, k = len(rt), len(ct)
+        return self._conj_keys(np.repeat(rm, k, axis=0), np.repeat(rt, k),
+                               np.tile(cm, (n, 1, 1)), np.tile(ct, n))
 
     def _conj_keys(self, am, at, ym, yt) -> np.ndarray:
         """conj_fingerprints KEY_CHUNK rows at a time; a single row of
@@ -350,35 +361,47 @@ def _arm(graph: CosetGraph) -> None:
 def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     """BFS from the two trivial cosets, one layer at a time; deterministic
     ids; checks that the fingerprint key is exact and asserts the
-    base-edge stabilizer identities that pin the action convention."""
+    base-edge stabilizer identities that pin the action convention.
+
+    The neighbors of K_side.r are K_tgt.t_j.r, t_j the transversal of K12
+    in K_side.  Probe t_j.r is keyed without its product: its fingerprint
+    (t_j r)^-1 y (t_j r) is r^-1 c_j r, c_j = t_j^-1 y t_j fixed per side,
+    y the target side's fingerprint element.  Only a fresh vertex's rep
+    t_j.r is multiplied out.  After the first layer the probe by t0, the
+    transversal element that lies in K12, is skipped: a vertex v reached
+    from u has rep t.rep(u) with t in u's side group K, which holds t0
+    too, so K.t0.rep(v) = u, an edge u's own probe already made.  Edges
+    are sorted and deduplicated as one int64 key u << 32 | v."""
     if len(ng.K12) * 4 != len(ng.K1) or len(ng.K12) * 3 != len(ng.K2):
         raise AssertionError("K1 n K2 does not have the expected indices")
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
-    trans = {}
+    probes = {}   # side -> (all k, all but t0), each (tm, tt, cm, ct), c = t^-1 y t
     for side, K in ((1, ng.K1), (2, ng.K2)):
-        keys = np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64)
-        trans[side] = bunpack(keys)
+        ts = transversal(K, ng.K12)
+        t0 = next(j for j, t in enumerate(ts) if t in ng.K12)
+        tm, tt = bunpack(np.array([t.key for t in ts], dtype=np.uint64))
+        cm, ct = ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt)
+        every = (tm, tt, cm, ct)
+        probes[side] = every, tuple(np.delete(a, t0, axis=0) for a in every)
 
     ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
         graph._register(side, ident, graph._keys(side, *bunpack(ident)))
 
-    edge_parts = []   # (E,2) arrays of (side-1 id, side-2 id)
+    edge_keys = []   # side-1 id << 32 | side-2 id, one per probe
     frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
+    layer = 0
     while len(frontier[1]) or len(frontier[2]):
         new = {}
         for side in (1, 2):
             tgt, src = 3 - side, frontier[side]
-            tm, tt = trans[side]
-            k = len(tm)
-            # probes t.g, frontier-major: row i*k + j is t_j . rep(src[i])
+            tm, tt, cm, ct = probes[side][layer > 0]
+            k = len(tt)
             rm, rt = bunpack(graph.reps[side][src])
-            pm, pt = ops.bsmul(np.tile(tm, (len(src), 1, 1)), np.tile(tt, len(src)),
-                               np.repeat(rm, k, axis=0), np.repeat(rt, k))
-            keys = graph._keys(tgt, pm, pt)
-            ids = graph._resolve(tgt, keys)
+            keys = graph._probe_keys(rm, rt, cm, ct)
+            ids = graph._resolve(tgt, keys).astype(np.int64)
             miss = np.flatnonzero(ids < 0)
             fresh, first, inv = np.unique(keys[miss], return_index=True,
                                           return_inverse=True)
@@ -386,17 +409,22 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             if (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) > GROUP_ORDER:
                 raise AssertionError("more cosets than |G| allows; convention bug")
             ids[miss] = base + inv
-            graph._register(tgt, ops.bpkeys(pm[miss[first]], pt[miss[first]]), fresh)
+            # one product per fresh vertex: its rep t_j.r, from its first probe
+            i, j = np.divmod(miss[first], k)
+            graph._register(tgt, ops.bpkeys(*ops.bsmul(tm[j], tt[j], rm[i], rt[i])), fresh)
             new[tgt] = base + np.arange(len(fresh))
-            pair = (np.repeat(src, k), ids)
-            edge_parts.append(np.stack(pair if side == 1 else pair[::-1], axis=1))
+            u, v = (np.repeat(src, k), ids) if side == 1 else (ids, np.repeat(src, k))
+            edge_keys.append(u << 32 | v)
         frontier = new
+        layer += 1
         if progress:
             progress(len(graph.reps[1]), len(graph.reps[2]))
 
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph._check_keys()
-    graph.edges = np.unique(np.concatenate(edge_parts), axis=0).astype(np.uint32)
+    key = np.sort(np.concatenate(edge_keys))
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    graph.edges = np.stack([key >> 32, key & 0xFFFFFFFF], axis=1).astype(np.uint32)
     graph._build_csr()
     _assert_base_edge(graph)
     return graph

@@ -12,6 +12,7 @@ none failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -1164,9 +1165,11 @@ def main(argv=None) -> int:
                 except CacheMismatch as e:
                     print(f"cache mismatch: {e}", file=sys.stderr)
                     return EXIT_CACHE
-            report = run_claims(ctx, group=args.group, claim_filter=args.claims)
-            if args.out:
-                with open(args.out, "w") as fh:
+            # the report file is opened first: a path that cannot be
+            # written fails before any claim runs
+            with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+                report = run_claims(ctx, group=args.group, claim_filter=args.claims)
+                if fh:
                     json.dump(report, fh, indent=2, sort_keys=True)
             if args.json:
                 print(json.dumps(report, indent=2, sort_keys=True))

@@ -9,6 +9,7 @@ from operator import itemgetter
 import numpy as np
 
 from psu38.arcs import kernel_data
+from psu38.coset import CosetGraph, _arm, transversal
 from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys, linear_conj_keys
 from psu38.gf64 import polymul_mod
 from psu38.grp import ClosureCapExceeded, SmallGroup, _close, _greedy, _pval, iso_check
@@ -430,6 +431,49 @@ def fixers_by_images(graph, keys, gids) -> np.ndarray:
     img = graph.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
     fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
     return np.flatnonzero(fixed.all(axis=0))
+
+
+def build_graph_all_probes(ng) -> CosetGraph:
+    """build_graph by the plain BFS: every vertex probes all k transversal
+    elements, its parent included, each probe is the product t.r keyed by
+    its own fingerprint, and the edges are deduplicated by a 2-D unique."""
+    graph = CosetGraph(ng.field, ng)
+    _arm(graph)
+    ops = graph.ops
+    trans = {side: bunpack(np.array([t.key for t in transversal(K, ng.K12)],
+                                    dtype=np.uint64))
+             for side, K in ((1, ng.K1), (2, ng.K2))}
+    ident = np.array([IDENTITY], dtype=np.uint64)
+    for side in (1, 2):
+        graph._register(side, ident, graph._keys(side, *bunpack(ident)))
+    edge_parts = []
+    frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
+    while len(frontier[1]) or len(frontier[2]):
+        new = {}
+        for side in (1, 2):
+            tgt, src = 3 - side, frontier[side]
+            tm, tt = trans[side]
+            k = len(tm)
+            # row i*k + j is t_j . rep(src[i])
+            rm, rt = bunpack(graph.reps[side][src])
+            pm, pt = ops.bsmul(np.tile(tm, (len(src), 1, 1)), np.tile(tt, len(src)),
+                               np.repeat(rm, k, axis=0), np.repeat(rt, k))
+            keys = graph._keys(tgt, pm, pt)
+            ids = graph._resolve(tgt, keys)
+            miss = np.flatnonzero(ids < 0)
+            fresh, first, inv = np.unique(keys[miss], return_index=True,
+                                          return_inverse=True)
+            base = len(graph.reps[tgt])
+            ids[miss] = base + inv
+            graph._register(tgt, ops.bpkeys(pm[miss[first]], pt[miss[first]]), fresh)
+            new[tgt] = base + np.arange(len(fresh))
+            pair = (np.repeat(src, k), ids)
+            edge_parts.append(np.stack(pair if side == 1 else pair[::-1], axis=1))
+        frontier = new
+    graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
+    graph.edges = np.unique(np.concatenate(edge_parts), axis=0).astype(np.uint32)
+    graph._build_csr()
+    return graph
 
 
 # row j*64 + v: the matrix whose entry j is v and whose other entries are 0

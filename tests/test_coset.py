@@ -13,14 +13,15 @@ from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch
                          CosetGraph, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
                          sparse6_bytes, transversal)
-from psu38.fastops import (bpack, bunpack, conj_fingerprints, coset_canon_keys,
-                           linear_conj_keys)
+from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints,
+                           coset_canon_keys, linear_conj_keys)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
 
-from oracles import (conjugate, coset_canon, fixers_by_images, obj, perm_by_images,
-                     plain, rep_element, subgroup_arrays, vertex_stabilizer)
+from oracles import (build_graph_all_probes, conjugate, coset_canon, fixers_by_images,
+                     obj, perm_by_images, plain, rep_element, subgroup_arrays,
+                     vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -416,13 +417,66 @@ def test_build_deterministic(ng):
 
 
 def test_non_injective_key_fails_the_count(ng, monkeypatch):
-    """A key that merges cosets must fail the orbit count, not return a
-    smaller graph."""
-    keys = CosetGraph._keys
-    monkeypatch.setattr(CosetGraph, "_keys", lambda self, side, pm, pt:
-                        keys(self, side, pm, pt) & np.uint64(0xFFFF << 48))
+    """A probe key that merges cosets must fail the orbit count, not
+    return a smaller graph."""
+    keys = CosetGraph._probe_keys
+    monkeypatch.setattr(CosetGraph, "_probe_keys", lambda self, rm, rt, cm, ct:
+                        keys(self, rm, rt, cm, ct) & np.uint64(0xFFFF << 48))
     with pytest.raises(AssertionError, match=r"is not \|G\|"):
         build_graph(ng)
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
+def test_build_matches_the_all_probes_oracle(modulus, ng, graph43, tmp_path):
+    """The BFS that keys probes by conjugating t^-1 y t and skips the probe
+    back to the parent gives the plain BFS's graph, array for array and
+    byte for byte in the cache."""
+    ng = ng if modulus == DEFAULT_MODULUS else graph43.ng
+    assert ng.field.modulus == modulus
+    got, want = build_graph(ng), build_graph_all_probes(ng)
+    assert (got.n1, got.n2) == (want.n1, want.n2)
+    for side in (1, 2):
+        assert np.array_equal(got.reps[side], want.reps[side])
+        assert np.array_equal(got.fkeys[side], want.fkeys[side])
+    for name in ("edges", "indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    save_cache(got, str(tmp_path / "got"))
+    save_cache(want, str(tmp_path / "want"))
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_build_probe_and_product_counts(ng, monkeypatch):
+    """One build keys 4 + 3 probes in its first layer, then 3 per later
+    side-1 vertex and 2 per later side-2 vertex, with no probe back to a
+    parent: 144,706 fingerprints, where probing every neighbor takes
+    204,288.  Its products outside the fingerprints are one per new
+    vertex, plus two for each of the 7 elements t^-1 y t."""
+    probe_rows, products, inside = [], [], []
+    probe_keys, conj_keys, bsmul = CosetGraph._probe_keys, CosetGraph._conj_keys, FieldOps.bsmul
+
+    def counted_probes(self, rm, rt, cm, ct):
+        probe_rows.append(len(rt) * len(ct))
+        return probe_keys(self, rm, rt, cm, ct)
+
+    def flagged(self, *args):
+        inside.append(True)
+        try:
+            return conj_keys(self, *args)
+        finally:
+            inside.pop()
+
+    def counted_bsmul(self, gm, gt, hm, ht):
+        if not inside:
+            products.append(len(gm))
+        return bsmul(self, gm, gt, hm, ht)
+
+    monkeypatch.setattr(CosetGraph, "_probe_keys", counted_probes)
+    monkeypatch.setattr(CosetGraph, "_conj_keys", flagged)
+    monkeypatch.setattr(FieldOps, "bsmul", counted_bsmul)
+    g = build_graph(ng)
+    assert sum(probe_rows) == 4 + 3 + 3 * (g.n1 - 1) + 2 * (g.n2 - 1) == 144706
+    assert sum(products) == (g.n1 - 1) + (g.n2 - 1) + 2 * (4 + 3)
 
 
 def test_fingerprint_key_against_canonical_oracle(graph, ng):

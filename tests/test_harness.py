@@ -311,10 +311,15 @@ def test_cli_no_rebuild_rejects_an_unreadable_cache(tmp_path, capsys):
     assert "cache mismatch" in capsys.readouterr().err
 
 
-def test_cli_report_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+def test_cli_report_path_that_is_a_directory_is_a_config_error(tmp_path, monkeypatch,
+                                                               capsys):
+    """The report path is opened before the claims run, so a path that
+    cannot be written costs no claim."""
+    runs = []
+    monkeypatch.setattr(harness, "run_claims", lambda *a, **kw: runs.append(a))
     rc = main(["verify", "--claims", "FLD", "--out", str(tmp_path),
                "--cache-dir", CACHE_DIR])
-    assert rc == 2
+    assert rc == 2 and runs == []
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
