@@ -23,9 +23,13 @@ The BFS runs one layer at a time from the base edge.  A probe t.r (t in
 the transversal, r a frontier rep) is keyed as r^-1 (t^-1 y t) r, with
 the k elements t^-1 y t fixed per side, so no probe is multiplied out;
 only each new vertex's rep t.r is, one batched product per layer and
-side.  After the first layer no vertex probes back to its parent.  Each
-layer's new vertices are numbered in key order, so ids are deterministic
-and the base vertices are 0 and n1.
+side.  fastops.conj_fingerprint_grid keys all k probes of a rep with one
+matrix product each, and inverts and repeats no rep; a loaded graph's
+fingerprints are the same kernel with k = 1 and c = y.  After the first
+layer no vertex probes back to its parent.  Probes are resolved in
+sorted order, and each layer's fresh keys are merged into the side's
+sorted keys.  Each layer's new vertices are numbered in key order, so ids
+are deterministic and the base vertices are 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
 vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
@@ -57,7 +61,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import FieldOps, bunpack, conj_fingerprints, linear_conj_keys
+from .fastops import (FieldOps, bunpack, conj_fingerprint_grid, conj_fingerprints,
+                      linear_conj_keys)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import IDENTITY, PElement
@@ -68,7 +73,7 @@ CACHE_VERSION = 4
 # length and the payload's SHA-256
 CACHE_HEADER = struct.Struct("<IIQQQ32sQ32s")
 GROUP_ORDER = 6 * 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # |PSU_3(8):C_6|
-KEY_CHUNK = 8192  # probes per conj_fingerprints call; bounds its temporaries
+KEY_CHUNK = 8192  # rows per fingerprint or adjacency kernel call; bounds their temporaries
 
 
 class CacheMismatch(RuntimeError):
@@ -273,14 +278,12 @@ class CosetGraph:
 
     def _keys(self, side: int, pm, pt) -> np.ndarray:
         """Fingerprint key of the coset K_side.g of each element g."""
-        return self._conj_keys(pm, pt, *self.ysets[side])
+        return _fingerprint_grid(self.ops, pm, pt, *self.ysets[side])
 
     def _probe_keys(self, rm, rt, cm, ct) -> np.ndarray:
         """Fingerprint key of r^-1 c r for each rep r and each of the k
         elements c, rep-major: row i*k + j conjugates c_j by r_i."""
-        n, k = len(rt), len(ct)
-        return self._conj_keys(np.repeat(rm, k, axis=0), np.repeat(rt, k),
-                               np.tile(cm, (n, 1, 1)), np.tile(ct, n))
+        return _fingerprint_grid(self.ops, rm, rt, cm, ct)
 
     def _conj_keys(self, am, at, ym, yt) -> np.ndarray:
         """conj_fingerprints KEY_CHUNK rows at a time; a single row of
@@ -293,19 +296,37 @@ class CosetGraph:
 
     def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
         """Vertex id of each fingerprint key (-1 when the coset is not a
-        known vertex)."""
+        known vertex).  The queries are searched in sorted order, where
+        searchsorted narrows each search from the last one's position,
+        and the ids are scattered back."""
         sk = self.skeys[side]
-        pos = np.minimum(np.searchsorted(sk, keys), len(sk) - 1)
-        return np.where(sk[pos] == keys, self.sids[side][pos], -1)
+        order = np.argsort(keys)
+        q = keys[order]
+        pos = np.minimum(np.searchsorted(sk, q), len(sk) - 1)
+        ids = np.empty(len(keys), dtype=np.int32)
+        ids[order] = np.where(sk[pos] == q, self.sids[side][pos], -1)
+        return ids
 
     def _register(self, side: int, reps: np.ndarray, fkeys: np.ndarray) -> None:
         """Append vertices, given their rep keys and fingerprint keys, and
-        sort the side's keys again, with their ids alongside."""
+        merge their sorted keys, with their ids alongside, into the side's
+        sorted keys: each goes after the old keys not greater than it, as
+        a stable sort of all would put it.  Written out rather than by
+        np.insert, whose extra temporaries showed in the peak RSS of
+        repeated loads."""
+        base = len(self.reps[side])
         self.reps[side] = np.concatenate([self.reps[side], reps])
         self.fkeys[side] = np.concatenate([self.fkeys[side], fkeys])
-        order = np.argsort(self.fkeys[side], kind="stable")
-        self.skeys[side] = self.fkeys[side][order]
-        self.sids[side] = order.astype(np.int32)
+        order = np.argsort(fkeys, kind="stable")
+        sk = self.skeys[side]
+        at = np.searchsorted(sk, fkeys[order], side="right") + np.arange(len(order))
+        old = np.ones(len(sk) + len(order), dtype=bool)
+        old[at] = False
+        skeys = np.empty(len(old), dtype=np.uint64)
+        sids = np.empty(len(old), dtype=np.int32)
+        skeys[at], skeys[old] = fkeys[order], sk
+        sids[at], sids[old] = base + order, self.sids[side]
+        self.skeys[side], self.sids[side] = skeys, sids
 
     def _check_keys(self) -> None:
         """The proof that the fingerprint key is exact: on each side the
@@ -331,6 +352,16 @@ class CosetGraph:
         self.indptr = np.zeros(self.nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(key // nv, minlength=self.nv), out=self.indptr[1:])
         self.indices = (key % nv).astype(np.int32)
+
+
+def _fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
+    """conj_fingerprint_grid over at most KEY_CHUNK rows at a time."""
+    step = max(1, KEY_CHUNK // len(ct))
+    out = np.empty(len(rt) * len(ct), dtype=np.uint64)
+    for lo in range(0, len(rt), step):
+        out[lo * len(ct):(lo + step) * len(ct)] = conj_fingerprint_grid(
+            ops, rm[lo:lo + step], rt[lo:lo + step], cm, ct)
+    return out
 
 
 def _arm(graph: CosetGraph) -> None:

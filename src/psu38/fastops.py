@@ -8,8 +8,10 @@ as integers is the "lexicographically least" order of canonical forms.
 psu's elements, the group tables of grp and the graph all hold packed
 keys and reach products, inverses and canonical keys (bsmul, binv,
 bpkeys) through bunpack and bpack.  Everything here is pure and
-deterministic.  The graph keys its vertices by conj_fingerprints
-and acts on them rowwise through it too.  Conjugation of many elements c by
+deterministic.  The graph keys its vertices and its BFS probes by
+conj_fingerprint_grid, the keys of r^-1 c r for a few c against many r at
+one matrix product each, and acts on them rowwise through
+conj_fingerprints.  Conjugation of many elements c by
 a few elements x goes through linear_conj_keys, table lookups in
 conj_tables built from the 54 bit matrices: the whole-graph action (the
 same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1.
@@ -56,16 +58,24 @@ class FieldOps:
         self.MULF = field.MUL.reshape(-1)  # MULF[a << 6 | b] = a.b
         self.FROB = field.FROB
         self.LEAD = np.array(field.lead_scalar, dtype=np.uint8)
+        # SCALE[f << 12 | a << 6 | z] = lead_scalar[rho^f(a)] . rho^f(z): entry
+        # z of rho^f(X) scaled to the least multiple when a leads X
+        self.SCALE = self.MUL[self.LEAD[self.FROB][:, :, None],
+                              self.FROB[:, None, :]].reshape(-1)
 
     # -- batched element algebra ---------------------------------------
 
     def bmm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Rowwise GF matmul: (m,3,3) x (m,3,3) -> (m,3,3), one gather
         on the flat product table per inner index k."""
-        A6 = A.astype(np.uint16) << 6
-        X = np.take(self.MULF, A6[:, :, 0, None] | B[:, None, 0, :])
-        X ^= np.take(self.MULF, A6[:, :, 1, None] | B[:, None, 1, :])
-        X ^= np.take(self.MULF, A6[:, :, 2, None] | B[:, None, 2, :])
+        return self.bmm6(A.astype(np.uint16) << 6, B)
+
+    def bmm6(self, A6: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """bmm of A = A6 >> 6, its entries given as flat product-table
+        offsets; the leading axes of A6 and B broadcast."""
+        X = np.take(self.MULF, A6[..., :, 0, None] | B[..., None, 0, :])
+        X ^= np.take(self.MULF, A6[..., :, 1, None] | B[..., None, 1, :])
+        X ^= np.take(self.MULF, A6[..., :, 2, None] | B[..., None, 2, :])
         return X
 
     def bsmul(self, gm, gt, hm, ht):
@@ -79,16 +89,30 @@ class FieldOps:
         e2 = ((6 - gt) % 6).astype(np.uint8)
         return self.FROB[e2[:, None, None], ms], e2
 
-    def bpkeys(self, mats, tw) -> np.ndarray:
-        """Projective canonical keys: min over the 3 scalar multiples.
+    def bpkeys(self, mats, tw, frob=None) -> np.ndarray:
+        """Projective canonical keys: min over the 3 scalar multiples, of
+        rho^frob[i](mats[i]) with twist tw[i] (of mats itself without frob).
 
         Scaling keeps the zero pattern, and the first nonzero entry m0 is
         the most significant nonzero field of the key, so the least
         multiple is the one scaled by GF64.lead_scalar[m0]; one packing
-        suffices."""
+        suffices.  m0 is entry 0 but for the rare rows where that is 0.
+        One gather in SCALE applies the Frobenius power and the scalar."""
         flat = mats.reshape(len(mats), 9)
-        lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
-        return bpack(self.MUL[self.LEAD[lead][:, None, None], mats], tw)
+        lead = flat[:, 0]
+        zero = np.flatnonzero(lead == 0)
+        if len(zero):
+            lead = lead.copy()
+            rows = flat[zero]
+            lead[zero] = rows[np.arange(len(zero)), (rows != 0).argmax(axis=1)]
+        at = lead.astype(np.uint16) << 6
+        if frob is not None:
+            at |= np.asarray(frob, dtype=np.uint16) << 12
+        scaled = np.take(self.SCALE, at[:, None] | flat)
+        key = tw.astype(np.uint64)
+        for j in range(9):
+            key |= scaled[:, j].astype(np.uint64) << _SHIFT[j]
+        return key
 
 
 class SubgroupArrays:
@@ -153,6 +177,39 @@ def conj_fingerprints(
     im, it = ops.binv(am, at)
     cm, ct = ops.bsmul(*ops.bsmul(im, it, ym, yt), am, at)
     return np.minimum(ops.bpkeys(cm, ct), ops.bpkeys(*ops.binv(cm, ct)))
+
+
+def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
+    """(n*k,) conj_fingerprints' keys of r_i^-1 c_j r_i for n elements
+    r_i = (M, e) and k elements c_j = (C, t), row i*k + j; no r is
+    inverted or repeated, and each row takes one matrix product.
+
+    From binv and bsmul, r^-1 c r = (rho^(t-e)(W), t) and its inverse is
+    (rho^(3-e)(W^T), -t), where W = rho^(3-t)(M)^T . rho^-t(C) . M.  Row p
+    of the left factor is the XOR over q of rho^(3-t)(M[q, p]) .
+    rho^-t(C)[q, :]: 9 lookups per c in three 64-entry tables of whole
+    rows (3 product-table offsets packed in a uint64), so bmm6 gives W with
+    M itself, broadcast over the c, as the right factor.  bpkeys applies
+    the Frobenius powers on its way to both keys."""
+    n, k = len(rt), len(ct)
+    t = np.asarray(ct, dtype=np.intp)
+    F = ops.FROB
+    # lanes[q, v, j, :3] = rho^(3-t_j)(v) . rho^-t_j(C_j)[q, :], shifted
+    lanes = np.zeros((3, 64, k, 4), dtype=np.uint16)
+    lanes[..., :3] = ops.MUL[F[(3 - t) % 6].T[None, :, :, None],
+                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, None]]
+    lanes <<= 6
+    rows = lanes.view(np.uint64)[..., 0]  # (3, 64, k)
+    left = np.empty((n, k, 3), dtype=np.uint64)
+    for p in range(3):
+        left[:, :, p] = rows[0, rm[:, 0, p]] ^ rows[1, rm[:, 1, p]] ^ rows[2, rm[:, 2, p]]
+    W = ops.bmm6(left.view(np.uint16).reshape(n, k, 3, 4)[..., :3], rm[:, None])
+    W = W.reshape(n * k, 3, 3)
+    e = np.asarray(rt, dtype=np.intp)
+    tw = np.tile(t, n).astype(np.uint8)
+    key = ops.bpkeys(W, tw, ((t - e[:, None]) % 6).reshape(-1))
+    inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.repeat((3 - e) % 6, k))
+    return np.minimum(key, inv)
 
 
 def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarray:

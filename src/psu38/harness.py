@@ -118,7 +118,10 @@ class VerifyContext:
     def cache_path(self) -> str:
         return os.path.join(self.cache_dir, f"graph-{self.modulus:02x}.psu38")
 
-    def _load_or_build(self) -> CosetGraph:
+    def _load_or_build(self, keep_unsaved: bool = True) -> CosetGraph:
+        """The cached graph, or a new build written to the cache.  A build
+        that cannot be written is kept, with a warning on stderr, unless
+        keep_unsaved is False (psu38 build, whose product is the file)."""
         path = self.cache_path()
         if self.use_cache and os.path.exists(path):
             try:
@@ -134,8 +137,13 @@ class VerifyContext:
             if self.verbose else None,
         )
         self._log(f"graph built in {time.perf_counter() - t0:.1f}s")
-        os.makedirs(self.cache_dir, exist_ok=True)
-        save_cache(g, path)
+        try:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            save_cache(g, path)
+        except OSError as e:
+            if not keep_unsaved:
+                raise
+            print(f"warning: graph not cached: {e}", file=sys.stderr, flush=True)
         return g
 
     def kern(self, group: str, side: int) -> KernelData:
@@ -1148,7 +1156,7 @@ def main(argv=None) -> int:
         ctx = _ctx_from_args(args)
 
         if args.cmd == "build":
-            g = ctx.graph
+            g = ctx._memo("graph", lambda: ctx._load_or_build(keep_unsaved=False))
             print(f"graph: {g.n1} + {g.n2} vertices, {len(g.edges)} edges; "
                   f"cache at {ctx.cache_path()}")
             return EXIT_OK

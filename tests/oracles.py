@@ -10,7 +10,8 @@ import numpy as np
 
 from psu38.arcs import kernel_data
 from psu38.coset import CosetGraph, _arm, transversal
-from psu38.fastops import _W, SubgroupArrays, bunpack, coset_canon_keys, linear_conj_keys
+from psu38.fastops import (_W, SubgroupArrays, bpack, bunpack, conj_fingerprints,
+                           coset_canon_keys, linear_conj_keys)
 from psu38.gf64 import polymul_mod
 from psu38.grp import ClosureCapExceeded, SmallGroup, _close, _greedy, _pval, iso_check
 from psu38.psu import IDENTITY, PElement
@@ -370,6 +371,24 @@ def relation_rows(g: dict, comm, conj) -> list[tuple[str, bool]]:
 
 
 # ---------------------------------------------------------------------------
+
+
+def bpkeys_by_argmax(ops, mats, tw) -> np.ndarray:
+    """FieldOps.bpkeys as it was: the first nonzero entry of every row
+    found by an argmax, the matrices scaled by lead_scalar of it and
+    packed by bpack."""
+    flat = mats.reshape(len(mats), 9)
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    return bpack(ops.MUL[ops.LEAD[lead][:, None, None], mats], tw)
+
+
+def fingerprints_of_repeated_rows(ops, rm, rt, cm, ct) -> np.ndarray:
+    """fastops.conj_fingerprint_grid as the build keyed its probes before:
+    conj_fingerprints on every rep repeated k times against the k elements
+    tiled, which inverts each row and multiplies it out twice."""
+    n, k = len(rt), len(ct)
+    return conj_fingerprints(ops, np.repeat(rm, k, axis=0), np.repeat(rt, k),
+                             np.tile(cm, (n, 1, 1)), np.tile(ct, n))
 
 
 def subgroup_arrays(ops, G) -> SubgroupArrays:

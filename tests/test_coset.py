@@ -10,10 +10,10 @@ import networkx as nx
 
 from psu38 import coset, harness
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch,
-                         CosetGraph, build_graph, export_edge_list,
+                         CosetGraph, _arm, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
                          sparse6_bytes, transversal)
-from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints,
+from psu38.fastops import (KEY_MAX, FieldOps, bpack, bunpack, conj_fingerprints,
                            coset_canon_keys, linear_conj_keys)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
@@ -405,6 +405,84 @@ def test_sparse6_padding_cases():
     for n in (0, 5, 62, 63, 258047, 258048):
         back = nx.from_sparse6_bytes(sparse6_bytes(n, none).strip())
         assert (back.number_of_nodes(), back.number_of_edges()) == (n, 0)
+
+
+def test_resolve_equals_a_plain_binary_search(graph):
+    """_resolve, which searches the queries in sorted order, gives the ids
+    of a binary search per query over a whole side, -1 for unknown keys,
+    and handles repeated and empty queries."""
+    for side in (1, 2):
+        fk, sk, sids = graph.fkeys[side], graph.skeys[side], graph.sids[side]
+        pos = np.minimum(np.searchsorted(sk, fk), len(sk) - 1)
+        plain_ids = np.where(sk[pos] == fk, sids[pos], -1)
+        got = graph._resolve(side, fk)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, plain_ids)
+        assert np.array_equal(got, np.arange(len(fk)))
+        unknown = np.setdiff1d(np.concatenate([sk[::97] + np.uint64(1),
+                                               [np.uint64(0), KEY_MAX]]), sk)
+        assert len(unknown) > 100
+        lids = np.arange(len(fk))[::-5]
+        query = np.concatenate([fk[lids], unknown, fk[lids], unknown[:3]])
+        want = np.concatenate([lids, np.full(len(unknown), -1), lids, [-1] * 3])
+        assert np.array_equal(graph._resolve(side, query), want)
+        empty = graph._resolve(side, np.zeros(0, dtype=np.uint64))
+        assert empty.shape == (0,) and empty.dtype == np.int32
+
+
+def _assert_sorted_and_aligned(g):
+    for side in (1, 2):
+        sk, sids = g.skeys[side], g.sids[side]
+        assert sids.dtype == np.int32
+        assert (sk[1:] > sk[:-1]).all()
+        assert np.array_equal(np.sort(sids), np.arange(len(g.fkeys[side])))
+        assert np.array_equal(g.fkeys[side][sids], sk)
+
+
+def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
+    """The build registers each layer's vertices in key order; a load
+    registers a whole side whose keys come unsorted.  Either way the
+    merged keys stay sorted, with each id beside its key."""
+    built = build_graph(ng)
+    _assert_sorted_and_aligned(built)
+    save_cache(built, str(tmp_path / "g"))
+    loaded = load_cache(str(tmp_path / "g"), ng)
+    assert all((loaded.fkeys[side][1:] < loaded.fkeys[side][:-1]).any() for side in (1, 2))
+    _assert_sorted_and_aligned(loaded)
+    for side in (1, 2):
+        assert np.array_equal(loaded.skeys[side], built.skeys[side])
+        assert np.array_equal(loaded.sids[side], built.sids[side])
+
+
+def test_register_merges_like_a_stable_sort_of_all_keys(ng):
+    """Batches with keys repeated within and across them, an empty one
+    included: after each, the sorted keys and ids are those of a stable
+    argsort of every key so far."""
+    g = CosetGraph(ng.field, ng)
+    _arm(g)
+    rng = np.random.default_rng(7)
+    seen = []
+    for n in (1, 0, 50, 7, 200):
+        keys = rng.integers(0, 300, n, dtype=np.uint64)
+        g._register(1, np.zeros(n, dtype=np.uint64), keys)
+        seen.append(keys)
+        allkeys = np.concatenate(seen)
+        order = np.argsort(allkeys, kind="stable")
+        assert np.array_equal(g.skeys[1], allkeys[order])
+        assert np.array_equal(g.sids[1], order) and g.sids[1].dtype == np.int32
+        assert np.array_equal(g.fkeys[1], allkeys)
+
+
+def test_probe_keys_are_chunked(graph, monkeypatch):
+    """_probe_keys and _keys give the same keys whatever KEY_CHUNK is."""
+    rm, rt = bunpack(graph.reps[1][:100])
+    cm, ct = bunpack(graph.reps[2][:3])
+    want = graph._probe_keys(rm, rt, cm, ct)
+    keys = graph._keys(2, rm, rt)
+    for chunk in (1, 2, 7, 299):
+        monkeypatch.setattr(coset, "KEY_CHUNK", chunk)
+        assert np.array_equal(graph._probe_keys(rm, rt, cm, ct), want)
+        assert np.array_equal(graph._keys(2, rm, rt), keys)
 
 
 def test_build_deterministic(ng):

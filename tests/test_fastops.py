@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from psu38.coset import CosetGraph, _arm
-from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprints, conj_tables,
-                           coset_canon_keys, linear_conj_keys)
+from psu38.coset import CosetGraph, _arm, transversal
+from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprint_grid,
+                           conj_fingerprints, conj_tables, coset_canon_keys,
+                           linear_conj_keys)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
+from psu38.grp import named_groups
 from psu38.psu import make_generators
 
 import oracles
@@ -34,6 +36,18 @@ def random_elements(f, n, seed=23, sigma=True):
         for _ in range(rng.randint(1, 15)):
             el = el * g[rng.choice(names)]
         out.append(el)
+    return out
+
+
+def of_every_twist(f, n, seed):
+    """n random words without sigma, the i-th times sigma^(i mod 6), so
+    each twist comes n/6 times."""
+    sigma = element_from_key(f, make_generators(f)["sigma"])
+    out = random_elements(f, n, seed, sigma=False)
+    for i in range(n):
+        for _ in range(i % 6):
+            out[i] = out[i] * sigma
+    assert sorted({x.twist for x in out}) == list(range(6))
     return out
 
 
@@ -92,6 +106,54 @@ def test_bpkeys_is_min_of_three_scalar_multiples(f, ops):
     want = np.minimum(np.minimum(bpack(mats, tw), bpack(f.MUL[f.alpha][mats], tw)),
                       bpack(f.MUL[f.alpha2][mats], tw))
     assert np.array_equal(ops.bpkeys(mats, tw), want)
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
+def test_bpkeys_equals_the_argmax_formula(modulus):
+    """The lead entry read as entry 0, found by argmax only where that is
+    0, gives the old formula's keys: on rows with 0 to 9 leading zeros (a
+    whole first row zero, the zero matrix) and on elements of every twist;
+    with Frobenius powers, the keys of rho^f of the matrices, transposed
+    views included."""
+    f = GF64(modulus)
+    ops = FieldOps(f)
+    rng = np.random.default_rng(41)
+    mats = rng.integers(0, 64, size=(2000, 3, 3), dtype=np.uint8)
+    flat = mats.reshape(-1, 9)
+    for i in range(len(flat)):
+        flat[i, :i % 10] = 0
+    assert not mats[3, 0].any() and not mats[9].any()
+    am, at = to_arrays(of_every_twist(f, 60, seed=42))
+    mats = np.concatenate([mats, am])
+    tw = np.concatenate([rng.integers(0, 6, 2000).astype(np.uint8), at])
+    assert np.array_equal(ops.bpkeys(mats, tw), oracles.bpkeys_by_argmax(ops, mats, tw))
+    frob = rng.integers(0, 6, len(tw))
+    for m in (mats, mats.transpose(0, 2, 1)):
+        want = oracles.bpkeys_by_argmax(ops, f.FROB[frob[:, None, None], m], tw)
+        assert np.array_equal(ops.bpkeys(m, tw, frob), want)
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
+def test_conj_fingerprint_grid_equals_conj_fingerprints_on_repeated_rows(modulus):
+    """Reps of all six twists against both sides' probe elements t^-1 y t,
+    both fingerprint elements y and elements of every twist: the
+    one-product kernel gives conj_fingerprints' keys on repeated rows, bit
+    for bit, rep-major."""
+    f = GF64(modulus)
+    ops = FieldOps(f)
+    ng = named_groups(f)
+    graph = CosetGraph(f, ng)
+    _arm(graph)
+    rm, rt = to_arrays(of_every_twist(f, 300, seed=43))
+    mixed = to_arrays(of_every_twist(f, 12, seed=44))
+    cs = [mixed, (mixed[0][:1], mixed[1][:1])]
+    for side, K in ((1, ng.K1), (2, ng.K2)):
+        tm, tt = bunpack(np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64))
+        cs.append(ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt))
+        cs.append(graph.ysets[side])
+    for cm, ct in cs:
+        want = oracles.fingerprints_of_repeated_rows(ops, rm, rt, cm, ct)
+        assert np.array_equal(conj_fingerprint_grid(ops, rm, rt, cm, ct), want)
 
 
 def test_coset_canon_against_bruteforce(f, ops, ng):

@@ -334,11 +334,10 @@ def test_cli_build_into_a_regular_file_is_a_config_error(tmp_path, monkeypatch,
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_a_failed_graph_stage_runs_once(tmp_path, monkeypatch, capsys, graph):
+def test_a_graph_that_cannot_be_saved_is_kept(tmp_path, monkeypatch, capsys, graph):
     """A graph that is built but cannot be saved (the cache directory is
-    a regular file) makes every graph claim an error after one build:
-    exit 4, and no rebuild per claim.  The session's graph stands in for
-    the build."""
+    a regular file) is kept: one build, one warning on stderr, and the
+    claims run on it.  The session's graph stands in for the build."""
     builds = []
 
     def counted(ng, progress=None):
@@ -347,7 +346,24 @@ def test_a_failed_graph_stage_runs_once(tmp_path, monkeypatch, capsys, graph):
     monkeypatch.setattr(harness, "build_graph", counted)
     path = tmp_path / "file"
     path.write_text("")
-    assert main(["verify", "--claims", "T1.1,L3.10", "--cache-dir", str(path)]) == 4
+    assert main(["verify", "--claims", "T1.1,L3.10", "--cache-dir", str(path)]) == 0
+    assert len(builds) == 1
+    out, err = capsys.readouterr()
+    assert "[ERROR]" not in out
+    assert len(err.splitlines()) == 1 and err.startswith("warning: graph not cached")
+
+
+def test_a_failed_graph_stage_runs_once(tmp_path, monkeypatch, capsys):
+    """A graph stage that raised makes every graph claim an error after
+    one build: exit 4, and no rebuild per claim."""
+    builds = []
+
+    def failing(ng, progress=None):
+        builds.append(1)
+        raise RuntimeError("build failed")
+    monkeypatch.setattr(harness, "build_graph", failing)
+    assert main(["verify", "--claims", "T1.1,L3.10", "--no-cache",
+                 "--cache-dir", str(tmp_path)]) == 4
     assert len(builds) == 1
     assert "[ERROR]" in capsys.readouterr().out
 
