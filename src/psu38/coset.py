@@ -45,10 +45,12 @@ resolving a vertex.  A table set conjugates 54 bit matrices per twist,
 against the |K_side| rows of a product per rep, so the lookups pay even
 for one rep.
 
-A loaded cache is also proved adjacent edge by edge (_assert_adjacency):
-K1.r and K2.s meet exactly when r s^-1 lies in K1 K2.  A build does not
-need it: its edges are resolved probes t.rep(u), exact once _check_keys
-has proved the key.
+Every command of the pipeline builds its graph; none reads or writes a
+graph file.  save_cache and load_cache remain only for the file round
+trip (the benchmark's), and so does the adjacency proof that load_cache
+runs edge by edge (_assert_adjacency): K1.r and K2.s meet exactly when
+r s^-1 lies in K1 K2.  A build does not need it: its edges are resolved
+probes t.rep(u), exact once _check_keys has proved the key.
 """
 
 from __future__ import annotations
@@ -82,15 +84,21 @@ class CacheMismatch(RuntimeError):
 
 def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
     """Right transversal of K12 in K: representatives t of the cosets
-    K12.t, scanned in canonical order so the choice is deterministic."""
+    K12.t, scanned in canonical order so the choice is deterministic.
+    The cosets are walked as indices in K's table: K12.t is K12 carried
+    along the generator rows of t's path."""
     cover = set()
     ts = []
-    for t in K.sorted_elems():
+    h = K._ix(K12)
+    for t in K._srt():
         if t not in cover:
             ts.append(t)
-            cover.update(h * t for h in K12.elems)
+            ht = h
+            for R in K.tab.path[t]:
+                ht = [R[x] for x in ht]
+            cover.update(ht)
     assert len(ts) * len(K12) == len(K)
-    return ts
+    return [K.tab.elems[t] for t in ts]
 
 
 @dataclass

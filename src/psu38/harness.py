@@ -1,12 +1,13 @@
 """Pipeline orchestration: configuration, the claim catalog, structured
-report emission, caching policy, and the command line interface.
+report emission, and the command line interface.
 
 Every finitely checkable statement of the verified construction is a
 claim with a stable id; cmd_verify evaluates the catalog against the
-built graph and emits a VerificationReport (human-readable lines and
-optional JSON).  Exit codes: 0 all pass, 1 claim failure, 2
-configuration error, 3 cache mismatch, 4 a claim raised an error and
-none failed.
+graph it builds and emits a VerificationReport (human-readable lines and
+optional JSON).  Every command builds the graph it uses; none reads or
+writes a graph file.  Exit codes: 0 all pass, 1 claim failure, 2
+configuration error (a reducible modulus, or a path that cannot be read
+or written), 4 a claim raised an error and none failed; 3 is not used.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -28,8 +28,7 @@ from .amalgam import analyze, shape_d2, shape_e2
 from .arcs import (KernelData, arc_count_formula, arc_orbits, arc_stabilizer,
                    ball, kernel_data, local_characteristic, max_local_s,
                    pushing_up, sampled_vertex_checks)
-from .coset import (CacheMismatch, CosetGraph, build_graph, export_edge_list,
-                    export_sparse6, load_cache, save_cache)
+from .coset import CosetGraph, build_graph, export_edge_list, export_sparse6
 from .fastops import FieldOps
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
 from .grp import (SmallGroup, direct_product, is_split_extension, iso_check,
@@ -39,7 +38,6 @@ from .psu import check_relations, make_generators, special_unitary, words
 EXIT_OK = 0
 EXIT_CLAIM_FAIL = 1
 EXIT_CONFIG = 2
-EXIT_CACHE = 3
 EXIT_ERROR = 4
 
 PSU38_ORDER = (8 ** 3) * (8 ** 2 - 1) * (8 ** 3 + 1) // gcd(3, 8 + 1)  # 5,515,776
@@ -63,13 +61,12 @@ def factorization(n: int) -> dict[int, int]:
 
 
 class VerifyContext:
-    """Shared lazily-built state for the claim catalog."""
+    """Shared lazily-built state for the claim catalog.  cache_dir is
+    accepted and ignored: the graph is built, never read from a file."""
 
     def __init__(self, modulus: int = DEFAULT_MODULUS, cache_dir: str | None = None,
-                 use_cache: bool = True, verbose: bool = False):
+                 verbose: bool = False):
         self.modulus = modulus
-        self.cache_dir = cache_dir or default_cache_dir()
-        self.use_cache = use_cache
         self.verbose = verbose
         self._cache: dict = {}
         self._failed: dict = {}
@@ -109,27 +106,13 @@ class VerifyContext:
 
     @property
     def graph(self) -> CosetGraph:
-        return self._memo("graph", self._load_or_build)
+        return self._memo("graph", self._build)
 
     def _log(self, msg):
         if self.verbose:
             print(msg, file=sys.stderr, flush=True)
 
-    def cache_path(self) -> str:
-        return os.path.join(self.cache_dir, f"graph-{self.modulus:02x}.psu38")
-
-    def _load_or_build(self, keep_unsaved: bool = True) -> CosetGraph:
-        """The cached graph, or a new build written to the cache.  A build
-        that cannot be written is kept, with a warning on stderr, unless
-        keep_unsaved is False (psu38 build, whose product is the file)."""
-        path = self.cache_path()
-        if self.use_cache and os.path.exists(path):
-            try:
-                g = load_cache(path, self.ng)
-                self._log(f"cache loaded: {path}")
-                return g
-            except CacheMismatch as e:
-                self._log(f"cache rejected ({e}); rebuilding")
+    def _build(self) -> CosetGraph:
         t0 = time.perf_counter()
         g = build_graph(
             self.ng,
@@ -137,13 +120,6 @@ class VerifyContext:
             if self.verbose else None,
         )
         self._log(f"graph built in {time.perf_counter() - t0:.1f}s")
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            save_cache(g, path)
-        except OSError as e:
-            if not keep_unsaved:
-                raise
-            print(f"warning: graph not cached: {e}", file=sys.stderr, flush=True)
         return g
 
     def kern(self, group: str, side: int) -> KernelData:
@@ -239,10 +215,6 @@ class VerifyContext:
                 }
             return out
         return self._memo("splits", run)
-
-
-def default_cache_dir() -> str:
-    return os.environ.get("AMALGAM_CACHE_DIR", os.path.join(os.getcwd(), ".psu38_cache"))
 
 
 # ---------------------------------------------------------------------------
@@ -1086,9 +1058,6 @@ def format_report(report: dict) -> str:
 def _add_common(p):
     p.add_argument("--modulus", type=lambda s: int(s, 0), default=DEFAULT_MODULUS,
                    help="degree-6 modulus bitmask (default 0b1011011)")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="force a full rebuild, ignoring any cache")
     p.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -1102,7 +1071,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("build", help="build field tables, groups and the "
-                                     "graph; write the cache")
+                                     "graph, and print its counts")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the claim catalog")
@@ -1112,9 +1081,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="comma-separated claim id prefixes, e.g. L3.1,T1.2")
     p.add_argument("--json", action="store_true", help="print the JSON report")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--no-rebuild", action="store_true",
-                   help="fail with exit 3 instead of rebuilding on cache "
-                        "mismatch")
 
     p = sub.add_parser("export", help="export the graph")
     _add_common(p)
@@ -1134,15 +1100,6 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _ctx_from_args(args) -> VerifyContext:
-    return VerifyContext(
-        modulus=args.modulus,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        verbose=getattr(args, "verbose", False),
-    )
-
-
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -1153,26 +1110,14 @@ def main(argv=None) -> int:
                 print(f"{i:2d} {f.exp[i]:2d}")
             return EXIT_OK
 
-        ctx = _ctx_from_args(args)
+        ctx = VerifyContext(modulus=args.modulus, verbose=args.verbose)
 
         if args.cmd == "build":
-            g = ctx._memo("graph", lambda: ctx._load_or_build(keep_unsaved=False))
-            print(f"graph: {g.n1} + {g.n2} vertices, {len(g.edges)} edges; "
-                  f"cache at {ctx.cache_path()}")
+            g = ctx.graph
+            print(f"graph: {g.n1} + {g.n2} vertices, {len(g.edges)} edges")
             return EXIT_OK
 
         if args.cmd == "verify":
-            if args.no_rebuild:
-                path = ctx.cache_path()
-                if not os.path.exists(path):
-                    print(f"cache missing: {path}", file=sys.stderr)
-                    return EXIT_CACHE
-                try:
-                    # the one load: run_claims uses this graph
-                    ctx._memo("graph", lambda: load_cache(path, ctx.ng))
-                except CacheMismatch as e:
-                    print(f"cache mismatch: {e}", file=sys.stderr)
-                    return EXIT_CACHE
             # the report file is opened first: a path that cannot be
             # written fails before any claim runs
             with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
@@ -1215,9 +1160,6 @@ def main(argv=None) -> int:
     except BadModulus as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except CacheMismatch as e:
-        print(f"cache mismatch: {e}", file=sys.stderr)
-        return EXIT_CACHE
     except OSError as e:  # a path that cannot be read or written
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,14 +2,14 @@ import os
 
 import pytest
 
+from psu38 import harness
 from psu38.coset import build_graph
 from psu38.gf64 import GF64
 from psu38.grp import named_groups, reference_groups
 from psu38.harness import VerifyContext
 
-CACHE_DIR = os.environ.get(
-    "AMALGAM_CACHE_DIR", os.path.join(os.path.dirname(__file__), "..", ".psu38_cache")
-)
+# passed by the acceptance suite; VerifyContext ignores it
+CACHE_DIR = os.path.join(os.path.dirname(__file__), "..", ".psu38_cache")
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def field():
 
 @pytest.fixture(scope="session")
 def ctx():
-    return VerifyContext(cache_dir=CACHE_DIR)
+    return VerifyContext()
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,16 @@ def graph(ctx):
 def graph43():
     """The graph built under the modulus 0x43."""
     return build_graph(named_groups(GF64(0b1000011)))
+
+
+@pytest.fixture
+def builds(monkeypatch, graph):
+    """The session's graph stands in for the builds of the CLI and of
+    fresh contexts; the list gets one modulus per build."""
+    made = []
+
+    def standin(ng, progress=None):
+        made.append(ng.field.modulus)
+        return graph
+    monkeypatch.setattr(harness, "build_graph", standin)
+    return made

@@ -9,7 +9,7 @@ from operator import itemgetter
 import numpy as np
 
 from psu38.arcs import kernel_data
-from psu38.coset import CosetGraph, _arm, transversal
+from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (_W, SubgroupArrays, bpack, bunpack, conj_fingerprints,
                            coset_canon_keys, linear_conj_keys)
 from psu38.gf64 import polymul_mod
@@ -452,6 +452,20 @@ def fixers_by_images(graph, keys, gids) -> np.ndarray:
     return np.flatnonzero(fixed.all(axis=0))
 
 
+def transversal_by_products(K: SmallGroup, K12: SmallGroup) -> list:
+    """coset.transversal by element products: the first element of K in
+    sorted order outside the cosets found so far starts a new coset
+    K12.t, covered by the table products h * t."""
+    cover = set()
+    ts = []
+    for t in K.sorted_elems():
+        if t not in cover:
+            ts.append(t)
+            cover.update(h * t for h in K12.elems)
+    assert len(ts) * len(K12) == len(K)
+    return ts
+
+
 def build_graph_all_probes(ng) -> CosetGraph:
     """build_graph by the plain BFS: every vertex probes all k transversal
     elements, its parent included, each probe is the product t.r keyed by
@@ -459,7 +473,7 @@ def build_graph_all_probes(ng) -> CosetGraph:
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
-    trans = {side: bunpack(np.array([t.key for t in transversal(K, ng.K12)],
+    trans = {side: bunpack(np.array([t.key for t in transversal_by_products(K, ng.K12)],
                                     dtype=np.uint64))
              for side, K in ((1, ng.K1), (2, ng.K2))}
     ident = np.array([IDENTITY], dtype=np.uint64)

@@ -13,7 +13,6 @@ from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
 
-from conftest import CACHE_DIR
 import oracles
 from oracles import (conjugate, fixers_by_images, group_from_keys, obj, rep_element,
                      vertex_stabilizer)
@@ -59,7 +58,7 @@ def test_graph_is_freed_when_its_context_is_dropped():
     gc.collect()
     gc.disable()
     try:
-        ctx = VerifyContext(cache_dir=CACHE_DIR)
+        ctx = VerifyContext()
         run_claims(ctx, claim_filter="L3.9,L3.11.ii")
         ref = weakref.ref(ctx.graph)
         del ctx
@@ -341,7 +340,7 @@ def test_edge_orbits_agree_with_the_premises(ctx, graph):
 def _context_over(ctx):
     """A fresh VerifyContext, no stage computed, on the session's groups
     and graph."""
-    fresh = VerifyContext(cache_dir=CACHE_DIR)
+    fresh = VerifyContext()
     for key in ("field", "ng", "refs", "graph"):
         fresh._cache[key] = getattr(ctx, key)
     return fresh
@@ -391,7 +390,7 @@ def test_one_kernel_record_per_base_vertex(monkeypatch):
         calls.append(args[1:])
         init(self, *args)
     monkeypatch.setattr(arcs.KernelData, "__init__", counted)
-    ctx = VerifyContext(cache_dir=CACHE_DIR)
+    ctx = VerifyContext()
     g = ctx.graph
     kd = ctx.kern("K", 1)
     assert local_characteristic(g, "K")[0]

@@ -21,7 +21,7 @@ from psu38.psu import PElement
 
 from oracles import (build_graph_all_probes, conjugate, coset_canon, fixers_by_images,
                      obj, perm_by_images, plain, rep_element, subgroup_arrays,
-                     vertex_stabilizer)
+                     transversal_by_products, vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -34,6 +34,19 @@ def test_transversal_sizes(ng):
         key = frozenset((h * t).key for h in ng.K12.elems)
         assert key not in seen
         seen.add(key)
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
+def test_transversal_equals_the_product_oracle(modulus):
+    """The transversal walked on table indices is the one that table
+    products give, element for element and in the same order, on both
+    sides."""
+    ng = named_groups(GF64(modulus))
+    for K in (ng.K1, ng.K2):
+        got = transversal(K, ng.K12)
+        want = transversal_by_products(K, ng.K12)
+        assert [t.key for t in got] == [t.key for t in want]
+        assert all(t.tab is K.tab for t in got)
 
 
 def test_graph_scale(graph):
@@ -705,17 +718,52 @@ def _swap_edge_ends(edges):
     edges[:] = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
-def test_cache_with_swapped_edge_ends_is_rejected(graph, tmp_path, capsys):
+def test_cache_with_swapped_edge_ends_is_rejected(graph, tmp_path):
     """A digest-valid file with two swapped edge ends passes every check
-    but the adjacency proof; load_cache rejects it, and verify exits 3
-    under --no-rebuild instead of reporting failed claims."""
+    but the adjacency proof, and load_cache rejects it."""
     path = str(tmp_path / f"graph-{graph.field.modulus:02x}.psu38")
     _save_with_edges(graph, path, _swap_edge_ends)
     with pytest.raises(CacheMismatch, match="cosets that do not meet"):
         load_cache(path, graph.ng)
-    assert harness.main(["verify", "--no-rebuild", "--claims", "FLD",
-                         "--cache-dir", str(tmp_path)]) == harness.EXIT_CACHE
-    assert "cosets that do not meet" in capsys.readouterr().err
+
+
+def _tree(root):
+    """Every path under root with its bytes (None for a directory) and
+    its modification time."""
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None,
+                   p.stat().st_mtime_ns) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_verify_and_build_never_touch_a_graph_file(kind, graph, builds, tmp_path,
+                                                   monkeypatch, capsys):
+    """The CLI builds every graph it uses.  A digest-valid graph file with
+    swapped edge ends, or a directory, at graph-5b.psu38 where the cache
+    used to live (a context's cache_dir, ./.psu38_cache and
+    AMALGAM_CACHE_DIR) changes no verdict and stays as it was, and
+    psu38 build writes no file.  The session's graph stands in for the
+    builds, and load_cache must not be called."""
+    cache_dir = tmp_path / ".psu38_cache"
+    cache_dir.mkdir()
+    path = cache_dir / f"graph-{graph.field.modulus:02x}.psu38"
+    if kind == "file":
+        _save_with_edges(graph, str(path), _swap_edge_ends)
+    else:
+        path.mkdir()
+    before = _tree(tmp_path)
+
+    def no_load(*args):
+        raise AssertionError("a graph file was read")
+    monkeypatch.setattr(coset, "load_cache", no_load)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("AMALGAM_CACHE_DIR", str(cache_dir))
+    assert harness.main(["verify", "--claims", "T1.1,L3.10"]) == 0
+    ctx = harness.VerifyContext(cache_dir=str(cache_dir))
+    assert harness.run_claims(ctx, claim_filter="L3.10.partial.i")["overall"]
+    assert harness.main(["build"]) == 0
+    assert builds == [graph.field.modulus] * 3
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert _tree(tmp_path) == before
 
 
 def test_adjacency_proof_rejects_one_corrupted_edge_end(graph):

@@ -14,8 +14,6 @@ from psu38.grp import (ClosureCapExceeded, SmallGroup, TableElement,
 from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
-from conftest import CACHE_DIR
-
 from oracles import (ObjGroup, Perm, ProjElement, boxed, close, conjugate, greedy,
                      greedy_prefixes, iso_map, lambda_subgroups, obj, perm_product,
                      plain, sequential_close)
@@ -729,7 +727,7 @@ def test_tables_are_freed_when_their_context_is_dropped():
     gc.collect()
     gc.disable()
     try:
-        ctx = VerifyContext(cache_dir=CACHE_DIR)
+        ctx = VerifyContext()
         assert run_claims(ctx, claim_filter="L3.2,L3.4,L3.5,L3.6.i,RG")["overall"]
         tabs = [ctx.ng.K1.identity.tab, ctx.ng.K2.identity.tab, ctx.refs["AGL23"].tab]
         refs = [weakref.ref(t) for t in tabs]

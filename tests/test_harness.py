@@ -1,4 +1,3 @@
-import copy
 import importlib.util
 import json
 import os
@@ -6,7 +5,6 @@ import subprocess
 import sys
 
 import jsonschema
-import numpy as np
 import pytest
 
 from psu38 import arcs, coset, harness
@@ -16,8 +14,6 @@ from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closur
                            run_claims)
 
 from psu38.psu import PElement
-
-from conftest import CACHE_DIR
 
 
 def test_claim_ids_unique_and_cover_manifest():
@@ -80,7 +76,7 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     of paper_arc and L3.9: perm and fixers do not resolve vertices.  The
     kernel chain of each base vertex and group runs once (4 bodies for 8
     claims)."""
-    ctx = VerifyContext(cache_dir=CACHE_DIR)
+    ctx = VerifyContext()
     ctx.ng
     ctx.graph
     fingerprint_rows = []
@@ -132,7 +128,7 @@ def test_alt_modulus_claim_digests_match_the_reference(monkeypatch):
     """The same read-only digest comparison under the alternate modulus
     0x43, so a witness change there fails here and not only in the
     benchmark."""
-    rep = run_claims(VerifyContext(modulus=ALT_MODULI[0], cache_dir=CACHE_DIR))
+    rep = run_claims(VerifyContext(modulus=ALT_MODULI[0]))
     assert rep["overall"] and rep["environment"]["modulus"] == 0x43
     _assert_reference_digests(monkeypatch, rep)
 
@@ -169,8 +165,8 @@ def _strip_times(rep):
 
 
 def test_report_determinism_across_fresh_contexts():
-    a = VerifyContext(cache_dir=CACHE_DIR)
-    b = VerifyContext(cache_dir=CACHE_DIR)
+    a = VerifyContext()
+    b = VerifyContext()
     fa = "FLD,SU,CONV,L3.1,L3.2,L3.4,P3.7.ii,L3.10.partial"
     ra = _strip_times(run_claims(a, claim_filter=fa))
     rb = _strip_times(run_claims(b, claim_filter=fa))
@@ -189,7 +185,7 @@ def test_cli_bad_modulus(capsys):
 
 
 def test_cli_verify_subset(capsys):
-    rc = main(["verify", "--claims", "FLD,SU", "--cache-dir", CACHE_DIR])
+    rc = main(["verify", "--claims", "FLD,SU"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "[PASS] FLD.1" in out and "OVERALL: PASS" in out
@@ -197,8 +193,7 @@ def test_cli_verify_subset(capsys):
 
 def test_cli_verify_json_out(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
-    rc = main(["verify", "--claims", "CONV", "--json", "--out", out_path,
-               "--cache-dir", CACHE_DIR])
+    rc = main(["verify", "--claims", "CONV", "--json", "--out", out_path])
     assert rc == 0
     with open(out_path) as fh:
         rep = json.load(fh)
@@ -207,108 +202,56 @@ def test_cli_verify_json_out(tmp_path, capsys):
     assert printed["overall"] is True
 
 
-def test_cli_build_uses_cache(capsys):
-    rc = main(["build", "--cache-dir", CACHE_DIR])
+def test_cli_build_uses_cache(tmp_path, monkeypatch, capsys):
+    """psu38 build builds the graph and prints its counts; it reads and
+    writes no file (the name is older than the retired cache)."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["build"])
     assert rc == 0
-    assert "25536 + 34048" in capsys.readouterr().out
+    assert "25536 + 34048 vertices, 102144 edges" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
 
 
-def test_cli_arcs(capsys, graph):
-    rc = main(["arcs", "--side", "2", "--s", "5", "--group", "K",
-               "--cache-dir", CACHE_DIR])
+def test_cli_arcs(capsys, builds):
+    rc = main(["arcs", "--side", "2", "--s", "5", "--group", "K"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "108 arcs, 1 orbits" in out
+    assert builds == [DEFAULT_MODULUS]
 
 
-def test_cli_arcs_csv(tmp_path, capsys, graph):
+def test_cli_arcs_csv(tmp_path, capsys, builds):
     path = str(tmp_path / "orbits.csv")
     rc = main(["arcs", "--side", "1", "--s", "6", "--group", "K",
-               "--out", path, "--cache-dir", CACHE_DIR])
+               "--out", path])
     assert rc == 0
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0].startswith("side,s,group")
     assert lines[1].startswith("1,6,K,288,2")
+    assert builds == [DEFAULT_MODULUS]
 
 
-def test_cli_export_edge_list(tmp_path, capsys, graph):
+def test_cli_export_edge_list(tmp_path, capsys, builds):
     path = str(tmp_path / "edges.txt")
-    rc = main(["export", "--format", "edge-list", "--out", path,
-               "--cache-dir", CACHE_DIR])
+    rc = main(["export", "--format", "edge-list", "--out", path])
     assert rc == 0
     with open(path) as fh:
         assert sum(1 for _ in fh) == 102144
+    assert builds == [DEFAULT_MODULUS]
 
 
-def test_cli_export_sparse6(tmp_path, capsys, graph):
+def test_cli_export_sparse6(tmp_path, capsys, builds):
     import networkx as nx
     path = str(tmp_path / "delta.s6")
-    rc = main(["export", "--format", "sparse6", "--out", path,
-               "--cache-dir", CACHE_DIR])
+    rc = main(["export", "--format", "sparse6", "--out", path])
     assert rc == 0
     assert "sparse6 with 59584 vertices" in capsys.readouterr().out
     with open(path, "rb") as fh:
         back = nx.from_sparse6_bytes(fh.read().strip())
     assert back.number_of_nodes() == 59584
     assert back.number_of_edges() == 102144
-
-
-def test_cli_no_rebuild_missing_cache(tmp_path):
-    rc = main(["verify", "--no-rebuild", "--cache-dir", str(tmp_path / "none"),
-               "--claims", "FLD"])
-    assert rc == 3
-
-
-def test_cli_no_rebuild_loads_once_and_rejects_a_truncated_cache(
-        tmp_path, monkeypatch, capsys, graph):
-    import psu38.harness as hz
-    from psu38.coset import save_cache
-
-    loads = []
-    load = hz.load_cache
-
-    def counted(*args):
-        loads.append(args[0])
-        return load(*args)
-
-    monkeypatch.setattr(hz, "load_cache", counted)
-    path = tmp_path / "graph-5b.psu38"
-    save_cache(graph, str(path))
-    argv = ["verify", "--no-rebuild", "--cache-dir", str(tmp_path),
-            "--claims", "L3.10.partial.i"]
-    assert main(argv) == 0
-    assert len(loads) == 1
-    with open(path, "r+b") as fh:
-        fh.truncate(path.stat().st_size // 2)
-    assert main(argv) == 3
-    assert "cache mismatch" in capsys.readouterr().err
-
-
-def test_cli_rejects_a_cache_with_wrong_edges(tmp_path, capsys, graph):
-    """A file with a valid digest but x1's edges moved from side-2 vertices
-    0..3 to 1..4: --no-rebuild exits 3, and verify rebuilds it."""
-    from psu38.coset import load_cache, save_cache
-
-    bad = copy.copy(graph)
-    bad.edges = graph.edges.copy()
-    bad.edges[:4, 1] += 1
-    path = tmp_path / "graph-5b.psu38"
-    save_cache(bad, str(path))
-    argv = ["verify", "--cache-dir", str(tmp_path), "--claims", "L3.10.partial.i"]
-    assert main(argv + ["--no-rebuild"]) == 3
-    assert "degrees are not 4 on side 1" in capsys.readouterr().err
-    assert main(argv) == 0
-    assert main(argv + ["--no-rebuild"]) == 0
-    assert np.array_equal(load_cache(str(path), graph.ng).edges, graph.edges)
-
-
-def test_cli_no_rebuild_rejects_an_unreadable_cache(tmp_path, capsys):
-    """A cache path that is a directory is a cache mismatch, not a crash."""
-    (tmp_path / "graph-5b.psu38").mkdir()
-    argv = ["verify", "--no-rebuild", "--cache-dir", str(tmp_path), "--claims", "FLD"]
-    assert main(argv) == 3
-    assert "cache mismatch" in capsys.readouterr().err
+    assert builds == [DEFAULT_MODULUS]
 
 
 def test_cli_report_path_that_is_a_directory_is_a_config_error(tmp_path, monkeypatch,
@@ -317,43 +260,12 @@ def test_cli_report_path_that_is_a_directory_is_a_config_error(tmp_path, monkeyp
     cannot be written costs no claim."""
     runs = []
     monkeypatch.setattr(harness, "run_claims", lambda *a, **kw: runs.append(a))
-    rc = main(["verify", "--claims", "FLD", "--out", str(tmp_path),
-               "--cache-dir", CACHE_DIR])
+    rc = main(["verify", "--claims", "FLD", "--out", str(tmp_path)])
     assert rc == 2 and runs == []
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_cli_build_into_a_regular_file_is_a_config_error(tmp_path, monkeypatch,
-                                                         capsys, graph):
-    """The graph cannot be saved: the cache directory is a regular file.
-    The session's graph stands in for the build."""
-    monkeypatch.setattr(harness, "build_graph", lambda ng, progress=None: graph)
-    path = tmp_path / "file"
-    path.write_text("")
-    assert main(["build", "--cache-dir", str(path)]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
-
-
-def test_a_graph_that_cannot_be_saved_is_kept(tmp_path, monkeypatch, capsys, graph):
-    """A graph that is built but cannot be saved (the cache directory is
-    a regular file) is kept: one build, one warning on stderr, and the
-    claims run on it.  The session's graph stands in for the build."""
-    builds = []
-
-    def counted(ng, progress=None):
-        builds.append(1)
-        return graph
-    monkeypatch.setattr(harness, "build_graph", counted)
-    path = tmp_path / "file"
-    path.write_text("")
-    assert main(["verify", "--claims", "T1.1,L3.10", "--cache-dir", str(path)]) == 0
-    assert len(builds) == 1
-    out, err = capsys.readouterr()
-    assert "[ERROR]" not in out
-    assert len(err.splitlines()) == 1 and err.startswith("warning: graph not cached")
-
-
-def test_a_failed_graph_stage_runs_once(tmp_path, monkeypatch, capsys):
+def test_a_failed_graph_stage_runs_once(monkeypatch, capsys):
     """A graph stage that raised makes every graph claim an error after
     one build: exit 4, and no rebuild per claim."""
     builds = []
@@ -362,16 +274,9 @@ def test_a_failed_graph_stage_runs_once(tmp_path, monkeypatch, capsys):
         builds.append(1)
         raise RuntimeError("build failed")
     monkeypatch.setattr(harness, "build_graph", failing)
-    assert main(["verify", "--claims", "T1.1,L3.10", "--no-cache",
-                 "--cache-dir", str(tmp_path)]) == 4
+    assert main(["verify", "--claims", "T1.1,L3.10"]) == 4
     assert len(builds) == 1
     assert "[ERROR]" in capsys.readouterr().out
-
-
-def test_env_cache_dir(monkeypatch, tmp_path):
-    monkeypatch.setenv("AMALGAM_CACHE_DIR", str(tmp_path))
-    ctx = VerifyContext()
-    assert ctx.cache_dir == str(tmp_path)
 
 
 def test_exit_code_1_on_claim_failure(monkeypatch, capsys):
@@ -386,7 +291,7 @@ def test_exit_code_1_on_claim_failure(monkeypatch, capsys):
                 hz.Claim("X.2", "raises", ("H", "K"), boom)]
 
     monkeypatch.setattr(hz, "build_claims", fake_claims)
-    rc = main(["verify", "--claims", "X", "--cache-dir", CACHE_DIR])
+    rc = main(["verify", "--claims", "X"])
     assert rc == 1  # a failed claim outranks an errored one
     assert "OVERALL: FAIL" in capsys.readouterr().out
 
@@ -402,7 +307,7 @@ def test_claim_exception_becomes_failure(monkeypatch, capsys):
                 hz.Claim("X.3", "holds", ("H", "K"), lambda ctx: (True, {}))]
 
     monkeypatch.setattr(hz, "build_claims", fake_claims)
-    ctx = VerifyContext(cache_dir=CACHE_DIR)
+    ctx = VerifyContext()
     rep = run_claims(ctx)
     jsonschema.validate(rep, REPORT_SCHEMA)
     assert [c["verdict"] for c in rep["claims"]] == ["error", "pass"]
@@ -410,7 +315,7 @@ def test_claim_exception_becomes_failure(monkeypatch, capsys):
     assert not rep["overall"]
     assert "1/2 pass, 0 fail, 1 error" in format_report(rep)
     # an error with no failure has its own exit code
-    rc = main(["verify", "--claims", "X", "--cache-dir", CACHE_DIR])
+    rc = main(["verify", "--claims", "X"])
     assert rc == EXIT_ERROR == 4
     assert "[ERROR] X.2" in capsys.readouterr().out
 

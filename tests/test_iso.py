@@ -9,7 +9,6 @@ from psu38 import amalgam, grp, harness
 from psu38.grp import direct_product, iso_check, reference_groups
 from psu38.harness import VerifyContext, run_claims
 
-from conftest import CACHE_DIR
 import oracles
 from oracles import (ObjGroup, boxed, greedy_prefixes, iso_generators, iso_map,
                      iso_search, refined_invariants)
@@ -94,7 +93,7 @@ def catalog():
         for mod in (amalgam, harness):
             mp.setattr(mod, "iso_check", recorded)
         mp.setattr(grp, "_iso_search", counted_search)
-        ctx = VerifyContext(cache_dir=CACHE_DIR)
+        ctx = VerifyContext()
         ctx.ng, ctx.refs, ctx.graph
         mp.setattr(grp.SmallGroup, "_generating_set", recorded_generating_set)
         mp.setattr(grp, "_greedy", recorded_greedy)
@@ -251,7 +250,7 @@ def test_memo_goes_with_the_reference_groups(catalog, searches):
     assert refs["AGL23"] is not ctx.refs["AGL23"] and refs["AGL23"]._iso == {}
     assert iso_check(H1, refs["AGL23"]) and len(searches) == 1
     assert iso_check(H1, refs["AGL23"]) and len(searches) == 1
-    fresh = VerifyContext(cache_dir=CACHE_DIR)
+    fresh = VerifyContext()
     assert iso_check(H1, fresh.refs["AGL23"]) and len(searches) == 2
 
 
