@@ -114,34 +114,35 @@ def shape_agl23s(am: Amalgam, refs: dict) -> tuple[bool, dict]:
     return ok, d
 
 
-def _syl2_of(T2: SmallGroup) -> SmallGroup:
-    s = T2.sylow(2)
-    assert len(s) == 2
-    return s
+def _t_centralizer(am: Amalgam) -> SmallGroup:
+    """C_{O_3(G2)}(T) for T the Sylow 2-subgroup of T2, of order 2."""
+    t = am.T2.sylow(2)
+    assert len(t) == 2
+    return am.G2.p_core(3).centralizer(t.gens_list())
+
+
+def _shape_over_o3x(am: Amalgam, refs: dict, base: bool, d: dict,
+                    isos: list) -> tuple[bool, dict]:
+    """Shapes D2 and E2 past the AGL_2(3,S) conditions (base, d):
+    G2/O_3(X) = C2 x AGL_1(3) with the split verdict of G2 over O_3(X)
+    recorded, and one isomorphism per (witness key, group, reference
+    group) of isos.  Every isomorphism must hold."""
+    o3x = am.details["o3x"]
+    isos = [("G2_over_O3X_iso_C2xAGL13", am.G2.quotient(o3x), "C2xAGL13")] + isos
+    checks = {key: iso_check(G, refs[ref]) for key, G, ref in isos}
+    d.update(checks)
+    d["G2_over_O3X_split"] = is_split_extension(am.G2, o3x) is not None
+    return base and all(checks.values()), d
 
 
 def shape_d2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
-    base, bd = shape_agl23s(am, refs)
-    o3x = am.details["o3x"]
-    o3g2 = am.G2.p_core(3)
-    t = _syl2_of(am.T2)
-    cent = o3g2.centralizer(t.gens_list())
-    qa = am.G2.quotient(o3x)
-    d = dict(bd)
-    d.update({
-        "G1_iso_AGL23": iso_check(am.G1, refs["AGL23"]),
-        "G12_iso_AGL23S": iso_check(am.G12, refs["AGL23S"]),
-        "G2_over_O3X_iso_C2xAGL13": iso_check(qa, refs["C2xAGL13"]),
-        "G2_over_O3X_split": is_split_extension(am.G2, o3x) is not None,
-        "T2_iso_sharp": iso_check(am.T2, refs["AGL23S_sharp"]),
-        "C_O3(G2)(T)_iso_C9": iso_check(cent, refs["C9"]),
-    })
-    ok = base and all(
-        d[k] for k in ("G1_iso_AGL23", "G12_iso_AGL23S",
-                       "G2_over_O3X_iso_C2xAGL13", "T2_iso_sharp",
-                       "C_O3(G2)(T)_iso_C9")
-    )
-    return ok, d
+    base, d = shape_agl23s(am, refs)
+    return _shape_over_o3x(am, refs, base, d, [
+        ("G1_iso_AGL23", am.G1, "AGL23"),
+        ("G12_iso_AGL23S", am.G12, "AGL23S"),
+        ("T2_iso_sharp", am.T2, "AGL23S_sharp"),
+        ("C_O3(G2)(T)_iso_C9", _t_centralizer(am), "C9"),
+    ])
 
 
 def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
@@ -159,29 +160,15 @@ def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
 
 
 def shape_e2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
-    base, bd = shape_agl23s(am, refs)
-    o3x = am.details["o3x"]
+    """Shape E2 adds |G2/C_G2(Z(O_3(X)))| and the holomorph of Z(O_3(X))
+    by the automorphisms G2 induces."""
+    base, d = shape_agl23s(am, refs)
     zo3x = am.details["zo3x"]
-    o3g2 = am.G2.p_core(3)
-    t = _syl2_of(am.T2)
-    cent = o3g2.centralizer(t.gens_list())
-    qa = am.G2.quotient(o3x)
-    c2 = am.G2.centralizer(zo3x.gens_list())
-    sd = holomorph_semidirect(zo3x, am.G2)
-    d = dict(bd)
-    d.update({
-        "G1_iso_C3xAGL23": iso_check(am.G1, refs["C3xAGL23"]),
-        "G12_iso_C3xAGL23S": iso_check(am.G12, refs["C3xAGL23S"]),
-        "G2_over_O3X_iso_C2xAGL13": iso_check(qa, refs["C2xAGL13"]),
-        "G2_over_O3X_split": is_split_extension(am.G2, o3x) is not None,
-        "T2_iso_C3xsharp": iso_check(am.T2, refs["C3xAGL23S_sharp"]),
-        "|G2/C(Z(O3X))|": len(am.G2) // len(c2),
-        "semidirect_iso_star": iso_check(sd, refs["AGL23S_star"]),
-        "C_O3(G2)(T)_iso_SP2": iso_check(cent, refs["SP2"]),
-    })
-    ok = base and all(
-        d[k] for k in ("G1_iso_C3xAGL23", "G12_iso_C3xAGL23S",
-                       "G2_over_O3X_iso_C2xAGL13", "T2_iso_C3xsharp",
-                       "semidirect_iso_star", "C_O3(G2)(T)_iso_SP2")
-    )
-    return ok, d
+    d["|G2/C(Z(O3X))|"] = len(am.G2) // len(am.G2.centralizer(zo3x.gens_list()))
+    return _shape_over_o3x(am, refs, base, d, [
+        ("G1_iso_C3xAGL23", am.G1, "C3xAGL23"),
+        ("G12_iso_C3xAGL23S", am.G12, "C3xAGL23S"),
+        ("T2_iso_C3xsharp", am.T2, "C3xAGL23S_sharp"),
+        ("semidirect_iso_star", holomorph_semidirect(zo3x, am.G2), "AGL23S_star"),
+        ("C_O3(G2)(T)_iso_SP2", _t_centralizer(am), "SP2"),
+    ])

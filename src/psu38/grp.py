@@ -1202,8 +1202,6 @@ def reference_groups() -> dict[str, SmallGroup]:
         "C3": c3,
         "C9": cyclic_group(9),
         "C3xC3": c3xc3,
-        "E9": c3xc3,
-        "E27": direct_product(c3, c3, c3),
         "SP2": sp2_group(),
         "Dih18": dih18,
         "Dih18xC2": direct_product(dih18, c2),
@@ -1216,7 +1214,7 @@ def reference_groups() -> dict[str, SmallGroup]:
     expected = {
         "Sym3": 6, "Sym4": 24, "AGL13": 6, "GL23": 48, "PGL23": 24,
         "AGL23": 432, "AGL23S": 108, "AGL23S_sharp": 54, "AGL23S_star": 54,
-        "V": 9, "V0": 3, "S_syl3": 27, "C9": 9, "C3xC3": 9, "E27": 27,
+        "V": 9, "V0": 3, "S_syl3": 27, "C9": 9, "C3xC3": 9,
         "SP2": 27, "Dih18": 18, "Dih18xC2": 36, "Sym3xC2": 12,
         "C2xAGL13": 12, "C3xAGL23": 1296, "C3xAGL23S": 324,
         "C3xAGL23S_sharp": 162,

@@ -293,22 +293,19 @@ def build_claims() -> list[Claim]:
             "conjugation": r.conjugation_convention,
         }
 
-    def _rel(ctx, names):
-        rows = dict(ctx.relations.rows)
-        ok = all(rows[n] for n in names)
-        return ok, {n: rows[n] for n in names}
+    def relation_claim(id, statement, names):
+        """A claim that these rows of the relation table hold."""
+        def body(ctx):
+            rows = dict(ctx.relations.rows)
+            return all(rows[n] for n in names), {n: rows[n] for n in names}
+        claim(id, statement)(body)
 
-    @claim("L3.1.i", "[A,B]=Z^2, [A,C]=BZ^2, [B,C]=1 at SU level")
-    def l31i(ctx):
-        return _rel(ctx, ["[A,B]=Z^2", "[A,C]=BZ^2", "[B,C]=1"])
-
-    @claim("L3.1.ii", "[D,A]=BA and [D,B]=A^2B at SU level")
-    def l31ii(ctx):
-        return _rel(ctx, ["[D,A]=BA", "[D,B]=A^2B"])
-
-    @claim("L3.1.iii", "A^s=A, B^s=B^-1, C^s=C^2, D^s=D^-1")
-    def l31iii(ctx):
-        return _rel(ctx, ["A^s=A", "B^s=B^-1", "C^s=C^2", "D^s=D^-1"])
+    relation_claim("L3.1.i", "[A,B]=Z^2, [A,C]=BZ^2, [B,C]=1 at SU level",
+                   ["[A,B]=Z^2", "[A,C]=BZ^2", "[B,C]=1"])
+    relation_claim("L3.1.ii", "[D,A]=BA and [D,B]=A^2B at SU level",
+                   ["[D,A]=BA", "[D,B]=A^2B"])
+    relation_claim("L3.1.iii", "A^s=A, B^s=B^-1, C^s=C^2, D^s=D^-1",
+                   ["A^s=A", "B^s=B^-1", "C^s=C^2", "D^s=D^-1"])
 
     @claim("L3.1.iv", "[<C,D>, Q1] = Q1 in the projective group")
     def l31iv(ctx):
@@ -343,13 +340,18 @@ def build_claims() -> list[Claim]:
               and ng.Q2.derived().eset == bbar.eset)
         return ok, {"predicates": sp}
 
-    @claim("L3.2.iii", "H1 is isomorphic to AGL_2(3) and O_3(H1) = Q1")
-    def l32iii(ctx):
-        ng = ctx.ng
-        ok1 = iso_check(ng.H1, ctx.refs["AGL23"])
-        oc = ng.H1.p_core(3)
-        return ok1 and oc.eset == ng.Q1.eset, {
-            "|H1|": len(ng.H1), "iso_AGL23": ok1, "|O3(H1)|": len(oc)}
+    def stabilizer_x1(g, ref, iso_key, o3):
+        """G = ng.<g> is isomorphic to refs[ref] and O_3(G) = ng.<o3>."""
+        def body(ctx):
+            G, O = getattr(ctx.ng, g), getattr(ctx.ng, o3)
+            iso = iso_check(G, ctx.refs[ref])
+            oc = G.p_core(3)
+            return iso and oc.eset == O.eset, {
+                f"|{g}|": len(G), iso_key: iso, f"|O3({g})|": len(oc)}
+        return body
+
+    claim("L3.2.iii", "H1 is isomorphic to AGL_2(3) and O_3(H1) = Q1"
+          )(stabilizer_x1("H1", "AGL23", "iso_AGL23", "Q1"))
 
     @claim("L3.2.iv", "Qh1 = Q1 x <sigma^2> and Qh2 = Q2 x <sigma^2> "
                       "(internal direct products)")
@@ -368,13 +370,8 @@ def build_claims() -> list[Claim]:
             ok &= good
         return ok, out
 
-    @claim("L3.2.v", "K1 is isomorphic to C3 x AGL_2(3) and O_3(K1) = Qh1")
-    def l32v(ctx):
-        ng = ctx.ng
-        ok1 = iso_check(ng.K1, ctx.refs["C3xAGL23"])
-        oc = ng.K1.p_core(3)
-        return ok1 and oc.eset == ng.Qh1.eset, {
-            "|K1|": len(ng.K1), "iso": ok1, "|O3(K1)|": len(oc)}
+    claim("L3.2.v", "K1 is isomorphic to C3 x AGL_2(3) and O_3(K1) = Qh1"
+          )(stabilizer_x1("K1", "C3xAGL23", "iso", "Qh1"))
 
     @claim("L3.2.vi", "Z(Q2) <= Q1 and Z(Qh2) <= Qh1")
     def l32vi(ctx):
@@ -391,17 +388,11 @@ def build_claims() -> list[Claim]:
         ok = len(lam) == 3 and any(L.eset == ng.Q1.eset for L in lam)
         return ok, {"count": len(lam)}
 
-    @claim("L3.3.i", "[E,A]=BC, [E,B]=1, [E,C]=1 at SU level")
-    def l33i(ctx):
-        return _rel(ctx, ["[E,A]=BC", "[E,B]=1", "[E,C]=1"])
-
-    @claim("L3.3.ii", "[F,A]=A^2, [F,B]=B^2, [F,C]=1, [F,E]=E^2")
-    def l33ii(ctx):
-        return _rel(ctx, ["[F,A]=A^2", "[F,B]=B^2", "[F,C]=1", "[F,E]=E^2"])
-
-    @claim("L3.3.iii", "E^s=E^2 and F^s=F")
-    def l33iii(ctx):
-        return _rel(ctx, ["E^s=E^2", "F^s=F"])
+    relation_claim("L3.3.i", "[E,A]=BC, [E,B]=1, [E,C]=1 at SU level",
+                   ["[E,A]=BC", "[E,B]=1", "[E,C]=1"])
+    relation_claim("L3.3.ii", "[F,A]=A^2, [F,B]=B^2, [F,C]=1, [F,E]=E^2",
+                   ["[F,A]=A^2", "[F,B]=B^2", "[F,C]=1", "[F,E]=E^2"])
+    relation_claim("L3.3.iii", "E^s=E^2 and F^s=F", ["E^s=E^2", "F^s=F"])
 
     @claim("L3.3.iv", "[<E>, Q2] = Q* and [<E>, <sigma^2, B>] = <B>")
     def l33iv(ctx):
@@ -487,71 +478,58 @@ def build_claims() -> list[Claim]:
     claim("L3.4.v", "|K2| = 972, Qh2 is normal with K2/Qh2 = AGL_1(3) x C2, "
                     "and K2/Z(Qh2) = AGL_2(3,S)")(l34_shape("K2", "Qh2", 972))
 
-    @claim("L3.5.i", "H1 n H2 = <A,B,C,F,sigma^3> of order 108, isomorphic "
-                     "to AGL_2(3,S); the edge-transitive H count gives "
-                     "|H| = 2 |PSU_3(8)|")
-    def l35i(ctx):
-        ng = ctx.ng
-        named = _gen_closure(ng, ["A", "B", "C", "F", "sigma3"])
-        ok = (ng.H12.eset == named.eset and len(ng.H12) == 108
-              and iso_check(ng.H12, ctx.refs["AGL23S"]))
-        et = ctx.edge_orbit_transitive("H")
-        horder = len(ctx.graph.edges) * len(ng.H12)
-        ok = ok and et and horder == 2 * PSU38_ORDER
-        return ok, {"|H12|": len(ng.H12), "edge_transitive": et,
-                    "|H|": horder, "2|PSU38|": 2 * PSU38_ORDER}
+    def edge_count(group, names, order, ref, multiple):
+        """G1 n G2 = <names> has this order and is isomorphic to refs[ref],
+        G is edge-transitive, and |edges| |G1 n G2| = multiple |PSU_3(8)|,
+        for G = H or K."""
+        def body(ctx):
+            ng = ctx.ng
+            G12 = getattr(ng, f"{group}12")
+            named = _gen_closure(ng, names)
+            ok = (G12.eset == named.eset and len(G12) == order
+                  and iso_check(G12, ctx.refs[ref]))
+            et = ctx.edge_orbit_transitive(group)
+            gorder = len(ctx.graph.edges) * len(G12)
+            ok = ok and et and gorder == multiple * PSU38_ORDER
+            return ok, {f"|{group}12|": len(G12), "edge_transitive": et,
+                        f"|{group}|": gorder, f"{multiple}|PSU38|": multiple * PSU38_ORDER}
+        return body
 
-    @claim("L3.5.ii", "K1 n K2 = <A,B,C,F,sigma^3,sigma^2> of order 324, "
-                      "isomorphic to C3 x AGL_2(3,S); the edge count gives "
-                      "|K| = 6 |PSU_3(8)|")
-    def l35ii(ctx):
-        ng = ctx.ng
-        named = _gen_closure(ng, ["A", "B", "C", "F", "sigma3", "sigma2"])
-        ok = (ng.K12.eset == named.eset and len(ng.K12) == 324
-              and iso_check(ng.K12, ctx.refs["C3xAGL23S"]))
-        et = ctx.edge_orbit_transitive("K")
-        korder = len(ctx.graph.edges) * len(ng.K12)
-        ok = ok and et and korder == 6 * PSU38_ORDER
-        return ok, {"|K12|": len(ng.K12), "edge_transitive": et,
-                    "|K|": korder, "6|PSU38|": 6 * PSU38_ORDER}
+    claim("L3.5.i", "H1 n H2 = <A,B,C,F,sigma^3> of order 108, isomorphic "
+                    "to AGL_2(3,S); the edge-transitive H count gives "
+                    "|H| = 2 |PSU_3(8)|"
+          )(edge_count("H", ["A", "B", "C", "F", "sigma3"], 108, "AGL23S", 2))
+    claim("L3.5.ii", "K1 n K2 = <A,B,C,F,sigma^3,sigma^2> of order 324, "
+                     "isomorphic to C3 x AGL_2(3,S); the edge count gives "
+                     "|K| = 6 |PSU_3(8)|"
+          )(edge_count("K", ["A", "B", "C", "F", "sigma3", "sigma2"], 324,
+                       "C3xAGL23S", 6))
 
-    @claim("L3.6.i", "the amalgam (H1, H2; H1 n H2) has shape D2", ("H",))
-    def l36i(ctx):
-        ok, d = ctx.shape("H")
-        am = ctx.amalgam("H")
-        ng = ctx.ng
-        t1 = _gen_closure(ng, ["A", "B", "F"])
-        t2 = _gen_closure(ng, ["A", "B", "C", "Fsigma3"])
-        d["T1_matches_named_gens"] = am.T1.eset == t1.eset
-        d["T2_matches_named_gens"] = am.T2.eset == t2.eset
-        d["X_eq_H12"] = am.X.eset == ng.H12.eset
-        o3h2 = ng.H2.p_core(3)
-        ce = o3h2.centralizer(_named(ng, ["Fsigma3"]))
-        ebar = _gen_closure(ng, ["E"])
-        d["C_O3(H2)(Fsigma3)_eq_<E>"] = ce.eset == ebar.eset
-        ok = ok and d["T1_matches_named_gens"] and d["T2_matches_named_gens"] \
-            and d["X_eq_H12"] and d["C_O3(H2)(Fsigma3)_eq_<E>"]
-        return ok, d
+    def amalgam_shape(group, sigma2, e_label):
+        """The group's amalgam has its shape (D2 for H, E2 for K); T1, T2,
+        X and C_{O_3(G2)}(F sigma^3) are the named subgroups, each with
+        sigma^2 among its generators for K (sigma2 is [] or ["sigma2"]);
+        for K that centralizer is also SP2."""
+        def body(ctx):
+            ok, d = ctx.shape(group)
+            am, ng = ctx.amalgam(group), ctx.ng
+            t1, t2, e = (_gen_closure(ng, sigma2 + names).eset for names in
+                         (["A", "B", "F"], ["A", "B", "C", "Fsigma3"], ["E"]))
+            ce = getattr(ng, f"{group}2").p_core(3).centralizer(_named(ng, ["Fsigma3"]))
+            c = f"C_O3({group}2)(Fsigma3)"
+            checks = {"T1_matches_named_gens": am.T1.eset == t1,
+                      "T2_matches_named_gens": am.T2.eset == t2,
+                      f"X_eq_{group}12": am.X.eset == getattr(ng, f"{group}12").eset,
+                      f"{c}_eq_{e_label}": ce.eset == e}
+            if group == "K":
+                checks[f"{c}_iso_SP2"] = iso_check(ce, ctx.refs["SP2"])
+            return ok and all(checks.values()), {**d, **checks}
+        return body
 
-    @claim("L3.6.ii", "the amalgam (K1, K2; K1 n K2) has shape E2", ("K",))
-    def l36ii(ctx):
-        ok, d = ctx.shape("K")
-        am = ctx.amalgam("K")
-        ng = ctx.ng
-        t1 = _gen_closure(ng, ["sigma2", "A", "B", "F"])
-        t2 = _gen_closure(ng, ["sigma2", "A", "B", "C", "Fsigma3"])
-        d["T1_matches_named_gens"] = am.T1.eset == t1.eset
-        d["T2_matches_named_gens"] = am.T2.eset == t2.eset
-        d["X_eq_K12"] = am.X.eset == ng.K12.eset
-        o3k2 = ng.K2.p_core(3)
-        ce = o3k2.centralizer(_named(ng, ["Fsigma3"]))
-        s2e = _gen_closure(ng, ["sigma2", "E"])
-        d["C_O3(K2)(Fsigma3)_eq_<s2,E>"] = ce.eset == s2e.eset
-        d["C_O3(K2)(Fsigma3)_iso_SP2"] = iso_check(ce, ctx.refs["SP2"])
-        ok = ok and d["T1_matches_named_gens"] and d["T2_matches_named_gens"] \
-            and d["X_eq_K12"] and d["C_O3(K2)(Fsigma3)_eq_<s2,E>"] \
-            and d["C_O3(K2)(Fsigma3)_iso_SP2"]
-        return ok, d
+    claim("L3.6.i", "the amalgam (H1, H2; H1 n H2) has shape D2", ("H",)
+          )(amalgam_shape("H", [], "<E>"))
+    claim("L3.6.ii", "the amalgam (K1, K2; K1 n K2) has shape E2", ("K",)
+          )(amalgam_shape("K", ["sigma2"], "<s2,E>"))
 
     # -- graph scale -------------------------------------------------------
 
@@ -626,17 +604,14 @@ def build_claims() -> list[Claim]:
         return ok and s["wide_ok"] and s["deep_ok"], {
             "details": details, "sampled": s}
 
-    @claim("L3.8.i", "K_{x1} kernels: [1] = Qh1 x| C2 (order 54, split), "
-                     "[2] = Qh1, [3] = [4] = Z(K1) = C3, [5] = 1; induced "
-                     "action on the 4 neighbors is Sym(4)", ("K",))
-    def l38i(ctx):
-        return ctx.kernel_claim("K", 1)
-
-    @claim("L3.8.ii", "K_{x2} kernels: [1] = Qh2 x| C2 (order 162, split), "
-                      "[2] = [3] = Z(Qh2) = C3 x C3, [4] = 1; induced "
-                      "action on the 3 neighbors is Sym(3)", ("K",))
-    def l38ii(ctx):
-        return ctx.kernel_claim("K", 2)
+    claim("L3.8.i", "K_{x1} kernels: [1] = Qh1 x| C2 (order 54, split), "
+                    "[2] = Qh1, [3] = [4] = Z(K1) = C3, [5] = 1; induced "
+                    "action on the 4 neighbors is Sym(4)", ("K",)
+          )(lambda ctx: ctx.kernel_claim("K", 1))
+    claim("L3.8.ii", "K_{x2} kernels: [1] = Qh2 x| C2 (order 162, split), "
+                     "[2] = [3] = Z(Qh2) = C3 x C3, [4] = 1; induced "
+                     "action on the 3 neighbors is Sym(3)", ("K",)
+          )(lambda ctx: ctx.kernel_claim("K", 2))
 
     @claim("L3.9", "K is transitive on 6-arcs at the valency-3 base vertex, "
                    "and the named 5-arc stabilizer is transitive on the far "
@@ -690,16 +665,12 @@ def build_claims() -> list[Claim]:
         return ok, {"max_local_s": best, "orbit_counts": table,
                     "pushing_up": pu, "H_in_K": hk, "sampled": s}
 
-    @claim("L3.11.i.1", "H_{x1} kernels: [1] = Q1 x| C2 (order 18, split), "
-                        "[2] = Q1, [3] = 1; induced Sym(4)", ("H",))
-    def l311i1(ctx):
-        return ctx.kernel_claim("H", 1)
-
-    @claim("L3.11.i.2", "H_{x2} kernels: [1] = Q2 x| C2 (order 54, split), "
-                        "[2] = [3] = Z(Q2) = C3, [4] = 1; induced Sym(3)",
-           ("H",))
-    def l311i2(ctx):
-        return ctx.kernel_claim("H", 2)
+    claim("L3.11.i.1", "H_{x1} kernels: [1] = Q1 x| C2 (order 18, split), "
+                       "[2] = Q1, [3] = 1; induced Sym(4)", ("H",)
+          )(lambda ctx: ctx.kernel_claim("H", 1))
+    claim("L3.11.i.2", "H_{x2} kernels: [1] = Q2 x| C2 (order 54, split), "
+                       "[2] = [3] = Z(Q2) = C3, [4] = 1; induced Sym(3)", ("H",)
+          )(lambda ctx: ctx.kernel_claim("H", 2))
 
     @claim("L3.11.ii", "H is transitive on 6-arcs at the valency-3 base "
                        "vertex; 6-arc orbit counts at the valency-4 vertex "
@@ -742,20 +713,15 @@ def build_claims() -> list[Claim]:
     @claim("T1.1.iii", "both groups are transitive on 6-arcs at the "
                        "valency-3 base vertex")
     def t11iii(ctx):
-        rH = arc_orbits(ctx.graph, ctx.graph.base_x2, 6, "H")
-        rK = arc_orbits(ctx.graph, ctx.graph.base_x2, 6, "K")
-        ok = rH["transitive"] and rK["transitive"]
-        return ok, {"H_orbits": rH["orbit_count"], "K_orbits": rK["orbit_count"]}
+        # the s = 6 rows of the max_local_s tables: (6, orbits at x1, orbits at x2)
+        h, k = ({s: x2 for s, _, x2 in ctx.mls(group)[1]}[6] for group in ("H", "K"))
+        return h == 1 and k == 1, {"H_orbits": h, "K_orbits": k}
 
-    @claim("T1.1.iv", "the H vertex stabilizer amalgam has shape D2", ("H",))
-    def t11iv(ctx):
-        ok, _ = ctx.shape("H")
-        return ok, {"see": "L3.6.i"}
-
-    @claim("T1.1.v", "the K vertex stabilizer amalgam has shape E2", ("K",))
-    def t11v(ctx):
-        ok, _ = ctx.shape("K")
-        return ok, {"see": "L3.6.ii"}
+    # the shape verdicts again; L3.6.i and L3.6.ii hold their witnesses
+    claim("T1.1.iv", "the H vertex stabilizer amalgam has shape D2", ("H",)
+          )(lambda ctx: (ctx.shape("H")[0], {"see": "L3.6.i"}))
+    claim("T1.1.v", "the K vertex stabilizer amalgam has shape E2", ("K",)
+          )(lambda ctx: (ctx.shape("K")[0], {"see": "L3.6.ii"}))
 
     @claim("T1.1.pre", "max_local_s = 5 for both groups")
     def t11pre(ctx):
@@ -763,27 +729,22 @@ def build_claims() -> list[Claim]:
         bk, _ = ctx.mls("K")
         return bh == 5 and bk == 5, {"H": bh, "K": bk}
 
-    @claim("T1.2.i", "W1 = O_3(H_{x1}^[1]) is elementary abelian of order 9 "
-                     "and the H_{x1} kernel chain matches", ("H",))
-    def t12i(ctx):
-        ok1, d = ctx.kernel_claim("H", 1)
-        d = dict(d)
-        w1 = ctx.kern("H", 1).o3
-        sp = w1.structure_predicates(3)
-        ok = ok1 and sp["order"] == 9 and sp["is_elementary_abelian"]
-        d["W1_predicates"] = sp
-        return ok, d
+    def t12_w(side, wanted):
+        """W = O_3(H_x^[1]) has the wanted structure predicates and the H_x
+        kernel chain matches, at the base vertex of this side."""
+        def body(ctx):
+            ok, d = ctx.kernel_claim("H", side)
+            sp = ctx.kern("H", side).o3.structure_predicates(3)
+            ok = ok and all(sp[k] == v for k, v in wanted.items())
+            return ok, {**d, f"W{side}_predicates": sp}
+        return body
 
-    @claim("T1.2.ii", "W2 = O_3(H_{x2}^[1]) is special of order 27 and "
-                      "exponent 3 and the H_{x2} kernel chain matches", ("H",))
-    def t12ii(ctx):
-        ok1, d = ctx.kernel_claim("H", 2)
-        d = dict(d)
-        w2 = ctx.kern("H", 2).o3
-        sp = w2.structure_predicates(3)
-        ok = ok1 and sp["order"] == 27 and sp["exponent"] == 3 and sp["is_special"]
-        d["W2_predicates"] = sp
-        return ok, d
+    claim("T1.2.i", "W1 = O_3(H_{x1}^[1]) is elementary abelian of order 9 "
+                    "and the H_{x1} kernel chain matches", ("H",)
+          )(t12_w(1, {"order": 9, "is_elementary_abelian": True}))
+    claim("T1.2.ii", "W2 = O_3(H_{x2}^[1]) is special of order 27 and "
+                     "exponent 3 and the H_{x2} kernel chain matches", ("H",)
+          )(t12_w(2, {"order": 27, "exponent": 3, "is_special": True}))
 
     def t12_wh(side):
         """Wh = O_3(K_x^[1]) = W x C3, with W = O_3(H_x^[1]), and the K_x

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -131,6 +132,28 @@ def test_alt_modulus_claim_digests_match_the_reference(monkeypatch):
     rep = run_claims(VerifyContext(modulus=ALT_MODULI[0]))
     assert rep["overall"] and rep["environment"]["modulus"] == 0x43
     _assert_reference_digests(monkeypatch, rep)
+
+
+# sha256 (first 16 hex digits) of the JSON list of [id, statement, groups]
+# over the whole catalog in order, and the claim digests of the two claims
+# that perfbench/reference.json leaves out; all recorded before the twin
+# claims were folded into shared bodies
+CATALOG_HASH = "8ac2bf5b2fa7027a"
+UNBENCHMARKED_DIGESTS = {"L3.6.ii": "3b247218ebf89725", "T1.1.v": "3f4d909b757ea530"}
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALT_MODULI[0]], ids=hex)
+def test_catalog_text_and_unbenchmarked_witnesses_are_pinned(monkeypatch, modulus):
+    """The statements, groups and order of all 54 claims, and the
+    witnesses of L3.6.ii and T1.1.v, which no reference digest covers."""
+    catalog = [[c.id, c.statement, list(c.groups)] for c in build_claims()]
+    assert len(catalog) == 54
+    blob = json.dumps(catalog).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == CATALOG_HASH
+    workload = _perfbench_workload(monkeypatch)
+    rep = run_claims(VerifyContext(modulus=modulus), claim_filter="L3.6.ii,T1.1.v")
+    digests = {c["id"]: workload.claim_digest(c) for c in rep["claims"]}
+    assert digests == UNBENCHMARKED_DIGESTS
 
 
 def test_group_filtering(ctx):

@@ -268,7 +268,7 @@ def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
     pairs = [(refs["AGL23S_sharp"], refs["AGL23S_star"]),
              (refs["C9"], refs["C3xC3"]),
              (refs["Dih18"], direct_product(refs["C3"], refs["Sym3"])),
-             (refs["SP2"], refs["E27"])]
+             (refs["SP2"], direct_product(refs["C3"], refs["C3"], refs["C3"]))]
     for G1, G2 in pairs:
         assert iso_search(G1, G2) is None
         assert iso_check(G1, G2) is False
