@@ -45,6 +45,16 @@ resolving a vertex.  A table set conjugates 54 bit matrices per twist,
 against the |K_side| rows of a product per rep, so the lookups pay even
 for one rep.
 
+The whole-graph passes hold no more than KEY_CHUNK rows or their own
+output besides the arrays the graph keeps.  A build writes one int64 key
+u << 32 | v per probe into one array of the fixed probe count, sorts it
+in place and deduplicates it by one mask (_edges_from_probe_keys).  The
+CSR comes from the ascending edges: the side-1 rows are the side-2 ends as
+they stand, and the side-2 rows one sorted int64 key per edge
+(_build_csr).  perm's table lookups run KEY_CHUNK rows at a time
+(linear_conj_keys), and is_graph_automorphism sorts one image key per
+edge and compares it with the stored edges KEY_CHUNK at a time.
+
 Every command of the pipeline builds its graph; none reads or writes a
 graph file.  save_cache and load_cache remain only for the file round
 trip (the benchmark's), and so does the adjacency proof that load_cache
@@ -63,8 +73,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import (FieldOps, bunpack, conj_fingerprint_grid, conj_fingerprints,
-                      linear_conj_keys)
+from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid,
+                      conj_fingerprints, linear_conj_keys)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import IDENTITY, PElement
@@ -75,7 +85,6 @@ CACHE_VERSION = 4
 # length and the payload's SHA-256
 CACHE_HEADER = struct.Struct("<IIQQQ32sQ32s")
 GROUP_ORDER = 6 * 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # |PSU_3(8):C_6|
-KEY_CHUNK = 8192  # rows per fingerprint or adjacency kernel call; bounds their temporaries
 
 
 class CacheMismatch(RuntimeError):
@@ -189,17 +198,32 @@ class CosetGraph:
         return p
 
     def is_graph_automorphism(self, x: PElement) -> bool:
-        """Whether perm(x) is a bijection that maps the edge set onto
-        itself; the stored edges are in ascending u.nv + v order (builds
-        make them so and load_cache requires it), so only the images are
-        sorted."""
+        """Whether perm(x) maps the edge set onto itself.  perm(x) must
+        keep each side; then edge (u, v) goes to the key p[u].nv + p[v],
+        and the sorted image keys must equal the stored u.nv + v, which are
+        ascending (builds make them so and load_cache requires it).  Equal
+        key lists make perm(x) a bijection: a vertex z with m preimages,
+        all on z's side, would meet m times its side's degree of image
+        edges, and every side-1 vertex has degree 4 and every side-2
+        vertex degree 3 (_assert_base_edge).  The image keys are the only
+        whole-edge array; they are made and compared KEY_CHUNK edges at a
+        time."""
         p = self.perm(x)
-        if not (np.bincount(p, minlength=self.nv) == 1).all():
+        n1, nv = np.int64(self.n1), np.int64(self.nv)
+        p1, p2 = p[:n1], p[n1:]
+        if p1.min() < 0 or p1.max() >= n1 or p2.min() < n1 or p2.max() >= nv:
             return False
-        u, v = self._edge_ends()
-        pu, pv = p[u], p[v]
-        ikeys = np.sort(np.minimum(pu, pv) * np.int64(self.nv) + np.maximum(pu, pv))
-        return bool(np.array_equal(u * np.int64(self.nv) + v, ikeys))
+        key = np.empty(len(self.edges), dtype=np.int64)
+        for lo in range(0, len(key), KEY_CHUNK):
+            u, v = self.edges[lo:lo + KEY_CHUNK].T
+            np.multiply(p1[u], nv, out=key[lo:lo + KEY_CHUNK])
+            key[lo:lo + KEY_CHUNK] += p2[v]
+        key.sort()
+        for lo in range(0, len(key), KEY_CHUNK):
+            u, v = self.edges[lo:lo + KEY_CHUNK].T
+            if not np.array_equal(u * nv + (v + n1), key[lo:lo + KEY_CHUNK]):
+                return False
+        return True
 
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Global ids of the side-1 and side-2 end of each edge, int64."""
@@ -350,16 +374,24 @@ class CosetGraph:
                     f"is not |G| = {GROUP_ORDER}")
 
     def _build_csr(self) -> None:
-        """Both directions of every edge as one sorted key src.nv + dst:
-        indptr counts the sources, indices are the destinations."""
-        nv = np.int64(self.nv)
-        u, v = self._edge_ends()
-        key = np.concatenate([u * nv + v, v * nv + u])
-        del u, v
+        """indptr and indices of both directions of every edge, rows by
+        source and each row ascending.  The edges must be strictly
+        ascending by (side-1 end, side-2 end): build_graph makes them so,
+        and load_cache checks it before it calls this.  So the side-1 rows
+        are the side-2 ends as they stand, and the side-2 rows come from
+        sorting one int64 key per edge, side-2 end << 32 | side-1 end."""
+        ne, n1 = len(self.edges), self.n1
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        key = v.astype(np.int64)
+        key <<= 32
+        key |= u
         key.sort()
-        self.indptr = np.zeros(self.nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key // nv, minlength=self.nv), out=self.indptr[1:])
-        self.indices = (key % nv).astype(np.int32)
+        self.indptr = np.empty(self.nv + 1, dtype=np.int64)
+        self.indptr[:n1] = np.searchsorted(u, np.arange(n1, dtype=np.uint32))
+        self.indptr[n1:] = ne + np.searchsorted(key, np.arange(self.n2 + 1, dtype=np.int64) << 32)
+        self.indices = np.empty(2 * ne, dtype=np.int32)
+        np.add(v, n1, out=self.indices[:ne], casting="unsafe")
+        np.bitwise_and(key, 0xFFFFFFFF, out=self.indices[ne:], casting="unsafe")
 
 
 def _fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
@@ -410,13 +442,15 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     transversal element that lies in K12, is skipped: a vertex v reached
     from u has rep t.rep(u) with t in u's side group K, which holds t0
     too, so K.t0.rep(v) = u, an edge u's own probe already made.  Edges
-    are sorted and deduplicated as one int64 key u << 32 | v."""
+    are one int64 key u << 32 | v per probe, written into one array of
+    the fixed probe count and finalized by _edges_from_probe_keys."""
     if len(ng.K12) * 4 != len(ng.K1) or len(ng.K12) * 3 != len(ng.K2):
         raise AssertionError("K1 n K2 does not have the expected indices")
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
     probes = {}   # side -> (all k, all but t0), each (tm, tt, cm, ct), c = t^-1 y t
+    nprobes = 2   # k per base vertex, k - 1 per other vertex, n_side = |G|/|K_side|
     for side, K in ((1, ng.K1), (2, ng.K2)):
         ts = transversal(K, ng.K12)
         t0 = next(j for j, t in enumerate(ts) if t in ng.K12)
@@ -424,12 +458,16 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
         cm, ct = ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt)
         every = (tm, tt, cm, ct)
         probes[side] = every, tuple(np.delete(a, t0, axis=0) for a in every)
+        nprobes += (len(ts) - 1) * (GROUP_ORDER // len(K))
 
     ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
         graph._register(side, ident, graph._keys(side, *bunpack(ident)))
 
-    edge_keys = []   # side-1 id << 32 | side-2 id, one per probe
+    # side-1 id << 32 | side-2 id, one per probe; the coset count check
+    # below keeps every layer's probes inside the array
+    edge_keys = np.empty(nprobes, dtype=np.int64)
+    at = 0
     frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
     layer = 0
     while len(frontier[1]) or len(frontier[2]):
@@ -453,7 +491,8 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             graph._register(tgt, ops.bpkeys(*ops.bsmul(tm[j], tt[j], rm[i], rt[i])), fresh)
             new[tgt] = base + np.arange(len(fresh))
             u, v = (np.repeat(src, k), ids) if side == 1 else (ids, np.repeat(src, k))
-            edge_keys.append(u << 32 | v)
+            edge_keys[at:at + len(ids)] = u << 32 | v
+            at += len(ids)
         frontier = new
         layer += 1
         if progress:
@@ -461,12 +500,27 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph._check_keys()
-    key = np.sort(np.concatenate(edge_keys))
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    graph.edges = np.stack([key >> 32, key & 0xFFFFFFFF], axis=1).astype(np.uint32)
+    graph.edges = _edges_from_probe_keys(edge_keys)
+    del edge_keys
     graph._build_csr()
     _assert_base_edge(graph)
     return graph
+
+
+def _edges_from_probe_keys(keys: np.ndarray) -> np.ndarray:
+    """The (E, 2) uint32 edges of int64 keys u << 32 | v, one per probe:
+    keys is sorted in place and deduplicated by one mask, and the two
+    columns are written from the kept keys; strictly ascending."""
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    kept = keys[keep]
+    del keep
+    edges = np.empty((len(kept), 2), dtype=np.uint32)
+    np.right_shift(kept, 32, out=edges[:, 0], casting="unsafe")
+    np.bitwise_and(kept, 0xFFFFFFFF, out=edges[:, 1], casting="unsafe")
+    return edges
 
 
 def _assert_base_edge(graph: CosetGraph) -> None:

@@ -14,7 +14,8 @@ one matrix product each, and acts on them rowwise through
 conj_fingerprints.  Conjugation of many elements c by
 a few elements x goes through linear_conj_keys, table lookups in
 conj_tables built from the 54 bit matrices: the whole-graph action (the
-same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1.
+same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1,
+KEY_CHUNK rows at a time.
 coset_canon_keys is the exact canonical-form scan, kept as a test oracle.
 """
 
@@ -27,6 +28,7 @@ from .gf64 import GF64
 U64 = np.uint64
 _W = (U64(64) ** np.arange(8, -1, -1, dtype=np.uint64)) * U64(8)
 KEY_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
+KEY_CHUNK = 8192  # rows per fingerprint, lookup or adjacency kernel call; bounds their temporaries
 # bit offset of matrix entry j in a packed key
 _SHIFT = U64(3) + U64(6) * np.arange(8, -1, -1, dtype=np.uint64)
 
@@ -269,20 +271,32 @@ def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
     Each is an XOR of 9 lookups in conj_tables per c (Albrecht, Bard and
     Hart, Algorithm 898, ACM TOMS 37 (2010)), with one table set per x
     and twist present in ckeys; no product and no inverse is taken per
-    row."""
-    tw = (ckeys & U64(7)).astype(np.intp)
-    twists = np.flatnonzero(np.bincount(tw, minlength=8))
+    row.  The lookups run KEY_CHUNK rows at a time into one accumulator
+    made once, so their temporaries do not grow with len(ckeys)."""
+    n = len(ckeys)
+    seen = np.zeros(8, dtype=bool)
+    for lo in range(0, n, KEY_CHUNK):
+        seen[(ckeys[lo:lo + KEY_CHUNK] & U64(7)).astype(np.intp)] = True
+    twists = np.flatnonzero(seen)
     tables = conj_tables(ops, xm, xt, twists, inverse)
     slot = np.zeros(8, dtype=np.intp)
     slot[twists] = np.arange(len(twists)) * 576
-    base = slot[tw]
     if xidx is not None:
-        base += np.asarray(xidx, dtype=np.intp) * (len(twists) * 576)
-    acc = np.zeros((len(ckeys), tables.shape[1]), dtype=np.uint64)
-    for j in range(9):
-        entry = ((ckeys >> _SHIFT[j]) & U64(63)).astype(np.intp)
-        acc ^= np.take(tables, base + (entry + 64 * j), axis=0)
-    best = acc[:, 0].copy()
-    for col in range(1, acc.shape[1]):  # faster than acc.min(axis=1)
-        np.minimum(best, acc[:, col], out=best)
-    return best
+        xidx = np.asarray(xidx, dtype=np.intp)
+    out = np.empty(n, dtype=np.uint64)
+    acc = np.empty((min(n, KEY_CHUNK), tables.shape[1]), dtype=np.uint64)
+    for lo in range(0, n, KEY_CHUNK):
+        c = ckeys[lo:lo + KEY_CHUNK]
+        a = acc[:len(c)]
+        a.fill(0)
+        base = slot[(c & U64(7)).astype(np.intp)]
+        if xidx is not None:
+            base += xidx[lo:lo + KEY_CHUNK] * (len(twists) * 576)
+        for j in range(9):
+            entry = ((c >> _SHIFT[j]) & U64(63)).astype(np.intp)
+            a ^= np.take(tables, base + (entry + 64 * j), axis=0)
+        best = out[lo:lo + len(c)]
+        best[:] = a[:, 0]
+        for col in range(1, a.shape[1]):  # faster than a.min(axis=1)
+            np.minimum(best, a[:, col], out=best)
+    return out

@@ -1297,23 +1297,22 @@ def named_groups(field: GF64) -> NamedGroups:
 
 
 def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
-    """Order-9 elementary abelian subgroups of Q2 other than Q*."""
-    seen = set()
+    """Order-9 elementary abelian subgroups of Q2 other than Q*: each is
+    {a^i b^j} for commuting a, b of order 3 with b outside <a>, found once
+    per such pair with a before b in sorted order."""
+    tab = Q2.tab
+    mul = tab.mul
+    threes = [x for x in Q2._srt() if tab.order(x) == 3]
+    seen = {Qstar.iset}
     out = []
-    els = Q2._srt()
-    by = Q2.tab.by
-    for i, a in enumerate(els):
-        for b in els[i + 1:]:
-            # a closure past 9 elements is not one of them: stop it there
-            try:
-                s = frozenset(_close((a, b), 0, 9, by)[0])
-            except ClosureCapExceeded:
+    for i, a in enumerate(threes):
+        powers_a = (0, a, mul(a, a))
+        for b in threes[i + 1:]:
+            if b in powers_a or mul(a, b) != mul(b, a):
                 continue
-            if len(s) != 9 or s in seen:
-                continue
-            seen.add(s)
-            sub = Q2._sub(s)
-            if sub.is_elementary_abelian(3) and s != Qstar.iset:
-                out.append(sub)
+            s = frozenset(mul(x, y) for x in powers_a for y in (0, b, mul(b, b)))
+            if s not in seen:
+                seen.add(s)
+                out.append(Q2._sub(s))
     out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
     return out

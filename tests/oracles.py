@@ -8,6 +8,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from psu38 import fastops
 from psu38.arcs import kernel_data
 from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (_W, SubgroupArrays, bpack, bunpack, conj_fingerprints,
@@ -505,8 +506,62 @@ def build_graph_all_probes(ng) -> CosetGraph:
         frontier = new
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph.edges = np.unique(np.concatenate(edge_parts), axis=0).astype(np.uint32)
-    graph._build_csr()
+    graph.indptr, graph.indices = csr_by_full_sort(graph)
     return graph
+
+
+def edges_by_concat(edge_keys: list) -> np.ndarray:
+    """build_graph's edges from its probe keys u << 32 | v, given as a
+    list of arrays, by a sorted copy of their concatenation, a
+    concatenated mask and an (E, 2) int64 stack."""
+    key = np.sort(np.concatenate(edge_keys))
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return np.stack([key >> 32, key & 0xFFFFFFFF], axis=1).astype(np.uint32)
+
+
+def csr_by_full_sort(graph) -> tuple[np.ndarray, np.ndarray]:
+    """CosetGraph._build_csr's indptr and indices from both directions of
+    every edge as one sorted key src.nv + dst: indptr counts the sources
+    (key // nv), indices are the destinations (key % nv); no order of the
+    edges is assumed."""
+    nv = np.int64(graph.nv)
+    u, v = graph._edge_ends()
+    key = np.concatenate([u * nv + v, v * nv + u])
+    key.sort()
+    indptr = np.zeros(graph.nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // nv, minlength=graph.nv), out=indptr[1:])
+    return indptr, (key % nv).astype(np.int32)
+
+
+def is_automorphism_by_bincount(graph, p: np.ndarray) -> bool:
+    """CosetGraph.is_graph_automorphism of the vertex map p: p is a
+    bijection (np.bincount) and the sorted keys min.nv + max of the edge
+    images equal the stored u.nv + v."""
+    if not (np.bincount(p, minlength=graph.nv) == 1).all():
+        return False
+    u, v = graph._edge_ends()
+    pu, pv = p[u], p[v]
+    ikeys = np.sort(np.minimum(pu, pv) * np.int64(graph.nv) + np.maximum(pu, pv))
+    return bool(np.array_equal(u * np.int64(graph.nv) + v, ikeys))
+
+
+def linear_conj_keys_one_shot(ops, xm, xt, ckeys: np.ndarray, xidx=None,
+                              inverse: bool = True) -> np.ndarray:
+    """fastops.linear_conj_keys over all rows at once: one (len(ckeys),
+    columns) accumulator and one lookup array of that shape per entry."""
+    tw = (ckeys & np.uint64(7)).astype(np.intp)
+    twists = np.flatnonzero(np.bincount(tw, minlength=8))
+    tables = fastops.conj_tables(ops, xm, xt, twists, inverse)
+    slot = np.zeros(8, dtype=np.intp)
+    slot[twists] = np.arange(len(twists)) * 576
+    base = slot[tw]
+    if xidx is not None:
+        base += np.asarray(xidx, dtype=np.intp) * (len(twists) * 576)
+    acc = np.zeros((len(ckeys), tables.shape[1]), dtype=np.uint64)
+    for j in range(9):
+        entry = ((ckeys >> fastops._SHIFT[j]) & np.uint64(63)).astype(np.intp)
+        acc ^= np.take(tables, base + (entry + 64 * j), axis=0)
+    return acc.min(axis=1)
 
 
 # row j*64 + v: the matrix whose entry j is v and whose other entries are 0
@@ -954,6 +1009,29 @@ class ObjGroup:
         index, reps = self.coset_index(N)
         return ObjGroup.generate(
             [Perm([index[r * g] for r in reps]) for g in self.gens_list()])
+
+
+def lambda_subgroups_by_capped_closures(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
+    """grp._lambda_subgroups by closing every pair of Q2's elements in its
+    table, each closure stopped past 9 elements."""
+    seen = set()
+    out = []
+    els = Q2._srt()
+    by = Q2.tab.by
+    for i, a in enumerate(els):
+        for b in els[i + 1:]:
+            try:
+                s = frozenset(_close((a, b), 0, 9, by)[0])
+            except ClosureCapExceeded:
+                continue
+            if len(s) != 9 or s in seen:
+                continue
+            seen.add(s)
+            sub = Q2._sub(s)
+            if sub.is_elementary_abelian(3) and s != Qstar.iset:
+                out.append(sub)
+    out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
+    return out
 
 
 def lambda_subgroups(Q2: ObjGroup, Qstar: ObjGroup) -> list[ObjGroup]:

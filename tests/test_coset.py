@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
 
-from oracles import (build_graph_all_probes, conjugate, coset_canon, fixers_by_images,
-                     obj, perm_by_images, plain, rep_element, subgroup_arrays,
+from oracles import (build_graph_all_probes, conjugate, coset_canon, csr_by_full_sort,
+                     edges_by_concat, fixers_by_images, is_automorphism_by_bincount, obj,
+                     perm_by_images, plain, rep_element, subgroup_arrays,
                      transversal_by_products, vertex_stabilizer)
 
 
@@ -270,6 +272,93 @@ def test_perm_is_int32_and_equals_image_batch(graph, graph43):
             assert p.dtype == np.int32
             assert np.array_equal(p, perm_by_images(g, x))
             assert g.perm(x) is p  # cached
+
+
+def test_is_graph_automorphism_holds_for_every_generator(graph, graph43):
+    """On both session graphs every generator of K1, K2, H1 and H2 and
+    each of A-F and sigma is an automorphism, as the bijection-and-full-
+    sort oracle says too."""
+    for g in (graph, graph43):
+        ng = g.ng
+        xs = [ng.p[n] for n in ("A", "B", "C", "D", "E", "F", "sigma")]
+        for G in (ng.K1, ng.K2, ng.H1, ng.H2):
+            xs += G.gens_list()
+        for x in xs:
+            assert g.is_graph_automorphism(x)
+            assert is_automorphism_by_bincount(g, g.perm(x))
+
+
+def test_is_graph_automorphism_rejects_broken_vertex_maps(graph, ng):
+    """With perm returning the identity, an automorphism, but for two
+    swapped vertices on one side, a repeated image, or a side-1 vertex
+    swapped with a side-2 vertex (still a bijection), the answer is False,
+    as the oracle's."""
+    n1 = graph.n1
+    x = ng.p["A"]
+    maps = {}
+    for name, edit in (("same", lambda p: None),
+                       ("swap side 1", lambda p: p.__setitem__([0, 5], [5, 0])),
+                       ("swap side 2", lambda p: p.__setitem__([n1 + 1, n1 + 9], [n1 + 9, n1 + 1])),
+                       ("repeated image", lambda p: p.__setitem__(3, 4)),
+                       ("repeated image side 2", lambda p: p.__setitem__(n1 + 3, n1 + 4)),
+                       ("across sides", lambda p: p.__setitem__([2, n1 + 2], [n1 + 2, 2]))):
+        p = np.arange(graph.nv, dtype=np.int32)
+        edit(p)
+        maps[name] = p
+    g = copy.copy(graph)
+    for name, p in maps.items():
+        g.perm = lambda x, p=p: p
+        want = name == "same"
+        assert g.is_graph_automorphism(x) is want, name
+        assert is_automorphism_by_bincount(graph, p) is want, name
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
+def test_edges_and_csr_equal_the_full_sort_oracle(modulus, ng, graph43, monkeypatch):
+    """A build's probe keys, finalized by an in-place sort and one mask,
+    give the edges of a sorted concatenated copy and an (E, 2) stack; the
+    CSR built from the ascending edges is the one of a full sort of both
+    directions' keys src.nv + dst."""
+    ng = ng if modulus == DEFAULT_MODULUS else graph43.ng
+    probe_keys = []
+    finalize = coset._edges_from_probe_keys
+
+    def spy(keys):
+        probe_keys.append(keys.copy())
+        return finalize(keys)
+    monkeypatch.setattr(coset, "_edges_from_probe_keys", spy)
+    g = build_graph(ng)
+    assert len(probe_keys) == 1 and len(probe_keys[0]) == 144706
+    edges = edges_by_concat(probe_keys)
+    assert g.edges.dtype == edges.dtype and np.array_equal(g.edges, edges)
+    indptr, indices = csr_by_full_sort(g)
+    for got, want in ((g.indptr, indptr), (g.indices, indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _traced_excess(f) -> float:
+    """MiB that tracemalloc saw at its peak during f() beyond what f kept."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = f()
+        kept, peak = tracemalloc.get_traced_memory()
+        del out
+    finally:
+        tracemalloc.stop()
+    assert kept >= start
+    return (peak - kept) / 2 ** 20
+
+
+def test_build_and_perm_temporaries_are_bounded(ng, graph, monkeypatch):
+    """One build on built named groups and one uncached perm allocate at
+    most 2.5 MiB beyond what they keep.  Measured: 1.3 and 1.6 MiB; a full
+    sorted copy of the probe keys with an (E, 2) int64 stack and a CSR from
+    the concatenated keys of both directions made the build's 5.3 MiB, and
+    nine (n2, 6) lookup arrays made perm's 4.5 MiB."""
+    assert _traced_excess(lambda: build_graph(ng)) < 2.5
+    monkeypatch.setattr(graph, "_perm_cache", {})
+    assert _traced_excess(lambda: graph.perm(ng.p["E"])) < 2.5
 
 
 def test_perm_raises_on_an_unknown_image(graph, ng):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from psu38 import fastops
 from psu38.coset import CosetGraph, _arm, transversal
 from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprint_grid,
                            conj_fingerprints, conj_tables, coset_canon_keys,
@@ -228,6 +229,24 @@ def test_linear_conj_keys_match_conj_fingerprints(f, ops):
         want = conj_fingerprints(ops, xm, xt, *bunpack(ckeys))
         assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys), want)
         assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys[::7]), want[::7])
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
+    """On 2 KEY_CHUNK + 1 rows (the library's chunk, then a chunk of 7),
+    with and without a row index and the inverse columns, the chunked
+    lookups equal the one-shot oracle."""
+    if chunk:
+        monkeypatch.setattr(fastops, "KEY_CHUNK", chunk)
+    n = 2 * fastops.KEY_CHUNK + 1
+    ckeys = np.concatenate([graph.reps[1], graph.reps[2]])[:n]
+    assert len(ckeys) == n and len(np.unique(ckeys & np.uint64(7))) > 1
+    xm, xt = bunpack(graph.reps[2][5:9])
+    for xidx in (None, np.arange(n) % 4):
+        for inverse in (True, False):
+            got = linear_conj_keys(graph.ops, xm, xt, ckeys, xidx, inverse)
+            want = oracles.linear_conj_keys_one_shot(graph.ops, xm, xt, ckeys, xidx, inverse)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS, ALT_MODULI[0]))

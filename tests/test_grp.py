@@ -15,7 +15,8 @@ from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
 from oracles import (ObjGroup, Perm, ProjElement, boxed, close, conjugate, greedy,
-                     greedy_prefixes, iso_map, lambda_subgroups, obj, perm_product,
+                     greedy_prefixes, iso_map, lambda_subgroups,
+                     lambda_subgroups_by_capped_closures, obj, perm_product,
                      plain, sequential_close)
 
 
@@ -466,6 +467,18 @@ def test_lambda_subgroups(ng):
     for L in ng.Lambda:
         assert L.is_elementary_abelian(3) and len(L) == 9
         assert L.eset != ng.Qstar.eset
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
+def test_lambda_subgroups_equal_the_capped_closures(ng, modulus):
+    """The subgroups {a^i b^j} of commuting order-3 pairs are those that
+    closing every pair of Q2's elements finds, in the same order."""
+    if modulus != DEFAULT_MODULUS:
+        ng = named_groups(GF64(modulus))
+    want = lambda_subgroups_by_capped_closures(ng.Q2, ng.Qstar)
+    assert len(want) == 3
+    assert [L.idx for L in ng.Lambda] == [L.idx for L in want]
+    assert all(L.tab is ng.Q2.tab for L in ng.Lambda)
 
 
 def test_generating_set_roundtrip(ng):
