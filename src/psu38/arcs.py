@@ -303,6 +303,9 @@ def pulled_back_kernels(graph: CosetGraph, gids, group: str) -> np.ndarray:
 
 # sampled vertices per batch: bounds its tables and keys to a few MB
 SAMPLE_CHUNK = 25
+# sampled_vertex_checks' wide and deep sample sizes and the seed that draws
+# them, wide sample first
+SAMPLE_WIDE, SAMPLE_DEEP, SAMPLE_SEED = 100, 12, 38
 
 
 def _side_batches(graph: CosetGraph, ids: np.ndarray):
@@ -312,10 +315,7 @@ def _side_batches(graph: CosetGraph, ids: np.ndarray):
             yield part[lo:lo + SAMPLE_CHUNK]
 
 
-def sampled_vertex_checks(
-    graph: CosetGraph, group: str,
-    n_wide: int = 100, n_deep: int = 12, seed: int = 38,
-) -> dict:
+def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
     """Spot checks at random non-base vertices, guarding the reduction of
     "for all z" conditions to orbit representatives against convention
     bugs.  Both halves run one side at a time, SAMPLE_CHUNK vertices per
@@ -328,9 +328,9 @@ def sampled_vertex_checks(
     (pulled_back_kernels against G_z^[1] over the base stabilizer's
     sorted elements), so the centralizer condition carries over.
     """
-    rng = np.random.default_rng(seed)
-    wide_ids = rng.choice(graph.nv, size=min(n_wide, graph.nv), replace=False)
-    deep_ids = rng.choice(graph.nv, size=min(n_deep, graph.nv), replace=False)
+    rng = np.random.default_rng(SAMPLE_SEED)
+    wide_ids = rng.choice(graph.nv, size=SAMPLE_WIDE, replace=False)
+    deep_ids = rng.choice(graph.nv, size=SAMPLE_DEEP, replace=False)
     wide_ok = True
     for chunk in _side_batches(graph, wide_ids):
         expect = {

@@ -32,10 +32,12 @@ sorted keys.  Each layer's new vertices are numbered in key order, so ids
 are deterministic and the base vertices are 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
-vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
-graph under one element, by the table lookups of fastops.linear_conj_keys,
-and image_batch, rowwise, by conj_fingerprints.  Every stabilizer question
-goes through one batched pair.  stabilizer_key_rows conjugates all of
+vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x), by one of the
+two kernels of fastops, whichever fits the shape: perm, the whole graph
+under one element, by the table lookups of linear_conj_keys, and
+image_batch, a few vertices under many elements, by conj_fingerprint_grid
+with the elements as its r.  Every stabilizer question goes through one
+batched pair.  stabilizer_key_rows conjugates all of
 K_side by the rep of each vertex of a batch, in K_side's own sorted order,
 by lookups in one table set per rep.  fixes tells which keys fix given
 vertices, by membership in K_side (x fixes K_side.r exactly when r x r^-1
@@ -73,8 +75,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid,
-                      conj_fingerprints, linear_conj_keys)
+from .fastops import KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, linear_conj_keys
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import IDENTITY, PElement
@@ -106,7 +107,8 @@ def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
             for R in K.tab.path[t]:
                 ht = [R[x] for x in ht]
             cover.update(ht)
-    assert len(ts) * len(K12) == len(K)
+    if len(ts) * len(K12) != len(K):
+        raise AssertionError(f"{len(ts)} cosets of K12 in K, not |K|/|K12|")
     return [K.tab.elems[t] for t in ts]
 
 
@@ -159,25 +161,25 @@ class CosetGraph:
     # -- group action ------------------------------------------------------
 
     def image_batch(self, gids, keys) -> np.ndarray:
-        """Right action, rowwise: vertex K.g of gids[i] goes to K.(g x),
-        x the element of packed key keys[i]; a single key acts on every
-        vertex.  The image is keyed by x^-1 c x, c the element that the
-        vertex's fingerprint key packs.  Resolved to vertex ids."""
-        gids = np.asarray(gids, dtype=np.int64)
+        """Right action of many elements on a few vertices, as an int64
+        array of shape (len(gids), len(keys)): entry (i, j) is the vertex
+        K.(g x) of K.g = gids[i] and x the element of packed key keys[j].
+        The image is keyed by x^-1 c x, c the element that the vertex's
+        fingerprint key packs: one conj_fingerprint_grid call per vertex,
+        the elements as its r and c alone, resolved on the vertex's side."""
         xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
-        out = np.empty(len(gids), dtype=np.int64)
-        for side, off in ((1, 0), (2, self.n1)):
-            sel = np.flatnonzero((gids >= self.n1) == (side == 2))
-            x = (xm, xt) if len(xt) == 1 else (xm[sel], xt[sel])
-            c = bunpack(self.fkeys[side][gids[sel] - off])
-            ids = self._resolve(side, self._conj_keys(*x, *c))
+        out = np.empty((len(gids), len(xt)), dtype=np.int64)
+        for i, g in enumerate(map(int, gids)):
+            side, off = (1, 0) if g < self.n1 else (2, self.n1)
+            c = bunpack(self.fkeys[side][g - off:g - off + 1])
+            ids = self._resolve(side, conj_fingerprint_grid(self.ops, xm, xt, *c))
             if (ids < 0).any():
                 raise AssertionError("action image is not a known vertex")
-            out[sel] = ids + off
+            out[i] = ids + off
         return out
 
     def image(self, g: int, x: PElement) -> int:
-        return int(self.image_batch([g], x.key)[0])
+        return int(self.image_batch([g], x.key)[0, 0])
 
     def perm(self, x: PElement) -> np.ndarray:
         """Full vertex permutation of one group element, as int32 (cached).
@@ -310,21 +312,7 @@ class CosetGraph:
 
     def _keys(self, side: int, pm, pt) -> np.ndarray:
         """Fingerprint key of the coset K_side.g of each element g."""
-        return _fingerprint_grid(self.ops, pm, pt, *self.ysets[side])
-
-    def _probe_keys(self, rm, rt, cm, ct) -> np.ndarray:
-        """Fingerprint key of r^-1 c r for each rep r and each of the k
-        elements c, rep-major: row i*k + j conjugates c_j by r_i."""
-        return _fingerprint_grid(self.ops, rm, rt, cm, ct)
-
-    def _conj_keys(self, am, at, ym, yt) -> np.ndarray:
-        """conj_fingerprints KEY_CHUNK rows at a time; a single row of
-        either argument is broadcast against the other."""
-        out = np.empty(len(yt) if len(at) == 1 else len(at), dtype=np.uint64)
-        for lo in range(0, len(out), KEY_CHUNK):
-            part = [v if len(v) == 1 else v[lo:lo + KEY_CHUNK] for v in (am, at, ym, yt)]
-            out[lo:lo + KEY_CHUNK] = conj_fingerprints(self.ops, *part)
-        return out
+        return conj_fingerprint_grid(self.ops, pm, pt, *self.ysets[side])
 
     def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
         """Vertex id of each fingerprint key (-1 when the coset is not a
@@ -392,16 +380,6 @@ class CosetGraph:
         self.indices = np.empty(2 * ne, dtype=np.int32)
         np.add(v, n1, out=self.indices[:ne], casting="unsafe")
         np.bitwise_and(key, 0xFFFFFFFF, out=self.indices[ne:], casting="unsafe")
-
-
-def _fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
-    """conj_fingerprint_grid over at most KEY_CHUNK rows at a time."""
-    step = max(1, KEY_CHUNK // len(ct))
-    out = np.empty(len(rt) * len(ct), dtype=np.uint64)
-    for lo in range(0, len(rt), step):
-        out[lo * len(ct):(lo + step) * len(ct)] = conj_fingerprint_grid(
-            ops, rm[lo:lo + step], rt[lo:lo + step], cm, ct)
-    return out
 
 
 def _arm(graph: CosetGraph) -> None:
@@ -477,7 +455,7 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             tm, tt, cm, ct = probes[side][layer > 0]
             k = len(tt)
             rm, rt = bunpack(graph.reps[side][src])
-            keys = graph._probe_keys(rm, rt, cm, ct)
+            keys = conj_fingerprint_grid(ops, rm, rt, cm, ct)
             ids = graph._resolve(tgt, keys).astype(np.int64)
             miss = np.flatnonzero(ids < 0)
             fresh, first, inv = np.unique(keys[miss], return_index=True,
@@ -541,7 +519,7 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     if x3 == x1 or graph.side_of(x3) != 1:
         raise AssertionError("K1.E did not land on a new side-1 vertex")
     keys = graph.stabilizer_key_rows([x3], "K")[0]
-    images = graph.image_batch(np.full(len(keys), x3), keys)
+    images = graph.image_batch([x3], keys)
     if len(np.unique(keys)) != len(ng.K1) or (images != x3).any():
         raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
 

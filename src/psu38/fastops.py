@@ -8,15 +8,16 @@ as integers is the "lexicographically least" order of canonical forms.
 psu's elements, the group tables of grp and the graph all hold packed
 keys and reach products, inverses and canonical keys (bsmul, binv,
 bpkeys) through bunpack and bpack.  Everything here is pure and
-deterministic.  The graph keys its vertices and its BFS probes by
-conj_fingerprint_grid, the keys of r^-1 c r for a few c against many r at
-one matrix product each, and acts on them rowwise through
-conj_fingerprints.  Conjugation of many elements c by
-a few elements x goes through linear_conj_keys, table lookups in
-conj_tables built from the 54 bit matrices: the whole-graph action (the
-same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1,
-KEY_CHUNK rows at a time.
-coset_canon_keys is the exact canonical-form scan, kept as a test oracle.
+deterministic.  The graph conjugates by two kernels, one per shape, each
+KEY_CHUNK rows at a time.  conj_fingerprint_grid, the keys of r^-1 c r
+for many r against a few c at one matrix product each, keys the vertices,
+the BFS probes and the images of one vertex under many elements.
+linear_conj_keys, x^-1 c x for a few x against many c by table lookups in
+conj_tables built from the 54 bit matrices, gives the whole-graph action
+(the same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1.
+conj_fingerprints, the same key rowwise, is kept as the test oracle of
+both and as a name the benchmark's spans wrap; coset_canon_keys is the
+exact canonical-form scan, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -169,6 +170,8 @@ def conj_fingerprints(
 ) -> np.ndarray:
     """(m,) vertex keys: the least projective key of c = a^-1 y a and of
     c^-1, rowwise; a or y may be a single row, broadcast against the other.
+    No program path calls it: it is the test oracle of the two kernels
+    below, and perfbench/spans.py wraps it by name.
 
     The key names the order-3 subgroup {1, c, c^-1} = Y^a.  When Y is
     normal in the coset subgroup K, Y^a is the same for every a in the
@@ -192,7 +195,9 @@ def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
     rho^-t(C)[q, :]: 9 lookups per c in three 64-entry tables of whole
     rows (3 product-table offsets packed in a uint64), so bmm6 gives W with
     M itself, broadcast over the c, as the right factor.  bpkeys applies
-    the Frobenius powers on its way to both keys."""
+    the Frobenius powers on its way to both keys.  The tables are built
+    once per call, and the r go KEY_CHUNK // k at a time (at least one),
+    so the temporaries do not grow with n."""
     n, k = len(rt), len(ct)
     t = np.asarray(ct, dtype=np.intp)
     F = ops.FROB
@@ -202,16 +207,23 @@ def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
                              F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, None]]
     lanes <<= 6
     rows = lanes.view(np.uint64)[..., 0]  # (3, 64, k)
-    left = np.empty((n, k, 3), dtype=np.uint64)
-    for p in range(3):
-        left[:, :, p] = rows[0, rm[:, 0, p]] ^ rows[1, rm[:, 1, p]] ^ rows[2, rm[:, 2, p]]
-    W = ops.bmm6(left.view(np.uint16).reshape(n, k, 3, 4)[..., :3], rm[:, None])
-    W = W.reshape(n * k, 3, 3)
-    e = np.asarray(rt, dtype=np.intp)
-    tw = np.tile(t, n).astype(np.uint8)
-    key = ops.bpkeys(W, tw, ((t - e[:, None]) % 6).reshape(-1))
-    inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.repeat((3 - e) % 6, k))
-    return np.minimum(key, inv)
+    out = np.empty(n * k, dtype=np.uint64)
+    step = max(1, KEY_CHUNK // k)
+    for lo in range(0, n, step):
+        m, em = rm[lo:lo + step], rt[lo:lo + step].astype(np.intp)
+        left = np.empty((len(em), k, 3), dtype=np.uint64)
+        for p in range(3):
+            left[:, :, p] = rows[0, m[:, 0, p]] ^ rows[1, m[:, 1, p]] ^ rows[2, m[:, 2, p]]
+        W = ops.bmm6(left.view(np.uint16).reshape(len(em), k, 3, 4)[..., :3], m[:, None])
+        W = W.reshape(len(em) * k, 3, 3)
+        tw = np.tile(t, len(em)).astype(np.uint8)
+        key = ops.bpkeys(W, tw, ((t - em[:, None]) % 6).reshape(-1))
+        inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.repeat((3 - em) % 6, k))
+        out[lo * k:(lo + len(em)) * k] = np.minimum(key, inv)
+        # freed before the next chunk allocates its own: two chunks' worth
+        # held at once raised the cold build's peak RSS
+        del left, W, tw, key, inv
+    return out
 
 
 def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarray:

@@ -162,9 +162,11 @@ class VerifyContext:
             xm1 = g.image(x3, p["D"])
             arc = [xm1, x0, x1, x2, x3, x4]
             for a, b in zip(arc, arc[1:]):
-                assert b in g.neighbors(a), "named cosets do not form a path"
+                if b not in g.neighbors(a):
+                    raise AssertionError("named cosets do not form a path")
             for i in range(1, 5):
-                assert arc[i - 1] != arc[i + 1], "named path backtracks"
+                if arc[i - 1] == arc[i + 1]:
+                    raise AssertionError("named path backtracks")
             return arc
         return self._memo("paper_arc", build)
 
@@ -624,9 +626,8 @@ def build_claims() -> list[Claim]:
         y5, y4 = arc[0], arc[1]
         ends = [int(u) for u in g.neighbors(y5) if int(u) != y4]
         keys = np.array([x.key for x in ka.elems], dtype=np.uint64)
-        transitive_ext = all(
-            set(g.image_batch(np.full(len(keys), u), keys).tolist()) == set(ends)
-            for u in ends)
+        transitive_ext = all(set(row) == set(ends)
+                             for row in g.image_batch(ends, keys).tolist())
         ok = r["transitive"] and r["arc_count"] == 324 and transitive_ext
         return ok, {"orbits_s6_x2": r["orbit_count"], "arcs": r["arc_count"],
                     "extension_transitive": transitive_ext}
@@ -938,7 +939,8 @@ def run_claims(ctx: VerifyContext, group: str = "both",
                claim_filter: str | None = None) -> dict:
     claims = build_claims()
     ids = [c.id for c in claims]
-    assert len(ids) == len(set(ids)), "claim ids must be unique"
+    if len(ids) != len(set(ids)):
+        raise AssertionError("claim ids must be unique")
     prefixes = None
     if claim_filter:
         prefixes = [p.strip().lower() for p in claim_filter.split(",") if p.strip()]

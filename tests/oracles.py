@@ -436,19 +436,39 @@ def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
     return group_from_keys(graph, graph.stabilizer_key_rows([v], group)[0], f"{group}_v{v}")
 
 
+def image_rowwise(graph, gids, keys) -> np.ndarray:
+    """The action one (vertex, element) pair per row, (len(gids),) int64:
+    vertex gids[i] under the element of packed key keys[i] (a single key
+    acts on every vertex), keyed by conj_fingerprints of the element and
+    the vertex's stored fingerprint element and resolved on the vertex's
+    side.  CosetGraph.image_batch did this before it took many elements
+    to a few vertices."""
+    gids = np.asarray(gids, dtype=np.int64)
+    xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
+    out = np.empty(len(gids), dtype=np.int64)
+    for side, off in ((1, 0), (2, graph.n1)):
+        sel = np.flatnonzero((gids >= graph.n1) == (side == 2))
+        x = (xm, xt) if len(xt) == 1 else (xm[sel], xt[sel])
+        c = bunpack(graph.fkeys[side][gids[sel] - off])
+        ids = graph._resolve(side, conj_fingerprints(graph.ops, *x, *c))
+        if (ids < 0).any():
+            raise AssertionError("action image is not a known vertex")
+        out[sel] = ids + off
+    return out
+
+
 def perm_by_images(graph, x: PElement) -> np.ndarray:
-    """graph.perm(x) by one whole-graph image_batch (conj_fingerprints on
-    every vertex), uncached."""
-    return graph.image_batch(np.arange(graph.nv), x.key).astype(np.int32)
+    """graph.perm(x) by image_rowwise on every vertex, uncached."""
+    return image_rowwise(graph, np.arange(graph.nv), x.key).astype(np.int32)
 
 
 def fixers_by_images(graph, keys, gids) -> np.ndarray:
     """The indices of the keys whose elements fix every vertex in gids
     (graph.fixes, reduced over the vertices) by resolving the image of
-    every (vertex, element) pair with one rowwise image_batch."""
+    every (vertex, element) pair with one image_rowwise."""
     keys = np.asarray(keys, dtype=np.uint64)
     gids = np.asarray(gids, dtype=np.int64)
-    img = graph.image_batch(np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
+    img = image_rowwise(graph, np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
     fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
     return np.flatnonzero(fixed.all(axis=0))
 

@@ -230,7 +230,7 @@ def test_centralizer_check_at_x1(ctx, ng):
 
 
 def test_sampled_vertex_checks(graph):
-    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=3, seed=5)
+    out = sampled_vertex_checks(graph, "K")
     assert out["wide_ok"] and out["deep_ok"]
 
 
@@ -248,8 +248,8 @@ def test_sampled_vertex_checks_catch_a_wrong_conjugation(graph, ng, monkeypatch)
             rows.append(sorted(x.key for x in C.elems))
         return np.array(rows, dtype=np.uint64)
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", by_inverse)
-    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
-    assert out["wide_sample"] == 12 and not out["wide_ok"]
+    out = sampled_vertex_checks(graph, "K")
+    assert out["wide_sample"] == arcs.SAMPLE_WIDE and not out["wide_ok"]
 
 
 def test_edge_stabilizer_order_on_sampled_edges(graph, ng):
@@ -421,9 +421,9 @@ def _fixers(graph, keys, gids):
 
 
 def _deep_sample(graph):
-    rng = np.random.default_rng(38)
-    rng.choice(graph.nv, size=100, replace=False)  # the wide sample
-    return rng.choice(graph.nv, size=12, replace=False)
+    rng = np.random.default_rng(arcs.SAMPLE_SEED)
+    rng.choice(graph.nv, size=arcs.SAMPLE_WIDE, replace=False)  # the wide sample
+    return rng.choice(graph.nv, size=arcs.SAMPLE_DEEP, replace=False)
 
 
 def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
@@ -484,9 +484,9 @@ def test_stabilizer_keys_and_fixers_equal_the_bsmul_oracles(graph):
     samples of sampled_vertex_checks, for K and H, fixes reduced over the
     vertex, its neighbors and both together, and fixes row by row for
     each side's wide sample."""
-    rng = np.random.default_rng(38)
-    wide = rng.choice(graph.nv, size=100, replace=False)
-    deep = rng.choice(graph.nv, size=12, replace=False)
+    rng = np.random.default_rng(arcs.SAMPLE_SEED)
+    wide = rng.choice(graph.nv, size=arcs.SAMPLE_WIDE, replace=False)
+    deep = rng.choice(graph.nv, size=arcs.SAMPLE_DEEP, replace=False)
     vs = [graph.base_x1, graph.base_x2] + wide.tolist() + deep.tolist()
     for group in ("K", "H"):
         for v in vs:
@@ -538,7 +538,7 @@ def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows",
                         lambda self, gids, group="K": np.roll(rows_of(self, gids, group),
                                                               1, axis=1))
-    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=3, seed=5)
+    out = sampled_vertex_checks(graph, "K")
     assert out["wide_ok"] and not out["deep_ok"]
 
 
@@ -553,7 +553,7 @@ def test_sampled_vertex_checks_count_distinct_keys(graph, monkeypatch):
         rows[:, 1] = rows[:, 0]
         return rows
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", repeated)
-    out = sampled_vertex_checks(graph, "K", n_wide=12, n_deep=1, seed=5)
+    out = sampled_vertex_checks(graph, "K")
     assert not out["wide_ok"]
 
 

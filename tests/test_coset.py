@@ -21,9 +21,9 @@ from psu38.grp import named_groups
 from psu38.psu import PElement
 
 from oracles import (build_graph_all_probes, conjugate, coset_canon, csr_by_full_sort,
-                     edges_by_concat, fixers_by_images, is_automorphism_by_bincount, obj,
-                     perm_by_images, plain, rep_element, subgroup_arrays,
-                     transversal_by_products, vertex_stabilizer)
+                     edges_by_concat, fixers_by_images, image_rowwise,
+                     is_automorphism_by_bincount, obj, perm_by_images, plain, rep_element,
+                     subgroup_arrays, transversal_by_products, vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -158,9 +158,10 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
 def test_every_vertex_is_fixed_by_its_stabilizer_generators(graph, ng):
     """The stabilizer certificate: for each of the 391,552 pairs of a
     vertex v and a generator k of its side's base stabilizer (K1 or K2),
-    rep(v)^-1 k rep(v), by bsmul, fixes v under image_batch.  The reversed
-    conjugation rep(v) k rep(v)^-1 moves vertices on both sides, so the
-    check can fail."""
+    rep(v)^-1 k rep(v), by bsmul, fixes v under the action, one pair per
+    row (image_rowwise, which test_image_batch_is_rowwise ties to
+    image_batch).  The reversed conjugation rep(v) k rep(v)^-1 moves
+    vertices on both sides, so the check can fail."""
     ops = graph.ops
     pairs = 0
     for side, K, off in ((1, ng.K1, 0), (2, ng.K2, graph.n1)):
@@ -174,26 +175,31 @@ def test_every_vertex_is_fixed_by_its_stabilizer_generators(graph, ng):
         km, kt = bunpack(np.array([k.key for k in K.gens], dtype=np.uint64))
         k = np.tile(km, (n, 1, 1)), np.tile(kt, n)
         fixed = ops.bpkeys(*ops.bsmul(*ops.bsmul(*ri, *k), *r))
-        assert (graph.image_batch(gids, fixed) == gids).all()
+        assert (image_rowwise(graph, gids, fixed) == gids).all()
         reversed_ = ops.bpkeys(*ops.bsmul(*ops.bsmul(*r, *k), *ri))
-        assert (graph.image_batch(gids, reversed_) != gids).any()
+        assert (image_rowwise(graph, gids, reversed_) != gids).any()
         pairs += len(gids)
     assert pairs == 391_552
 
 
 def test_image_batch_is_rowwise(graph, ng):
+    """image_batch of 12 vertices, both base vertices and five more of
+    each side, under 12 elements: every (vertex, element) pair is the
+    rowwise oracle's image and image()'s; a single key is one column, the
+    vertices' entries of perm."""
     rng = random.Random(14)
-    gids = rng.sample(range(graph.nv), 12)
+    gids = np.array([graph.base_x1, graph.base_x2]
+                    + rng.sample(range(1, graph.n1), 5)
+                    + rng.sample(range(graph.n1 + 1, graph.nv), 5))
     els = [plain(rng.choice(ng.K1.elems)) * rng.choice(ng.K2.elems) for _ in gids]
     keys = np.array([x.key for x in els], dtype=np.uint64)
     got = graph.image_batch(gids, keys)
-    assert got.tolist() == [graph.image(v, x) for v, x in zip(gids, els)]
-    # a single key acts on every vertex, as a full row of keys does
+    assert got.dtype == np.int64 and got.shape == (len(gids), len(keys))
+    want = image_rowwise(graph, np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
+    assert np.array_equal(got, want.reshape(got.shape))
+    assert got[:, 0].tolist() == [graph.image(int(v), els[0]) for v in gids]
     x = els[0]
-    ids = np.array(gids)
-    assert np.array_equal(graph.image_batch(ids, x.key), graph.perm(x)[ids])
-    assert np.array_equal(graph.image_batch(ids, np.full(len(ids), x.key)),
-                          graph.perm(x)[ids])
+    assert np.array_equal(graph.image_batch(gids, x.key)[:, 0], graph.perm(x)[gids])
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
@@ -216,46 +222,45 @@ def test_side_two_fingerprint_subgroup(modulus):
         assert any(frozenset(k.inv() * z * k for z in S) != S for k in ng.K2.elems)
 
 
-def _old_image_batch(graph, gids, keys):
-    """The action as it was computed before it read the stored
-    fingerprints, rowwise: the key of the coset of rep(v).x."""
-    xm, xt = bunpack(keys)
-    out = np.empty(len(gids), dtype=np.int64)
-    for side, off in ((1, 0), (2, graph.n1)):
-        sel = np.flatnonzero((gids >= graph.n1) == (side == 2))
-        lids = gids[sel] - off
-        pm, pt = graph.ops.bsmul(*bunpack(graph.reps[side][lids]), xm[sel], xt[sel])
-        out[sel] = graph._resolve(side, graph._keys(side, pm, pt)) + off
-    return out
+def _rep_product_images(graph, gids, keys):
+    """The vertex K.(rep(v).x) of each row pair (v, x) = (gids[i], keys[i]):
+    the base vertex K.1 of v's side under the product rep(v).x, by the
+    rowwise oracle, so no stored fingerprint of v is read."""
+    on2 = gids >= graph.n1
+    reps = np.where(on2, graph.reps[2][np.where(on2, gids - graph.n1, 0)],
+                    graph.reps[1][np.where(on2, 0, gids)])
+    prods = graph.ops.bpkeys(*graph.ops.bsmul(*bunpack(reps), *bunpack(keys)))
+    return image_rowwise(graph, np.where(on2, graph.base_x2, graph.base_x1), prods)
 
 
 def test_action_by_fingerprints_equals_the_rep_product(graph, ng):
-    """perm(x) for each generator, on every vertex, and image_batch on
-    random rowwise (vertex, element) pairs, equal the key of rep(v).x."""
+    """perm(x) for each generator, on every vertex, and image_batch of 40
+    random vertices under 50 random words, on every (vertex, element)
+    pair, equal the key of rep(v).x."""
     allv = np.arange(graph.nv)
     gens = [ng.p[name] for name in ("A", "B", "C", "D", "E", "F", "sigma")]
     for x in gens:
-        want = _old_image_batch(graph, allv, np.full(graph.nv, x.key, dtype=np.uint64))
-        assert (want >= 0).all()
+        want = _rep_product_images(graph, allv, np.full(graph.nv, x.key, dtype=np.uint64))
         assert np.array_equal(graph.perm(x), want)
     rng = random.Random(15)
-    gids = np.array([rng.randrange(graph.nv) for _ in range(2000)])
+    gids = np.array([rng.randrange(graph.nv) for _ in range(40)])
     gens = [obj(x) for x in gens]
     els = []
-    for _ in range(2000):
+    for _ in range(50):
         x = rng.choice(gens)
         for _ in range(rng.randrange(6)):
             x = x * rng.choice(gens)
         els.append(x)
     keys = np.array([x.key for x in els], dtype=np.uint64)
-    assert np.array_equal(graph.image_batch(gids, keys), _old_image_batch(graph, gids, keys))
+    want = _rep_product_images(graph, np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
+    assert np.array_equal(graph.image_batch(gids, keys), want.reshape(len(gids), len(keys)))
 
 
 def test_perm_is_int32_and_equals_image_batch(graph, graph43):
     """Under two moduli, on every vertex, for A-F, sigma and random K1.K2
     products: the table-lookup keys equal conj_fingerprints of the stored
-    fingerprint elements bit for bit, and perm equals the whole-graph
-    image_batch."""
+    fingerprint elements bit for bit, and perm equals the rowwise oracle
+    on every vertex."""
     for g, seed in ((graph, 1), (graph43, 2)):
         ng = g.ng
         rng = random.Random(seed)
@@ -575,18 +580,6 @@ def test_register_merges_like_a_stable_sort_of_all_keys(ng):
         assert np.array_equal(g.fkeys[1], allkeys)
 
 
-def test_probe_keys_are_chunked(graph, monkeypatch):
-    """_probe_keys and _keys give the same keys whatever KEY_CHUNK is."""
-    rm, rt = bunpack(graph.reps[1][:100])
-    cm, ct = bunpack(graph.reps[2][:3])
-    want = graph._probe_keys(rm, rt, cm, ct)
-    keys = graph._keys(2, rm, rt)
-    for chunk in (1, 2, 7, 299):
-        monkeypatch.setattr(coset, "KEY_CHUNK", chunk)
-        assert np.array_equal(graph._probe_keys(rm, rt, cm, ct), want)
-        assert np.array_equal(graph._keys(2, rm, rt), keys)
-
-
 def test_build_deterministic(ng):
     a, b = build_graph(ng), build_graph(ng)
     assert (a.n1, a.n2) == (b.n1, b.n2)
@@ -597,11 +590,12 @@ def test_build_deterministic(ng):
 
 
 def test_non_injective_key_fails_the_count(ng, monkeypatch):
-    """A probe key that merges cosets must fail the orbit count, not
-    return a smaller graph."""
-    keys = CosetGraph._probe_keys
-    monkeypatch.setattr(CosetGraph, "_probe_keys", lambda self, rm, rt, cm, ct:
-                        keys(self, rm, rt, cm, ct) & np.uint64(0xFFFF << 48))
+    """A probe key that merges cosets, injected through the grid kernel
+    that keys the probes, must fail the orbit count, not return a smaller
+    graph."""
+    grid = coset.conj_fingerprint_grid
+    monkeypatch.setattr(coset, "conj_fingerprint_grid", lambda ops, rm, rt, cm, ct:
+                        grid(ops, rm, rt, cm, ct) & np.uint64(0xFFFF << 48))
     with pytest.raises(AssertionError, match=r"is not \|G\|"):
         build_graph(ng)
 
@@ -630,32 +624,27 @@ def test_build_probe_and_product_counts(ng, monkeypatch):
     """One build keys 4 + 3 probes in its first layer, then 3 per later
     side-1 vertex and 2 per later side-2 vertex, with no probe back to a
     parent: 144,706 fingerprints, where probing every neighbor takes
-    204,288.  Its products outside the fingerprints are one per new
-    vertex, plus two for each of the 7 elements t^-1 y t."""
-    probe_rows, products, inside = [], [], []
-    probe_keys, conj_keys, bsmul = CosetGraph._probe_keys, CosetGraph._conj_keys, FieldOps.bsmul
+    204,288.  The grid kernel's other calls, one element c each, key the
+    two base vertices, then the checks of _assert_base_edge act on x3: x1
+    under E, and x3 under its 1,296 stabilizer keys.  The products are
+    one per new vertex, plus two for each of the 7 elements t^-1 y t."""
+    grids, products = [], []
+    grid, bsmul = coset.conj_fingerprint_grid, FieldOps.bsmul
 
-    def counted_probes(self, rm, rt, cm, ct):
-        probe_rows.append(len(rt) * len(ct))
-        return probe_keys(self, rm, rt, cm, ct)
-
-    def flagged(self, *args):
-        inside.append(True)
-        try:
-            return conj_keys(self, *args)
-        finally:
-            inside.pop()
+    def counted_grid(ops, rm, rt, cm, ct):
+        grids.append((len(rt), len(ct)))
+        return grid(ops, rm, rt, cm, ct)
 
     def counted_bsmul(self, gm, gt, hm, ht):
-        if not inside:
-            products.append(len(gm))
+        products.append(len(gm))
         return bsmul(self, gm, gt, hm, ht)
 
-    monkeypatch.setattr(CosetGraph, "_probe_keys", counted_probes)
-    monkeypatch.setattr(CosetGraph, "_conj_keys", flagged)
+    monkeypatch.setattr(coset, "conj_fingerprint_grid", counted_grid)
     monkeypatch.setattr(FieldOps, "bsmul", counted_bsmul)
     g = build_graph(ng)
-    assert sum(probe_rows) == 4 + 3 + 3 * (g.n1 - 1) + 2 * (g.n2 - 1) == 144706
+    probes = sum(n * k for n, k in grids if k > 1)
+    assert probes == 4 + 3 + 3 * (g.n1 - 1) + 2 * (g.n2 - 1) == 144706
+    assert [n for n, k in grids if k == 1] == [1, 1, 1, 1296]
     assert sum(products) == (g.n1 - 1) + (g.n2 - 1) + 2 * (4 + 3)
 
 
@@ -677,7 +666,7 @@ def test_fingerprint_key_against_canonical_oracle(graph, ng):
         pm, pt = ops.bsmul(rm, rt, np.repeat(xm, len(lids), axis=0),
                            np.repeat(xt, len(lids)))
         want = coset_canon_keys(ops, sub, pm, pt)
-        img = graph.image_batch(lids + off, x.key) - off
+        img = graph.image_batch(lids + off, x.key)[:, 0] - off
         got = coset_canon_keys(ops, sub, *bunpack(graph.reps[side][img]))
         assert np.array_equal(got, want)
     # the single-element oracle agrees with the batch

@@ -249,6 +249,20 @@ def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
             assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
+def test_conj_fingerprint_grid_is_chunked(graph, monkeypatch):
+    """100 reps against 3 elements c, and against a fingerprint element y
+    alone: the grid kernel gives one unchunked call's keys whatever
+    KEY_CHUNK is."""
+    rm, rt = bunpack(graph.reps[1][:100])
+    cs = [bunpack(graph.reps[2][:3]), graph.ysets[2]]
+    assert 100 * 3 <= fastops.KEY_CHUNK
+    want = [conj_fingerprint_grid(graph.ops, rm, rt, *c) for c in cs]
+    for chunk in (1, 2, 7, 299):
+        monkeypatch.setattr(fastops, "KEY_CHUNK", chunk)
+        for c, w in zip(cs, want):
+            assert np.array_equal(conj_fingerprint_grid(graph.ops, rm, rt, *c), w)
+
+
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS, ALT_MODULI[0]))
 def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
     """Tables filled by XOR doubling from the 54 bit matrices equal the

@@ -73,20 +73,21 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     run gives every benchmarked claim the digest recorded in
     perfbench/reference.json, orbit_partition never sees more rows
     than the 1,944 8-arcs at x2 (no pass over the edges), and once the
-    graph is loaded conj_fingerprints sees only the rowwise image calls
-    of paper_arc and L3.9: perm and fixers do not resolve vertices.  The
-    kernel chain of each base vertex and group runs once (4 bodies for 8
-    claims)."""
+    graph is built the grid kernel sees only the images of paper_arc (one
+    vertex under one element, 4 times) and of L3.9 (3 vertices under the
+    9 elements of the named 5-arc's stabilizer, one call per vertex):
+    perm and fixers do not resolve vertices.  The kernel chain of each
+    base vertex and group runs once (4 bodies for 8 claims)."""
     ctx = VerifyContext()
     ctx.ng
     ctx.graph
-    fingerprint_rows = []
-    fingerprints = coset.conj_fingerprints
+    grids = []
+    grid = coset.conj_fingerprint_grid
 
-    def counted_fingerprints(ops, am, at, ym, yt):
-        fingerprint_rows.append(max(len(at), len(yt)))
-        return fingerprints(ops, am, at, ym, yt)
-    monkeypatch.setattr(coset, "conj_fingerprints", counted_fingerprints)
+    def counted_grid(ops, rm, rt, cm, ct):
+        grids.append((len(rt), len(ct)))
+        return grid(ops, rm, rt, cm, ct)
+    monkeypatch.setattr(coset, "conj_fingerprint_grid", counted_grid)
     calls = []
     mul = PElement.__mul__
 
@@ -120,7 +121,7 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     assert rows and max(rows) <= 1944
     # paper_arc's 4 single images, then L3.9's 9 elements of the arc
     # stabilizer at each of the 3 far ends
-    assert fingerprint_rows == [1, 1, 1, 1, 9, 9, 9]
+    assert grids == [(1, 1)] * 4 + [(9, 1)] * 3
     assert rep["environment"]["modulus"] == DEFAULT_MODULUS
     _assert_reference_digests(monkeypatch, rep)
 
@@ -360,3 +361,27 @@ def test_python_dash_m_psu38_runs_the_cli_without_warnings():
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert len(out.stdout.strip().splitlines()) == 64
+
+
+def test_paper_arc_checks_hold_under_python_dash_O():
+    """paper_arc's path and no-backtrack checks are raises, not asserts,
+    so python -O keeps them: with CosetGraph.image corrupted to fix every
+    vertex once the graph is built, the named cosets x1, x2 repeat and
+    paper_arc must raise."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("from psu38.coset import CosetGraph\n"
+            "from psu38.harness import VerifyContext\n"
+            "ctx = VerifyContext()\n"
+            "ctx.graph\n"
+            "CosetGraph.image = lambda self, g, x: g\n"
+            "try:\n"
+            "    ctx.paper_arc()\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "else:\n"
+            "    raise SystemExit('paper_arc returned a backtracking arc')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "named path backtracks"
