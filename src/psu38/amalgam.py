@@ -5,7 +5,8 @@ For an amalgam (G1, G2; G12), T_i is the normal core of G12 in G_i and
 X is the smallest subgroup between T1 T2 and G12 that is closed under
 the condition X = G12 n <X^{G_i}> for both i; it is computed by a
 monotone fixed-point iteration whose result is checked to be
-independent of the alternation order.
+independent of the alternation order.  Every check raises AssertionError,
+so it holds under python -O too.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ class Amalgam:
 def core_in(G12: SmallGroup, Gi: SmallGroup) -> SmallGroup:
     """Normal core of G12 in Gi: the largest subgroup of G12 normal in Gi,
     computed as the intersection of the Gi-conjugates of G12."""
-    assert G12 <= Gi
+    if not G12 <= Gi:
+        raise AssertionError("G12 is not a subgroup of Gi")
     out = Gi.core(G12)
-    assert Gi.is_normal(out) and out <= G12
+    if not (Gi.is_normal(out) and out <= G12):
+        raise AssertionError("core is not a normal subgroup of Gi inside G12")
     return out
 
 
@@ -46,7 +49,7 @@ def _closure_step(am: Amalgam, X: SmallGroup, order: tuple[int, int]) -> SmallGr
 
 def compute_X(am: Amalgam) -> SmallGroup:
     """Fixed point of X -> G12 n <X^{Gi}> starting from <T1 T2>; monotone
-    nondecreasing, independent of alternation order (asserted), and
+    nondecreasing, independent of alternation order (checked), and
     probed for minimality by dropping single generators."""
     seed = am.G12.span(am.T1.gens_list() + am.T2.gens_list())
     results = []
@@ -56,16 +59,19 @@ def compute_X(am: Amalgam) -> SmallGroup:
             Y = _closure_step(am, X, order)
             if Y.iset == X.iset:
                 break
-            assert X.iset <= Y.iset, "iteration must be monotone"
+            if not X.iset <= Y.iset:
+                raise AssertionError("iteration must be monotone")
             X = Y
         results.append(X)
-    assert results[0].iset == results[1].iset, "fixed point depends on order"
+    if results[0].iset != results[1].iset:
+        raise AssertionError("fixed point depends on order")
     X = results[0]
     # closure conditions at the fixed point
     for i in (1, 2):
         Gi = am.G1 if i == 1 else am.G2
         nc = Gi.normal_closure(X.gens_list())
-        assert X.iset == am.G12.intersect(nc).iset
+        if X.iset != am.G12.intersect(nc).iset:
+            raise AssertionError(f"fixed point is not closed under G{i}")
     # minimality probe: any proper sub-seed must iterate back up to X
     gens = X.gens_list()
     for k in range(len(gens)):
@@ -77,7 +83,8 @@ def compute_X(am: Amalgam) -> SmallGroup:
             if Z.iset == Y.iset:
                 break
             Y = Z
-        assert Y.iset == X.iset, "found a smaller closed subgroup above T1 T2"
+        if Y.iset != X.iset:
+            raise AssertionError("found a smaller closed subgroup above T1 T2")
     return X
 
 
@@ -117,7 +124,8 @@ def shape_agl23s(am: Amalgam, refs: dict) -> tuple[bool, dict]:
 def _t_centralizer(am: Amalgam) -> SmallGroup:
     """C_{O_3(G2)}(T) for T the Sylow 2-subgroup of T2, of order 2."""
     t = am.T2.sylow(2)
-    assert len(t) == 2
+    if len(t) != 2:
+        raise AssertionError("Sylow 2-subgroup of T2 is not of order 2")
     return am.G2.p_core(3).centralizer(t.gens_list())
 
 
@@ -155,7 +163,8 @@ def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
     auts = [tuple([zi[g.inv() * x * g] for x in zl]) for g in G.gens_list()]
     sd = SmallGroup.generate(shifts + auts, name=f"{Z.name} x| aut")
     # the translations are regular and the automorphisms fix Z's identity
-    assert len(sd) == len(zl) * len(SmallGroup.generate(auts))
+    if len(sd) != len(zl) * len(SmallGroup.generate(auts)):
+        raise AssertionError("semidirect product has the wrong order")
     return sd
 
 

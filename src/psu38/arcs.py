@@ -28,7 +28,8 @@ from .grp import SmallGroup
 
 def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertices within distance r of v, one BFS layer after another (each
-    layer in ascending order), with their radii: one CSR gather per layer."""
+    layer in ascending order), with their radii: one CSR gather per layer.
+    The columns come in ascending radius, which KernelData relies on."""
     seen = np.zeros(graph.nv, dtype=bool)
     seen[v] = True
     layers = [np.array([v], dtype=np.int64)]
@@ -184,23 +185,30 @@ class KernelData:
     plus O_3(G_z^[1]) and the induced permutation group on the neighbors.
     Use kernel_data(), which keeps one per (vertex, group) on the graph.
     It holds no reference back to the graph, so a graph nobody uses is
-    freed at once, not at the next cyclic garbage collection."""
+    freed at once, not at the next cyclic garbage collection.
+
+    The stabilizer's images of the ball are one int32 table of shape
+    (|G_z|, |ball|); first_moved[j], the least radius element j moves
+    (KERNEL_RADIUS + 1 if none), is the radius of its first moved column,
+    and only the neighbors' columns are kept (nbr_images, int32)."""
 
     def __init__(self, graph: CosetGraph, v: int, group: str):
         self.v = v
         self.group = group
         pts, radii = ball(graph, v, KERNEL_RADIUS)
         # images of the ball under each element of the stabilizer, along
-        # the closure tree that SmallGroup.generate built
+        # the closure tree that SmallGroup.generate built; int32 as perm
         self.stab = S = graph.vertex_stabilizer(v, group)
         gperm = [graph.perm(g) for g in S.gens]
-        T = np.empty((len(S.elems), len(pts)), dtype=np.int64)
+        T = np.empty((len(S.elems), len(pts)), dtype=np.int32)
         T[0] = pts
         for i in range(1, len(S.elems)):
             T[i] = gperm[S.genidx[i]][T[S.parent[i]]]
-        # smallest radius any element moves; KERNEL_RADIUS + 1 if none
-        moved = T != pts[None, :]
-        first_moved = np.where(moved, radii[None, :], KERNEL_RADIUS + 1).min(axis=1)
+        # smallest radius each element moves (KERNEL_RADIUS + 1 if none):
+        # its first moved column's, as ball's columns ascend in radius
+        moved = T != T[0]
+        first_moved = np.where(moved.any(axis=1), radii[moved.argmax(axis=1)],
+                               KERNEL_RADIUS + 1)
         if first_moved.min() < 1:
             raise AssertionError("stabilizer element moves its own vertex")
         self.first_moved = first_moved
@@ -301,7 +309,8 @@ def pulled_back_kernels(graph: CosetGraph, gids, group: str) -> np.ndarray:
     return fixed.reshape(len(gids), deg, -1).all(axis=1)
 
 
-# sampled vertices per batch: bounds its tables and keys to a few MB
+# sampled vertices per batch: bounds its keys to a few hundred kB (and
+# linear_conj_keys bounds the table sets, a few x at a time)
 SAMPLE_CHUNK = 25
 # sampled_vertex_checks' wide and deep sample sizes and the seed that draws
 # them, wide sample first
@@ -313,6 +322,21 @@ def _side_batches(graph: CosetGraph, ids: np.ndarray):
     for part in (ids[ids < graph.n1], ids[ids >= graph.n1]):
         for lo in range(0, len(part), SAMPLE_CHUNK):
             yield part[lo:lo + SAMPLE_CHUNK]
+
+
+def _wide_ok(graph: CosetGraph, chunk: np.ndarray, group: str) -> bool:
+    """Whether the stabilizer keys of each vertex of chunk, all on one
+    side, are |G_side| distinct elements that all fix it; the batch's
+    keys are freed on return, before the next batch makes its own."""
+    expect = {
+        ("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324,
+    }[(group, graph.side_of(int(chunk[0])))]
+    keys = graph.stabilizer_key_rows(chunk, group)
+    srt = np.sort(keys, axis=1)
+    distinct = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
+    del srt
+    fixed = graph.fixes(keys, chunk).sum(axis=1)
+    return bool((distinct == expect).all() and (fixed == expect).all())
 
 
 def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
@@ -331,18 +355,7 @@ def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
     rng = np.random.default_rng(SAMPLE_SEED)
     wide_ids = rng.choice(graph.nv, size=SAMPLE_WIDE, replace=False)
     deep_ids = rng.choice(graph.nv, size=SAMPLE_DEEP, replace=False)
-    wide_ok = True
-    for chunk in _side_batches(graph, wide_ids):
-        expect = {
-            ("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324,
-        }[(group, graph.side_of(int(chunk[0])))]
-        keys = graph.stabilizer_key_rows(chunk, group)
-        srt = np.sort(keys, axis=1)
-        distinct = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
-        fixed = graph.fixes(keys, chunk).sum(axis=1)
-        if (distinct != expect).any() or (fixed != expect).any():
-            wide_ok = False
-            break
+    wide_ok = all(_wide_ok(graph, chunk, group) for chunk in _side_batches(graph, wide_ids))
     deep_ok = True
     for chunk in _side_batches(graph, deep_ids):
         kd = kernel_data(graph, graph.base_x1 if chunk[0] < graph.n1 else graph.base_x2, group)

@@ -266,12 +266,16 @@ def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarr
                    | right[:, :, :, None, :, None, None, None, :]]
     if inverse:  # entry (p, q) of c is entry (q, p) of c^-1
         img[:, 1] = img[:, 1].swapaxes(2, 3)
+    # laid out as the result's rows, (x, twist, entry, bit, kind, scalar),
+    # so the table needs no transposed copy
     bits = (img.reshape(-1, 9).astype(np.uint64) @ _W).reshape(nx, nk, nt, 9, 6, 3)
-    tab = np.zeros((nx, nk, nt, 9, 64, 3), dtype=np.uint64)
+    bits = bits.transpose(0, 2, 3, 4, 1, 5)
+    tab = np.zeros((nx, nt, 9, 64, nk, 3), dtype=np.uint64)
     for b in range(6):
-        tab[:, :, :, :, 1 << b:2 << b] = tab[:, :, :, :, :1 << b] ^ bits[:, :, :, :, b, None]
-    tab[:, :, :, 0] += et[..., None, None].astype(np.uint64)
-    return tab.transpose(0, 2, 3, 4, 1, 5).reshape(nx * nt * 576, nk * 3)
+        np.bitwise_xor(tab[:, :, :, :1 << b], bits[:, :, :, b, None],
+                       out=tab[:, :, :, 1 << b:2 << b])
+    tab[:, :, 0] += et.transpose(0, 2, 1)[:, :, None, :, None].astype(np.uint64)
+    return tab.reshape(nx * nt * 576, nk * 3)
 
 
 def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
@@ -284,31 +288,59 @@ def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
     Hart, Algorithm 898, ACM TOMS 37 (2010)), with one table set per x
     and twist present in ckeys; no product and no inverse is taken per
     row.  The lookups run KEY_CHUNK rows at a time into one accumulator
-    made once, so their temporaries do not grow with len(ckeys)."""
+    made once, so their temporaries do not grow with len(ckeys).  With a
+    row index, whose rows may come in any order, the table sets are built
+    for a batch of consecutive x at a time, at most 2 KEY_CHUNK table rows
+    (576 per x and twist present), and each batch's rows are looked up
+    before the next batch's tables are made, so the tables do not grow
+    with len(xt) either."""
     n = len(ckeys)
+    out = np.empty(n, dtype=np.uint64)
+    if not n:
+        return out
     seen = np.zeros(8, dtype=bool)
     for lo in range(0, n, KEY_CHUNK):
         seen[(ckeys[lo:lo + KEY_CHUNK] & U64(7)).astype(np.intp)] = True
     twists = np.flatnonzero(seen)
-    tables = conj_tables(ops, xm, xt, twists, inverse)
+    per_x = len(twists) * 576
     slot = np.zeros(8, dtype=np.intp)
     slot[twists] = np.arange(len(twists)) * 576
-    if xidx is not None:
-        xidx = np.asarray(xidx, dtype=np.intp)
-    out = np.empty(n, dtype=np.uint64)
-    acc = np.empty((min(n, KEY_CHUNK), tables.shape[1]), dtype=np.uint64)
-    for lo in range(0, n, KEY_CHUNK):
-        c = ckeys[lo:lo + KEY_CHUNK]
-        a = acc[:len(c)]
-        a.fill(0)
-        base = slot[(c & U64(7)).astype(np.intp)]
-        if xidx is not None:
-            base += xidx[lo:lo + KEY_CHUNK] * (len(twists) * 576)
-        for j in range(9):
-            entry = ((c >> _SHIFT[j]) & U64(63)).astype(np.intp)
-            a ^= np.take(tables, base + (entry + 64 * j), axis=0)
-        best = out[lo:lo + len(c)]
-        best[:] = a[:, 0]
-        for col in range(1, a.shape[1]):  # faster than a.min(axis=1)
-            np.minimum(best, a[:, col], out=best)
+    acc = np.empty((min(n, KEY_CHUNK), 6 if inverse else 3), dtype=np.uint64)
+    if xidx is None:
+        tables = conj_tables(ops, xm[:1], xt[:1], twists, inverse)
+        for lo in range(0, n, KEY_CHUNK):
+            c = ckeys[lo:lo + KEY_CHUNK]
+            _xor_lookups(tables, c, slot[(c & U64(7)).astype(np.intp)], acc,
+                         out[lo:lo + len(c)])
+        return out
+    xidx = np.asarray(xidx, dtype=np.intp)
+    step = max(1, 2 * KEY_CHUNK // per_x)
+    for x0 in range(0, len(xt), step):
+        rows = np.flatnonzero((xidx >= x0) & (xidx < x0 + step))
+        if not len(rows):
+            continue
+        tables = conj_tables(ops, xm[x0:x0 + step], xt[x0:x0 + step], twists, inverse)
+        for lo in range(0, len(rows), KEY_CHUNK):
+            r = rows[lo:lo + KEY_CHUNK]
+            c = ckeys[r]
+            base = slot[(c & U64(7)).astype(np.intp)] + (xidx[r] - x0) * per_x
+            best = np.empty(len(r), dtype=np.uint64)
+            _xor_lookups(tables, c, base, acc, best)
+            out[r] = best
+        # freed before the next batch's tables are made
+        del tables
     return out
+
+
+def _xor_lookups(tables, c, base, acc, best) -> None:
+    """best[i] = the least column of the XOR of the 9 rows of tables that
+    key c[i] selects, its table set starting at row base[i]; acc holds at
+    least len(c) rows of tables' width."""
+    a = acc[:len(c)]
+    a.fill(0)
+    for j in range(9):
+        entry = ((c >> _SHIFT[j]) & U64(63)).astype(np.intp)
+        a ^= np.take(tables, base + (entry + 64 * j), axis=0)
+    best[:] = a[:, 0]
+    for col in range(1, a.shape[1]):  # faster than a.min(axis=1)
+        np.minimum(best, a[:, col], out=best)

@@ -9,7 +9,7 @@ from operator import itemgetter
 import numpy as np
 
 from psu38 import fastops
-from psu38.arcs import kernel_data
+from psu38.arcs import KERNEL_RADIUS, ball, kernel_data
 from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (_W, SubgroupArrays, bpack, bunpack, conj_fingerprints,
                            coset_canon_keys, linear_conj_keys)
@@ -666,6 +666,24 @@ def local_condition_at(graph, v: int, group: str = "K") -> bool:
     local_characteristic checks at z."""
     z = graph.base_x1 if graph.side_of(v) == 1 else graph.base_x2
     return pulled_back_kernel(graph, v, group) == kernel_data(graph, z, group).kernel(1).eset
+
+
+def kernel_radii_by_full_table(graph, v: int, group: str = "K") -> tuple[np.ndarray, np.ndarray]:
+    """(first_moved, nbr_images) of arcs.KernelData the way it first made
+    them: one int64 image table of the ball under every element of the
+    stabilizer, and per element the least radius over the whole
+    np.where(moved, radii, KERNEL_RADIUS + 1) matrix, which does not rest
+    on the order of ball's columns."""
+    pts, radii = ball(graph, v, KERNEL_RADIUS)
+    S = graph.vertex_stabilizer(v, group)
+    gperm = [graph.perm(g) for g in S.gens]
+    T = np.empty((len(S.elems), len(pts)), dtype=np.int64)
+    T[0] = pts
+    for i in range(1, len(S.elems)):
+        T[i] = gperm[S.genidx[i]][T[S.parent[i]]]
+    moved = T != pts[None, :]
+    first_moved = np.where(moved, radii[None, :], KERNEL_RADIUS + 1).min(axis=1)
+    return first_moved, T[:, radii == 1]
 
 
 def perm_product(p: Perm, q: Perm) -> Perm:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from psu38.amalgam import (analyze, compute_X, core_in, holomorph_semidirect,
@@ -98,6 +102,34 @@ def test_holomorph_semidirect_model(ng, refs):
 
 
 def test_compute_X_alternation_insensitive(amH):
-    # analyze() already asserts both orders agree; recompute to exercise it
+    # analyze() already checks that both orders agree; recompute to exercise it
     x = compute_X(amH)
     assert x.eset == amH.X.eset
+
+
+def test_amalgam_checks_hold_under_python_dash_O():
+    """compute_X's checks are raises, not asserts, so python -O keeps
+    them: with _closure_step corrupted in the order (2, 1) to return the
+    normal closure in G1 without intersecting it with G12, the two
+    alternation orders reach different subgroups (H12, which is not
+    normal in H1, and its normal closure), and analyzing the H amalgam
+    must raise."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("from psu38 import amalgam\n"
+            "from psu38.harness import VerifyContext\n"
+            "ctx = VerifyContext()\n"
+            "step = amalgam._closure_step\n"
+            "amalgam._closure_step = (lambda am, X, order:\n"
+            "                         step(am, X, order) if order == (1, 2)\n"
+            "                         else am.G1.normal_closure(X.gens_list()))\n"
+            "try:\n"
+            "    ctx.amalgam('H')\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "else:\n"
+            "    raise SystemExit('compute_X accepted an order-dependent fixed point')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "fixed point depends on order"

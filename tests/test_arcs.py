@@ -557,6 +557,21 @@ def test_sampled_vertex_checks_count_distinct_keys(graph, monkeypatch):
     assert not out["wide_ok"]
 
 
+def test_kernel_radii_equal_the_full_table_oracle(graph, graph43):
+    """Under 0x5b and 0x43, for K and H at both base vertices, the first
+    moved column of the int32 ball table gives first_moved, and the
+    neighbor columns nbr_images, equal to the int64 full-table oracle."""
+    for g in (graph, graph43):
+        for group in ("K", "H"):
+            for v in (g.base_x1, g.base_x2):
+                kd = kernel_data(g, v, group)
+                first_moved, nbr_images = oracles.kernel_radii_by_full_table(g, v, group)
+                assert kd.first_moved.dtype == first_moved.dtype
+                assert np.array_equal(kd.first_moved, first_moved)
+                assert kd.nbr_images.dtype == np.int32
+                assert np.array_equal(kd.nbr_images, nbr_images)
+
+
 def test_kernel_data_keeps_only_the_neighbor_columns(graph):
     for v, group in ((graph.base_x1, "K"), (graph.base_x2, "H")):
         kd = kernel_data(graph, v, group)

@@ -10,6 +10,7 @@ import pytest
 import networkx as nx
 
 from psu38 import coset, harness
+from psu38.arcs import kernel_data, sampled_vertex_checks
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch,
                          CosetGraph, _arm, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
@@ -364,6 +365,21 @@ def test_build_and_perm_temporaries_are_bounded(ng, graph, monkeypatch):
     assert _traced_excess(lambda: build_graph(ng)) < 2.5
     monkeypatch.setattr(graph, "_perm_cache", {})
     assert _traced_excess(lambda: graph.perm(ng.p["E"])) < 2.5
+
+
+def test_per_vertex_pass_temporaries_are_bounded(graph, monkeypatch):
+    """The two per-vertex passes of verify allocate at most 2.5 MiB beyond
+    what they keep: one KernelData of K at x1, its generators' perms
+    cached, and one sampled_vertex_checks of K after both base kernels are
+    built.  Measured: 1.4 and 1.8 MiB; an int64 ball image table with an
+    int64 radius matrix beside it made KernelData's 4.8 MiB, and one
+    conj_tables set for all of a batch's 25 vertices at once the sampled
+    checks' 4.3 MiB."""
+    kernel_data(graph, graph.base_x1, "K")
+    monkeypatch.setattr(graph, "_kernels", {})
+    assert _traced_excess(lambda: kernel_data(graph, graph.base_x1, "K")) < 2.5
+    kernel_data(graph, graph.base_x2, "K")
+    assert _traced_excess(lambda: sampled_vertex_checks(graph, "K")) < 2.5
 
 
 def test_perm_raises_on_an_unknown_image(graph, ng):

@@ -249,6 +249,37 @@ def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
             assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("batch", [1, 2])
+def test_linear_conj_keys_across_batch_boundaries(graph, monkeypatch, batch):
+    """With KEY_CHUNK set so that a batch of table sets holds 1 or 2 x,
+    2 batch + 1 conjugators and a row index grouped by x, cycling through
+    the x and randomly permuted, with and without the inverse columns: the
+    batched lookups equal the one-shot oracle, and no conj_tables call
+    takes more x than a batch."""
+    ckeys = np.concatenate([graph.reps[1], graph.reps[2]])[:3000]
+    nt = len(np.unique(ckeys & np.uint64(7)))
+    assert nt > 1
+    monkeypatch.setattr(fastops, "KEY_CHUNK", batch * 576 * nt // 2)
+    nx = 2 * batch + 1
+    xm, xt = bunpack(graph.reps[2][5:5 + nx])
+    n = len(ckeys)
+    grouped = np.arange(n) * nx // n
+    made = []
+    tables = fastops.conj_tables
+    monkeypatch.setattr(fastops, "conj_tables",
+                        lambda ops, xm, xt, *a: made.append(len(xt)) or tables(ops, xm, xt, *a))
+    for xidx in (grouped, np.arange(n) % nx, np.random.default_rng(41).permutation(grouped)):
+        for inverse in (True, False):
+            want = oracles.linear_conj_keys_one_shot(graph.ops, xm, xt, ckeys, xidx, inverse)
+            made.clear()
+            got = linear_conj_keys(graph.ops, xm, xt, ckeys, xidx, inverse)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+            assert max(made) == batch and sum(made) == nx
+    empty = linear_conj_keys(graph.ops, xm, xt, np.zeros(0, dtype=np.uint64),
+                             np.zeros(0, dtype=np.intp))
+    assert empty.dtype == np.uint64 and empty.shape == (0,)
+
+
 def test_conj_fingerprint_grid_is_chunked(graph, monkeypatch):
     """100 reps against 3 elements c, and against a fingerprint element y
     alone: the grid kernel gives one unchunked call's keys whatever
