@@ -12,12 +12,12 @@ A coset is keyed by its conjugate fingerprint Y^g, where Y = {1, y, y^-1}
 is an order-3 subgroup normal in K_side: Z(K1) on side 1, and on side 2
 the one order-3 subgroup of Z(Qh2) that K2 normalizes.  Y^g is the same
 for every g in the coset, and the key is the least projective key of
-g^-1 y g and its inverse, one uint64 per vertex; probes are resolved by a
-binary search in the sorted keys of their side.  The key is exact, and
-this is checked whenever a graph is built or loaded: the keys of each side
-are pairwise distinct and n_side . |K_side| = |G| = 33,094,656, so they
-name each coset of G/K_side once (a key that merged two cosets would leave
-fewer vertices).
+g^-1 y g and its inverse, one uint64 per vertex, kept once: in the sorted
+keys of its side, ids alongside, where probes are binary-searched.  The
+key is exact, and this is checked whenever a graph is built or loaded:
+the keys of each side are pairwise distinct and n_side . |K_side| = |G| =
+33,094,656, so they name each coset of G/K_side once (a key that merged
+two cosets would leave fewer vertices).
 
 The BFS runs one layer at a time from the base edge.  A probe t.r (t in
 the transversal, r a frontier rep) is keyed as r^-1 (t^-1 y t) r, with
@@ -48,9 +48,9 @@ against the |K_side| rows of a product per rep, so the lookups pay even
 for one rep.
 
 The whole-graph passes hold no more than KEY_CHUNK rows or their own
-output besides the arrays the graph keeps.  A build writes one int64 key
-u << 32 | v per probe into one array of the fixed probe count, sorts it
-in place and deduplicates it by one mask (_edges_from_probe_keys).  The
+output besides the arrays the graph keeps.  A build writes each edge once,
+into a row of four side-2 ends per side-1 vertex, and sorts the rows, so
+the edges come out ascending with no sort of the whole edge set.  The
 CSR comes from the ascending edges: the side-1 rows are the side-2 ends as
 they stand, and the side-2 rows one sorted int64 key per edge
 (_build_csr).  perm's table lookups run KEY_CHUNK rows at a time
@@ -119,16 +119,15 @@ class CosetGraph:
     n1: int = 0
     n2: int = 0
     reps: dict = dfield(default_factory=dict)      # side -> (n,) uint64 projective rep keys
-    edges: np.ndarray | None = None                # (E,2) uint32 per-side id pairs
+    edges: np.ndarray | None = None                # (E,2) uint32 per-side id pairs, ascending
     # runtime
     ops: FieldOps | None = None
     ysets: dict = dfield(default_factory=dict)     # side -> (ym, yt), one y of Y_side
     kkeys: dict = dfield(default_factory=dict)     # (side, group) -> sorted uint64 keys
-    fkeys: dict = dfield(default_factory=dict)     # side -> (n,) uint64 keys of Y^rep
-    skeys: dict = dfield(default_factory=dict)     # side -> fkeys sorted
+    skeys: dict = dfield(default_factory=dict)     # side -> sorted uint64 keys of Y^rep
     sids: dict = dfield(default_factory=dict)      # side -> int32 id of each of skeys
-    indptr: np.ndarray | None = None
-    indices: np.ndarray | None = None
+    indptr: np.ndarray | None = None               # (nv+1,) int32 row offsets
+    indices: np.ndarray | None = None              # (2E,) int32 global neighbor ids
     _perm_cache: dict = dfield(default_factory=dict)
     _kernels: dict = dfield(default_factory=dict)  # (vertex, group) -> arcs.KernelData
 
@@ -171,7 +170,7 @@ class CosetGraph:
         out = np.empty((len(gids), len(xt)), dtype=np.int64)
         for i, g in enumerate(map(int, gids)):
             side, off = (1, 0) if g < self.n1 else (2, self.n1)
-            c = bunpack(self.fkeys[side][g - off:g - off + 1])
+            c = bunpack(self.skeys[side][self.sids[side] == g - off])
             ids = self._resolve(side, conj_fingerprint_grid(self.ops, xm, xt, *c))
             if (ids < 0).any():
                 raise AssertionError("action image is not a known vertex")
@@ -184,18 +183,18 @@ class CosetGraph:
     def perm(self, x: PElement) -> np.ndarray:
         """Full vertex permutation of one group element, as int32 (cached).
         The image keys are those image_batch computes, by the table lookups
-        of linear_conj_keys on each side's stored fingerprint elements;
-        raises if an image is not a known vertex."""
+        of linear_conj_keys on each side's sorted fingerprint elements,
+        scattered to their ids; raises if an image is not a known vertex."""
         p = self._perm_cache.get(x.key)
         if p is None:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
             p = np.empty(self.nv, dtype=np.int32)
             for side, off in ((1, 0), (2, self.n1)):
-                keys = linear_conj_keys(self.ops, xm, xt, self.fkeys[side])
+                keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side])
                 ids = self._resolve(side, keys)
                 if (ids < 0).any():
                     raise AssertionError("action image is not a known vertex")
-                p[off:off + len(ids)] = ids + off
+                p[off:off + len(ids)][self.sids[side]] = ids + off
             self._perm_cache[x.key] = p
         return p
 
@@ -327,7 +326,7 @@ class CosetGraph:
         ids[order] = np.where(sk[pos] == q, self.sids[side][pos], -1)
         return ids
 
-    def _register(self, side: int, reps: np.ndarray, fkeys: np.ndarray) -> None:
+    def _register(self, side: int, reps: np.ndarray, keys: np.ndarray) -> None:
         """Append vertices, given their rep keys and fingerprint keys, and
         merge their sorted keys, with their ids alongside, into the side's
         sorted keys: each goes after the old keys not greater than it, as
@@ -336,15 +335,14 @@ class CosetGraph:
         repeated loads."""
         base = len(self.reps[side])
         self.reps[side] = np.concatenate([self.reps[side], reps])
-        self.fkeys[side] = np.concatenate([self.fkeys[side], fkeys])
-        order = np.argsort(fkeys, kind="stable")
+        order = np.argsort(keys, kind="stable")
         sk = self.skeys[side]
-        at = np.searchsorted(sk, fkeys[order], side="right") + np.arange(len(order))
+        at = np.searchsorted(sk, keys[order], side="right") + np.arange(len(order))
         old = np.ones(len(sk) + len(order), dtype=bool)
         old[at] = False
         skeys = np.empty(len(old), dtype=np.uint64)
         sids = np.empty(len(old), dtype=np.int32)
-        skeys[at], skeys[old] = fkeys[order], sk
+        skeys[at], skeys[old] = keys[order], sk
         sids[at], sids[old] = base + order, self.sids[side]
         self.skeys[side], self.sids[side] = skeys, sids
 
@@ -367,14 +365,15 @@ class CosetGraph:
         ascending by (side-1 end, side-2 end): build_graph makes them so,
         and load_cache checks it before it calls this.  So the side-1 rows
         are the side-2 ends as they stand, and the side-2 rows come from
-        sorting one int64 key per edge, side-2 end << 32 | side-1 end."""
+        sorting one int64 key per edge, side-2 end << 32 | side-1 end.
+        indptr is int32: its largest value is 2E = 204,288."""
         ne, n1 = len(self.edges), self.n1
         u, v = self.edges[:, 0], self.edges[:, 1]
         key = v.astype(np.int64)
         key <<= 32
         key |= u
         key.sort()
-        self.indptr = np.empty(self.nv + 1, dtype=np.int64)
+        self.indptr = np.empty(self.nv + 1, dtype=np.int32)
         self.indptr[:n1] = np.searchsorted(u, np.arange(n1, dtype=np.uint32))
         self.indptr[n1:] = ne + np.searchsorted(key, np.arange(self.n2 + 1, dtype=np.int64) << 32)
         self.indices = np.empty(2 * ne, dtype=np.int32)
@@ -403,7 +402,7 @@ def _arm(graph: CosetGraph) -> None:
             graph.kkeys[side, group] = np.array([x.key for x in G.sorted_elems()],
                                                 dtype=np.uint64)
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
-        graph.fkeys[side] = graph.skeys[side] = np.zeros(0, dtype=np.uint64)
+        graph.skeys[side] = np.zeros(0, dtype=np.uint64)
         graph.sids[side] = np.zeros(0, dtype=np.int32)
 
 
@@ -419,16 +418,18 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     t_j.r is multiplied out.  After the first layer the probe by t0, the
     transversal element that lies in K12, is skipped: a vertex v reached
     from u has rep t.rep(u) with t in u's side group K, which holds t0
-    too, so K.t0.rep(v) = u, an edge u's own probe already made.  Edges
-    are one int64 key u << 32 | v per probe, written into one array of
-    the fixed probe count and finalized by _edges_from_probe_keys."""
+    too, so K.t0.rep(v) = u, an edge u's own probe already made.  Each
+    edge is written once, in a (n1, 4) table of side-2 ends: column 0 of
+    a side-1 vertex holds its parent, written when the side-2 pass finds
+    it, the rest its own probes (all four at x1).  The t_j lie in distinct
+    cosets of K12 = K1 n K2, so a row's ends K2.t_j.r are distinct: each
+    row is sorted and checked for a repeat, and the rows are the edges."""
     if len(ng.K12) * 4 != len(ng.K1) or len(ng.K12) * 3 != len(ng.K2):
         raise AssertionError("K1 n K2 does not have the expected indices")
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
     probes = {}   # side -> (all k, all but t0), each (tm, tt, cm, ct), c = t^-1 y t
-    nprobes = 2   # k per base vertex, k - 1 per other vertex, n_side = |G|/|K_side|
     for side, K in ((1, ng.K1), (2, ng.K2)):
         ts = transversal(K, ng.K12)
         t0 = next(j for j, t in enumerate(ts) if t in ng.K12)
@@ -436,16 +437,13 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
         cm, ct = ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt)
         every = (tm, tt, cm, ct)
         probes[side] = every, tuple(np.delete(a, t0, axis=0) for a in every)
-        nprobes += (len(ts) - 1) * (GROUP_ORDER // len(K))
 
     ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
         graph._register(side, ident, graph._keys(side, *bunpack(ident)))
 
-    # side-1 id << 32 | side-2 id, one per probe; the coset count check
-    # below keeps every layer's probes inside the array
-    edge_keys = np.empty(nprobes, dtype=np.int64)
-    at = 0
+    # the coset count check below keeps every write inside the table
+    nbr = np.empty((GROUP_ORDER // len(ng.K1), 4), dtype=np.uint32)
     frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
     layer = 0
     while len(frontier[1]) or len(frontier[2]):
@@ -468,9 +466,10 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             i, j = np.divmod(miss[first], k)
             graph._register(tgt, ops.bpkeys(*ops.bsmul(tm[j], tt[j], rm[i], rt[i])), fresh)
             new[tgt] = base + np.arange(len(fresh))
-            u, v = (np.repeat(src, k), ids) if side == 1 else (ids, np.repeat(src, k))
-            edge_keys[at:at + len(ids)] = u << 32 | v
-            at += len(ids)
+            if side == 1:
+                nbr[src, 4 - k:] = ids.reshape(len(src), k)
+            else:
+                nbr[base:base + len(fresh), 0] = src[i]
         frontier = new
         layer += 1
         if progress:
@@ -478,27 +477,15 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph._check_keys()
-    graph.edges = _edges_from_probe_keys(edge_keys)
-    del edge_keys
+    nbr.sort(axis=1)
+    if (nbr[:, 1:] == nbr[:, :-1]).any():
+        raise AssertionError("edge table check: a side-1 vertex has a repeated side-2 end")
+    rows = np.broadcast_to(np.arange(graph.n1, dtype=np.uint32)[:, None], nbr.shape)
+    graph.edges = np.stack([rows, nbr], axis=2).reshape(-1, 2)
+    del rows, nbr
     graph._build_csr()
     _assert_base_edge(graph)
     return graph
-
-
-def _edges_from_probe_keys(keys: np.ndarray) -> np.ndarray:
-    """The (E, 2) uint32 edges of int64 keys u << 32 | v, one per probe:
-    keys is sorted in place and deduplicated by one mask, and the two
-    columns are written from the kept keys; strictly ascending."""
-    keys.sort()
-    keep = np.empty(len(keys), dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    kept = keys[keep]
-    del keep
-    edges = np.empty((len(kept), 2), dtype=np.uint32)
-    np.right_shift(kept, 32, out=edges[:, 0], casting="unsafe")
-    np.bitwise_and(kept, 0xFFFFFFFF, out=edges[:, 1], casting="unsafe")
-    return edges
 
 
 def _assert_base_edge(graph: CosetGraph) -> None:

@@ -841,7 +841,8 @@ class SmallGroup:
             perms.append(tuple([coset[f(r)] for r in reps]))
         q = SmallGroup.generate(
             perms, name=f"{self.name}/{N.name}" if self.name and N.name else "")
-        assert len(q) * len(N) == len(self.idx)
+        if len(q) * len(N) != len(self.idx):
+            raise AssertionError(f"|G/N| = {len(q)} is not |G|/|N|")
         return q
 
 
@@ -1079,7 +1080,8 @@ def agl1_group() -> SmallGroup:
     """AGL_1(3): affine maps x -> ax + b on GF(3), as perms of 3 points."""
     els = [tuple((a * x + b) % 3 for x in range(3)) for a in (1, 2) for b in range(3)]
     g = SmallGroup.from_set(els, (0, 1, 2), name="AGL1(3)")
-    assert len(g) == 6
+    if len(g) != 6:
+        raise AssertionError(f"AGL1(3) has order {len(g)}, not 6")
     return g
 
 
@@ -1114,7 +1116,8 @@ def affine_refs() -> dict[str, SmallGroup]:
 
     v0 = v.centralizer(syl3.gens_list())
     v0.name = "V0"
-    assert v0.iset == syl3.center().iset
+    if v0.iset != syl3.center().iset:
+        raise AssertionError("C_V(S) is not Z(S)")
 
     agl_s = agl.normalizer(syl3)
     agl_s.name = "AGL2(3,S)"
@@ -1131,7 +1134,8 @@ def _index2_variants(agl_s, syl3, v, v0):
     der = agl_s.derived()
     coset, reps = agl_s._coset_index(der)
     q = agl_s._quotient(der, coset, reps)
-    assert q.is_abelian()
+    if not q.is_abelian():
+        raise AssertionError("AGL2(3,S) modulo its derived subgroup is not abelian")
     half = len(q) // 2
     qt, tab = q.tab, agl_s.tab
     mul, inv = tab.mul, tab.inv
@@ -1155,12 +1159,15 @@ def _index2_variants(agl_s, syl3, v, v0):
         if {mul(a, b) for a in c_v0.idx for b in c_vq.idx} != X.iset:
             continue
         if c_vq.iset == syl3.iset and len(c_v0) == 2 * len(syl3):
-            assert sharp is None, "sharp subgroup not unique"
+            if sharp is not None:
+                raise AssertionError("sharp subgroup not unique")
             sharp = X
         elif c_v0.iset == syl3.iset and len(c_vq) == 2 * len(syl3):
-            assert star is None, "star subgroup not unique"
+            if star is not None:
+                raise AssertionError("star subgroup not unique")
             star = X
-    assert sharp is not None and star is not None and sharp.iset != star.iset
+    if sharp is None or star is None or sharp.iset == star.iset:
+        raise AssertionError("no two distinct sharp and star subgroups")
     sharp.name = "AGL2(3,S)#"
     star.name = "AGL2(3,S)*"
     return sharp, star
@@ -1171,13 +1178,15 @@ def sp2_group() -> SmallGroup:
     maps x -> 4^j x + i of Z9, generated by x + 1 and 4x."""
     g = SmallGroup.generate([_cycle(9), tuple(4 * x % 9 for x in range(9))],
                             name="SP2")
-    assert len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3)
+    if not (len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3)):
+        raise AssertionError("SP2 is not extraspecial of order 27 and exponent 9")
     return g
 
 
 def pgl23_group(gl: SmallGroup) -> SmallGroup:
     z = gl.center()
-    assert len(z) == 2
+    if len(z) != 2:
+        raise AssertionError(f"Z(GL2(3)) has order {len(z)}, not 2")
     q = gl.quotient(z)
     q.name = "PGL2(3)"
     return q
@@ -1220,7 +1229,8 @@ def reference_groups() -> dict[str, SmallGroup]:
         "C3xAGL23S_sharp": 162,
     }
     for k, n in expected.items():
-        assert len(refs[k]) == n, (k, len(refs[k]), n)
+        if len(refs[k]) != n:
+            raise AssertionError(f"reference group {k} has order {len(refs[k])}, not {n}")
     return refs
 
 

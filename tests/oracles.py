@@ -436,20 +436,30 @@ def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
     return group_from_keys(graph, graph.stabilizer_key_rows([v], group)[0], f"{group}_v{v}")
 
 
+def vertex_keys(graph, side: int, lids=None) -> np.ndarray:
+    """The fingerprint key of each vertex of a side, in id order (or of
+    the local ids lids), recomputed from its rep: conj_fingerprints of
+    rep^-1 y rep, y the side's fingerprint element.  It reads neither
+    skeys nor sids, where the graph keeps these keys in sorted order."""
+    reps = graph.reps[side] if lids is None else graph.reps[side][lids]
+    return conj_fingerprints(graph.ops, *bunpack(reps), *graph.ysets[side])
+
+
 def image_rowwise(graph, gids, keys) -> np.ndarray:
     """The action one (vertex, element) pair per row, (len(gids),) int64:
     vertex gids[i] under the element of packed key keys[i] (a single key
     acts on every vertex), keyed by conj_fingerprints of the element and
-    the vertex's stored fingerprint element and resolved on the vertex's
-    side.  CosetGraph.image_batch did this before it took many elements
-    to a few vertices."""
+    the vertex's fingerprint element (vertex_keys) and resolved on the
+    vertex's side.  CosetGraph.image_batch did this before it took many
+    elements to a few vertices."""
     gids = np.asarray(gids, dtype=np.int64)
     xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
     out = np.empty(len(gids), dtype=np.int64)
     for side, off in ((1, 0), (2, graph.n1)):
         sel = np.flatnonzero((gids >= graph.n1) == (side == 2))
         x = (xm, xt) if len(xt) == 1 else (xm[sel], xt[sel])
-        c = bunpack(graph.fkeys[side][gids[sel] - off])
+        lids, inv = np.unique(gids[sel] - off, return_inverse=True)
+        c = bunpack(vertex_keys(graph, side, lids)[inv])
         ids = graph._resolve(side, conj_fingerprints(graph.ops, *x, *c))
         if (ids < 0).any():
             raise AssertionError("action image is not a known vertex")
@@ -487,10 +497,12 @@ def transversal_by_products(K: SmallGroup, K12: SmallGroup) -> list:
     return ts
 
 
-def build_graph_all_probes(ng) -> CosetGraph:
+def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
     """build_graph by the plain BFS: every vertex probes all k transversal
     elements, its parent included, each probe is the product t.r keyed by
-    its own fingerprint, and the edges are deduplicated by a 2-D unique."""
+    its own fingerprint, and the edges are deduplicated by a 2-D unique.
+    A list passed as probe_keys gets each pass's probes as int64 keys
+    u << 32 | v, u the side-1 end and v the side-2 end."""
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
@@ -523,6 +535,8 @@ def build_graph_all_probes(ng) -> CosetGraph:
             new[tgt] = base + np.arange(len(fresh))
             pair = (np.repeat(src, k), ids)
             edge_parts.append(np.stack(pair if side == 1 else pair[::-1], axis=1))
+            if probe_keys is not None:
+                probe_keys.append(edge_parts[-1][:, 0] << 32 | edge_parts[-1][:, 1])
         frontier = new
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph.edges = np.unique(np.concatenate(edge_parts), axis=0).astype(np.uint32)
@@ -531,8 +545,8 @@ def build_graph_all_probes(ng) -> CosetGraph:
 
 
 def edges_by_concat(edge_keys: list) -> np.ndarray:
-    """build_graph's edges from its probe keys u << 32 | v, given as a
-    list of arrays, by a sorted copy of their concatenation, a
+    """The ascending (E, 2) uint32 edges of probe keys u << 32 | v, given
+    as a list of arrays, by a sorted copy of their concatenation, a
     concatenated mask and an (E, 2) int64 stack."""
     key = np.sort(np.concatenate(edge_keys))
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]
@@ -548,7 +562,7 @@ def csr_by_full_sort(graph) -> tuple[np.ndarray, np.ndarray]:
     u, v = graph._edge_ends()
     key = np.concatenate([u * nv + v, v * nv + u])
     key.sort()
-    indptr = np.zeros(graph.nv + 1, dtype=np.int64)
+    indptr = np.zeros(graph.nv + 1, dtype=np.int32)
     np.cumsum(np.bincount(key // nv, minlength=graph.nv), out=indptr[1:])
     return indptr, (key % nv).astype(np.int32)
 

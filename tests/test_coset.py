@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import os
 import random
@@ -24,7 +25,8 @@ from psu38.psu import PElement
 from oracles import (build_graph_all_probes, conjugate, coset_canon, csr_by_full_sort,
                      edges_by_concat, fixers_by_images, image_rowwise,
                      is_automorphism_by_bincount, obj, perm_by_images, plain, rep_element,
-                     subgroup_arrays, transversal_by_products, vertex_stabilizer)
+                     subgroup_arrays, transversal_by_products, vertex_keys,
+                     vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -259,19 +261,19 @@ def test_action_by_fingerprints_equals_the_rep_product(graph, ng):
 
 def test_perm_is_int32_and_equals_image_batch(graph, graph43):
     """Under two moduli, on every vertex, for A-F, sigma and random K1.K2
-    products: the table-lookup keys equal conj_fingerprints of the stored
-    fingerprint elements bit for bit, and perm equals the rowwise oracle
-    on every vertex."""
+    products: the table-lookup keys equal conj_fingerprints of the
+    vertices' fingerprint elements bit for bit, and perm equals the
+    rowwise oracle on every vertex."""
     for g, seed in ((graph, 1), (graph43, 2)):
         ng = g.ng
         rng = random.Random(seed)
         els = [ng.p[n] for n in ("A", "B", "C", "D", "E", "F", "sigma")]
         els += [plain(rng.choice(ng.K1.elems)) * rng.choice(ng.K2.elems) for _ in range(3)]
         els += [ng.K2.elems[5]]
+        fks = {side: vertex_keys(g, side) for side in (1, 2)}
         for x in els:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
-            for side in (1, 2):
-                fk = g.fkeys[side]
+            for side, fk in fks.items():
                 want = conj_fingerprints(g.ops, xm, xt, *bunpack(fk))
                 assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk), want)
             p = g.perm(x)
@@ -320,21 +322,17 @@ def test_is_graph_automorphism_rejects_broken_vertex_maps(graph, ng):
 
 
 @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
-def test_edges_and_csr_equal_the_full_sort_oracle(modulus, ng, graph43, monkeypatch):
-    """A build's probe keys, finalized by an in-place sort and one mask,
-    give the edges of a sorted concatenated copy and an (E, 2) stack; the
-    CSR built from the ascending edges is the one of a full sort of both
+def test_edges_and_csr_equal_the_full_sort_oracle(modulus, ng, graph43):
+    """A build's edges, one row of four side-2 ends per side-1 vertex,
+    are the plain BFS's probe keys, each edge probed from both ends, by a
+    sorted concatenated copy, one mask and an (E, 2) stack; the CSR built
+    from the ascending edges is the one of a full sort of both
     directions' keys src.nv + dst."""
     ng = ng if modulus == DEFAULT_MODULUS else graph43.ng
     probe_keys = []
-    finalize = coset._edges_from_probe_keys
-
-    def spy(keys):
-        probe_keys.append(keys.copy())
-        return finalize(keys)
-    monkeypatch.setattr(coset, "_edges_from_probe_keys", spy)
+    build_graph_all_probes(ng, probe_keys)
+    assert sum(map(len, probe_keys)) == 2 * 102144
     g = build_graph(ng)
-    assert len(probe_keys) == 1 and len(probe_keys[0]) == 144706
     edges = edges_by_concat(probe_keys)
     assert g.edges.dtype == edges.dtype and np.array_equal(g.edges, edges)
     indptr, indices = csr_by_full_sort(g)
@@ -386,8 +384,8 @@ def test_perm_raises_on_an_unknown_image(graph, ng):
     """A stored fingerprint element off by one bit conjugates to no
     vertex's key."""
     g = copy.copy(graph)
-    g.fkeys = {**graph.fkeys, 2: graph.fkeys[2].copy()}
-    g.fkeys[2][7] ^= np.uint64(8)
+    g.skeys = {**graph.skeys, 2: graph.skeys[2].copy()}
+    g.skeys[2][7] ^= np.uint64(8)
     g._perm_cache = {}
     with pytest.raises(AssertionError, match="not a known vertex"):
         g.perm(ng.p["A"])
@@ -535,7 +533,7 @@ def test_resolve_equals_a_plain_binary_search(graph):
     of a binary search per query over a whole side, -1 for unknown keys,
     and handles repeated and empty queries."""
     for side in (1, 2):
-        fk, sk, sids = graph.fkeys[side], graph.skeys[side], graph.sids[side]
+        fk, sk, sids = vertex_keys(graph, side), graph.skeys[side], graph.sids[side]
         pos = np.minimum(np.searchsorted(sk, fk), len(sk) - 1)
         plain_ids = np.where(sk[pos] == fk, sids[pos], -1)
         got = graph._resolve(side, fk)
@@ -558,8 +556,8 @@ def _assert_sorted_and_aligned(g):
         sk, sids = g.skeys[side], g.sids[side]
         assert sids.dtype == np.int32
         assert (sk[1:] > sk[:-1]).all()
-        assert np.array_equal(np.sort(sids), np.arange(len(g.fkeys[side])))
-        assert np.array_equal(g.fkeys[side][sids], sk)
+        assert np.array_equal(np.sort(sids), np.arange(len(g.reps[side])))
+        assert np.array_equal(vertex_keys(g, side)[sids], sk)
 
 
 def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
@@ -570,7 +568,9 @@ def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
     _assert_sorted_and_aligned(built)
     save_cache(built, str(tmp_path / "g"))
     loaded = load_cache(str(tmp_path / "g"), ng)
-    assert all((loaded.fkeys[side][1:] < loaded.fkeys[side][:-1]).any() for side in (1, 2))
+    for side in (1, 2):
+        fk = vertex_keys(loaded, side)
+        assert (fk[1:] < fk[:-1]).any()
     _assert_sorted_and_aligned(loaded)
     for side in (1, 2):
         assert np.array_equal(loaded.skeys[side], built.skeys[side])
@@ -580,20 +580,20 @@ def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
 def test_register_merges_like_a_stable_sort_of_all_keys(ng):
     """Batches with keys repeated within and across them, an empty one
     included: after each, the sorted keys and ids are those of a stable
-    argsort of every key so far."""
+    argsort of every key so far, and the reps are appended in order."""
     g = CosetGraph(ng.field, ng)
     _arm(g)
     rng = np.random.default_rng(7)
     seen = []
     for n in (1, 0, 50, 7, 200):
         keys = rng.integers(0, 300, n, dtype=np.uint64)
-        g._register(1, np.zeros(n, dtype=np.uint64), keys)
+        g._register(1, np.arange(len(g.reps[1]), len(g.reps[1]) + n, dtype=np.uint64), keys)
         seen.append(keys)
         allkeys = np.concatenate(seen)
         order = np.argsort(allkeys, kind="stable")
         assert np.array_equal(g.skeys[1], allkeys[order])
         assert np.array_equal(g.sids[1], order) and g.sids[1].dtype == np.int32
-        assert np.array_equal(g.fkeys[1], allkeys)
+        assert np.array_equal(g.reps[1], np.arange(len(allkeys)))
 
 
 def test_build_deterministic(ng):
@@ -601,7 +601,8 @@ def test_build_deterministic(ng):
     assert (a.n1, a.n2) == (b.n1, b.n2)
     for side in (1, 2):
         assert np.array_equal(a.reps[side], b.reps[side])
-        assert np.array_equal(a.fkeys[side], b.fkeys[side])
+        assert np.array_equal(a.skeys[side], b.skeys[side])
+        assert np.array_equal(a.sids[side], b.sids[side])
     assert np.array_equal(a.edges, b.edges)
 
 
@@ -616,6 +617,70 @@ def test_non_injective_key_fails_the_count(ng, monkeypatch):
         build_graph(ng)
 
 
+def test_edge_table_check_rejects_a_repeated_end(ng, monkeypatch):
+    """A side-1 row whose probes resolve to one side-2 vertex twice (two
+    known ends of one row made equal, so every coset is still found) fails
+    the edge table check: the build raises and returns no graph."""
+    resolve = CosetGraph._resolve
+    broken = []
+
+    def repeating(self, side, keys):
+        ids = resolve(self, side, keys)
+        if side == 2 and not broken and len(ids) >= 3 and (ids[:2] >= 0).all():
+            ids[1] = ids[0]
+            broken.append(len(ids))
+        return ids
+    monkeypatch.setattr(CosetGraph, "_resolve", repeating)
+    built = []
+    with pytest.raises(AssertionError, match="edge table check"):
+        built.append(build_graph(ng))
+    assert broken and not built
+
+
+# sha256 prefixes of the graph's arrays, recorded from the build that
+# sorted and deduplicated one int64 key per probe
+GRAPH_DIGESTS = {
+    DEFAULT_MODULUS: {"reps1": "9af573542e6ec944", "reps2": "47dd4c529ecc8bb5",
+                      "edges": "49ee27cb215580fd", "indices": "17cde537c4f30912",
+                      "indptr": "8de02f51b09b337f"},
+    0b1000011: {"reps1": "ff84192bbf0af33a", "reps2": "0f31854da5edcc93",
+                "edges": "e688f8326091ea21", "indices": "60aa6f94cf0b7f38",
+                "indptr": "8de02f51b09b337f"},
+}
+
+
+def test_graph_arrays_are_pinned(graph, graph43):
+    """Under 0x5b and 0x43 the reps, the edges and the CSR (indptr as
+    int64) are byte for byte those of the recorded builds."""
+    for g in (graph, graph43):
+        arrays = {"reps1": g.reps[1], "reps2": g.reps[2], "edges": g.edges,
+                  "indices": g.indices, "indptr": g.indptr.astype(np.int64)}
+        got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+               for name, a in arrays.items()}
+        assert got == GRAPH_DIGESTS[g.field.modulus]
+
+
+def _kept_bytes(g) -> int:
+    """Bytes of the numpy arrays a graph keeps in its fields, caches aside."""
+    total = 0
+    for f in dataclasses.fields(g):
+        if f.name.startswith("_"):
+            continue
+        v = getattr(g, f.name)
+        for a in (v.values() if isinstance(v, dict) else [v]):
+            total += sum(x.nbytes for x in (a if isinstance(a, tuple) else (a,))
+                         if isinstance(x, np.ndarray))
+    return total
+
+
+def test_graph_keeps_at_most_3_mib(graph):
+    """A built graph keeps at most 3.0 MiB of arrays: reps, edges, CSR,
+    sorted vertex keys and ids, and the stabilizer keys.  Measured: 2.95
+    MiB; a vertex-order copy of the sorted keys and an int64 indptr made
+    3.63 MiB."""
+    assert _kept_bytes(graph) <= 3.0 * 2 ** 20
+
+
 @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
 def test_build_matches_the_all_probes_oracle(modulus, ng, graph43, tmp_path):
     """The BFS that keys probes by conjugating t^-1 y t and skips the probe
@@ -627,7 +692,8 @@ def test_build_matches_the_all_probes_oracle(modulus, ng, graph43, tmp_path):
     assert (got.n1, got.n2) == (want.n1, want.n2)
     for side in (1, 2):
         assert np.array_equal(got.reps[side], want.reps[side])
-        assert np.array_equal(got.fkeys[side], want.fkeys[side])
+        assert np.array_equal(got.skeys[side], want.skeys[side])
+        assert np.array_equal(got.sids[side], want.sids[side])
     for name in ("edges", "indptr", "indices"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -906,6 +972,6 @@ def test_csr_equals_the_lexsorted_adjacency(graph):
     order = np.lexsort((dst, src))
     indptr = np.zeros(graph.nv + 1, dtype=np.int64)
     np.add.at(indptr, src[order] + 1, 1)
-    assert graph.indptr.dtype == np.int64 and graph.indices.dtype == np.int32
+    assert graph.indptr.dtype == np.int32 and graph.indices.dtype == np.int32
     assert np.array_equal(graph.indptr, np.cumsum(indptr))
     assert np.array_equal(graph.indices, dst[order])

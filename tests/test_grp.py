@@ -2,6 +2,8 @@ import ast
 import gc
 import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -355,6 +357,31 @@ def test_reference_group_isos(refs):
     assert not iso_check(refs["Dih18"], direct_product(refs["C3"], refs["Sym3"]))
     assert not iso_check(refs["SP2"], direct_product(refs["C3"], refs["C3"], refs["C3"]))
     assert not iso_check(refs["AGL23S_sharp"], refs["AGL23S_star"])
+
+
+def test_reference_group_checks_hold_under_python_dash_O():
+    """grp's construction checks are raises, not asserts, so python -O
+    keeps them: with dihedral_18 replaced by C9, reference_groups must
+    raise on Dih18's order.  No module of psu38 has a bare assert left."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("from psu38 import grp\n"
+            "grp.dihedral_18 = lambda: grp.cyclic_group(9)\n"
+            "try:\n"
+            "    grp.reference_groups()\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "else:\n"
+            "    raise SystemExit('reference_groups accepted a wrong order')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "reference group Dih18 has order 9, not 18"
+    pkg = os.path.join(src, "psu38")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                tree = ast.parse(f.read())
+            assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), name
 
 
 def test_iso_witness_is_homomorphism(ng, refs):
