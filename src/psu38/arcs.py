@@ -1,16 +1,18 @@
-"""s-arc enumeration, orbit and transitivity analysis, kernels of action
-G_z^[i], and the local characteristic / pushing up predicates.
+"""s-arc orbits and transitivity analysis, kernels of action G_z^[i],
+and the local characteristic / pushing up predicates.
 
-Group elements act on vertices on the right through CosetGraph.perm;
-a base-vertex stabilizer evaluates its whole action table along its
-closure tree, one permutation gather per element.  Other stabilizers stay
-packed keys, through the one batched pair CosetGraph.stabilizer_key_rows
-and fixes: an arc stabilizer is a SmallGroup only inside K1 or K2 (the
-named arc's lies in K2), and the kernels G_v^[1] of a batch of vertices
-of one side are pulled back to the base stabilizer's own elements by the
-conjugation that stabilizer_key_rows applies (pulled_back_kernels).  Both
-halves of the sampled vertex checks take their vertices in batches of
-one side, so their table lookups run per batch.
+Group elements act on vertices on the right through CosetGraph.perm.
+The s-arcs at v are walked one level at a time, each arc an exact index
+pair (its prefix's index, its last vertex) (arc_levels).  A base-vertex
+stabilizer evaluates its whole action table along its closure tree, one
+permutation gather per element.  Other stabilizers stay packed keys,
+through the one batched pair CosetGraph.stabilizer_key_rows and fixes:
+an arc stabilizer is a SmallGroup only inside K1 or K2 (the named arc's
+lies in K2), and the kernels G_v^[1] of a batch of vertices of one side
+are pulled back to the base stabilizer's own elements by the conjugation
+that stabilizer_key_rows applies (pulled_back_kernels).  Both halves of
+the sampled vertex checks take their vertices in batches of one side, so
+their table lookups run per batch.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ from .grp import SmallGroup
 # balls and arcs
 
 
+def _csr_rows(graph: CosetGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of the vertices vs, one after another, and their
+    degrees: one gather."""
+    lo, deg = graph.indptr[vs], graph.indptr[vs + 1] - graph.indptr[vs]
+    return graph.indices[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())], deg
+
+
 def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertices within distance r of v, one BFS layer after another (each
     layer in ascending order), with their radii: one CSR gather per layer.
@@ -34,10 +43,7 @@ def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     seen[v] = True
     layers = [np.array([v], dtype=np.int64)]
     while len(layers) <= r:
-        last = layers[-1]
-        lo, deg = graph.indptr[last], graph.indptr[last + 1] - graph.indptr[last]
-        nb = np.unique(graph.indices[np.repeat(lo - np.cumsum(deg) + deg, deg)
-                                     + np.arange(deg.sum())])
+        nb = np.unique(_csr_rows(graph, layers[-1])[0])
         nb = nb[~seen[nb]].astype(np.int64)
         if not len(nb):
             break
@@ -45,25 +51,6 @@ def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         layers.append(nb)
     radii = np.repeat(np.arange(len(layers)), [len(x) for x in layers])
     return np.concatenate(layers), radii
-
-
-def enumerate_arcs(graph: CosetGraph, v: int, s: int) -> np.ndarray:
-    """All s-arcs starting at v: paths with no immediate backtracking.
-
-    Grown one step at a time: each prefix in order, followed by each of
-    its last vertex's neighbors in ascending order, except the vertex
-    before it.  The rows come out in lexicographic order of the choices
-    made, the order of a depth-first search."""
-    arcs = np.array([[v]], dtype=np.int64)
-    for _ in range(s):
-        last = arcs[:, -1]
-        lo, deg = graph.indptr[last], graph.indptr[last + 1] - graph.indptr[last]
-        rows = np.repeat(np.arange(len(arcs)), deg)
-        # position of each neighbor in the CSR row of its prefix's end
-        nb = graph.indices[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(len(rows))]
-        keep = nb != (arcs[rows, -2] if arcs.shape[1] > 1 else -1)
-        arcs = np.column_stack([arcs[rows[keep]], nb[keep]])
-    return arcs
 
 
 def arc_count_formula(graph: CosetGraph, v: int, s: int) -> int:
@@ -82,45 +69,41 @@ def arc_count_formula(graph: CosetGraph, v: int, s: int) -> int:
 # stabilizer actions
 
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+def arc_levels(graph: CosetGraph, v: int, perms: list[np.ndarray], s: int):
+    """For t = 0..s: the number of t-arcs at v, and the index images of
+    the t-arcs under each vertex permutation in perms.
+
+    A t-arc is (index of its (t-1)-prefix, last vertex): each prefix in
+    order, then its last vertex's neighbors in ascending order but the
+    vertex before it, so the key prefix * nv + last strictly ascends.  The
+    image (image of the prefix, p[last]) is found by a binary search on
+    the keys and checked; each image map is then injective, by induction
+    on t, so a permutation.  Raises if a permutation moves v or an image
+    is not an arc."""
+    if any(p[v] != v for p in perms):
+        raise AssertionError("a stabilizer permutation moves its vertex")
+    last, before = np.array([v], dtype=np.int64), np.array([-1])
+    images = [np.zeros(1, dtype=np.int64) for _ in perms]
+    yield 1, images
+    for _ in range(s):
+        nb, deg = _csr_rows(graph, last)
+        prefix = np.repeat(np.arange(len(last)), deg)
+        keep = nb != before[prefix]
+        prefix, before, last = prefix[keep], last[prefix[keep]], nb[keep].astype(np.int64)
+        key = prefix * graph.nv + last
+        want = [im[prefix] * graph.nv + p[last] for p, im in zip(perms, images)]
+        images = [np.minimum(np.searchsorted(key, w), len(key) - 1) for w in want]
+        if not all(np.array_equal(key[j], w) for j, w in zip(images, want)):
+            raise AssertionError("an image is not an arc")
+        yield len(key), images
 
 
-def row_keys(rows) -> np.ndarray:
-    """One uint64 per row of an integer array: a xor-multiply mix of its
-    entries (exact only where its users check it)."""
-    h = np.zeros(len(rows), dtype=np.uint64)
-    for col in np.asarray(rows, dtype=np.uint64).T:
-        h = (h ^ col) * _MIX
-        h ^= h >> np.uint64(32)
-    return h
-
-
-def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
-    """Orbit sizes, largest first, of the group generated by the vertex
-    permutations perms acting entrywise on the rows of an integer array.
-
-    Rows are found by a binary search in their sorted row_keys, which is
-    exact: the keys are pairwise distinct, and every row found is compared
-    with the image it stands for.  Raises if a row repeats (or two rows
-    share a key) or an image is not a row.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = len(rows)
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    if (skeys[1:] == skeys[:-1]).any():
-        raise AssertionError("two rows share a key (a repeated row?)")
-    images = []
-    for p in perms:
-        im = p[rows]
-        j = order[np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)]
-        if not np.array_equal(rows[j], im):
-            raise AssertionError("an image row is not a row")
-        images.append(j)
-    # each generator permutes the rows, so an orbit is a union of cycles:
-    # lowering every label to the least label of its images, with pointer
-    # jumping, ends with one label per orbit
+def orbit_sizes(n: int, images: list[np.ndarray]) -> list[int]:
+    """Orbit sizes, largest first, of the group generated by permutations
+    of range(n), each given as its array of images."""
+    # each generator permutes the points, so an orbit is a union of
+    # cycles: lowering every label to the least label of its images, with
+    # pointer jumping, ends with one label per orbit
     label, prev = np.arange(n), None
     while prev is None or not np.array_equal(label, prev):
         prev = label
@@ -132,15 +115,14 @@ def orbit_partition(rows, perms: list[np.ndarray]) -> list[int]:
 
 def arc_orbits(graph: CosetGraph, v: int, s: int, group: str) -> dict:
     """Orbit structure of the vertex stabilizer on s-arcs at v."""
-    arcs = enumerate_arcs(graph, v, s)
     stab = graph.vertex_stabilizer(v, group)
-    perms = [graph.perm(g) for g in stab.gens_list()]
-    sizes = orbit_partition(arcs, perms)
+    *_, (n, images) = arc_levels(graph, v, [graph.perm(g) for g in stab.gens_list()], s)
+    sizes = orbit_sizes(n, images)
     return {
         "vertex": v,
         "s": s,
         "group": group,
-        "arc_count": len(arcs),
+        "arc_count": n,
         "orbit_count": len(sizes),
         "orbit_sizes": sizes,
         "transitive": len(sizes) == 1,
@@ -150,18 +132,14 @@ def arc_orbits(graph: CosetGraph, v: int, s: int, group: str) -> dict:
 
 def max_local_s(graph: CosetGraph, group: str) -> tuple[int, list]:
     """Largest s <= 8 with 1 orbit on s-arcs at both base vertices (and at
-    all smaller s); also returns the orbit-count table for s = 1..8."""
-    table = []
-    best = 0
-    chain_ok = True
-    for s in range(1, 9):
-        r1 = arc_orbits(graph, graph.base_x1, s, group)
-        r2 = arc_orbits(graph, graph.base_x2, s, group)
-        table.append((s, r1["orbit_count"], r2["orbit_count"]))
-        if chain_ok and r1["transitive"] and r2["transitive"]:
-            best = s
-        else:
-            chain_ok = False
+    all smaller s); also returns the orbit-count table for s = 1..8, from
+    one walk of the levels per base vertex."""
+    counts = []
+    for v in (graph.base_x1, graph.base_x2):
+        perms = [graph.perm(g) for g in graph.vertex_stabilizer(v, group).gens_list()]
+        counts.append([len(orbit_sizes(*level)) for level in arc_levels(graph, v, perms, 8)])
+    table = list(zip(range(1, 9), counts[0][1:], counts[1][1:]))
+    best = next((s - 1 for s, a, b in table if a != 1 or b != 1), 8)
     return best, table
 
 

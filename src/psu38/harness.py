@@ -6,8 +6,9 @@ claim with a stable id; cmd_verify evaluates the catalog against the
 graph it builds and emits a VerificationReport (human-readable lines and
 optional JSON).  Every command builds the graph it uses; none reads or
 writes a graph file.  Exit codes: 0 all pass, 1 claim failure, 2
-configuration error (a reducible modulus, or a path that cannot be read
-or written), 4 a claim raised an error and none failed; 3 is not used.
+configuration error (a reducible modulus, a path that cannot be read or
+written, or a claim selection that matches no claim), 4 a claim raised
+an error and none failed; 3 is not used.
 """
 
 from __future__ import annotations
@@ -935,29 +936,29 @@ REPORT_SCHEMA = {
 }
 
 
-def run_claims(ctx: VerifyContext, group: str = "both",
-               claim_filter: str | None = None) -> dict:
+def select_claims(group: str = "both", claim_filter: str | None = None) -> list[Claim]:
+    """The catalog's claims of the group ("both" for all) whose ids the
+    comma-separated prefixes of claim_filter select (all if it is empty)."""
     claims = build_claims()
     ids = [c.id for c in claims]
     if len(ids) != len(set(ids)):
         raise AssertionError("claim ids must be unique")
-    prefixes = None
-    if claim_filter:
-        prefixes = [p.strip().lower() for p in claim_filter.split(",") if p.strip()]
+    prefixes = [p.strip().lower() for p in (claim_filter or "").split(",") if p.strip()]
 
     def matches(cid: str) -> bool:
         cid = cid.lower()
         # dot-separated segments: "L3.1" selects L3.1.* but not L3.10.*
-        return any(cid == p or cid.startswith(p + ".") for p in prefixes)
+        return not prefixes or any(cid == p or cid.startswith(p + ".") for p in prefixes)
 
+    return [c for c in claims if (group == "both" or group in c.groups) and matches(c.id)]
+
+
+def run_claims(ctx: VerifyContext, group: str = "both",
+               claim_filter: str | None = None) -> dict:
     records = []
     overall = True
     t_all = time.perf_counter()
-    for c in claims:
-        if group != "both" and group not in c.groups:
-            continue
-        if prefixes and not matches(c.id):
-            continue
+    for c in select_claims(group, claim_filter):
         t0 = time.perf_counter()
         verdict = None
         try:
@@ -1024,6 +1025,13 @@ def _add_common(p):
     p.add_argument("-v", "--verbose", action="store_true")
 
 
+def _arc_length(text: str) -> int:
+    s = int(text)
+    if s < 0:
+        raise argparse.ArgumentTypeError(f"arc length {s} is negative")
+    return s
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="psu38",
@@ -1054,7 +1062,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arcs", help="arc orbit table for one vertex side")
     _add_common(p)
     p.add_argument("--side", type=int, choices=[1, 2], required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_arc_length, required=True)
     p.add_argument("--group", choices=["H", "K"], default="K")
     p.add_argument("--out", default=None, help="write a CSV here")
 
@@ -1081,8 +1089,12 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.cmd == "verify":
-            # the report file is opened first: a path that cannot be
-            # written fails before any claim runs
+            # an empty selection, then the report file, are checked first:
+            # either fails before any claim runs and writes no report
+            if not select_claims(args.group, args.claims):
+                print(f"configuration error: --claims {args.claims!r} selects no "
+                      f"claim of --group {args.group}", file=sys.stderr)
+                return EXIT_CONFIG
             with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
                 report = run_claims(ctx, group=args.group, claim_filter=args.claims)
                 if fh:

@@ -700,6 +700,75 @@ def kernel_radii_by_full_table(graph, v: int, group: str = "K") -> tuple[np.ndar
     return first_moved, T[:, radii == 1]
 
 
+def enumerate_arcs(graph, v: int, s: int) -> np.ndarray:
+    """All s-arcs starting at v, as rows: paths with no immediate
+    backtracking.
+
+    Grown one step at a time: each prefix in order, followed by each of
+    its last vertex's neighbors in ascending order, except the vertex
+    before it.  The rows come out in lexicographic order of the choices
+    made, the order of a depth-first search."""
+    arcs = np.array([[v]], dtype=np.int64)
+    for _ in range(s):
+        last = arcs[:, -1]
+        lo, deg = graph.indptr[last], graph.indptr[last + 1] - graph.indptr[last]
+        rows = np.repeat(np.arange(len(arcs)), deg)
+        # position of each neighbor in the CSR row of its prefix's end
+        nb = graph.indices[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(len(rows))]
+        keep = nb != (arcs[rows, -2] if arcs.shape[1] > 1 else -1)
+        arcs = np.column_stack([arcs[rows[keep]], nb[keep]])
+    return arcs
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def row_keys(rows) -> np.ndarray:
+    """One uint64 per row of an integer array: a xor-multiply mix of its
+    entries (exact only where its users check it)."""
+    h = np.zeros(len(rows), dtype=np.uint64)
+    for col in np.asarray(rows, dtype=np.uint64).T:
+        h = (h ^ col) * _MIX
+        h ^= h >> np.uint64(32)
+    return h
+
+
+def orbit_partition_by_row_keys(rows, perms: list[np.ndarray]) -> list[int]:
+    """Orbit sizes, largest first, of the group generated by the vertex
+    permutations perms acting entrywise on the rows of an integer array:
+    the way arcs.arc_orbits first found them, on whole arc rows.
+
+    Rows are found by a binary search in their sorted row_keys, which is
+    exact: the keys are pairwise distinct, and every row found is compared
+    with the image it stands for.  Raises if a row repeats (or two rows
+    share a key) or an image is not a row.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = len(rows)
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    skeys = keys[order]
+    if (skeys[1:] == skeys[:-1]).any():
+        raise AssertionError("two rows share a key (a repeated row?)")
+    images = []
+    for p in perms:
+        im = p[rows]
+        j = order[np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)]
+        if not np.array_equal(rows[j], im):
+            raise AssertionError("an image row is not a row")
+        images.append(j)
+    # each generator permutes the rows, so an orbit is a union of cycles:
+    # lowering every label to the least label of its images, with pointer
+    # jumping, ends with one label per orbit
+    label, prev = np.arange(n), None
+    while prev is None or not np.array_equal(label, prev):
+        prev = label
+        for j in images:
+            label = np.minimum(label, prev[j])
+        label = label[label]
+    return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
+
+
 def perm_product(p: Perm, q: Perm) -> Perm:
     """p * q (p first, then q) by a list of q's images along p."""
     return Perm([q[i] for i in p])

@@ -5,27 +5,96 @@ import numpy as np
 import pytest
 
 from psu38 import arcs, harness
-from psu38.arcs import (KernelData, arc_count_formula, arc_orbits,
-                        arc_stabilizer, ball, enumerate_arcs, kernel_data,
-                        local_characteristic, max_local_s, orbit_partition,
-                        pulled_back_kernels, pushing_up, sampled_vertex_checks)
+from psu38.arcs import (KernelData, arc_count_formula, arc_levels, arc_orbits,
+                        arc_stabilizer, ball, kernel_data, local_characteristic,
+                        max_local_s, orbit_sizes, pulled_back_kernels, pushing_up,
+                        sampled_vertex_checks)
 from psu38.coset import CosetGraph
 from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
 
 import oracles
-from oracles import (conjugate, fixers_by_images, group_from_keys, obj, rep_element,
-                     vertex_stabilizer)
+from oracles import (conjugate, enumerate_arcs, fixers_by_images, group_from_keys, obj,
+                     orbit_partition_by_row_keys, rep_element, vertex_stabilizer)
+
+
+def _stabilizer_perms(graph, v, group):
+    return [graph.perm(g) for g in graph.vertex_stabilizer(v, group).gens_list()]
 
 
 def test_arc_counts_match_valency_products(graph):
+    """The walk's level sizes and the oracle's row counts are the valency
+    products, for s = 0..8."""
     for v in (graph.base_x1, graph.base_x2):
+        counts = [n for n, _ in arc_levels(graph, v, _stabilizer_perms(graph, v, "K"), 8)]
+        assert counts == [arc_count_formula(graph, v, s) for s in range(9)]
         for s in range(0, 7):
             arcs = enumerate_arcs(graph, v, s)
             assert len(arcs) == arc_count_formula(graph, v, s)
     assert arc_count_formula(graph, graph.base_x2, 5) == 108
     assert arc_count_formula(graph, graph.base_x1, 5) == 144
     assert len(enumerate_arcs(graph, graph.base_x1, 0)) == 1
+
+
+def test_arc_walk_equals_the_row_key_oracle(graph, graph43):
+    """At both base vertices, for H and K and s = 0..8, on both session
+    graphs: one walk of the levels gives the orbit sizes that the oracle
+    finds on whole arc rows, and arc_orbits the same at each s."""
+    for g in (graph, graph43):
+        for v in (g.base_x1, g.base_x2):
+            for group in ("H", "K"):
+                perms = _stabilizer_perms(g, v, group)
+                walk = [orbit_sizes(*level) for level in arc_levels(g, v, perms, 8)]
+                oracle = [orbit_partition_by_row_keys(enumerate_arcs(g, v, s), perms)
+                          for s in range(9)]
+                assert walk == oracle
+                assert [arc_orbits(g, v, s, group)["orbit_sizes"] for s in (0, 5, 8)] \
+                    == [oracle[0], oracle[5], oracle[8]]
+
+
+def _far_pair(graph, v, r):
+    """Two vertices at distance r from v with no common neighbor."""
+    pts, radii = ball(graph, v, r)
+    a = int(pts[radii == r][0])
+    near = set(ball(graph, a, 2)[0].tolist())
+    return a, next(int(b) for b in pts[radii == r] if int(b) not in near)
+
+
+def _swapped(p, a, b):
+    q = p.copy()
+    q[[a, b]] = p[[b, a]]
+    return q
+
+
+def test_arc_walk_rejects_a_permutation_that_is_not_an_automorphism(graph):
+    """Swapping the images of two vertices at distance 3 from v with no
+    common neighbor, or moving v itself, raises; an unchanged walk does
+    not."""
+    v = graph.base_x1
+    perms = _stabilizer_perms(graph, v, "K")
+    a, b = _far_pair(graph, v, 3)
+    list(arc_levels(graph, v, perms, 4))
+    with pytest.raises(AssertionError, match="not an arc"):
+        list(arc_levels(graph, v, [perms[0], _swapped(perms[1], a, b)], 4))
+    with pytest.raises(AssertionError, match="moves its vertex"):
+        list(arc_levels(graph, v, [_swapped(perms[0], v, a)], 1))
+
+
+@pytest.mark.parametrize("moves_v", [False, True])
+def test_a_faulty_stabilizer_permutation_is_an_error_verdict(ctx, monkeypatch, moves_v):
+    """Through run_claims, a stabilizer permutation that is not an
+    automorphism gives the arc orbit claims an error verdict, never a
+    fail."""
+    g = ctx.graph
+    v = g.base_x1
+    a, b = _far_pair(g, v, 3)
+    perm = CosetGraph.perm
+    monkeypatch.setattr(CosetGraph, "perm",
+                        lambda self, x: _swapped(perm(self, x), *((v, a) if moves_v else (a, b))))
+    ids = ("P3.7.i", "T1.1.pre", "L3.11.ii")
+    verdicts = {c["id"]: c["verdict"]
+                for c in run_claims(_context_over(ctx), claim_filter=",".join(ids))["claims"]}
+    assert verdicts == dict.fromkeys(ids, "error")
 
 
 def recursive_arcs(graph, v, s):
@@ -271,15 +340,15 @@ def test_orbit_partition_on_a_cycle():
     rows = _cycle_edges(n)
     rotation = (np.arange(n) + 1) % n
     reflection = (-np.arange(n)) % n
-    assert orbit_partition(rows, [rotation]) == [6]
+    assert orbit_partition_by_row_keys(rows, [rotation]) == [6]
     # directed edges (i, i+1) go to (-i, -i-1): a row only when reversed,
     # so take both directions; the reflection pairs them up
     both = np.concatenate([rows, rows[:, ::-1]])
-    assert orbit_partition(both, [reflection]) == [2] * 6
-    assert orbit_partition(both, [rotation, reflection]) == [12]
-    assert orbit_partition(both, [rotation]) == [6, 6]
-    assert orbit_partition(rows, [np.arange(n)]) == [1] * 6
-    assert orbit_partition(rows, []) == [1] * 6
+    assert orbit_partition_by_row_keys(both, [reflection]) == [2] * 6
+    assert orbit_partition_by_row_keys(both, [rotation, reflection]) == [12]
+    assert orbit_partition_by_row_keys(both, [rotation]) == [6, 6]
+    assert orbit_partition_by_row_keys(rows, [np.arange(n)]) == [1] * 6
+    assert orbit_partition_by_row_keys(rows, []) == [1] * 6
 
 
 def _bfs_orbit_sizes(rows, perms):
@@ -309,20 +378,20 @@ def test_orbit_partition_matches_bfs(graph):
         rows = enumerate_arcs(graph, v, s)
         stab = graph.vertex_stabilizer(v, group)
         perms = [graph.perm(g) for g in stab.gens_list()]
-        assert orbit_partition(rows, perms) == _bfs_orbit_sizes(rows, perms)
+        assert orbit_partition_by_row_keys(rows, perms) == _bfs_orbit_sizes(rows, perms)
         # a subgroup's orbits: the first generator alone
-        assert orbit_partition(rows, perms[:1]) == _bfs_orbit_sizes(rows, perms[:1])
+        assert orbit_partition_by_row_keys(rows, perms[:1]) == _bfs_orbit_sizes(rows, perms[:1])
 
 
 def test_orbit_partition_rejects_bad_rows():
     rows = _cycle_edges(5)
     rotation = (np.arange(5) + 1) % 5
     with pytest.raises(AssertionError):
-        orbit_partition(np.concatenate([rows, rows[:1]]), [rotation])
+        orbit_partition_by_row_keys(np.concatenate([rows, rows[:1]]), [rotation])
     with pytest.raises(AssertionError):
-        orbit_partition(rows[:4], [rotation])
+        orbit_partition_by_row_keys(rows[:4], [rotation])
     with pytest.raises(AssertionError):
-        orbit_partition(rows, [(-np.arange(5)) % 5])
+        orbit_partition_by_row_keys(rows, [(-np.arange(5)) % 5])
 
 
 def test_edge_orbits_agree_with_the_premises(ctx, graph):
@@ -333,7 +402,7 @@ def test_edge_orbits_agree_with_the_premises(ctx, graph):
     edges = graph.edges.astype(np.int64) + np.array([0, graph.n1])
     for group, G1, G2 in (("H", ng.H1, ng.H2), ("K", ng.K1, ng.K2)):
         perms = [graph.perm(x) for x in dict.fromkeys(G1.gens + G2.gens)]
-        assert orbit_partition(edges, perms) == [len(edges)]
+        assert orbit_partition_by_row_keys(edges, perms) == [len(edges)]
         assert ctx.edge_orbit_transitive(group) is True
 
 
@@ -369,15 +438,16 @@ def test_edge_transitivity_needs_a_connected_graph(ctx, monkeypatch):
 
 def test_edge_transitivity_needs_local_transitivity(ctx, monkeypatch):
     """Two orbits on the 1-arcs at x2."""
-    part = arcs.orbit_partition
+    walk = arcs.arc_levels
     x2 = ctx.graph.base_x2
 
-    def split(rows, perms):
-        sizes = part(rows, perms)
-        if rows.shape[1] == 2 and rows[0, 0] == x2:
-            return [len(rows) - 1, 1]
-        return sizes
-    monkeypatch.setattr(arcs, "orbit_partition", split)
+    def split(graph, v, perms, s):
+        for t, (n, images) in enumerate(walk(graph, v, perms, s)):
+            # one generator that fixes the first 1-arc and swaps the other two
+            if v == x2 and t == 1:
+                images = [np.array([0, 2, 1])]
+            yield n, images
+    monkeypatch.setattr(arcs, "arc_levels", split)
     assert arc_orbits(ctx.graph, x2, 1, "H")["orbit_count"] == 2
     assert _edge_transitivity_fails(ctx)
 

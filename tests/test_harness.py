@@ -71,7 +71,7 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     """After named_groups, a warm run of the whole catalog multiplies table
     elements and Perms only: PElement.__mul__ is never called.  The same
     run gives every benchmarked claim the digest recorded in
-    perfbench/reference.json, orbit_partition never sees more rows
+    perfbench/reference.json, no level of the arc walk holds more arcs
     than the 1,944 8-arcs at x2 (no pass over the edges), and once the
     graph is built the grid kernel sees only the images of paper_arc (one
     vertex under one element, 4 times) and of L3.9 (3 vertices under the
@@ -96,14 +96,13 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
         return mul(a, b)
     monkeypatch.setattr(PElement, "__mul__", counted)
     rows = []
-    part = arcs.orbit_partition
+    walk = arcs.arc_levels
 
-    def counted_rows(r, perms):
-        rows.append(len(r))
-        return part(r, perms)
-    for mod in (arcs, harness):
-        if hasattr(mod, "orbit_partition"):
-            monkeypatch.setattr(mod, "orbit_partition", counted_rows)
+    def counted_levels(*args):
+        for n, images in walk(*args):
+            rows.append(n)
+            yield n, images
+    monkeypatch.setattr(arcs, "arc_levels", counted_levels)
     bodies = []
     kernel_claim = harness._kernel_claim
 
@@ -254,6 +253,25 @@ def test_cli_arcs_csv(tmp_path, capsys, builds):
     assert lines[0].startswith("side,s,group")
     assert lines[1].startswith("1,6,K,288,2")
     assert builds == [DEFAULT_MODULUS]
+
+
+def test_cli_arcs_rejects_a_negative_length(capsys, builds):
+    with pytest.raises(SystemExit) as exc:
+        main(["arcs", "--side", "1", "--s", "-1"])
+    assert exc.value.code == 2 and builds == []
+    assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, group", [(["--claims", "NOPE"], "both"),
+                                         (["--group", "H", "--claims", "P3.7"], "H")])
+def test_cli_empty_claim_selection_is_a_config_error(tmp_path, capsys, builds, argv, group):
+    """A selection that matches no claim exits 2 with one stderr line
+    naming the filter and the group, before the report file is opened."""
+    out_path = tmp_path / "report.json"
+    rc = main(["verify", *argv, "--out", str(out_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and not out_path.exists() and builds == []
+    assert len(err) == 1 and argv[-1] in err[0] and f"--group {group}" in err[0]
 
 
 def test_cli_export_edge_list(tmp_path, capsys, builds):
