@@ -156,11 +156,13 @@ def shape_d2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
 def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
     """Z x| (automorphisms of Z induced by G acting by conjugation), as
     the permutation group on Z's sorted elements generated by the right
-    translations by Z's generators and the conjugations by G's."""
-    zl = Z.sorted_elems()
+    translations by Z's generators and the conjugations by G's, taken on
+    the indices of G's table, which must hold Z."""
+    tab = G.tab
+    zl = sorted(G._ix(Z), key=tab.rank.__getitem__)
     zi = {x: i for i, x in enumerate(zl)}
-    shifts = [tuple([zi[x * z] for x in zl]) for z in Z.gens_list()]
-    auts = [tuple([zi[g.inv() * x * g] for x in zl]) for g in G.gens_list()]
+    shifts = [tuple([zi[tab.mul(x, z)] for x in zl]) for z in G._ixgens(Z)]
+    auts = [tuple([zi[tab.conj(x, g)] for x in zl]) for g in G._gl()]
     sd = SmallGroup.generate(shifts + auts, name=f"{Z.name} x| aut")
     # the translations are regular and the automorphisms fix Z's identity
     if len(sd) != len(zl) * len(SmallGroup.generate(auts)):

@@ -178,9 +178,9 @@ class KernelData:
         # the closure tree that SmallGroup.generate built; int32 as perm
         self.stab = S = graph.vertex_stabilizer(v, group)
         gperm = [graph.perm(g) for g in S.gens]
-        T = np.empty((len(S.elems), len(pts)), dtype=np.int32)
+        T = np.empty((len(S), len(pts)), dtype=np.int32)
         T[0] = pts
-        for i in range(1, len(S.elems)):
+        for i in range(1, len(S)):
             T[i] = gperm[S.genidx[i]][T[S.parent[i]]]
         # smallest radius each element moves (KERNEL_RADIUS + 1 if none):
         # its first moved column's, as ball's columns ascend in radius
@@ -195,8 +195,9 @@ class KernelData:
         self.nbr_images = T[:, radii == 1]
 
     def kernel(self, i: int) -> SmallGroup:
-        els = [self.stab.elems[j] for j in np.where(self.first_moved > i)[0]]
-        return self.stab.subgroup(els, name=f"{self.group}_z{self.v}^[{i}]")
+        idx = self.stab.idx
+        return self.stab._sub([idx[j] for j in np.where(self.first_moved > i)[0]],
+                              name=f"{self.group}_z{self.v}^[{i}]")
 
     @functools.cached_property
     def o3(self) -> SmallGroup:
@@ -214,15 +215,15 @@ class KernelData:
         sub = self.nbr_images[:, np.argsort(self.nbr_pts)]
         ident = tuple(range(len(nbrs)))
         images = set()
-        kernel_els = []
-        for j in range(sub.shape[0]):
-            im = tuple(pos[int(x)] for x in sub[j])
+        kernel_idx = []
+        for i, row in zip(self.stab.idx, sub.tolist()):
+            im = tuple(pos[x] for x in row)
             images.add(im)
             if im == ident:
-                kernel_els.append(self.stab.elems[j])
+                kernel_idx.append(i)
         induced = SmallGroup.from_set(images, ident,
                                       name=f"{self.group}_z{self.v}^D(z)")
-        kern = self.stab.subgroup(kernel_els)
+        kern = self.stab._sub(kernel_idx)
         return induced, kern
 
 
@@ -337,9 +338,9 @@ def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
     deep_ok = True
     for chunk in _side_batches(graph, deep_ids):
         kd = kernel_data(graph, graph.base_x1 if chunk[0] < graph.n1 else graph.base_x2, group)
-        kern = kd.kernel(1).eset
+        kern = kd.kernel(1).iset
         if not (pulled_back_kernels(graph, chunk, group)
-                == [x in kern for x in kd.stab.sorted_elems()]).all():
+                == [i in kern for i in kd.stab._srt()]).all():
             deep_ok = False
             break
     return {

@@ -85,7 +85,9 @@ CACHE_VERSION = 4
 # version, modulus, n1, n2, edge count; then the group hash, the payload
 # length and the payload's SHA-256
 CACHE_HEADER = struct.Struct("<IIQQQ32sQ32s")
-GROUP_ORDER = 6 * 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # |PSU_3(8):C_6|
+# |PSU_3(q)| = q^3 (q^2 - 1) (q^3 + 1) / gcd(3, q + 1) at q = 8
+PSU38_ORDER = 8 ** 3 * (8 ** 2 - 1) * (8 ** 3 + 1) // 3  # 5,515,776
+GROUP_ORDER = 6 * PSU38_ORDER  # |PSU_3(8):C_6| = 33,094,656
 
 
 class CacheMismatch(RuntimeError):
@@ -278,11 +280,12 @@ class CosetGraph:
         return member.reshape(keys.shape)
 
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
-        """The SmallGroup on the table elements of these packed keys, which
-        must be closed under products; raises if neither K1 nor K2 holds
-        them all."""
-        els = self.ng.interned(keys)
-        return SmallGroup.from_set(els, els[0].tab.elems[0], name)
+        """The subgroup of K1 or K2 (the first whose table holds them all;
+        ValueError if neither does) on these packed keys, which must be
+        closed under products."""
+        K = self.ng.ambient(keys)
+        pos = K.tab.pos
+        return K._sub([pos[int(k)] for k in keys], name)
 
     def base_stabilizer(self, side: int, group: str = "K") -> SmallGroup:
         """The generated group K1, K2, H1 or H2 that fixes the base vertex
@@ -387,16 +390,17 @@ def _arm(graph: CosetGraph) -> None:
     # fingerprint elements: the y of an order-3 subgroup Y = {1, y, y^-1}
     # normal in K_side.  Side 1 takes Z(K1); side 2 the one order-3
     # subgroup of Z(Qh2) (order 9) that every generator of K2 maps to
-    # itself, found as the y with y^k in {y, y^-1} for each generator k.
-    z1 = [y for y in ng.K1.center().sorted_elems() if y != ng.K1.identity]
-    gens = [(k, k.inv()) for k in ng.K2.gens_list()]
-    y2 = [y for y in ng.Qh2.center().sorted_elems() if y != ng.K2.identity
-          and all(ki * y * k in (y, y.inv()) for k, ki in gens)]
+    # itself, found as the y with y^k in {y, y^-1} for each generator k,
+    # on the indices of K2's table (Qh2's).
+    z1 = [y for y in ng.K1.center()._srt() if y]
+    t2 = ng.K2.tab
+    y2 = [y for y in ng.Qh2.center()._srt() if y
+          and all(t2.conj(y, k) in (y, t2.inv[y]) for k in ng.K2._gl())]
     for name, ys in (("Z(K1)", z1), ("Y2 in Z(Qh2)", y2)):
         if len(ys) != 2:
             raise AssertionError(f"{name}: {len(ys)} candidates for y, not 2")
-    for side, ys in ((1, z1), (2, y2)):
-        graph.ysets[side] = bunpack(np.array([ys[0].key], dtype=np.uint64))
+    for side, ys, K in ((1, z1, ng.K1), (2, y2, ng.K2)):
+        graph.ysets[side] = bunpack(np.array([K.tab.keys[ys[0]]], dtype=np.uint64))
         for group in ("K", "H"):
             G = graph.base_stabilizer(side, group)
             graph.kkeys[side, group] = np.array([x.key for x in G.sorted_elems()],

@@ -15,22 +15,22 @@ frozenset), so every engine operation (closures, orders, conjugacy
 orbits, centralizers, normalizers, cores, Sylow subgroups, cosets and the
 isomorphism search) walks lists of ints.
 
-There are two kinds of table.  A group generated over plain PElements
-(K1, K2) is a table of interned TableElements, PElements with the same
-keys, equality and order; every named subgroup of K1 and K2 is a set of
-indices in one of the two.  Reference groups, quotients (the action on
-cosets), direct products (permutations of a disjoint union of points) and
-the holomorph are tables of permutations of at most 108 points, each
-element its image tuple: (p[0], p[1], ...), where p*q applies p first,
-then q.  Element objects appear only at the boundary: elems, gens, eset
-and the arguments and results of the public methods.  Two groups in
-different tables are compared through their elements' keys (PElement
-keys, image tuples).
+There are two kinds of table, and no element class of their own.  K1
+and K2 are tables of plain PElements, closed on their packed keys; every
+other subgroup of K1 or K2 is a set of indices in one of the two, generated
+by one call on its ambient group (SmallGroup.generated), so a product of
+two of its elements is index arithmetic in that table.  Reference groups,
+quotients (the action on cosets), direct products (permutations of a
+disjoint union of points) and the holomorph are tables of permutations of
+at most 108 points, each element its image tuple: (p[0], p[1], ...), where
+p*q applies p first, then q.  Element objects appear only at the boundary:
+elems, gens, eset and the arguments and results of the public methods,
+where an element is looked up by its key.  Two groups in different tables
+are compared through their elements' keys (PElement keys, image tuples).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from itertools import combinations, product as iproduct
@@ -46,39 +46,6 @@ class ClosureCapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-
-
-class TableElement(PElement):
-    """One interned element of a PElement table, at index i.  It is a
-    PElement with the same key, so equality, hashing and order are
-    unchanged.  It refers to its table weakly, so a table and its elements
-    form no reference cycle and a dropped table is freed at once.
-
-    A product takes the right factor's index in the left factor's table;
-    failing that, the left factor's index in the right factor's table; a
-    product that no one table holds raises ValueError."""
-
-    __slots__ = ("_tab", "i")
-
-    @property
-    def tab(self) -> "Table":
-        return self._tab()
-
-    def __mul__(self, other):
-        tab = self._tab()
-        j = tab.find(other)
-        if j is not None:
-            return tab.elems[tab.mul(self.i, j)]
-        if other.__class__ is TableElement:
-            tab = other._tab()
-            i = tab.pos.get(self.key)
-            if i is not None:
-                return tab.elems[tab.mul(i, other.i)]
-        raise ValueError("no table holds both factors of the product")
-
-    def inv(self) -> "TableElement":
-        tab = self._tab()
-        return tab.elems[tab.inv[self.i]]
 
 
 class Table:
@@ -102,18 +69,8 @@ class Table:
         path = self.path = [()] * n
         for j in range(1, n):
             path[j] = path[parent[j]] + (right[genidx[j]],)
-        if isinstance(elems[0], PElement):
-            self.keys = [x.key for x in elems]
-            ref = weakref.ref(self)
-            self.elems = []
-            for j, x in enumerate(elems):
-                t = TableElement.__new__(TableElement)
-                t.ops, t.key, t._tab, t.i = x.ops, x.key, ref, j
-                self.elems.append(t)
-            # key -> interned element
-            self.index = dict(zip(self.keys, self.elems))
-        else:
-            self.keys = self.elems = elems
+        self.elems = elems
+        self.keys = [x.key for x in elems] if isinstance(elems[0], PElement) else elems
         self.pos = {k: j for j, k in enumerate(self.keys)}
         ginv = {}
         for g, R in right.items():
@@ -138,8 +95,6 @@ class Table:
         """The index of the element x, or None if the table lacks it: found
         by what identifies x across tables, a PElement's key or an image
         tuple itself."""
-        if x.__class__ is TableElement and x._tab() is self:
-            return x.i
         return self.pos.get(x.key if isinstance(x, PElement) else x)
 
     def at(self, x) -> int:
@@ -336,18 +291,6 @@ def _orbit(seeds, fs):
     return orbit
 
 
-def _common_table(xs) -> Table | None:
-    """The first table of a TableElement among xs that holds all of xs;
-    None if none of xs is a TableElement."""
-    tabs = dict.fromkeys(x._tab() for x in xs if x.__class__ is TableElement)
-    for tab in tabs:
-        if all(tab.find(x) is not None for x in xs):
-            return tab
-    if tabs:
-        raise ValueError("no table holds all the elements")
-    return None
-
-
 def _compose(g: tuple):
     """Right multiplication by the permutation g, on a list of image
     tuples."""
@@ -383,12 +326,12 @@ class SmallGroup:
     Table.
 
     idx lists the indices in element order, the identity (index 0) first:
-    closure discovery order when built by generate(), else the identity
-    and then sorted order.  When built by generate(), `parent`/`genidx`
-    record the closure tree of _close (elems[i] = elems[parent[i]] *
-    gens[genidx[i]]), which downstream code uses to evaluate vertex
-    actions incrementally.  Caches (orders, classes, invariants) are keyed
-    by indices.
+    closure discovery order when built by generate() or generated(), else
+    the identity and then sorted order.  When built by either, `parent`
+    and `genidx` record the closure tree of _close (elems[i] =
+    elems[parent[i]] * gens[genidx[i]]), which downstream code uses to
+    evaluate vertex actions incrementally.  Caches (orders, classes,
+    invariants) are keyed by indices.
     """
 
     def __init__(self, tab: Table, idx, gens=(), parent=None, genidx=None, name=""):
@@ -415,33 +358,35 @@ class SmallGroup:
 
     @staticmethod
     def generate(gens, cap: int = 2_000_000, name: str = "") -> "SmallGroup":
-        """The group gens generate, with its closure tree: inside the table
-        of its TableElement generators, else (plain PElements or image
-        tuples) as a new table."""
+        """The group that the PElements or image tuples gens generate, as
+        a new table, with its closure tree.  A subgroup of a group that has
+        a table already is generated on that group (generated)."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        tab = _common_table(gens)
-        if tab is None:
-            tab = _new_table(gens, cap=cap)
-            return SmallGroup(tab, range(tab.n), [tab.at(g) for g in gens],
-                              tab.parent, tab.genidx, name)
-        ig = [tab.at(g) for g in gens]
-        elems, parent, genidx, _ = _close(ig, 0, cap, tab.by)
+        tab = _new_table(gens, cap=cap)
+        return SmallGroup(tab, range(tab.n), [tab.at(g) for g in gens],
+                          tab.parent, tab.genidx, name)
+
+    def generated(self, xs, name: str = "") -> "SmallGroup":
+        """The subgroup that the elements xs of this group's table
+        generate, with its closure tree: idx in discovery order, and
+        parent/genidx/gens over xs as generate() records them.  ValueError
+        for an element outside the table."""
+        tab = self.tab
+        ig = [tab.at(x) for x in xs]
+        elems, parent, genidx, _ = _close(ig, 0, None, tab.by)
         return SmallGroup(tab, elems, ig, parent, genidx, name)
 
     @staticmethod
     def from_set(elements, identity, name: str = "") -> "SmallGroup":
-        """Group on an explicit element set that is closed under products:
-        the identity first, then the rest in sorted order.  The table is
-        the identity's; for an image tuple or plain PElement identity, a
-        new one generated by the set.  Generators are found lazily on
-        first use."""
+        """Group on an explicit element set (image tuples or PElements)
+        that is closed under products, as a new table generated by the
+        set: the identity first, then the rest in sorted order.
+        Generators are found lazily on first use.  A subgroup of a group
+        that has a table already is subgroup() or generated() on it."""
         elements = list(elements)
-        if identity.__class__ is TableElement:
-            tab = identity.tab
-        else:
-            tab = _new_table(sorted(set(elements)) or [identity], identity)
+        tab = _new_table(sorted(set(elements)) or [identity], identity)
         return SmallGroup._of(tab, [tab.at(x) for x in elements], name)
 
     @staticmethod
@@ -1262,41 +1207,34 @@ class NamedGroups:
         """Intersection with H = PSU_3(8) . <sigma^3>: twist in {0, 3}."""
         return G.subgroup([x for x in G.elems if x.twist in (0, 3)], name=name)
 
-    def interned(self, keys) -> list:
-        """The elements of these packed keys from the table of the first of
-        K1, K2 that holds them all; raises ValueError if neither does."""
+    def ambient(self, keys) -> SmallGroup:
+        """The first of K1, K2 whose table holds all these packed keys;
+        ValueError if neither does."""
         for K in (self.K1, self.K2):
-            index = K.tab.index
-            try:
-                return [index[int(k)] for k in keys]
-            except KeyError:
-                pass
+            pos = K.tab.pos
+            if all(int(k) in pos for k in keys):
+                return K
         raise ValueError("the keys do not all lie in K1 or in K2")
 
 
 def named_groups(field: GF64) -> NamedGroups:
     """K1 and K2 generated over the plain generators, so each is one
-    Table; every other named group is generated inside the table of its
-    ambient group, with the same generators in the same order as a
-    PElement closure would take."""
+    Table; every other named group is generated on its ambient group, K1
+    or K2, with the same generators in the same order as a PElement
+    closure would take."""
     p = pgenerators(field)
     A, B, C, D, E, F = p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]
     s2, s3 = p["sigma2"], p["sigma3"]
     K1 = SmallGroup.generate([A, B, C, D, s3, s2], name="K1")
     K2 = SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2")
-
-    def gen(K, xs, name):
-        index = K.tab.index
-        return SmallGroup.generate([index[x.key] for x in xs], name=name)
-
-    Q1 = gen(K1, [A, B], "Q1")
-    Q2 = gen(K1, [A, B, C], "Q2")
-    Qstar = gen(K1, [B, C], "Q*")
-    S = gen(K2, [E, F, s3], "S")
-    H1 = gen(K1, [A, B, C, D, s3], "H1")
-    H2 = gen(K2, [A, B, C, E, F, s3], "H2")
-    Qh1 = gen(K1, [A, B, s2], "Qh1")
-    Qh2 = gen(K2, [A, B, C, s2], "Qh2")
+    Q1 = K1.generated([A, B], "Q1")
+    Q2 = K1.generated([A, B, C], "Q2")
+    Qstar = K1.generated([B, C], "Q*")
+    S = K2.generated([E, F, s3], "S")
+    H1 = K1.generated([A, B, C, D, s3], "H1")
+    H2 = K2.generated([A, B, C, E, F, s3], "H2")
+    Qh1 = K1.generated([A, B, s2], "Qh1")
+    Qh2 = K2.generated([A, B, C, s2], "Qh2")
     H12 = H1.intersect(H2)
     H12.name = "H12"
     K12 = K1.intersect(K2)

@@ -20,7 +20,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .amalgam import analyze, shape_d2, shape_e2
 from .arcs import (KernelData, arc_count_formula, arc_orbits, arc_stabilizer,
                    ball, kernel_data, local_characteristic, max_local_s,
                    pushing_up, sampled_vertex_checks)
-from .coset import CosetGraph, build_graph, export_edge_list, export_sparse6
+from .coset import (PSU38_ORDER, CosetGraph, build_graph, export_edge_list,
+                    export_sparse6)
 from .fastops import FieldOps
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
 from .grp import (SmallGroup, direct_product, is_split_extension, iso_check,
@@ -40,8 +40,6 @@ EXIT_OK = 0
 EXIT_CLAIM_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ERROR = 4
-
-PSU38_ORDER = (8 ** 3) * (8 ** 2 - 1) * (8 ** 3 + 1) // gcd(3, 8 + 1)  # 5,515,776
 
 
 def factorization(n: int) -> dict[int, int]:
@@ -232,14 +230,10 @@ class Claim:
     fn: object
 
 
-def _named(ng, names) -> list:
-    """The named elements as table elements of K1 or K2; raises if
-    neither holds them all."""
-    return ng.interned([ng.p[n].key for n in names])
-
-
-def _gen_closure(ng, names) -> SmallGroup:
-    return SmallGroup.generate(_named(ng, names), name="<" + ",".join(names) + ">")
+def _gen_closure(ng, K: SmallGroup, names) -> SmallGroup:
+    """The subgroup of K (K1 or K2) that the named elements generate;
+    ValueError if K's table lacks one of them."""
+    return K.generated([ng.p[n] for n in names], name="<" + ",".join(names) + ">")
 
 
 def build_claims() -> list[Claim]:
@@ -313,9 +307,8 @@ def build_claims() -> list[Claim]:
     @claim("L3.1.iv", "[<C,D>, Q1] = Q1 in the projective group")
     def l31iv(ctx):
         ng = ctx.ng
-        cd = _gen_closure(ng, ["C", "D"])
-        amb = SmallGroup.generate(list(dict.fromkeys(cd.gens + ng.Q1.gens)))
-        comm = amb.commutator_subgroup(cd, ng.Q1)
+        cd = _gen_closure(ng, ng.K1, ["C", "D"])
+        comm = ng.K1.commutator_subgroup(cd, ng.Q1)
         return comm.eset == ng.Q1.eset, {"|[CD,Q1]|": len(comm)}
 
     @claim("L3.2.i", "Q1 and Q* are abelian of order 9 and [Q1,Q*] = <B>")
@@ -323,7 +316,7 @@ def build_claims() -> list[Claim]:
         ng = ctx.ng
         amb = ng.Q2
         comm = amb.commutator_subgroup(ng.Q1, ng.Qstar)
-        bbar = _gen_closure(ng, ["B"])
+        bbar = _gen_closure(ng, ng.K1, ["B"])
         ok = (len(ng.Q1) == 9 and ng.Q1.is_abelian()
               and len(ng.Qstar) == 9 and ng.Qstar.is_abelian()
               and comm.eset == bbar.eset)
@@ -334,10 +327,12 @@ def build_claims() -> list[Claim]:
                       "center <B>")
     def l32ii(ctx):
         ng = ctx.ng
-        prod = {a * b for a in ng.Q1.elems for b in ng.Qstar.elems}
-        bbar = _gen_closure(ng, ["B"])
+        K1 = ng.K1
+        mul = K1.tab.mul
+        prod = {mul(a, b) for a in K1._ix(ng.Q1) for b in K1._ix(ng.Qstar)}
+        bbar = _gen_closure(ng, K1, ["B"])
         sp = ng.Q2.structure_predicates(3)
-        ok = (prod == set(ng.Q2.eset) and sp["order"] == 27
+        ok = (prod == set(K1._ix(ng.Q2)) and sp["order"] == 27
               and sp["exponent"] == 3 and sp["is_special"]
               and ng.Q2.center().eset == bbar.eset
               and ng.Q2.derived().eset == bbar.eset)
@@ -360,15 +355,18 @@ def build_claims() -> list[Claim]:
                       "(internal direct products)")
     def l32iv(ctx):
         ng = ctx.ng
-        s2 = _gen_closure(ng, ["sigma2"])
+        # the products are taken in K1's table, which holds Q1, Q2 and sigma^2
+        K1 = ng.K1
+        s2 = _gen_closure(ng, K1, ["sigma2"])
+        mul, keys = K1.tab.mul, K1.tab.keys
         out = {}
         ok = True
         for name, big, small in (("Qh1", ng.Qh1, ng.Q1), ("Qh2", ng.Qh2, ng.Q2)):
-            prod = {a * b for a in small.elems for b in s2.elems}
-            centr = all(a * b == b * a for a in small.gens_list()
-                        for b in s2.gens_list())
-            meet = small.eset & s2.eset
-            good = prod == set(big.eset) and centr and len(meet) == 1
+            sm = K1._ix(small)
+            prod = {keys[mul(a, b)] for a in sm for b in s2.idx}
+            centr = all(mul(a, b) == mul(b, a) for a in K1._ixgens(small) for b in s2._gl())
+            meet = s2.iset.intersection(sm)
+            good = prod == big.handles() and centr and len(meet) == 1
             out[name] = good
             ok &= good
         return ok, out
@@ -400,24 +398,24 @@ def build_claims() -> list[Claim]:
     @claim("L3.3.iv", "[<E>, Q2] = Q* and [<E>, <sigma^2, B>] = <B>")
     def l33iv(ctx):
         ng = ctx.ng
-        e = _gen_closure(ng, ["E"])
-        amb = SmallGroup.generate(list(dict.fromkeys(e.gens + ng.Qh2.gens)))
-        c1 = amb.commutator_subgroup(e, ng.Q2)
-        zb = _gen_closure(ng, ["sigma2", "B"])
-        c2 = amb.commutator_subgroup(e, zb)
-        bbar = _gen_closure(ng, ["B"])
+        e = _gen_closure(ng, ng.K2, ["E"])
+        c1 = ng.K2.commutator_subgroup(e, ng.Q2)
+        zb = _gen_closure(ng, ng.K2, ["sigma2", "B"])
+        c2 = ng.K2.commutator_subgroup(e, zb)
+        bbar = _gen_closure(ng, ng.K1, ["B"])
         ok = c1.eset == ng.Qstar.eset and c2.eset == bbar.eset
         return ok, {"|[E,Q2]|": len(c1), "|[E,<s2,B>]|": len(c2)}
 
     @claim("L3.4.i", "S = <E,F> x <F sigma^3> is Dih(18) x C2 of order 36")
     def l34i(ctx):
         ng = ctx.ng
-        ef = _gen_closure(ng, ["E", "F"])
-        fs3 = _gen_closure(ng, ["Fsigma3"])
-        prod = {a * b for a in ef.elems for b in fs3.elems}
-        centr = all(a * b == b * a for a in ef.gens_list() for b in fs3.gens_list())
-        ok = (len(ng.S) == 36 and prod == set(ng.S.eset) and centr
-              and len(ef.eset & fs3.eset) == 1
+        ef = _gen_closure(ng, ng.K2, ["E", "F"])
+        fs3 = _gen_closure(ng, ng.K2, ["Fsigma3"])
+        mul = ng.K2.tab.mul
+        prod = {mul(a, b) for a in ef.idx for b in fs3.idx}
+        centr = all(mul(a, b) == mul(b, a) for a in ef._gl() for b in fs3._gl())
+        ok = (len(ng.S) == 36 and prod == set(ng.K2._ix(ng.S)) and centr
+              and len(ef.iset & fs3.iset) == 1
               and iso_check(ef, ctx.refs["Dih18"])
               and iso_check(ng.S, ctx.refs["Dih18xC2"]))
         return ok, {"|S|": len(ng.S), "|<E,F>|": len(ef)}
@@ -441,18 +439,18 @@ def build_claims() -> list[Claim]:
     def l34iii(ctx):
         ng = ctx.ng
         n0 = ng.S.is_normal(ng.Qstar)
-        lam_sets = [L.eset for L in ng.Lambda]
+        # the Lambda subgroups (in K1's table) and S as indices in K2's table
+        K2 = ng.K2
+        conj = K2.tab.conj
+        lam_sets = [frozenset(K2._ix(L)) for L in ng.Lambda]
 
         def perm_of(g):
-            im = []
-            for s in lam_sets:
-                c = frozenset(g.inv() * x * g for x in s)
-                im.append(lam_sets.index(c))
-            return tuple(im)
+            return tuple(lam_sets.index(frozenset([conj(x, g) for x in s]))
+                         for s in lam_sets)
 
-        induced = SmallGroup.from_set({perm_of(g) for g in ng.S.elems}, (0, 1, 2))
-        fs3 = _gen_closure(ng, ["Fsigma3"])
-        fs3_trivial = all(perm_of(g) == (0, 1, 2) for g in fs3.elems)
+        induced = SmallGroup.from_set({perm_of(g) for g in K2._ix(ng.S)}, (0, 1, 2))
+        fs3 = _gen_closure(ng, K2, ["Fsigma3"])
+        fs3_trivial = all(perm_of(g) == (0, 1, 2) for g in fs3.idx)
         ok = n0 and fs3_trivial and len(induced) == 6 and iso_check(
             induced, ctx.refs["Sym3"])
         return ok, {"normalizes_Qstar": n0, "Fsigma3_trivial": fs3_trivial,
@@ -488,7 +486,7 @@ def build_claims() -> list[Claim]:
         def body(ctx):
             ng = ctx.ng
             G12 = getattr(ng, f"{group}12")
-            named = _gen_closure(ng, names)
+            named = _gen_closure(ng, ng.K1, names)
             ok = (G12.eset == named.eset and len(G12) == order
                   and iso_check(G12, ctx.refs[ref]))
             et = ctx.edge_orbit_transitive(group)
@@ -516,9 +514,10 @@ def build_claims() -> list[Claim]:
         def body(ctx):
             ok, d = ctx.shape(group)
             am, ng = ctx.amalgam(group), ctx.ng
-            t1, t2, e = (_gen_closure(ng, sigma2 + names).eset for names in
-                         (["A", "B", "F"], ["A", "B", "C", "Fsigma3"], ["E"]))
-            ce = getattr(ng, f"{group}2").p_core(3).centralizer(_named(ng, ["Fsigma3"]))
+            t1, t2, e = (_gen_closure(ng, K, sigma2 + names).eset for K, names in
+                         ((ng.K1, ["A", "B", "F"]), (ng.K2, ["A", "B", "C", "Fsigma3"]),
+                          (ng.K2, ["E"])))
+            ce = getattr(ng, f"{group}2").p_core(3).centralizer([ng.p["Fsigma3"]])
             c = f"C_O3({group}2)(Fsigma3)"
             checks = {"T1_matches_named_gens": am.T1.eset == t1,
                       "T2_matches_named_gens": am.T2.eset == t2,
@@ -684,7 +683,7 @@ def build_claims() -> list[Claim]:
         r1 = arc_orbits(g, g.base_x1, 6, "H")
         arc = ctx.paper_arc()
         ha = arc_stabilizer(g, arc, "H")
-        bbar = _gen_closure(ctx.ng, ["B"])
+        bbar = _gen_closure(ctx.ng, ctx.ng.K1, ["B"])
         ok = (r2["transitive"] and r2["arc_count"] == 324
               and ha.eset == bbar.eset and len(ha) == 3)
         return ok, {
@@ -885,7 +884,7 @@ def _kernel_claim(ctx, group: str, side: int):
 
     # proof-level witnesses: the kernel is the named p-group extended by
     # the expected involution
-    ext = SmallGroup.generate(named.gens + _named(ng, ["F"] if side == 1 else ["Fsigma3"]))
+    ext = stab.generated(named.gens + [ng.p["F" if side == 1 else "Fsigma3"]])
     d["k1_matches_named_extension"] = ext.eset == k1.eset
     ok = ok and d["k1_matches_named_extension"]
     return ok, d
@@ -938,7 +937,9 @@ REPORT_SCHEMA = {
 
 def select_claims(group: str = "both", claim_filter: str | None = None) -> list[Claim]:
     """The catalog's claims of the group ("both" for all) whose ids the
-    comma-separated prefixes of claim_filter select (all if it is empty)."""
+    comma-separated prefixes of claim_filter select (all if it is empty).
+    A selection that matches no claim raises ValueError, so no caller reads
+    an empty run as a pass."""
     claims = build_claims()
     ids = [c.id for c in claims]
     if len(ids) != len(set(ids)):
@@ -950,11 +951,16 @@ def select_claims(group: str = "both", claim_filter: str | None = None) -> list[
         # dot-separated segments: "L3.1" selects L3.1.* but not L3.10.*
         return not prefixes or any(cid == p or cid.startswith(p + ".") for p in prefixes)
 
-    return [c for c in claims if (group == "both" or group in c.groups) and matches(c.id)]
+    out = [c for c in claims if (group == "both" or group in c.groups) and matches(c.id)]
+    if not out:
+        raise ValueError(f"claim filter {claim_filter!r} selects no claim of group {group}")
+    return out
 
 
 def run_claims(ctx: VerifyContext, group: str = "both",
                claim_filter: str | None = None) -> dict:
+    """The report of the claims that select_claims selects; ValueError if
+    it selects none."""
     records = []
     overall = True
     t_all = time.perf_counter()
@@ -1091,7 +1097,9 @@ def main(argv=None) -> int:
         if args.cmd == "verify":
             # an empty selection, then the report file, are checked first:
             # either fails before any claim runs and writes no report
-            if not select_claims(args.group, args.claims):
+            try:
+                select_claims(args.group, args.claims)
+            except ValueError:
                 print(f"configuration error: --claims {args.claims!r} selects no "
                       f"claim of --group {args.group}", file=sys.stderr)
                 return EXIT_CONFIG

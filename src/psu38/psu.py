@@ -15,10 +15,10 @@ Z), held as the least packed key of its three scalar multiples
 
 make_generators gives the SU-level generators as packed keys, and words
 evaluates words in them and their inverses, one batched product per
-letter position.  The groups that the claims work in are index tables
-(grp.Table) closed on packed keys by the same kernels; PElement products
-serve only the elements that no table holds (pgenerators' composites and
-the tables' identity).
+letter position.  PElement is the one element class: K1 and K2 are index
+tables (grp.Table) of PElements, closed on packed keys by the same
+kernels, and every product of their elements is index arithmetic in one
+table, so PElement products serve only pgenerators' three composites.
 
 The paper-facing conventions (which commutator bracket, which direction
 of conjugation by sigma) are not stated in the source material and are

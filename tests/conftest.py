@@ -1,9 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from psu38 import harness
-from psu38.coset import build_graph
+from psu38.coset import build_graph, sparse6_bytes
 from psu38.gf64 import GF64
 from psu38.grp import named_groups, reference_groups
 from psu38.harness import VerifyContext
@@ -41,6 +42,15 @@ def graph(ctx):
 def graph43():
     """The graph built under the modulus 0x43."""
     return build_graph(named_groups(GF64(0b1000011)))
+
+
+@pytest.fixture(scope="session")
+def sparse6_full(graph):
+    """The session graph's sparse6 bytes, as export_sparse6 writes them,
+    and networkx's decoding of them, made once per session."""
+    import networkx as nx
+    data = sparse6_bytes(graph.nv, np.stack(graph._edge_ends(), 1))
+    return data, nx.from_sparse6_bytes(data.strip())
 
 
 @pytest.fixture

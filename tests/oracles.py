@@ -1,6 +1,7 @@
 """Test oracles: plain, direct computations that the program's fast paths
 are checked against.  psu38 itself uses none of them."""
 
+import weakref
 from collections import Counter
 from functools import cache
 from itertools import permutations
@@ -41,10 +42,15 @@ class Perm(tuple):
         return f"Perm{tuple(self)}"
 
 
-def boxed(x):
-    """x as an element with products: an image tuple as a Perm, any other
-    element as it is."""
-    return Perm(x) if isinstance(x, tuple) else x
+def boxed(x, tab=None):
+    """x as an element with products: an image tuple as a Perm, a
+    PElement of the table tab, if one is given, as its TabElement, any
+    other element as it is."""
+    if isinstance(x, tuple):
+        return Perm(x)
+    if tab is not None and type(x) is PElement:
+        return tab_elements(tab)[tab.at(x)]
+    return x
 
 
 def times(g):
@@ -54,7 +60,7 @@ def times(g):
 
 
 def close(gens, identity, cap=None):
-    """grp._close on element objects (PElements, TableElements, image
+    """grp._close on element objects (PElements, TabElements, image
     tuples as Perms, or the Python Elements and ProjElements below),
     multiplied as objects."""
     return _close(list(map(boxed, gens)), boxed(identity), cap, times)
@@ -302,6 +308,51 @@ class ProjElement:
         return f"ProjElement(key={self.key:#x})"
 
 
+class TabElement(PElement):
+    """A PElement of one of the engine's PElement tables, whose products
+    and inverses are that table's (Table.mul, Table.inv), which the tests
+    check against the Python ones: the fast element objects of the object
+    engine (ObjGroup.of), as Perm is for image tuples.  It compares and
+    hashes as the PElement of its key.  Each table's are made once
+    (tab_elements) and refer to it weakly, so they keep no table alive; a
+    right factor outside the table raises ValueError."""
+
+    __slots__ = ("box", "i")
+
+    def __mul__(self, other: PElement) -> "TabElement":
+        box = self.box
+        tab = box.tab()
+        j = other.i if type(other) is TabElement and other.box is box else tab.at(other)
+        return box[tab.mul(self.i, j)]
+
+    def inv(self) -> "TabElement":
+        box = self.box
+        return box[box.tab().inv[self.i]]
+
+
+class _Box(list):
+    """A table's TabElements by index, with a weak reference to it."""
+
+    __slots__ = ("tab",)
+
+
+_BOXES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def tab_elements(tab) -> list:
+    """The TabElements of the PElement table tab, by index, made on first
+    use and kept while the table lives."""
+    box = _BOXES.get(tab)
+    if box is None:
+        box = _BOXES[tab] = _Box()
+        box.tab = weakref.ref(tab)
+        for i, x in enumerate(tab.elems):
+            t = TabElement.__new__(TabElement)
+            t.ops, t.key, t.box, t.i = x.ops, x.key, box, i
+            box.append(t)
+    return box
+
+
 def element_from_key(field, key: int) -> Element:
     mat, twist = unpack(key)
     return Element(field, mat, twist)
@@ -405,12 +456,6 @@ def coset_canon(ops, sub: SubgroupArrays, g) -> ProjElement:
     return obj(key, ops.field)
 
 
-def plain(x) -> PElement:
-    """x as a plain PElement, outside every table: its products with
-    elements of K1 or K2 are PElement products, which no table limits."""
-    return PElement(x.ops, x.key)
-
-
 def rep_element(graph, v: int) -> PElement:
     """The stored representative of vertex v, as a plain PElement."""
     return PElement(graph.ops, int(graph.reps[graph.side_of(v)][graph.local_id(v)]))
@@ -445,13 +490,15 @@ def vertex_keys(graph, side: int, lids=None) -> np.ndarray:
     return conj_fingerprints(graph.ops, *bunpack(reps), *graph.ysets[side])
 
 
-def image_rowwise(graph, gids, keys) -> np.ndarray:
+def image_rowwise(graph, gids, keys, vkeys=None) -> np.ndarray:
     """The action one (vertex, element) pair per row, (len(gids),) int64:
     vertex gids[i] under the element of packed key keys[i] (a single key
     acts on every vertex), keyed by conj_fingerprints of the element and
     the vertex's fingerprint element (vertex_keys) and resolved on the
-    vertex's side.  CosetGraph.image_batch did this before it took many
-    elements to a few vertices."""
+    vertex's side.  vkeys, if given, maps each side to vertex_keys of the
+    whole side, computed once by the caller; else the keys of the vertices
+    in gids are computed here.  CosetGraph.image_batch did this before it
+    took many elements to a few vertices."""
     gids = np.asarray(gids, dtype=np.int64)
     xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
     out = np.empty(len(gids), dtype=np.int64)
@@ -459,7 +506,8 @@ def image_rowwise(graph, gids, keys) -> np.ndarray:
         sel = np.flatnonzero((gids >= graph.n1) == (side == 2))
         x = (xm, xt) if len(xt) == 1 else (xm[sel], xt[sel])
         lids, inv = np.unique(gids[sel] - off, return_inverse=True)
-        c = bunpack(vertex_keys(graph, side, lids)[inv])
+        fk = vertex_keys(graph, side, lids) if vkeys is None else vkeys[side][lids]
+        c = bunpack(fk[inv])
         ids = graph._resolve(side, conj_fingerprints(graph.ops, *x, *c))
         if (ids < 0).any():
             raise AssertionError("action image is not a known vertex")
@@ -467,9 +515,10 @@ def image_rowwise(graph, gids, keys) -> np.ndarray:
     return out
 
 
-def perm_by_images(graph, x: PElement) -> np.ndarray:
-    """graph.perm(x) by image_rowwise on every vertex, uncached."""
-    return image_rowwise(graph, np.arange(graph.nv), x.key).astype(np.int32)
+def perm_by_images(graph, x: PElement, vkeys=None) -> np.ndarray:
+    """graph.perm(x) by image_rowwise on every vertex, uncached; vkeys as
+    image_rowwise takes it."""
+    return image_rowwise(graph, np.arange(graph.nv), x.key, vkeys).astype(np.int32)
 
 
 def fixers_by_images(graph, keys, gids) -> np.ndarray:
@@ -489,10 +538,12 @@ def transversal_by_products(K: SmallGroup, K12: SmallGroup) -> list:
     K12.t, covered by the table products h * t."""
     cover = set()
     ts = []
+    k12 = [boxed(h, K.tab) for h in K12.elems]
     for t in K.sorted_elems():
         if t not in cover:
             ts.append(t)
-            cover.update(h * t for h in K12.elems)
+            bt = boxed(t, K.tab)
+            cover.update(h * bt for h in k12)
     assert len(ts) * len(K12) == len(K)
     return ts
 
@@ -840,10 +891,11 @@ def iso_map(G1: SmallGroup, G2: SmallGroup):
     if not iso_check(G1, G2):
         return None
     gens1, imgs = G2._iso[G1.handles()]
-    elems, parent, genidx, _ = close(gens1, G1.identity)
-    m = [boxed(G2.identity)]
+    t1, t2 = G1.tab, G2.tab
+    elems, parent, genidx, _ = close([boxed(x, t1) for x in gens1], boxed(G1.identity, t1))
+    m = [boxed(G2.identity, t2)]
     for t in range(1, len(elems)):
-        m.append(m[parent[t]] * boxed(imgs[genidx[t]]))
+        m.append(m[parent[t]] * boxed(imgs[genidx[t]], t2))
     return dict(zip(elems, m))
 
 
@@ -988,10 +1040,11 @@ def _conj_orbit(seeds, gens, on_sets=False):
 
 
 class ObjGroup:
-    """An explicitly enumerated group on element objects (PElements,
-    TableElements or the Perms above), every operation by element
-    products, hashing and comparison: the engine that grp.SmallGroup
-    computes on table indices, as it was before, for comparison."""
+    """An explicitly enumerated group on element objects (PElements, the
+    TabElements above, or Perms), every operation by element products,
+    hashing and comparison: the engine that
+    grp.SmallGroup computes on table indices, as it was before, for
+    comparison."""
 
     def __init__(self, elems, gens, identity, parent=None, genidx=None):
         self.elems = list(elems)
@@ -1017,8 +1070,11 @@ class ObjGroup:
     @staticmethod
     def of(G: SmallGroup) -> "ObjGroup":
         """The same elements, generators and tree as the engine's G, the
-        image tuples of a permutation group as Perms."""
-        return ObjGroup(map(boxed, G.elems), map(boxed, G.gens), boxed(G.identity),
+        image tuples of a permutation group as Perms and the PElements of
+        a PElement table as its TabElements."""
+        def box(x):
+            return boxed(x, G.tab)
+        return ObjGroup(map(box, G.elems), map(box, G.gens), box(G.identity),
                         G.parent, G.genidx)
 
     def subgroup(self, elements) -> "ObjGroup":

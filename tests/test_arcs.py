@@ -14,8 +14,8 @@ from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
 
 import oracles
-from oracles import (conjugate, enumerate_arcs, fixers_by_images, group_from_keys, obj,
-                     orbit_partition_by_row_keys, rep_element, vertex_stabilizer)
+from oracles import (ObjGroup, conjugate, enumerate_arcs, fixers_by_images, group_from_keys,
+                     obj, orbit_partition_by_row_keys, rep_element, vertex_stabilizer)
 
 
 def _stabilizer_perms(graph, v, group):
@@ -479,9 +479,10 @@ def test_base_vertex_stabilizers_are_the_generated_groups(graph, ng):
                         (graph.base_x1, "H", ng.H1), (graph.base_x2, "H", ng.H2)):
         stab = graph.vertex_stabilizer(v, group)
         assert stab is G and len(stab.parent) == len(stab.genidx) == len(stab)
+        O = ObjGroup.of(stab)
         for i in range(1, len(stab)):
             assert stab.parent[i] < i
-            assert stab.elems[i] == stab.elems[stab.parent[i]] * stab.gens[stab.genidx[i]]
+            assert O.elems[i] == O.elems[stab.parent[i]] * O.gens[stab.genidx[i]]
 
 
 def _fixers(graph, keys, gids):
@@ -510,7 +511,7 @@ def test_local_condition_at_deep_vertices_equals_the_group_from_keys_one(graph):
             fixed = keys[_fixers(graph, keys, graph.neighbors(v))]
             gv = group_from_keys(graph, keys)
             try:
-                graph.ng.interned(keys)
+                graph.ng.ambient(keys)
             except ValueError:  # outside K1 and K2: a table of its own
                 assert gv.tab not in (graph.ng.K1.tab, graph.ng.K2.tab)
                 assert {x.key for x in gv.elems} == set(keys.tolist())

@@ -22,9 +22,10 @@ from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import PElement
 
-from oracles import (build_graph_all_probes, conjugate, coset_canon, csr_by_full_sort,
+from oracles import (ObjGroup, boxed, build_graph_all_probes, conjugate, coset_canon,
+                     csr_by_full_sort,
                      edges_by_concat, fixers_by_images, image_rowwise,
-                     is_automorphism_by_bincount, obj, perm_by_images, plain, rep_element,
+                     is_automorphism_by_bincount, obj, perm_by_images, rep_element,
                      subgroup_arrays, transversal_by_products, vertex_keys,
                      vertex_stabilizer)
 
@@ -33,25 +34,27 @@ def test_transversal_sizes(ng):
     t1 = transversal(ng.K1, ng.K12)
     t2 = transversal(ng.K2, ng.K12)
     assert len(t1) == 4 and len(t2) == 3
-    # representatives lie in distinct right cosets
+    # representatives lie in distinct right cosets, by K1's products
     seen = set()
+    k12 = ObjGroup.of(ng.K12).elems
     for t in t1:
-        key = frozenset((h * t).key for h in ng.K12.elems)
+        t = boxed(t, ng.K1.tab)
+        key = frozenset((h * t).key for h in k12)
         assert key not in seen
         seen.add(key)
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI)
 def test_transversal_equals_the_product_oracle(modulus):
-    """The transversal walked on table indices is the one that table
+    """The transversal walked on table indices is the one that element
     products give, element for element and in the same order, on both
-    sides."""
+    sides; its elements are K's own."""
     ng = named_groups(GF64(modulus))
     for K in (ng.K1, ng.K2):
         got = transversal(K, ng.K12)
         want = transversal_by_products(K, ng.K12)
         assert [t.key for t in got] == [t.key for t in want]
-        assert all(t.tab is K.tab for t in got)
+        assert all(t is K.tab.elems[K.tab.at(t)] for t in got)
 
 
 def test_graph_scale(graph):
@@ -194,7 +197,7 @@ def test_image_batch_is_rowwise(graph, ng):
     gids = np.array([graph.base_x1, graph.base_x2]
                     + rng.sample(range(1, graph.n1), 5)
                     + rng.sample(range(graph.n1 + 1, graph.nv), 5))
-    els = [plain(rng.choice(ng.K1.elems)) * rng.choice(ng.K2.elems) for _ in gids]
+    els = [rng.choice(ng.K1.elems) * rng.choice(ng.K2.elems) for _ in gids]
     keys = np.array([x.key for x in els], dtype=np.uint64)
     got = graph.image_batch(gids, keys)
     assert got.dtype == np.int64 and got.shape == (len(gids), len(keys))
@@ -214,15 +217,18 @@ def test_side_two_fingerprint_subgroup(modulus):
     g = CosetGraph(ng.field, ng)
     coset._arm(g)
     y1, y = (PElement(ng.p["A"].ops, int(bpack(*g.ysets[s])[0])) for s in (1, 2))
+    # products by the elements of K1's and K2's tables
+    K2 = ObjGroup.of(ng.K2)
+    y1, y = boxed(y1, ng.K1.tab), boxed(y, ng.K2.tab)
     assert ng.K1.center().eset == {ng.K1.identity, y1, y1.inv()}
-    Z = ng.Qh2.center()
+    Z = ObjGroup.of(ng.Qh2.center())
     assert len(Z) == 9 and y in Z.eset and ng.K2.element_order(y) == 3
     Y = frozenset({Z.identity, y, y.inv()})
-    assert all(k.inv() * z * k in Y for k in ng.K2.elems for z in Y)
+    assert all(k.inv() * z * k in Y for k in K2.elems for z in Y)
     subgroups = {frozenset({Z.identity, z, z.inv()}) for z in Z.elems if z != Z.identity}
     assert len(subgroups) == 4 and Y in subgroups
     for S in subgroups - {Y}:
-        assert any(frozenset(k.inv() * z * k for z in S) != S for k in ng.K2.elems)
+        assert any(frozenset(k.inv() * z * k for z in S) != S for k in K2.elems)
 
 
 def _rep_product_images(graph, gids, keys):
@@ -268,7 +274,7 @@ def test_perm_is_int32_and_equals_image_batch(graph, graph43):
         ng = g.ng
         rng = random.Random(seed)
         els = [ng.p[n] for n in ("A", "B", "C", "D", "E", "F", "sigma")]
-        els += [plain(rng.choice(ng.K1.elems)) * rng.choice(ng.K2.elems) for _ in range(3)]
+        els += [rng.choice(ng.K1.elems) * rng.choice(ng.K2.elems) for _ in range(3)]
         els += [ng.K2.elems[5]]
         fks = {side: vertex_keys(g, side) for side in (1, 2)}
         for x in els:
@@ -278,7 +284,7 @@ def test_perm_is_int32_and_equals_image_batch(graph, graph43):
                 assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk), want)
             p = g.perm(x)
             assert p.dtype == np.int32
-            assert np.array_equal(p, perm_by_images(g, x))
+            assert np.array_equal(p, perm_by_images(g, x, fks))
             assert g.perm(x) is p  # cached
 
 
@@ -431,7 +437,7 @@ def test_action_is_right_action(graph, ng):
         v = rng.randrange(graph.nv)
         x = rng.choice(ng.K1.elems)
         y = rng.choice(ng.K2.elems)
-        assert graph.image(graph.image(v, x), y) == graph.image(v, plain(x) * y)
+        assert graph.image(graph.image(v, x), y) == graph.image(v, x * y)
 
 
 def test_stabilizer_permutes_neighbors(graph, ng):
@@ -950,12 +956,15 @@ def test_save_cache_removes_its_temp_file_on_failure(graph, tmp_path, monkeypatc
     assert os.listdir(tmp_path) == []
 
 
-def test_sparse6_full_export(graph, tmp_path):
+def test_sparse6_full_export(graph, sparse6_full, tmp_path):
+    """The exported file is the session's sparse6 bytes, byte for byte,
+    whose decoding (made once per session) is the graph."""
     path = str(tmp_path / "full.s6")
     assert export_sparse6(graph, path) == 59584
     assert os.path.getsize(path) < 1_000_000
+    data, back = sparse6_full
     with open(path, "rb") as fh:
-        back = nx.from_sparse6_bytes(fh.read().strip())
+        assert fh.read() == data
     assert back.number_of_nodes() == 59584
     assert back.number_of_edges() == 102144
     u = graph.edges[:, 0].astype(np.int64)

@@ -9,8 +9,7 @@ import weakref
 import pytest
 
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
-from psu38.grp import (ClosureCapExceeded, SmallGroup, TableElement,
-                       cyclic_group, dihedral_18,
+from psu38.grp import (ClosureCapExceeded, SmallGroup, cyclic_group, dihedral_18,
                        direct_product, is_split_extension, iso_check,
                        named_groups, reference_groups, sym_group)
 from psu38.harness import VerifyContext, run_claims
@@ -19,7 +18,7 @@ from psu38.psu import PElement
 from oracles import (ObjGroup, Perm, ProjElement, boxed, close, conjugate, greedy,
                      greedy_prefixes, iso_map, lambda_subgroups,
                      lambda_subgroups_by_capped_closures, obj, perm_product,
-                     plain, sequential_close)
+                     sequential_close)
 
 
 def test_closure_orders(ng):
@@ -48,14 +47,15 @@ def test_closure_cap(ng, refs):
     # the cap is the largest order allowed
     for G in (ng.K2, refs["AGL23"]):
         gens = G.gens_list()
-        assert len(close(gens, G.identity, cap=len(G))[0]) == len(G)
+        ogens, e = [boxed(x, G.tab) for x in gens], boxed(G.identity, G.tab)
+        assert len(close(ogens, e, cap=len(G))[0]) == len(G)
         assert len(SmallGroup.generate(gens, cap=len(G))) == len(G)
         with pytest.raises(ClosureCapExceeded):
-            close(gens, G.identity, cap=len(G) - 1)
+            close(ogens, e, cap=len(G) - 1)
         with pytest.raises(ClosureCapExceeded):
             SmallGroup.generate(gens, cap=len(G) - 1)
-    # plain PElements: the closure on packed keys, a bsmul per layer
-    gens = [plain(x) for x in ng.K2.gens_list()]
+    # PElements: the closure on packed keys, a bsmul per layer
+    gens = ng.K2.gens_list()
     assert len(SmallGroup.generate(gens, cap=len(ng.K2))) == len(ng.K2)
     with pytest.raises(ClosureCapExceeded):
         SmallGroup.generate(gens, cap=len(ng.K2) - 1)
@@ -166,11 +166,11 @@ def test_conjugate_within_the_table(ng, refs):
                  (refs["V"], refs["AGL23"].sorted_elems()[200])):
         gens = G.gens_list()
         C = G.conjugate(g)
-        b = boxed(g)
-        assert C.eset == {b.inv() * boxed(x) * b for x in G.elems}
-        assert C.gens == [b.inv() * boxed(x) * b for x in gens]
+        b = boxed(g, G.tab)
+        assert C.eset == {b.inv() * boxed(x, G.tab) * b for x in G.elems}
+        assert C.gens == [b.inv() * boxed(x, G.tab) * b for x in gens]
     g = ng.K1.sorted_elems()[100]
-    assert ng.Q2.conjugate(g).eset == conjugate(ng.Q2, plain(g)).eset
+    assert ng.Q2.conjugate(g).eset == conjugate(ng.Q2, g).eset
     outside = next(x for x in ng.K2.elems if x not in ng.K1)
     transposition = (1, 0) + tuple(range(2, 9))
     for G, g in ((ng.Q2, outside), (refs["V"], transposition)):
@@ -195,14 +195,16 @@ def _bfs_close(gens, identity):
 
 
 def test_close_with_redundant_generators(ng, refs):
-    assert set(close(ng.K1.sorted_elems(), ng.K1.identity)[0]) == ng.K1.eset
-    assert close([ng.K1.identity], ng.K1.identity) == ([ng.K1.identity], [0], [-1], {})
+    K1 = ObjGroup.of(ng.K1)
+    assert set(close(K1.sorted_elems(), K1.identity)[0]) == ng.K1.eset
+    assert close([K1.identity], K1.identity) == ([ng.K1.identity], [0], [-1], {})
     rng = random.Random(7)
     for G in (ng.K1, ng.K2, ng.H2, refs["AGL23"], refs["SP2"]):
-        els = G.sorted_elems()
+        O = ObjGroup.of(G)
+        els = O.sorted_elems()
         for _ in range(4):
             gens = rng.sample(els, rng.randrange(1, 6))
-            assert set(close(gens, G.identity)[0]) == _bfs_close(gens, G.identity)
+            assert set(close(gens, O.identity)[0]) == _bfs_close(gens, O.identity)
 
 
 def _assert_closure_tree(gens, identity):
@@ -228,11 +230,13 @@ def test_close_tree_and_prefix_spans(ng, refs):
               refs["AGL23S_sharp"], refs["SP2"], refs["Dih18xC2"],
               refs["C3xAGL23S"]]
     for G in groups:
-        assert set(_assert_closure_tree(G.gens_list(), G.identity)) == G.eset
-        gens = rng.sample(G.sorted_elems(), 4)  # random, often redundant
-        assert set(_assert_closure_tree(gens, G.identity)) == _bfs_close(gens, G.identity)
+        O = ObjGroup.of(G)
+        ogens = [boxed(x, G.tab) for x in G.gens_list()]
+        assert set(_assert_closure_tree(ogens, O.identity)) == G.eset
+        gens = rng.sample(O.sorted_elems(), 4)  # random, often redundant
+        assert set(_assert_closure_tree(gens, O.identity)) == _bfs_close(gens, O.identity)
         H = SmallGroup.generate(G.gens_list())
-        assert (H.elems, H.parent, H.genidx) == close(G.gens_list(), G.identity)[:3]
+        assert (H.elems, H.parent, H.genidx) == close(ogens, O.identity)[:3]
 
 
 def test_layered_close_equals_the_element_at_a_time_closure(ng, refs):
@@ -241,22 +245,26 @@ def test_layered_close_equals_the_element_at_a_time_closure(ng, refs):
     the groups' generators and for random, often redundant ones."""
     rng = random.Random(13)
     for G in (ng.Q2, ng.H2, ng.K1, refs["AGL23"], refs["SP2"], refs["C3xAGL23S"]):
-        for gens in (G.gens_list(), rng.sample(G.sorted_elems(), 4)):
-            assert close(gens, G.identity) == sequential_close(gens, G.identity)
+        O = ObjGroup.of(G)
+        for gens in ([boxed(x, G.tab) for x in G.gens_list()],
+                     rng.sample(O.sorted_elems(), 4)):
+            assert close(gens, O.identity) == sequential_close(gens, O.identity)
 
 
 def test_normal_closure_of_many_generators(ng):
     # a conjugation-closed seed closed by the plain BFS, as before
     rng = random.Random(3)
     for G in (ng.K1, ng.K2, ng.H1, ng.H2, ng.Q2, ng.S):
-        xs = rng.sample(G.sorted_elems(), 2)
+        O = ObjGroup.of(G)
+        xs = rng.sample(O.sorted_elems(), 2)
         seed = set(xs)
+        gens = [boxed(g, G.tab) for g in G.gens_list()]
         while True:
-            more = {g.inv() * x * g for x in seed for g in G.gens_list()} - seed
+            more = {g.inv() * x * g for x in seed for g in gens} - seed
             if not more:
                 break
             seed |= more
-        expected = _bfs_close(sorted(seed), G.identity)
+        expected = _bfs_close(sorted(seed), O.identity)
         nc = G.normal_closure(xs)
         assert nc.eset == expected
         assert G.normal_closure(sorted(seed)).eset == expected
@@ -308,8 +316,7 @@ def test_element_orders_equal_the_power_walk(ng, refs):
     the length of x's own walk back to the identity."""
     for G in (refs["C3xAGL23"], refs["Dih18xC2"], ng.K12, ng.S):
         # a new table, with no orders known yet
-        G = SmallGroup.generate([plain(x) if isinstance(x, PElement) else x
-                                 for x in G.gens_list()])
+        G = SmallGroup.generate(G.gens_list())
         assert not any(G.tab.orders)
         for x in ObjGroup.of(G).elems:
             r, o = x, 1
@@ -397,26 +404,27 @@ def test_iso_witness_is_homomorphism(ng, refs):
         m = iso_map(G1, G2)
         assert m is not None
         assert set(m) == G1.eset and set(m.values()) == G2.eset
-        for a in map(boxed, G1.elems):
-            for b in map(boxed, G1.gens_list()):
+        for a in (boxed(x, G1.tab) for x in G1.elems):
+            for b in (boxed(x, G1.tab) for x in G1.gens_list()):
                 assert m[a * b] == m[a] * m[b]
     assert iso_map(refs["AGL23S_sharp"], refs["AGL23S_star"]) is None
 
 
 def test_core_and_classes_against_plain_oracles(ng, refs):
     def conj(x, g):
-        g = boxed(g)
-        return g.inv() * boxed(x) * g
+        return g.inv() * x * g
 
     cases = [(ng.H2, ng.H12), (ng.H1, ng.H1.sylow(3)), (ng.H1, ng.H1.sylow(2)),
              (refs["AGL23"], refs["GL23"]), (refs["Sym4"], refs["Sym4"].sylow(2)),
              (refs["Sym4"], refs["Sym4"].sylow(3))]
     for G, H in cases:
+        els, hs = ObjGroup.of(G).elems, [boxed(h, G.tab) for h in H.elems]
         want = frozenset.intersection(
-            *(frozenset(conj(h, g) for h in H.elems) for g in G.elems))
+            *(frozenset(conj(h, g) for h in hs) for g in els))
         assert G.core(H).eset == want
     for G in (ng.Q2, ng.S, ng.H12, refs["Sym4"], refs["AGL23S"]):
-        want = {frozenset(conj(x, g) for g in G.elems) for x in G.elems}
+        els = ObjGroup.of(G).elems
+        want = {frozenset(conj(x, g) for g in els) for x in els}
         got = G.conj_classes()
         assert set(got) == want and len(got) == len(want)
         assert [min(c) for c in got] == sorted(min(c) for c in want)
@@ -521,9 +529,10 @@ def test_greedy_is_the_prefix_loop_in_one_closure(ng, refs):
     with the span ends and tree of closing every prefix, also over
     redundant and repeated candidates."""
     for G in (ng.Q2, ng.H12, refs["AGL23S"], refs["Sym4"]):
-        els = G.sorted_elems()
-        for cands in (els, els[::-1], G.gens_list() * 2):
-            assert greedy(cands, G.identity) == greedy_prefixes(cands, G.identity)
+        O = ObjGroup.of(G)
+        els = O.sorted_elems()
+        for cands in (els, els[::-1], [boxed(x, G.tab) for x in G.gens_list()] * 2):
+            assert greedy(cands, O.identity) == greedy_prefixes(cands, O.identity)
 
 
 def test_generating_set_rejects_an_unclosed_set(refs):
@@ -550,129 +559,83 @@ def _assert_right_table(gens, identity, cap=None):
 
 
 def test_close_records_the_right_multiplication_table(ng, refs):
-    """On plain PElements, on table elements and on Perms, with a
-    redundant generator, and at the cap boundary."""
+    """On plain PElements, on the elements of K1's, K2's and H2's tables
+    (TabElements) and on Perms, with a redundant generator, and at the cap
+    boundary."""
     p = ng.p
-    ident = plain(ng.K1.identity)
+    ident = ng.K1.identity
     AB = p["A"] * p["B"]
     elems, right = _assert_right_table([p["A"], p["B"], AB, p["C"]], ident)
     assert len(elems) == 27 and 2 not in right
     assert all(type(x) is PElement for x in elems)
-    K2 = ng.K2
+    K2 = ObjGroup.of(ng.K2)
     gens = K2.gens + [K2.gens[0] * K2.gens[1]]
     elems, right = _assert_right_table(gens, K2.identity)
-    assert elems == K2.elems and len(gens) - 1 not in right
+    assert elems == ng.K2.elems and len(gens) - 1 not in right
     for G in (ng.K1, ng.H2, refs["AGL23"], refs["C3xAGL23S"]):
-        gens = list(map(boxed, G.gens_list()))
+        gens = [boxed(x, G.tab) for x in G.gens_list()]
         gens = gens[:1] + [gens[0] * gens[0]] + gens[1:]
-        elems, right = _assert_right_table(gens, G.identity, cap=len(G))
+        e = boxed(G.identity, G.tab)
+        elems, right = _assert_right_table(gens, e, cap=len(G))
         assert len(elems) == len(G) and 1 not in right
         with pytest.raises(ClosureCapExceeded):
-            close(gens, G.identity, cap=len(G) - 1)
+            close(gens, e, cap=len(G) - 1)
 
 
 def test_generate_over_plain_pelements_is_a_table_group(ng):
-    """generate() over plain PElements interns the closure in a new table,
-    with the same keys, tree and generators; inside it products and
-    inverses are the PElement ones."""
+    """generate() over PElements closes a new table, with the same keys,
+    tree and generators as the closure over the oracle's products; its
+    elements are PElements, and its index products and inverses are the
+    oracle's."""
     p = ng.p
     gens = [p["A"], p["B"], p["C"], p["F"]]
     G = SmallGroup.generate(gens)
     elems, parent, genidx, _ = close([obj(x) for x in gens], obj(ng.K1.identity))
-    tab = G.identity.tab
+    tab = G.tab
     assert [x.key for x in G.elems] == [x.key for x in elems]
     assert (G.parent, G.genidx) == (parent, genidx)
-    assert all(type(x) is TableElement and x.tab is tab for x in G.elems + G.gens)
-    assert tab is not ng.K1.identity.tab and tab is not ng.K2.identity.tab
+    assert all(type(x) is PElement for x in G.elems + G.gens)
+    assert tab is not ng.K1.tab and tab is not ng.K2.tab
     assert [x.key for x in G.gens] == [x.key for x in gens]
-    for x in G.elems:
-        assert x.inv().key == obj(x).inv().key
-        for y in G.gens:
-            assert (x * y).key == (obj(x) * obj(y)).key
+    for i, x in zip(G.idx, elems):
+        assert tab.keys[tab.inv[i]] == x.inv().key
+        for j, y in zip(G._gens, G.gens):
+            assert tab.keys[tab.mul(i, j)] == (x * obj(y)).key
 
 
 def test_table_products_and_inverses_equal_pelement_ones(ng):
-    """Within K1 and within K2, table products and inverses are the
-    interned PElement products and inverses."""
+    """Within K1 and within K2, the index products tab.mul and inverses
+    tab.inv are the products and inverses of the oracle's Python
+    elements."""
     rng = random.Random(41)
     for K in (ng.K1, ng.K2):
-        tab = K.identity.tab
+        tab = K.tab
         for _ in range(1000):
-            x, y = rng.choice(K.elems), rng.choice(K.elems)
-            z = x * y
-            assert type(z) is TableElement and z.tab is tab
-            assert z.key == (obj(x) * obj(y)).key
-            assert tab.index[z.key] is z
-            assert x.inv() is tab.index[obj(x).inv().key]
-        assert all(x * x.inv() is K.identity for x in K.elems)
-        assert all(tab.elems[tab.inv[x.i]].key == obj(x).inv().key for x in K.elems)
-
-
-def test_table_products_across_tables_and_with_plain_elements(ng):
-    """One rule for a right factor from outside the left factor's table:
-    it is looked up there by key; else the left factor is looked up in the
-    right factor's table; else (D.E: K1 holds D only, K2 holds E only) the
-    product raises, since no claim takes a product outside K1 and K2.  A
-    plain PElement on the left gives the PElement product."""
-    rng = random.Random(43)
-    t1, t2 = ng.K1.identity.tab, ng.K2.identity.tab
-    k12 = [x.key for x in ng.K12.elems]
-    only1 = [x for x in ng.K1.elems if x.key not in t2.index]
-    only2 = [x for x in ng.K2.elems if x.key not in t1.index]
-    for _ in range(300):
-        k = rng.choice(k12)
-        a1, a2 = t1.index[k], t2.index[k]
-        x, y = rng.choice(only1), rng.choice(only2)
-        for left, right, tab in (
-                (x, a2, t1), (y, a1, t2), (a2, plain(y), t2),  # right factor here
-                (a1, y, t2), (a2, x, t1)):                       # left factor there
-            z = left * right
-            assert type(z) is TableElement and z.tab is tab
-            assert z.key == (obj(left) * obj(right)).key
-        z = plain(x) * a1
-        assert type(z) is PElement and z.key == (obj(x) * obj(a1)).key
-    p = ng.p
-    D, E = t1.index[p["D"].key], t2.index[p["E"].key]
-    assert D.key not in t2.index and E.key not in t1.index
-    for left, right in ((D, E), (D, p["E"])):
-        with pytest.raises(ValueError, match="no table holds both factors"):
-            left * right
-    z = p["D"] * E
-    assert type(z) is PElement and z.key == (obj(p["D"]) * obj(p["E"])).key
-
-
-def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
-    """Table products never call PElement.__mul__: not inside one table,
-    not across tables that one of them holds, and not for D.E, which no
-    table holds and which raises instead of falling back to it."""
-    calls = []
-    mul = PElement.__mul__
-
-    def counted(a, b):
-        calls.append((a.key, b.key))
-        return mul(a, b)
-    monkeypatch.setattr(PElement, "__mul__", counted)
-    D = ng.K1.identity.tab.index[ng.p["D"].key]
-    E = ng.K2.identity.tab.index[ng.p["E"].key]
-    ng.K1.elems[7] * ng.K1.elems[9]
-    ng.K12.elems[5] * ng.K2.elems[9]
-    ng.K2.elems[9] * ng.K12.elems[5]
-    with pytest.raises(ValueError, match="no table holds both factors"):
-        D * E
-    assert calls == []
+            i, j = rng.choice(K.idx), rng.choice(K.idx)
+            x, y = obj(tab.elems[i]), obj(tab.elems[j])
+            assert tab.keys[tab.mul(i, j)] == (x * y).key
+            assert tab.keys[tab.inv[i]] == x.inv().key
+        assert all(tab.mul(i, tab.inv[i]) == 0 for i in K.idx)
+        assert all(tab.keys[tab.inv[i]] == obj(x).inv().key
+                   for i, x in zip(K.idx, K.elems))
 
 
 def test_table_elements_compare_and_hash_as_pelements(ng):
+    """The elements of K1 and K2 are PElements: equal, hashed and ordered
+    by key, as a fresh PElement with the same key is."""
     rng = random.Random(47)
     pool = ng.K1.elems + ng.K2.elems
+
+    def fresh(x):
+        return PElement(x.ops, x.key)
     for _ in range(500):
         x, y = rng.choice(pool), rng.choice(pool)
-        px, py = plain(x), plain(y)
+        px, py = fresh(x), fresh(y)
         assert x == px and px == x and hash(x) == hash(px)
         assert (x == y) == (px == py) and (x != y) == (px != py)
         assert (x < y) == (px < py)
     assert sorted(pool) == sorted(pool, key=lambda x: x.key)
-    assert {x: 1 for x in pool} == {plain(x): 1 for x in pool}
+    assert {x: 1 for x in pool} == {fresh(x): 1 for x in pool}
 
 
 # the generators named_groups gives each group, in order
@@ -687,7 +650,8 @@ NAMED_GENS = {
 def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
     """Each named group has the keys of elems, gens, parent and genidx of
     the closure of its generators over the oracle's Python products, and
-    its elements are the interned elements of its ambient group's table."""
+    lies in its ambient group's table, K1's or K2's, whose elements are
+    PElements."""
     def keys(xs):
         return [x.key for x in xs]
 
@@ -702,8 +666,8 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
         assert keys(G.elems) == keys(elems) and keys(G.gens) == keys(gens)
         assert G.parent == parent and G.genidx == genidx
         ambient = ng.K2 if name in ("S", "H2", "Qh2", "K2") else ng.K1
-        tab = ambient.identity.tab
-        assert all(type(x) is TableElement and x.tab is tab for x in G.elems + G.gens)
+        assert G.tab is ambient.tab
+        assert all(type(x) is PElement for x in G.elems + G.gens)
     for name, a, b in (("H12", "H1", "H2"), ("K12", "K1", "K2")):
         assert keys(getattr(ng, name).elems) == keys(old[a].intersect(old[b]).elems)
     lam = lambda_subgroups(old["Q2"], old["Qstar"])
@@ -760,21 +724,21 @@ def test_fastops_is_the_one_matrix_arithmetic():
 
 
 def test_tables_are_freed_when_their_context_is_dropped():
-    """A table holds its elements and an element refers to its table only
-    weakly, so with the cyclic garbage collector off, K1's table goes as
-    soon as the context that built it does: after claims have filled the
-    engine's caches and the isomorphism memos, and with its elements
-    still alive."""
+    """A table holds its elements and no element refers to its table, so
+    with the cyclic garbage collector off, K1's table goes as soon as the
+    context that built it does: after claims have filled the engine's
+    caches and the isomorphism memos, and with its elements still
+    alive."""
     gc.collect()
     gc.disable()
     try:
         ctx = VerifyContext()
         assert run_claims(ctx, claim_filter="L3.2,L3.4,L3.5,L3.6.i,RG")["overall"]
-        tabs = [ctx.ng.K1.identity.tab, ctx.ng.K2.identity.tab, ctx.refs["AGL23"].tab]
+        tabs = [ctx.ng.K1.tab, ctx.ng.K2.tab, ctx.refs["AGL23"].tab]
         refs = [weakref.ref(t) for t in tabs]
         kept = ctx.ng.K1.elems[5]
         del ctx, tabs
         assert [r() for r in refs] == [None, None, None]
-        assert kept.key and kept.tab is None
+        assert kept.key and type(kept) is PElement
     finally:
         gc.enable()

@@ -12,7 +12,7 @@ from psu38 import arcs, coset, harness
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS
 from psu38.harness import (EXIT_ERROR, REPORT_SCHEMA, VerifyContext, _gen_closure,
                            build_claims, factorization, format_report, main,
-                           run_claims)
+                           run_claims, select_claims)
 
 from psu38.psu import PElement
 
@@ -35,13 +35,15 @@ def test_factorization():
 
 
 def test_gen_closure_is_over_table_elements(ng):
-    """Claim groups are generated inside the K1 or K2 table; generators
-    that no one table holds are refused, not multiplied as PElements."""
+    """Claim groups are generated on K1 or K2, inside its table;
+    generators that the table lacks are refused, not multiplied as
+    PElements."""
     for names, K in ((["C", "D"], ng.K1), (["E", "F"], ng.K2)):
-        G = _gen_closure(ng, names)
-        assert all(x.tab is K.identity.tab for x in G.elems)
-    with pytest.raises(ValueError):
-        _gen_closure(ng, ["D", "E"])
+        G = _gen_closure(ng, K, names)
+        assert G.tab is K.tab and G.eset <= K.eset
+    for names, K in ((["D", "E"], ng.K1), (["D", "E"], ng.K2), (["E"], ng.K1)):
+        with pytest.raises(ValueError):
+            _gen_closure(ng, K, names)
 
 
 def _perfbench_workload(monkeypatch):
@@ -68,18 +70,26 @@ def _assert_reference_digests(monkeypatch, rep):
 
 
 def test_full_catalog_makes_no_pelement_products(monkeypatch):
-    """After named_groups, a warm run of the whole catalog multiplies table
-    elements and Perms only: PElement.__mul__ is never called.  The same
-    run gives every benchmarked claim the digest recorded in
-    perfbench/reference.json, no level of the arc walk holds more arcs
-    than the 1,944 8-arcs at x2 (no pass over the edges), and once the
-    graph is built the grid kernel sees only the images of paper_arc (one
-    vertex under one element, 4 times) and of L3.9 (3 vertices under the
-    9 elements of the named 5-arc's stabilizer, one call per vertex):
-    perm and fixers do not resolve vertices.  The kernel chain of each
-    base vertex and group runs once (4 bodies for 8 claims)."""
+    """After named_groups, the graph build and a warm run of the whole
+    catalog multiply on table indices and Perms only: PElement.__mul__ is
+    never called.  The same run gives every benchmarked claim the digest
+    recorded in perfbench/reference.json, no level of the arc walk holds
+    more arcs than the 1,944 8-arcs at x2 (no pass over the edges), and
+    once the graph is built the grid kernel sees only the images of
+    paper_arc (one vertex under one element, 4 times) and of L3.9 (3
+    vertices under the 9 elements of the named 5-arc's stabilizer, one
+    call per vertex): perm and fixers do not resolve vertices.  The kernel
+    chain of each base vertex and group runs once (4 bodies for 8
+    claims)."""
     ctx = VerifyContext()
     ctx.ng
+    calls = []
+    mul = PElement.__mul__
+
+    def counted(a, b):
+        calls.append((a.key, b.key))
+        return mul(a, b)
+    monkeypatch.setattr(PElement, "__mul__", counted)
     ctx.graph
     grids = []
     grid = coset.conj_fingerprint_grid
@@ -88,13 +98,6 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
         grids.append((len(rt), len(ct)))
         return grid(ops, rm, rt, cm, ct)
     monkeypatch.setattr(coset, "conj_fingerprint_grid", counted_grid)
-    calls = []
-    mul = PElement.__mul__
-
-    def counted(a, b):
-        calls.append((a.key, b.key))
-        return mul(a, b)
-    monkeypatch.setattr(PElement, "__mul__", counted)
     rows = []
     walk = arcs.arc_levels
 
@@ -123,6 +126,17 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     assert grids == [(1, 1)] * 4 + [(9, 1)] * 3
     assert rep["environment"]["modulus"] == DEFAULT_MODULUS
     _assert_reference_digests(monkeypatch, rep)
+
+
+@pytest.mark.parametrize("group, claim_filter", [("both", "NOPE"), ("H", "P3.7")])
+def test_run_claims_refuses_an_empty_selection(ctx, group, claim_filter):
+    """A selection that matches no claim raises ValueError, in
+    select_claims and so in run_claims, rather than reading as a run with
+    overall true and no claims."""
+    with pytest.raises(ValueError, match="selects no claim"):
+        select_claims(group, claim_filter)
+    with pytest.raises(ValueError, match="selects no claim"):
+        run_claims(ctx, group=group, claim_filter=claim_filter)
 
 
 def test_alt_modulus_claim_digests_match_the_reference(monkeypatch):
@@ -283,14 +297,16 @@ def test_cli_export_edge_list(tmp_path, capsys, builds):
     assert builds == [DEFAULT_MODULUS]
 
 
-def test_cli_export_sparse6(tmp_path, capsys, builds):
-    import networkx as nx
+def test_cli_export_sparse6(tmp_path, capsys, builds, sparse6_full):
+    """The CLI's file is the session graph's sparse6 bytes, byte for byte,
+    whose decoding (made once per session) has the graph's counts."""
     path = str(tmp_path / "delta.s6")
     rc = main(["export", "--format", "sparse6", "--out", path])
     assert rc == 0
     assert "sparse6 with 59584 vertices" in capsys.readouterr().out
+    data, back = sparse6_full
     with open(path, "rb") as fh:
-        back = nx.from_sparse6_bytes(fh.read().strip())
+        assert fh.read() == data
     assert back.number_of_nodes() == 59584
     assert back.number_of_edges() == 102144
     assert builds == [DEFAULT_MODULUS]

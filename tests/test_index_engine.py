@@ -24,15 +24,17 @@ def _check(G, picks):
     equals the object version: as element lists where the order is part
     of the result, else as sets."""
     els = G.sorted_elems()
-    # image tuples as Perms, which the object engine multiplies
-    gens = [boxed(els[k % len(els)]) for k in picks]
+    # image tuples as Perms and PElements as G's TabElements, which the
+    # object engine multiplies
     tab = G.tab
+    gens = [boxed(els[k % len(els)], tab) for k in picks]
+    e = boxed(G.identity, tab)
     # closure order on indices and on objects
     order = _close([tab.at(g) for g in gens], 0, None, tab.by)[0]
-    assert [tab.elems[i] for i in order] == close(gens, G.identity)[0]
+    assert [tab.elems[i] for i in order] == close(gens, e)[0]
     H = G.span(gens)
     O, OH = ObjGroup.of(G), ObjGroup.of(H)
-    assert H.eset == frozenset(close(gens, G.identity)[0]) == OH.eset
+    assert H.eset == frozenset(close(gens, e)[0]) == OH.eset
     assert H.generating_set() == generating_set(OH)
     assert G.centralizer(gens).elems == O.centralizer(gens).elems
     assert G.normalizer(H).elems == O.normalizer(OH).elems

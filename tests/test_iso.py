@@ -21,8 +21,10 @@ from oracles import (ObjGroup, boxed, greedy_prefixes, iso_generators, iso_map,
 # vertex ran once for each of its two claims; 263 while sylow found the
 # generators of each normalizer it grew P in by a closure, and from_set
 # built no table; 521 with the prefix closures; 313 while sylow closed all
-# of P's generators at each of its 50 growth steps)
-CATALOG_CLOSES = 208
+# of P's generators at each of its 50 growth steps; 208 while L3.1.iv and
+# L3.3.iv each generated an ambient group for their commutator subgroups
+# instead of taking K1's and K2's tables)
+CATALOG_CLOSES = 206
 CATALOG_OBJECT_CLOSES = 40
 # iso_check calls in the same run (47 while the kernel chains ran twice)
 CATALOG_ISO_CALLS = 39
@@ -76,8 +78,9 @@ def catalog():
     def recorded_greedy(cands, identity, by):
         found = greedy(cands, identity, by)
         tab = by.__self__
-        stack[-1].append(([tab.elems[c] for c in cands], tab.elems[identity],
-                          _elements(found, tab)))
+        # as the object engine's elements, which multiply in tab
+        stack[-1].append(([boxed(tab.elems[c], tab) for c in cands],
+                          boxed(tab.elems[identity], tab), _elements(found, tab)))
         return found
 
     def counted_close(gens, identity, cap, by):
@@ -118,8 +121,9 @@ def _assert_isomorphism(G1, G2, m):
     """m is a bijection G1 -> G2 with m(x g) = m(x) m(g) for every x and
     every generator g, so a homomorphism."""
     assert set(m) == G1.eset and set(m.values()) == G2.eset
-    for g in map(boxed, G1.gens_list()):
-        for x in map(boxed, G1.elems):
+    els = ObjGroup.of(G1).elems
+    for g in (boxed(x, G1.tab) for x in G1.gens_list()):
+        for x in els:
             assert m[x * g] == m[x] * m[g]
 
 
