@@ -620,6 +620,32 @@ def test_table_products_and_inverses_equal_pelement_ones(ng):
                    for i, x in zip(K.idx, K.elems))
 
 
+def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
+    """Products in a table never call PElement.__mul__: not inside K1 or
+    K2, and not for K12's elements in either ambient table.  D.E, which
+    no table holds, is a plain PElement product: it calls the current
+    PElement.__mul__ once and equals the oracle's product."""
+    calls = []
+    mul = PElement.__mul__
+
+    def counted(a, b):
+        calls.append((a.key, b.key))
+        return mul(a, b)
+    monkeypatch.setattr(PElement, "__mul__", counted)
+    t1, t2 = ng.K1.tab, ng.K2.tab
+    D, E = ng.p["D"], ng.p["E"]
+    assert t1.find(D) is not None and t2.find(D) is None
+    assert t2.find(E) is not None and t1.find(E) is None
+    t1.keys[t1.mul(7, 9)]
+    t2.keys[t2.mul(t2.inv[9], 9)]
+    x, y = ng.K12.elems[5], ng.K12.elems[9]
+    for tab in (t1, t2):
+        assert tab.keys[tab.mul(tab.at(x), tab.at(y))] == (obj(x) * obj(y)).key
+    assert calls == []
+    assert (D * E).key == (obj(D) * obj(E)).key
+    assert calls == [(D.key, E.key)]
+
+
 def test_table_elements_compare_and_hash_as_pelements(ng):
     """The elements of K1 and K2 are PElements: equal, hashed and ordered
     by key, as a fresh PElement with the same key is."""
