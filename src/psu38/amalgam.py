@@ -155,11 +155,11 @@ def shape_d2(am: Amalgam, refs: dict) -> tuple[bool, dict]:
 
 def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
     """Z x| (automorphisms of Z induced by G acting by conjugation), as
-    the permutation group on Z's sorted elements generated by the right
-    translations by Z's generators and the conjugations by G's, taken on
-    the indices of G's table, which must hold Z."""
+    the permutation group on Z's elements in table order generated by the
+    right translations by Z's generators and the conjugations by G's,
+    taken on the indices of G's table, which must hold Z."""
     tab = G.tab
-    zl = sorted(G._ix(Z), key=tab.rank.__getitem__)
+    zl = sorted(G._ix(Z))
     zi = {x: i for i, x in enumerate(zl)}
     shifts = [tuple([zi[tab.mul(x, z)] for x in zl]) for z in G._ixgens(Z)]
     auts = [tuple([zi[tab.conj(x, g)] for x in zl]) for g in G._gl()]

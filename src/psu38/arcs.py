@@ -329,7 +329,8 @@ def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
     deep: recompute G_v^[1] as the elements of G_v that fix v's neighbors
     and check that it is the base kernel G_z^[1] conjugated by v's rep
     (pulled_back_kernels against G_z^[1] over the base stabilizer's
-    sorted elements), so the centralizer condition carries over.
+    sorted packed keys, stabilizer_key_rows' row order), so the
+    centralizer condition carries over.
     """
     rng = np.random.default_rng(SAMPLE_SEED)
     wide_ids = rng.choice(graph.nv, size=SAMPLE_WIDE, replace=False)
@@ -337,10 +338,11 @@ def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
     wide_ok = all(_wide_ok(graph, chunk, group) for chunk in _side_batches(graph, wide_ids))
     deep_ok = True
     for chunk in _side_batches(graph, deep_ids):
-        kd = kernel_data(graph, graph.base_x1 if chunk[0] < graph.n1 else graph.base_x2, group)
-        kern = kd.kernel(1).iset
+        side = graph.side_of(int(chunk[0]))
+        kern = kernel_data(graph, graph.base_x1 if side == 1 else graph.base_x2,
+                           group).kernel(1).handles()
         if not (pulled_back_kernels(graph, chunk, group)
-                == [i in kern for i in kd.stab._srt()]).all():
+                == [k in kern for k in graph.kkeys[side, group].tolist()]).all():
             deep_ok = False
             break
     return {

@@ -28,8 +28,11 @@ matrix product each, and inverts and repeats no rep; a loaded graph's
 fingerprints are the same kernel with k = 1 and c = y.  After the first
 layer no vertex probes back to its parent.  Probes are resolved in
 sorted order, and each layer's fresh keys are merged into the side's
-sorted keys.  Each layer's new vertices are numbered in key order, so ids
-are deterministic and the base vertices are 0 and n1.
+sorted keys.  Each layer's new vertices are numbered in the order of their
+first probe (frontier vertex, then transversal element), and the
+transversals are scanned in table order, so every id is fixed by the named
+generators alone: the four GF(64) moduli give one labelled graph, with
+the base vertices at 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
 vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x), by one of the
@@ -37,15 +40,15 @@ two kernels of fastops, whichever fits the shape: perm, the whole graph
 under one element, by the table lookups of linear_conj_keys, and
 image_batch, a few vertices under many elements, by conj_fingerprint_grid
 with the elements as its r.  Every stabilizer question goes through one
-batched pair.  stabilizer_key_rows conjugates all of
-K_side by the rep of each vertex of a batch, in K_side's own sorted order,
-by lookups in one table set per rep.  fixes tells which keys fix given
-vertices, by membership in K_side (x fixes K_side.r exactly when r x r^-1
-lies in K_side), by lookups in one table set of r^-1 per vertex; that
-gives arc stabilizers and kernels without intersecting conjugates or
-resolving a vertex.  A table set conjugates 54 bit matrices per twist,
-against the |K_side| rows of a product per rep, so the lookups pay even
-for one rep.
+batched pair.  stabilizer_key_rows conjugates all of K_side by the rep
+of each vertex of a batch, in the order of K_side's sorted packed keys
+(kkeys), by lookups in one table set per rep.  fixes tells which keys fix
+given vertices, by membership in K_side (x fixes K_side.r exactly when
+r x r^-1 lies in K_side), by lookups in one table set of r^-1 per vertex,
+and a binary search in kkeys; that gives arc stabilizers and kernels
+without intersecting conjugates or resolving a vertex.  A table set
+conjugates 54 bit matrices per twist, against the |K_side| rows of a
+product per rep, so the lookups pay even for one rep.
 
 The whole-graph passes hold no more than KEY_CHUNK rows or their own
 output besides the arrays the graph keeps.  A build writes each edge once,
@@ -96,13 +99,14 @@ class CacheMismatch(RuntimeError):
 
 def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
     """Right transversal of K12 in K: representatives t of the cosets
-    K12.t, scanned in canonical order so the choice is deterministic.
+    K12.t, the least index of each coset in K's table, so the choice is
+    the same word in the generators under every modulus.
     The cosets are walked as indices in K's table: K12.t is K12 carried
     along the generator rows of t's path."""
     cover = set()
     ts = []
     h = K._ix(K12)
-    for t in K._srt():
+    for t in sorted(K.idx):
         if t not in cover:
             ts.append(t)
             ht = h
@@ -240,8 +244,9 @@ class CosetGraph:
         gids, all on one side, as the rows of a (len(gids), |G_side|)
         array (no rows for no vertex), G_side the stabilizer of that
         side's base vertex (K1, K2, H1 or H2): key i is rep^-1 k_i rep,
-        k_i the i-th of G_side.sorted_elems().  Table lookups in one
-        conj_tables set per rep (linear_conj_keys), no product per key."""
+        k_i the i-th of G_side's sorted packed keys (kkeys).  Table lookups
+        in one conj_tables set per rep (linear_conj_keys), no product per
+        key."""
         gids = np.asarray(gids, dtype=np.int64)
         on2 = gids >= self.n1
         if on2.any() and not on2.all():
@@ -259,7 +264,8 @@ class CosetGraph:
         K_side.r, r = rep(g) (_check_keys proves it), and x fixes it
         exactly when r x r^-1 lies in K_side: table lookups in one
         conj_tables set of r^-1 per vertex, then a binary search in
-        K_side's sorted keys; no vertex is resolved."""
+        K_side's sorted keys, which must ascend strictly (else an
+        AssertionError, never a wrong answer); no vertex is resolved."""
         keys = np.asarray(keys, dtype=np.uint64)
         gids = np.asarray(gids, dtype=np.int64)
         if not keys.size:
@@ -275,6 +281,8 @@ class CosetGraph:
         rows2 = np.repeat(on2, k)
         for side, sel in ((1, ~rows2), (2, rows2)):
             ks = self.kkeys[side, "K"]
+            if (ks[1:] <= ks[:-1]).any():
+                raise AssertionError(f"side {side}: the keys of K_side do not ascend")
             pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
             member[sel] = ks[pos] == conj[sel]
         return member.reshape(keys.shape)
@@ -329,24 +337,23 @@ class CosetGraph:
         ids[order] = np.where(sk[pos] == q, self.sids[side][pos], -1)
         return ids
 
-    def _register(self, side: int, reps: np.ndarray, keys: np.ndarray) -> None:
-        """Append vertices, given their rep keys and fingerprint keys, and
-        merge their sorted keys, with their ids alongside, into the side's
-        sorted keys: each goes after the old keys not greater than it, as
-        a stable sort of all would put it.  Written out rather than by
-        np.insert, whose extra temporaries showed in the peak RSS of
-        repeated loads."""
-        base = len(self.reps[side])
+    def _register(self, side: int, reps: np.ndarray, keys: np.ndarray,
+                  ids: np.ndarray) -> None:
+        """Append vertices, given their rep keys, and merge their
+        fingerprint keys, ascending, with the vertex id of each alongside,
+        into the side's sorted keys: each goes after the old keys not
+        greater than it, as a stable sort of all would put it.  Written out
+        rather than by np.insert, whose extra temporaries showed in the
+        peak RSS of repeated loads."""
         self.reps[side] = np.concatenate([self.reps[side], reps])
-        order = np.argsort(keys, kind="stable")
         sk = self.skeys[side]
-        at = np.searchsorted(sk, keys[order], side="right") + np.arange(len(order))
-        old = np.ones(len(sk) + len(order), dtype=bool)
+        at = np.searchsorted(sk, keys, side="right") + np.arange(len(keys))
+        old = np.ones(len(sk) + len(keys), dtype=bool)
         old[at] = False
         skeys = np.empty(len(old), dtype=np.uint64)
         sids = np.empty(len(old), dtype=np.int32)
-        skeys[at], skeys[old] = keys[order], sk
-        sids[at], sids[old] = base + order, self.sids[side]
+        skeys[at], skeys[old] = keys, sk
+        sids[at], sids[old] = ids, self.sids[side]
         self.skeys[side], self.sids[side] = skeys, sids
 
     def _check_keys(self) -> None:
@@ -392,9 +399,9 @@ def _arm(graph: CosetGraph) -> None:
     # subgroup of Z(Qh2) (order 9) that every generator of K2 maps to
     # itself, found as the y with y^k in {y, y^-1} for each generator k,
     # on the indices of K2's table (Qh2's).
-    z1 = [y for y in ng.K1.center()._srt() if y]
+    z1 = [y for y in ng.K1.center().idx if y]
     t2 = ng.K2.tab
-    y2 = [y for y in ng.Qh2.center()._srt() if y
+    y2 = [y for y in ng.Qh2.center().idx if y
           and all(t2.conj(y, k) in (y, t2.inv[y]) for k in ng.K2._gl())]
     for name, ys in (("Z(K1)", z1), ("Y2 in Z(Qh2)", y2)):
         if len(ys) != 2:
@@ -403,8 +410,7 @@ def _arm(graph: CosetGraph) -> None:
         graph.ysets[side] = bunpack(np.array([K.tab.keys[ys[0]]], dtype=np.uint64))
         for group in ("K", "H"):
             G = graph.base_stabilizer(side, group)
-            graph.kkeys[side, group] = np.array([x.key for x in G.sorted_elems()],
-                                                dtype=np.uint64)
+            graph.kkeys[side, group] = np.sort(np.fromiter(G.handles(), np.uint64, len(G)))
         graph.reps[side] = np.zeros(0, dtype=np.uint64)
         graph.skeys[side] = np.zeros(0, dtype=np.uint64)
         graph.sids[side] = np.zeros(0, dtype=np.int32)
@@ -444,7 +450,7 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
     ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
-        graph._register(side, ident, graph._keys(side, *bunpack(ident)))
+        graph._register(side, ident, graph._keys(side, *bunpack(ident)), [0])
 
     # the coset count check below keeps every write inside the table
     nbr = np.empty((GROUP_ORDER // len(ng.K1), 4), dtype=np.uint32)
@@ -465,10 +471,13 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             base = len(graph.reps[tgt])
             if (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) > GROUP_ORDER:
                 raise AssertionError("more cosets than |G| allows; convention bug")
-            ids[miss] = base + inv
+            # the fresh keys are numbered in the order of their first probes
+            order = np.argsort(first)
+            num = base + np.argsort(order)
+            ids[miss] = num[inv]
             # one product per fresh vertex: its rep t_j.r, from its first probe
-            i, j = np.divmod(miss[first], k)
-            graph._register(tgt, ops.bpkeys(*ops.bsmul(tm[j], tt[j], rm[i], rt[i])), fresh)
+            i, j = np.divmod(miss[first[order]], k)
+            graph._register(tgt, ops.bpkeys(*ops.bsmul(tm[j], tt[j], rm[i], rt[i])), fresh, num)
             new[tgt] = base + np.arange(len(fresh))
             if side == 1:
                 nbr[src, 4 - k:] = ids.reshape(len(src), k)
@@ -624,7 +633,9 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     for side, reps in ((1, reps1), (2, reps2)):
-        graph._register(side, reps, graph._keys(side, *bunpack(reps)))
+        keys = graph._keys(side, *bunpack(reps))
+        order = np.argsort(keys, kind="stable")
+        graph._register(side, reps, keys[order], order)
     graph.edges = edges
     graph.n1, graph.n2 = int(n1), int(n2)
     graph._build_csr()

@@ -5,15 +5,21 @@ isomorphism testing, reference constructions, split-extension search.
 Every group lives in one ambient Table, read off the _close call that
 enumerated the ambient group on values (a PElement's packed key, a
 permutation's image tuple): its elements in discovery order, one
-right-multiplication row per generator, the inverse of each element, the
-rank of each element in the sorted order, and lazily, one conjugation row
-per generator.  An element is an index into its table: a product x*y
-carries x along the rows of y's closure-tree path, and the conjugation by
-a generator is a permutation of the indices.  A SmallGroup is its table and
+right-multiplication row per generator, the inverse of each element, and
+lazily, one conjugation row per generator.  An element is an index into
+its table: a product x*y carries x along the rows of y's closure-tree
+path, and the conjugation by a generator is a permutation of the indices.  A SmallGroup is its table and
 the indices of its elements (as a list in element order and as a
 frozenset), so every engine operation (closures, orders, conjugacy
 orbits, centralizers, normalizers, cores, Sylow subgroups, cosets and the
 isomorphism search) walks lists of ints.
+
+There is one element order: ascending table index.  Every scan that
+makes a choice (a Sylow subgroup's growth, a greedy generating set, coset
+representatives, complement lifts, isomorphism candidates) walks the
+indices in that order.  Discovery order is fixed by the generators' words
+alone, so every choice is the same word in the named generators under
+every GF(64) modulus, though the packed keys that write it down differ.
 
 There are two kinds of table, and no element class of their own.  K1
 and K2 are tables of plain PElements, closed on their packed keys; every
@@ -57,8 +63,7 @@ class Table:
     so index i times index j is i carried through path[j].  Inverses follow
     the tree: elems[j]^-1 = g^-1 elems[parent[j]]^-1 with g = gens[genidx[j]],
     and g^-1 is the last index that the walk along right[g] from the
-    identity reaches before it returns there.  rank orders the indices as
-    the elements sort (PElement keys, image tuples).  The conjugation row of
+    identity reaches before it returns there.  The conjugation row of
     a generator g, x -> g^-1 x g, is inv[R[inv[R[x]]]] with R = right[g];
     that of any element composes the generators' rows along its path."""
 
@@ -85,7 +90,6 @@ class Table:
                 k = R[k]
             inv[j] = k
         self.orders = [0] * n
-        self._rank: list | None = None
         # generator index -> its conjugation row, built on first use
         self._crows: dict | None = None
 
@@ -102,14 +106,6 @@ class Table:
         if j is None:
             raise ValueError("the element is not in this table")
         return j
-
-    @property
-    def rank(self) -> list:
-        if self._rank is None:
-            r = self._rank = [0] * self.n
-            for k, i in enumerate(sorted(range(self.n), key=self.keys.__getitem__)):
-                r[i] = k
-        return self._rank
 
     # -- arithmetic on indices --------------------------------------------
 
@@ -327,8 +323,8 @@ class SmallGroup:
 
     idx lists the indices in element order, the identity (index 0) first:
     closure discovery order when built by generate() or generated(), else
-    the identity and then sorted order.  When built by either, `parent`
-    and `genidx` record the closure tree of _close (elems[i] =
+    ascending (table order).  When built by either, `parent` and `genidx`
+    record the closure tree of _close (elems[i] =
     elems[parent[i]] * gens[genidx[i]]), which downstream code uses to
     evaluate vertex actions incrementally.  Caches (orders, classes,
     invariants) are keyed by indices.
@@ -345,7 +341,6 @@ class SmallGroup:
         self._elems: list | None = None
         self._eset: frozenset | None = None
         self._handles: frozenset | None = None
-        self._sorted: list | None = None
         self._classes: list | None = None
         self._class_of: dict | None = None
         self._labels: dict | None = None
@@ -381,9 +376,9 @@ class SmallGroup:
     @staticmethod
     def from_set(elements, identity, name: str = "") -> "SmallGroup":
         """Group on an explicit element set (image tuples or PElements)
-        that is closed under products, as a new table generated by the
-        set: the identity first, then the rest in sorted order.
-        Generators are found lazily on first use.  A subgroup of a group
+        that is closed under products, as a new table generated by the set
+        in sorted order, its elements in table order.  Generators are found
+        lazily on first use.  A subgroup of a group
         that has a table already is subgroup() or generated() on it."""
         elements = list(elements)
         tab = _new_table(sorted(set(elements)) or [identity], identity)
@@ -391,11 +386,9 @@ class SmallGroup:
 
     @staticmethod
     def _of(tab: Table, idx, name: str = "") -> "SmallGroup":
-        """The group on these indices of tab: the identity first, then the
-        rest in sorted order."""
-        rest = set(idx)
-        rest.discard(0)
-        return SmallGroup(tab, [0] + sorted(rest, key=tab.rank.__getitem__), name=name)
+        """The group on these indices of tab, in table order (the
+        identity, index 0, first)."""
+        return SmallGroup(tab, sorted(set(idx)), name=name)
 
     def _sub(self, idx, name: str = "") -> "SmallGroup":
         return SmallGroup._of(self.tab, idx, name)
@@ -478,15 +471,6 @@ class SmallGroup:
     def __iter__(self):
         return iter(self.elems)
 
-    def _srt(self) -> list:
-        """The indices in sorted element order."""
-        if self._sorted is None:
-            self._sorted = sorted(self.idx, key=self.tab.rank.__getitem__)
-        return self._sorted
-
-    def sorted_elems(self) -> list:
-        return [self.tab.elems[i] for i in self._srt()]
-
     def __le__(self, other: "SmallGroup") -> bool:
         if other.tab is self.tab:
             return self.iset <= other.iset
@@ -515,14 +499,14 @@ class SmallGroup:
         return [self.tab.elems[i] for i in self._generating_set()]
 
     def _generating_set(self) -> list:
-        """Small deterministic generating set: greedy over elements sorted
-        by decreasing order.  The span holds every element, so it is the
-        element set exactly when the sizes agree."""
+        """Small deterministic generating set: greedy over elements by
+        decreasing order, then in table order.  The span holds every
+        element, so it is the element set exactly when the sizes agree."""
         if len(self.idx) == 1:
             return [0]
         tab = self.tab
-        order, rank = tab.order, tab.rank
-        cand = sorted(self.idx, key=lambda x: (-order(x), rank[x]))
+        order = tab.order
+        cand = sorted(self.idx, key=lambda x: (-order(x), x))
         gens, ends, _ = _greedy(cand, 0, tab.by)
         if ends[-1] != len(self.idx):
             raise AssertionError("element set is not closed under multiplication")
@@ -607,8 +591,7 @@ class SmallGroup:
     def _normal_closure(self, xs) -> "SmallGroup":
         tab = self.tab
         fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
-        seed = sorted(_orbit(xs, fs), key=tab.rank.__getitem__)
-        return self._sub(_close(seed, 0, None, tab.by)[0])
+        return self._sub(_close(sorted(_orbit(xs, fs)), 0, None, tab.by)[0])
 
     def derived(self) -> "SmallGroup":
         tab = self.tab
@@ -623,8 +606,7 @@ class SmallGroup:
         tab = self.tab
         d = self.derived()
         pw = {tab.pow(x, p) for x in self.idx}
-        return self._sub(_close(sorted(d.iset | pw, key=tab.rank.__getitem__), 0,
-                                None, tab.by)[0])
+        return self._sub(_close(sorted(d.iset | pw), 0, None, tab.by)[0])
 
     def commutator_subgroup(self, X: "SmallGroup", Y: "SmallGroup") -> "SmallGroup":
         """[X, Y] for subgroups X, Y of self (commutators over all pairs,
@@ -634,8 +616,7 @@ class SmallGroup:
         mul, inv = tab.mul, tab.inv
         ys = self._ix(Y)
         comms = {mul(mul(mul(inv[x], inv[y]), x), y) for x in self._ix(X) for y in ys}
-        return self._sub(_close(sorted(comms, key=tab.rank.__getitem__), 0,
-                                None, tab.by)[0])
+        return self._sub(_close(sorted(comms), 0, None, tab.by)[0])
 
     def intersect(self, other: "SmallGroup") -> "SmallGroup":
         """self n other, as a subgroup of self (in self's table)."""
@@ -658,7 +639,7 @@ class SmallGroup:
     def sylow(self, p: int) -> "SmallGroup":
         """One Sylow p-subgroup, grown greedily inside successive
         normalizers; deterministic because candidates are scanned in
-        sorted order.  An x of p-power order outside P that normalizes P
+        table order.  An x of p-power order outside P that normalizes P
         (maps the generators of P into P) makes P<x> a p-group larger than
         P.  Orders in G divide |G|, so a p-power is an order (or a
         subgroup's size) that divides target.  Since x normalizes P, P<x>
@@ -668,8 +649,9 @@ class SmallGroup:
         order, conj = tab.order, tab.conj
         target = p ** _pval(len(self.idx), p)
         P, pset, pgens = [0], {0}, []
+        scan = sorted(self.idx)
         while len(P) < target:
-            x = next((x for x in self._srt()
+            x = next((x for x in scan
                       if x not in pset and target % order(x) == 0
                       and all(conj(h, x) in pset for h in pgens)), None)
             if x is None:
@@ -714,14 +696,14 @@ class SmallGroup:
 
     def _class_lists(self) -> list:
         """The conjugacy classes as index lists, numbered by their least
-        element, each in orbit order; _class_of maps an index to its
+        index, each in orbit order; _class_of maps an index to its
         class."""
         if self._classes is None:
             tab = self.tab
             fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
             which: dict = {}
             classes: list = []
-            for g in self._srt():
+            for g in sorted(self.idx):
                 if g not in which:
                     orbit = _orbit([g], fs)
                     which.update(dict.fromkeys(orbit, len(classes)))
@@ -755,13 +737,13 @@ class SmallGroup:
 
     def _coset_index(self, N: "SmallGroup") -> tuple[dict, list]:
         """(index -> coset number, least index of each coset) for a normal
-        N: coset 0 is N, the others are numbered by their least element."""
+        N: coset 0 is N, the others are numbered by their least index."""
         coset: dict = {}
         reps = []
         nidx = self._ix(N)
         tab = self.tab
         path = tab.path
-        for g in [0] + self._srt():
+        for g in sorted(self.idx):
             if g not in coset:
                 c = len(reps)
                 for n in nidx:
@@ -843,12 +825,12 @@ def _refined_invariants(G: SmallGroup) -> dict:
 
 
 def _by_refined(G: SmallGroup) -> dict:
-    """Refined invariant label -> the indices with it, in sorted order.
+    """Refined invariant label -> the indices with it, in table order.
     Cached."""
     if G._by_refined is None:
         inv = _refined_invariants(G)
         by: dict = {}
-        for h in G._srt():
+        for h in sorted(G.idx):
             by.setdefault(inv[h], []).append(h)
         G._by_refined = by
     return G._by_refined
@@ -891,11 +873,11 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
     mul1, mul2, conj2 = t1.mul, t2.mul, t2.conj
 
     # greedy generating sequence of G1, preferring elements with the
-    # fewest candidate images (ties broken canonically: the sort is
-    # stable), with G1's closure tree over it.  Every label of G1 is one
+    # fewest candidate images (ties broken by table index), with G1's
+    # closure tree over it.  Every label of G1 is one
     # of G2's, as the label counts agree.
     gens1, ends, (_, parent, genidx, right) = _greedy(
-        sorted(G1._srt(), key=lambda g: len(by_inv2[inv1[g]])), 0, t1.by)
+        sorted(G1.idx, key=lambda g: (len(by_inv2[inv1[g]]), g)), 0, t1.by)
 
     def candidates(i, imgs, cent):
         """Images for gens1[i], one per orbit of cent (the centralizer of
@@ -983,7 +965,7 @@ def is_split_extension(G: SmallGroup, N: SmallGroup) -> SmallGroup | None:
     for q in Q._generating_set():
         # q maps coset 0 = N to the coset it stands for
         o, c = Q.tab.order(q), Q.tab.keys[q][0]
-        cand = [g for g in G._srt() if coset[g] == c and tab.order(g) == o]
+        cand = [g for g in sorted(G.idx) if coset[g] == c and tab.order(g) == o]
         if not cand:
             return None
         lifts.append(cand)
@@ -1086,7 +1068,7 @@ def _index2_variants(agl_s, syl3, v, v0):
     mul, inv = tab.mul, tab.inv
     cand_sets = set()
     for r in range(1, len(q)):
-        for comb in combinations(q._srt(), r):
+        for comb in combinations(sorted(q.idx), r):
             s = frozenset(_close(comb, 0, None, qt.by)[0])
             if len(s) == half:
                 cand_sets.add(s)
@@ -1247,10 +1229,11 @@ def named_groups(field: GF64) -> NamedGroups:
 def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
     """Order-9 elementary abelian subgroups of Q2 other than Q*: each is
     {a^i b^j} for commuting a, b of order 3 with b outside <a>, found once
-    per such pair with a before b in sorted order."""
+    per such pair with a before b in table order, and listed by their
+    indices."""
     tab = Q2.tab
     mul = tab.mul
-    threes = [x for x in Q2._srt() if tab.order(x) == 3]
+    threes = [x for x in sorted(Q2.idx) if tab.order(x) == 3]
     seen = {Qstar.iset}
     out = []
     for i, a in enumerate(threes):
@@ -1262,5 +1245,5 @@ def _lambda_subgroups(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
             if s not in seen:
                 seen.add(s)
                 out.append(Q2._sub(s))
-    out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
+    out.sort(key=lambda g: g.idx)
     return out

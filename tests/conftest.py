@@ -6,7 +6,7 @@ import pytest
 from psu38 import harness
 from psu38.coset import build_graph, sparse6_bytes
 from psu38.gf64 import GF64
-from psu38.grp import named_groups, reference_groups
+from psu38.grp import named_groups
 from psu38.harness import VerifyContext
 
 # passed by the acceptance suite; VerifyContext ignores it

@@ -53,6 +53,13 @@ def boxed(x, tab=None):
     return x
 
 
+def table_order(G) -> list:
+    """The elements of a SmallGroup or an ObjGroup by ascending index in
+    its (ambient) table: the order in which the engine scans whenever it
+    makes a choice."""
+    return sorted(G.elems, key=G.index if isinstance(G, ObjGroup) else G.tab.find)
+
+
 def times(g):
     """Right multiplication by the element object g, by its own product,
     on a list of elements."""
@@ -534,12 +541,12 @@ def fixers_by_images(graph, keys, gids) -> np.ndarray:
 
 def transversal_by_products(K: SmallGroup, K12: SmallGroup) -> list:
     """coset.transversal by element products: the first element of K in
-    sorted order outside the cosets found so far starts a new coset
+    table order outside the cosets found so far starts a new coset
     K12.t, covered by the table products h * t."""
     cover = set()
     ts = []
     k12 = [boxed(h, K.tab) for h in K12.elems]
-    for t in K.sorted_elems():
+    for t in table_order(K):
         if t not in cover:
             ts.append(t)
             bt = boxed(t, K.tab)
@@ -551,7 +558,9 @@ def transversal_by_products(K: SmallGroup, K12: SmallGroup) -> list:
 def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
     """build_graph by the plain BFS: every vertex probes all k transversal
     elements, its parent included, each probe is the product t.r keyed by
-    its own fingerprint, and the edges are deduplicated by a 2-D unique.
+    its own fingerprint, each layer's fresh vertices are numbered in the
+    order of their first probe, as build_graph numbers them, and the edges
+    are deduplicated by a 2-D unique.
     A list passed as probe_keys gets each pass's probes as int64 keys
     u << 32 | v, u the side-1 end and v the side-2 end."""
     graph = CosetGraph(ng.field, ng)
@@ -562,7 +571,7 @@ def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
              for side, K in ((1, ng.K1), (2, ng.K2))}
     ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
-        graph._register(side, ident, graph._keys(side, *bunpack(ident)))
+        graph._register(side, ident, graph._keys(side, *bunpack(ident)), [0])
     edge_parts = []
     frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
     while len(frontier[1]) or len(frontier[2]):
@@ -581,8 +590,11 @@ def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
             fresh, first, inv = np.unique(keys[miss], return_index=True,
                                           return_inverse=True)
             base = len(graph.reps[tgt])
-            ids[miss] = base + inv
-            graph._register(tgt, ops.bpkeys(pm[miss[first]], pt[miss[first]]), fresh)
+            # rank of each fresh key's first probe among the fresh keys'
+            num = base + np.argsort(np.argsort(first))
+            ids[miss] = num[inv]
+            probe = np.sort(miss[first])
+            graph._register(tgt, ops.bpkeys(pm[probe], pt[probe]), fresh, num)
             new[tgt] = base + np.arange(len(fresh))
             pair = (np.repeat(src, k), ids)
             edge_parts.append(np.stack(pair if side == 1 else pair[::-1], axis=1))
@@ -678,7 +690,8 @@ def conj_tables(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
 
 def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
     """graph.stabilizer_key_rows([g], group)[0] by one batched bsmul
-    conjugation of the base stabilizer's sorted elements by the rep."""
+    conjugation of the base stabilizer's sorted packed keys (kkeys) by
+    the rep."""
     side, lid = graph.side_of(g), graph.local_id(g)
     km, kt = bunpack(graph.kkeys[side, group])
     rm, rt = bunpack(graph.reps[side][lid:lid + 1])  # one row, broadcast
@@ -718,7 +731,7 @@ def pulled_back_kernel(graph, v: int, group: str = "K") -> frozenset:
     """G_v^[1] pulled back to the base stabilizer G_side of v's side, one
     vertex at a time by the bsmul oracles: the elements k of G_side whose
     conjugate rep^-1 k rep fixes every neighbor of v."""
-    els = graph.base_stabilizer(graph.side_of(v), group).sorted_elems()
+    els = sorted(graph.base_stabilizer(graph.side_of(v), group).elems)
     idx = fixers(graph, stabilizer_keys(graph, v, group), graph.neighbors(v))
     return frozenset(els[i] for i in idx)
 
@@ -865,7 +878,7 @@ def generating_set(G: SmallGroup) -> list:
     elements by decreasing order."""
     if len(G) == 1:
         return [G.identity]
-    cand = sorted(G.elems, key=lambda x: (-G.element_order(x), x))
+    cand = sorted(table_order(G), key=lambda x: -G.element_order(x))
     gens, ends, _ = greedy_prefixes(cand, G.identity)
     if ends[-1] != len(G):
         raise AssertionError("element set is not closed under multiplication")
@@ -875,11 +888,11 @@ def generating_set(G: SmallGroup) -> list:
 def iso_generators(G1: SmallGroup, G2: SmallGroup):
     """The generating sequence of G1 that the isomorphism search onto G2
     takes, with its ends and tree as greedy_prefixes gives them: greedy,
-    preferring elements with the fewest candidate images (ties broken
-    canonically)."""
+    preferring elements with the fewest candidate images (ties broken in
+    table order)."""
     inv1, inv2 = refined_invariants(G1), refined_invariants(G2)
     images = Counter(inv2.values())
-    cands = sorted(G1.sorted_elems(), key=lambda g: images[inv1[g]])
+    cands = sorted(table_order(G1), key=lambda g: images[inv1[g]])
     return greedy_prefixes(cands, G1.identity)
 
 
@@ -907,7 +920,7 @@ def sylow(G: SmallGroup, p: int) -> SmallGroup:
     pgens: list = []
     while len(P) < target:
         N = G.normalizer(P) if pgens else G
-        x = next((x for x in N.sorted_elems()
+        x = next((x for x in table_order(N)
                   if x not in P.eset and target % G.element_order(x) == 0), None)
         if x is None:
             raise AssertionError("sylow growth stalled")
@@ -967,7 +980,7 @@ def iso_search(G1: SmallGroup, G2: SmallGroup):
         return None
 
     by_inv2: dict = {}
-    for h in G2.sorted_elems():
+    for h in table_order(G2):
         by_inv2.setdefault(inv2[h], []).append(h)
 
     # G1's closure tree over its generating sequence, whose span of
@@ -1044,14 +1057,17 @@ class ObjGroup:
     TabElements above, or Perms), every operation by element products,
     hashing and comparison: the engine that
     grp.SmallGroup computes on table indices, as it was before, for
-    comparison."""
+    comparison.  index maps an element to its index in the ambient table,
+    whose order every choice follows (table_order): by default the
+    group's own closure order, and a subgroup takes its group's."""
 
-    def __init__(self, elems, gens, identity, parent=None, genidx=None):
+    def __init__(self, elems, gens, identity, parent=None, genidx=None, index=None):
         self.elems = list(elems)
         self.gens = list(gens)
         self.identity = identity
         self.parent, self.genidx = parent, genidx
         self.eset = frozenset(self.elems)
+        self.index = index or {x: i for i, x in enumerate(self.elems)}.__getitem__
         self._orders: dict = {}
         self._classes: dict | None = None
 
@@ -1063,9 +1079,8 @@ class ObjGroup:
         return ObjGroup(elems, gens, e, parent, genidx)
 
     @staticmethod
-    def from_set(elements, identity) -> "ObjGroup":
-        els = sorted(set(elements))
-        return ObjGroup([identity] + [x for x in els if x != identity], [], identity)
+    def from_set(elements, identity, index) -> "ObjGroup":
+        return ObjGroup(sorted(set(elements), key=index), [], identity, index=index)
 
     @staticmethod
     def of(G: SmallGroup) -> "ObjGroup":
@@ -1075,16 +1090,13 @@ class ObjGroup:
         def box(x):
             return boxed(x, G.tab)
         return ObjGroup(map(box, G.elems), map(box, G.gens), box(G.identity),
-                        G.parent, G.genidx)
+                        G.parent, G.genidx, G.tab.find)
 
     def subgroup(self, elements) -> "ObjGroup":
-        return ObjGroup.from_set(elements, self.identity)
+        return ObjGroup.from_set(elements, self.identity, self.index)
 
     def __len__(self):
         return len(self.elems)
-
-    def sorted_elems(self) -> list:
-        return sorted(self.elems)
 
     def element_order(self, x) -> int:
         o = self._orders.get(x)
@@ -1129,7 +1141,7 @@ class ObjGroup:
 
     def normal_closure(self, xs) -> "ObjGroup":
         orbit = _conj_orbit(xs, self.gens_list())
-        return self.subgroup(close(sorted(orbit), self.identity)[0])
+        return self.subgroup(close(sorted(orbit, key=self.index), self.identity)[0])
 
     def intersect(self, other) -> "ObjGroup":
         return self.subgroup(self.eset & other.eset)
@@ -1153,7 +1165,7 @@ class ObjGroup:
     def conj_classes(self) -> list[frozenset]:
         which = dict.fromkeys(self.elems, -1)
         classes: list = []
-        for g in self.sorted_elems():
+        for g in table_order(self):
             if which[g] < 0:
                 for y in _conj_orbit([g], self.gens_list()):
                     which[y] = len(classes)
@@ -1173,7 +1185,7 @@ class ObjGroup:
     def coset_index(self, N) -> tuple[dict, list]:
         index: dict = {}
         reps = []
-        for g in [self.identity] + self.sorted_elems():
+        for g in table_order(self):
             if g not in index:
                 for n in N.elems:
                     index[g * n] = len(reps)
@@ -1193,7 +1205,7 @@ def lambda_subgroups_by_capped_closures(Q2: SmallGroup, Qstar: SmallGroup) -> li
     table, each closure stopped past 9 elements."""
     seen = set()
     out = []
-    els = Q2._srt()
+    els = sorted(Q2.idx)
     by = Q2.tab.by
     for i, a in enumerate(els):
         for b in els[i + 1:]:
@@ -1207,7 +1219,7 @@ def lambda_subgroups_by_capped_closures(Q2: SmallGroup, Qstar: SmallGroup) -> li
             sub = Q2._sub(s)
             if sub.is_elementary_abelian(3) and s != Qstar.iset:
                 out.append(sub)
-    out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
+    out.sort(key=lambda g: g.idx)
     return out
 
 
@@ -1215,7 +1227,7 @@ def lambda_subgroups(Q2: ObjGroup, Qstar: ObjGroup) -> list[ObjGroup]:
     """Order-9 elementary abelian subgroups of Q2 other than Q*, by
     closing every pair of elements."""
     seen, out = set(), []
-    els = Q2.sorted_elems()
+    els = table_order(Q2)
     for i, a in enumerate(els):
         for b in els[i + 1:]:
             s = frozenset(close([a, b], Q2.identity)[0])
@@ -1224,5 +1236,5 @@ def lambda_subgroups(Q2: ObjGroup, Qstar: ObjGroup) -> list[ObjGroup]:
                 sub = Q2.subgroup(s)
                 if sub.is_elementary_abelian(3) and s != Qstar.eset:
                     out.append(sub)
-    out.sort(key=lambda g: [x.key for x in g.sorted_elems()])
+    out.sort(key=lambda g: list(map(g.index, table_order(g))))
     return out

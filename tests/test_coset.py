@@ -146,7 +146,8 @@ def test_vertex_stabilizers(graph, ng):
 def test_stabilizer_keys_match_python_conjugation(graph, ng):
     """The batched conjugation equals the oracle conjugate by the rep, and
     its H part, at each base vertex and at sampled vertices of each side;
-    key i is rep^-1 k_i rep, k_i the i-th element of the base stabilizer."""
+    key i is rep^-1 k_i rep, k_i the base stabilizer's element of the i-th
+    least packed key."""
     rng = random.Random(13)
     for K, off, n in ((ng.K1, 0, graph.n1), (ng.K2, graph.n1, graph.n2)):
         side = graph.side_of(off)
@@ -157,7 +158,7 @@ def test_stabilizer_keys_match_python_conjugation(graph, ng):
             for group, G in (("K", C), ("H", ng.h_part(C))):
                 got = graph.stabilizer_key_rows([v], group)[0].tolist()
                 assert sorted(got) == sorted(x.key for x in G.elems)
-                base = graph.base_stabilizer(side, group).sorted_elems()
+                base = sorted(graph.base_stabilizer(side, group).elems)
                 assert got == [(ro.inv() * obj(k) * ro).key for k in base]
 
 
@@ -567,9 +568,10 @@ def _assert_sorted_and_aligned(g):
 
 
 def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
-    """The build registers each layer's vertices in key order; a load
-    registers a whole side whose keys come unsorted.  Either way the
-    merged keys stay sorted, with each id beside its key."""
+    """The build registers each layer's fresh keys, which np.unique
+    sorts, with their first-probe ids; a load registers a whole side whose
+    keys come unsorted, sorted by one argsort.  Either way the merged keys
+    stay sorted, with each id beside its key."""
     built = build_graph(ng)
     _assert_sorted_and_aligned(built)
     save_cache(built, str(tmp_path / "g"))
@@ -585,15 +587,18 @@ def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
 
 def test_register_merges_like_a_stable_sort_of_all_keys(ng):
     """Batches with keys repeated within and across them, an empty one
-    included: after each, the sorted keys and ids are those of a stable
-    argsort of every key so far, and the reps are appended in order."""
+    included, each passed sorted by a stable argsort with its ids: after
+    each, the sorted keys and ids are those of a stable argsort of every
+    key so far, and the reps are appended in order."""
     g = CosetGraph(ng.field, ng)
     _arm(g)
     rng = np.random.default_rng(7)
     seen = []
     for n in (1, 0, 50, 7, 200):
         keys = rng.integers(0, 300, n, dtype=np.uint64)
-        g._register(1, np.arange(len(g.reps[1]), len(g.reps[1]) + n, dtype=np.uint64), keys)
+        base, order = len(g.reps[1]), np.argsort(keys, kind="stable")
+        reps = np.arange(base, base + n, dtype=np.uint64)
+        g._register(1, reps, keys[order], base + order)
         seen.append(keys)
         allkeys = np.concatenate(seen)
         order = np.argsort(allkeys, kind="stable")
@@ -644,26 +649,43 @@ def test_edge_table_check_rejects_a_repeated_end(ng, monkeypatch):
 
 
 # sha256 prefixes of the graph's arrays, recorded from the build that
-# sorted and deduplicated one int64 key per probe
+# numbers each layer's fresh vertices by their first probe: the reps (packed
+# keys) per modulus, and the edges and the CSR, one labelled graph under
+# every modulus.  (While each layer was numbered in key order, the edges
+# read 49ee27cb215580fd under 0x5b and e688f8326091ea21 under 0x43.)
 GRAPH_DIGESTS = {
-    DEFAULT_MODULUS: {"reps1": "9af573542e6ec944", "reps2": "47dd4c529ecc8bb5",
-                      "edges": "49ee27cb215580fd", "indices": "17cde537c4f30912",
-                      "indptr": "8de02f51b09b337f"},
-    0b1000011: {"reps1": "ff84192bbf0af33a", "reps2": "0f31854da5edcc93",
-                "edges": "e688f8326091ea21", "indices": "60aa6f94cf0b7f38",
-                "indptr": "8de02f51b09b337f"},
+    "reps": {DEFAULT_MODULUS: {"reps1": "fc712de373d41509", "reps2": "abe59f70f3d4a793"},
+             0b1000011: {"reps1": "e8e82fd967a88abe", "reps2": "f03e69bde7e587e7"}},
+    "graph": {"edges": "fc2e541f6fd4dcd7", "indices": "fda13c1a53ee74e2",
+              "indptr": "8de02f51b09b337f"},
 }
+
+
+def _digests(arrays: dict) -> dict:
+    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+            for name, a in arrays.items()}
 
 
 def test_graph_arrays_are_pinned(graph, graph43):
     """Under 0x5b and 0x43 the reps, the edges and the CSR (indptr as
-    int64) are byte for byte those of the recorded builds."""
+    int64) are byte for byte those of the recorded builds: the reps each
+    modulus's, the rest one set for both."""
     for g in (graph, graph43):
-        arrays = {"reps1": g.reps[1], "reps2": g.reps[2], "edges": g.edges,
-                  "indices": g.indices, "indptr": g.indptr.astype(np.int64)}
-        got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-               for name, a in arrays.items()}
-        assert got == GRAPH_DIGESTS[g.field.modulus]
+        assert _digests({"reps1": g.reps[1], "reps2": g.reps[2]}) == \
+            GRAPH_DIGESTS["reps"][g.field.modulus]
+        assert _digests({"edges": g.edges, "indices": g.indices,
+                         "indptr": g.indptr.astype(np.int64)}) == GRAPH_DIGESTS["graph"]
+
+
+def test_one_labelled_graph_under_both_moduli(graph, graph43, sparse6_full):
+    """0x5b and 0x43 write GF(64) down differently, but every vertex id is
+    fixed by the named generators alone: the two builds have the same
+    edges, CSR and sparse6 bytes, and differ in the reps' packed keys."""
+    for name in ("edges", "indptr", "indices"):
+        a, b = getattr(graph, name), getattr(graph43, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert sparse6_bytes(graph43.nv, np.stack(graph43._edge_ends(), 1)) == sparse6_full[0]
+    assert not np.array_equal(graph.reps[1], graph43.reps[1])
 
 
 def _kept_bytes(g) -> int:

@@ -209,7 +209,7 @@ def test_fingerprint_invariance(f, ops, ng):
         assert rows.tolist() == [min((p.inv() * c * p).key, (p.inv() * c.inv() * p).key)
                                  for p, c in zip(probes, ys)]
     Z = ng.Qh2.center()
-    other = next(z for z in Z.sorted_elems()
+    other = next(z for z in Z.elems
                  if z.key not in (Z.identity.key, y2.key, y2.inv().key))
     om, ot = to_arrays([other])
     shifted = [obj(k) * p for p in probes for k in ng.K2.gens_list()]
@@ -231,6 +231,14 @@ def test_linear_conj_keys_match_conj_fingerprints(f, ops):
         assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys[::7]), want[::7])
 
 
+def _keys_of_every_twist(graph, n: int) -> np.ndarray:
+    """n packed keys of all six twists: K1 conjugated by the reps of
+    side-1 vertices 1, 2, ..., one stabilizer row after another.  (Every
+    rep has twist 0, as each transversal is scanned in table order.)"""
+    rows = 1 + n // len(graph.kkeys[1, "K"])
+    return graph.stabilizer_key_rows(np.arange(1, 1 + rows)).reshape(-1)[:n]
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
     """On 2 KEY_CHUNK + 1 rows (the library's chunk, then a chunk of 7),
@@ -239,9 +247,9 @@ def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(fastops, "KEY_CHUNK", chunk)
     n = 2 * fastops.KEY_CHUNK + 1
-    ckeys = np.concatenate([graph.reps[1], graph.reps[2]])[:n]
+    ckeys = _keys_of_every_twist(graph, n)
     assert len(ckeys) == n and len(np.unique(ckeys & np.uint64(7))) > 1
-    xm, xt = bunpack(graph.reps[2][5:9])
+    xm, xt = bunpack(graph.kkeys[2, "K"][5:9])
     for xidx in (None, np.arange(n) % 4):
         for inverse in (True, False):
             got = linear_conj_keys(graph.ops, xm, xt, ckeys, xidx, inverse)
@@ -256,12 +264,12 @@ def test_linear_conj_keys_across_batch_boundaries(graph, monkeypatch, batch):
     the x and randomly permuted, with and without the inverse columns: the
     batched lookups equal the one-shot oracle, and no conj_tables call
     takes more x than a batch."""
-    ckeys = np.concatenate([graph.reps[1], graph.reps[2]])[:3000]
+    ckeys = _keys_of_every_twist(graph, 3000)
     nt = len(np.unique(ckeys & np.uint64(7)))
     assert nt > 1
     monkeypatch.setattr(fastops, "KEY_CHUNK", batch * 576 * nt // 2)
     nx = 2 * batch + 1
-    xm, xt = bunpack(graph.reps[2][5:5 + nx])
+    xm, xt = bunpack(graph.kkeys[2, "K"][5:5 + nx])
     n = len(ckeys)
     grouped = np.arange(n) * nx // n
     made = []

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -376,6 +377,23 @@ def test_claim_exception_becomes_failure(monkeypatch, capsys):
     rc = main(["verify", "--claims", "X"])
     assert rc == EXIT_ERROR == 4
     assert "[ERROR] X.2" in capsys.readouterr().out
+
+
+def test_unsorted_stabilizer_keys_give_error_not_fail(monkeypatch, graph):
+    """fixes binary-searches each side's sorted K keys.  A graph whose
+    stabilizer keys come reversed, a fault of the program and not a
+    property of the graph, makes every claim that reads fixes raise, so
+    the catalog reports error for them and fail for none."""
+    broken = dataclasses.replace(
+        graph, kkeys={k: v[::-1].copy() for k, v in graph.kkeys.items()}, _kernels={})
+    monkeypatch.setattr(harness, "build_graph", lambda ng, progress=None: broken)
+    rep = run_claims(VerifyContext())
+    verdicts = {c["id"]: c["verdict"] for c in rep["claims"]}
+    assert "fail" not in verdicts.values()
+    assert {k for k, v in verdicts.items() if v == "error"} == {
+        "P3.7.iii", "L3.8.pre", "L3.9", "L3.11.pre", "L3.11.ii"}
+    assert all("do not ascend" in c["witness"]["error"]
+               for c in rep["claims"] if c["verdict"] == "error")
 
 
 def test_perfbench_wrappers_find_every_name():

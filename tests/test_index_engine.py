@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psu38.grp import _close
 
-from oracles import ObjGroup, boxed, close, generating_set
+from oracles import ObjGroup, boxed, close, generating_set, table_order
 
 settings.register_profile(
     "index-engine", derandomize=True, max_examples=40, deadline=None,
@@ -23,7 +23,7 @@ def _check(G, picks):
     """Every engine operation on H = <picks> inside G, and on G with H,
     equals the object version: as element lists where the order is part
     of the result, else as sets."""
-    els = G.sorted_elems()
+    els = table_order(G)
     # image tuples as Perms and PElements as G's TabElements, which the
     # object engine multiplies
     tab = G.tab
