@@ -11,8 +11,8 @@ an arc stabilizer is a SmallGroup only inside K1 or K2 (the named arc's
 lies in K2), and the kernels G_v^[1] of a batch of vertices of one side
 are pulled back to the base stabilizer's own elements by the conjugation
 that stabilizer_key_rows applies (pulled_back_kernels).  Both halves of
-the sampled vertex checks take their vertices in batches of one side, so
-their table lookups run per batch.
+the sampled vertex checks, one pass for K and H, take their vertices in
+batches of one side, so their table lookups run per batch.
 """
 
 from __future__ import annotations
@@ -294,35 +294,31 @@ SAMPLE_CHUNK = 25
 # sampled_vertex_checks' wide and deep sample sizes and the seed that draws
 # them, wide sample first
 SAMPLE_WIDE, SAMPLE_DEEP, SAMPLE_SEED = 100, 12, 38
+# |G_side| of each group and side, which the wide check counts
+STABILIZER_ORDERS = {("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324}
 
 
 def _side_batches(graph: CosetGraph, ids: np.ndarray):
-    """The ids of side 1, then of side 2, at most SAMPLE_CHUNK at a time."""
-    for part in (ids[ids < graph.n1], ids[ids >= graph.n1]):
+    """The ids of side 1, then of side 2, at most SAMPLE_CHUNK at a time,
+    with each group's columns in K_side's keys: all for K, and for H
+    (H_side <= K_side) the checked result of a binary search."""
+    for side, part in ((1, ids[ids < graph.n1]), (2, ids[ids >= graph.n1])):
+        ks, hs = graph.kkeys[side, "K"], graph.kkeys[side, "H"]
+        if (ks[1:] <= ks[:-1]).any():
+            raise AssertionError(f"side {side}: the keys of K_side do not ascend")
+        pos = np.minimum(np.searchsorted(ks, hs), len(ks) - 1)
+        if not np.array_equal(ks[pos], hs):
+            raise AssertionError(f"side {side}: a key of H_side is not one of K_side")
         for lo in range(0, len(part), SAMPLE_CHUNK):
-            yield part[lo:lo + SAMPLE_CHUNK]
+            yield side, part[lo:lo + SAMPLE_CHUNK], {"K": slice(None), "H": pos}
 
 
-def _wide_ok(graph: CosetGraph, chunk: np.ndarray, group: str) -> bool:
-    """Whether the stabilizer keys of each vertex of chunk, all on one
-    side, are |G_side| distinct elements that all fix it; the batch's
-    keys are freed on return, before the next batch makes its own."""
-    expect = {
-        ("K", 1): 1296, ("K", 2): 972, ("H", 1): 432, ("H", 2): 324,
-    }[(group, graph.side_of(int(chunk[0])))]
-    keys = graph.stabilizer_key_rows(chunk, group)
-    srt = np.sort(keys, axis=1)
-    distinct = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
-    del srt
-    fixed = graph.fixes(keys, chunk).sum(axis=1)
-    return bool((distinct == expect).all() and (fixed == expect).all())
-
-
-def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
+def sampled_vertex_checks(graph: CosetGraph) -> dict:
     """Spot checks at random non-base vertices, guarding the reduction of
     "for all z" conditions to orbit representatives against convention
-    bugs.  Both halves run one side at a time, SAMPLE_CHUNK vertices per
-    stabilizer_key_rows and fixes call.
+    bugs, for K and H in one pass: SAMPLE_CHUNK vertices of one side per
+    stabilizer_key_rows and fixes call, which work key by key, so H's
+    keys and flags are K's columns at H's positions (_side_batches).
 
     wide: the conjugate stabilizer has the right number of distinct
     elements and every one of them fixes its vertex.
@@ -335,17 +331,21 @@ def sampled_vertex_checks(graph: CosetGraph, group: str) -> dict:
     rng = np.random.default_rng(SAMPLE_SEED)
     wide_ids = rng.choice(graph.nv, size=SAMPLE_WIDE, replace=False)
     deep_ids = rng.choice(graph.nv, size=SAMPLE_DEEP, replace=False)
-    wide_ok = all(_wide_ok(graph, chunk, group) for chunk in _side_batches(graph, wide_ids))
-    deep_ok = True
-    for chunk in _side_batches(graph, deep_ids):
-        side = graph.side_of(int(chunk[0]))
-        kern = kernel_data(graph, graph.base_x1 if side == 1 else graph.base_x2,
-                           group).kernel(1).handles()
-        if not (pulled_back_kernels(graph, chunk, group)
-                == [k in kern for k in graph.kkeys[side, group].tolist()]).all():
-            deep_ok = False
-            break
-    return {
-        "wide_sample": len(wide_ids), "wide_ok": wide_ok,
-        "deep_sample": len(deep_ids), "deep_ok": deep_ok,
-    }
+    out = {group: {"wide_sample": len(wide_ids), "wide_ok": True,
+                   "deep_sample": len(deep_ids), "deep_ok": True} for group in "KH"}
+    for side, chunk, cols in _side_batches(graph, wide_ids):
+        keys = graph.stabilizer_key_rows(chunk, "K")
+        fixed = graph.fixes(keys, chunk)
+        for group, c in cols.items():
+            srt = np.sort(keys[:, c], axis=1)
+            counts = np.stack([1 + (srt[:, 1:] != srt[:, :-1]).sum(1), fixed[:, c].sum(1)])
+            out[group]["wide_ok"] &= bool((counts == STABILIZER_ORDERS[group, side]).all())
+        del keys, fixed, srt  # freed before the next batch makes its own
+    for side, chunk, cols in _side_batches(graph, deep_ids):
+        pulled = pulled_back_kernels(graph, chunk, "K")
+        for group, c in cols.items():
+            kern = kernel_data(graph, graph.base_x1 if side == 1 else graph.base_x2,
+                               group).kernel(1).handles()
+            want = [k in kern for k in graph.kkeys[side, group].tolist()]
+            out[group]["deep_ok"] &= bool((pulled[:, c] == want).all())
+    return out

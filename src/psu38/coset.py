@@ -19,36 +19,29 @@ the keys of each side are pairwise distinct and n_side . |K_side| = |G| =
 33,094,656, so they name each coset of G/K_side once (a key that merged
 two cosets would leave fewer vertices).
 
-The BFS runs one layer at a time from the base edge.  A probe t.r (t in
-the transversal, r a frontier rep) is keyed as r^-1 (t^-1 y t) r, with
-the k elements t^-1 y t fixed per side, so no probe is multiplied out;
-only each new vertex's rep t.r is, one batched product per layer and
-side.  fastops.conj_fingerprint_grid keys all k probes of a rep with one
-matrix product each, and inverts and repeats no rep; a loaded graph's
-fingerprints are the same kernel with k = 1 and c = y.  After the first
-layer no vertex probes back to its parent.  Probes are resolved in
-sorted order, and each layer's fresh keys are merged into the side's
-sorted keys.  Each layer's new vertices are numbered in the order of their
-first probe (frontier vertex, then transversal element), and the
+The BFS runs one layer at a time from the base edge (build_graph).  A
+probe t.r (t in the transversal, r a frontier rep) is keyed as
+r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, so only each new
+vertex's rep t.r is multiplied out; a loaded graph's fingerprints are the
+same kernel with c = y.  Each layer's fresh keys are merged into the
+side's sorted keys, and its new vertices are numbered in the order of
+their first probe (frontier vertex, then transversal element); the
 transversals are scanned in table order, so every id is fixed by the named
 generators alone: the four GF(64) moduli give one labelled graph, with
 the base vertices at 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
-vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x), by one of the
-two kernels of fastops, whichever fits the shape: perm, the whole graph
-under one element, by the table lookups of linear_conj_keys, and
-image_batch, a few vertices under many elements, by conj_fingerprint_grid
-with the elements as its r.  Every stabilizer question goes through one
-batched pair.  stabilizer_key_rows conjugates all of K_side by the rep
-of each vertex of a batch, in the order of K_side's sorted packed keys
-(kkeys), by lookups in one table set per rep.  fixes tells which keys fix
-given vertices, by membership in K_side (x fixes K_side.r exactly when
-r x r^-1 lies in K_side), by lookups in one table set of r^-1 per vertex,
-and a binary search in kkeys; that gives arc stabilizers and kernels
-without intersecting conjugates or resolving a vertex.  A table set
-conjugates 54 bit matrices per twist, against the |K_side| rows of a
-product per rep, so the lookups pay even for one rep.
+vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
+graph under one element, by the table lookups of linear_conj_keys and one
+argsort per side, and image_batch, a few vertices under many elements, by
+conj_fingerprint_grid.  Every stabilizer question goes through one batched
+pair: stabilizer_key_rows conjugates K_side's sorted keys (kkeys) by the
+rep of each vertex of a batch, and fixes tells which keys fix given
+vertices by membership in K_side (x fixes K_side.r exactly when r x r^-1
+lies in K_side), a binary search in kkeys; no conjugates are intersected
+and no vertex is resolved.  Each takes one table set per rep, which costs
+3 lookups per bit matrix (54 per twist) and XOR doubling, not the |K_side|
+products per rep of a direct conjugation.
 
 The whole-graph passes hold no more than KEY_CHUNK rows or their own
 output besides the arrays the graph keeps.  A build writes each edge once,
@@ -189,18 +182,20 @@ class CosetGraph:
     def perm(self, x: PElement) -> np.ndarray:
         """Full vertex permutation of one group element, as int32 (cached).
         The image keys are those image_batch computes, by the table lookups
-        of linear_conj_keys on each side's sorted fingerprint elements,
-        scattered to their ids; raises if an image is not a known vertex."""
+        of linear_conj_keys on each side's sorted fingerprint elements, and
+        one argsort resolves a side: sorted, they must be the side's keys
+        (else an image is not a known vertex, or two collide: raises), and
+        the vertex of the k-th least image key maps to the k-th vertex."""
         p = self._perm_cache.get(x.key)
         if p is None:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
             p = np.empty(self.nv, dtype=np.int32)
             for side, off in ((1, 0), (2, self.n1)):
                 keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side])
-                ids = self._resolve(side, keys)
-                if (ids < 0).any():
+                order = np.argsort(keys)
+                if not np.array_equal(keys[order], self.skeys[side]):
                     raise AssertionError("action image is not a known vertex")
-                p[off:off + len(ids)][self.sids[side]] = ids + off
+                p[off + self.sids[side][order]] = self.sids[side] + off
             self._perm_cache[x.key] = p
         return p
 

@@ -9,15 +9,13 @@ psu's elements, the group tables of grp and the graph all hold packed
 keys and reach products, inverses and canonical keys (bsmul, binv,
 bpkeys) through bunpack and bpack.  Everything here is pure and
 deterministic.  The graph conjugates by two kernels, one per shape, each
-KEY_CHUNK rows at a time.  conj_fingerprint_grid, the keys of r^-1 c r
-for many r against a few c at one matrix product each, keys the vertices,
-the BFS probes and the images of one vertex under many elements.
-linear_conj_keys, x^-1 c x for a few x against many c by table lookups in
-conj_tables built from the 54 bit matrices, gives the whole-graph action
-(the same keys), stabilizer keys rep^-1 k rep and the fixer test r x r^-1.
-conj_fingerprints, the same key rowwise, is kept as the test oracle of
-both and as a name the benchmark's spans wrap; coset_canon_keys is the
-exact canonical-form scan, kept as a test oracle.
+KEY_CHUNK rows at a time: conj_fingerprint_grid, r^-1 c r for many r
+against a few c at one matrix product each (vertex keys, BFS probes,
+images of a vertex), and linear_conj_keys, x^-1 c x for a few x against
+many c by 9 lookups in conj_tables each (the whole-graph action,
+stabilizer keys and the fixer test).  conj_fingerprints, the same key
+rowwise, and coset_canon_keys, the exact canonical-form scan, are test
+oracles that the benchmark's spans wrap by name.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ KEY_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 KEY_CHUNK = 8192  # rows per fingerprint, lookup or adjacency kernel call; bounds their temporaries
 # bit offset of matrix entry j in a packed key
 _SHIFT = U64(3) + U64(6) * np.arange(8, -1, -1, dtype=np.uint64)
+_ROW = _SHIFT[[2, 5, 8]]  # bit offset of matrix row r (its last entry) in a packed key
 
 
 def bpack(mats: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -59,6 +58,7 @@ class FieldOps:
         self.field = field
         self.MUL = field.MUL
         self.MULF = field.MUL.reshape(-1)  # MULF[a << 6 | b] = a.b
+        self.MUL64 = field.MUL.astype(np.uint64)  # MUL widened, to pack key rows
         self.FROB = field.FROB
         self.LEAD = np.array(field.lead_scalar, dtype=np.uint8)
         # SCALE[f << 12 | a << 6 | z] = lead_scalar[rho^f(a)] . rho^f(z): entry
@@ -231,51 +231,50 @@ def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarr
     for the elements c of each twist in twists.  For a fixed twist this
     map, and c -> x^-1 c^-1 x (binv is linear in the matrix), is
     GF(2)-linear in the 54 matrix bits of c, and so are scaling by a
-    projective scalar and packing the matrix.  Row
-    ((a*len(twists) + i)*9 + j)*64 + v of the result holds the images
-    under x_a of the matrix with entry j equal to v and the rest 0, of
-    twist twists[i], as packed keys: 3 columns for the scalar multiples of
-    x^-1 c x, then, with inverse, 3 for x^-1 c^-1 x; the rows of entry 0
-    carry the image twist.  A key of any c is then the XOR of 9 rows.
+    projective scalar and packing the matrix.  Row (v*nx*nt + a*nt + i)*9
+    + j holds, as packed keys, the images under x_a of the matrix with
+    entry j equal to v and the rest 0, of twist twists[i]: 3 columns for
+    the scalar multiples of x^-1 c x, then, with inverse, 3 for
+    x^-1 c^-1 x; the rows of entry 0 carry the image twist.  A key of any
+    c is then the XOR of 9 rows.
 
-    Only the 54 bit matrices are conjugated, E_pq(u) with u = 2^b at
-    entry j = (p, q), and the 64 rows of each entry are filled by XOR
-    doubling, row v the XOR of the images of v's bits.  With x = (m, -e)
-    and x^-1 = (m', e), semilinear products give those images as outer
-    products: x^-1 E_pq(u) x = m'[:, p] . rho^e(u) . rho^(e+t)(m)[q, :]
-    for c of twist t, and E_pq(u)^-1 = E_qp(rho^(3-t)(u)) of twist -t."""
+    Only the bit matrices E_pq(u), u = 2^b at entry j = (p, q), are
+    conjugated: with x = (m, -e), x^-1 = (m', e) and c of twist t, row r
+    of x^-1 E_pq(u) x is m'[r, p] . rho^e(u) times row q of rho^(e+t)(m),
+    and E_pq(u)^-1 = E_qp(rho^(3-t)(u)) of twist -t.  A matrix row is 18
+    key bits (at bit 39, 21 or 3), so each image is 3 lookups in lanes of
+    the 64 multiples of each row of rho^f(m), packed.  XOR doubling fills
+    the rest, one contiguous block per bit: row v is row 0 (the twist
+    alone) XOR the images of v's bits."""
     xm, xt = np.asarray(xm, dtype=np.uint8), np.asarray(xt, dtype=np.uint8)
     nx, nt = len(xt), len(twists)
     xim, xit = ops.binv(xm, xt)
-    e, t = np.broadcast_arrays(xit.astype(np.intp)[:, None],
-                               np.asarray(twists, dtype=np.intp))
-    # per (x, c or c^-1, twist): the Frobenius powers applied to u and to
-    # m, and the image twist
+    e, t = np.broadcast_arrays(xit.astype(np.intp)[:, None], np.asarray(twists, dtype=np.intp))
+    # per (x, twist, c or c^-1): the powers of rho applied to u and m, the image twist
     kinds = [(e, e + t, t)] + ([(e + 3 - t, e - t, -t)] if inverse else [])
-    eu, em, et = (np.stack(v, 1) % 6 for v in zip(*kinds))  # (nx, nk, nt)
+    eu, em, et = (np.stack(v, -1) % 6 for v in zip(*kinds))  # (nx, nt, nk)
     nk = len(kinds)
-    f = ops.field
-    scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
+    scalars = np.array([1, ops.field.alpha, ops.field.alpha2], dtype=np.uint8)
     su = ops.MUL[ops.FROB[eu[..., None], 1 << np.arange(6)][..., None], scalars]
-    right = ops.FROB[em[..., None, None], xm[:, None, None]]  # (nx, nk, nt, 3, 3)
-    # left[x, k, t, p, b, s, r] = m'[r, p] . (scalar s) . rho(2^b)
-    left = ops.MUL[xim.transpose(0, 2, 1)[:, None, None, :, None, None, :],
-                   su[:, :, :, None, :, :, None]]
-    # img[x, k, t, p, q, b, s, r, col]: entry (r, col) of the image of E_pq
-    img = ops.MULF[(left.astype(np.uint16) << 6)[:, :, :, :, None, :, :, :, None]
-                   | right[:, :, :, None, :, None, None, None, :]]
+    # lanes[r, x, f, q, v]: row q of rho^f(m) times v, packed as key row r
+    fm, v, M = ops.FROB[:, xm].transpose(1, 0, 2, 3)[..., None, :], np.arange(64), ops.MUL64
+    lanes = M[v, fm[..., 0]] << U64(12) | M[v, fm[..., 1]] << U64(6) | M[v, fm[..., 2]]
+    lanes = (lanes << _ROW[:, None, None, None, None]).reshape(-1)
+    # lam[r, b, x, t, p, k, s] = m'[r, p] . (scalar s) . rho^eu(2^b)
+    lam = ops.MUL[xim.transpose(1, 0, 2)[:, None, :, None, :, None, None],
+                  su.transpose(3, 0, 1, 2, 4)[None, :, :, :, None, :, :]]
+    # idx[r, b, x, t, p, q, k, s] = (((r*nx + x)*6 + em)*3 + q)*64 + lam: row r's lane
+    at = (np.arange(3)[:, None, None, None] * nx + np.arange(nx)[:, None, None]) * 1152 + em * 192
+    idx = (at[:, None, :, :, None, None, :, None] + (64 * np.arange(3))[:, None, None]
+           + lam[:, :, :, :, :, None])
     if inverse:  # entry (p, q) of c is entry (q, p) of c^-1
-        img[:, 1] = img[:, 1].swapaxes(2, 3)
-    # laid out as the result's rows, (x, twist, entry, bit, kind, scalar),
-    # so the table needs no transposed copy
-    bits = (img.reshape(-1, 9).astype(np.uint64) @ _W).reshape(nx, nk, nt, 9, 6, 3)
-    bits = bits.transpose(0, 2, 3, 4, 1, 5)
-    tab = np.zeros((nx, nt, 9, 64, nk, 3), dtype=np.uint64)
+        idx[..., 1, :] = idx[..., 1, :].swapaxes(4, 5)
+    bits = np.bitwise_or.reduce(lanes[idx]).reshape(6, nx, nt, 9, nk, 3)
+    tab = np.zeros((64, nx, nt, 9, nk, 3), dtype=np.uint64)
+    tab[0, :, :, 0] = et[..., None]
     for b in range(6):
-        np.bitwise_xor(tab[:, :, :, :1 << b], bits[:, :, :, b, None],
-                       out=tab[:, :, :, 1 << b:2 << b])
-    tab[:, :, 0] += et.transpose(0, 2, 1)[:, :, None, :, None].astype(np.uint64)
-    return tab.reshape(nx * nt * 576, nk * 3)
+        np.bitwise_xor(tab[:1 << b], bits[b], out=tab[1 << b:2 << b])
+    return tab.reshape(64 * nx * nt * 9, nk * 3)
 
 
 def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
@@ -302,9 +301,9 @@ def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
     for lo in range(0, n, KEY_CHUNK):
         seen[(ckeys[lo:lo + KEY_CHUNK] & U64(7)).astype(np.intp)] = True
     twists = np.flatnonzero(seen)
-    per_x = len(twists) * 576
+    per_x = len(twists) * 9
     slot = np.zeros(8, dtype=np.intp)
-    slot[twists] = np.arange(len(twists)) * 576
+    slot[twists] = np.arange(len(twists)) * 9
     acc = np.empty((min(n, KEY_CHUNK), 6 if inverse else 3), dtype=np.uint64)
     if xidx is None:
         tables = conj_tables(ops, xm[:1], xt[:1], twists, inverse)
@@ -314,7 +313,7 @@ def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
                          out[lo:lo + len(c)])
         return out
     xidx = np.asarray(xidx, dtype=np.intp)
-    step = max(1, 2 * KEY_CHUNK // per_x)
+    step = max(1, 2 * KEY_CHUNK // (64 * per_x))
     for x0 in range(0, len(xt), step):
         rows = np.flatnonzero((xidx >= x0) & (xidx < x0 + step))
         if not len(rows):
@@ -334,13 +333,15 @@ def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
 
 def _xor_lookups(tables, c, base, acc, best) -> None:
     """best[i] = the least column of the XOR of the 9 rows of tables that
-    key c[i] selects, its table set starting at row base[i]; acc holds at
-    least len(c) rows of tables' width."""
+    key c[i] selects, its table set at row base[i] of each value's block;
+    acc holds at least len(c) rows of tables' width."""
     a = acc[:len(c)]
     a.fill(0)
     for j in range(9):
         entry = ((c >> _SHIFT[j]) & U64(63)).astype(np.intp)
-        a ^= np.take(tables, base + (entry + 64 * j), axis=0)
+        entry *= len(tables) // 64
+        entry += base
+        a ^= np.take(tables[j:], entry, axis=0)
     best[:] = a[:, 0]
     for col in range(1, a.shape[1]):  # faster than a.min(axis=1)
         np.minimum(best, a[:, col], out=best)

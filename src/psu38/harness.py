@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from .amalgam import analyze, shape_d2, shape_e2
 from .arcs import (KernelData, arc_count_formula, arc_orbits, arc_stabilizer,
-                   ball, kernel_data, local_characteristic, max_local_s,
-                   pushing_up, sampled_vertex_checks)
+                   ball, kernel_data, max_local_s, pushing_up, sampled_vertex_checks)
 from .coset import (PSU38_ORDER, CosetGraph, build_graph, export_edge_list,
                     export_sparse6)
 from .fastops import FieldOps
@@ -130,6 +129,12 @@ class VerifyContext:
         (_kernel_claim), shared by the claims that check it."""
         return self._memo(("kernel_claim", group, side),
                           lambda: _kernel_claim(self, group, side))
+
+    def pushing_up(self, group: str):
+        return self._memo(("pushing_up", group), lambda: pushing_up(self.graph, group))
+
+    def sampled(self) -> dict:
+        return self._memo("sampled", lambda: sampled_vertex_checks(self.graph))
 
     def mls(self, group: str):
         return self._memo(("mls", group), lambda: max_local_s(self.graph, group))
@@ -576,7 +581,7 @@ def build_claims() -> list[Claim]:
     @claim("P3.7.ii", "K-graph is of pushing up type for the base 1-arc "
                       "and prime 3", ("K",))
     def p37ii(ctx):
-        return pushing_up(ctx.graph, "K")
+        return ctx.pushing_up("K")
 
     @claim("P3.7.iii", "the stabilizer in K of the named 5-arc equals "
                        "Z(O_3(K_{x1,x2})) = Z(Qh2), of order 9 = C3 x C3",
@@ -601,10 +606,10 @@ def build_claims() -> list[Claim]:
                        "both orbit representatives, plus sampled vertices)",
            ("K",))
     def l38pre(ctx):
-        ok, details = local_characteristic(ctx.graph, "K")
-        s = sampled_vertex_checks(ctx.graph, "K")
-        return ok and s["wide_ok"] and s["deep_ok"], {
-            "details": details, "sampled": s}
+        _, d = ctx.pushing_up("K")
+        s = ctx.sampled()["K"]
+        return d["local_characteristic"] and s["wide_ok"] and s["deep_ok"], {
+            "details": d["centralizer_details"], "sampled": s}
 
     claim("L3.8.i", "K_{x1} kernels: [1] = Qh1 x| C2 (order 54, split), "
                     "[2] = Qh1, [3] = [4] = Z(K1) = C3, [5] = 1; induced "
@@ -657,8 +662,8 @@ def build_claims() -> list[Claim]:
     def l311pre(ctx):
         ng = ctx.ng
         best, table = ctx.mls("H")
-        pu, d = pushing_up(ctx.graph, "H")
-        s = sampled_vertex_checks(ctx.graph, "H")
+        pu, _ = ctx.pushing_up("H")
+        s = ctx.sampled()["H"]
         hk = (ng.H1.eset <= ng.K1.eset and ng.H2.eset <= ng.K2.eset
               and ng.h_part(ng.K1).eset == ng.H1.eset
               and ng.h_part(ng.K2).eset == ng.H2.eset)
@@ -707,8 +712,7 @@ def build_claims() -> list[Claim]:
     @claim("T1.1.ii", "both the H-graph and the K-graph are of pushing up "
                       "type for the base 1-arc and prime 3")
     def t11ii(ctx):
-        okh, _ = pushing_up(ctx.graph, "H")
-        okk, _ = pushing_up(ctx.graph, "K")
+        okh, okk = (ctx.pushing_up(group)[0] for group in "HK")
         return okh and okk, {"H": okh, "K": okk}
 
     @claim("T1.1.iii", "both groups are transitive on 6-arcs at the "

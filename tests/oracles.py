@@ -9,7 +9,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from psu38 import fastops
+from psu38 import arcs, fastops
 from psu38.arcs import KERNEL_RADIUS, ball, kernel_data
 from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (_W, SubgroupArrays, bpack, bunpack, conj_fingerprints,
@@ -645,19 +645,21 @@ def is_automorphism_by_bincount(graph, p: np.ndarray) -> bool:
 def linear_conj_keys_one_shot(ops, xm, xt, ckeys: np.ndarray, xidx=None,
                               inverse: bool = True) -> np.ndarray:
     """fastops.linear_conj_keys over all rows at once: one (len(ckeys),
-    columns) accumulator and one lookup array of that shape per entry."""
+    columns) accumulator and one lookup array of that shape per entry,
+    entry j of value v at row (v*nx*nt + a*nt + i)*9 + j of the tables."""
     tw = (ckeys & np.uint64(7)).astype(np.intp)
     twists = np.flatnonzero(np.bincount(tw, minlength=8))
     tables = fastops.conj_tables(ops, xm, xt, twists, inverse)
+    nx, nt = len(xt), len(twists)
     slot = np.zeros(8, dtype=np.intp)
-    slot[twists] = np.arange(len(twists)) * 576
+    slot[twists] = np.arange(nt)
     base = slot[tw]
     if xidx is not None:
-        base += np.asarray(xidx, dtype=np.intp) * (len(twists) * 576)
+        base += np.asarray(xidx, dtype=np.intp) * nt
     acc = np.zeros((len(ckeys), tables.shape[1]), dtype=np.uint64)
     for j in range(9):
         entry = ((ckeys >> fastops._SHIFT[j]) & np.uint64(63)).astype(np.intp)
-        acc ^= np.take(tables, base + (entry + 64 * j), axis=0)
+        acc ^= np.take(tables, (entry * (nx * nt) + base) * 9 + j, axis=0)
     return acc.min(axis=1)
 
 
@@ -669,7 +671,8 @@ _UNITS = _UNITS.reshape(576, 3, 3)
 
 def conj_tables(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
     """fastops.conj_tables by conjugating all 576 unit matrices (entry j
-    equal to v, the rest 0) of each twist by each x with bsmul."""
+    equal to v, the rest 0) of each twist by each x with bsmul, laid out
+    as fastops.conj_tables' rows, (v*nx*nt + a*nt + i)*9 + j."""
     parts = []
     for a in range(len(xt)):
         ct = np.repeat(np.asarray(twists, dtype=np.uint8), 576)
@@ -685,7 +688,54 @@ def conj_tables(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
         keys = (scaled.astype(np.uint64) @ _W).reshape(len(m), 3)
         keys += np.where(np.arange(len(m)) % 576 < 64, t, 0).astype(np.uint64)[:, None]
         parts.append(np.concatenate(np.split(keys, 2 if inverse else 1), axis=1))
-    return np.concatenate(parts)
+    return by_value_rows(np.concatenate(parts), len(xt), len(twists))
+
+
+def by_value_rows(tables: np.ndarray, nx: int, nt: int) -> np.ndarray:
+    """Tables of rows ((a*nt + i)*9 + j)*64 + v, conj_tables_by_bit_doubling's
+    layout, moved to fastops.conj_tables' rows (v*nx*nt + a*nt + i)*9 + j."""
+    width = tables.shape[1]
+    return tables.reshape(nx, nt, 9, 64, width).transpose(3, 0, 1, 2, 4).reshape(-1, width)
+
+
+def conj_tables_by_bit_doubling(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
+    """fastops.conj_tables as it was first written, laid out by (x, twist,
+    entry, value): row ((a*len(twists) + i)*9 + j)*64 + v holds the images
+    under x_a of the matrix with entry j equal to v and the rest 0, of
+    twist twists[i].  The 54 bit matrices E_pq(u), u = 2^b at entry j =
+    (p, q), are conjugated as outer products, x^-1 E_pq(u) x = m'[:, p] .
+    rho^e(u) . rho^(e+t)(m)[q, :] for x = (m, -e), x^-1 = (m', e) and c of
+    twist t, by 27 gathers in the product table and a uint64 matmul per
+    image, and the 64 rows of each entry are filled by XOR doubling in
+    blocks of 3 elements."""
+    xm, xt = np.asarray(xm, dtype=np.uint8), np.asarray(xt, dtype=np.uint8)
+    nx, nt = len(xt), len(twists)
+    xim, xit = ops.binv(xm, xt)
+    e, t = np.broadcast_arrays(xit.astype(np.intp)[:, None],
+                               np.asarray(twists, dtype=np.intp))
+    kinds = [(e, e + t, t)] + ([(e + 3 - t, e - t, -t)] if inverse else [])
+    eu, em, et = (np.stack(v, 1) % 6 for v in zip(*kinds))  # (nx, nk, nt)
+    nk = len(kinds)
+    f = ops.field
+    scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
+    su = ops.MUL[ops.FROB[eu[..., None], 1 << np.arange(6)][..., None], scalars]
+    right = ops.FROB[em[..., None, None], xm[:, None, None]]  # (nx, nk, nt, 3, 3)
+    # left[x, k, t, p, b, s, r] = m'[r, p] . (scalar s) . rho(2^b)
+    left = ops.MUL[xim.transpose(0, 2, 1)[:, None, None, :, None, None, :],
+                   su[:, :, :, None, :, :, None]]
+    # img[x, k, t, p, q, b, s, r, col]: entry (r, col) of the image of E_pq
+    img = ops.MULF[(left.astype(np.uint16) << 6)[:, :, :, :, None, :, :, :, None]
+                   | right[:, :, :, None, :, None, None, None, :]]
+    if inverse:  # entry (p, q) of c is entry (q, p) of c^-1
+        img[:, 1] = img[:, 1].swapaxes(2, 3)
+    bits = (img.reshape(-1, 9).astype(np.uint64) @ _W).reshape(nx, nk, nt, 9, 6, 3)
+    bits = bits.transpose(0, 2, 3, 4, 1, 5)
+    tab = np.zeros((nx, nt, 9, 64, nk, 3), dtype=np.uint64)
+    for b in range(6):
+        np.bitwise_xor(tab[:, :, :, :1 << b], bits[:, :, :, b, None],
+                       out=tab[:, :, :, 1 << b:2 << b])
+    tab[:, :, 0] += et.transpose(0, 2, 1)[:, :, None, :, None].astype(np.uint64)
+    return tab.reshape(nx * nt * 576, nk * 3)
 
 
 def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
@@ -744,6 +794,42 @@ def local_condition_at(graph, v: int, group: str = "K") -> bool:
     local_characteristic checks at z."""
     z = graph.base_x1 if graph.side_of(v) == 1 else graph.base_x2
     return pulled_back_kernel(graph, v, group) == kernel_data(graph, z, group).kernel(1).eset
+
+
+def _batches_by_side(graph, ids: np.ndarray):
+    """The ids of side 1, then of side 2, arcs.SAMPLE_CHUNK at a time."""
+    for part in (ids[ids < graph.n1], ids[ids >= graph.n1]):
+        for lo in range(0, len(part), arcs.SAMPLE_CHUNK):
+            yield part[lo:lo + arcs.SAMPLE_CHUNK]
+
+
+def sampled_vertex_checks_per_group(graph, group: str) -> dict:
+    """arcs.sampled_vertex_checks' record of one group as it was first
+    made, by a pass of its own: the group's stabilizer keys and fixes of
+    each wide batch, and the group's pulled-back kernels of each deep
+    batch, the deep half stopping at its first failing batch."""
+    rng = np.random.default_rng(arcs.SAMPLE_SEED)
+    wide_ids = rng.choice(graph.nv, size=arcs.SAMPLE_WIDE, replace=False)
+    deep_ids = rng.choice(graph.nv, size=arcs.SAMPLE_DEEP, replace=False)
+    wide_ok = True
+    for chunk in _batches_by_side(graph, wide_ids):
+        expect = arcs.STABILIZER_ORDERS[group, graph.side_of(int(chunk[0]))]
+        keys = graph.stabilizer_key_rows(chunk, group)
+        srt = np.sort(keys, axis=1)
+        distinct = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
+        fixed = graph.fixes(keys, chunk).sum(axis=1)
+        wide_ok = wide_ok and bool((distinct == expect).all() and (fixed == expect).all())
+    deep_ok = True
+    for chunk in _batches_by_side(graph, deep_ids):
+        side = graph.side_of(int(chunk[0]))
+        kern = kernel_data(graph, graph.base_x1 if side == 1 else graph.base_x2,
+                           group).kernel(1).handles()
+        if not (arcs.pulled_back_kernels(graph, chunk, group)
+                == [k in kern for k in graph.kkeys[side, group].tolist()]).all():
+            deep_ok = False
+            break
+    return {"wide_sample": len(wide_ids), "wide_ok": wide_ok,
+            "deep_sample": len(deep_ids), "deep_ok": deep_ok}
 
 
 def kernel_radii_by_full_table(graph, v: int, group: str = "K") -> tuple[np.ndarray, np.ndarray]:

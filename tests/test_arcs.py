@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -299,7 +300,7 @@ def test_centralizer_check_at_x1(ctx, ng):
 
 
 def test_sampled_vertex_checks(graph):
-    out = sampled_vertex_checks(graph, "K")
+    out = sampled_vertex_checks(graph)["K"]
     assert out["wide_ok"] and out["deep_ok"]
 
 
@@ -317,7 +318,7 @@ def test_sampled_vertex_checks_catch_a_wrong_conjugation(graph, ng, monkeypatch)
             rows.append(sorted(x.key for x in C.elems))
         return np.array(rows, dtype=np.uint64)
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", by_inverse)
-    out = sampled_vertex_checks(graph, "K")
+    out = sampled_vertex_checks(graph)["K"]
     assert out["wide_sample"] == arcs.SAMPLE_WIDE and not out["wide_ok"]
 
 
@@ -598,7 +599,7 @@ def test_batched_deep_check_equals_the_per_vertex_oracle(graph, graph43):
                     got = frozenset(els[i] for i in np.flatnonzero(row))
                     assert got == oracles.pulled_back_kernel(g, v, group)
             want = all(oracles.local_condition_at(g, int(v), group) for v in deep)
-            assert want and sampled_vertex_checks(g, group)["deep_ok"] == want
+            assert want and sampled_vertex_checks(g)[group]["deep_ok"] == want
 
 
 def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):
@@ -609,7 +610,7 @@ def test_deep_check_catches_keys_out_of_the_base_order(graph, monkeypatch):
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows",
                         lambda self, gids, group="K": np.roll(rows_of(self, gids, group),
                                                               1, axis=1))
-    out = sampled_vertex_checks(graph, "K")
+    out = sampled_vertex_checks(graph)["K"]
     assert out["wide_ok"] and not out["deep_ok"]
 
 
@@ -624,8 +625,37 @@ def test_sampled_vertex_checks_count_distinct_keys(graph, monkeypatch):
         rows[:, 1] = rows[:, 0]
         return rows
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", repeated)
-    out = sampled_vertex_checks(graph, "K")
+    out = sampled_vertex_checks(graph)["K"]
     assert not out["wide_ok"]
+
+
+def test_shared_spot_check_pass_equals_the_per_group_oracle(graph, graph43):
+    """Under 0x5b and 0x43, the one pass over K's per-vertex arrays gives
+    the K and H records that a pass of each group's own gives."""
+    for g in (graph, graph43):
+        out = sampled_vertex_checks(g)
+        assert sorted(out) == ["H", "K"]
+        for group in ("K", "H"):
+            assert out[group] == oracles.sampled_vertex_checks_per_group(g, group)
+            assert out[group]["wide_ok"] and out[group]["deep_ok"]
+
+
+def test_a_wrong_kernel_of_one_group_fails_only_that_group(graph):
+    """H's spot checks read K's columns, so an H fault must still show: a
+    base kernel G_z^[1] of one group missing one element, at each base
+    vertex whose side the deep sample meets, makes that group's deep check
+    false and leaves the other group's true."""
+    sides = {graph.side_of(int(v)) for v in _deep_sample(graph)}
+    assert sides == {1, 2}
+    for z in (graph.base_x1, graph.base_x2):
+        for wrong, right in (("H", "K"), ("K", "H")):
+            g = dataclasses.replace(graph, _kernels={})
+            kd = kernel_data(g, z, wrong)
+            kd.first_moved = kd.first_moved.copy()
+            kd.first_moved[np.flatnonzero(kd.first_moved > 1)[1]] = 1
+            out = sampled_vertex_checks(g)
+            assert not out[wrong]["deep_ok"] and out[wrong]["wide_ok"]
+            assert out[right]["deep_ok"] and out[right]["wide_ok"]
 
 
 def test_kernel_radii_equal_the_full_table_oracle(graph, graph43):

@@ -375,16 +375,18 @@ def test_build_and_perm_temporaries_are_bounded(ng, graph, monkeypatch):
 def test_per_vertex_pass_temporaries_are_bounded(graph, monkeypatch):
     """The two per-vertex passes of verify allocate at most 2.5 MiB beyond
     what they keep: one KernelData of K at x1, its generators' perms
-    cached, and one sampled_vertex_checks of K after both base kernels are
-    built.  Measured: 1.4 and 1.8 MiB; an int64 ball image table with an
-    int64 radius matrix beside it made KernelData's 4.8 MiB, and one
-    conj_tables set for all of a batch's 25 vertices at once the sampled
-    checks' 4.3 MiB."""
+    cached, and the one sampled_vertex_checks pass of K and H after the
+    base kernels of both groups are built.  Measured: 1.4 and 2.0 MiB; an
+    int64 ball image table with an int64 radius matrix beside it made
+    KernelData's 4.8 MiB, and one conj_tables set for all of a batch's 25
+    vertices at once the sampled checks' 4.3 MiB."""
     kernel_data(graph, graph.base_x1, "K")
     monkeypatch.setattr(graph, "_kernels", {})
     assert _traced_excess(lambda: kernel_data(graph, graph.base_x1, "K")) < 2.5
-    kernel_data(graph, graph.base_x2, "K")
-    assert _traced_excess(lambda: sampled_vertex_checks(graph, "K")) < 2.5
+    for v in (graph.base_x1, graph.base_x2):
+        for group in ("K", "H"):
+            kernel_data(graph, v, group)
+    assert _traced_excess(lambda: sampled_vertex_checks(graph)) < 2.5
 
 
 def test_perm_raises_on_an_unknown_image(graph, ng):

@@ -325,6 +325,25 @@ def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))
+def test_row_packed_tables_equal_the_bit_doubling_tables(modulus):
+    """Under all four moduli, the tables made from row-packed lanes equal
+    the bit-doubling oracle's value for value, once its (x, twist, entry,
+    value) rows are moved to value-major order: for 1 and 4 x, 1, 2 and 6
+    twists, with and without the inverse columns."""
+    f = GF64(modulus)
+    ops = FieldOps(f)
+    xm, xt = to_arrays(of_every_twist(f, 6, seed=36)[2:6])
+    assert len(set(xt.tolist())) == 4
+    for nx in (1, 4):
+        for twists in ([3], [1, 4], list(range(6))):
+            for inverse in (True, False):
+                got = conj_tables(ops, xm[:nx], xt[:nx], twists, inverse)
+                old = oracles.conj_tables_by_bit_doubling(ops, xm[:nx], xt[:nx], twists, inverse)
+                assert got.shape == old.shape == (nx * len(twists) * 576, 6 if inverse else 3)
+                assert np.array_equal(got, oracles.by_value_rows(old, nx, len(twists)))
+
+
 def test_linear_conj_keys_per_row_elements(f, ops):
     """With a row index naming each row's x, the keys are those of one x
     at a time; without the inverse columns they are bpkeys(x^-1 c x)."""

@@ -396,6 +396,39 @@ def test_unsorted_stabilizer_keys_give_error_not_fail(monkeypatch, graph):
                for c in rep["claims"] if c["verdict"] == "error")
 
 
+def test_colliding_images_give_error_not_fail(monkeypatch, graph, ng):
+    """A side-2 fingerprint element stored twice, in place of the next
+    vertex's, makes two vertices' images collide under every element that
+    moves them, and leaves one key no image can find: perm raises, and the
+    catalog reports error for the automorphism claims and fail for none."""
+    broken = dataclasses.replace(graph, skeys={**graph.skeys, 2: graph.skeys[2].copy()},
+                                 _perm_cache={}, _kernels={})
+    broken.skeys[2][-1] = broken.skeys[2][-2]
+    with pytest.raises(AssertionError, match="not a known vertex"):
+        broken.perm(ng.p["A"])
+    monkeypatch.setattr(harness, "build_graph", lambda ng, progress=None: broken)
+    verdicts = {c["id"]: c["verdict"] for c in run_claims(VerifyContext())["claims"]}
+    assert "fail" not in verdicts.values()
+    assert verdicts["L3.5.i"] == verdicts["L3.10.partial.iii"] == "error"
+
+
+def test_runs_limited_to_one_group_equal_the_full_run(monkeypatch, graph):
+    """On one context, an H-only run and then a K-only run give each claim
+    the verdict and witness of the full run that follows them: the stages
+    that claims of both groups share, the one sampled pass of K and H
+    among them, do not depend on which claim reaches them first."""
+    fresh = dataclasses.replace(graph, _perm_cache={}, _kernels={})
+    monkeypatch.setattr(harness, "build_graph", lambda ng, progress=None: fresh)
+    ctx = VerifyContext()
+    parts = {group: _strip_times(run_claims(ctx, group=group)) for group in ("H", "K")}
+    full = _strip_times(run_claims(ctx))["claims"]
+    for group, rep in parts.items():
+        want = [c for c in full if group in c["groups"]]
+        assert [c["id"] for c in rep["claims"]] == [c["id"] for c in want]
+        for got, c in zip(rep["claims"], want):
+            assert (got["verdict"], got["witness"]) == (c["verdict"], c["witness"])
+
+
 def test_perfbench_wrappers_find_every_name():
     """perfbench/spans.py wraps psu38's functions and methods by name; a
     renamed or deleted one would break every traced benchmark run."""
