@@ -3,15 +3,17 @@ and the local characteristic / pushing up predicates.
 
 Group elements act on vertices on the right through CosetGraph.perm.
 The s-arcs at v are walked one level at a time, each arc an exact index
-pair (its prefix's index, its last vertex) (arc_levels).  A base-vertex
-stabilizer evaluates its whole action table along its closure tree, one
-permutation gather per element.  Other stabilizers stay packed keys,
-through the one batched pair CosetGraph.stabilizer_key_rows and fixes:
-an arc stabilizer is a SmallGroup only inside K1 or K2 (the named arc's
-lies in K2), and the kernels G_v^[1] of a batch of vertices of one side
-are pulled back to the base stabilizer's own elements by the conjugation
-that stabilizer_key_rows applies (pulled_back_kernels).  Both halves of
-the sampled vertex checks, one pass for K and H, take their vertices in
+pair (its prefix's index, its last vertex) (arc_levels).  A ball layer
+and the orbit labels are deduplicated by fastops.unique_sorted, one sort
+each.  A base-vertex stabilizer evaluates its whole action table along
+its closure tree, one permutation gather per element.  Other stabilizers
+stay packed keys, through the one batched pair
+CosetGraph.stabilizer_key_rows and fixes: an arc stabilizer is a
+SmallGroup only inside K1 or K2 (the named arc's lies in K2), and the
+kernels G_v^[1] of a batch of vertices of one side are pulled back to
+the base stabilizer's own elements by the conjugation that
+stabilizer_key_rows applies (pulled_back_kernels).  Both halves of the
+sampled vertex checks, one pass for K and H, take their vertices in
 batches of one side, so their table lookups run per batch.
 """
 
@@ -22,6 +24,7 @@ import functools
 import numpy as np
 
 from .coset import CosetGraph
+from .fastops import unique_sorted
 from .grp import SmallGroup
 
 # ---------------------------------------------------------------------------
@@ -37,13 +40,14 @@ def _csr_rows(graph: CosetGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def ball(graph: CosetGraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertices within distance r of v, one BFS layer after another (each
-    layer in ascending order), with their radii: one CSR gather per layer.
-    The columns come in ascending radius, which KernelData relies on."""
+    layer in ascending order), with their radii: one CSR gather and one
+    sort (unique_sorted) per layer.  The columns come in ascending radius,
+    which KernelData relies on."""
     seen = np.zeros(graph.nv, dtype=bool)
     seen[v] = True
     layers = [np.array([v], dtype=np.int64)]
     while len(layers) <= r:
-        nb = np.unique(_csr_rows(graph, layers[-1])[0])
+        nb = unique_sorted(_csr_rows(graph, layers[-1])[0])
         nb = nb[~seen[nb]].astype(np.int64)
         if not len(nb):
             break
@@ -110,7 +114,7 @@ def orbit_sizes(n: int, images: list[np.ndarray]) -> list[int]:
         for j in images:
             label = np.minimum(label, prev[j])
         label = label[label]
-    return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
+    return sorted(np.bincount(unique_sorted(label, index=True)[2]).tolist(), reverse=True)
 
 
 def arc_orbits(graph: CosetGraph, v: int, s: int, group: str) -> dict:

@@ -21,9 +21,11 @@ two cosets would leave fewer vertices).
 
 The BFS runs one layer at a time from the base edge (build_graph).  A
 probe t.r (t in the transversal, r a frontier rep) is keyed as
-r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, so only each new
-vertex's rep t.r is multiplied out; a loaded graph's fingerprints are the
-same kernel with c = y.  Each layer's fresh keys are merged into the
+r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, and no rep is
+multiplied out: a new vertex's rep key, that of t.r, is 9 lookups in
+tables of left multiplication by t (fastops.lmul_keys); a loaded graph's
+fingerprints are the same kernel with c = y.  Each layer's fresh keys are
+deduplicated by one sort (fastops.unique_sorted) and merged into the
 side's sorted keys, and its new vertices are numbered in the order of
 their first probe (frontier vertex, then transversal element); the
 transversals are scanned in table order, so every id is fixed by the named
@@ -71,7 +73,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, linear_conj_keys
+from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, linear_conj_keys,
+                      lmul_keys, lmul_tables, unique_sorted)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import IDENTITY, PElement
@@ -419,11 +422,14 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     The neighbors of K_side.r are K_tgt.t_j.r, t_j the transversal of K12
     in K_side.  Probe t_j.r is keyed without its product: its fingerprint
     (t_j r)^-1 y (t_j r) is r^-1 c_j r, c_j = t_j^-1 y t_j fixed per side,
-    y the target side's fingerprint element.  Only a fresh vertex's rep
-    t_j.r is multiplied out.  After the first layer the probe by t0, the
-    transversal element that lies in K12, is skipped: a vertex v reached
-    from u has rep t.rep(u) with t in u's side group K, which holds t0
-    too, so K.t0.rep(v) = u, an edge u's own probe already made.  Each
+    y the target side's fingerprint element.  A layer's missed probes are
+    deduplicated by unique_sorted, and a fresh vertex's rep key, that of
+    t_j.r from its first probe, is read off r's stored key by lmul_keys in
+    the side's lmul_tables, made once per build: no rep is multiplied out.
+    After the first layer the probe by t0, the transversal element that
+    lies in K12, is skipped: a vertex v reached from u has rep t.rep(u)
+    with t in u's side group K, which holds t0 too, so K.t0.rep(v) = u, an
+    edge u's own probe already made.  Each
     edge is written once, in a (n1, 4) table of side-2 ends: column 0 of
     a side-1 vertex holds its parent, written when the side-2 pass finds
     it, the rest its own probes (all four at x1).  The t_j lie in distinct
@@ -434,13 +440,15 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
-    probes = {}   # side -> (all k, all but t0), each (tm, tt, cm, ct), c = t^-1 y t
+    probes = {}   # side -> (all k, all but t0), each (cm, ct, tix), c = t^-1 y t
+    lmul = {}     # side -> lmul_tables of the transversal, t at row tix
     for side, K in ((1, ng.K1), (2, ng.K2)):
         ts = transversal(K, ng.K12)
         t0 = next(j for j, t in enumerate(ts) if t in ng.K12)
         tm, tt = bunpack(np.array([t.key for t in ts], dtype=np.uint64))
         cm, ct = ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt)
-        every = (tm, tt, cm, ct)
+        lmul[side] = lmul_tables(ops, tm, tt)
+        every = (cm, ct, np.arange(len(ts)))
         probes[side] = every, tuple(np.delete(a, t0, axis=0) for a in every)
 
     ident = np.array([IDENTITY], dtype=np.uint64)
@@ -455,24 +463,28 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
         new = {}
         for side in (1, 2):
             tgt, src = 3 - side, frontier[side]
-            tm, tt, cm, ct = probes[side][layer > 0]
-            k = len(tt)
-            rm, rt = bunpack(graph.reps[side][src])
-            keys = conj_fingerprint_grid(ops, rm, rt, cm, ct)
+            cm, ct, tix = probes[side][layer > 0]
+            k = len(ct)
+            reps = graph.reps[side][src]
+            keys = conj_fingerprint_grid(ops, *bunpack(reps), cm, ct)
             ids = graph._resolve(tgt, keys).astype(np.int64)
             miss = np.flatnonzero(ids < 0)
-            fresh, first, inv = np.unique(keys[miss], return_index=True,
-                                          return_inverse=True)
+            fresh, first, inv = unique_sorted(keys[miss], index=True)
             base = len(graph.reps[tgt])
             if (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) > GROUP_ORDER:
                 raise AssertionError("more cosets than |G| allows; convention bug")
-            # the fresh keys are numbered in the order of their first probes
-            order = np.argsort(first)
-            num = base + np.argsort(order)
+            # the fresh keys are numbered in the order of their first
+            # probes, which probe lists ascending
+            probe = np.zeros(len(miss), dtype=bool)
+            probe[first] = True
+            probe = np.flatnonzero(probe)
+            num = np.empty(len(fresh), dtype=np.int64)
+            num[inv[probe]] = base + np.arange(len(fresh))
             ids[miss] = num[inv]
-            # one product per fresh vertex: its rep t_j.r, from its first probe
-            i, j = np.divmod(miss[first[order]], k)
-            graph._register(tgt, ops.bpkeys(*ops.bsmul(tm[j], tt[j], rm[i], rt[i])), fresh, num)
+            # one table lookup per fresh vertex: the key of its rep t_j.r,
+            # from its first probe
+            i, j = np.divmod(miss[probe], k)
+            graph._register(tgt, lmul_keys(lmul[side], reps[i], tix[j]), fresh, num)
             new[tgt] = base + np.arange(len(fresh))
             if side == 1:
                 nbr[src, 4 - k:] = ids.reshape(len(src), k)
@@ -515,7 +527,7 @@ def _assert_base_edge(graph: CosetGraph) -> None:
         raise AssertionError("K1.E did not land on a new side-1 vertex")
     keys = graph.stabilizer_key_rows([x3], "K")[0]
     images = graph.image_batch([x3], keys)
-    if len(np.unique(keys)) != len(ng.K1) or (images != x3).any():
+    if len(unique_sorted(keys)) != len(ng.K1) or (images != x3).any():
         raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
 
 
@@ -533,7 +545,7 @@ def _assert_adjacency(graph: CosetGraph) -> None:
     km, kt = bunpack(graph.kkeys[1, "K"])
     tm, tt = bunpack(np.array([t.key for t in transversal(ng.K2, ng.K12)], dtype=np.uint64))
     n = len(kt)
-    prods = np.unique(ops.bpkeys(*ops.bsmul(
+    prods = unique_sorted(ops.bpkeys(*ops.bsmul(
         np.tile(km, (len(tt), 1, 1)), np.tile(kt, len(tt)),
         np.repeat(tm, n, axis=0), np.repeat(tt, n))))
     if len(prods) != len(ng.K1) * len(ng.K2) // len(ng.K12):

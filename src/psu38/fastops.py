@@ -13,9 +13,13 @@ KEY_CHUNK rows at a time: conj_fingerprint_grid, r^-1 c r for many r
 against a few c at one matrix product each (vertex keys, BFS probes,
 images of a vertex), and linear_conj_keys, x^-1 c x for a few x against
 many c by 9 lookups in conj_tables each (the whole-graph action,
-stabilizer keys and the fixer test).  conj_fingerprints, the same key
+stabilizer keys and the fixer test).  The BFS keys a new vertex's rep
+t r the same way, 9 lookups in lmul_tables of left multiplication by a
+transversal element t (lmul_keys).  conj_fingerprints, the same key
 rowwise, and coset_canon_keys, the exact canonical-form scan, are test
-oracles that the benchmark's spans wrap by name.
+oracles that the benchmark's spans wrap by name.  unique_sorted is the
+program's one dedup: one sort and adjacent differences, not np.unique,
+which numpy 2 runs by hashing for plain integer arrays.
 """
 
 from __future__ import annotations
@@ -329,6 +333,65 @@ def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
         # freed before the next batch's tables are made
         del tables
     return out
+
+
+def lmul_tables(ops: FieldOps, tm, tt) -> np.ndarray:
+    """Key tables of r -> t r, one table set per row t of (tm, tt) and
+    twist s = 0..5 of r, in conj_tables' row layout with 3 columns, the
+    scalar multiples: row (v*nx*6 + a*6 + s)*9 + j holds the keys of
+    t_a E_j(v), E_j(v) the matrix with entry j equal to v and the rest 0,
+    and the rows of entry 0 carry the product's twist tt[a] + s.  From
+    bsmul, t r = (T rho^tt(R), tt + s), GF(2)-linear in the 54 matrix bits
+    of r, and column q of T E_pq(u) is rho^tt(u) times column p of T."""
+    tm, tt = np.asarray(tm, dtype=np.uint8), np.asarray(tt, dtype=np.intp)
+    scalars = np.array([1, ops.field.alpha, ops.field.alpha2], dtype=np.uint8)
+    # val[a, v, p, s, r] = rho^tt(v) . (scalar s) . T[r, p]
+    st = ops.MUL[scalars[:, None], tm.transpose(0, 2, 1)[:, :, None]]
+    val = ops.MUL64[ops.FROB[tt][:, :, None, None, None], st[:, None]]
+    # key[a, v, p, s, q]: entry (r, q) of the image sits at _SHIFT[3r + q]
+    key = np.bitwise_or.reduce(val[..., None] << _SHIFT.reshape(3, 3), axis=-2)
+    tab = np.empty((64, len(tt), 6, 9, 3), dtype=np.uint64)
+    tab[:] = key.transpose(1, 0, 2, 4, 3).reshape(64, len(tt), 1, 9, 3)
+    tab[:, :, :, 0] |= ((tt[:, None] + np.arange(6)) % 6).astype(np.uint64)[..., None]
+    return tab.reshape(-1, 3)
+
+
+def lmul_keys(tables: np.ndarray, rkeys: np.ndarray, tidx) -> np.ndarray:
+    """bpkeys of t r for each r packed in rkeys, t the element of row
+    tidx[i] of lmul_tables for rkeys[i]: the least column of an XOR of 9
+    rows, KEY_CHUNK keys at a time, no product per key.  The key of r may
+    pack any scalar multiple of r, which multiplies t r by a scalar."""
+    n = len(rkeys)
+    out = np.empty(n, dtype=np.uint64)
+    acc = np.empty((min(n, KEY_CHUNK), 3), dtype=np.uint64)
+    for lo in range(0, n, KEY_CHUNK):
+        r = rkeys[lo:lo + KEY_CHUNK]
+        base = np.asarray(tidx[lo:lo + KEY_CHUNK], dtype=np.intp) * 6
+        base += (r & U64(7)).astype(np.intp)
+        base *= 9
+        _xor_lookups(tables, r, base, acc, out[lo:lo + len(r)])
+    return out
+
+
+def unique_sorted(a: np.ndarray, index: bool = False):
+    """np.unique of a 1-d array by one default (quick)sort and adjacent
+    differences, never numpy's hash path: the sorted distinct values, and
+    with index also the first index of each in a and the inverse (a ==
+    values[inverse]), as np.unique's return_index and return_inverse give
+    them.  The first index of a run of equal keys is the least of their
+    positions in a (np.minimum.reduceat), so the sort need not be stable."""
+    a = np.asarray(a).reshape(-1)
+    order = np.argsort(a) if index else None
+    s = a[order] if index else np.sort(a)
+    new = np.empty(len(s), dtype=bool)  # where each run of equal values starts
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    if not index:
+        return s[new]
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[starts], np.minimum.reduceat(order, starts), inverse
 
 
 def _xor_lookups(tables, c, base, acc, best) -> None:

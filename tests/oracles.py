@@ -607,6 +607,50 @@ def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
     return graph
 
 
+def rep_keys_by_products(ops, tm, tt, rkeys: np.ndarray, tidx) -> np.ndarray:
+    """fastops.lmul_keys by multiplying out: the projective key of t r,
+    t the row tidx[i] of (tm, tt) and r the element of key rkeys[i], by
+    one bsmul and bpkeys per key, as build_graph first keyed each fresh
+    vertex's rep."""
+    tidx = np.asarray(tidx, dtype=np.intp)
+    return ops.bpkeys(*ops.bsmul(tm[tidx], tt[tidx], *bunpack(rkeys)))
+
+
+def unique_by_np_unique(a: np.ndarray) -> tuple:
+    """fastops.unique_sorted(a, index=True) by np.unique, as build_graph
+    first deduplicated each layer's fresh keys."""
+    return np.unique(a, return_index=True, return_inverse=True)
+
+
+def ball_by_np_unique(graph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """arcs.ball with each layer's neighbours deduplicated by np.unique,
+    as it was first written."""
+    seen = np.zeros(graph.nv, dtype=bool)
+    seen[v] = True
+    layers = [np.array([v], dtype=np.int64)]
+    while len(layers) <= r:
+        nb = np.unique(arcs._csr_rows(graph, layers[-1])[0])
+        nb = nb[~seen[nb]].astype(np.int64)
+        if not len(nb):
+            break
+        seen[nb] = True
+        layers.append(nb)
+    radii = np.repeat(np.arange(len(layers)), [len(x) for x in layers])
+    return np.concatenate(layers), radii
+
+
+def orbit_sizes_by_np_unique(n: int, images: list[np.ndarray]) -> list[int]:
+    """arcs.orbit_sizes with the labels counted by np.unique, as it was
+    first written."""
+    label, prev = np.arange(n), None
+    while prev is None or not np.array_equal(label, prev):
+        prev = label
+        for j in images:
+            label = np.minimum(label, prev[j])
+        label = label[label]
+    return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
+
+
 def edges_by_concat(edge_keys: list) -> np.ndarray:
     """The ascending (E, 2) uint32 edges of probe keys u << 32 | v, given
     as a list of arrays, by a sorted copy of their concatenation, a

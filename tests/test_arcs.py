@@ -179,6 +179,22 @@ def test_ball_equals_a_plain_bfs(graph):
     assert len(ids) == graph.nv
 
 
+def test_ball_and_orbit_sizes_equal_the_np_unique_oracles(graph, graph43):
+    """On both session graphs, at both base vertices: ball at radii 0 to
+    KERNEL_RADIUS and nv equals its np.unique oracle array for array, and
+    orbit_sizes of each arc level, s = 0..8, for H and K, equals its
+    np.unique oracle."""
+    for g in (graph, graph43):
+        for v in (g.base_x1, g.base_x2):
+            for r in list(range(arcs.KERNEL_RADIUS + 1)) + [g.nv]:
+                got, want = ball(g, v, r), oracles.ball_by_np_unique(g, v, r)
+                assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                           for a, b in zip(got, want))
+            for group in ("H", "K"):
+                for level in arc_levels(g, v, _stabilizer_perms(g, v, group), 8):
+                    assert orbit_sizes(*level) == oracles.orbit_sizes_by_np_unique(*level)
+
+
 def test_five_arc_transitivity_orbit_sizes(graph):
     r = arc_orbits(graph, graph.base_x2, 5, "K")
     assert r["transitive"] and r["orbit_sizes"] == [108]

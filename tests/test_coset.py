@@ -570,8 +570,8 @@ def _assert_sorted_and_aligned(g):
 
 
 def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
-    """The build registers each layer's fresh keys, which np.unique
-    sorts, with their first-probe ids; a load registers a whole side whose
+    """The build registers each layer's fresh keys, which
+    fastops.unique_sorted sorts, with their first-probe ids; a load registers a whole side whose
     keys come unsorted, sorted by one argsort.  Either way the merged keys
     stay sorted, with each id beside its key."""
     built = build_graph(ng)
@@ -739,9 +739,10 @@ def test_build_probe_and_product_counts(ng, monkeypatch):
     204,288.  The grid kernel's other calls, one element c each, key the
     two base vertices, then the checks of _assert_base_edge act on x3: x1
     under E, and x3 under its 1,296 stabilizer keys.  The products are
-    one per new vertex, plus two for each of the 7 elements t^-1 y t."""
-    grids, products = [], []
-    grid, bsmul = coset.conj_fingerprint_grid, FieldOps.bsmul
+    two for each of the 7 elements t^-1 y t and no more: each new vertex's
+    rep key is one table lookup, (n1 - 1) + (n2 - 1) in all."""
+    grids, products, lookups = [], [], []
+    grid, bsmul, lmul = coset.conj_fingerprint_grid, FieldOps.bsmul, coset.lmul_keys
 
     def counted_grid(ops, rm, rt, cm, ct):
         grids.append((len(rt), len(ct)))
@@ -751,13 +752,19 @@ def test_build_probe_and_product_counts(ng, monkeypatch):
         products.append(len(gm))
         return bsmul(self, gm, gt, hm, ht)
 
+    def counted_lmul(tables, rkeys, tidx):
+        lookups.append(len(rkeys))
+        return lmul(tables, rkeys, tidx)
+
     monkeypatch.setattr(coset, "conj_fingerprint_grid", counted_grid)
     monkeypatch.setattr(FieldOps, "bsmul", counted_bsmul)
+    monkeypatch.setattr(coset, "lmul_keys", counted_lmul)
     g = build_graph(ng)
     probes = sum(n * k for n, k in grids if k > 1)
     assert probes == 4 + 3 + 3 * (g.n1 - 1) + 2 * (g.n2 - 1) == 144706
     assert [n for n, k in grids if k == 1] == [1, 1, 1, 1296]
-    assert sum(products) == (g.n1 - 1) + (g.n2 - 1) + 2 * (4 + 3)
+    assert sum(products) == 2 * (4 + 3)
+    assert sum(lookups) == (g.n1 - 1) + (g.n2 - 1)
 
 
 def test_fingerprint_key_against_canonical_oracle(graph, ng):

@@ -1,13 +1,16 @@
+import os
 import random
+import re
 
 import numpy as np
 import pytest
 
+import psu38
 from psu38 import fastops
 from psu38.coset import CosetGraph, _arm, transversal
 from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprint_grid,
                            conj_fingerprints, conj_tables, coset_canon_keys,
-                           linear_conj_keys)
+                           linear_conj_keys, lmul_keys, lmul_tables, unique_sorted)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
 from psu38.psu import make_generators
@@ -364,3 +367,69 @@ def test_linear_conj_keys_per_row_elements(f, ops):
     m, t = ops.bsmul(*ops.bsmul(im[xidx], it[xidx], cm, ct), xm[xidx], xt[xidx])
     assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys, xidx, inverse=False),
                           ops.bpkeys(m, t))
+
+
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))
+def test_lmul_keys_equal_products(modulus, monkeypatch):
+    """Under all four moduli, for every element t_j of both transversals
+    (all of twist 0) and for 6 random t of all six twists, against 60
+    random elements r of all six twists, each given by its packed key and
+    by its projective key: the table lookups give bpkeys(t r), as one
+    bsmul and bpkeys per key give it, also in chunks of 7 keys and on no
+    keys."""
+    f = GF64(modulus)
+    ng = named_groups(f)
+    ops = FieldOps(f)
+    rs = of_every_twist(f, 60, seed=37)
+    raw = np.array([r.key for r in rs], dtype=np.uint64)
+    canon = ops.bpkeys(*bunpack(raw))
+    assert not np.array_equal(raw, canon)
+    ts = [np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64)
+          for K in (ng.K1, ng.K2)]
+    for tkeys in ts + [np.array([t.key for t in of_every_twist(f, 6, seed=38)], dtype=np.uint64)]:
+        tm, tt = bunpack(tkeys)
+        tables = lmul_tables(ops, tm, tt)
+        assert tables.shape == (64 * len(tt) * 6 * 9, 3)
+        tidx = np.repeat(np.arange(len(tt)), len(raw))
+        for rkeys in (np.tile(raw, len(tt)), np.tile(canon, len(tt))):
+            want = oracles.rep_keys_by_products(ops, tm, tt, rkeys, tidx)
+            assert np.array_equal(lmul_keys(tables, rkeys, tidx), want)
+            with monkeypatch.context() as m:
+                m.setattr(fastops, "KEY_CHUNK", 7)
+                assert np.array_equal(lmul_keys(tables, rkeys, tidx), want)
+        empty = lmul_keys(tables, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.intp))
+        assert empty.dtype == np.uint64 and empty.shape == (0,)
+
+
+def test_unique_sorted_equals_np_unique():
+    """On uint64 keys with repeats, keys of 2^63 and more among them, on
+    no key, one key and all-equal keys: the sorted distinct values equal
+    np.unique's, and with index the first indices and the inverse equal
+    those of np.unique(..., return_index=True, return_inverse=True)."""
+    rng = np.random.default_rng(43)
+    big = rng.integers(0, 1 << 62, 300, dtype=np.uint64) | np.uint64(1 << 63)
+    cases = [rng.integers(0, 50, 1000).astype(np.uint64),
+             np.concatenate([big, big[::3], rng.integers(0, 9, 200, dtype=np.uint64)])[
+                 rng.permutation(600)],
+             np.zeros(0, dtype=np.uint64), np.array([7], dtype=np.uint64),
+             np.full(40, np.uint64(1 << 63) + np.uint64(5)), rng.integers(0, 100, 57)]
+    for a in cases:
+        assert np.array_equal(unique_sorted(a), np.unique(a))
+        got = unique_sorted(a, index=True)
+        want = oracles.unique_by_np_unique(a)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert (cases[1] >= np.uint64(1 << 63)).any()
+
+
+def test_no_np_unique_in_the_program():
+    """No np.unique( call under src/psu38: numpy 2 dedups plain integer
+    arrays by hashing, several times slower here than one sort and an
+    adjacent difference, so fastops.unique_sorted is the program's one
+    dedup."""
+    src = os.path.dirname(psu38.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                for n, line in enumerate(fh, 1):
+                    code = line.split("#")[0]
+                    assert not re.search(r"np\.unique\(", code), f"{name}:{n}: {line.strip()}"
