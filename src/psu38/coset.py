@@ -25,7 +25,7 @@ r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, and no rep is
 multiplied out: a new vertex's rep key, that of t.r, is 9 lookups in
 tables of left multiplication by t (fastops.lmul_keys); a loaded graph's
 fingerprints are the same kernel with c = y.  Each layer's fresh keys are
-deduplicated by one sort (fastops.unique_sorted) and merged into the
+deduplicated in the key order _resolve searched them in, merged into the
 side's sorted keys, and its new vertices are numbered in the order of
 their first probe (frontier vertex, then transversal element); the
 transversals are scanned in table order, so every id is fixed by the named
@@ -171,6 +171,8 @@ class CosetGraph:
         xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
         out = np.empty((len(gids), len(xt)), dtype=np.int64)
         for i, g in enumerate(map(int, gids)):
+            if not 0 <= g < self.nv:
+                raise ValueError(f"vertex id {g} is not in [0, {self.nv})")
             side, off = (1, 0) if g < self.n1 else (2, self.n1)
             c = bunpack(self.skeys[side][self.sids[side] == g - off])
             ids = self._resolve(side, conj_fingerprint_grid(self.ops, xm, xt, *c))
@@ -322,18 +324,19 @@ class CosetGraph:
         """Fingerprint key of the coset K_side.g of each element g."""
         return conj_fingerprint_grid(self.ops, pm, pt, *self.ysets[side])
 
-    def _resolve(self, side: int, keys: np.ndarray) -> np.ndarray:
+    def _resolve(self, side: int, keys: np.ndarray, misses: bool = False):
         """Vertex id of each fingerprint key (-1 when the coset is not a
-        known vertex).  The queries are searched in sorted order, where
-        searchsorted narrows each search from the last one's position,
-        and the ids are scattered back."""
+        known vertex); with misses, also the unknown keys' positions in
+        ascending key order, the order the queries are searched in, where
+        searchsorted narrows each search from the last one's position."""
         sk = self.skeys[side]
         order = np.argsort(keys)
         q = keys[order]
         pos = np.minimum(np.searchsorted(sk, q), len(sk) - 1)
+        found = sk[pos] == q
         ids = np.empty(len(keys), dtype=np.int32)
-        ids[order] = np.where(sk[pos] == q, self.sids[side][pos], -1)
-        return ids
+        ids[order] = np.where(found, self.sids[side][pos], -1)
+        return (ids, order[~found]) if misses else ids
 
     def _register(self, side: int, reps: np.ndarray, keys: np.ndarray,
                   ids: np.ndarray) -> None:
@@ -423,7 +426,7 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     in K_side.  Probe t_j.r is keyed without its product: its fingerprint
     (t_j r)^-1 y (t_j r) is r^-1 c_j r, c_j = t_j^-1 y t_j fixed per side,
     y the target side's fingerprint element.  A layer's missed probes are
-    deduplicated by unique_sorted, and a fresh vertex's rep key, that of
+    deduplicated in _resolve's order, and a fresh vertex's rep key, that of
     t_j.r from its first probe, is read off r's stored key by lmul_keys in
     the side's lmul_tables, made once per build: no rep is multiplied out.
     After the first layer the probe by t0, the transversal element that
@@ -467,23 +470,28 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             k = len(ct)
             reps = graph.reps[side][src]
             keys = conj_fingerprint_grid(ops, *bunpack(reps), cm, ct)
-            ids = graph._resolve(tgt, keys).astype(np.int64)
-            miss = np.flatnonzero(ids < 0)
-            fresh, first, inv = unique_sorted(keys[miss], index=True)
+            ids, miss = graph._resolve(tgt, keys, misses=True)
+            # the missed probes in key order: one run of equal keys per
+            # fresh vertex, whose first probe is the least in the run
+            q = keys[miss]
+            run = np.ones(len(q), dtype=bool)
+            run[1:] = q[1:] != q[:-1]
+            starts = np.flatnonzero(run)
+            fresh, first = q[starts], np.minimum.reduceat(miss, starts)
             base = len(graph.reps[tgt])
             if (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) > GROUP_ORDER:
                 raise AssertionError("more cosets than |G| allows; convention bug")
             # the fresh keys are numbered in the order of their first
             # probes, which probe lists ascending
-            probe = np.zeros(len(miss), dtype=bool)
+            probe = np.zeros(len(keys), dtype=bool)
             probe[first] = True
             probe = np.flatnonzero(probe)
-            num = np.empty(len(fresh), dtype=np.int64)
-            num[inv[probe]] = base + np.arange(len(fresh))
-            ids[miss] = num[inv]
+            ids[probe] = base + np.arange(len(fresh))
+            num = ids[first]
+            ids[miss] = num[np.cumsum(run) - 1]
             # one table lookup per fresh vertex: the key of its rep t_j.r,
             # from its first probe
-            i, j = np.divmod(miss[probe], k)
+            i, j = np.divmod(probe, k)
             graph._register(tgt, lmul_keys(lmul[side], reps[i], tix[j]), fresh, num)
             new[tgt] = base + np.arange(len(fresh))
             if side == 1:

@@ -10,16 +10,16 @@ keys and reach products, inverses and canonical keys (bsmul, binv,
 bpkeys) through bunpack and bpack.  Everything here is pure and
 deterministic.  The graph conjugates by two kernels, one per shape, each
 KEY_CHUNK rows at a time: conj_fingerprint_grid, r^-1 c r for many r
-against a few c at one matrix product each (vertex keys, BFS probes,
-images of a vertex), and linear_conj_keys, x^-1 c x for a few x against
-many c by 9 lookups in conj_tables each (the whole-graph action,
-stabilizer keys and the fixer test).  The BFS keys a new vertex's rep
-t r the same way, 9 lookups in lmul_tables of left multiplication by a
-transversal element t (lmul_keys).  conj_fingerprints, the same key
-rowwise, and coset_canon_keys, the exact canonical-form scan, are test
-oracles that the benchmark's spans wrap by name.  unique_sorted is the
-program's one dedup: one sort and adjacent differences, not np.unique,
-which numpy 2 runs by hashing for plain integer arrays.
+against a few c at one matrix product each, over 9 entry planes of
+KEY_CHUNK // k of the r (vertex keys, BFS probes, images of a vertex),
+and linear_conj_keys, x^-1 c x for a few x against many c by 9 lookups
+in conj_tables each (the whole-graph action, stabilizer keys and the
+fixer test).  The BFS keys a new vertex's rep t r the same way, 9
+lookups in lmul_tables of left multiplication by a transversal element
+t (lmul_keys).  conj_fingerprints, the same key rowwise, and
+coset_canon_keys, the exact canonical-form scan, are test oracles that
+the benchmark's spans wrap by name.  unique_sorted dedups by one sort and
+adjacent differences, not np.unique, which numpy 2 runs by hashing.
 """
 
 from __future__ import annotations
@@ -190,43 +190,55 @@ def conj_fingerprints(
 
 def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
     """(n*k,) conj_fingerprints' keys of r_i^-1 c_j r_i for n elements
-    r_i = (M, e) and k elements c_j = (C, t), row i*k + j; no r is
-    inverted or repeated, and each row takes one matrix product.
+    r_i = (M, e) and k elements c_j = (C, t), row i*k + j (none if n or k
+    is 0); no r is inverted or repeated, one matrix product per row.
 
     From binv and bsmul, r^-1 c r = (rho^(t-e)(W), t) and its inverse is
-    (rho^(3-e)(W^T), -t), where W = rho^(3-t)(M)^T . rho^-t(C) . M.  Row p
-    of the left factor is the XOR over q of rho^(3-t)(M[q, p]) .
-    rho^-t(C)[q, :]: 9 lookups per c in three 64-entry tables of whole
-    rows (3 product-table offsets packed in a uint64), so bmm6 gives W with
-    M itself, broadcast over the c, as the right factor.  bpkeys applies
-    the Frobenius powers on its way to both keys.  The tables are built
-    once per call, and the r go KEY_CHUNK // k at a time (at least one),
-    so the temporaries do not grow with n."""
+    (rho^(3-e)(W^T), -t), where W = rho^(3-t)(M)^T . rho^-t(C) . M.  The r
+    go KEY_CHUNK // k at a time (at least one: the temporaries do not grow
+    with n), each copied once into 9 entry planes P[3q + p] = M[q, p].  Row
+    p of the left factor, the XOR over q of rho^(3-t)(M[q, p]) .
+    rho^-t(C)[q, :], is 3 gathers of shape (k, nb) in per-c tables of whole
+    rows (3 product-table offsets in a uint64); entry (a, b) of W is 3
+    product-table gathers over (k, nb) planes, into one c-major (k, nb, 3,
+    3) block.  bpkeys applies the Frobenius powers; keys go back rep-major."""
     n, k = len(rt), len(ct)
+    out = np.empty(n * k, dtype=np.uint64)
+    if not n * k:
+        return out
     t = np.asarray(ct, dtype=np.intp)
     F = ops.FROB
-    # lanes[q, v, j, :3] = rho^(3-t_j)(v) . rho^-t_j(C_j)[q, :], shifted
-    lanes = np.zeros((3, 64, k, 4), dtype=np.uint16)
-    lanes[..., :3] = ops.MUL[F[(3 - t) % 6].T[None, :, :, None],
-                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, None]]
+    # lanes[q, j, v, :3] = rho^(3-t_j)(v) . rho^-t_j(C_j)[q, :], shifted
+    lanes = np.zeros((3, k, 64, 4), dtype=np.uint16)
+    lanes[..., :3] = ops.MUL[F[(3 - t) % 6][None, :, :, None],
+                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, :, None]]
     lanes <<= 6
-    rows = lanes.view(np.uint64)[..., 0]  # (3, 64, k)
-    out = np.empty(n * k, dtype=np.uint64)
+    rows = lanes.view(np.uint64)[..., 0]  # (3, k, 64)
     step = max(1, KEY_CHUNK // k)
     for lo in range(0, n, step):
-        m, em = rm[lo:lo + step], rt[lo:lo + step].astype(np.intp)
-        left = np.empty((len(em), k, 3), dtype=np.uint64)
-        for p in range(3):
-            left[:, :, p] = rows[0, m[:, 0, p]] ^ rows[1, m[:, 1, p]] ^ rows[2, m[:, 2, p]]
-        W = ops.bmm6(left.view(np.uint16).reshape(len(em), k, 3, 4)[..., :3], m[:, None])
-        W = W.reshape(len(em) * k, 3, 3)
-        tw = np.tile(t, len(em)).astype(np.uint8)
-        key = ops.bpkeys(W, tw, ((t - em[:, None]) % 6).reshape(-1))
-        inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.repeat((3 - em) % 6, k))
-        out[lo * k:(lo + len(em)) * k] = np.minimum(key, inv)
+        P = rm[lo:lo + step].reshape(-1, 9).T.copy()
+        em = rt[lo:lo + step].astype(np.intp)
+        nb = len(em)
+        W = np.empty((k, nb, 3, 3), dtype=np.uint8)
+        for a in range(3):
+            L = rows[0].take(P[a], axis=1)
+            L ^= rows[1].take(P[3 + a], axis=1)
+            L ^= rows[2].take(P[6 + a], axis=1)
+            L = L.view(np.uint16).reshape(k, nb, 4)
+            for b in range(3):
+                x = np.take(ops.MULF, L[..., 0] | P[b])
+                x ^= np.take(ops.MULF, L[..., 1] | P[3 + b])
+                x ^= np.take(ops.MULF, L[..., 2] | P[6 + b])
+                W[:, :, a, b] = x
+        W = W.reshape(k * nb, 3, 3)
+        tw = np.repeat(t, nb).astype(np.uint8)
+        key = ops.bpkeys(W, tw, ((t[:, None] - em) % 6).reshape(-1))
+        inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.tile((3 - em) % 6, k))
+        np.minimum(key, inv, out=key)
+        out[lo * k:(lo + nb) * k].reshape(nb, k)[:] = key.reshape(k, nb).T
         # freed before the next chunk allocates its own: two chunks' worth
         # held at once raised the cold build's peak RSS
-        del left, W, tw, key, inv
+        del P, W, L, x, tw, key, inv
     return out
 
 

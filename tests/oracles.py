@@ -450,6 +450,39 @@ def fingerprints_of_repeated_rows(ops, rm, rt, cm, ct) -> np.ndarray:
                              np.tile(cm, (n, 1, 1)), np.tile(ct, n))
 
 
+def conj_fingerprint_grid_by_blocks(ops, rm, rt, cm, ct) -> np.ndarray:
+    """fastops.conj_fingerprint_grid as it was: the same keys of
+    r_i^-1 c_j r_i, row i*k + j, with the batch laid out as (rows, 3, 3)
+    blocks and the c broadcast in the middle.  Row p of the left factor of
+    W = rho^(3-t)(M)^T . rho^-t(C) . M is 9 lookups per c in three
+    64-entry tables of whole rows (3 product-table offsets packed in a
+    uint64), and bmm6 multiplies it by M, broadcast over the c, KEY_CHUNK
+    // k reps at a time."""
+    n, k = len(rt), len(ct)
+    t = np.asarray(ct, dtype=np.intp)
+    F = ops.FROB
+    # lanes[q, v, j, :3] = rho^(3-t_j)(v) . rho^-t_j(C_j)[q, :], shifted
+    lanes = np.zeros((3, 64, k, 4), dtype=np.uint16)
+    lanes[..., :3] = ops.MUL[F[(3 - t) % 6].T[None, :, :, None],
+                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, None]]
+    lanes <<= 6
+    rows = lanes.view(np.uint64)[..., 0]  # (3, 64, k)
+    out = np.empty(n * k, dtype=np.uint64)
+    step = max(1, fastops.KEY_CHUNK // k)
+    for lo in range(0, n, step):
+        m, em = rm[lo:lo + step], rt[lo:lo + step].astype(np.intp)
+        left = np.empty((len(em), k, 3), dtype=np.uint64)
+        for p in range(3):
+            left[:, :, p] = rows[0, m[:, 0, p]] ^ rows[1, m[:, 1, p]] ^ rows[2, m[:, 2, p]]
+        W = ops.bmm6(left.view(np.uint16).reshape(len(em), k, 3, 4)[..., :3], m[:, None])
+        W = W.reshape(len(em) * k, 3, 3)
+        tw = np.tile(t, len(em)).astype(np.uint8)
+        key = ops.bpkeys(W, tw, ((t - em[:, None]) % 6).reshape(-1))
+        inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.repeat((3 - em) % 6, k))
+        out[lo * k:(lo + len(em)) * k] = np.minimum(key, inv)
+    return out
+
+
 def subgroup_arrays(ops, G) -> SubgroupArrays:
     """The canonical-form scan's arrays for the elements of G."""
     return SubgroupArrays(ops, (x.key for x in G.elems))

@@ -570,10 +570,11 @@ def _assert_sorted_and_aligned(g):
 
 
 def test_register_keeps_each_side_sorted_after_a_build_and_a_load(ng, tmp_path):
-    """The build registers each layer's fresh keys, which
-    fastops.unique_sorted sorts, with their first-probe ids; a load registers a whole side whose
-    keys come unsorted, sorted by one argsort.  Either way the merged keys
-    stay sorted, with each id beside its key."""
+    """The build registers each layer's fresh keys, in the order that
+    _resolve searched them in, with their first-probe ids; a load
+    registers a whole side whose keys come unsorted, sorted by one
+    argsort.  Either way the merged keys stay sorted, with each id beside
+    its key."""
     built = build_graph(ng)
     _assert_sorted_and_aligned(built)
     save_cache(built, str(tmp_path / "g"))
@@ -630,6 +631,19 @@ def test_non_injective_key_fails_the_count(ng, monkeypatch):
         build_graph(ng)
 
 
+def test_out_of_range_vertex_ids_raise_value_error(graph, ng):
+    """image_batch and image name an id outside [0, nv) in a ValueError,
+    whether it comes alone or after a valid id."""
+    x = ng.p["A"]
+    for g in (graph.nv, graph.nv + 7, -1, -graph.nv):
+        with pytest.raises(ValueError, match=rf"vertex id {g} is not in \[0, {graph.nv}\)"):
+            graph.image_batch([g], x.key)
+        with pytest.raises(ValueError, match=rf"vertex id {g} "):
+            graph.image_batch([0, g], [x.key])
+        with pytest.raises(ValueError, match=rf"vertex id {g} "):
+            graph.image(g, x)
+
+
 def test_edge_table_check_rejects_a_repeated_end(ng, monkeypatch):
     """A side-1 row whose probes resolve to one side-2 vertex twice (two
     known ends of one row made equal, so every coset is still found) fails
@@ -637,12 +651,13 @@ def test_edge_table_check_rejects_a_repeated_end(ng, monkeypatch):
     resolve = CosetGraph._resolve
     broken = []
 
-    def repeating(self, side, keys):
-        ids = resolve(self, side, keys)
+    def repeating(self, side, keys, misses=False):
+        found = resolve(self, side, keys, misses)
+        ids = found[0] if misses else found
         if side == 2 and not broken and len(ids) >= 3 and (ids[:2] >= 0).all():
             ids[1] = ids[0]
             broken.append(len(ids))
-        return ids
+        return found
     monkeypatch.setattr(CosetGraph, "_resolve", repeating)
     built = []
     with pytest.raises(AssertionError, match="edge table check"):

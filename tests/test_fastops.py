@@ -160,6 +160,53 @@ def test_conj_fingerprint_grid_equals_conj_fingerprints_on_repeated_rows(modulus
         assert np.array_equal(conj_fingerprint_grid(ops, rm, rt, cm, ct), want)
 
 
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
+def test_plane_major_grid_equals_the_block_oracle(modulus):
+    """The plane-major grid kernel gives the block-form oracle's keys bit
+    for bit, against both sides' probe elements t^-1 y t, both fingerprint
+    elements y and k = 1..4 elements c of mixed twists, on n = 0, 1 and
+    KEY_CHUNK // k - 1 and + 1 reps of every twist, so across a chunk
+    boundary.  Some rows' least keys have a zero entry 0, so bpkeys' lead
+    fallback runs on the kernel's planes too."""
+    f = GF64(modulus)
+    ops = FieldOps(f)
+    ng = named_groups(f)
+    graph = CosetGraph(f, ng)
+    _arm(graph)
+    # 9,216 reps, the products of 96 random words of every twist in pairs
+    am, at = to_arrays(of_every_twist(f, 96, seed=45))
+    a, b = np.divmod(np.arange(96 * 96), 96)
+    rm, rt = ops.bsmul(am[a], at[a], am[b], at[b])
+    mixed = to_arrays(of_every_twist(f, 12, seed=46))
+    cs = [(mixed[0][k:2 * k], mixed[1][k:2 * k]) for k in range(1, 5)]
+    for side, K in ((1, ng.K1), (2, ng.K2)):
+        tm, tt = bunpack(np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64))
+        cs.append(ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt))
+        cs.append(graph.ysets[side])
+    assert sorted(len(ct) for _, ct in cs) == [1, 1, 1, 2, 3, 3, 4, 4]
+    assert all(len(set(ct.tolist())) == len(ct) for _, ct in cs[:4])
+    leads = []
+    for cm, ct in cs:
+        k = len(ct)
+        for n in (0, 1, fastops.KEY_CHUNK // k - 1, fastops.KEY_CHUNK // k + 1):
+            got = conj_fingerprint_grid(ops, rm[:n], rt[:n], cm, ct)
+            want = oracles.conj_fingerprint_grid_by_blocks(ops, rm[:n], rt[:n], cm, ct)
+            assert got.dtype == np.uint64 and got.shape == (n * k,)
+            assert np.array_equal(got, want)
+            leads.append((got >> np.uint64(51)) & np.uint64(63))
+    assert (np.concatenate(leads) == 0).any()
+
+
+def test_conj_fingerprint_grid_of_no_c_or_no_r_is_empty(graph):
+    """k = 0 elements c, like n = 0 elements r, give an empty uint64 array."""
+    rm, rt = bunpack(graph.reps[1][:5])
+    cm, ct = graph.ysets[1]
+    for args in ((rm, rt, cm[:0], ct[:0]), (rm[:0], rt[:0], cm, ct),
+                 (rm[:0], rt[:0], cm[:0], ct[:0])):
+        got = conj_fingerprint_grid(graph.ops, *args)
+        assert got.dtype == np.uint64 and got.shape == (0,)
+
+
 def test_coset_canon_against_bruteforce(f, ops, ng):
     """Exact oracle: scan every subgroup multiple in python."""
     sub = subgroup_arrays(ops, ng.S)
