@@ -8,7 +8,8 @@ and the orbit labels are deduplicated by fastops.unique_sorted, one sort
 each.  A base-vertex stabilizer evaluates its whole action table along
 its closure tree, one permutation gather per element.  Other stabilizers
 stay packed keys, through the one batched pair
-CosetGraph.stabilizer_key_rows and fixes: an arc stabilizer is a
+CosetGraph.stabilizer_key_rows and fixes: an arc stabilizer (one fixes
+call, arc[0]'s stabilizer keys shared by the other arc vertices) is a
 SmallGroup only inside K1 or K2 (the named arc's lies in K2), and the
 kernels G_v^[1] of a batch of vertices of one side are pulled back to
 the base stabilizer's own elements by the conjugation that
@@ -151,7 +152,7 @@ def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
     """Pointwise stabilizer of the arc: the elements of the stabilizer of
     arc[0] that fix the other arc vertices."""
     keys = graph.stabilizer_key_rows([int(arc[0])], group)[0]
-    fixed = graph.fixes(np.broadcast_to(keys, (len(arc) - 1, len(keys))), arc[1:])
+    fixed = graph.fixes(keys, arc[1:])
     return graph.group_from_keys(keys[fixed.all(axis=0)], f"{group}_arc")
 
 

@@ -23,7 +23,7 @@ The BFS runs one layer at a time from the base edge (build_graph).  A
 probe t.r (t in the transversal, r a frontier rep) is keyed as
 r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, and no rep is
 multiplied out: a new vertex's rep key, that of t.r, is 9 lookups in
-tables of left multiplication by t (fastops.lmul_keys); a loaded graph's
+fastops.key_tables of c -> t c (fastops.lmul_keys); a loaded graph's
 fingerprints are the same kernel with c = y.  Each layer's fresh keys are
 deduplicated in the key order _resolve searched them in, merged into the
 side's sorted keys, and its new vertices are numbered in the order of
@@ -41,9 +41,11 @@ pair: stabilizer_key_rows conjugates K_side's sorted keys (kkeys) by the
 rep of each vertex of a batch, and fixes tells which keys fix given
 vertices by membership in K_side (x fixes K_side.r exactly when r x r^-1
 lies in K_side), a binary search in kkeys; no conjugates are intersected
-and no vertex is resolved.  Each takes one table set per rep, which costs
-3 lookups per bit matrix (54 per twist) and XOR doubling, not the |K_side|
-products per rep of a direct conjugation.
+and no vertex is resolved.  Each is one linear_conj_keys call, the reps
+(or their inverses) as its x, so it takes one table set per rep: 3
+lookups per bit matrix (54 per twist) and XOR doubling, not the |K_side|
+products per rep of a direct conjugation.  Vertex ids outside [0, nv)
+raise ValueError (_vertex_ids).
 
 The whole-graph passes hold no more than KEY_CHUNK rows or their own
 output besides the arrays the graph keeps.  A build writes each edge once,
@@ -73,8 +75,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, linear_conj_keys,
-                      lmul_keys, lmul_tables, unique_sorted)
+from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, key_tables,
+                      linear_conj_keys, lmul_keys, unique_sorted)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import IDENTITY, PElement
@@ -145,11 +147,20 @@ class CosetGraph:
     def local_id(self, g: int) -> int:
         return g if g < self.n1 else g - self.n1
 
+    def _vertex_ids(self, gids) -> np.ndarray:
+        """gids as int64; ValueError naming the first outside [0, nv)."""
+        gids = np.asarray(gids, dtype=np.int64)
+        bad = (gids < 0) | (gids >= self.nv)
+        if bad.any():
+            raise ValueError(f"vertex id {gids[bad][0]} is not in [0, {self.nv})")
+        return gids
+
     def neighbors(self, g: int) -> np.ndarray:
+        (g,) = self._vertex_ids([g])
         return self.indices[self.indptr[g]:self.indptr[g + 1]]
 
     def degree(self, g: int) -> int:
-        return int(self.indptr[g + 1] - self.indptr[g])
+        return len(self.neighbors(g))
 
     @property
     def base_x1(self) -> int:
@@ -169,10 +180,9 @@ class CosetGraph:
         fingerprint key packs: one conj_fingerprint_grid call per vertex,
         the elements as its r and c alone, resolved on the vertex's side."""
         xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
+        gids = self._vertex_ids(gids)
         out = np.empty((len(gids), len(xt)), dtype=np.int64)
         for i, g in enumerate(map(int, gids)):
-            if not 0 <= g < self.nv:
-                raise ValueError(f"vertex id {g} is not in [0, {self.nv})")
             side, off = (1, 0) if g < self.n1 else (2, self.n1)
             c = bunpack(self.skeys[side][self.sids[side] == g - off])
             ids = self._resolve(side, conj_fingerprint_grid(self.ops, xm, xt, *c))
@@ -196,7 +206,7 @@ class CosetGraph:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
             p = np.empty(self.nv, dtype=np.int32)
             for side, off in ((1, 0), (2, self.n1)):
-                keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side])
+                keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side])[0]
                 order = np.argsort(keys)
                 if not np.array_equal(keys[order], self.skeys[side]):
                     raise AssertionError("action image is not a known vertex")
@@ -244,48 +254,38 @@ class CosetGraph:
         gids, all on one side, as the rows of a (len(gids), |G_side|)
         array (no rows for no vertex), G_side the stabilizer of that
         side's base vertex (K1, K2, H1 or H2): key i is rep^-1 k_i rep,
-        k_i the i-th of G_side's sorted packed keys (kkeys).  Table lookups
-        in one conj_tables set per rep (linear_conj_keys), no product per
-        key."""
-        gids = np.asarray(gids, dtype=np.int64)
+        k_i the i-th of G_side's sorted packed keys (kkeys).  One
+        linear_conj_keys call, the reps as its x, kkeys shared by all."""
+        gids = self._vertex_ids(gids)
         on2 = gids >= self.n1
         if on2.any() and not on2.all():
             raise ValueError("stabilizer_key_rows takes the vertices of one side")
         side = 2 if on2.any() else 1
-        ks = self.kkeys[side, group]
         rm, rt = bunpack(self.reps[side][gids - (self.n1 if side == 2 else 0)])
-        keys = linear_conj_keys(self.ops, rm, rt, np.tile(ks, len(gids)),
-                                np.repeat(np.arange(len(gids)), len(ks)), inverse=False)
-        return keys.reshape(len(gids), len(ks))
+        return linear_conj_keys(self.ops, rm, rt, self.kkeys[side, group], inverse=False)
 
     def fixes(self, keys, gids) -> np.ndarray:
         """Whether the element of key keys[i, j] fixes vertex gids[i], as a
-        bool array of keys' shape (len(gids), k).  Vertex g is the coset
-        K_side.r, r = rep(g) (_check_keys proves it), and x fixes it
-        exactly when r x r^-1 lies in K_side: table lookups in one
-        conj_tables set of r^-1 per vertex, then a binary search in
-        K_side's sorted keys, which must ascend strictly (else an
+        (len(gids), k) bool array, keys one row per vertex or (k,), shared
+        by all.  Vertex g is the coset K_side.r, r = rep(g) (_check_keys
+        proves it), and x fixes it exactly when r x r^-1 lies in K_side:
+        one linear_conj_keys call with r^-1 as its x, then a binary search
+        in K_side's sorted keys, which must ascend strictly (else an
         AssertionError, never a wrong answer); no vertex is resolved."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        gids = np.asarray(gids, dtype=np.int64)
-        if not keys.size:
-            return np.zeros(keys.shape, dtype=bool)
+        gids = self._vertex_ids(gids)
         on2 = gids >= self.n1
         rk = np.empty(len(gids), dtype=np.uint64)
         rk[~on2] = self.reps[1][gids[~on2]]
         rk[on2] = self.reps[2][gids[on2] - self.n1]
-        k = keys.shape[1]
-        conj = linear_conj_keys(self.ops, *self.ops.binv(*bunpack(rk)), keys.reshape(-1),
-                                np.repeat(np.arange(len(gids)), k), inverse=False)
-        member = np.empty(len(conj), dtype=bool)
-        rows2 = np.repeat(on2, k)
-        for side, sel in ((1, ~rows2), (2, rows2)):
+        conj = linear_conj_keys(self.ops, *self.ops.binv(*bunpack(rk)), keys, inverse=False)
+        member = np.empty(conj.shape, dtype=bool)
+        for side, sel in ((1, ~on2), (2, on2)):
             ks = self.kkeys[side, "K"]
             if (ks[1:] <= ks[:-1]).any():
                 raise AssertionError(f"side {side}: the keys of K_side do not ascend")
             pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
             member[sel] = ks[pos] == conj[sel]
-        return member.reshape(keys.shape)
+        return member
 
     def group_from_keys(self, keys, name: str = "") -> SmallGroup:
         """The subgroup of K1 or K2 (the first whose table holds them all;
@@ -428,7 +428,8 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     y the target side's fingerprint element.  A layer's missed probes are
     deduplicated in _resolve's order, and a fresh vertex's rep key, that of
     t_j.r from its first probe, is read off r's stored key by lmul_keys in
-    the side's lmul_tables, made once per build: no rep is multiplied out.
+    the side's key_tables of c -> t c, made once per build: no rep is
+    multiplied out.
     After the first layer the probe by t0, the transversal element that
     lies in K12, is skipped: a vertex v reached from u has rep t.rep(u)
     with t in u's side group K, which holds t0 too, so K.t0.rep(v) = u, an
@@ -443,18 +444,18 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
+    ident = np.array([IDENTITY], dtype=np.uint64)
     probes = {}   # side -> (all k, all but t0), each (cm, ct, tix), c = t^-1 y t
-    lmul = {}     # side -> lmul_tables of the transversal, t at row tix
+    lmul = {}     # side -> key_tables of c -> t c, t the transversal, at row tix
     for side, K in ((1, ng.K1), (2, ng.K2)):
         ts = transversal(K, ng.K12)
         t0 = next(j for j, t in enumerate(ts) if t in ng.K12)
         tm, tt = bunpack(np.array([t.key for t in ts], dtype=np.uint64))
         cm, ct = ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt)
-        lmul[side] = lmul_tables(ops, tm, tt)
+        lmul[side] = key_tables(ops, tm, tt, *bunpack(np.repeat(ident, len(tt))), range(6), False)
         every = (cm, ct, np.arange(len(ts)))
         probes[side] = every, tuple(np.delete(a, t0, axis=0) for a in every)
 
-    ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
         graph._register(side, ident, graph._keys(side, *bunpack(ident)), [0])
 

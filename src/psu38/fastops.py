@@ -12,14 +12,14 @@ deterministic.  The graph conjugates by two kernels, one per shape, each
 KEY_CHUNK rows at a time: conj_fingerprint_grid, r^-1 c r for many r
 against a few c at one matrix product each, over 9 entry planes of
 KEY_CHUNK // k of the r (vertex keys, BFS probes, images of a vertex),
-and linear_conj_keys, x^-1 c x for a few x against many c by 9 lookups
-in conj_tables each (the whole-graph action, stabilizer keys and the
-fixer test).  The BFS keys a new vertex's rep t r the same way, 9
-lookups in lmul_tables of left multiplication by a transversal element
-t (lmul_keys).  conj_fingerprints, the same key rowwise, and
-coset_canon_keys, the exact canonical-form scan, are test oracles that
-the benchmark's spans wrap by name.  unique_sorted dedups by one sort and
-adjacent differences, not np.unique, which numpy 2 runs by hashing.
+and linear_conj_keys, x^-1 c x for a few x against a block of c by 9
+lookups each in key_tables, the one builder of tables of c -> a c b (the
+whole-graph action, stabilizer keys and the fixer test); the BFS keys a
+new vertex's rep t r by 9 lookups in those of c -> t c (lmul_keys).
+conj_fingerprints, the same key rowwise, and coset_canon_keys, the exact
+canonical-form scan, are test oracles that the benchmark's spans wrap by
+name.  unique_sorted dedups by one sort and adjacent differences, not
+np.unique, which numpy 2 runs by hashing.
 """
 
 from __future__ import annotations
@@ -242,46 +242,45 @@ def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
     return out
 
 
-def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarray:
-    """Key tables of c -> x^-1 c x, one table set per row x of (xm, xt),
-    for the elements c of each twist in twists.  For a fixed twist this
-    map, and c -> x^-1 c^-1 x (binv is linear in the matrix), is
-    GF(2)-linear in the 54 matrix bits of c, and so are scaling by a
-    projective scalar and packing the matrix.  Row (v*nx*nt + a*nt + i)*9
-    + j holds, as packed keys, the images under x_a of the matrix with
-    entry j equal to v and the rest 0, of twist twists[i]: 3 columns for
-    the scalar multiples of x^-1 c x, then, with inverse, 3 for
-    x^-1 c^-1 x; the rows of entry 0 carry the image twist.  A key of any
-    c is then the XOR of 9 rows.
+def key_tables(ops: FieldOps, am, at, bm, bt, twists, inverse: bool) -> np.ndarray:
+    """Key tables of c -> a c b, and with inverse of c -> a c^-1 b, one
+    table set per row pair a = (am, at), b = (bm, bt), for c of each twist
+    in twists.  At a fixed twist both maps (binv is linear in the matrix),
+    a projective scalar and packing are GF(2)-linear in c's 54 matrix
+    bits.  Row (v*nx*nt + x*nt + i)*9 + j holds the packed images under
+    pair x of E_j(v), entry j equal to v and the rest 0, of twist
+    twists[i]: 3 columns, the scalar multiples of a c b, then with inverse
+    3 of a c^-1 b; the rows of entry 0 carry the image twist.  A key of
+    any c is the XOR of 9 rows.
 
-    Only the bit matrices E_pq(u), u = 2^b at entry j = (p, q), are
-    conjugated: with x = (m, -e), x^-1 = (m', e) and c of twist t, row r
-    of x^-1 E_pq(u) x is m'[r, p] . rho^e(u) times row q of rho^(e+t)(m),
+    Only the bit matrices E_pq(u), u = 2^b at j = (p, q), are mapped:
+    with a = (A, e), b = (B, f) and c of twist t, row r of a E_pq(u) b is
+    A[r, p] . rho^e(u) times row q of rho^(e+t)(B), of twist e + t + f,
     and E_pq(u)^-1 = E_qp(rho^(3-t)(u)) of twist -t.  A matrix row is 18
     key bits (at bit 39, 21 or 3), so each image is 3 lookups in lanes of
-    the 64 multiples of each row of rho^f(m), packed.  XOR doubling fills
-    the rest, one contiguous block per bit: row v is row 0 (the twist
-    alone) XOR the images of v's bits."""
-    xm, xt = np.asarray(xm, dtype=np.uint8), np.asarray(xt, dtype=np.uint8)
-    nx, nt = len(xt), len(twists)
-    xim, xit = ops.binv(xm, xt)
-    e, t = np.broadcast_arrays(xit.astype(np.intp)[:, None], np.asarray(twists, dtype=np.intp))
-    # per (x, twist, c or c^-1): the powers of rho applied to u and m, the image twist
-    kinds = [(e, e + t, t)] + ([(e + 3 - t, e - t, -t)] if inverse else [])
+    the 64 multiples of each row of each rho^i(B), packed.  XOR doubling
+    fills the rest, one contiguous block per bit: row v is row 0 (the
+    twist alone) XOR the images of v's bits."""
+    nx, nt = len(at), len(twists)
+    e, t = np.broadcast_arrays(np.asarray(at, dtype=np.intp)[:, None],
+                               np.asarray(twists, dtype=np.intp))
+    f = np.asarray(bt, dtype=np.intp)[:, None]
+    # per (pair, twist, c or c^-1): the powers of rho applied to u and B, the image twist
+    kinds = [(e, e + t, e + t + f)] + ([(e + 3 - t, e - t, e - t + f)] if inverse else [])
     eu, em, et = (np.stack(v, -1) % 6 for v in zip(*kinds))  # (nx, nt, nk)
     nk = len(kinds)
     scalars = np.array([1, ops.field.alpha, ops.field.alpha2], dtype=np.uint8)
     su = ops.MUL[ops.FROB[eu[..., None], 1 << np.arange(6)][..., None], scalars]
-    # lanes[r, x, f, q, v]: row q of rho^f(m) times v, packed as key row r
-    fm, v, M = ops.FROB[:, xm].transpose(1, 0, 2, 3)[..., None, :], np.arange(64), ops.MUL64
+    # lanes[r, x, i, q, v]: row q of rho^i(B) times v, packed as key row r
+    fm, v, M = ops.FROB[:, bm].transpose(1, 0, 2, 3)[..., None, :], np.arange(64), ops.MUL64
     lanes = M[v, fm[..., 0]] << U64(12) | M[v, fm[..., 1]] << U64(6) | M[v, fm[..., 2]]
     lanes = (lanes << _ROW[:, None, None, None, None]).reshape(-1)
-    # lam[r, b, x, t, p, k, s] = m'[r, p] . (scalar s) . rho^eu(2^b)
-    lam = ops.MUL[xim.transpose(1, 0, 2)[:, None, :, None, :, None, None],
+    # lam[r, b, x, t, p, k, s] = A[r, p] . (scalar s) . rho^eu(2^b)
+    lam = ops.MUL[am.transpose(1, 0, 2)[:, None, :, None, :, None, None],
                   su.transpose(3, 0, 1, 2, 4)[None, :, :, :, None, :, :]]
     # idx[r, b, x, t, p, q, k, s] = (((r*nx + x)*6 + em)*3 + q)*64 + lam: row r's lane
-    at = (np.arange(3)[:, None, None, None] * nx + np.arange(nx)[:, None, None]) * 1152 + em * 192
-    idx = (at[:, None, :, :, None, None, :, None] + (64 * np.arange(3))[:, None, None]
+    off = (np.arange(3)[:, None, None, None] * nx + np.arange(nx)[:, None, None]) * 1152 + em * 192
+    idx = (off[:, None, :, :, None, None, :, None] + (64 * np.arange(3))[:, None, None]
            + lam[:, :, :, :, :, None])
     if inverse:  # entry (p, q) of c is entry (q, p) of c^-1
         idx[..., 1, :] = idx[..., 1, :].swapaxes(4, 5)
@@ -293,86 +292,54 @@ def conj_tables(ops: FieldOps, xm, xt, twists, inverse: bool = True) -> np.ndarr
     return tab.reshape(64 * nx * nt * 9, nk * 3)
 
 
-def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray, xidx=None,
+def linear_conj_keys(ops: FieldOps, xm, xt, ckeys: np.ndarray,
                      inverse: bool = True) -> np.ndarray:
-    """Keys of x^-1 c x for every c packed in ckeys, x the row xidx[i] of
-    (xm, xt) for ckeys[i] (row 0 for all when xidx is None): with inverse,
-    conj_fingerprints' key, the least projective key of x^-1 c x and of
-    its inverse; without, the projective key of x^-1 c x alone (bpkeys).
-    Each is an XOR of 9 lookups in conj_tables per c (Albrecht, Bard and
-    Hart, Algorithm 898, ACM TOMS 37 (2010)), with one table set per x
-    and twist present in ckeys; no product and no inverse is taken per
-    row.  The lookups run KEY_CHUNK rows at a time into one accumulator
-    made once, so their temporaries do not grow with len(ckeys).  With a
-    row index, whose rows may come in any order, the table sets are built
-    for a batch of consecutive x at a time, at most 2 KEY_CHUNK table rows
-    (576 per x and twist present), and each batch's rows are looked up
-    before the next batch's tables are made, so the tables do not grow
-    with len(xt) either."""
-    n = len(ckeys)
-    out = np.empty(n, dtype=np.uint64)
-    if not n:
+    """(nx, n) keys of x^-1 c x, x each row of (xm, xt) and c packed in
+    ckeys, (n,) and shared by every x or (nx, n), one row per x: with
+    inverse, conj_fingerprints' key, the least projective key of x^-1 c x
+    and of its inverse; without, bpkeys of x^-1 c x.  Each is an XOR of 9
+    lookups per c in key_tables of (x^-1, x) (Albrecht, Bard and Hart,
+    Algorithm 898, ACM TOMS 37 (2010)), one table set per x and twist
+    present in ckeys; no product and no inverse is taken per key.  The
+    tables are built for a batch of consecutive x at a time, at most 2
+    KEY_CHUNK table rows (576 per x and twist), and the batch's rows,
+    flattened, are looked up KEY_CHUNK at a time before the next batch's
+    tables are made, so no temporary grows with nx (nor with n, but for a
+    shared ckeys copied once per batch of more than one x)."""
+    ckeys = np.asarray(ckeys, dtype=np.uint64)
+    nx, n = len(xt), ckeys.shape[-1]
+    out = np.empty((nx, n), dtype=np.uint64)
+    if not out.size:
         return out
     seen = np.zeros(8, dtype=bool)
-    for lo in range(0, n, KEY_CHUNK):
-        seen[(ckeys[lo:lo + KEY_CHUNK] & U64(7)).astype(np.intp)] = True
+    flat = ckeys.reshape(-1)
+    for lo in range(0, len(flat), KEY_CHUNK):
+        seen[(flat[lo:lo + KEY_CHUNK] & U64(7)).astype(np.intp)] = True
     twists = np.flatnonzero(seen)
     per_x = len(twists) * 9
-    slot = np.zeros(8, dtype=np.intp)
-    slot[twists] = np.arange(len(twists)) * 9
-    acc = np.empty((min(n, KEY_CHUNK), 6 if inverse else 3), dtype=np.uint64)
-    if xidx is None:
-        tables = conj_tables(ops, xm[:1], xt[:1], twists, inverse)
-        for lo in range(0, n, KEY_CHUNK):
-            c = ckeys[lo:lo + KEY_CHUNK]
-            _xor_lookups(tables, c, slot[(c & U64(7)).astype(np.intp)], acc,
-                         out[lo:lo + len(c)])
-        return out
-    xidx = np.asarray(xidx, dtype=np.intp)
+    slot = (np.cumsum(seen) - 1) * 9  # slot[t]: twist t's first row in a table set
+    acc = np.empty((min(out.size, KEY_CHUNK), 6 if inverse else 3), dtype=np.uint64)
     step = max(1, 2 * KEY_CHUNK // (64 * per_x))
-    for x0 in range(0, len(xt), step):
-        rows = np.flatnonzero((xidx >= x0) & (xidx < x0 + step))
-        if not len(rows):
-            continue
-        tables = conj_tables(ops, xm[x0:x0 + step], xt[x0:x0 + step], twists, inverse)
-        for lo in range(0, len(rows), KEY_CHUNK):
-            r = rows[lo:lo + KEY_CHUNK]
-            c = ckeys[r]
-            base = slot[(c & U64(7)).astype(np.intp)] + (xidx[r] - x0) * per_x
-            best = np.empty(len(r), dtype=np.uint64)
-            _xor_lookups(tables, c, base, acc, best)
-            out[r] = best
+    for x0 in range(0, nx, step):
+        b = xm[x0:x0 + step], xt[x0:x0 + step]
+        tables = key_tables(ops, *ops.binv(*b), *b, twists, inverse)
+        keys = np.broadcast_to(ckeys, (nx, n))[x0:x0 + step].reshape(-1)
+        block = out[x0:x0 + step].reshape(-1)
+        for lo in range(0, len(keys), KEY_CHUNK):
+            c = keys[lo:lo + KEY_CHUNK]
+            base = np.arange(lo, lo + len(c)) // n * per_x
+            base += slot[(c & U64(7)).astype(np.intp)]
+            _xor_lookups(tables, c, base, acc, block[lo:lo + len(c)])
         # freed before the next batch's tables are made
-        del tables
+        del tables, keys
     return out
 
 
-def lmul_tables(ops: FieldOps, tm, tt) -> np.ndarray:
-    """Key tables of r -> t r, one table set per row t of (tm, tt) and
-    twist s = 0..5 of r, in conj_tables' row layout with 3 columns, the
-    scalar multiples: row (v*nx*6 + a*6 + s)*9 + j holds the keys of
-    t_a E_j(v), E_j(v) the matrix with entry j equal to v and the rest 0,
-    and the rows of entry 0 carry the product's twist tt[a] + s.  From
-    bsmul, t r = (T rho^tt(R), tt + s), GF(2)-linear in the 54 matrix bits
-    of r, and column q of T E_pq(u) is rho^tt(u) times column p of T."""
-    tm, tt = np.asarray(tm, dtype=np.uint8), np.asarray(tt, dtype=np.intp)
-    scalars = np.array([1, ops.field.alpha, ops.field.alpha2], dtype=np.uint8)
-    # val[a, v, p, s, r] = rho^tt(v) . (scalar s) . T[r, p]
-    st = ops.MUL[scalars[:, None], tm.transpose(0, 2, 1)[:, :, None]]
-    val = ops.MUL64[ops.FROB[tt][:, :, None, None, None], st[:, None]]
-    # key[a, v, p, s, q]: entry (r, q) of the image sits at _SHIFT[3r + q]
-    key = np.bitwise_or.reduce(val[..., None] << _SHIFT.reshape(3, 3), axis=-2)
-    tab = np.empty((64, len(tt), 6, 9, 3), dtype=np.uint64)
-    tab[:] = key.transpose(1, 0, 2, 4, 3).reshape(64, len(tt), 1, 9, 3)
-    tab[:, :, :, 0] |= ((tt[:, None] + np.arange(6)) % 6).astype(np.uint64)[..., None]
-    return tab.reshape(-1, 3)
-
-
 def lmul_keys(tables: np.ndarray, rkeys: np.ndarray, tidx) -> np.ndarray:
-    """bpkeys of t r for each r packed in rkeys, t the element of row
-    tidx[i] of lmul_tables for rkeys[i]: the least column of an XOR of 9
-    rows, KEY_CHUNK keys at a time, no product per key.  The key of r may
-    pack any scalar multiple of r, which multiplies t r by a scalar."""
+    """bpkeys of t r for each r packed in rkeys, t at row tidx[i] of the
+    key_tables of c -> t c (twists 0..5, no inverse): the least column of
+    an XOR of 9 rows, KEY_CHUNK keys at a time.  The key of r may pack any
+    scalar multiple of r, which multiplies t r by a scalar."""
     n = len(rkeys)
     out = np.empty(n, dtype=np.uint64)
     acc = np.empty((min(n, KEY_CHUNK), 3), dtype=np.uint64)

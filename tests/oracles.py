@@ -649,6 +649,28 @@ def rep_keys_by_products(ops, tm, tt, rkeys: np.ndarray, tidx) -> np.ndarray:
     return ops.bpkeys(*ops.bsmul(tm[tidx], tt[tidx], *bunpack(rkeys)))
 
 
+def lmul_tables(ops, tm, tt) -> np.ndarray:
+    """The key tables of r -> t r that build_graph first read its rep
+    keys from, now fastops.key_tables of (t, 1) with twists 0..5 and no
+    inverse: one table set per row t of (tm, tt) and twist s = 0..5 of r,
+    row (v*nx*6 + a*6 + s)*9 + j holding the 3 scalar multiples of
+    t_a E_j(v), E_j(v) the matrix with entry j equal to v and the rest 0,
+    and the rows of entry 0 the product's twist tt[a] + s.  From bsmul,
+    t r = (T rho^tt(R), tt + s), and column q of T E_pq(u) is rho^tt(u)
+    times column p of T."""
+    tm, tt = np.asarray(tm, dtype=np.uint8), np.asarray(tt, dtype=np.intp)
+    scalars = np.array([1, ops.field.alpha, ops.field.alpha2], dtype=np.uint8)
+    # val[a, v, p, s, r] = rho^tt(v) . (scalar s) . T[r, p]
+    st = ops.MUL[scalars[:, None], tm.transpose(0, 2, 1)[:, :, None]]
+    val = ops.MUL64[ops.FROB[tt][:, :, None, None, None], st[:, None]]
+    # key[a, v, p, s, q]: entry (r, q) of the image sits at _SHIFT[3r + q]
+    key = np.bitwise_or.reduce(val[..., None] << fastops._SHIFT.reshape(3, 3), axis=-2)
+    tab = np.empty((64, len(tt), 6, 9, 3), dtype=np.uint64)
+    tab[:] = key.transpose(1, 0, 2, 4, 3).reshape(64, len(tt), 1, 9, 3)
+    tab[:, :, :, 0] |= ((tt[:, None] + np.arange(6)) % 6).astype(np.uint64)[..., None]
+    return tab.reshape(-1, 3)
+
+
 def unique_by_np_unique(a: np.ndarray) -> tuple:
     """fastops.unique_sorted(a, index=True) by np.unique, as build_graph
     first deduplicated each layer's fresh keys."""
@@ -719,25 +741,26 @@ def is_automorphism_by_bincount(graph, p: np.ndarray) -> bool:
     return bool(np.array_equal(u * np.int64(graph.nv) + v, ikeys))
 
 
-def linear_conj_keys_one_shot(ops, xm, xt, ckeys: np.ndarray, xidx=None,
+def linear_conj_keys_one_shot(ops, xm, xt, ckeys: np.ndarray,
                               inverse: bool = True) -> np.ndarray:
-    """fastops.linear_conj_keys over all rows at once: one (len(ckeys),
-    columns) accumulator and one lookup array of that shape per entry,
-    entry j of value v at row (v*nx*nt + a*nt + i)*9 + j of the tables."""
+    """fastops.linear_conj_keys over all rows at once: the tables of every
+    x from one key_tables call, ckeys (n,) broadcast to (nx, n), and one
+    (nx, n, columns) accumulator and lookup array per entry, entry j of
+    value v at row (v*nx*nt + a*nt + i)*9 + j of the tables."""
+    nx = len(xt)
+    ckeys = np.broadcast_to(np.asarray(ckeys, dtype=np.uint64), (nx, np.shape(ckeys)[-1]))
     tw = (ckeys & np.uint64(7)).astype(np.intp)
-    twists = np.flatnonzero(np.bincount(tw, minlength=8))
-    tables = fastops.conj_tables(ops, xm, xt, twists, inverse)
-    nx, nt = len(xt), len(twists)
+    twists = np.flatnonzero(np.bincount(tw.reshape(-1), minlength=8))
+    tables = fastops.key_tables(ops, *ops.binv(xm, xt), xm, xt, twists, inverse)
+    nt = len(twists)
     slot = np.zeros(8, dtype=np.intp)
     slot[twists] = np.arange(nt)
-    base = slot[tw]
-    if xidx is not None:
-        base += np.asarray(xidx, dtype=np.intp) * nt
-    acc = np.zeros((len(ckeys), tables.shape[1]), dtype=np.uint64)
+    base = slot[tw] + np.arange(nx)[:, None] * nt
+    acc = np.zeros(ckeys.shape + (tables.shape[1],), dtype=np.uint64)
     for j in range(9):
         entry = ((ckeys >> fastops._SHIFT[j]) & np.uint64(63)).astype(np.intp)
         acc ^= np.take(tables, (entry * (nx * nt) + base) * 9 + j, axis=0)
-    return acc.min(axis=1)
+    return acc.min(axis=-1)
 
 
 # row j*64 + v: the matrix whose entry j is v and whose other entries are 0
@@ -746,37 +769,40 @@ _UNITS[np.arange(9), :, np.arange(9)] = np.arange(64, dtype=np.uint8)
 _UNITS = _UNITS.reshape(576, 3, 3)
 
 
-def conj_tables(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
-    """fastops.conj_tables by conjugating all 576 unit matrices (entry j
-    equal to v, the rest 0) of each twist by each x with bsmul, laid out
-    as fastops.conj_tables' rows, (v*nx*nt + a*nt + i)*9 + j."""
+def key_tables(ops, am, at, bm, bt, twists, inverse: bool) -> np.ndarray:
+    """fastops.key_tables by multiplying out a E b with bsmul for all 576
+    unit matrices E (entry j equal to v, the rest 0) of each twist and
+    each pair (a, b) of rows of (am, at) and (bm, bt), and with inverse a
+    E^-1 b, laid out as fastops.key_tables' rows, (v*nx*nt + x*nt + i)*9
+    + j."""
     parts = []
-    for a in range(len(xt)):
+    for x in range(len(at)):
         ct = np.repeat(np.asarray(twists, dtype=np.uint8), 576)
         cm = np.tile(_UNITS, (len(twists), 1, 1))
         if inverse:
             im, it = ops.binv(cm, ct)
             cm, ct = np.concatenate([cm, im]), np.concatenate([ct, it])
-        x = xm[a:a + 1], xt[a:a + 1]
-        m, t = ops.bsmul(*ops.bsmul(*ops.binv(*x), cm, ct), *x)
+        a, b = (am[x:x + 1], at[x:x + 1]), (bm[x:x + 1], bt[x:x + 1])
+        m, t = ops.bsmul(*ops.bsmul(*a, cm, ct), *b)
         f = ops.field
         scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
         scaled = ops.MUL[scalars[None, :, None, None], m[:, None]].reshape(-1, 9)
         keys = (scaled.astype(np.uint64) @ _W).reshape(len(m), 3)
         keys += np.where(np.arange(len(m)) % 576 < 64, t, 0).astype(np.uint64)[:, None]
         parts.append(np.concatenate(np.split(keys, 2 if inverse else 1), axis=1))
-    return by_value_rows(np.concatenate(parts), len(xt), len(twists))
+    return by_value_rows(np.concatenate(parts), len(at), len(twists))
 
 
 def by_value_rows(tables: np.ndarray, nx: int, nt: int) -> np.ndarray:
     """Tables of rows ((a*nt + i)*9 + j)*64 + v, conj_tables_by_bit_doubling's
-    layout, moved to fastops.conj_tables' rows (v*nx*nt + a*nt + i)*9 + j."""
+    layout, moved to fastops.key_tables' rows (v*nx*nt + a*nt + i)*9 + j."""
     width = tables.shape[1]
     return tables.reshape(nx, nt, 9, 64, width).transpose(3, 0, 1, 2, 4).reshape(-1, width)
 
 
 def conj_tables_by_bit_doubling(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
-    """fastops.conj_tables as it was first written, laid out by (x, twist,
+    """The tables of c -> x^-1 c x (fastops.key_tables of (x^-1, x)) as
+    they were first written, laid out by (x, twist,
     entry, value): row ((a*len(twists) + i)*9 + j)*64 + v holds the images
     under x_a of the matrix with entry j equal to v and the rest 0, of
     twist twists[i].  The 54 bit matrices E_pq(u), u = 2^b at entry j =
@@ -1006,7 +1032,7 @@ def conjugate(G: SmallGroup, g: PElement, name: str = "") -> SmallGroup:
     PElements in a new table, their keys conjugated in one batch by
     linear_conj_keys, with G's generators conjugated as its generators."""
     ks = np.array([G.tab.keys[i] for i in G.idx + G._gens], dtype=np.uint64)
-    ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False).tolist()
+    ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False)[0].tolist()
     els = [PElement(g.ops, k) for k in ks]
     c = SmallGroup.from_set(els[:len(G)], PElement(g.ops, IDENTITY), name)
     c._gens = [c.tab.at(x) for x in els[len(G):]]

@@ -282,7 +282,7 @@ def test_perm_is_int32_and_equals_image_batch(graph, graph43):
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
             for side, fk in fks.items():
                 want = conj_fingerprints(g.ops, xm, xt, *bunpack(fk))
-                assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk), want)
+                assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk), want[None])
             p = g.perm(x)
             assert p.dtype == np.int32
             assert np.array_equal(p, perm_by_images(g, x, fks))
@@ -378,7 +378,7 @@ def test_per_vertex_pass_temporaries_are_bounded(graph, monkeypatch):
     cached, and the one sampled_vertex_checks pass of K and H after the
     base kernels of both groups are built.  Measured: 1.4 and 2.0 MiB; an
     int64 ball image table with an int64 radius matrix beside it made
-    KernelData's 4.8 MiB, and one conj_tables set for all of a batch's 25
+    KernelData's 4.8 MiB, and one table set for all of a batch's 25
     vertices at once the sampled checks' 4.3 MiB."""
     kernel_data(graph, graph.base_x1, "K")
     monkeypatch.setattr(graph, "_kernels", {})
@@ -406,6 +406,12 @@ def test_fixers_of_x1_in_K2_is_K12(graph, ng):
     assert sorted(keys[got].tolist()) == sorted(x.key for x in ng.K12.elems)
     assert np.array_equal(got, fixers_by_images(graph, keys, [graph.base_x1]))
     assert graph.fixes(np.zeros((0, len(keys)), dtype=np.uint64), []).shape == (0, len(keys))
+    # keys shared by all vertices: the rows of the keys repeated per vertex
+    ids = [graph.base_x1, 5, graph.base_x2, graph.nv - 1]
+    shared = graph.fixes(keys, ids)
+    assert shared.shape == (4, len(keys)) and shared.any() and not shared.all()
+    assert np.array_equal(shared, graph.fixes(np.tile(keys, (4, 1)), ids))
+    assert graph.fixes(keys, []).shape == (0, len(keys))
 
 
 def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
@@ -632,16 +638,23 @@ def test_non_injective_key_fails_the_count(ng, monkeypatch):
 
 
 def test_out_of_range_vertex_ids_raise_value_error(graph, ng):
-    """image_batch and image name an id outside [0, nv) in a ValueError,
-    whether it comes alone or after a valid id."""
+    """image_batch, image, stabilizer_key_rows, fixes, neighbors and degree
+    name an id outside [0, nv) in a ValueError, whether it comes alone or
+    after a valid id of either side, where numpy's indexing would wrap a
+    negative id to the vertex n1 - 1 or nv - 1, or raise an IndexError."""
     x = ng.p["A"]
+    keys = graph.kkeys[1, "K"][:5]
     for g in (graph.nv, graph.nv + 7, -1, -graph.nv):
         with pytest.raises(ValueError, match=rf"vertex id {g} is not in \[0, {graph.nv}\)"):
             graph.image_batch([g], x.key)
-        with pytest.raises(ValueError, match=rf"vertex id {g} "):
-            graph.image_batch([0, g], [x.key])
-        with pytest.raises(ValueError, match=rf"vertex id {g} "):
-            graph.image(g, x)
+        for calls in (lambda ids: graph.image_batch(ids, [x.key]), graph.stabilizer_key_rows,
+                      lambda ids: graph.fixes(keys, ids)):
+            for ids in ([g], [0, g], [graph.n1, g]):
+                with pytest.raises(ValueError, match=rf"vertex id {g} "):
+                    calls(ids)
+        for one in (lambda g: graph.image(g, x), graph.neighbors, graph.degree):
+            with pytest.raises(ValueError, match=rf"vertex id {g} "):
+                one(g)
 
 
 def test_edge_table_check_rejects_a_repeated_end(ng, monkeypatch):

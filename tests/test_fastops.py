@@ -9,14 +9,15 @@ import psu38
 from psu38 import fastops
 from psu38.coset import CosetGraph, _arm, transversal
 from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprint_grid,
-                           conj_fingerprints, conj_tables, coset_canon_keys,
-                           linear_conj_keys, lmul_keys, lmul_tables, unique_sorted)
+                           conj_fingerprints, coset_canon_keys, key_tables,
+                           linear_conj_keys, lmul_keys, unique_sorted)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
-from psu38.psu import make_generators
+from psu38.psu import IDENTITY, make_generators
 
 import oracles
-from oracles import Element, ProjElement, element_from_key, obj, subgroup_arrays
+from oracles import (Element, ProjElement, element_from_key, lmul_tables, obj,
+                     subgroup_arrays)
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +278,8 @@ def test_linear_conj_keys_match_conj_fingerprints(f, ops):
     for x in random_elements(f, 6, seed=32):
         xm, xt = to_arrays([x])
         want = conj_fingerprints(ops, xm, xt, *bunpack(ckeys))
-        assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys), want)
-        assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys[::7]), want[::7])
+        assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys), want[None])
+        assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys[::7]), want[None, ::7])
 
 
 def _keys_of_every_twist(graph, n: int) -> np.ndarray:
@@ -291,51 +292,56 @@ def _keys_of_every_twist(graph, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
-    """On 2 KEY_CHUNK + 1 rows (the library's chunk, then a chunk of 7),
-    with and without a row index and the inverse columns, the chunked
-    lookups equal the one-shot oracle."""
+    """On 2 KEY_CHUNK + 1 keys (the library's chunk, then a chunk of 7),
+    shared by 1 and by 4 x and one row per x for 4 x, with and without the
+    inverse columns, the chunked lookups equal the one-shot oracle."""
     if chunk:
         monkeypatch.setattr(fastops, "KEY_CHUNK", chunk)
     n = 2 * fastops.KEY_CHUNK + 1
     ckeys = _keys_of_every_twist(graph, n)
     assert len(ckeys) == n and len(np.unique(ckeys & np.uint64(7))) > 1
     xm, xt = bunpack(graph.kkeys[2, "K"][5:9])
-    for xidx in (None, np.arange(n) % 4):
+    rows = np.stack([np.roll(ckeys, 5 * a) for a in range(4)])
+    for nx, keys in ((1, ckeys), (4, ckeys), (4, rows)):
         for inverse in (True, False):
-            got = linear_conj_keys(graph.ops, xm, xt, ckeys, xidx, inverse)
-            want = oracles.linear_conj_keys_one_shot(graph.ops, xm, xt, ckeys, xidx, inverse)
-            assert got.dtype == np.uint64 and np.array_equal(got, want)
+            got = linear_conj_keys(graph.ops, xm[:nx], xt[:nx], keys, inverse)
+            want = oracles.linear_conj_keys_one_shot(graph.ops, xm[:nx], xt[:nx], keys, inverse)
+            assert got.dtype == np.uint64 and got.shape == (nx, n)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("batch", [1, 2])
 def test_linear_conj_keys_across_batch_boundaries(graph, monkeypatch, batch):
     """With KEY_CHUNK set so that a batch of table sets holds 1 or 2 x,
-    2 batch + 1 conjugators and a row index grouped by x, cycling through
-    the x and randomly permuted, with and without the inverse columns: the
-    batched lookups equal the one-shot oracle, and no conj_tables call
-    takes more x than a batch."""
+    2 batch + 1 conjugators (3 batches), keys shared by all and one row per
+    x, with and without the inverse columns: the batched lookups equal the
+    one-shot oracle, and no key_tables call takes more x than a batch.  No
+    x or no key gives an empty block and makes no tables."""
     ckeys = _keys_of_every_twist(graph, 3000)
     nt = len(np.unique(ckeys & np.uint64(7)))
     assert nt > 1
     monkeypatch.setattr(fastops, "KEY_CHUNK", batch * 576 * nt // 2)
     nx = 2 * batch + 1
     xm, xt = bunpack(graph.kkeys[2, "K"][5:5 + nx])
-    n = len(ckeys)
-    grouped = np.arange(n) * nx // n
     made = []
-    tables = fastops.conj_tables
-    monkeypatch.setattr(fastops, "conj_tables",
-                        lambda ops, xm, xt, *a: made.append(len(xt)) or tables(ops, xm, xt, *a))
-    for xidx in (grouped, np.arange(n) % nx, np.random.default_rng(41).permutation(grouped)):
+    tables = fastops.key_tables
+    monkeypatch.setattr(fastops, "key_tables",
+                        lambda ops, am, at, *a: made.append(len(at)) or tables(ops, am, at, *a))
+    rows = np.stack([np.roll(ckeys, 17 * a) for a in range(nx)])
+    for keys in (ckeys, rows):
         for inverse in (True, False):
-            want = oracles.linear_conj_keys_one_shot(graph.ops, xm, xt, ckeys, xidx, inverse)
+            want = oracles.linear_conj_keys_one_shot(graph.ops, xm, xt, keys, inverse)
             made.clear()
-            got = linear_conj_keys(graph.ops, xm, xt, ckeys, xidx, inverse)
+            got = linear_conj_keys(graph.ops, xm, xt, keys, inverse)
             assert got.dtype == np.uint64 and np.array_equal(got, want)
-            assert max(made) == batch and sum(made) == nx
-    empty = linear_conj_keys(graph.ops, xm, xt, np.zeros(0, dtype=np.uint64),
-                             np.zeros(0, dtype=np.intp))
-    assert empty.dtype == np.uint64 and empty.shape == (0,)
+            assert made == [batch, batch, 1]
+    made.clear()
+    for x, keys in ((slice(0), ckeys), (slice(0), rows[:0]), (slice(None), ckeys[:0]),
+                    (slice(None), rows[:, :0])):
+        for inverse in (True, False):
+            empty = linear_conj_keys(graph.ops, xm[x], xt[x], keys, inverse)
+            assert empty.dtype == np.uint64 and empty.shape == (len(xt[x]), keys.shape[-1])
+    assert made == []
 
 
 def test_conj_fingerprint_grid_is_chunked(graph, monkeypatch):
@@ -352,27 +358,34 @@ def test_conj_fingerprint_grid_is_chunked(graph, monkeypatch):
             assert np.array_equal(conj_fingerprint_grid(graph.ops, rm, rt, *c), w)
 
 
-@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS, ALT_MODULI[0]))
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))
 def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
-    """Tables filled by XOR doubling from the 54 bit matrices equal the
-    tables of all 576 unit matrices, for six x at once (one of each
-    twist), each of the 6 twists of c alone, all together and {2, 4},
-    with and without the inverse columns."""
+    """Under all four moduli, key_tables filled by XOR doubling from the
+    54 bit matrices equal the products a E b of all 576 unit matrices E,
+    for six pairs (a, b) at once: two random pairs, two with b = 1 (the
+    tables of c -> t c) and two with a = b^-1 (of c -> x^-1 c x), the a
+    and the b of several twists; each of the 6 twists of c alone, all
+    together and {2, 4}, with and without the inverse columns.  With b = 1
+    and twists 0..5 they are the left multiplication tables that the rep
+    keys were first read from (oracles.lmul_tables)."""
     f = GF64(modulus)
     ops = FieldOps(f)
-    sigma = element_from_key(f, make_generators(f)["sigma"])
-    xs = random_elements(f, 6, seed=33, sigma=False)
-    for k in range(6):
-        for _ in range(k):
-            xs[k] = xs[k] * sigma
-    xm, xt = to_arrays(xs)
-    assert xt.tolist() == list(range(6))
+    xm, xt = to_arrays(of_every_twist(f, 6, seed=33))
+    ym, yt = to_arrays(of_every_twist(f, 6, seed=39))
+    one = bunpack(np.full(2, IDENTITY, dtype=np.uint64))
+    im, it = ops.binv(xm[4:], xt[4:])
+    am, at = np.concatenate([xm[:4], im]), np.concatenate([xt[:4], it])
+    bm, bt = (np.concatenate([ym[:2], one[0], xm[4:]]),
+              np.concatenate([yt[:2], one[1], xt[4:]]))
+    assert len(set(at.tolist())) > 3 and len(set(bt.tolist())) > 3
     for inverse in (True, False):
         for twists in [[t] for t in range(6)] + [list(range(6)), [2, 4]]:
-            got = conj_tables(ops, xm, xt, twists, inverse)
-            want = oracles.conj_tables(ops, xm, xt, twists, inverse)
+            got = key_tables(ops, am, at, bm, bt, twists, inverse)
+            want = oracles.key_tables(ops, am, at, bm, bt, twists, inverse)
             assert got.shape == want.shape == (6 * len(twists) * 576, 6 if inverse else 3)
             assert np.array_equal(got, want)
+    got = key_tables(ops, am[2:4], at[2:4], bm[2:4], bt[2:4], range(6), False)
+    assert np.array_equal(got, lmul_tables(ops, am[2:4], at[2:4]))
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))
@@ -388,32 +401,31 @@ def test_row_packed_tables_equal_the_bit_doubling_tables(modulus):
     for nx in (1, 4):
         for twists in ([3], [1, 4], list(range(6))):
             for inverse in (True, False):
-                got = conj_tables(ops, xm[:nx], xt[:nx], twists, inverse)
-                old = oracles.conj_tables_by_bit_doubling(ops, xm[:nx], xt[:nx], twists, inverse)
+                x = xm[:nx], xt[:nx]
+                got = key_tables(ops, *ops.binv(*x), *x, twists, inverse)
+                old = oracles.conj_tables_by_bit_doubling(ops, *x, twists, inverse)
                 assert got.shape == old.shape == (nx * len(twists) * 576, 6 if inverse else 3)
                 assert np.array_equal(got, oracles.by_value_rows(old, nx, len(twists)))
 
 
 def test_linear_conj_keys_per_row_elements(f, ops):
-    """With a row index naming each row's x, the keys are those of one x
-    at a time; without the inverse columns they are bpkeys(x^-1 c x)."""
+    """With one row of keys per x, row a is the keys of x_a alone; without
+    the inverse columns they are bpkeys(x^-1 c x)."""
     cs = random_elements(f, 300, seed=34)
-    ckeys = np.array([c.key for c in cs], dtype=np.uint64)
+    ckeys = np.array([c.key for c in cs], dtype=np.uint64).reshape(4, 75)
     xs = random_elements(f, 4, seed=35)
     xm, xt = to_arrays(xs)
-    xidx = np.arange(len(ckeys)) % len(xs)
     for inverse in (True, False):
-        got = linear_conj_keys(ops, xm, xt, ckeys, xidx, inverse=inverse)
+        got = linear_conj_keys(ops, xm, xt, ckeys, inverse=inverse)
         for a in range(len(xs)):
-            rows = xidx == a
-            want = linear_conj_keys(ops, xm[a:a + 1], xt[a:a + 1], ckeys[rows],
-                                    inverse=inverse)
-            assert np.array_equal(got[rows], want)
+            want = linear_conj_keys(ops, xm[a:a + 1], xt[a:a + 1], ckeys[a], inverse=inverse)
+            assert np.array_equal(got[a:a + 1], want)
     im, it = ops.binv(xm, xt)
-    cm, ct = bunpack(ckeys)
-    m, t = ops.bsmul(*ops.bsmul(im[xidx], it[xidx], cm, ct), xm[xidx], xt[xidx])
-    assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys, xidx, inverse=False),
-                          ops.bpkeys(m, t))
+    cm, ct = bunpack(ckeys.reshape(-1))
+    xi = np.repeat(np.arange(4), 75)
+    m, t = ops.bsmul(*ops.bsmul(im[xi], it[xi], cm, ct), xm[xi], xt[xi])
+    assert np.array_equal(linear_conj_keys(ops, xm, xt, ckeys, inverse=False),
+                          ops.bpkeys(m, t).reshape(4, 75))
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))
