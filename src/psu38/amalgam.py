@@ -51,7 +51,7 @@ def compute_X(am: Amalgam) -> SmallGroup:
     """Fixed point of X -> G12 n <X^{Gi}> starting from <T1 T2>; monotone
     nondecreasing, independent of alternation order (checked), and
     probed for minimality by dropping single generators."""
-    seed = am.G12.span(am.T1.gens_list() + am.T2.gens_list())
+    seed = am.G12.generated(am.T1.gens_list() + am.T2.gens_list())
     results = []
     for order in ((1, 2), (2, 1)):
         X = seed
@@ -75,7 +75,7 @@ def compute_X(am: Amalgam) -> SmallGroup:
     # minimality probe: any proper sub-seed must iterate back up to X
     gens = X.gens_list()
     for k in range(len(gens)):
-        Y = am.G12.span(seed.elems + [g for j, g in enumerate(gens) if j != k])
+        Y = am.G12.generated(seed.elems + [g for j, g in enumerate(gens) if j != k])
         if Y.iset == X.iset:
             continue
         while True:

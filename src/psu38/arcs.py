@@ -212,23 +212,20 @@ class KernelData:
     def induced_neighbor_group(self) -> tuple[SmallGroup, SmallGroup]:
         """(induced permutation group on the neighbors, its kernel).
 
-        The kernel here is computed by permutation filtering, independent
-        of the radius bookkeeping in self.first_moved.
+        The group is generated by the identity and the neighbor images of
+        the stabilizer's generators.  The kernel here is computed by
+        filtering every element's permutation, independent of the radius
+        bookkeeping in self.first_moved.
         """
+        S = self.stab
         nbrs = sorted(self.nbr_pts.tolist())
         pos = {u: i for i, u in enumerate(nbrs)}
         sub = self.nbr_images[:, np.argsort(self.nbr_pts)]
         ident = tuple(range(len(nbrs)))
-        images = set()
-        kernel_idx = []
-        for i, row in zip(self.stab.idx, sub.tolist()):
-            im = tuple(pos[x] for x in row)
-            images.add(im)
-            if im == ident:
-                kernel_idx.append(i)
-        induced = SmallGroup.from_set(images, ident,
+        images = [tuple(pos[x] for x in row) for row in sub.tolist()]
+        induced = SmallGroup.generate([ident] + [images[S.idx.index(g)] for g in S._gl()],
                                       name=f"{self.group}_z{self.v}^D(z)")
-        kern = self.stab._sub(kernel_idx)
+        kern = S._sub([i for i, im in zip(S.idx, images) if im == ident])
         return induced, kern
 
 
@@ -284,13 +281,15 @@ def pushing_up(graph: CosetGraph, group: str) -> tuple[bool, dict]:
 def pulled_back_kernels(graph: CosetGraph, gids, group: str) -> np.ndarray:
     """G_v^[1] of each vertex v in gids, all on one side, pulled back to
     the base stabilizer: row i marks the keys of stabilizer_key_rows that
-    fix every neighbor of gids[i], by one fixes call over all neighbors
-    (_assert_base_edge pins each side's degree)."""
+    fix every neighbor of gids[i], by one fixes call per neighbor column,
+    the results ANDed (_assert_base_edge pins each side's degree)."""
     keys = graph.stabilizer_key_rows(gids, group)
     deg = graph.degree(int(gids[0]))
     nbrs = graph.indices[graph.indptr[gids][:, None] + np.arange(deg)]
-    fixed = graph.fixes(np.repeat(keys, deg, axis=0), nbrs.reshape(-1))
-    return fixed.reshape(len(gids), deg, -1).all(axis=1)
+    fixed = graph.fixes(keys, nbrs[:, 0])
+    for j in range(1, deg):
+        fixed &= graph.fixes(keys, nbrs[:, j])
+    return fixed
 
 
 # sampled vertices per batch: bounds its keys to a few hundred kB (and

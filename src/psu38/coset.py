@@ -28,8 +28,9 @@ fingerprints are the same kernel with c = y.  Each layer's fresh keys are
 deduplicated in the key order _resolve searched them in, merged into the
 side's sorted keys, and its new vertices are numbered in the order of
 their first probe (frontier vertex, then transversal element); the
-transversals are scanned in table order, so every id is fixed by the named
-generators alone: the four GF(64) moduli give one labelled graph, with
+transversals are the least index of each right coset of K1 n K2
+(SmallGroup._coset_index), so every id is fixed by the named generators
+alone: the four GF(64) moduli give one labelled graph, with
 the base vertices at 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
@@ -98,19 +99,9 @@ class CacheMismatch(RuntimeError):
 def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
     """Right transversal of K12 in K: representatives t of the cosets
     K12.t, the least index of each coset in K's table, so the choice is
-    the same word in the generators under every modulus.
-    The cosets are walked as indices in K's table: K12.t is K12 carried
-    along the generator rows of t's path."""
-    cover = set()
-    ts = []
-    h = K._ix(K12)
-    for t in sorted(K.idx):
-        if t not in cover:
-            ts.append(t)
-            ht = h
-            for R in K.tab.path[t]:
-                ht = [R[x] for x in ht]
-            cover.update(ht)
+    the same word in the generators under every modulus.  The cosets are
+    SmallGroup._coset_index's walk on K's indices."""
+    ts = K._coset_index(K12)[1]
     if len(ts) * len(K12) != len(K):
         raise AssertionError(f"{len(ts)} cosets of K12 in K, not |K|/|K12|")
     return [K.tab.elems[t] for t in ts]
@@ -693,7 +684,9 @@ def sparse6_bytes(n: int, edges) -> bytes:
 
     Edges go in order of their larger end v, each as a (b, x) pair with
     x = the smaller end: b = 0 stays at the current v, b = 1 moves to v+1,
-    and a longer jump first sends (1, v) to set the current vertex.
+    and a longer jump first sends (1, v) to set the current vertex.  The
+    bits are one uint8 row per pair, b then x's k bits, filled one shift
+    at a time, and then the padding.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     lo, hi = e.min(axis=1), e.max(axis=1)
@@ -702,23 +695,24 @@ def sparse6_bytes(n: int, edges) -> bytes:
     k = max(1, (n - 1).bit_length())
     prev = np.concatenate([[0], hi[:-1]])
     jump = hi > prev + 1
-    # per edge: an optional (1, hi) jump, then (hi == prev + 1, lo)
-    b = np.stack([np.ones(len(hi), dtype=np.int64),
-                  (hi == prev + 1).astype(np.int64)], 1)
-    x = np.stack([hi, lo], 1)
-    keep = np.stack([jump, np.ones(len(hi), dtype=bool)], 1)
-    b, x = b[keep], x[keep]
-    shifts = np.arange(k - 1, -1, -1)
-    bits = np.concatenate([b[:, None], (x[:, None] >> shifts) & 1], 1).ravel()
-    pad = -len(bits) % 6
+    # per edge: an optional (1, hi) jump row, then its (hi == prev + 1, lo)
+    # row at `at`; b is 1 where not set, as is the padding
+    at = np.cumsum(jump) + np.arange(len(hi))
+    pairs = len(hi) + int(np.count_nonzero(jump))
+    pad = -pairs * (k + 1) % 6
+    bits = np.ones(pairs * (k + 1) + pad, dtype=np.uint8)
+    rows = bits[:pairs * (k + 1)].reshape(pairs, k + 1)
+    rows[at, 0] = hi == prev + 1
+    x = np.empty(pairs, dtype=np.int64)
+    x[at] = lo
+    x[at[jump] - 1] = hi[jump]
+    for c in range(1, k + 1):
+        rows[:, c] = (x >> (k - c)) & 1
     cur = int(hi[-1]) if len(hi) else 0
     if k < 6 and n == 1 << k and cur == n - 2 and pad > k:
         # plain 1-padding would read as a loop at n-1
-        tail = [0] + [1] * (pad - 1)
-    else:
-        tail = [1] * pad
-    bits = np.concatenate([bits, tail]).astype(np.uint8).reshape(-1, 6)
-    body = bits @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+        bits[-pad] = 0
+    body = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
     return b":" + _sparse6_size(n) + body.tobytes() + b"\n"
 
 

@@ -21,18 +21,20 @@ indices in that order.  Discovery order is fixed by the generators' words
 alone, so every choice is the same word in the named generators under
 every GF(64) modulus, though the packed keys that write it down differ.
 
-There are two kinds of table, and no element class of their own.  K1
-and K2 are tables of plain PElements, closed on their packed keys; every
-other subgroup of K1 or K2 is a set of indices in one of the two, generated
-by one call on its ambient group (SmallGroup.generated), so a product of
-two of its elements is index arithmetic in that table.  Reference groups,
-quotients (the action on cosets), direct products (permutations of a
-disjoint union of points) and the holomorph are tables of permutations of
-at most 108 points, each element its image tuple: (p[0], p[1], ...), where
-p*q applies p first, then q.  Element objects appear only at the boundary:
-elems, gens, eset and the arguments and results of the public methods,
-where an element is looked up by its key.  Two groups in different tables
-are compared through their elements' keys (PElement keys, image tuples).
+Every table is closed from generators (SmallGroup.generate), and every
+subgroup of a table is generated on it (SmallGroup.generated) or cut from
+it by indices (_sub).  There are two kinds of table, and no element class
+of their own.  K1 and K2 are tables of plain PElements, closed on their
+packed keys, so a product of two elements of any of their subgroups is
+index arithmetic in one table.  Reference groups, quotients (the action
+on right cosets, _coset_index), direct products (permutations of a
+disjoint union of points), the holomorph and induced actions are tables
+of permutations of at most 108 points, each element its image tuple:
+(p[0], p[1], ...), where p*q applies p first, then q.  Element objects
+appear only at the boundary: elems, gens, eset and the arguments and
+results of the public methods, where an element is looked up by its key.
+Two groups in different tables are compared through their elements' keys
+(PElement keys, image tuples).
 """
 
 from __future__ import annotations
@@ -301,13 +303,12 @@ def _key_products(ops, g: int):
     return lambda xs: ops.bpkeys(*ops.bsmul(*bunpack(xs), gm, gt)).tolist()
 
 
-def _new_table(gens, identity=None, cap=None) -> Table:
+def _new_table(gens, cap=None) -> Table:
     """The table of the group that the plain PElements or image tuples
     gens generate, closed on ints and tuples: a PElement's packed key, a
     permutation's images."""
     if isinstance(gens[0], tuple):
-        e = tuple(range(len(gens[0])) if identity is None else identity)
-        return Table(*_close(gens, e, cap, _compose))
+        return Table(*_close(gens, tuple(range(len(gens[0]))), cap, _compose))
     ops = gens[0].ops
     keys, parent, genidx, right = _close([g.key for g in gens], IDENTITY, cap,
                                          lambda g: _key_products(ops, g))
@@ -323,8 +324,8 @@ class SmallGroup:
 
     idx lists the indices in element order, the identity (index 0) first:
     closure discovery order when built by generate() or generated(), else
-    ascending (table order).  When built by either, `parent` and `genidx`
-    record the closure tree of _close (elems[i] =
+    ascending (table order, as _sub cuts it).  When built by either,
+    `parent` and `genidx` record the closure tree of _close (elems[i] =
     elems[parent[i]] * gens[genidx[i]]), which downstream code uses to
     evaluate vertex actions incrementally.  Caches (orders, classes,
     invariants) are keyed by indices.
@@ -354,8 +355,9 @@ class SmallGroup:
     @staticmethod
     def generate(gens, cap: int = 2_000_000, name: str = "") -> "SmallGroup":
         """The group that the PElements or image tuples gens generate, as
-        a new table, with its closure tree.  A subgroup of a group that has
-        a table already is generated on that group (generated)."""
+        a new table, with its closure tree: the one way a table is made.  A
+        subgroup of a group that has a table already is generated on that
+        group (generated) or cut from it (_sub, subgroup)."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
@@ -373,35 +375,15 @@ class SmallGroup:
         elems, parent, genidx, _ = _close(ig, 0, None, tab.by)
         return SmallGroup(tab, elems, ig, parent, genidx, name)
 
-    @staticmethod
-    def from_set(elements, identity, name: str = "") -> "SmallGroup":
-        """Group on an explicit element set (image tuples or PElements)
-        that is closed under products, as a new table generated by the set
-        in sorted order, its elements in table order.  Generators are found
-        lazily on first use.  A subgroup of a group
-        that has a table already is subgroup() or generated() on it."""
-        elements = list(elements)
-        tab = _new_table(sorted(set(elements)) or [identity], identity)
-        return SmallGroup._of(tab, [tab.at(x) for x in elements], name)
-
-    @staticmethod
-    def _of(tab: Table, idx, name: str = "") -> "SmallGroup":
-        """The group on these indices of tab, in table order (the
-        identity, index 0, first)."""
-        return SmallGroup(tab, sorted(set(idx)), name=name)
-
     def _sub(self, idx, name: str = "") -> "SmallGroup":
-        return SmallGroup._of(self.tab, idx, name)
+        """The group on these indices of the table (a closed set), in
+        table order: the identity, index 0, first.  Generators are found
+        on first use."""
+        return SmallGroup(self.tab, sorted(set(idx)), name=name)
 
     def subgroup(self, elements, name: str = "") -> "SmallGroup":
         """Subgroup from an explicit (closed) element subset."""
         return self._sub(map(self.tab.at, elements), name)
-
-    def span(self, xs, name: str = "") -> "SmallGroup":
-        """The subgroup that the elements xs generate, as subgroup() orders
-        it."""
-        tab = self.tab
-        return self._sub(_close([tab.at(x) for x in xs], 0, None, tab.by)[0], name)
 
     @property
     def iset(self) -> frozenset:
@@ -661,7 +643,7 @@ class SmallGroup:
                 f = tab.right_of(xi)
                 els += [f(h) for h in P]
                 xi = tab.mul(xi, x)
-            P = SmallGroup._of(tab, els).idx
+            P = sorted(set(els))
             pset = set(P)
             pgens.append(x)
             if target % len(P):
@@ -735,22 +717,22 @@ class SmallGroup:
 
     # -- quotient ---------------------------------------------------------
 
-    def _coset_index(self, N: "SmallGroup") -> tuple[dict, list]:
-        """(index -> coset number, least index of each coset) for a normal
-        N: coset 0 is N, the others are numbered by their least index."""
+    def _coset_index(self, H: "SmallGroup") -> tuple[dict, list]:
+        """(index -> coset number, least index of each coset) for the right
+        cosets H.g of a subgroup H: coset 0 is H, the others are numbered
+        by their least index.  H.g is H carried along the rows of g's path,
+        one row at a time.  For a normal H the right cosets are the left
+        ones, so this is also G/H."""
         coset: dict = {}
         reps = []
-        nidx = self._ix(N)
-        tab = self.tab
-        path = tab.path
+        h = self._ix(H)
+        path = self.tab.path
         for g in sorted(self.idx):
             if g not in coset:
-                c = len(reps)
-                for n in nidx:
-                    x = g
-                    for R in path[n]:
-                        x = R[x]
-                    coset[x] = c
+                hg = h
+                for R in path[g]:
+                    hg = [R[x] for x in hg]
+                coset.update(dict.fromkeys(hg, len(reps)))
                 reps.append(g)
         return coset, reps
 
@@ -1004,12 +986,9 @@ def dihedral_18() -> SmallGroup:
 
 
 def agl1_group() -> SmallGroup:
-    """AGL_1(3): affine maps x -> ax + b on GF(3), as perms of 3 points."""
-    els = [tuple((a * x + b) % 3 for x in range(3)) for a in (1, 2) for b in range(3)]
-    g = SmallGroup.from_set(els, (0, 1, 2), name="AGL1(3)")
-    if len(g) != 6:
-        raise AssertionError(f"AGL1(3) has order {len(g)}, not 6")
-    return g
+    """AGL_1(3): affine maps x -> ax + b on GF(3), as perms of 3 points,
+    generated by x + 1 and 2x."""
+    return SmallGroup.generate([_cycle(3), (0, 2, 1)], name="AGL1(3)")
 
 
 def _affine_perm(a, b, c, d, e, f, idx, pts) -> tuple:
@@ -1024,22 +1003,15 @@ def affine_refs() -> dict[str, SmallGroup]:
     their action on V0 and V/V0, under their reference_groups names."""
     pts = [(x, y) for y in range(3) for x in range(3)]
     idx = {p: i for i, p in enumerate(pts)}
-    els = []
-    gl_els = []
-    for a, b, c, d in iproduct(range(3), repeat=4):
-        if (a * d - b * c) % 3 == 0:
-            continue
-        gl_els.append(_affine_perm(a, b, c, d, 0, 0, idx, pts))
-        for e, f in iproduct(range(3), repeat=2):
-            els.append(_affine_perm(a, b, c, d, e, f, idx, pts))
-    agl = SmallGroup.from_set(els, tuple(range(9)), name="AGL2(3)")
-    gl = agl.subgroup(gl_els, name="GL2(3)")
-
     t1 = _affine_perm(1, 0, 0, 1, 1, 0, idx, pts)
     t2 = _affine_perm(1, 0, 0, 1, 0, 1, idx, pts)
-    v = agl.span([t1, t2], name="V")
+    # GL_2(3) is generated by a transvection and the swap of coordinates
     u = _affine_perm(1, 1, 0, 1, 0, 0, idx, pts)
-    syl3 = agl.span([t1, t2, u], name="S")
+    w = _affine_perm(0, 1, 1, 0, 0, 0, idx, pts)
+    agl = SmallGroup.generate([t1, t2, u, w], name="AGL2(3)")
+    gl = agl.generated([u, w], name="GL2(3)")
+    v = agl.generated([t1, t2], name="V")
+    syl3 = agl.generated([t1, t2, u], name="S")
 
     v0 = v.centralizer(syl3.gens_list())
     v0.name = "V0"

@@ -453,7 +453,7 @@ def build_claims() -> list[Claim]:
             return tuple(lam_sets.index(frozenset([conj(x, g) for x in s]))
                          for s in lam_sets)
 
-        induced = SmallGroup.from_set({perm_of(g) for g in K2._ix(ng.S)}, (0, 1, 2))
+        induced = SmallGroup.generate([perm_of(g) for g in K2._ixgens(ng.S)])
         fs3 = _gen_closure(ng, K2, ["Fsigma3"])
         fs3_trivial = all(perm_of(g) == (0, 1, 2) for g in fs3.idx)
         ok = n0 and fs3_trivial and len(induced) == 6 and iso_check(

@@ -4,7 +4,7 @@ are checked against.  psu38 itself uses none of them."""
 import weakref
 from collections import Counter
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from operator import itemgetter
 
 import numpy as np
@@ -51,6 +51,36 @@ def boxed(x, tab=None):
     if tab is not None and type(x) is PElement:
         return tab_elements(tab)[tab.at(x)]
     return x
+
+
+def from_set(elements, name: str = "") -> SmallGroup:
+    """The group on a closed set of image tuples or PElements, as the
+    retired SmallGroup.from_set made it: a new table closed on the whole
+    set in sorted order, its elements in table order and no generators
+    until they are asked for."""
+    G = SmallGroup.generate(sorted(set(elements)), name=name)
+    return G._sub(G.idx, name)
+
+
+def affine_maps() -> dict[str, set]:
+    """The element sets of AGL_2(3) and GL_2(3) on the 9 points (x, y),
+    x fastest, and of AGL_1(3) on GF(3), by enumerating every affine map
+    x -> Ax + e with det A nonzero: reference_groups' element loops before
+    it generated the three groups."""
+    pts = [(x, y) for y in range(3) for x in range(3)]
+    idx = {p: i for i, p in enumerate(pts)}
+    agl, gl = set(), set()
+    for a, b, c, d in product(range(3), repeat=4):
+        if (a * d - b * c) % 3 == 0:
+            continue
+        for e, f in product(range(3), repeat=2):
+            m = tuple(idx[(a * x + b * y + e) % 3, (c * x + d * y + f) % 3]
+                      for x, y in pts)
+            agl.add(m)
+            if e == f == 0:
+                gl.add(m)
+    agl1 = {tuple((a * x + b) % 3 for x in range(3)) for a in (1, 2) for b in range(3)}
+    return {"AGL23": agl, "GL23": gl, "AGL13": agl1}
 
 
 def table_order(G) -> list:
@@ -509,8 +539,7 @@ def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
         return graph.group_from_keys(keys, name)
     except ValueError:
         pass
-    return SmallGroup.from_set([PElement(graph.ops, int(k)) for k in keys],
-                               PElement(graph.ops, IDENTITY), name)
+    return from_set([PElement(graph.ops, int(k)) for k in keys], name)
 
 
 def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
@@ -880,6 +909,20 @@ def fixers(graph, keys, gids) -> np.ndarray:
     return np.flatnonzero(member.reshape(len(gids), n).all(axis=0))
 
 
+def induced_neighbor_group_by_rows(kd) -> tuple[SmallGroup, SmallGroup]:
+    """arcs.KernelData.induced_neighbor_group as it was first built: the
+    group on the images of every stabilizer element on the sorted
+    neighbors, closed on that whole set (from_set), with the kernel of
+    the rows that fix every neighbor."""
+    nbrs = sorted(kd.nbr_pts.tolist())
+    pos = {u: i for i, u in enumerate(nbrs)}
+    sub = kd.nbr_images[:, np.argsort(kd.nbr_pts)]
+    images = [tuple(pos[x] for x in row) for row in sub.tolist()]
+    ident = tuple(range(len(nbrs)))
+    kern = kd.stab._sub([i for i, im in zip(kd.stab.idx, images) if im == ident])
+    return from_set(images), kern
+
+
 def pulled_back_kernel(graph, v: int, group: str = "K") -> frozenset:
     """G_v^[1] pulled back to the base stabilizer G_side of v's side, one
     vertex at a time by the bsmul oracles: the elements k of G_side whose
@@ -1034,7 +1077,7 @@ def conjugate(G: SmallGroup, g: PElement, name: str = "") -> SmallGroup:
     ks = np.array([G.tab.keys[i] for i in G.idx + G._gens], dtype=np.uint64)
     ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False)[0].tolist()
     els = [PElement(g.ops, k) for k in ks]
-    c = SmallGroup.from_set(els[:len(G)], PElement(g.ops, IDENTITY), name)
+    c = from_set(els[:len(G)], name)
     c._gens = [c.tab.at(x) for x in els[len(G):]]
     return c
 

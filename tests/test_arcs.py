@@ -294,6 +294,20 @@ def test_induced_action_groups(ctx, refs):
         assert kern2.eset == ctx.kern(grp, 2).kernel(1).eset
 
 
+def test_induced_neighbor_group_is_every_elements_image(graph):
+    """For K and H at both base vertices, the group generated by the
+    identity and the stabilizer generators' neighbor images holds exactly
+    the images of all of the stabilizer's elements, the set it was once
+    closed on, and the kernel is the rows' one."""
+    for v in (graph.base_x1, graph.base_x2):
+        for group in ("K", "H"):
+            kd = kernel_data(graph, v, group)
+            induced, kern = kd.induced_neighbor_group()
+            want, want_kern = oracles.induced_neighbor_group_by_rows(kd)
+            assert induced.handles() == want.handles()
+            assert kern.idx == want_kern.idx and len(induced) * len(kern) == len(kd.stab)
+
+
 def test_local_characteristic_and_pushing_up(graph):
     for grp in ("H", "K"):
         ok, details = local_characteristic(graph, grp)

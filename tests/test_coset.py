@@ -11,7 +11,8 @@ import pytest
 import networkx as nx
 
 from psu38 import coset, harness
-from psu38.arcs import kernel_data, sampled_vertex_checks
+from psu38.arcs import (SAMPLE_CHUNK, kernel_data, pulled_back_kernels,
+                        sampled_vertex_checks)
 from psu38.coset import (CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, CacheMismatch,
                          CosetGraph, _arm, build_graph, export_edge_list,
                          export_sparse6, group_hash, load_cache, save_cache,
@@ -55,6 +56,21 @@ def test_transversal_equals_the_product_oracle(modulus):
         want = transversal_by_products(K, ng.K12)
         assert [t.key for t in got] == [t.key for t in want]
         assert all(t is K.tab.elems[K.tab.at(t)] for t in got)
+
+
+def test_coset_index_gives_the_right_cosets_of_K12(ng):
+    """K12 is normal in neither K1 nor K2.  _coset_index numbers its right
+    cosets K12.g, as Table.mul forms them, by their least index, and its
+    representatives are transversal's."""
+    for K in (ng.K1, ng.K2):
+        assert not K.is_normal(ng.K12)
+        coset, reps = K._coset_index(ng.K12)
+        assert [K.tab.elems[g] for g in reps] == transversal(K, ng.K12)
+        assert sorted(coset) == sorted(K.idx) and sorted(reps) == reps
+        mul, h = K.tab.mul, K._ix(ng.K12)
+        for c, g in enumerate(reps):
+            right = {mul(x, g) for x in h}
+            assert {y for y, d in coset.items() if d == c} == right and min(right) == g
 
 
 def test_graph_scale(graph):
@@ -389,6 +405,15 @@ def test_per_vertex_pass_temporaries_are_bounded(graph, monkeypatch):
     assert _traced_excess(lambda: sampled_vertex_checks(graph)) < 2.5
 
 
+def test_a_full_batch_of_pulled_back_kernels_is_bounded(graph):
+    """One SAMPLE_CHUNK batch of side-1 vertices through
+    pulled_back_kernels stays within the 2.5 MiB of the per-vertex passes.
+    Measured: 1.3 MiB; the batch's keys repeated once per neighbor, for
+    one fixes call over all 100 neighbors, made 5.4 MiB."""
+    ids = np.arange(1, 1 + SAMPLE_CHUNK)
+    assert _traced_excess(lambda: pulled_back_kernels(graph, ids, "K")) < 2.5
+
+
 def test_perm_raises_on_an_unknown_image(graph, ng):
     """A stored fingerprint element off by one bit conjugates to no
     vertex's key."""
@@ -519,6 +544,14 @@ def test_sparse6_small_graphs_against_networkx():
         back = nx.from_sparse6_bytes(sparse6_bytes(n, list(g.edges())).strip())
         assert back.number_of_nodes() == n
         assert _edge_set(back.edges()) == _edge_set(g.edges())
+
+
+def test_sparse6_temporaries_are_bounded(graph):
+    """sparse6_bytes of the whole graph allocates at most 12 MiB beyond
+    the bytes it returns.  Measured: 7.0 MiB; int64 stacks of the (b, x)
+    pairs and an int64 (pairs, k) shift matrix made 32.8 MiB."""
+    edges = np.stack(graph._edge_ends(), 1)
+    assert _traced_excess(lambda: sparse6_bytes(graph.nv, edges)) < 12
 
 
 def test_sparse6_padding_cases():

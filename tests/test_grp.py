@@ -14,10 +14,18 @@ from psu38.grp import (ClosureCapExceeded, SmallGroup, direct_product,
 from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
-from oracles import (ObjGroup, Perm, ProjElement, boxed, close, conjugate, greedy,
-                     greedy_prefixes, iso_map, lambda_subgroups,
+from oracles import (ObjGroup, Perm, ProjElement, affine_maps, boxed, close, conjugate,
+                     greedy, greedy_prefixes, iso_map, lambda_subgroups,
                      lambda_subgroups_by_capped_closures, obj, perm_product,
                      sequential_close, table_order)
+
+
+def test_affine_reference_groups_are_every_affine_map(refs):
+    """AGL_2(3), its GL_2(3) and AGL_1(3), generated from a few maps,
+    hold exactly the affine maps that enumerating them gives."""
+    for name, els in affine_maps().items():
+        assert refs[name].handles() == els
+    assert [len(refs[n]) for n in ("AGL23", "GL23", "AGL13")] == [432, 48, 6]
 
 
 def test_closure_orders(ng):
@@ -537,7 +545,7 @@ def test_greedy_is_the_prefix_loop_in_one_closure(ng, refs):
 
 def test_generating_set_rejects_an_unclosed_set(refs):
     S4 = refs["Sym4"]
-    G = SmallGroup.from_set(S4.elems[:5], S4.identity)
+    G = S4.subgroup(S4.elems[:5])
     assert len(G) == 5
     with pytest.raises(AssertionError, match="not closed under multiplication"):
         G.generating_set()

@@ -32,7 +32,7 @@ def _check(G, picks):
     # closure order on indices and on objects
     order = _close([tab.at(g) for g in gens], 0, None, tab.by)[0]
     assert [tab.elems[i] for i in order] == close(gens, e)[0]
-    H = G.span(gens)
+    H = G.generated(gens)
     O, OH = ObjGroup.of(G), ObjGroup.of(H)
     assert H.eset == frozenset(close(gens, e)[0]) == OH.eset
     assert H.generating_set() == generating_set(OH)
