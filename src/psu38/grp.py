@@ -8,11 +8,12 @@ permutation's image tuple): its elements in discovery order, one
 right-multiplication row per generator, the inverse of each element, and
 lazily, one conjugation row per generator.  An element is an index into
 its table: a product x*y carries x along the rows of y's closure-tree
-path, and the conjugation by a generator is a permutation of the indices.  A SmallGroup is its table and
-the indices of its elements (as a list in element order and as a
-frozenset), so every engine operation (closures, orders, conjugacy
-orbits, centralizers, normalizers, cores, Sylow subgroups, cosets and the
-isomorphism search) walks lists of ints.
+path, and a conjugation by y carries x along the generators' conjugation
+rows on that path.  A SmallGroup is its table and the indices of its
+elements (as a list in element order and as a frozenset), so every
+engine operation (closures, orders, conjugacy orbits, centralizers,
+normalizers, cores, Sylow subgroups, cosets and the isomorphism search)
+walks lists of ints.
 
 There is one element order: ascending table index.  Every scan that
 makes a choice (a Sylow subgroup's growth, a greedy generating set, coset
@@ -66,8 +67,10 @@ class Table:
     the tree: elems[j]^-1 = g^-1 elems[parent[j]]^-1 with g = gens[genidx[j]],
     and g^-1 is the last index that the walk along right[g] from the
     identity reaches before it returns there.  The conjugation row of
-    a generator g, x -> g^-1 x g, is inv[R[inv[R[x]]]] with R = right[g];
-    that of any element composes the generators' rows along its path."""
+    a generator g, x -> g^-1 x g, is inv[R[inv[R[x]]]] with R = right[g].
+    An element is applied one way (right_of, conj_of): a generator by a
+    lookup in its row, any other element by a walk along its path, one
+    generator's row at a time."""
 
     def __init__(self, elems, parent, genidx, right):
         n = self.n = len(elems)
@@ -92,7 +95,6 @@ class Table:
                 k = R[k]
             inv[j] = k
         self.orders = [0] * n
-        # generator index -> its conjugation row, built on first use
         self._crows: dict | None = None
 
     # -- indices and elements ---------------------------------------------
@@ -117,13 +119,11 @@ class Table:
         return i
 
     def conj(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        rows = self._crows
-        if rows is not None and g in rows:
-            return rows[g][x]
+        """g^-1 x g: x carried along the conjugation rows of g's path."""
+        rows = self.conj_rows
         for R in self.path[g]:
-            x = R[x]
-        return self.mul(self.inv[g], x)
+            x = rows[R[0]][x]
+        return x
 
     def by(self, h: int):
         """_close's by on this table's indices: a list of x to the list of
@@ -131,49 +131,28 @@ class Table:
         f = self.right_of(h)
         return lambda xs: list(map(f, xs))
 
-    def right_of(self, h: int, uses: int = 0):
-        """x -> x*h as a function of x: a row lookup for a generator, or
-        for an element used on at least half the table (its row, composed
-        along its path); else a walk along h's path."""
-        p = self.path[h]
-        if len(p) == 1:
-            return p[0].__getitem__
-        if p and 2 * uses >= self.n:
-            row = p[0]
-            for R in p[1:]:
-                row = [R[v] for v in row]
-            return row.__getitem__
+    def right_of(self, h: int):
+        """x -> x*h as a function of x: a lookup in the right row of a
+        generator, else a walk along the rows of h's path."""
+        return _walk(self.path[h])
 
-        def walk(x):
-            for R in p:
-                x = R[x]
-            return x
-        return walk
+    def conj_of(self, g: int):
+        """x -> g^-1 x g as a function of x: a lookup in the conjugation
+        row of a generator, else a walk along the conjugation rows of the
+        generators on g's path (g = g1 g2 ... conjugates by g1, then by
+        g2, ...)."""
+        rows = self.conj_rows
+        return _walk([rows[R[0]] for R in self.path[g]])
 
-    def conj_row(self, h: int) -> list:
-        """The permutation x -> h^-1 x h of the indices: kept for the
-        generators (the right row R of a generator starts with its index,
-        R[0]), composed from theirs along h's path for any other h."""
-        rows = self._crows
-        if rows is None:
+    @property
+    def conj_rows(self) -> dict:
+        """Generator index -> its conjugation row, built on first use (a
+        generator's right row R starts with its index, R[0])."""
+        if self._crows is None:
             inv = self.inv
-            rows = self._crows = {R[0]: [inv[R[inv[R[x]]]] for x in range(self.n)]
-                                  for R in self.rows}
-        row = rows.get(h)
-        if row is None:
-            p = self.path[h]
-            row = rows[p[0][0]] if p else list(range(self.n))
-            for R in p[1:]:
-                c = rows[R[0]]
-                row = [c[v] for v in row]
-        return row
-
-    def conj_of(self, g: int, uses: int = 0):
-        """x -> g^-1 x g as a function of x: a row lookup for a generator
-        or for an element used on at least half the table."""
-        if len(self.path[g]) == 1 or 2 * uses >= self.n:
-            return self.conj_row(g).__getitem__
-        return lambda x: self.conj(x, g)
+            self._crows = {R[0]: [inv[R[inv[R[x]]]] for x in range(self.n)]
+                           for R in self.rows}
+        return self._crows
 
     def order(self, x: int) -> int:
         """The order of element x; x^k has order o / gcd(o, k), so one
@@ -265,6 +244,19 @@ def _greedy(cands, identity, by):
     ends = [row[0] for row in right.values()] + [len(elems)]
     genidx = [-1] + [pos[gi] for gi in genidx[1:]]
     return gens, ends, (elems, parent, genidx, dict(enumerate(right.values())))
+
+
+def _walk(rows):
+    """x carried through the rows in turn, as a function of x: a lookup
+    for one row."""
+    if len(rows) == 1:
+        return rows[0].__getitem__
+
+    def walk(x):
+        for R in rows:
+            x = R[x]
+        return x
+    return walk
 
 
 def _pval(n, p):
@@ -547,12 +539,12 @@ class SmallGroup:
         return self._centralizer([self.tab.at(x) for x in xs])
 
     def _centralizer(self, xs) -> "SmallGroup":
-        """The g that commute with every x: fixed points of x's conjugation
-        row where it pays, else g*x == x*g."""
+        """The g that commute with every x: the fixed points of
+        conjugation by x."""
         tab = self.tab
         keep = self.idx
         for x in dict.fromkeys(xs):
-            f = tab.conj_of(x, len(keep))
+            f = tab.conj_of(x)
             keep = [g for g in keep if f(g) == g]
         return self._sub(keep)
 
@@ -572,7 +564,7 @@ class SmallGroup:
 
     def _normal_closure(self, xs) -> "SmallGroup":
         tab = self.tab
-        fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
+        fs = [tab.conj_of(g) for g in self._gl()]
         return self._sub(_close(sorted(_orbit(xs, fs)), 0, None, tab.by)[0])
 
     def derived(self) -> "SmallGroup":
@@ -611,9 +603,9 @@ class SmallGroup:
     def conjugate(self, g, name: str = "") -> "SmallGroup":
         """G^g for an element g of the table; ValueError for any other."""
         tab = self.tab
-        j = tab.at(g)
-        c = self._sub([tab.conj(h, j) for h in self.idx], name)
-        c._gens = [tab.conj(h, j) for h in self._gens]
+        f = tab.conj_of(tab.at(g))
+        c = self._sub(map(f, self.idx), name)
+        c._gens = list(map(f, self._gens))
         return c
 
     # -- Sylow machinery --------------------------------------------------
@@ -660,7 +652,7 @@ class SmallGroup:
         """Normal core of H in G: the intersection of all G-conjugates of
         H, walked along their orbit until it is trivial."""
         tab = self.tab
-        fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
+        fs = [tab.conj_of(g) for g in self._gl()]
         core = frozenset(self._ix(H))
         orbit, seen = [core], {core}
         for T in orbit:  # grows while it is walked
@@ -682,7 +674,7 @@ class SmallGroup:
         class."""
         if self._classes is None:
             tab = self.tab
-            fs = [tab.conj_of(g, len(self.idx)) for g in self._gl()]
+            fs = [tab.conj_of(g) for g in self._gl()]
             which: dict = {}
             classes: list = []
             for g in sorted(self.idx):
@@ -866,8 +858,8 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
         imgs) in by_inv2 order, that pass the pairwise product invariants,
         each with its centralizer in cent.  Lazy: an orbit is conjugated
         only when the search reaches it.  At the first depth cent is G2:
-        the orbits are G2's classes, and the centralizer of h is the fixed
-        points of its conjugation row."""
+        the orbits are G2's classes, and the centralizer of h is
+        G2._centralizer([h])."""
         g = gens1[i]
         seen: set = set()
         for h in by_inv2[inv1[g]]:
@@ -904,12 +896,11 @@ def _iso_search(G1: SmallGroup, G2: SmallGroup):
             continue
         h, cent = found
         if cent is None:
-            row = t2.conj_row(h)
-            cent = [c for c in G2.idx if row[c] == c]
+            cent = G2._centralizer([h]).idx
         i = len(imgs)
         lo, hi = ends[i], ends[i + 1]
         hs = imgs + [h]
-        hf = fs + [t2.right_of(h, (hi - lo) * (i + 2))]
+        hf = fs + [t2.right_of(h)]
         m = img + [None] * (hi - lo)
         for t in range(lo, hi):
             m[t] = hf[genidx[t]](m[parent[t]])

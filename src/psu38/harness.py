@@ -820,16 +820,17 @@ def _plain(d: dict) -> dict:
     return out
 
 
+# deep: the deep kernel's target in the chain and its order, or None
 _KERNEL_EXPECT = {
-    ("H", 1): {"k1_order": 18, "o3_name": "Q1", "z_order": None,
+    ("H", 1): {"k1_order": 18, "o3_name": "Q1", "deep": None,
                "chain": {2: "O3", 3: "1"}, "induced": "Sym4", "nbrs": 4},
-    ("H", 2): {"k1_order": 54, "o3_name": "Q2", "z_order": 3,
+    ("H", 2): {"k1_order": 54, "o3_name": "Q2", "deep": ("Z(O3)", 3),
                "chain": {2: "Z(O3)", 3: "Z(O3)", 4: "1"}, "induced": "Sym3",
                "nbrs": 3},
-    ("K", 1): {"k1_order": 54, "o3_name": "Qh1", "z_order": 3,
+    ("K", 1): {"k1_order": 54, "o3_name": "Qh1", "deep": ("Z(G_z)", 3),
                "chain": {2: "O3", 3: "Z(G_z)", 4: "Z(G_z)", 5: "1"},
                "induced": "Sym4", "nbrs": 4},
-    ("K", 2): {"k1_order": 162, "o3_name": "Qh2", "z_order": 9,
+    ("K", 2): {"k1_order": 162, "o3_name": "Qh2", "deep": ("Z(O3)", 9),
                "chain": {2: "Z(O3)", 3: "Z(O3)", 4: "1"}, "induced": "Sym3",
                "nbrs": 3},
 }
@@ -870,13 +871,12 @@ def _kernel_claim(ctx, group: str, side: int):
         chain[f"|[{i}]|"] = len(ki)
         ok = ok and good
     d["chain"] = chain
-    if exp["z_order"] is not None:
-        zt = targets["Z(O3)" if (group, side) != ("K", 1) else "Z(G_z)"]
-        zsub = stab.subgroup(zt)
+    if exp["deep"] is not None:
+        tname, order = exp["deep"]
+        zsub = stab.subgroup(targets[tname])
         d["deep_kernel_order"] = len(zsub)
         d["deep_kernel_elementary_abelian"] = zsub.is_elementary_abelian(3)
-        ok = ok and len(zsub) == exp["z_order"] \
-            and zsub.is_elementary_abelian(3)
+        ok = ok and len(zsub) == order and zsub.is_elementary_abelian(3)
     induced, kern_filter = kd.induced_neighbor_group()
     d["induced_order"] = len(induced)
     d["induced_iso"] = iso_check(induced, refs[exp["induced"]])
@@ -1092,6 +1092,9 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         ctx = VerifyContext(modulus=args.modulus, verbose=args.verbose)
+        # a reducible modulus fails here, before any claim runs or any
+        # file is opened
+        ctx.field
 
         if args.cmd == "build":
             g = ctx.graph
@@ -1099,8 +1102,9 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.cmd == "verify":
-            # an empty selection, then the report file, are checked first:
-            # either fails before any claim runs and writes no report
+            # after the modulus, an empty selection, then the report file,
+            # are checked: each fails before any claim runs and writes no
+            # report
             try:
                 select_claims(args.group, args.claims)
             except ValueError:

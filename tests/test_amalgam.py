@@ -6,7 +6,9 @@ import pytest
 
 from psu38.amalgam import (analyze, compute_X, core_in, holomorph_semidirect,
                            shape_agl23s, shape_d2, shape_e2)
+from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS
 from psu38.grp import SmallGroup, iso_check, sym_group
+from psu38.harness import VerifyContext
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,16 @@ def test_core_in_whole_group(ng):
 def test_X_is_whole_edge_group(amH, amK, ng):
     assert amH.X.eset == ng.H12.eset
     assert amK.X.eset == ng.K12.eset
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALT_MODULI[0]], ids=hex)
+@pytest.mark.parametrize("group, order", [("H", 108), ("K", 324)])
+def test_X_is_the_seed(ctx, modulus, group, order):
+    """X = <T1, T2> = G12 for both amalgams: the iteration starts at its
+    fixed point, which is why X is minimal above the seed at once."""
+    am = (ctx if modulus == DEFAULT_MODULUS else VerifyContext(modulus)).amalgam(group)
+    seed = am.G12.generated(am.T1.gens_list() + am.T2.gens_list())
+    assert am.X.iset == seed.iset == am.G12.iset and len(am.X) == order
 
 
 def test_X_degenerate_case(refs):

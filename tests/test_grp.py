@@ -628,6 +628,26 @@ def test_table_products_and_inverses_equal_pelement_ones(ng):
                    for i, x in zip(K.idx, K.elems))
 
 
+def test_element_application_equals_products_on_generators_and_others(ng, refs):
+    """right_of(h) and conj_of(h), a row lookup for a generator and a walk
+    along h's path for any other h, agree with the products of the table
+    at every x: x*h, and h^-1 x h as conj gives it and as two products
+    give it.  On K1, K2 and three permutation tables, for every generator
+    and every ninth other element (the identity among them)."""
+    for G in (ng.K1, ng.K2, refs["AGL23"], refs["C3xAGL23"], refs["Sym4"]):
+        tab = G.tab
+        gens = sorted(R[0] for R in tab.rows)
+        others = [h for h in range(tab.n) if len(tab.path[h]) != 1]
+        assert gens and len(others) + len(gens) == tab.n
+        mul, inv, xs = tab.mul, tab.inv, range(tab.n)
+        for h in gens + others[::9]:
+            right, conj = tab.right_of(h), tab.conj_of(h)
+            assert [right(x) for x in xs] == [mul(x, h) for x in xs]
+            c = [conj(x) for x in xs]
+            assert c == [tab.conj(x, h) for x in xs]
+            assert c == [mul(mul(inv[h], x), h) for x in xs]
+
+
 def test_table_fallback_calls_the_current_pelement_product(ng, monkeypatch):
     """Products in a table never call PElement.__mul__: not inside K1 or
     K2, and not for K12's elements in either ambient table.  D.E, which

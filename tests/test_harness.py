@@ -157,10 +157,11 @@ CATALOG_HASH = "8ac2bf5b2fa7027a"
 UNBENCHMARKED_DIGESTS = {"L3.6.ii": "3b247218ebf89725", "T1.1.v": "3f4d909b757ea530"}
 
 
-@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALT_MODULI[0]], ids=hex)
+@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
 def test_catalog_text_and_unbenchmarked_witnesses_are_pinned(monkeypatch, modulus):
     """The statements, groups and order of all 54 claims, and the
-    witnesses of L3.6.ii and T1.1.v, which no reference digest covers."""
+    witnesses of L3.6.ii and T1.1.v, which no reference digest covers,
+    under all four moduli."""
     catalog = [[c.id, c.statement, list(c.groups)] for c in build_claims()]
     assert len(catalog) == 54
     blob = json.dumps(catalog).encode()
@@ -217,7 +218,17 @@ def test_cli_field_table(capsys):
     assert len(out.strip().splitlines()) == 64  # header + 63 entries
 
 
-def test_cli_bad_modulus(capsys):
+def test_cli_bad_modulus(tmp_path, capsys, monkeypatch):
+    """A reducible modulus is a configuration error before any claim runs
+    or any file is opened: a report file already at --out keeps its
+    bytes, and stderr gets one line."""
+    ran = []
+    monkeypatch.setattr(harness, "run_claims", lambda *a, **k: ran.append(a))
+    out = tmp_path / "r.json"
+    out.write_bytes(b"keep")
+    assert main(["verify", "--modulus", "0x5a", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"keep" and ran == []
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert main(["verify", "--modulus", "0b1000001"]) == 2
     assert main(["build", "--modulus", "0b1111"]) == 2
 

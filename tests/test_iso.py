@@ -17,8 +17,11 @@ from oracles import (ObjGroup, boxed, greedy_prefixes, iso_generators, iso_map,
 # groups and the graph are loaded.  CATALOG_OBJECT_CLOSES of them close
 # image tuples, each to build a table by generate (quotients, direct
 # products, holomorph groups and induced groups); the rest close table
-# indices.  (187 while compute_X's seeds and probes and the induced groups
-# had no generators until asked: where X is the seed, compute_X's
+# indices.  (189 while compute_X probed X for minimality: X is the seed
+# in both amalgams, so each of its 13 probes generated X again, and
+# compute_X's closures are now its 2 seeds, not 15; 187 while compute_X's
+# seeds and probes and the induced groups had no generators until asked:
+# where X is the seed, compute_X's
 # minimality probe now drops each of the seed's given generators, 6
 # closures more, and 4 greedy generating sets fewer are asked, 2 in
 # compute_X and 2 for induced groups; 247 and 56 while the kernel chain of
@@ -29,7 +32,7 @@ from oracles import (ObjGroup, boxed, greedy_prefixes, iso_generators, iso_map,
 # steps; 208 while L3.1.iv and L3.3.iv each generated an ambient group for
 # their commutator subgroups instead of taking K1's and K2's tables; 206
 # while every scan followed the order of the packed keys, not the table's)
-CATALOG_CLOSES = 189
+CATALOG_CLOSES = 176
 CATALOG_OBJECT_CLOSES = 40
 # iso_check calls in the same run (47 while the kernel chains ran twice)
 CATALOG_ISO_CALLS = 39
