@@ -159,7 +159,7 @@ def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
     zi = {x: i for i, x in enumerate(zl)}
     shifts = [tuple([zi[tab.mul(x, z)] for x in zl]) for z in G._ixgens(Z)]
     auts = [tuple([zi[tab.conj(x, g)] for x in zl]) for g in G._gl()]
-    sd = SmallGroup.generate(shifts + auts, name=f"{Z.name} x| aut")
+    sd = SmallGroup.generate(shifts + auts)
     # the translations are regular and the automorphisms fix Z's identity
     if len(sd) != len(zl) * len(SmallGroup.generate(auts)):
         raise AssertionError("semidirect product has the wrong order")

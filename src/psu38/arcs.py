@@ -153,7 +153,7 @@ def arc_stabilizer(graph: CosetGraph, arc, group: str) -> SmallGroup:
     arc[0] that fix the other arc vertices."""
     keys = graph.stabilizer_key_rows([int(arc[0])], group)[0]
     fixed = graph.fixes(keys, arc[1:])
-    return graph.group_from_keys(keys[fixed.all(axis=0)], f"{group}_arc")
+    return graph.group_from_keys(keys[fixed.all(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +177,11 @@ class KernelData:
 
     def __init__(self, graph: CosetGraph, v: int, group: str):
         self.v = v
-        self.group = group
         pts, radii = ball(graph, v, KERNEL_RADIUS)
         # images of the ball under each element of the stabilizer, along
         # the closure tree that SmallGroup.generate built; int32 as perm
         self.stab = S = graph.vertex_stabilizer(v, group)
-        gperm = [graph.perm(g) for g in S.gens]
+        gperm = [graph.perm(g) for g in S.gens_list()]
         T = np.empty((len(S), len(pts)), dtype=np.int32)
         T[0] = pts
         for i in range(1, len(S)):
@@ -201,8 +200,7 @@ class KernelData:
 
     def kernel(self, i: int) -> SmallGroup:
         idx = self.stab.idx
-        return self.stab._sub([idx[j] for j in np.where(self.first_moved > i)[0]],
-                              name=f"{self.group}_z{self.v}^[{i}]")
+        return self.stab._sub([idx[j] for j in np.where(self.first_moved > i)[0]])
 
     @functools.cached_property
     def o3(self) -> SmallGroup:
@@ -223,8 +221,7 @@ class KernelData:
         sub = self.nbr_images[:, np.argsort(self.nbr_pts)]
         ident = tuple(range(len(nbrs)))
         images = [tuple(pos[x] for x in row) for row in sub.tolist()]
-        induced = SmallGroup.generate([ident] + [images[S.idx.index(g)] for g in S._gl()],
-                                      name=f"{self.group}_z{self.v}^D(z)")
+        induced = SmallGroup.generate([ident] + [images[S.idx.index(g)] for g in S._gl()])
         kern = S._sub([i for i, im in zip(S.idx, images) if im == ident])
         return induced, kern
 

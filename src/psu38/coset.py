@@ -278,13 +278,13 @@ class CosetGraph:
             member[sel] = ks[pos] == conj[sel]
         return member
 
-    def group_from_keys(self, keys, name: str = "") -> SmallGroup:
+    def group_from_keys(self, keys) -> SmallGroup:
         """The subgroup of K1 or K2 (the first whose table holds them all;
         ValueError if neither does) on these packed keys, which must be
         closed under products."""
         K = self.ng.ambient(keys)
         pos = K.tab.pos
-        return K._sub([pos[int(k)] for k in keys], name)
+        return K._sub([pos[int(k)] for k in keys])
 
     def base_stabilizer(self, side: int, group: str = "K") -> SmallGroup:
         """The generated group K1, K2, H1 or H2 that fixes the base vertex
@@ -686,29 +686,39 @@ def sparse6_bytes(n: int, edges) -> bytes:
     x = the smaller end: b = 0 stays at the current v, b = 1 moves to v+1,
     and a longer jump first sends (1, v) to set the current vertex.  The
     bits are one uint8 row per pair, b then x's k bits, filled one shift
-    at a time, and then the padding.
+    at a time through one reused temporary, and then the padding.  The
+    index arrays are freed once used.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     lo, hi = e.min(axis=1), e.max(axis=1)
     order = np.lexsort((lo, hi))
     lo, hi = lo[order], hi[order]
+    del order
     k = max(1, (n - 1).bit_length())
-    prev = np.concatenate([[0], hi[:-1]])
-    jump = hi > prev + 1
-    # per edge: an optional (1, hi) jump row, then its (hi == prev + 1, lo)
-    # row at `at`; b is 1 where not set, as is the padding
-    at = np.cumsum(jump) + np.arange(len(hi))
+    cur = int(hi[-1]) if len(hi) else 0
+    # one past the previous edge's larger end (1 before the first edge)
+    nxt = np.concatenate([[0], hi[:-1]])
+    nxt += 1
+    jump = hi > nxt
+    # per edge: an optional (1, hi) jump row, then its (hi == nxt, lo) row
+    # at `at`; b is 1 where not set, as is the padding
+    at = np.cumsum(jump)
+    at += np.arange(len(hi))
     pairs = len(hi) + int(np.count_nonzero(jump))
     pad = -pairs * (k + 1) % 6
     bits = np.ones(pairs * (k + 1) + pad, dtype=np.uint8)
     rows = bits[:pairs * (k + 1)].reshape(pairs, k + 1)
-    rows[at, 0] = hi == prev + 1
+    rows[at, 0] = hi == nxt
+    del nxt
     x = np.empty(pairs, dtype=np.int64)
     x[at] = lo
     x[at[jump] - 1] = hi[jump]
+    del at, hi, jump, lo
+    t = np.empty_like(x)
     for c in range(1, k + 1):
-        rows[:, c] = (x >> (k - c)) & 1
-    cur = int(hi[-1]) if len(hi) else 0
+        np.right_shift(x, k - c, out=t)
+        t &= 1
+        rows[:, c] = t
     if k < 6 and n == 1 << k and cur == n - 2 and pad > k:
         # plain 1-padding would read as a loop at n-1
         bits[-pad] = 0

@@ -32,10 +32,10 @@ on right cosets, _coset_index), direct products (permutations of a
 disjoint union of points), the holomorph and induced actions are tables
 of permutations of at most 108 points, each element its image tuple:
 (p[0], p[1], ...), where p*q applies p first, then q.  Element objects
-appear only at the boundary: elems, gens, eset and the arguments and
-results of the public methods, where an element is looked up by its key.
-Two groups in different tables are compared through their elements' keys
-(PElement keys, image tuples).
+appear only at the boundary: elems, eset, gens_list(), the elements that
+generate(), subgroup() and the other public methods take, and `in`, where
+an element is looked up by its key.  Two groups in different tables are
+compared through their elements' keys (PElement keys, image tuples).
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ from .psu import IDENTITY, PElement, pgenerators
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Generated subgroup is larger than the configured cap."""
+    """A closure reached its cap of elements."""
+
+
+# the most elements a new table may hold (_new_table)
+CLOSURE_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +299,15 @@ def _key_products(ops, g: int):
     return lambda xs: ops.bpkeys(*ops.bsmul(*bunpack(xs), gm, gt)).tolist()
 
 
-def _new_table(gens, cap=None) -> Table:
+def _new_table(gens) -> Table:
     """The table of the group that the plain PElements or image tuples
     gens generate, closed on ints and tuples: a PElement's packed key, a
-    permutation's images."""
+    permutation's images.  More than CLOSURE_CAP elements raise
+    ClosureCapExceeded."""
     if isinstance(gens[0], tuple):
-        return Table(*_close(gens, tuple(range(len(gens[0]))), cap, _compose))
+        return Table(*_close(gens, tuple(range(len(gens[0]))), CLOSURE_CAP, _compose))
     ops = gens[0].ops
-    keys, parent, genidx, right = _close([g.key for g in gens], IDENTITY, cap,
+    keys, parent, genidx, right = _close([g.key for g in gens], IDENTITY, CLOSURE_CAP,
                                          lambda g: _key_products(ops, g))
     return Table([PElement(ops, k) for k in keys], parent, genidx, right)
 
@@ -311,26 +316,25 @@ def _new_table(gens, cap=None) -> Table:
 
 
 class SmallGroup:
-    """An explicitly enumerated group: a set of indices in one ambient
-    Table.
+    """An explicitly enumerated group: its table, its indices in that
+    Table and, when it was generated, its closure tree.
 
     idx lists the indices in element order, the identity (index 0) first:
     closure discovery order when built by generate() or generated(), else
     ascending (table order, as _sub cuts it).  When built by either,
     `parent` and `genidx` record the closure tree of _close (elems[i] =
-    elems[parent[i]] * gens[genidx[i]]), which downstream code uses to
-    evaluate vertex actions incrementally.  Caches (orders, classes,
+    elems[parent[i]] * gens_list()[genidx[i]]), which downstream code uses
+    to evaluate vertex actions incrementally.  Caches (orders, classes,
     invariants) are keyed by indices.
     """
 
-    def __init__(self, tab: Table, idx, gens=(), parent=None, genidx=None, name=""):
+    def __init__(self, tab: Table, idx, gens=(), parent=None, genidx=None):
         self.tab = tab
         self.idx = idx if type(idx) is list else list(idx)
         self._iset: frozenset | None = None
         self._gens = list(gens)
         self.parent = parent
         self.genidx = genidx
-        self.name = name
         self._elems: list | None = None
         self._eset: frozenset | None = None
         self._handles: frozenset | None = None
@@ -345,19 +349,20 @@ class SmallGroup:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def generate(gens, cap: int = 2_000_000, name: str = "") -> "SmallGroup":
+    def generate(gens) -> "SmallGroup":
         """The group that the PElements or image tuples gens generate, as
-        a new table, with its closure tree: the one way a table is made.  A
-        subgroup of a group that has a table already is generated on that
-        group (generated) or cut from it (_sub, subgroup)."""
+        a new table (of at most CLOSURE_CAP elements), with its closure
+        tree over gens: the one way a table is made.  A subgroup of a group
+        that has a table already is generated on that group (generated) or
+        cut from it (_sub, subgroup)."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        tab = _new_table(gens, cap=cap)
+        tab = _new_table(gens)
         return SmallGroup(tab, range(tab.n), [tab.at(g) for g in gens],
-                          tab.parent, tab.genidx, name)
+                          tab.parent, tab.genidx)
 
-    def generated(self, xs, name: str = "") -> "SmallGroup":
+    def generated(self, xs) -> "SmallGroup":
         """The subgroup that the elements xs of this group's table
         generate, with its closure tree: idx in discovery order, and
         parent/genidx/gens over xs as generate() records them.  ValueError
@@ -365,17 +370,17 @@ class SmallGroup:
         tab = self.tab
         ig = [tab.at(x) for x in xs]
         elems, parent, genidx, _ = _close(ig, 0, None, tab.by)
-        return SmallGroup(tab, elems, ig, parent, genidx, name)
+        return SmallGroup(tab, elems, ig, parent, genidx)
 
-    def _sub(self, idx, name: str = "") -> "SmallGroup":
+    def _sub(self, idx) -> "SmallGroup":
         """The group on these indices of the table (a closed set), in
         table order: the identity, index 0, first.  Generators are found
         on first use."""
-        return SmallGroup(self.tab, sorted(set(idx)), name=name)
+        return SmallGroup(self.tab, sorted(set(idx)))
 
-    def subgroup(self, elements, name: str = "") -> "SmallGroup":
+    def subgroup(self, elements) -> "SmallGroup":
         """Subgroup from an explicit (closed) element subset."""
-        return self._sub(map(self.tab.at, elements), name)
+        return self._sub(map(self.tab.at, elements))
 
     @property
     def iset(self) -> frozenset:
@@ -397,10 +402,6 @@ class SmallGroup:
         if self._eset is None:
             self._eset = frozenset(self.elems)
         return self._eset
-
-    @property
-    def gens(self) -> list:
-        return [self.tab.elems[i] for i in self._gens]
 
     @property
     def identity(self):
@@ -432,26 +433,16 @@ class SmallGroup:
 
     # -- basics -----------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return len(self.idx)
-
     def __len__(self):
         return len(self.idx)
 
     def __contains__(self, x) -> bool:
         return self.tab.find(x) in self.iset
 
-    def __iter__(self):
-        return iter(self.elems)
-
     def __le__(self, other: "SmallGroup") -> bool:
         if other.tab is self.tab:
             return self.iset <= other.iset
         return self.handles() <= other.handles()
-
-    def element_order(self, x) -> int:
-        return self.tab.order(self.tab.at(x))
 
     def exponent(self) -> int:
         e = 1
@@ -467,10 +458,10 @@ class SmallGroup:
         return self._gens
 
     def gens_list(self) -> list:
+        """The generators as elements: for a group from generate() or
+        generated(), the ones its closure tree is over (genidx indexes
+        them), else the greedy _generating_set, found on first use."""
         return [self.tab.elems[i] for i in self._gl()]
-
-    def generating_set(self) -> list:
-        return [self.tab.elems[i] for i in self._generating_set()]
 
     def _generating_set(self) -> list:
         """Small deterministic generating set: greedy over elements by
@@ -531,9 +522,7 @@ class SmallGroup:
     # -- structural subgroups -------------------------------------------
 
     def center(self) -> "SmallGroup":
-        z = self._centralizer(self._gl())
-        z.name = f"Z({self.name})" if self.name else ""
-        return z
+        return self._centralizer(self._gl())
 
     def centralizer(self, xs) -> "SmallGroup":
         return self._centralizer([self.tab.at(x) for x in xs])
@@ -600,11 +589,11 @@ class SmallGroup:
         mine = {pos.get(keys[i]) for i in other.idx}
         return self._sub(self.iset & mine)
 
-    def conjugate(self, g, name: str = "") -> "SmallGroup":
+    def conjugate(self, g) -> "SmallGroup":
         """G^g for an element g of the table; ValueError for any other."""
         tab = self.tab
         f = tab.conj_of(tab.at(g))
-        c = self._sub(map(f, self.idx), name)
+        c = self._sub(map(f, self.idx))
         c._gens = list(map(f, self._gens))
         return c
 
@@ -685,10 +674,6 @@ class SmallGroup:
             self._classes, self._class_of = classes, which
         return self._classes
 
-    def conj_classes(self) -> list[frozenset]:
-        els = self.tab.elems
-        return [frozenset([els[i] for i in c]) for c in self._class_lists()]
-
     def _class_labels(self) -> dict:
         """Index -> (order, class size); cached."""
         if self._labels is None:
@@ -701,11 +686,6 @@ class SmallGroup:
                     lab[x] = t
             self._labels = lab
         return self._labels
-
-    def conj_class_invariants(self) -> dict:
-        """Map element -> (order, class size)."""
-        els = self.tab.elems
-        return {els[i]: t for i, t in self._class_labels().items()}
 
     # -- quotient ---------------------------------------------------------
 
@@ -740,8 +720,7 @@ class SmallGroup:
         for g in self._gl():
             f = self.tab.right_of(g)
             perms.append(tuple([coset[f(r)] for r in reps]))
-        q = SmallGroup.generate(
-            perms, name=f"{self.name}/{N.name}" if self.name and N.name else "")
+        q = SmallGroup.generate(perms)
         if len(q) * len(N) != len(self.idx):
             raise AssertionError(f"|G/N| = {len(q)} is not |G|/|N|")
         return q
@@ -963,23 +942,22 @@ def _cycle(n: int) -> tuple:
 
 
 def sym_group(n: int) -> SmallGroup:
-    return SmallGroup.generate([_cycle(n), (1, 0) + tuple(range(2, n))],
-                               name=f"Sym({n})")
+    return SmallGroup.generate([_cycle(n), (1, 0) + tuple(range(2, n))])
 
 
 def cyclic_group(n: int) -> SmallGroup:
-    return SmallGroup.generate([_cycle(n)], name=f"C{n}")
+    return SmallGroup.generate([_cycle(n)])
 
 
 def dihedral_18() -> SmallGroup:
     s = tuple((-i) % 9 for i in range(9))
-    return SmallGroup.generate([_cycle(9), s], name="Dih(18)")
+    return SmallGroup.generate([_cycle(9), s])
 
 
 def agl1_group() -> SmallGroup:
     """AGL_1(3): affine maps x -> ax + b on GF(3), as perms of 3 points,
     generated by x + 1 and 2x."""
-    return SmallGroup.generate([_cycle(3), (0, 2, 1)], name="AGL1(3)")
+    return SmallGroup.generate([_cycle(3), (0, 2, 1)])
 
 
 def _affine_perm(a, b, c, d, e, f, idx, pts) -> tuple:
@@ -999,19 +977,16 @@ def affine_refs() -> dict[str, SmallGroup]:
     # GL_2(3) is generated by a transvection and the swap of coordinates
     u = _affine_perm(1, 1, 0, 1, 0, 0, idx, pts)
     w = _affine_perm(0, 1, 1, 0, 0, 0, idx, pts)
-    agl = SmallGroup.generate([t1, t2, u, w], name="AGL2(3)")
-    gl = agl.generated([u, w], name="GL2(3)")
-    v = agl.generated([t1, t2], name="V")
-    syl3 = agl.generated([t1, t2, u], name="S")
+    agl = SmallGroup.generate([t1, t2, u, w])
+    gl = agl.generated([u, w])
+    v = agl.generated([t1, t2])
+    syl3 = agl.generated([t1, t2, u])
 
     v0 = v.centralizer(syl3.gens_list())
-    v0.name = "V0"
     if v0.iset != syl3.center().iset:
         raise AssertionError("C_V(S) is not Z(S)")
 
     agl_s = agl.normalizer(syl3)
-    agl_s.name = "AGL2(3,S)"
-
     sharp, star = _index2_variants(agl_s, syl3, v, v0)
     return {"AGL23": agl, "GL23": gl, "S_syl3": syl3, "V": v, "V0": v0,
             "AGL23S": agl_s, "AGL23S_sharp": sharp, "AGL23S_star": star}
@@ -1058,16 +1033,13 @@ def _index2_variants(agl_s, syl3, v, v0):
             star = X
     if sharp is None or star is None or sharp.iset == star.iset:
         raise AssertionError("no two distinct sharp and star subgroups")
-    sharp.name = "AGL2(3,S)#"
-    star.name = "AGL2(3,S)*"
     return sharp, star
 
 
 def sp2_group() -> SmallGroup:
     """The extraspecial group of order 27 and exponent 9, as the affine
     maps x -> 4^j x + i of Z9, generated by x + 1 and 4x."""
-    g = SmallGroup.generate([_cycle(9), tuple(4 * x % 9 for x in range(9))],
-                            name="SP2")
+    g = SmallGroup.generate([_cycle(9), tuple(4 * x % 9 for x in range(9))])
     if not (len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3)):
         raise AssertionError("SP2 is not extraspecial of order 27 and exponent 9")
     return g
@@ -1077,9 +1049,7 @@ def pgl23_group(gl: SmallGroup) -> SmallGroup:
     z = gl.center()
     if len(z) != 2:
         raise AssertionError(f"Z(GL2(3)) has order {len(z)}, not 2")
-    q = gl.quotient(z)
-    q.name = "PGL2(3)"
-    return q
+    return gl.quotient(z)
 
 
 def reference_groups() -> dict[str, SmallGroup]:
@@ -1148,9 +1118,9 @@ class NamedGroups:
     K12: SmallGroup
     Lambda: list[SmallGroup] = dfield(default_factory=list)
 
-    def h_part(self, G: SmallGroup, name: str = "") -> SmallGroup:
+    def h_part(self, G: SmallGroup) -> SmallGroup:
         """Intersection with H = PSU_3(8) . <sigma^3>: twist in {0, 3}."""
-        return G.subgroup([x for x in G.elems if x.twist in (0, 3)], name=name)
+        return G.subgroup([x for x in G.elems if x.twist in (0, 3)])
 
     def ambient(self, keys) -> SmallGroup:
         """The first of K1, K2 whose table holds all these packed keys;
@@ -1170,20 +1140,18 @@ def named_groups(field: GF64) -> NamedGroups:
     p = pgenerators(field)
     A, B, C, D, E, F = p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]
     s2, s3 = p["sigma2"], p["sigma3"]
-    K1 = SmallGroup.generate([A, B, C, D, s3, s2], name="K1")
-    K2 = SmallGroup.generate([A, B, C, E, F, s3, s2], name="K2")
-    Q1 = K1.generated([A, B], "Q1")
-    Q2 = K1.generated([A, B, C], "Q2")
-    Qstar = K1.generated([B, C], "Q*")
-    S = K2.generated([E, F, s3], "S")
-    H1 = K1.generated([A, B, C, D, s3], "H1")
-    H2 = K2.generated([A, B, C, E, F, s3], "H2")
-    Qh1 = K1.generated([A, B, s2], "Qh1")
-    Qh2 = K2.generated([A, B, C, s2], "Qh2")
+    K1 = SmallGroup.generate([A, B, C, D, s3, s2])
+    K2 = SmallGroup.generate([A, B, C, E, F, s3, s2])
+    Q1 = K1.generated([A, B])
+    Q2 = K1.generated([A, B, C])
+    Qstar = K1.generated([B, C])
+    S = K2.generated([E, F, s3])
+    H1 = K1.generated([A, B, C, D, s3])
+    H2 = K2.generated([A, B, C, E, F, s3])
+    Qh1 = K1.generated([A, B, s2])
+    Qh2 = K2.generated([A, B, C, s2])
     H12 = H1.intersect(H2)
-    H12.name = "H12"
     K12 = K1.intersect(K2)
-    K12.name = "K12"
     ng = NamedGroups(field, p, Q1, Q2, Qstar, S, H1, H2, Qh1, Qh2, K1, K2, H12, K12)
     ng.Lambda = _lambda_subgroups(Q2, Qstar)
     return ng

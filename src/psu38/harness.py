@@ -200,7 +200,7 @@ class VerifyContext:
         """
         def run():
             g = self.graph
-            gens = [x for side in (1, 2) for x in g.base_stabilizer(side, group).gens]
+            gens = [x for side in (1, 2) for x in g.base_stabilizer(side, group).gens_list()]
             return (all(self.is_automorphism(x) for x in dict.fromkeys(gens))
                     and self.connected()
                     and all(arc_orbits(g, v, 1, group)["transitive"]
@@ -238,7 +238,7 @@ class Claim:
 def _gen_closure(ng, K: SmallGroup, names) -> SmallGroup:
     """The subgroup of K (K1 or K2) that the named elements generate;
     ValueError if K's table lacks one of them."""
-    return K.generated([ng.p[n] for n in names], name="<" + ",".join(names) + ">")
+    return K.generated([ng.p[n] for n in names])
 
 
 def build_claims() -> list[Claim]:
@@ -473,7 +473,7 @@ def build_claims() -> list[Claim]:
                  "quotient_iso": iso_check(q, refs["C2xAGL13"]),
                  "split": comp is not None,
                  "complement_order": len(comp) if comp is not None else None}
-            key = f"{G.name}/Z({N.name})_iso_AGL23S"
+            key = f"{g}/Z({n})_iso_AGL23S"
             d[key] = iso_check(G.quotient(G.subgroup(N.center().eset)), refs["AGL23S"])
             return d["order"] == order and d["normal"] and d["quotient_iso"] and d[key], d
         return body
@@ -888,7 +888,7 @@ def _kernel_claim(ctx, group: str, side: int):
 
     # proof-level witnesses: the kernel is the named p-group extended by
     # the expected involution
-    ext = stab.generated(named.gens + [ng.p["F" if side == 1 else "Fsigma3"]])
+    ext = stab.generated(named.gens_list() + [ng.p["F" if side == 1 else "Fsigma3"]])
     d["k1_matches_named_extension"] = ext.eset == k1.eset
     ok = ok and d["k1_matches_named_extension"]
     return ok, d
@@ -987,13 +987,20 @@ def run_claims(ctx: VerifyContext, group: str = "both",
                         "groups": list(c.groups), "verdict": verdict,
                         "witness": _plain(witness), "seconds": dt})
         ctx._log(f"[{verdict.upper():4s}] {c.id} ({dt:.2f}s)")
-    rel = ctx.relations
+    # a relations stage that raised leaves the conventions unresolved: the
+    # report is still written, with overall false
+    try:
+        rel = ctx.relations
+        conventions = rel.commutator_convention, rel.conjugation_convention
+    except Exception:
+        conventions = "unresolved", "unresolved"
+        overall = False
     report = {
         "version": __version__,
         "environment": {
             "modulus": ctx.modulus,
-            "commutator_convention": rel.commutator_convention,
-            "conjugation_convention": rel.conjugation_convention,
+            "commutator_convention": conventions[0],
+            "conjugation_convention": conventions[1],
             "coset_convention": "vertices are cosets {k.g}; the group acts "
                                 "by right multiplication",
             "numpy": np.__version__,
@@ -1154,6 +1161,9 @@ def main(argv=None) -> int:
     except OSError as e:  # a path that cannot be read or written
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as e:  # a crash in a stage is no mathematical failure
+        print(f"error: {e!r}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_CONFIG
 
 

@@ -53,13 +53,27 @@ def boxed(x, tab=None):
     return x
 
 
-def from_set(elements, name: str = "") -> SmallGroup:
+def from_set(elements) -> SmallGroup:
     """The group on a closed set of image tuples or PElements, as the
     retired SmallGroup.from_set made it: a new table closed on the whole
     set in sorted order, its elements in table order and no generators
     until they are asked for."""
-    G = SmallGroup.generate(sorted(set(elements)), name=name)
-    return G._sub(G.idx, name)
+    G = SmallGroup.generate(sorted(set(elements)))
+    return G._sub(G.idx)
+
+
+def class_sets(G: SmallGroup) -> list[frozenset]:
+    """G's conjugacy classes as sets of elements, in the engine's order
+    (by least index): its _class_lists at the boundary."""
+    els = G.tab.elems
+    return [frozenset([els[i] for i in c]) for c in G._class_lists()]
+
+
+def class_labels(G: SmallGroup) -> dict:
+    """Element -> (order, class size): G's _class_labels at the
+    boundary."""
+    els = G.tab.elems
+    return {els[i]: t for i, t in G._class_labels().items()}
 
 
 def affine_maps() -> dict[str, set]:
@@ -531,15 +545,15 @@ def rep_element(graph, v: int) -> PElement:
     return PElement(graph.ops, int(graph.reps[graph.side_of(v)][graph.local_id(v)]))
 
 
-def group_from_keys(graph, keys, name: str = "") -> SmallGroup:
+def group_from_keys(graph, keys) -> SmallGroup:
     """graph.group_from_keys, and the group on plain PElements where
     neither K1 nor K2 holds the keys (the stabilizer of a non-base
     vertex)."""
     try:
-        return graph.group_from_keys(keys, name)
+        return graph.group_from_keys(keys)
     except ValueError:
         pass
-    return from_set([PElement(graph.ops, int(k)) for k in keys], name)
+    return from_set([PElement(graph.ops, int(k)) for k in keys])
 
 
 def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
@@ -547,7 +561,7 @@ def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
     base vertex, else the group on its stabilizer_key_rows."""
     if graph.local_id(v) == 0:
         return graph.vertex_stabilizer(v, group)
-    return group_from_keys(graph, graph.stabilizer_key_rows([v], group)[0], f"{group}_v{v}")
+    return group_from_keys(graph, graph.stabilizer_key_rows([v], group)[0])
 
 
 def vertex_keys(graph, side: int, lids=None) -> np.ndarray:
@@ -986,7 +1000,7 @@ def kernel_radii_by_full_table(graph, v: int, group: str = "K") -> tuple[np.ndar
     on the order of ball's columns."""
     pts, radii = ball(graph, v, KERNEL_RADIUS)
     S = graph.vertex_stabilizer(v, group)
-    gperm = [graph.perm(g) for g in S.gens]
+    gperm = [graph.perm(g) for g in S.gens_list()]
     T = np.empty((len(S.elems), len(pts)), dtype=np.int64)
     T[0] = pts
     for i in range(1, len(S.elems)):
@@ -1070,19 +1084,19 @@ def perm_product(p: Perm, q: Perm) -> Perm:
     return Perm([q[i] for i in p])
 
 
-def conjugate(G: SmallGroup, g: PElement, name: str = "") -> SmallGroup:
+def conjugate(G: SmallGroup, g: PElement) -> SmallGroup:
     """G^g for any PElement g, in or outside G's table: a group of plain
     PElements in a new table, their keys conjugated in one batch by
     linear_conj_keys, with G's generators conjugated as its generators."""
     ks = np.array([G.tab.keys[i] for i in G.idx + G._gens], dtype=np.uint64)
     ks = linear_conj_keys(g.ops, *bunpack([g.key]), ks, inverse=False)[0].tolist()
     els = [PElement(g.ops, k) for k in ks]
-    c = from_set(els[:len(G)], name)
+    c = from_set(els[:len(G)])
     c._gens = [c.tab.at(x) for x in els[len(G):]]
     return c
 
 
-def order_profile(G: SmallGroup) -> Counter:
+def order_profile(G: "ObjGroup") -> Counter:
     """How many elements of G have each order."""
     return Counter(G.element_order(x) for x in G.elems)
 
@@ -1105,8 +1119,8 @@ def greedy_prefixes(cands, identity):
     return gens, ends, tree
 
 
-def generating_set(G: SmallGroup) -> list:
-    """SmallGroup.generating_set by closing each prefix: greedy over the
+def generating_set(G: "ObjGroup") -> list:
+    """SmallGroup._generating_set by closing each prefix: greedy over the
     elements by decreasing order."""
     if len(G) == 1:
         return [G.identity]
@@ -1117,7 +1131,7 @@ def generating_set(G: SmallGroup) -> list:
     return gens
 
 
-def iso_generators(G1: SmallGroup, G2: SmallGroup):
+def iso_generators(G1: "ObjGroup", G2: "ObjGroup"):
     """The generating sequence of G1 that the isomorphism search onto G2
     takes, with its ends and tree as greedy_prefixes gives them: greedy,
     preferring elements with the fewest candidate images (ties broken in
@@ -1144,7 +1158,7 @@ def iso_map(G1: SmallGroup, G2: SmallGroup):
     return dict(zip(elems, m))
 
 
-def sylow(G: SmallGroup, p: int) -> SmallGroup:
+def sylow(G: "ObjGroup", p: int) -> "ObjGroup":
     """SmallGroup.sylow by closing all of P's generators from scratch at
     each growth step."""
     target = p ** _pval(len(G.elems), p)
@@ -1163,7 +1177,7 @@ def sylow(G: SmallGroup, p: int) -> SmallGroup:
     return P
 
 
-def refined_invariants(G: SmallGroup) -> dict:
+def refined_invariants(G: "ObjGroup") -> dict:
     """Per-element invariant labels: conjugacy class data sharpened by the
     labels of small powers, iterated to a fixed point.  Isomorphisms
     preserve these labels, so they are safe candidate filters.  Not
@@ -1190,7 +1204,7 @@ def refined_invariants(G: SmallGroup) -> dict:
     return inv
 
 
-def iso_search(G1: SmallGroup, G2: SmallGroup):
+def iso_search(G1: "ObjGroup", G2: "ObjGroup"):
     """The isomorphism search of grp.iso_check with no memo and no cached
     invariants, each orbit and centralizer by its own products: None, or
     the isomorphism as a dict."""
@@ -1318,10 +1332,13 @@ class ObjGroup:
     def of(G: SmallGroup) -> "ObjGroup":
         """The same elements, generators and tree as the engine's G, the
         image tuples of a permutation group as Perms and the PElements of
-        a PElement table as its TabElements."""
+        a PElement table as its TabElements.  A group cut by indices,
+        which has no generators yet, gets the oracle's own generating
+        set, not the engine's."""
         def box(x):
             return boxed(x, G.tab)
-        return ObjGroup(map(box, G.elems), map(box, G.gens), box(G.identity),
+        gens = [G.tab.elems[i] for i in G._gens]
+        return ObjGroup(map(box, G.elems), map(box, gens), box(G.identity),
                         G.parent, G.genidx, G.tab.find)
 
     def subgroup(self, elements) -> "ObjGroup":

@@ -432,7 +432,7 @@ def test_edge_orbits_agree_with_the_premises(ctx, graph):
     ng = ctx.ng
     edges = graph.edges.astype(np.int64) + np.array([0, graph.n1])
     for group, G1, G2 in (("H", ng.H1, ng.H2), ("K", ng.K1, ng.K2)):
-        perms = [graph.perm(x) for x in dict.fromkeys(G1.gens + G2.gens)]
+        perms = [graph.perm(x) for x in dict.fromkeys(G1.gens_list() + G2.gens_list())]
         assert orbit_partition_by_row_keys(edges, perms) == [len(edges)]
         assert ctx.edge_orbit_transitive(group) is True
 
@@ -454,7 +454,7 @@ def _edge_transitivity_fails(ctx):
 
 
 def test_edge_transitivity_needs_every_generator_an_automorphism(ctx, monkeypatch):
-    bad = ctx.ng.H2.gens[0].key
+    bad = ctx.ng.H2.gens_list()[0].key
     is_aut = CosetGraph.is_graph_automorphism
     monkeypatch.setattr(CosetGraph, "is_graph_automorphism",
                         lambda self, x: x.key != bad and is_aut(self, x))

@@ -9,13 +9,14 @@ import weakref
 import pytest
 
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
+from psu38 import grp
 from psu38.grp import (ClosureCapExceeded, SmallGroup, direct_product,
                        is_split_extension, iso_check, named_groups)
 from psu38.harness import VerifyContext, run_claims
 from psu38.psu import PElement
 
-from oracles import (ObjGroup, Perm, ProjElement, affine_maps, boxed, close, conjugate,
-                     greedy, greedy_prefixes, iso_map, lambda_subgroups,
+from oracles import (ObjGroup, Perm, ProjElement, affine_maps, boxed, class_sets, close,
+                     conjugate, greedy, greedy_prefixes, iso_map, lambda_subgroups,
                      lambda_subgroups_by_capped_closures, obj, perm_product,
                      sequential_close, table_order)
 
@@ -48,24 +49,31 @@ def test_closure_of_identity(ng):
     assert len(triv) == 1
 
 
-def test_closure_cap(ng, refs):
+def test_closure_cap(ng, refs, monkeypatch):
+    """generate closes at most grp.CLOSURE_CAP elements, as _close does
+    its cap."""
+    monkeypatch.setattr(grp, "CLOSURE_CAP", 100)
     with pytest.raises(ClosureCapExceeded):
-        SmallGroup.generate(ng.K1.gens, cap=100)
+        SmallGroup.generate(ng.K1.gens_list())
     # the cap is the largest order allowed
     for G in (ng.K2, refs["AGL23"]):
         gens = G.gens_list()
         ogens, e = [boxed(x, G.tab) for x in gens], boxed(G.identity, G.tab)
         assert len(close(ogens, e, cap=len(G))[0]) == len(G)
-        assert len(SmallGroup.generate(gens, cap=len(G))) == len(G)
+        monkeypatch.setattr(grp, "CLOSURE_CAP", len(G))
+        assert len(SmallGroup.generate(gens)) == len(G)
         with pytest.raises(ClosureCapExceeded):
             close(ogens, e, cap=len(G) - 1)
+        monkeypatch.setattr(grp, "CLOSURE_CAP", len(G) - 1)
         with pytest.raises(ClosureCapExceeded):
-            SmallGroup.generate(gens, cap=len(G) - 1)
+            SmallGroup.generate(gens)
     # PElements: the closure on packed keys, a bsmul per layer
     gens = ng.K2.gens_list()
-    assert len(SmallGroup.generate(gens, cap=len(ng.K2))) == len(ng.K2)
+    monkeypatch.setattr(grp, "CLOSURE_CAP", len(ng.K2))
+    assert len(SmallGroup.generate(gens)) == len(ng.K2)
+    monkeypatch.setattr(grp, "CLOSURE_CAP", len(ng.K2) - 1)
     with pytest.raises(ClosureCapExceeded):
-        SmallGroup.generate(gens, cap=len(ng.K2) - 1)
+        SmallGroup.generate(gens)
 
 
 def test_lagrange_property(ng):
@@ -100,7 +108,7 @@ def test_structure_predicates(ng, refs):
 
 def class_equation_ok(G: SmallGroup) -> bool:
     """Classes partition G and the singletons are exactly the center."""
-    classes = G.conj_classes()
+    classes = class_sets(G)
     if sum(len(c) for c in classes) != len(G.elems):
         return False
     singles = {next(iter(c)) for c in classes if len(c) == 1}
@@ -127,7 +135,7 @@ def test_p_core_is_normal_and_maximal_among_witnesses(ng):
     # O_3(K2) = <sigma^2, A, B, C, E> of order 243, one step above Qh2
     oc = ng.K2.p_core(3)
     assert ng.K2.is_normal(oc)
-    want = SmallGroup.generate(ng.Qh2.gens + [ng.p["E"]])
+    want = SmallGroup.generate(ng.Qh2.gens_list() + [ng.p["E"]])
     assert oc.eset == want.eset and len(oc) == 243
     # every normal 3-subgroup we can name is inside it
     for W in (ng.Q2, ng.Qstar, ng.Q1, ng.Qh2):
@@ -174,7 +182,7 @@ def test_conjugate_within_the_table(ng, refs):
         C = G.conjugate(g)
         b = boxed(g, G.tab)
         assert C.eset == {b.inv() * boxed(x, G.tab) * b for x in G.elems}
-        assert C.gens == [b.inv() * boxed(x, G.tab) * b for x in gens]
+        assert C.gens_list() == [b.inv() * boxed(x, G.tab) * b for x in gens]
     g = ng.K1.elems[100]
     assert ng.Q2.conjugate(g).eset == conjugate(ng.Q2, g).eset
     outside = next(x for x in ng.K2.elems if x not in ng.K1)
@@ -318,7 +326,7 @@ def test_degree_one_perms_generate_and_quotient(refs):
 
 
 def test_element_orders_equal_the_power_walk(ng, refs):
-    """element_order orders all of <x> from one walk; each order equals
+    """Table.order orders all of <x> from one walk; each order equals
     the length of x's own walk back to the identity."""
     for G in (refs["C3xAGL23"], refs["Dih18xC2"], ng.K12, ng.S):
         # a new table, with no orders known yet
@@ -328,7 +336,7 @@ def test_element_orders_equal_the_power_walk(ng, refs):
             r, o = x, 1
             while r != G.identity:
                 r, o = r * x, o + 1
-            assert G.element_order(x) == o
+            assert G.tab.order(G.tab.at(x)) == o
 
 def test_sp2_model(refs):
     g = refs["SP2"]
@@ -431,7 +439,7 @@ def test_core_and_classes_against_plain_oracles(ng, refs):
     for G in (ng.Q2, ng.S, ng.H12, refs["Sym4"], refs["AGL23S"]):
         els = ObjGroup.of(G).elems
         want = {frozenset(conj(x, g) for g in els) for x in els}
-        got = G.conj_classes()
+        got = class_sets(G)
         assert set(got) == want and len(got) == len(want)
         first = G.tab.find
         assert ([min(c, key=first) for c in got]
@@ -476,7 +484,7 @@ def test_split_extension_known_cases(ng, refs):
     comp = is_split_extension(agl, v)
     assert len(comp) == 48 and len(comp.eset & v.eset) == 1
     c9 = refs["C9"]
-    c3 = c9.subgroup([x for x in c9.elems if c9.element_order(x) in (1, 3)])
+    c3 = c9.subgroup([x for x in c9.elems if c9.tab.order(c9.tab.at(x)) in (1, 3)])
     assert is_split_extension(c9, c3) is None
     # the trivial and the whole group always split, with each other as complement
     triv = agl.subgroup([agl.identity])
@@ -494,7 +502,7 @@ def test_split_extension_four_construction_cases(ng):
 def test_direct_product(refs):
     dp = direct_product(refs["C3"], refs["Sym3"])
     assert len(dp) == 18
-    assert dp.center().order == 3
+    assert len(dp.center()) == 3
 
 
 def test_h_part(ng):
@@ -525,8 +533,10 @@ def test_lambda_subgroups_equal_the_capped_closures(ng, modulus):
 
 
 def test_generating_set_roundtrip(ng):
+    """The greedy generating set (gens_list of a group cut by indices,
+    which has no generators of its own) generates the group."""
     for G in (ng.S, ng.H12, ng.Q2):
-        gens = G.generating_set()
+        gens = G._sub(G.idx).gens_list()
         H = SmallGroup.generate(gens)
         assert H.eset == G.eset
         assert len(gens) <= 6
@@ -548,7 +558,7 @@ def test_generating_set_rejects_an_unclosed_set(refs):
     G = S4.subgroup(S4.elems[:5])
     assert len(G) == 5
     with pytest.raises(AssertionError, match="not closed under multiplication"):
-        G.generating_set()
+        G.gens_list()
 
 
 def _assert_right_table(gens, identity, cap=None):
@@ -602,12 +612,12 @@ def test_generate_over_plain_pelements_is_a_table_group(ng):
     tab = G.tab
     assert [x.key for x in G.elems] == [x.key for x in elems]
     assert (G.parent, G.genidx) == (parent, genidx)
-    assert all(type(x) is PElement for x in G.elems + G.gens)
+    assert all(type(x) is PElement for x in G.elems + G.gens_list())
     assert tab is not ng.K1.tab and tab is not ng.K2.tab
-    assert [x.key for x in G.gens] == [x.key for x in gens]
+    assert [x.key for x in G.gens_list()] == [x.key for x in gens]
     for i, x in zip(G.idx, elems):
         assert tab.keys[tab.inv[i]] == x.inv().key
-        for j, y in zip(G._gens, G.gens):
+        for j, y in zip(G._gens, G.gens_list()):
             assert tab.keys[tab.mul(i, j)] == (x * obj(y)).key
 
 
@@ -721,12 +731,12 @@ def test_named_groups_are_the_pelement_closures_over_table_elements(ng):
         elems, parent, genidx, _ = close(gens, ident)
         assert all(type(x) is ProjElement for x in elems)
         G = getattr(ng, name)
-        ambient = ng.K2 if name in ("S", "H2", "Qh2", "K2") else ng.K1
-        old[name] = ObjGroup(elems, gens, ident, index=where[ambient.name])
-        assert keys(G.elems) == keys(elems) and keys(G.gens) == keys(gens)
+        ambient = "K2" if name in ("S", "H2", "Qh2", "K2") else "K1"
+        old[name] = ObjGroup(elems, gens, ident, index=where[ambient])
+        assert keys(G.elems) == keys(elems) and keys(G.gens_list()) == keys(gens)
         assert G.parent == parent and G.genidx == genidx
-        assert G.tab is ambient.tab
-        assert all(type(x) is PElement for x in G.elems + G.gens)
+        assert G.tab is getattr(ng, ambient).tab
+        assert all(type(x) is PElement for x in G.elems + G.gens_list())
     for name, a, b in (("H12", "H1", "H2"), ("K12", "K1", "K2")):
         assert keys(getattr(ng, name).elems) == keys(old[a].intersect(old[b]).elems)
     lam = lambda_subgroups(old["Q2"], old["Qstar"])

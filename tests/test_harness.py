@@ -349,6 +349,42 @@ def test_a_failed_graph_stage_runs_once(monkeypatch, capsys):
     assert "[ERROR]" in capsys.readouterr().out
 
 
+def test_a_failed_relations_stage_still_writes_the_report(tmp_path, monkeypatch, capsys):
+    """A relations stage that raised is an error, not a failure: the
+    report is written and valid, its two convention fields read
+    "unresolved", overall is false and the exit code is 4."""
+    def failing(field):
+        raise RuntimeError("relations failed")
+    monkeypatch.setattr(harness, "check_relations", failing)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--claims", "FLD,CONV", "--out", str(out)]) == EXIT_ERROR
+    with open(out) as fh:
+        rep = json.load(fh)
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    env = rep["environment"]
+    assert env["commutator_convention"] == env["conjugation_convention"] == "unresolved"
+    assert rep["overall"] is False
+    assert {c["id"]: c["verdict"] for c in rep["claims"]} == {
+        "FLD.1": "pass", "CONV.1": "error"}
+    assert "OVERALL: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", (["build"], ["arcs", "--side", "1", "--s", "2"],
+                                  ["export", "--format", "edge-list", "--out", "e.txt"]))
+def test_a_crash_outside_the_claims_exits_4(tmp_path, monkeypatch, capsys, argv):
+    """An exception that escapes a command (here a graph build that
+    raised) is exit code 4 with one line on stderr, never 1: only a
+    mathematical failure gives 1."""
+    def failing(ng, progress=None):
+        raise AssertionError("build failed")
+    monkeypatch.setattr(harness, "build_graph", failing)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: AssertionError('build failed')\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_exit_code_1_on_claim_failure(monkeypatch, capsys):
     import psu38.harness as hz
 

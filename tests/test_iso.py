@@ -10,8 +10,8 @@ from psu38.grp import direct_product, iso_check, reference_groups
 from psu38.harness import VerifyContext, run_claims
 
 import oracles
-from oracles import (ObjGroup, boxed, greedy_prefixes, iso_generators, iso_map,
-                     iso_search, refined_invariants, table_order)
+from oracles import (ObjGroup, boxed, class_labels, class_sets, greedy_prefixes,
+                     iso_generators, iso_map, iso_search, refined_invariants, table_order)
 
 # grp._close calls in run_claims once the named groups, the reference
 # groups and the graph are loaded.  CATALOG_OBJECT_CLOSES of them close
@@ -171,9 +171,9 @@ def test_cached_invariants_equal_the_uncached_ones(catalog):
     groups = {id(G): G for G1, G2, _ in catalog.calls for G in (G1, G2)}
     for G in groups.values():
         els = G.tab.elems
-        assert G.conj_class_invariants() == {
-            x: (G.element_order(x), len(c)) for c in G.conj_classes() for x in c}
-        assert G.conj_class_invariants() == ObjGroup.of(G).conj_class_invariants()
+        assert class_labels(G) == {
+            x: (G.tab.order(G.tab.at(x)), len(c)) for c in class_sets(G) for x in c}
+        assert class_labels(G) == ObjGroup.of(G).conj_class_invariants()
         inv = refined_invariants(ObjGroup.of(G))
         assert {els[i]: v for i, v in grp._refined_invariants(G).items()} == inv
         by: dict = {}
@@ -282,7 +282,7 @@ def test_non_isomorphic_pairs_stay_false_on_a_memo_hit(searches):
              (refs["Dih18"], direct_product(refs["C3"], refs["Sym3"])),
              (refs["SP2"], direct_product(refs["C3"], refs["C3"], refs["C3"]))]
     for G1, G2 in pairs:
-        assert iso_search(G1, G2) is None
+        assert iso_search(ObjGroup.of(G1), ObjGroup.of(G2)) is None
         assert iso_check(G1, G2) is False
         assert iso_check(G1, G2) is False
         assert iso_map(G1, G2) is None
