@@ -8,23 +8,32 @@ downstream checks rely on.  That stabilizer does not depend on which
 element g of the coset is kept, so a vertex's representative is simply
 the first probe that reached it.
 
-A coset is keyed by its conjugate fingerprint Y^g, where Y = {1, y, y^-1}
-is an order-3 subgroup normal in K_side: Z(K1) on side 1, and on side 2
-the one order-3 subgroup of Z(Qh2) that K2 normalizes.  Y^g is the same
-for every g in the coset, and the key is the least projective key of
-g^-1 y g and its inverse, one uint64 per vertex, kept once: in the sorted
-keys of its side, ids alongside, where probes are binary-searched.  The
-key is exact, and this is checked whenever a graph is built or loaded:
-the keys of each side are pairwise distinct and n_side . |K_side| = |G| =
-33,094,656, so they name each coset of G/K_side once (a key that merged
-two cosets would leave fewer vertices).
+A coset is keyed by a conjugate fingerprint.  Let Y = {1, y, y^-1} be an
+order-3 subgroup normal in K_side: Z(K1) on side 1, and on side 2 the one
+order-3 subgroup of Z(Qh2) that K2 normalizes.  On side 1, y generates
+Z(K1), so (kg)^-1 y (kg) = g^-1 y g for every k in K1: the key of K1.g
+is the projective key of g^-1 y g alone.  On side 2, K2 maps y to y or
+y^-1, so only Y^g is the same for every g in the coset, and the key of
+K2.g is the least projective key of g^-1 y g and of its inverse.  _arm
+checks both: every generator of K1 fixes side 1's y, and every generator
+of K2 maps side 2's y into {y, y^-1}.  Each key is one uint64 per
+vertex, kept once: in the sorted keys of its side, ids alongside, where
+probes are binary-searched.  The key is exact, and this is checked
+whenever a graph is built or loaded: the keys of each side are pairwise
+distinct and n_side . |K_side| = |G| = 33,094,656, so they name each
+coset of G/K_side once (a key that merged two cosets would leave fewer
+vertices).
 
 The BFS runs one layer at a time from the base edge (build_graph).  A
 probe t.r (t in the transversal, r a frontier rep) is keyed as
-r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, and no rep is
-multiplied out: a new vertex's rep key, that of t.r, is 9 lookups in
-fastops.key_tables of c -> t c (fastops.lmul_keys); a loaded graph's
-fingerprints are the same kernel with c = y.  Each layer's fresh keys are
+r^-1 (t^-1 y t) r by fastops.conj_fingerprint_grid, on the tables of the
+t^-1 y t made once per build, with the inverse only when it targets side
+2, and no rep is multiplied out: a new vertex's rep key, that of t.r, is
+9 lookups in fastops.key_tables of c -> t c (fastops.lmul_keys); a loaded
+graph's fingerprints are the same kernel with c = y.  A side-2 vertex
+whose three neighbors have all probed it before its turn makes no probe:
+they are all the neighbors it has, so its probes could find nothing new
+(build_graph gives the proof).  Each layer's fresh keys are
 deduplicated in the key order _resolve searched them in, merged into the
 side's sorted keys, and its new vertices are numbered in the order of
 their first probe (frontier vertex, then transversal element); the
@@ -34,9 +43,10 @@ alone: the four GF(64) moduli give one labelled graph, with
 the base vertices at 0 and n1.
 
 Group elements are handled as packed keys.  The action conjugates each
-vertex's stored fingerprint element (Y^(gx) = x^-1 Y^g x): perm, the whole
-graph under one element, by the table lookups of linear_conj_keys and one
-argsort per side, and image_batch, a few vertices under many elements, by
+vertex's stored fingerprint element ((gx)^-1 y (gx) = x^-1 (g^-1 y g) x),
+keyed as its side keys: perm, the whole graph under one element, by the
+table lookups of linear_conj_keys and one argsort per side, and
+image_batch, a few vertices under many elements, by
 conj_fingerprint_grid.  Every stabilizer question goes through one batched
 pair: stabilizer_key_rows conjugates K_side's sorted keys (kkeys) by the
 rep of each vertex of a batch, and fixes tells which keys fix given
@@ -55,8 +65,10 @@ the edges come out ascending with no sort of the whole edge set.  The
 CSR comes from the ascending edges: the side-1 rows are the side-2 ends as
 they stand, and the side-2 rows one sorted int64 key per edge
 (_build_csr).  perm's table lookups run KEY_CHUNK rows at a time
-(linear_conj_keys), and is_graph_automorphism sorts one image key per
-edge and compares it with the stored edges KEY_CHUNK at a time.
+(linear_conj_keys).  is_graph_automorphism is the one exception: it holds
+two (n1, 4) int32 arrays, the images of the CSR's side-1 rows, each
+ordered by a sorting network on its four columns with no sort, and the
+rows they must equal.
 
 Every command of the pipeline builds its graph; none reads or writes a
 graph file.  save_cache and load_cache remain only for the file round
@@ -76,8 +88,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, key_tables,
-                      linear_conj_keys, lmul_keys, unique_sorted)
+from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, grid_tables,
+                      key_tables, linear_conj_keys, lmul_keys, unique_sorted)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
 from .psu import IDENTITY, PElement
@@ -168,15 +180,17 @@ class CosetGraph:
         array of shape (len(gids), len(keys)): entry (i, j) is the vertex
         K.(g x) of K.g = gids[i] and x the element of packed key keys[j].
         The image is keyed by x^-1 c x, c the element that the vertex's
-        fingerprint key packs: one conj_fingerprint_grid call per vertex,
-        the elements as its r and c alone, resolved on the vertex's side."""
-        xm, xt = bunpack(np.asarray(keys, dtype=np.uint64).reshape(-1))
+        fingerprint key packs, as the vertex's side keys (with the inverse
+        on side 2 only): one conj_fingerprint_grid call per vertex, the
+        packed elements as its r and c alone, resolved on the vertex's
+        side."""
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
         gids = self._vertex_ids(gids)
-        out = np.empty((len(gids), len(xt)), dtype=np.int64)
+        out = np.empty((len(gids), len(keys)), dtype=np.int64)
         for i, g in enumerate(map(int, gids)):
             side, off = (1, 0) if g < self.n1 else (2, self.n1)
-            c = bunpack(self.skeys[side][self.sids[side] == g - off])
-            ids = self._resolve(side, conj_fingerprint_grid(self.ops, xm, xt, *c))
+            c = grid_tables(self.ops, *bunpack(self.skeys[side][self.sids[side] == g - off]))
+            ids = self._resolve(side, conj_fingerprint_grid(self.ops, keys, c, side == 2))
             if (ids < 0).any():
                 raise AssertionError("action image is not a known vertex")
             out[i] = ids + off
@@ -188,16 +202,17 @@ class CosetGraph:
     def perm(self, x: PElement) -> np.ndarray:
         """Full vertex permutation of one group element, as int32 (cached).
         The image keys are those image_batch computes, by the table lookups
-        of linear_conj_keys on each side's sorted fingerprint elements, and
-        one argsort resolves a side: sorted, they must be the side's keys
-        (else an image is not a known vertex, or two collide: raises), and
-        the vertex of the k-th least image key maps to the k-th vertex."""
+        of linear_conj_keys on each side's sorted fingerprint elements (the
+        inverse columns on side 2 only), and one argsort resolves a side:
+        sorted, they must be the side's keys (else an image is not a known
+        vertex, or two collide: raises), and the vertex of the k-th least
+        image key maps to the k-th vertex."""
         p = self._perm_cache.get(x.key)
         if p is None:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
             p = np.empty(self.nv, dtype=np.int32)
             for side, off in ((1, 0), (2, self.n1)):
-                keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side])[0]
+                keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side], side == 2)[0]
                 order = np.argsort(keys)
                 if not np.array_equal(keys[order], self.skeys[side]):
                     raise AssertionError("action image is not a known vertex")
@@ -206,32 +221,29 @@ class CosetGraph:
         return p
 
     def is_graph_automorphism(self, x: PElement) -> bool:
-        """Whether perm(x) maps the edge set onto itself.  perm(x) must
-        keep each side; then edge (u, v) goes to the key p[u].nv + p[v],
-        and the sorted image keys must equal the stored u.nv + v, which are
-        ascending (builds make them so and load_cache requires it).  Equal
-        key lists make perm(x) a bijection: a vertex z with m preimages,
-        all on z's side, would meet m times its side's degree of image
-        edges, and every side-1 vertex has degree 4 and every side-2
-        vertex degree 3 (_assert_base_edge).  The image keys are the only
-        whole-edge array; they are made and compared KEY_CHUNK edges at a
-        time."""
+        """Whether perm(x) maps the edge set onto itself.  p = perm(x) must
+        be a bijection of each side: every image in its vertex's side, and
+        every vertex an image.  Then p is an automorphism exactly when it
+        maps the side-2 ends of each side-1 vertex u onto those of p[u]:
+        every edge (u, v) then goes to an edge, p is injective on edges,
+        and there are as many image edges as edges.  The side-1 rows of
+        the CSR are those ends, 4 ascending per vertex; each row of
+        images is put in order by a 5-comparator sorting network on its
+        four columns, with no sort, and compared with the row of p[u]."""
         p = self.perm(x)
-        n1, nv = np.int64(self.n1), np.int64(self.nv)
+        n1, nv = self.n1, self.nv
         p1, p2 = p[:n1], p[n1:]
         if p1.min() < 0 or p1.max() >= n1 or p2.min() < n1 or p2.max() >= nv:
             return False
-        key = np.empty(len(self.edges), dtype=np.int64)
-        for lo in range(0, len(key), KEY_CHUNK):
-            u, v = self.edges[lo:lo + KEY_CHUNK].T
-            np.multiply(p1[u], nv, out=key[lo:lo + KEY_CHUNK])
-            key[lo:lo + KEY_CHUNK] += p2[v]
-        key.sort()
-        for lo in range(0, len(key), KEY_CHUNK):
-            u, v = self.edges[lo:lo + KEY_CHUNK].T
-            if not np.array_equal(u * nv + (v + n1), key[lo:lo + KEY_CHUNK]):
-                return False
-        return True
+        if (np.bincount(p, minlength=nv) != 1).any():
+            return False
+        rows = self.indices[:len(self.edges)].reshape(n1, 4)
+        img = np.take(p, rows.T)  # (4, n1): column c of every row of images
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+            lo = np.minimum(img[i], img[j])
+            np.maximum(img[i], img[j], out=img[j])
+            img[i] = lo
+        return bool(np.array_equal(img, np.take(rows, p1, axis=0).T))
 
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Global ids of the side-1 and side-2 end of each edge, int64."""
@@ -311,9 +323,11 @@ class CosetGraph:
 
     # -- vertex keys -------------------------------------------------------
 
-    def _keys(self, side: int, pm, pt) -> np.ndarray:
-        """Fingerprint key of the coset K_side.g of each element g."""
-        return conj_fingerprint_grid(self.ops, pm, pt, *self.ysets[side])
+    def _keys(self, side: int, gkeys) -> np.ndarray:
+        """Fingerprint key of the coset K_side.g of each element g packed
+        in gkeys."""
+        return conj_fingerprint_grid(self.ops, gkeys, grid_tables(self.ops, *self.ysets[side]),
+                                     side == 2)
 
     def _resolve(self, side: int, keys: np.ndarray, misses: bool = False):
         """Vertex id of each fingerprint key (-1 when the coset is not a
@@ -349,7 +363,8 @@ class CosetGraph:
         self.skeys[side], self.sids[side] = skeys, sids
 
     def _check_keys(self) -> None:
-        """The proof that the fingerprint key is exact: on each side the
+        """The proof that the fingerprint key is exact: it is a function
+        of the coset (_arm checks what makes it one), and on each side the
         keys are pairwise distinct, so the vertices are distinct cosets,
         and there are |G|/|K_side| of them, so they are all the cosets."""
         for side, K in ((1, self.ng.K1), (2, self.ng.K2)):
@@ -391,13 +406,17 @@ def _arm(graph: CosetGraph) -> None:
     # subgroup of Z(Qh2) (order 9) that every generator of K2 maps to
     # itself, found as the y with y^k in {y, y^-1} for each generator k,
     # on the indices of K2's table (Qh2's).
+    t1, t2 = ng.K1.tab, ng.K2.tab
     z1 = [y for y in ng.K1.center().idx if y]
-    t2 = ng.K2.tab
     y2 = [y for y in ng.Qh2.center().idx if y
           and all(t2.conj(y, k) in (y, t2.inv[y]) for k in ng.K2._gl())]
     for name, ys in (("Z(K1)", z1), ("Y2 in Z(Qh2)", y2)):
         if len(ys) != 2:
             raise AssertionError(f"{name}: {len(ys)} candidates for y, not 2")
+    # side 1 keys the element y itself, not Y: every generator of K1 must
+    # fix it, as every generator of K2 maps side 2's y into {y, y^-1}
+    if any(t1.conj(z1[0], k) != z1[0] for k in ng.K1._gl()):
+        raise AssertionError("Z(K1): a generator of K1 does not fix side 1's y")
     for side, ys, K in ((1, z1, ng.K1), (2, y2, ng.K2)):
         graph.ysets[side] = bunpack(np.array([K.tab.keys[ys[0]]], dtype=np.uint64))
         for group in ("K", "H"):
@@ -415,8 +434,9 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
 
     The neighbors of K_side.r are K_tgt.t_j.r, t_j the transversal of K12
     in K_side.  Probe t_j.r is keyed without its product: its fingerprint
-    (t_j r)^-1 y (t_j r) is r^-1 c_j r, c_j = t_j^-1 y t_j fixed per side,
-    y the target side's fingerprint element.  A layer's missed probes are
+    element (t_j r)^-1 y (t_j r) is r^-1 c_j r, c_j = t_j^-1 y t_j fixed
+    per side, y the target side's fingerprint element, and the grid's
+    tables of the c_j are made once per build.  A layer's missed probes are
     deduplicated in _resolve's order, and a fresh vertex's rep key, that of
     t_j.r from its first probe, is read off r's stored key by lmul_keys in
     the side's key_tables of c -> t c, made once per build: no rep is
@@ -429,14 +449,25 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     a side-1 vertex holds its parent, written when the side-2 pass finds
     it, the rest its own probes (all four at x1).  The t_j lie in distinct
     cosets of K12 = K1 n K2, so a row's ends K2.t_j.r are distinct: each
-    row is sorted and checked for a repeat, and the rows are the edges."""
+    row is sorted and checked for a repeat, and the rows are the edges.
+
+    A side-2 frontier vertex that three side-1 probes have reached makes
+    no probes.  Each layer's side-1 pass runs before its side-2 pass, and
+    hits counts, per side-2 vertex, the side-1 probes that resolved to it.
+    A side-1 row holds no repeated end (checked below), so three hits are
+    three distinct side-1 vertices, and a side-2 vertex has exactly three
+    neighbors, |K2 : K12| = 3 (checked first): all of its neighbors are
+    known vertices and their edges to it are written in their rows.  Its
+    own probes would resolve to those vertices only, and a side-2 probe
+    writes nothing but the parent of a fresh vertex, so skipping them
+    changes no id, edge or key."""
     if len(ng.K12) * 4 != len(ng.K1) or len(ng.K12) * 3 != len(ng.K2):
         raise AssertionError("K1 n K2 does not have the expected indices")
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
     ident = np.array([IDENTITY], dtype=np.uint64)
-    probes = {}   # side -> (all k, all but t0), each (cm, ct, tix), c = t^-1 y t
+    probes = {}   # side -> (all k, all but t0), each (grid_tables of c = t^-1 y t, tix)
     lmul = {}     # side -> key_tables of c -> t c, t the transversal, at row tix
     for side, K in ((1, ng.K1), (2, ng.K2)):
         ts = transversal(K, ng.K12)
@@ -444,24 +475,27 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
         tm, tt = bunpack(np.array([t.key for t in ts], dtype=np.uint64))
         cm, ct = ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt)
         lmul[side] = key_tables(ops, tm, tt, *bunpack(np.repeat(ident, len(tt))), range(6), False)
-        every = (cm, ct, np.arange(len(ts)))
-        probes[side] = every, tuple(np.delete(a, t0, axis=0) for a in every)
+        probes[side] = [(grid_tables(ops, cm[tix], ct[tix]), tix)
+                        for tix in (np.arange(len(ts)), np.delete(np.arange(len(ts)), t0))]
 
     for side in (1, 2):
-        graph._register(side, ident, graph._keys(side, *bunpack(ident)), [0])
+        graph._register(side, ident, graph._keys(side, ident), [0])
 
     # the coset count check below keeps every write inside the table
     nbr = np.empty((GROUP_ORDER // len(ng.K1), 4), dtype=np.uint32)
+    hits = np.zeros(GROUP_ORDER // len(ng.K2), dtype=np.int32)  # side-1 probes per side-2 vertex
     frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
     layer = 0
     while len(frontier[1]) or len(frontier[2]):
         new = {}
         for side in (1, 2):
             tgt, src = 3 - side, frontier[side]
-            cm, ct, tix = probes[side][layer > 0]
-            k = len(ct)
+            if side == 2:  # those with three hits have no neighbor left to find
+                src = src[hits[src] < 3]
+            tables, tix = probes[side][layer > 0]
+            k = len(tix)
             reps = graph.reps[side][src]
-            keys = conj_fingerprint_grid(ops, *bunpack(reps), cm, ct)
+            keys = conj_fingerprint_grid(ops, reps, tables, tgt == 2)
             ids, miss = graph._resolve(tgt, keys, misses=True)
             # the missed probes in key order: one run of equal keys per
             # fresh vertex, whose first probe is the least in the run
@@ -488,6 +522,7 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             new[tgt] = base + np.arange(len(fresh))
             if side == 1:
                 nbr[src, 4 - k:] = ids.reshape(len(src), k)
+                hits += np.bincount(ids, minlength=len(hits))
             else:
                 nbr[base:base + len(fresh), 0] = src[i]
         frontier = new
@@ -495,6 +530,7 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
         if progress:
             progress(len(graph.reps[1]), len(graph.reps[2]))
 
+    del hits
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph._check_keys()
     nbr.sort(axis=1)
@@ -640,7 +676,7 @@ def load_cache(path: str, ng: NamedGroups) -> CosetGraph:
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     for side, reps in ((1, reps1), (2, reps2)):
-        keys = graph._keys(side, *bunpack(reps))
+        keys = graph._keys(side, reps)
         order = np.argsort(keys, kind="stable")
         graph._register(side, reps, keys[order], order)
     graph.edges = edges

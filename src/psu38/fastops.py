@@ -9,13 +9,16 @@ psu's elements, the group tables of grp and the graph all hold packed
 keys and reach products, inverses and canonical keys (bsmul, binv,
 bpkeys) through bunpack and bpack.  Everything here is pure and
 deterministic.  The graph conjugates by two kernels, one per shape, each
-KEY_CHUNK rows at a time: conj_fingerprint_grid, r^-1 c r for many r
-against a few c at one matrix product each, over 9 entry planes of
-KEY_CHUNK // k of the r (vertex keys, BFS probes, images of a vertex),
-and linear_conj_keys, x^-1 c x for a few x against a block of c by 9
-lookups each in key_tables, the one builder of tables of c -> a c b (the
-whole-graph action, stabilizer keys and the fixer test); the BFS keys a
-new vertex's rep t r by 9 lookups in those of c -> t c (lmul_keys).
+KEY_CHUNK rows at a time and each keying, with inverse, the least key of
+the conjugate and its inverse, and without, the conjugate's key alone:
+conj_fingerprint_grid, r^-1 c r for many packed r against a few c (whose
+grid_tables a caller can make once) at one matrix product each, over 9
+entry planes shifted out of KEY_CHUNK // k of the r (vertex keys, BFS
+probes, images of a vertex), and linear_conj_keys, x^-1 c x for a few x
+against a block of c by 9 lookups each in key_tables, the one builder of
+tables of c -> a c b (the whole-graph action, stabilizer keys and the
+fixer test); the BFS keys a new vertex's rep t r by 9 lookups in those of
+c -> t c (lmul_keys).
 conj_fingerprints, the same key rowwise, and coset_canon_keys, the exact
 canonical-form scan, are test oracles that the benchmark's spans wrap by
 name.  unique_sorted dedups by one sort and adjacent differences, not
@@ -170,54 +173,70 @@ def coset_canon_keys(
 
 
 def conj_fingerprints(
-    ops: FieldOps, am: np.ndarray, at: np.ndarray, ym: np.ndarray, yt: np.ndarray
+    ops: FieldOps, am: np.ndarray, at: np.ndarray, ym: np.ndarray, yt: np.ndarray,
+    inverse: bool = True,
 ) -> np.ndarray:
-    """(m,) vertex keys: the least projective key of c = a^-1 y a and of
-    c^-1, rowwise; a or y may be a single row, broadcast against the other.
-    No program path calls it: it is the test oracle of the two kernels
-    below, and perfbench/spans.py wraps it by name.
+    """(m,) vertex keys, rowwise: with inverse, the least projective key
+    of c = a^-1 y a and of c^-1; without, the projective key of c alone.
+    a or y may be a single row, broadcast against the other.  No program
+    path calls it: it is the test oracle of the two kernels below, and
+    perfbench/spans.py wraps it by name.
 
-    The key names the order-3 subgroup {1, c, c^-1} = Y^a.  When Y is
-    normal in the coset subgroup K, Y^a is the same for every a in the
-    coset Ka, so the graph keys the coset by it; since Y^(ax) = x^-1 Y^a x,
-    the image of a vertex under x is the key of x^-1 c x, with a = x and
-    y = c.
+    With inverse the key names the order-3 subgroup {1, c, c^-1} = Y^a,
+    the same for every a in the coset Ka when Y is normal in K; without,
+    it names c itself, the same for every a in Ka when y is central in K.
+    Since (ax)^-1 y (ax) = x^-1 c x, the image of a vertex under x is the
+    key of x^-1 c x, with a = x and y = c.
     """
     im, it = ops.binv(am, at)
     cm, ct = ops.bsmul(*ops.bsmul(im, it, ym, yt), am, at)
-    return np.minimum(ops.bpkeys(cm, ct), ops.bpkeys(*ops.binv(cm, ct)))
+    key = ops.bpkeys(cm, ct)
+    return np.minimum(key, ops.bpkeys(*ops.binv(cm, ct))) if inverse else key
 
 
-def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
-    """(n*k,) conj_fingerprints' keys of r_i^-1 c_j r_i for n elements
-    r_i = (M, e) and k elements c_j = (C, t), row i*k + j (none if n or k
-    is 0); no r is inverted or repeated, one matrix product per row.
+def grid_tables(ops: FieldOps, cm, ct) -> tuple[np.ndarray, np.ndarray]:
+    """conj_fingerprint_grid's tables of k elements c_j = (C, t): rows[q,
+    j, v], the 3 product-table offsets of rho^(3-t_j)(v) . rho^-t_j(C_j)[q,
+    :] packed in a uint64, for each entry value v, and the twists t."""
+    t = np.asarray(ct, dtype=np.intp)
+    F = ops.FROB
+    lanes = np.zeros((3, len(t), 64, 4), dtype=np.uint16)
+    lanes[..., :3] = ops.MUL[F[(3 - t) % 6][None, :, :, None],
+                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, :, None]]
+    lanes <<= 6
+    return lanes.view(np.uint64)[..., 0], t
+
+
+def conj_fingerprint_grid(ops: FieldOps, rkeys, tables, inverse: bool = True) -> np.ndarray:
+    """(n*k,) conj_fingerprints' keys (with or without inverse) of
+    r_i^-1 c_j r_i for the n elements r_i = (M, e) packed in rkeys and the
+    k elements c_j = (C, t) of tables = grid_tables(ops, cm, ct), row
+    i*k + j (none if n or k is 0); no r is inverted, unpacked or repeated,
+    one matrix product per row.
 
     From binv and bsmul, r^-1 c r = (rho^(t-e)(W), t) and its inverse is
     (rho^(3-e)(W^T), -t), where W = rho^(3-t)(M)^T . rho^-t(C) . M.  The r
     go KEY_CHUNK // k at a time (at least one: the temporaries do not grow
-    with n), each copied once into 9 entry planes P[3q + p] = M[q, p].  Row
-    p of the left factor, the XOR over q of rho^(3-t)(M[q, p]) .
-    rho^-t(C)[q, :], is 3 gathers of shape (k, nb) in per-c tables of whole
-    rows (3 product-table offsets in a uint64); entry (a, b) of W is 3
-    product-table gathers over (k, nb) planes, into one c-major (k, nb, 3,
-    3) block.  bpkeys applies the Frobenius powers; keys go back rep-major."""
-    n, k = len(rt), len(ct)
+    with n), each chunk's keys shifted once into 9 entry planes P[3q + p]
+    = M[q, p].  Row p of the left factor, the XOR over q of
+    rho^(3-t)(M[q, p]) . rho^-t(C)[q, :], is 3 gathers of shape (k, nb) in
+    the tables' rows; entry (a, b) of W is 3 product-table gathers over
+    (k, nb) planes, into one c-major (k, nb, 3, 3) block.  bpkeys applies
+    the Frobenius powers, to W and, with inverse, to W^T; keys go back
+    rep-major."""
+    rows, t = tables
+    rkeys = np.asarray(rkeys, dtype=np.uint64)
+    n, k = len(rkeys), len(t)
     out = np.empty(n * k, dtype=np.uint64)
     if not n * k:
         return out
-    t = np.asarray(ct, dtype=np.intp)
-    F = ops.FROB
-    # lanes[q, j, v, :3] = rho^(3-t_j)(v) . rho^-t_j(C_j)[q, :], shifted
-    lanes = np.zeros((3, k, 64, 4), dtype=np.uint16)
-    lanes[..., :3] = ops.MUL[F[(3 - t) % 6][None, :, :, None],
-                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, :, None]]
-    lanes <<= 6
-    rows = lanes.view(np.uint64)[..., 0]  # (3, k, 64)
     step = max(1, KEY_CHUNK // k)
     for lo in range(0, n, step):
-        P = rm[lo:lo + step].reshape(-1, 9).T.copy()
-        em = rt[lo:lo + step].astype(np.intp)
+        r = rkeys[lo:lo + step]
+        P = r >> _SHIFT[:, None]
+        P &= U64(63)
+        P = P.astype(np.uint8)
+        em = (r & U64(7)).astype(np.intp)
         nb = len(em)
         W = np.empty((k, nb, 3, 3), dtype=np.uint8)
         for a in range(3):
@@ -233,12 +252,14 @@ def conj_fingerprint_grid(ops: FieldOps, rm, rt, cm, ct) -> np.ndarray:
         W = W.reshape(k * nb, 3, 3)
         tw = np.repeat(t, nb).astype(np.uint8)
         key = ops.bpkeys(W, tw, ((t[:, None] - em) % 6).reshape(-1))
-        inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.tile((3 - em) % 6, k))
-        np.minimum(key, inv, out=key)
+        if inverse:
+            inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.tile((3 - em) % 6, k))
+            np.minimum(key, inv, out=key)
+            del inv
         out[lo * k:(lo + nb) * k].reshape(nb, k)[:] = key.reshape(k, nb).T
         # freed before the next chunk allocates its own: two chunks' worth
         # held at once raised the cold build's peak RSS
-        del P, W, L, x, tw, key, inv
+        del P, W, L, x, tw, key
     return out
 
 

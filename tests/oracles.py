@@ -485,18 +485,18 @@ def bpkeys_by_argmax(ops, mats, tw) -> np.ndarray:
     return bpack(ops.MUL[ops.LEAD[lead][:, None, None], mats], tw)
 
 
-def fingerprints_of_repeated_rows(ops, rm, rt, cm, ct) -> np.ndarray:
+def fingerprints_of_repeated_rows(ops, rm, rt, cm, ct, inverse: bool = True) -> np.ndarray:
     """fastops.conj_fingerprint_grid as the build keyed its probes before:
     conj_fingerprints on every rep repeated k times against the k elements
     tiled, which inverts each row and multiplies it out twice."""
     n, k = len(rt), len(ct)
     return conj_fingerprints(ops, np.repeat(rm, k, axis=0), np.repeat(rt, k),
-                             np.tile(cm, (n, 1, 1)), np.tile(ct, n))
+                             np.tile(cm, (n, 1, 1)), np.tile(ct, n), inverse)
 
 
 def conj_fingerprint_grid_by_blocks(ops, rm, rt, cm, ct) -> np.ndarray:
-    """fastops.conj_fingerprint_grid as it was: the same keys of
-    r_i^-1 c_j r_i, row i*k + j, with the batch laid out as (rows, 3, 3)
+    """fastops.conj_fingerprint_grid (with inverse) as it was: the same
+    keys of r_i^-1 c_j r_i, row i*k + j, with the batch laid out as (rows, 3, 3)
     blocks and the c broadcast in the middle.  Row p of the left factor of
     W = rho^(3-t)(M)^T . rho^-t(C) . M is 9 lookups per c in three
     64-entry tables of whole rows (3 product-table offsets packed in a
@@ -567,10 +567,11 @@ def vertex_stabilizer(graph, v: int, group: str = "K") -> SmallGroup:
 def vertex_keys(graph, side: int, lids=None) -> np.ndarray:
     """The fingerprint key of each vertex of a side, in id order (or of
     the local ids lids), recomputed from its rep: conj_fingerprints of
-    rep^-1 y rep, y the side's fingerprint element.  It reads neither
-    skeys nor sids, where the graph keeps these keys in sorted order."""
+    rep^-1 y rep, y the side's fingerprint element, with its inverse on
+    side 2 only.  It reads neither skeys nor sids, where the graph keeps
+    these keys in sorted order."""
     reps = graph.reps[side] if lids is None else graph.reps[side][lids]
-    return conj_fingerprints(graph.ops, *bunpack(reps), *graph.ysets[side])
+    return conj_fingerprints(graph.ops, *bunpack(reps), *graph.ysets[side], side == 2)
 
 
 def image_rowwise(graph, gids, keys, vkeys=None) -> np.ndarray:
@@ -591,7 +592,7 @@ def image_rowwise(graph, gids, keys, vkeys=None) -> np.ndarray:
         lids, inv = np.unique(gids[sel] - off, return_inverse=True)
         fk = vertex_keys(graph, side, lids) if vkeys is None else vkeys[side][lids]
         c = bunpack(fk[inv])
-        ids = graph._resolve(side, conj_fingerprints(graph.ops, *x, *c))
+        ids = graph._resolve(side, conj_fingerprints(graph.ops, *x, *c, side == 2))
         if (ids < 0).any():
             raise AssertionError("action image is not a known vertex")
         out[sel] = ids + off
@@ -647,7 +648,7 @@ def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
              for side, K in ((1, ng.K1), (2, ng.K2))}
     ident = np.array([IDENTITY], dtype=np.uint64)
     for side in (1, 2):
-        graph._register(side, ident, graph._keys(side, *bunpack(ident)), [0])
+        graph._register(side, ident, graph._keys(side, ident), [0])
     edge_parts = []
     frontier = {1: np.zeros(1, dtype=np.int64), 2: np.zeros(1, dtype=np.int64)}
     while len(frontier[1]) or len(frontier[2]):
@@ -660,7 +661,7 @@ def build_graph_all_probes(ng, probe_keys: list | None = None) -> CosetGraph:
             rm, rt = bunpack(graph.reps[side][src])
             pm, pt = ops.bsmul(np.tile(tm, (len(src), 1, 1)), np.tile(tt, len(src)),
                                np.repeat(rm, k, axis=0), np.repeat(rt, k))
-            keys = graph._keys(tgt, pm, pt)
+            keys = graph._keys(tgt, ops.bpkeys(pm, pt))
             ids = graph._resolve(tgt, keys)
             miss = np.flatnonzero(ids < 0)
             fresh, first, inv = np.unique(keys[miss], return_index=True,
@@ -782,6 +783,31 @@ def is_automorphism_by_bincount(graph, p: np.ndarray) -> bool:
     pu, pv = p[u], p[v]
     ikeys = np.sort(np.minimum(pu, pv) * np.int64(graph.nv) + np.maximum(pu, pv))
     return bool(np.array_equal(u * np.int64(graph.nv) + v, ikeys))
+
+
+def is_graph_automorphism_by_sorted_keys(graph, p: np.ndarray) -> bool:
+    """CosetGraph.is_graph_automorphism of the vertex map p as it was:
+    p must keep each side; then edge (u, v) goes to the key p[u].nv +
+    p[v], and the sorted image keys must equal the stored u.nv + v, which
+    ascend.  Equal key lists make p a bijection, since every side-1
+    vertex has degree 4 and every side-2 vertex degree 3.  The image keys
+    are made and compared KEY_CHUNK edges at a time."""
+    n1, nv = np.int64(graph.n1), np.int64(graph.nv)
+    p1, p2 = p[:n1], p[n1:]
+    if p1.min() < 0 or p1.max() >= n1 or p2.min() < n1 or p2.max() >= nv:
+        return False
+    chunk = fastops.KEY_CHUNK
+    key = np.empty(len(graph.edges), dtype=np.int64)
+    for lo in range(0, len(key), chunk):
+        u, v = graph.edges[lo:lo + chunk].T
+        np.multiply(p1[u], nv, out=key[lo:lo + chunk])
+        key[lo:lo + chunk] += p2[v]
+    key.sort()
+    for lo in range(0, len(key), chunk):
+        u, v = graph.edges[lo:lo + chunk].T
+        if not np.array_equal(u * nv + (v + n1), key[lo:lo + chunk]):
+            return False
+    return True
 
 
 def linear_conj_keys_one_shot(ops, xm, xt, ckeys: np.ndarray,

@@ -24,11 +24,10 @@ from psu38.grp import named_groups
 from psu38.psu import PElement
 
 from oracles import (ObjGroup, boxed, build_graph_all_probes, conjugate, coset_canon,
-                     csr_by_full_sort,
-                     edges_by_concat, fixers_by_images, image_rowwise,
-                     is_automorphism_by_bincount, obj, perm_by_images, rep_element,
-                     subgroup_arrays, transversal_by_products, vertex_keys,
-                     vertex_stabilizer)
+                     csr_by_full_sort, edges_by_concat, fixers_by_images, image_rowwise,
+                     is_automorphism_by_bincount, is_graph_automorphism_by_sorted_keys, obj,
+                     perm_by_images, rep_element, subgroup_arrays, transversal_by_products,
+                     vertex_keys, vertex_stabilizer)
 
 
 def test_transversal_sizes(ng):
@@ -248,6 +247,45 @@ def test_side_two_fingerprint_subgroup(modulus):
         assert any(frozenset(k.inv() * z * k for z in S) != S for k in K2.elems)
 
 
+def test_arm_rejects_a_side_one_y_that_K1_moves(ng, monkeypatch):
+    """Side 1 keys the element y itself, so _arm requires every generator
+    of K1 to fix it: handed a non-central element of order 3 as Z(K1)'s,
+    it raises."""
+    t1 = ng.K1.tab
+    centre = set(ng.K1.center().idx)
+    y = next(y for y in ng.K1.idx if y not in centre and t1.order(y) == 3)
+    fake = ng.K1._sub([0, y, t1.inv[y]])
+    monkeypatch.setattr(ng.K1, "center", lambda: fake)
+    with pytest.raises(AssertionError, match="does not fix side 1's y"):
+        _arm(CosetGraph(ng.field, ng))
+
+
+def test_side_keys_are_products_on_sampled_vertices(graph, graph43):
+    """On 200 sampled vertices per side under 0x5b and 0x43: a side-1
+    vertex's stored key is bpkeys of rep^-1 y1 rep, multiplied out, and
+    the key with the inverse (conj_fingerprints, the key side 1 had
+    before) is a function of it, the least of it and the key of the
+    element it packs inverted; a side-2 vertex's stored key is
+    conj_fingerprints' of rep^-1 y2 rep with the inverse."""
+    rng = np.random.default_rng(44)
+    for g in (graph, graph43):
+        ops = g.ops
+        for side, n in ((1, g.n1), (2, g.n2)):
+            lids = rng.choice(n, size=200, replace=False)
+            at = np.empty(n, dtype=np.int64)
+            at[g.sids[side]] = np.arange(n)
+            stored = g.skeys[side][at[lids]]
+            rm, rt = bunpack(g.reps[side][lids])
+            fingerprint = conj_fingerprints(ops, rm, rt, *g.ysets[side])
+            if side == 2:
+                assert np.array_equal(stored, fingerprint)
+                continue
+            prod = ops.bsmul(*ops.bsmul(*ops.binv(rm, rt), *g.ysets[1]), rm, rt)
+            assert np.array_equal(stored, ops.bpkeys(*prod))
+            inverted = ops.bpkeys(*ops.binv(*bunpack(stored)))
+            assert np.array_equal(fingerprint, np.minimum(stored, inverted))
+
+
 def _rep_product_images(graph, gids, keys):
     """The vertex K.(rep(v).x) of each row pair (v, x) = (gids[i], keys[i]):
     the base vertex K.1 of v's side under the product rep(v).x, by the
@@ -297,8 +335,9 @@ def test_perm_is_int32_and_equals_image_batch(graph, graph43):
         for x in els:
             xm, xt = bunpack(np.array([x.key], dtype=np.uint64))
             for side, fk in fks.items():
-                want = conj_fingerprints(g.ops, xm, xt, *bunpack(fk))
-                assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk), want[None])
+                want = conj_fingerprints(g.ops, xm, xt, *bunpack(fk), side == 2)
+                assert np.array_equal(linear_conj_keys(g.ops, xm, xt, fk, side == 2),
+                                      want[None])
             p = g.perm(x)
             assert p.dtype == np.int32
             assert np.array_equal(p, perm_by_images(g, x, fks))
@@ -342,6 +381,34 @@ def test_is_graph_automorphism_rejects_broken_vertex_maps(graph, ng):
         want = name == "same"
         assert g.is_graph_automorphism(x) is want, name
         assert is_automorphism_by_bincount(graph, p) is want, name
+
+
+def test_automorphism_check_equals_the_sorted_key_oracle(graph, graph43):
+    """Under 0x5b and 0x43 the sorting-network check gives the sorted-key
+    oracle's verdict for A-F, sigma, sigma^2 and sigma^3 (all True), and
+    False, as the oracle does, once perm(x) of A has two side-1 images
+    swapped, two side-2 images swapped, a side-1 image moved to side 2,
+    or one image repeated."""
+    for g in (graph, graph43):
+        ng, n1 = g.ng, g.n1
+        sigma = ng.p["sigma"]
+        xs = [ng.p[n] for n in "ABCDEF"] + [sigma, sigma * sigma, sigma * sigma * sigma]
+        for x in xs:
+            assert g.is_graph_automorphism(x) is True
+            assert is_graph_automorphism_by_sorted_keys(g, g.perm(x)) is True
+        p = g.perm(ng.p["A"])
+        swap2 = [n1, n1 + 9]
+        edits = {"side-1 images swapped": lambda q: q.__setitem__([0, 5], q[[5, 0]]),
+                 "side-2 images swapped": lambda q: q.__setitem__(swap2, q[swap2[::-1]]),
+                 "a side-1 image on side 2": lambda q: q.__setitem__(0, q[n1]),
+                 "not injective": lambda q: q.__setitem__(1, q[0])}
+        broken = copy.copy(g)
+        for name, edit in edits.items():
+            q = p.copy()
+            edit(q)
+            broken.perm = lambda x, q=q: q
+            assert broken.is_graph_automorphism(ng.p["A"]) is False, name
+            assert is_graph_automorphism_by_sorted_keys(g, q) is False, name
 
 
 @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
@@ -667,8 +734,8 @@ def test_non_injective_key_fails_the_count(ng, monkeypatch):
     that keys the probes, must fail the orbit count, not return a smaller
     graph."""
     grid = coset.conj_fingerprint_grid
-    monkeypatch.setattr(coset, "conj_fingerprint_grid", lambda ops, rm, rt, cm, ct:
-                        grid(ops, rm, rt, cm, ct) & np.uint64(0xFFFF << 48))
+    monkeypatch.setattr(coset, "conj_fingerprint_grid", lambda *args:
+                        grid(*args) & np.uint64(0xFFFF << 48))
     with pytest.raises(AssertionError, match=r"is not \|G\|"):
         build_graph(ng)
 
@@ -798,9 +865,10 @@ def test_build_matches_the_all_probes_oracle(modulus, ng, graph43, tmp_path):
 
 def test_build_probe_and_product_counts(ng, monkeypatch):
     """One build keys 4 + 3 probes in its first layer, then 3 per later
-    side-1 vertex and 2 per later side-2 vertex, with no probe back to a
-    parent: 144,706 fingerprints, where probing every neighbor takes
-    204,288.  The grid kernel's other calls, one element c each, key the
+    side-1 vertex and 2 per later side-2 vertex that still has a neighbor
+    to find, with no probe back to a parent: 129,388 fingerprints, where
+    probing every neighbor takes 204,288 and every vertex but its parent
+    144,706.  The grid kernel's other calls, one element c each, key the
     two base vertices, then the checks of _assert_base_edge act on x3: x1
     under E, and x3 under its 1,296 stabilizer keys.  The products are
     two for each of the 7 elements t^-1 y t and no more: each new vertex's
@@ -808,9 +876,9 @@ def test_build_probe_and_product_counts(ng, monkeypatch):
     grids, products, lookups = [], [], []
     grid, bsmul, lmul = coset.conj_fingerprint_grid, FieldOps.bsmul, coset.lmul_keys
 
-    def counted_grid(ops, rm, rt, cm, ct):
-        grids.append((len(rt), len(ct)))
-        return grid(ops, rm, rt, cm, ct)
+    def counted_grid(ops, rkeys, tables, inverse=True):
+        grids.append((len(rkeys), len(tables[1])))
+        return grid(ops, rkeys, tables, inverse)
 
     def counted_bsmul(self, gm, gt, hm, ht):
         products.append(len(gm))
@@ -825,10 +893,56 @@ def test_build_probe_and_product_counts(ng, monkeypatch):
     monkeypatch.setattr(coset, "lmul_keys", counted_lmul)
     g = build_graph(ng)
     probes = sum(n * k for n, k in grids if k > 1)
-    assert probes == 4 + 3 + 3 * (g.n1 - 1) + 2 * (g.n2 - 1) == 144706
+    assert probes == 4 + 3 + 3 * (g.n1 - 1) + 2 * (g.n2 - 1 - 7659) == 129388
     assert [n for n, k in grids if k == 1] == [1, 1, 1, 1296]
     assert sum(products) == 2 * (4 + 3)
     assert sum(lookups) == (g.n1 - 1) + (g.n2 - 1)
+
+
+def _base_edge_distances(graph) -> np.ndarray:
+    """Each vertex's distance from the base edge {x1, x2}, by a plain
+    breadth-first search over the CSR."""
+    dist = np.full(graph.nv, -1, dtype=np.int64)
+    front = np.array([graph.base_x1, graph.base_x2])
+    d = 0
+    while len(front):
+        dist[front] = d
+        nbrs = np.concatenate([graph.neighbors(int(v)) for v in front])
+        front = np.unique(nbrs[dist[nbrs] < 0])
+        d += 1
+    return dist
+
+
+@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
+def test_build_skips_side_two_vertices_whose_neighbors_are_known(modulus, ng, graph43,
+                                                                 monkeypatch):
+    """A build probes from 16 layers and keys 129,388 probes: 7,659 side-2
+    vertices make none, exactly those whose three neighbors all lie no
+    farther from the base edge than they do, so that each has probed them
+    before the side-2 pass reaches them.  The probes that target side 2
+    key with the inverse, those that target side 1 without."""
+    ng = ng if modulus == DEFAULT_MODULUS else graph43.ng
+    grids, layers = [], []
+    grid = coset.conj_fingerprint_grid
+
+    def counted_grid(ops, rkeys, tables, inverse=True):
+        grids.append((len(rkeys), len(tables[1]), inverse))
+        return grid(ops, rkeys, tables, inverse)
+    monkeypatch.setattr(coset, "conj_fingerprint_grid", counted_grid)
+    g = build_graph(ng, progress=lambda n1, n2: layers.append((n1, n2)))
+    probe_calls = [(n, k, inverse) for n, k, inverse in grids if k > 1]
+    side1 = [n for n, k, inverse in probe_calls if inverse]
+    side2 = [n for n, k, inverse in probe_calls if not inverse]
+    assert len(layers) == len(side1) == len(side2) == 16
+    assert [k for _, k, _ in probe_calls[:2]] == [4, 3]
+    assert all(k == 3 - (not inverse) for _, k, inverse in probe_calls[2:])
+    assert sum(n * k for n, k, _ in probe_calls) == 129388
+    skipped = g.n2 - sum(side2)
+    assert skipped == 7659
+    dist = _base_edge_distances(g)
+    rows = g.indices[len(g.edges):].reshape(g.n2, 3)
+    known = (dist[rows] <= dist[g.n1:, None]).all(axis=1)
+    assert int(known.sum()) == skipped
 
 
 def test_fingerprint_key_against_canonical_oracle(graph, ng):

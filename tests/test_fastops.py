@@ -9,7 +9,7 @@ import psu38
 from psu38 import fastops
 from psu38.coset import CosetGraph, _arm, transversal
 from psu38.fastops import (FieldOps, bpack, bunpack, conj_fingerprint_grid,
-                           conj_fingerprints, coset_canon_keys, key_tables,
+                           conj_fingerprints, coset_canon_keys, grid_tables, key_tables,
                            linear_conj_keys, lmul_keys, unique_sorted)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64
 from psu38.grp import named_groups
@@ -143,7 +143,7 @@ def test_conj_fingerprint_grid_equals_conj_fingerprints_on_repeated_rows(modulus
     """Reps of all six twists against both sides' probe elements t^-1 y t,
     both fingerprint elements y and elements of every twist: the
     one-product kernel gives conj_fingerprints' keys on repeated rows, bit
-    for bit, rep-major."""
+    for bit, rep-major, with the inverse and without."""
     f = GF64(modulus)
     ops = FieldOps(f)
     ng = named_groups(f)
@@ -156,9 +156,12 @@ def test_conj_fingerprint_grid_equals_conj_fingerprints_on_repeated_rows(modulus
         tm, tt = bunpack(np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64))
         cs.append(ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt))
         cs.append(graph.ysets[side])
+    rkeys = bpack(rm, rt)
     for cm, ct in cs:
-        want = oracles.fingerprints_of_repeated_rows(ops, rm, rt, cm, ct)
-        assert np.array_equal(conj_fingerprint_grid(ops, rm, rt, cm, ct), want)
+        for inverse in (True, False):
+            want = oracles.fingerprints_of_repeated_rows(ops, rm, rt, cm, ct, inverse)
+            got = conj_fingerprint_grid(ops, rkeys, grid_tables(ops, cm, ct), inverse)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
@@ -187,10 +190,11 @@ def test_plane_major_grid_equals_the_block_oracle(modulus):
     assert sorted(len(ct) for _, ct in cs) == [1, 1, 1, 2, 3, 3, 4, 4]
     assert all(len(set(ct.tolist())) == len(ct) for _, ct in cs[:4])
     leads = []
+    rkeys = bpack(rm, rt)
     for cm, ct in cs:
         k = len(ct)
         for n in (0, 1, fastops.KEY_CHUNK // k - 1, fastops.KEY_CHUNK // k + 1):
-            got = conj_fingerprint_grid(ops, rm[:n], rt[:n], cm, ct)
+            got = conj_fingerprint_grid(ops, rkeys[:n], grid_tables(ops, cm, ct))
             want = oracles.conj_fingerprint_grid_by_blocks(ops, rm[:n], rt[:n], cm, ct)
             assert got.dtype == np.uint64 and got.shape == (n * k,)
             assert np.array_equal(got, want)
@@ -200,12 +204,13 @@ def test_plane_major_grid_equals_the_block_oracle(modulus):
 
 def test_conj_fingerprint_grid_of_no_c_or_no_r_is_empty(graph):
     """k = 0 elements c, like n = 0 elements r, give an empty uint64 array."""
-    rm, rt = bunpack(graph.reps[1][:5])
+    rkeys = graph.reps[1][:5]
     cm, ct = graph.ysets[1]
-    for args in ((rm, rt, cm[:0], ct[:0]), (rm[:0], rt[:0], cm, ct),
-                 (rm[:0], rt[:0], cm[:0], ct[:0])):
-        got = conj_fingerprint_grid(graph.ops, *args)
-        assert got.dtype == np.uint64 and got.shape == (0,)
+    for r, c in ((rkeys, (cm[:0], ct[:0])), (rkeys[:0], (cm, ct)),
+                 (rkeys[:0], (cm[:0], ct[:0]))):
+        for inverse in (True, False):
+            got = conj_fingerprint_grid(graph.ops, r, grid_tables(graph.ops, *c), inverse)
+            assert got.dtype == np.uint64 and got.shape == (0,)
 
 
 def test_coset_canon_against_bruteforce(f, ops, ng):
@@ -347,15 +352,16 @@ def test_linear_conj_keys_across_batch_boundaries(graph, monkeypatch, batch):
 def test_conj_fingerprint_grid_is_chunked(graph, monkeypatch):
     """100 reps against 3 elements c, and against a fingerprint element y
     alone: the grid kernel gives one unchunked call's keys whatever
-    KEY_CHUNK is."""
-    rm, rt = bunpack(graph.reps[1][:100])
-    cs = [bunpack(graph.reps[2][:3]), graph.ysets[2]]
+    KEY_CHUNK is, with the inverse and without."""
+    rkeys = graph.reps[1][:100]
+    cs = [grid_tables(graph.ops, *c) for c in (bunpack(graph.reps[2][:3]), graph.ysets[2])]
     assert 100 * 3 <= fastops.KEY_CHUNK
-    want = [conj_fingerprint_grid(graph.ops, rm, rt, *c) for c in cs]
+    runs = [(c, inverse) for c in cs for inverse in (True, False)]
+    want = [conj_fingerprint_grid(graph.ops, rkeys, *run) for run in runs]
     for chunk in (1, 2, 7, 299):
         monkeypatch.setattr(fastops, "KEY_CHUNK", chunk)
-        for c, w in zip(cs, want):
-            assert np.array_equal(conj_fingerprint_grid(graph.ops, rm, rt, *c), w)
+        for run, w in zip(runs, want):
+            assert np.array_equal(conj_fingerprint_grid(graph.ops, rkeys, *run), w)
 
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))

@@ -95,9 +95,9 @@ def test_full_catalog_makes_no_pelement_products(monkeypatch):
     grids = []
     grid = coset.conj_fingerprint_grid
 
-    def counted_grid(ops, rm, rt, cm, ct):
-        grids.append((len(rt), len(ct)))
-        return grid(ops, rm, rt, cm, ct)
+    def counted_grid(ops, rkeys, tables, inverse=True):
+        grids.append((len(rkeys), len(tables[1])))
+        return grid(ops, rkeys, tables, inverse)
     monkeypatch.setattr(coset, "conj_fingerprint_grid", counted_grid)
     rows = []
     walk = arcs.arc_levels
