@@ -9,7 +9,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from psu38 import arcs, fastops
+from psu38 import arcs
 from psu38.arcs import KERNEL_RADIUS, ball, kernel_data
 from psu38.coset import CosetGraph, _arm
 from psu38.fastops import (_W, SubgroupArrays, bpack, bunpack, conj_fingerprints,
@@ -494,39 +494,6 @@ def fingerprints_of_repeated_rows(ops, rm, rt, cm, ct, inverse: bool = True) -> 
                              np.tile(cm, (n, 1, 1)), np.tile(ct, n), inverse)
 
 
-def conj_fingerprint_grid_by_blocks(ops, rm, rt, cm, ct) -> np.ndarray:
-    """fastops.conj_fingerprint_grid (with inverse) as it was: the same
-    keys of r_i^-1 c_j r_i, row i*k + j, with the batch laid out as (rows, 3, 3)
-    blocks and the c broadcast in the middle.  Row p of the left factor of
-    W = rho^(3-t)(M)^T . rho^-t(C) . M is 9 lookups per c in three
-    64-entry tables of whole rows (3 product-table offsets packed in a
-    uint64), and bmm6 multiplies it by M, broadcast over the c, KEY_CHUNK
-    // k reps at a time."""
-    n, k = len(rt), len(ct)
-    t = np.asarray(ct, dtype=np.intp)
-    F = ops.FROB
-    # lanes[q, v, j, :3] = rho^(3-t_j)(v) . rho^-t_j(C_j)[q, :], shifted
-    lanes = np.zeros((3, 64, k, 4), dtype=np.uint16)
-    lanes[..., :3] = ops.MUL[F[(3 - t) % 6].T[None, :, :, None],
-                             F[(-t % 6)[:, None, None], cm].transpose(1, 0, 2)[:, None]]
-    lanes <<= 6
-    rows = lanes.view(np.uint64)[..., 0]  # (3, 64, k)
-    out = np.empty(n * k, dtype=np.uint64)
-    step = max(1, fastops.KEY_CHUNK // k)
-    for lo in range(0, n, step):
-        m, em = rm[lo:lo + step], rt[lo:lo + step].astype(np.intp)
-        left = np.empty((len(em), k, 3), dtype=np.uint64)
-        for p in range(3):
-            left[:, :, p] = rows[0, m[:, 0, p]] ^ rows[1, m[:, 1, p]] ^ rows[2, m[:, 2, p]]
-        W = ops.bmm6(left.view(np.uint16).reshape(len(em), k, 3, 4)[..., :3], m[:, None])
-        W = W.reshape(len(em) * k, 3, 3)
-        tw = np.tile(t, len(em)).astype(np.uint8)
-        key = ops.bpkeys(W, tw, ((t - em[:, None]) % 6).reshape(-1))
-        inv = ops.bpkeys(W.transpose(0, 2, 1), (6 - tw) % 6, np.repeat((3 - em) % 6, k))
-        out[lo * k:(lo + len(em)) * k] = np.minimum(key, inv)
-    return out
-
-
 def subgroup_arrays(ops, G) -> SubgroupArrays:
     """The canonical-form scan's arrays for the elements of G."""
     return SubgroupArrays(ops, (x.key for x in G.elems))
@@ -605,15 +572,21 @@ def perm_by_images(graph, x: PElement, vkeys=None) -> np.ndarray:
     return image_rowwise(graph, np.arange(graph.nv), x.key, vkeys).astype(np.int32)
 
 
+def fixes_by_images(graph, keys, gids) -> np.ndarray:
+    """graph.fixes by resolved images: whether the element of key keys[i,
+    j] (keys one row per vertex, or (k,) shared by all) maps vertex
+    gids[i] to itself, by one image_rowwise over every (vertex, element)
+    pair."""
+    gids = np.asarray(gids, dtype=np.int64)
+    keys = np.broadcast_to(np.asarray(keys, dtype=np.uint64), (len(gids), np.shape(keys)[-1]))
+    img = image_rowwise(graph, np.repeat(gids, keys.shape[1]), keys.reshape(-1))
+    return img.reshape(keys.shape) == gids[:, None]
+
+
 def fixers_by_images(graph, keys, gids) -> np.ndarray:
     """The indices of the keys whose elements fix every vertex in gids
-    (graph.fixes, reduced over the vertices) by resolving the image of
-    every (vertex, element) pair with one image_rowwise."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    gids = np.asarray(gids, dtype=np.int64)
-    img = image_rowwise(graph, np.repeat(gids, len(keys)), np.tile(keys, len(gids)))
-    fixed = img.reshape(len(gids), len(keys)) == gids[:, None]
-    return np.flatnonzero(fixed.all(axis=0))
+    (graph.fixes, reduced over the vertices), by fixes_by_images."""
+    return np.flatnonzero(fixes_by_images(graph, keys, gids).all(axis=0))
 
 
 def transversal_by_products(K: SmallGroup, K12: SmallGroup) -> list:
@@ -693,70 +666,10 @@ def rep_keys_by_products(ops, tm, tt, rkeys: np.ndarray, tidx) -> np.ndarray:
     return ops.bpkeys(*ops.bsmul(tm[tidx], tt[tidx], *bunpack(rkeys)))
 
 
-def lmul_tables(ops, tm, tt) -> np.ndarray:
-    """The key tables of r -> t r that build_graph first read its rep
-    keys from, now fastops.key_tables of (t, 1) with twists 0..5 and no
-    inverse: one table set per row t of (tm, tt) and twist s = 0..5 of r,
-    row (v*nx*6 + a*6 + s)*9 + j holding the 3 scalar multiples of
-    t_a E_j(v), E_j(v) the matrix with entry j equal to v and the rest 0,
-    and the rows of entry 0 the product's twist tt[a] + s.  From bsmul,
-    t r = (T rho^tt(R), tt + s), and column q of T E_pq(u) is rho^tt(u)
-    times column p of T."""
-    tm, tt = np.asarray(tm, dtype=np.uint8), np.asarray(tt, dtype=np.intp)
-    scalars = np.array([1, ops.field.alpha, ops.field.alpha2], dtype=np.uint8)
-    # val[a, v, p, s, r] = rho^tt(v) . (scalar s) . T[r, p]
-    st = ops.MUL[scalars[:, None], tm.transpose(0, 2, 1)[:, :, None]]
-    val = ops.MUL64[ops.FROB[tt][:, :, None, None, None], st[:, None]]
-    # key[a, v, p, s, q]: entry (r, q) of the image sits at _SHIFT[3r + q]
-    key = np.bitwise_or.reduce(val[..., None] << fastops._SHIFT.reshape(3, 3), axis=-2)
-    tab = np.empty((64, len(tt), 6, 9, 3), dtype=np.uint64)
-    tab[:] = key.transpose(1, 0, 2, 4, 3).reshape(64, len(tt), 1, 9, 3)
-    tab[:, :, :, 0] |= ((tt[:, None] + np.arange(6)) % 6).astype(np.uint64)[..., None]
-    return tab.reshape(-1, 3)
-
-
 def unique_by_np_unique(a: np.ndarray) -> tuple:
     """fastops.unique_sorted(a, index=True) by np.unique, as build_graph
     first deduplicated each layer's fresh keys."""
     return np.unique(a, return_index=True, return_inverse=True)
-
-
-def ball_by_np_unique(graph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """arcs.ball with each layer's neighbours deduplicated by np.unique,
-    as it was first written."""
-    seen = np.zeros(graph.nv, dtype=bool)
-    seen[v] = True
-    layers = [np.array([v], dtype=np.int64)]
-    while len(layers) <= r:
-        nb = np.unique(arcs._csr_rows(graph, layers[-1])[0])
-        nb = nb[~seen[nb]].astype(np.int64)
-        if not len(nb):
-            break
-        seen[nb] = True
-        layers.append(nb)
-    radii = np.repeat(np.arange(len(layers)), [len(x) for x in layers])
-    return np.concatenate(layers), radii
-
-
-def orbit_sizes_by_np_unique(n: int, images: list[np.ndarray]) -> list[int]:
-    """arcs.orbit_sizes with the labels counted by np.unique, as it was
-    first written."""
-    label, prev = np.arange(n), None
-    while prev is None or not np.array_equal(label, prev):
-        prev = label
-        for j in images:
-            label = np.minimum(label, prev[j])
-        label = label[label]
-    return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
-
-
-def edges_by_concat(edge_keys: list) -> np.ndarray:
-    """The ascending (E, 2) uint32 edges of probe keys u << 32 | v, given
-    as a list of arrays, by a sorted copy of their concatenation, a
-    concatenated mask and an (E, 2) int64 stack."""
-    key = np.sort(np.concatenate(edge_keys))
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    return np.stack([key >> 32, key & 0xFFFFFFFF], axis=1).astype(np.uint32)
 
 
 def csr_by_full_sort(graph) -> tuple[np.ndarray, np.ndarray]:
@@ -783,53 +696,6 @@ def is_automorphism_by_bincount(graph, p: np.ndarray) -> bool:
     pu, pv = p[u], p[v]
     ikeys = np.sort(np.minimum(pu, pv) * np.int64(graph.nv) + np.maximum(pu, pv))
     return bool(np.array_equal(u * np.int64(graph.nv) + v, ikeys))
-
-
-def is_graph_automorphism_by_sorted_keys(graph, p: np.ndarray) -> bool:
-    """CosetGraph.is_graph_automorphism of the vertex map p as it was:
-    p must keep each side; then edge (u, v) goes to the key p[u].nv +
-    p[v], and the sorted image keys must equal the stored u.nv + v, which
-    ascend.  Equal key lists make p a bijection, since every side-1
-    vertex has degree 4 and every side-2 vertex degree 3.  The image keys
-    are made and compared KEY_CHUNK edges at a time."""
-    n1, nv = np.int64(graph.n1), np.int64(graph.nv)
-    p1, p2 = p[:n1], p[n1:]
-    if p1.min() < 0 or p1.max() >= n1 or p2.min() < n1 or p2.max() >= nv:
-        return False
-    chunk = fastops.KEY_CHUNK
-    key = np.empty(len(graph.edges), dtype=np.int64)
-    for lo in range(0, len(key), chunk):
-        u, v = graph.edges[lo:lo + chunk].T
-        np.multiply(p1[u], nv, out=key[lo:lo + chunk])
-        key[lo:lo + chunk] += p2[v]
-    key.sort()
-    for lo in range(0, len(key), chunk):
-        u, v = graph.edges[lo:lo + chunk].T
-        if not np.array_equal(u * nv + (v + n1), key[lo:lo + chunk]):
-            return False
-    return True
-
-
-def linear_conj_keys_one_shot(ops, xm, xt, ckeys: np.ndarray,
-                              inverse: bool = True) -> np.ndarray:
-    """fastops.linear_conj_keys over all rows at once: the tables of every
-    x from one key_tables call, ckeys (n,) broadcast to (nx, n), and one
-    (nx, n, columns) accumulator and lookup array per entry, entry j of
-    value v at row (v*nx*nt + a*nt + i)*9 + j of the tables."""
-    nx = len(xt)
-    ckeys = np.broadcast_to(np.asarray(ckeys, dtype=np.uint64), (nx, np.shape(ckeys)[-1]))
-    tw = (ckeys & np.uint64(7)).astype(np.intp)
-    twists = np.flatnonzero(np.bincount(tw.reshape(-1), minlength=8))
-    tables = fastops.key_tables(ops, *ops.binv(xm, xt), xm, xt, twists, inverse)
-    nt = len(twists)
-    slot = np.zeros(8, dtype=np.intp)
-    slot[twists] = np.arange(nt)
-    base = slot[tw] + np.arange(nx)[:, None] * nt
-    acc = np.zeros(ckeys.shape + (tables.shape[1],), dtype=np.uint64)
-    for j in range(9):
-        entry = ((ckeys >> fastops._SHIFT[j]) & np.uint64(63)).astype(np.intp)
-        acc ^= np.take(tables, (entry * (nx * nt) + base) * 9 + j, axis=0)
-    return acc.min(axis=-1)
 
 
 # row j*64 + v: the matrix whose entry j is v and whose other entries are 0
@@ -859,55 +725,10 @@ def key_tables(ops, am, at, bm, bt, twists, inverse: bool) -> np.ndarray:
         keys = (scaled.astype(np.uint64) @ _W).reshape(len(m), 3)
         keys += np.where(np.arange(len(m)) % 576 < 64, t, 0).astype(np.uint64)[:, None]
         parts.append(np.concatenate(np.split(keys, 2 if inverse else 1), axis=1))
-    return by_value_rows(np.concatenate(parts), len(at), len(twists))
-
-
-def by_value_rows(tables: np.ndarray, nx: int, nt: int) -> np.ndarray:
-    """Tables of rows ((a*nt + i)*9 + j)*64 + v, conj_tables_by_bit_doubling's
-    layout, moved to fastops.key_tables' rows (v*nx*nt + a*nt + i)*9 + j."""
-    width = tables.shape[1]
-    return tables.reshape(nx, nt, 9, 64, width).transpose(3, 0, 1, 2, 4).reshape(-1, width)
-
-
-def conj_tables_by_bit_doubling(ops, xm, xt, twists, inverse: bool = True) -> np.ndarray:
-    """The tables of c -> x^-1 c x (fastops.key_tables of (x^-1, x)) as
-    they were first written, laid out by (x, twist,
-    entry, value): row ((a*len(twists) + i)*9 + j)*64 + v holds the images
-    under x_a of the matrix with entry j equal to v and the rest 0, of
-    twist twists[i].  The 54 bit matrices E_pq(u), u = 2^b at entry j =
-    (p, q), are conjugated as outer products, x^-1 E_pq(u) x = m'[:, p] .
-    rho^e(u) . rho^(e+t)(m)[q, :] for x = (m, -e), x^-1 = (m', e) and c of
-    twist t, by 27 gathers in the product table and a uint64 matmul per
-    image, and the 64 rows of each entry are filled by XOR doubling in
-    blocks of 3 elements."""
-    xm, xt = np.asarray(xm, dtype=np.uint8), np.asarray(xt, dtype=np.uint8)
-    nx, nt = len(xt), len(twists)
-    xim, xit = ops.binv(xm, xt)
-    e, t = np.broadcast_arrays(xit.astype(np.intp)[:, None],
-                               np.asarray(twists, dtype=np.intp))
-    kinds = [(e, e + t, t)] + ([(e + 3 - t, e - t, -t)] if inverse else [])
-    eu, em, et = (np.stack(v, 1) % 6 for v in zip(*kinds))  # (nx, nk, nt)
-    nk = len(kinds)
-    f = ops.field
-    scalars = np.array([1, f.alpha, f.alpha2], dtype=np.uint8)
-    su = ops.MUL[ops.FROB[eu[..., None], 1 << np.arange(6)][..., None], scalars]
-    right = ops.FROB[em[..., None, None], xm[:, None, None]]  # (nx, nk, nt, 3, 3)
-    # left[x, k, t, p, b, s, r] = m'[r, p] . (scalar s) . rho(2^b)
-    left = ops.MUL[xim.transpose(0, 2, 1)[:, None, None, :, None, None, :],
-                   su[:, :, :, None, :, :, None]]
-    # img[x, k, t, p, q, b, s, r, col]: entry (r, col) of the image of E_pq
-    img = ops.MULF[(left.astype(np.uint16) << 6)[:, :, :, :, None, :, :, :, None]
-                   | right[:, :, :, None, :, None, None, None, :]]
-    if inverse:  # entry (p, q) of c is entry (q, p) of c^-1
-        img[:, 1] = img[:, 1].swapaxes(2, 3)
-    bits = (img.reshape(-1, 9).astype(np.uint64) @ _W).reshape(nx, nk, nt, 9, 6, 3)
-    bits = bits.transpose(0, 2, 3, 4, 1, 5)
-    tab = np.zeros((nx, nt, 9, 64, nk, 3), dtype=np.uint64)
-    for b in range(6):
-        np.bitwise_xor(tab[:, :, :, :1 << b], bits[:, :, :, b, None],
-                       out=tab[:, :, :, 1 << b:2 << b])
-    tab[:, :, 0] += et.transpose(0, 2, 1)[:, :, None, :, None].astype(np.uint64)
-    return tab.reshape(nx * nt * 576, nk * 3)
+    # rows ((x*nt + i)*9 + j)*64 + v so far, moved to value-major order
+    width = parts[0].shape[1]
+    tables = np.concatenate(parts).reshape(len(at), len(twists), 9, 64, width)
+    return tables.transpose(3, 0, 1, 2, 4).reshape(-1, width)
 
 
 def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
@@ -919,34 +740,6 @@ def stabilizer_keys(graph, g: int, group: str = "K") -> np.ndarray:
     rm, rt = bunpack(graph.reps[side][lid:lid + 1])  # one row, broadcast
     m, t = graph.ops.bsmul(*graph.ops.binv(rm, rt), km, kt)
     return graph.ops.bpkeys(*graph.ops.bsmul(m, t, rm, rt))
-
-
-def fixers(graph, keys, gids) -> np.ndarray:
-    """The indices of the keys whose elements fix every vertex in gids
-    (graph.fixes, reduced over the vertices) by one rowwise bsmul product
-    r x r^-1 over all (vertex, element) pairs and a binary search in
-    K_side's sorted keys."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    gids = np.asarray(gids, dtype=np.int64)
-    on2 = gids >= graph.n1
-    rk = np.empty(len(gids), dtype=np.uint64)
-    rk[~on2] = graph.reps[1][gids[~on2]]
-    rk[on2] = graph.reps[2][gids[on2] - graph.n1]
-    n = len(keys)
-    ops = graph.ops
-    rm, rt = bunpack(rk)
-    im, it = ops.binv(rm, rt)
-    xm, xt = bunpack(keys)
-    m, t = ops.bsmul(np.repeat(rm, n, axis=0), np.repeat(rt, n),
-                     np.tile(xm, (len(gids), 1, 1)), np.tile(xt, len(gids)))
-    conj = ops.bpkeys(*ops.bsmul(m, t, np.repeat(im, n, axis=0), np.repeat(it, n)))
-    member = np.empty(len(conj), dtype=bool)
-    rows2 = np.repeat(on2, n)
-    for side, sel in ((1, ~rows2), (2, rows2)):
-        ks = graph.kkeys[side, "K"]
-        pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
-        member[sel] = ks[pos] == conj[sel]
-    return np.flatnonzero(member.reshape(len(gids), n).all(axis=0))
 
 
 def induced_neighbor_group_by_rows(kd) -> tuple[SmallGroup, SmallGroup]:
@@ -965,10 +758,11 @@ def induced_neighbor_group_by_rows(kd) -> tuple[SmallGroup, SmallGroup]:
 
 def pulled_back_kernel(graph, v: int, group: str = "K") -> frozenset:
     """G_v^[1] pulled back to the base stabilizer G_side of v's side, one
-    vertex at a time by the bsmul oracles: the elements k of G_side whose
-    conjugate rep^-1 k rep fixes every neighbor of v."""
+    vertex at a time by the bsmul and image oracles: the elements k of
+    G_side whose conjugate rep^-1 k rep maps every neighbor of v to
+    itself."""
     els = sorted(graph.base_stabilizer(graph.side_of(v), group).elems)
-    idx = fixers(graph, stabilizer_keys(graph, v, group), graph.neighbors(v))
+    idx = fixers_by_images(graph, stabilizer_keys(graph, v, group), graph.neighbors(v))
     return frozenset(els[i] for i in idx)
 
 
@@ -1056,53 +850,32 @@ def enumerate_arcs(graph, v: int, s: int) -> np.ndarray:
     return arcs
 
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+def _row_bytes(rows) -> list:
+    """Each row of an integer array as the bytes of its int64 entries."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
 
-def row_keys(rows) -> np.ndarray:
-    """One uint64 per row of an integer array: a xor-multiply mix of its
-    entries (exact only where its users check it)."""
-    h = np.zeros(len(rows), dtype=np.uint64)
-    for col in np.asarray(rows, dtype=np.uint64).T:
-        h = (h ^ col) * _MIX
-        h ^= h >> np.uint64(32)
-    return h
-
-
-def orbit_partition_by_row_keys(rows, perms: list[np.ndarray]) -> list[int]:
+def bfs_orbit_sizes(rows, perms: list[np.ndarray]) -> list[int]:
     """Orbit sizes, largest first, of the group generated by the vertex
-    permutations perms acting entrywise on the rows of an integer array:
-    the way arcs.arc_orbits first found them, on whole arc rows.
-
-    Rows are found by a binary search in their sorted row_keys, which is
-    exact: the keys are pairwise distinct, and every row found is compared
-    with the image it stands for.  Raises if a row repeats (or two rows
-    share a key) or an image is not a row.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = len(rows)
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    if (skeys[1:] == skeys[:-1]).any():
-        raise AssertionError("two rows share a key (a repeated row?)")
-    images = []
-    for p in perms:
-        im = p[rows]
-        j = order[np.minimum(np.searchsorted(skeys, row_keys(im)), n - 1)]
-        if not np.array_equal(rows[j], im):
-            raise AssertionError("an image row is not a row")
-        images.append(j)
-    # each generator permutes the rows, so an orbit is a union of cycles:
-    # lowering every label to the least label of its images, with pointer
-    # jumping, ends with one label per orbit
-    label, prev = np.arange(n), None
-    while prev is None or not np.array_equal(label, prev):
-        prev = label
-        for j in images:
-            label = np.minimum(label, prev[j])
-        label = label[label]
-    return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
+    permutations perms acting entrywise on the rows of an integer array,
+    by a plain BFS over the rows, each found by its bytes in a dict (a
+    KeyError if an image is not a row)."""
+    index = {r: i for i, r in enumerate(_row_bytes(rows))}
+    if len(index) != len(rows):
+        raise AssertionError("a row repeats")
+    images = [list(map(index.__getitem__, _row_bytes(p[rows]))) for p in perms]
+    seen, sizes = set(), []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            frontier = {image[i] for image in images for i in frontier} - orbit
+            orbit |= frontier
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sorted(sizes, reverse=True)
 
 
 def perm_product(p: Perm, q: Perm) -> Perm:
@@ -1475,37 +1248,18 @@ class ObjGroup:
             [Perm([index[r * g] for r in reps]) for g in self.gens_list()])
 
 
-def lambda_subgroups_by_capped_closures(Q2: SmallGroup, Qstar: SmallGroup) -> list[SmallGroup]:
-    """grp._lambda_subgroups by closing every pair of Q2's elements in its
-    table, each closure stopped past 9 elements."""
-    seen = set()
-    out = []
-    els = sorted(Q2.idx)
-    by = Q2.tab.by
-    for i, a in enumerate(els):
-        for b in els[i + 1:]:
-            try:
-                s = frozenset(_close((a, b), 0, 9, by)[0])
-            except ClosureCapExceeded:
-                continue
-            if len(s) != 9 or s in seen:
-                continue
-            seen.add(s)
-            sub = Q2._sub(s)
-            if sub.is_elementary_abelian(3) and s != Qstar.iset:
-                out.append(sub)
-    out.sort(key=lambda g: g.idx)
-    return out
-
-
 def lambda_subgroups(Q2: ObjGroup, Qstar: ObjGroup) -> list[ObjGroup]:
     """Order-9 elementary abelian subgroups of Q2 other than Q*, by
-    closing every pair of elements."""
+    closing every pair of elements, each closure stopped past 9
+    elements."""
     seen, out = set(), []
     els = table_order(Q2)
     for i, a in enumerate(els):
         for b in els[i + 1:]:
-            s = frozenset(close([a, b], Q2.identity)[0])
+            try:
+                s = frozenset(close([a, b], Q2.identity, 9)[0])
+            except ClosureCapExceeded:
+                continue
             if len(s) == 9 and s not in seen:
                 seen.add(s)
                 sub = Q2.subgroup(s)

@@ -15,8 +15,8 @@ from psu38.grp import SmallGroup, iso_check
 from psu38.harness import VerifyContext, run_claims
 
 import oracles
-from oracles import (ObjGroup, conjugate, enumerate_arcs, fixers_by_images, group_from_keys,
-                     obj, orbit_partition_by_row_keys, rep_element, vertex_stabilizer)
+from oracles import (ObjGroup, bfs_orbit_sizes, conjugate, enumerate_arcs, fixers_by_images,
+                     group_from_keys, obj, rep_element, vertex_stabilizer)
 
 
 def _stabilizer_perms(graph, v, group):
@@ -39,15 +39,15 @@ def test_arc_counts_match_valency_products(graph):
 
 def test_arc_walk_equals_the_row_key_oracle(graph, graph43):
     """At both base vertices, for H and K and s = 0..8, on both session
-    graphs: one walk of the levels gives the orbit sizes that the oracle
-    finds on whole arc rows, and arc_orbits the same at each s."""
+    graphs: one walk of the levels gives the orbit sizes that a plain BFS
+    finds on whole arc rows, each found by its bytes, and arc_orbits the
+    same at each s."""
     for g in (graph, graph43):
         for v in (g.base_x1, g.base_x2):
             for group in ("H", "K"):
                 perms = _stabilizer_perms(g, v, group)
                 walk = [orbit_sizes(*level) for level in arc_levels(g, v, perms, 8)]
-                oracle = [orbit_partition_by_row_keys(enumerate_arcs(g, v, s), perms)
-                          for s in range(9)]
+                oracle = [bfs_orbit_sizes(enumerate_arcs(g, v, s), perms) for s in range(9)]
                 assert walk == oracle
                 assert [arc_orbits(g, v, s, group)["orbit_sizes"] for s in (0, 5, 8)] \
                     == [oracle[0], oracle[5], oracle[8]]
@@ -154,45 +154,37 @@ def test_ball_sizes(graph):
     assert len(pts2) == 1 + 3 + 9
 
 
-def _bfs_radii(graph, v, r) -> dict:
-    """vertex -> distance from v, for distances up to r, by a plain BFS."""
+def _bfs_radii(graph, v) -> dict:
+    """vertex -> distance from v, by a plain BFS over the CSR rows as
+    lists."""
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
     radius, frontier = {v: 0}, [v]
-    for d in range(1, r + 1):
+    while frontier:
         nxt = []
         for u in frontier:
-            for w in graph.neighbors(u).tolist():
+            for w in nbrs[ptr[u]:ptr[u + 1]]:
                 if w not in radius:
-                    radius[w] = d
+                    radius[w] = radius[u] + 1
                     nxt.append(w)
         frontier = nxt
     return radius
 
 
-def test_ball_equals_a_plain_bfs(graph):
-    """At both base vertices with radius 5, and over the whole graph, each
-    vertex comes once, layers in order, with its BFS distance."""
-    for v, r in ((graph.base_x1, 5), (graph.base_x2, 5), (graph.base_x2, 64)):
-        ids, radii = ball(graph, v, r)
-        assert ids.dtype == radii.dtype == np.int64
-        assert len(set(ids.tolist())) == len(ids) and (np.diff(radii) >= 0).all()
-        assert dict(zip(ids.tolist(), radii.tolist())) == _bfs_radii(graph, v, r)
-    assert len(ids) == graph.nv
-
-
-def test_ball_and_orbit_sizes_equal_the_np_unique_oracles(graph, graph43):
-    """On both session graphs, at both base vertices: ball at radii 0 to
-    KERNEL_RADIUS and nv equals its np.unique oracle array for array, and
-    orbit_sizes of each arc level, s = 0..8, for H and K, equals its
-    np.unique oracle."""
+def test_ball_equals_a_plain_bfs(graph, graph43):
+    """On both session graphs, at both base vertices, with radii 0 to
+    KERNEL_RADIUS and nv: each vertex comes once with its BFS distance,
+    layers in order, each layer ascending."""
     for g in (graph, graph43):
         for v in (g.base_x1, g.base_x2):
+            radius = _bfs_radii(g, v)
             for r in list(range(arcs.KERNEL_RADIUS + 1)) + [g.nv]:
-                got, want = ball(g, v, r), oracles.ball_by_np_unique(g, v, r)
-                assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                           for a, b in zip(got, want))
-            for group in ("H", "K"):
-                for level in arc_levels(g, v, _stabilizer_perms(g, v, group), 8):
-                    assert orbit_sizes(*level) == oracles.orbit_sizes_by_np_unique(*level)
+                ids, radii = ball(g, v, r)
+                assert ids.dtype == radii.dtype == np.int64
+                assert (np.diff(radii) >= 0).all()
+                assert all((np.diff(ids[radii == d]) > 0).all() for d in range(radii[-1] + 1))
+                assert dict(zip(ids.tolist(), radii.tolist())) == \
+                    {u: d for u, d in radius.items() if d <= r}
+            assert len(ids) == g.nv
 
 
 def test_five_arc_transitivity_orbit_sizes(graph):
@@ -362,69 +354,6 @@ def test_edge_stabilizer_order_on_sampled_edges(graph, ng):
         assert len(inter) == 324
 
 
-def _cycle_edges(n):
-    return np.array([(i, (i + 1) % n) for i in range(n)])
-
-
-def test_orbit_partition_on_a_cycle():
-    n = 6
-    rows = _cycle_edges(n)
-    rotation = (np.arange(n) + 1) % n
-    reflection = (-np.arange(n)) % n
-    assert orbit_partition_by_row_keys(rows, [rotation]) == [6]
-    # directed edges (i, i+1) go to (-i, -i-1): a row only when reversed,
-    # so take both directions; the reflection pairs them up
-    both = np.concatenate([rows, rows[:, ::-1]])
-    assert orbit_partition_by_row_keys(both, [reflection]) == [2] * 6
-    assert orbit_partition_by_row_keys(both, [rotation, reflection]) == [12]
-    assert orbit_partition_by_row_keys(both, [rotation]) == [6, 6]
-    assert orbit_partition_by_row_keys(rows, [np.arange(n)]) == [1] * 6
-    assert orbit_partition_by_row_keys(rows, []) == [1] * 6
-
-
-def _bfs_orbit_sizes(rows, perms):
-    """Orbit sizes by a plain BFS over a dict of rows: the reference."""
-    index = {tuple(r): i for i, r in enumerate(rows.tolist())}
-    seen, sizes = set(), []
-    for start in range(len(rows)):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp, frontier = 1, [start]
-        while frontier:
-            i = frontier.pop()
-            for p in perms:
-                j = index[tuple(p[rows[i]].tolist())]
-                if j not in seen:
-                    seen.add(j)
-                    comp += 1
-                    frontier.append(j)
-        sizes.append(comp)
-    return sorted(sizes, reverse=True)
-
-
-def test_orbit_partition_matches_bfs(graph):
-    for v, s, group in ((graph.base_x1, 6, "K"), (graph.base_x1, 6, "H"),
-                        (graph.base_x2, 4, "H"), (graph.base_x1, 8, "K")):
-        rows = enumerate_arcs(graph, v, s)
-        stab = graph.vertex_stabilizer(v, group)
-        perms = [graph.perm(g) for g in stab.gens_list()]
-        assert orbit_partition_by_row_keys(rows, perms) == _bfs_orbit_sizes(rows, perms)
-        # a subgroup's orbits: the first generator alone
-        assert orbit_partition_by_row_keys(rows, perms[:1]) == _bfs_orbit_sizes(rows, perms[:1])
-
-
-def test_orbit_partition_rejects_bad_rows():
-    rows = _cycle_edges(5)
-    rotation = (np.arange(5) + 1) % 5
-    with pytest.raises(AssertionError):
-        orbit_partition_by_row_keys(np.concatenate([rows, rows[:1]]), [rotation])
-    with pytest.raises(AssertionError):
-        orbit_partition_by_row_keys(rows[:4], [rotation])
-    with pytest.raises(AssertionError):
-        orbit_partition_by_row_keys(rows, [(-np.arange(5)) % 5])
-
-
 def test_edge_orbits_agree_with_the_premises(ctx, graph):
     """The exhaustive oracle: the generators of G1 and G2 have one orbit
     on all 102,144 edges, for H and for K, as the stage finds from its
@@ -433,7 +362,7 @@ def test_edge_orbits_agree_with_the_premises(ctx, graph):
     edges = graph.edges.astype(np.int64) + np.array([0, graph.n1])
     for group, G1, G2 in (("H", ng.H1, ng.H2), ("K", ng.K1, ng.K2)):
         perms = [graph.perm(x) for x in dict.fromkeys(G1.gens_list() + G2.gens_list())]
-        assert orbit_partition_by_row_keys(edges, perms) == [len(edges)]
+        assert bfs_orbit_sizes(edges, perms) == [len(edges)]
         assert ctx.edge_orbit_transitive(group) is True
 
 
@@ -581,32 +510,32 @@ def test_fixers_equal_the_image_oracle(ctx, graph, ng):
 
 
 def test_stabilizer_keys_and_fixers_equal_the_bsmul_oracles(graph):
-    """The table lookups of stabilizer_key_rows and fixes equal the bsmul
-    products they replaced: at the base vertices and on the wide and deep
-    samples of sampled_vertex_checks, for K and H, fixes reduced over the
-    vertex, its neighbors and both together, and fixes row by row for
-    each side's wide sample."""
+    """The table lookups of stabilizer_key_rows equal the bsmul products
+    they replaced, and fixes equals fixers by resolved images: at the base
+    vertices and on the wide and deep samples of sampled_vertex_checks,
+    for K and H, fixes reduced over the vertex, its neighbors and both
+    together, and fixes row by row for each side's wide sample."""
     rng = np.random.default_rng(arcs.SAMPLE_SEED)
     wide = rng.choice(graph.nv, size=arcs.SAMPLE_WIDE, replace=False)
     deep = rng.choice(graph.nv, size=arcs.SAMPLE_DEEP, replace=False)
     vs = [graph.base_x1, graph.base_x2] + wide.tolist() + deep.tolist()
     for group in ("K", "H"):
+        want = {v: oracles.stabilizer_keys(graph, v, group) for v in vs}
         for v in vs:
-            want = oracles.stabilizer_keys(graph, v, group)
             keys = graph.stabilizer_key_rows([v], group)[0]
-            assert np.array_equal(keys, want)
-            nb = graph.neighbors(v)
-            for gids in ([v], nb, np.concatenate([[v], nb])):
-                assert np.array_equal(_fixers(graph, keys, gids),
-                                      oracles.fixers(graph, keys, gids))
+            assert np.array_equal(keys, want[v])
+            gids = np.concatenate([[v], graph.neighbors(v)])
+            fixed = oracles.fixes_by_images(graph, keys, gids)
+            for sel in (slice(1), slice(1, None), slice(None)):
+                assert np.array_equal(_fixers(graph, keys, gids[sel]),
+                                      np.flatnonzero(fixed[sel].all(axis=0)))
         for ids in (wide[wide < graph.n1], wide[wide >= graph.n1]):
             rows = graph.stabilizer_key_rows(ids, group)
             fixed = graph.fixes(rows, ids)
             assert len(rows) == len(fixed) == len(ids)
-            for v, row, fx in zip(map(int, ids), rows, fixed):
-                assert np.array_equal(row, oracles.stabilizer_keys(graph, v, group))
-                assert np.array_equal(np.flatnonzero(fx), oracles.fixers(graph, row, [v]))
-                assert fx.all()
+            assert np.array_equal(fixed, oracles.fixes_by_images(graph, rows, ids))
+            assert fixed.all()
+            assert np.array_equal(rows, [want[v] for v in ids.tolist()])
     with pytest.raises(ValueError, match="one side"):
         graph.stabilizer_key_rows([graph.base_x1, graph.base_x2])
     # a side may draw no sampled vertex: no vertex gives no row

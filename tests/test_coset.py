@@ -24,8 +24,7 @@ from psu38.grp import named_groups
 from psu38.psu import PElement
 
 from oracles import (ObjGroup, boxed, build_graph_all_probes, conjugate, coset_canon,
-                     csr_by_full_sort, edges_by_concat, fixers_by_images, image_rowwise,
-                     is_automorphism_by_bincount, is_graph_automorphism_by_sorted_keys, obj,
+                     fixers_by_images, image_rowwise, is_automorphism_by_bincount, obj,
                      perm_by_images, rep_element, subgroup_arrays, transversal_by_products,
                      vertex_keys, vertex_stabilizer)
 
@@ -384,18 +383,18 @@ def test_is_graph_automorphism_rejects_broken_vertex_maps(graph, ng):
 
 
 def test_automorphism_check_equals_the_sorted_key_oracle(graph, graph43):
-    """Under 0x5b and 0x43 the sorting-network check gives the sorted-key
-    oracle's verdict for A-F, sigma, sigma^2 and sigma^3 (all True), and
-    False, as the oracle does, once perm(x) of A has two side-1 images
-    swapped, two side-2 images swapped, a side-1 image moved to side 2,
-    or one image repeated."""
+    """Under 0x5b and 0x43 the sorting-network check gives the verdict of
+    the oracle that sorts the edge images' keys: True for A-F, sigma,
+    sigma^2 and sigma^3, and False once perm(x) of A has two side-1
+    images swapped, two side-2 images swapped, a side-1 image moved to
+    side 2, or one image repeated."""
     for g in (graph, graph43):
         ng, n1 = g.ng, g.n1
         sigma = ng.p["sigma"]
         xs = [ng.p[n] for n in "ABCDEF"] + [sigma, sigma * sigma, sigma * sigma * sigma]
         for x in xs:
             assert g.is_graph_automorphism(x) is True
-            assert is_graph_automorphism_by_sorted_keys(g, g.perm(x)) is True
+            assert is_automorphism_by_bincount(g, g.perm(x)) is True
         p = g.perm(ng.p["A"])
         swap2 = [n1, n1 + 9]
         edits = {"side-1 images swapped": lambda q: q.__setitem__([0, 5], q[[5, 0]]),
@@ -408,26 +407,7 @@ def test_automorphism_check_equals_the_sorted_key_oracle(graph, graph43):
             edit(q)
             broken.perm = lambda x, q=q: q
             assert broken.is_graph_automorphism(ng.p["A"]) is False, name
-            assert is_graph_automorphism_by_sorted_keys(g, q) is False, name
-
-
-@pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
-def test_edges_and_csr_equal_the_full_sort_oracle(modulus, ng, graph43):
-    """A build's edges, one row of four side-2 ends per side-1 vertex,
-    are the plain BFS's probe keys, each edge probed from both ends, by a
-    sorted concatenated copy, one mask and an (E, 2) stack; the CSR built
-    from the ascending edges is the one of a full sort of both
-    directions' keys src.nv + dst."""
-    ng = ng if modulus == DEFAULT_MODULUS else graph43.ng
-    probe_keys = []
-    build_graph_all_probes(ng, probe_keys)
-    assert sum(map(len, probe_keys)) == 2 * 102144
-    g = build_graph(ng)
-    edges = edges_by_concat(probe_keys)
-    assert g.edges.dtype == edges.dtype and np.array_equal(g.edges, edges)
-    indptr, indices = csr_by_full_sort(g)
-    for got, want in ((g.indptr, indptr), (g.indices, indices)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert is_automorphism_by_bincount(g, q) is False, name
 
 
 def _traced_excess(f) -> float:
@@ -845,11 +825,14 @@ def test_graph_keeps_at_most_3_mib(graph):
 @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, 0b1000011], ids=hex)
 def test_build_matches_the_all_probes_oracle(modulus, ng, graph43, tmp_path):
     """The BFS that keys probes by conjugating t^-1 y t and skips the probe
-    back to the parent gives the plain BFS's graph, array for array and
-    byte for byte in the cache."""
+    back to the parent gives the plain BFS's graph, array for array (the
+    edges and the CSR of a full sort among them) and byte for byte in the
+    cache.  The plain BFS probes every edge from both ends."""
     ng = ng if modulus == DEFAULT_MODULUS else graph43.ng
     assert ng.field.modulus == modulus
-    got, want = build_graph(ng), build_graph_all_probes(ng)
+    probe_keys = []
+    got, want = build_graph(ng), build_graph_all_probes(ng, probe_keys)
+    assert sum(map(len, probe_keys)) == 2 * 102144
     assert (got.n1, got.n2) == (want.n1, want.n2)
     for side in (1, 2):
         assert np.array_equal(got.reps[side], want.reps[side])

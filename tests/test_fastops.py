@@ -16,8 +16,7 @@ from psu38.grp import named_groups
 from psu38.psu import IDENTITY, make_generators
 
 import oracles
-from oracles import (Element, ProjElement, element_from_key, lmul_tables, obj,
-                     subgroup_arrays)
+from oracles import Element, ProjElement, element_from_key, obj, subgroup_arrays
 
 
 @pytest.fixture(scope="module")
@@ -140,38 +139,13 @@ def test_bpkeys_equals_the_argmax_formula(modulus):
 
 @pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
 def test_conj_fingerprint_grid_equals_conj_fingerprints_on_repeated_rows(modulus):
-    """Reps of all six twists against both sides' probe elements t^-1 y t,
-    both fingerprint elements y and elements of every twist: the
-    one-product kernel gives conj_fingerprints' keys on repeated rows, bit
-    for bit, rep-major, with the inverse and without."""
-    f = GF64(modulus)
-    ops = FieldOps(f)
-    ng = named_groups(f)
-    graph = CosetGraph(f, ng)
-    _arm(graph)
-    rm, rt = to_arrays(of_every_twist(f, 300, seed=43))
-    mixed = to_arrays(of_every_twist(f, 12, seed=44))
-    cs = [mixed, (mixed[0][:1], mixed[1][:1])]
-    for side, K in ((1, ng.K1), (2, ng.K2)):
-        tm, tt = bunpack(np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64))
-        cs.append(ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt))
-        cs.append(graph.ysets[side])
-    rkeys = bpack(rm, rt)
-    for cm, ct in cs:
-        for inverse in (True, False):
-            want = oracles.fingerprints_of_repeated_rows(ops, rm, rt, cm, ct, inverse)
-            got = conj_fingerprint_grid(ops, rkeys, grid_tables(ops, cm, ct), inverse)
-            assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + ALT_MODULI, ids=hex)
-def test_plane_major_grid_equals_the_block_oracle(modulus):
-    """The plane-major grid kernel gives the block-form oracle's keys bit
-    for bit, against both sides' probe elements t^-1 y t, both fingerprint
-    elements y and k = 1..4 elements c of mixed twists, on n = 0, 1 and
-    KEY_CHUNK // k - 1 and + 1 reps of every twist, so across a chunk
-    boundary.  Some rows' least keys have a zero entry 0, so bpkeys' lead
-    fallback runs on the kernel's planes too."""
+    """The one-product kernel gives conj_fingerprints' keys on repeated
+    rows, bit for bit, rep-major, with the inverse and without: against
+    both sides' probe elements t^-1 y t, both fingerprint elements y, 12
+    elements c of every twist and k = 1..4 elements c of mixed twists, on
+    n = 0, 1 and KEY_CHUNK // k - 1 and + 1 reps of every twist, so across
+    a chunk boundary.  Some rows' least keys have a zero entry 0, so
+    bpkeys' lead fallback runs on the kernel's planes too."""
     f = GF64(modulus)
     ops = FieldOps(f)
     ng = named_groups(f)
@@ -181,24 +155,29 @@ def test_plane_major_grid_equals_the_block_oracle(modulus):
     am, at = to_arrays(of_every_twist(f, 96, seed=45))
     a, b = np.divmod(np.arange(96 * 96), 96)
     rm, rt = ops.bsmul(am[a], at[a], am[b], at[b])
+    assert sorted(set(rt[:100].tolist())) == list(range(6))
     mixed = to_arrays(of_every_twist(f, 12, seed=46))
-    cs = [(mixed[0][k:2 * k], mixed[1][k:2 * k]) for k in range(1, 5)]
+    cs = [mixed] + [(mixed[0][k:2 * k], mixed[1][k:2 * k]) for k in range(1, 5)]
     for side, K in ((1, ng.K1), (2, ng.K2)):
         tm, tt = bunpack(np.array([t.key for t in transversal(K, ng.K12)], dtype=np.uint64))
         cs.append(ops.bsmul(*ops.bsmul(*ops.binv(tm, tt), *graph.ysets[3 - side]), tm, tt))
         cs.append(graph.ysets[side])
-    assert sorted(len(ct) for _, ct in cs) == [1, 1, 1, 2, 3, 3, 4, 4]
-    assert all(len(set(ct.tolist())) == len(ct) for _, ct in cs[:4])
+    assert sorted(len(ct) for _, ct in cs) == [1, 1, 1, 2, 3, 3, 4, 4, 12]
+    assert all(len(set(ct.tolist())) == len(ct) for _, ct in cs[1:5])
     leads = []
     rkeys = bpack(rm, rt)
     for cm, ct in cs:
         k = len(ct)
-        for n in (0, 1, fastops.KEY_CHUNK // k - 1, fastops.KEY_CHUNK // k + 1):
-            got = conj_fingerprint_grid(ops, rkeys[:n], grid_tables(ops, cm, ct))
-            want = oracles.conj_fingerprint_grid_by_blocks(ops, rm[:n], rt[:n], cm, ct)
-            assert got.dtype == np.uint64 and got.shape == (n * k,)
-            assert np.array_equal(got, want)
-            leads.append((got >> np.uint64(51)) & np.uint64(63))
+        tables = grid_tables(ops, cm, ct)
+        top = fastops.KEY_CHUNK // k + 1
+        for inverse in (True, False):
+            # rep-major: the keys of the first n reps are the first n * k
+            want = oracles.fingerprints_of_repeated_rows(ops, rm[:top], rt[:top], cm, ct, inverse)
+            for n in (0, 1, top - 2, top):
+                got = conj_fingerprint_grid(ops, rkeys[:n], tables, inverse)
+                assert got.dtype == np.uint64 and got.shape == (n * k,)
+                assert np.array_equal(got, want[:n * k])
+                leads.append((got >> np.uint64(51)) & np.uint64(63))
     assert (np.concatenate(leads) == 0).any()
 
 
@@ -295,11 +274,25 @@ def _keys_of_every_twist(graph, n: int) -> np.ndarray:
     return graph.stabilizer_key_rows(np.arange(1, 1 + rows)).reshape(-1)[:n]
 
 
+def _conj_keys_by_products(ops, xm, xt, ckeys, inverse) -> np.ndarray:
+    """linear_conj_keys by rowwise products, (nx, n): with the inverse,
+    conj_fingerprints of x^-1 c x; without, bpkeys of the bsmul product
+    x^-1 c x, each x against its row of ckeys (or the shared (n,) row)."""
+    nx = len(xt)
+    keys = np.broadcast_to(np.asarray(ckeys, dtype=np.uint64), (nx, np.shape(ckeys)[-1]))
+    xi = np.repeat(np.arange(nx), keys.shape[1])
+    cm, ct = bunpack(keys.reshape(-1))
+    if inverse:
+        return conj_fingerprints(ops, xm[xi], xt[xi], cm, ct).reshape(keys.shape)
+    m, t = ops.bsmul(*ops.bsmul(*ops.binv(xm[xi], xt[xi]), cm, ct), xm[xi], xt[xi])
+    return ops.bpkeys(m, t).reshape(keys.shape)
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
     """On 2 KEY_CHUNK + 1 keys (the library's chunk, then a chunk of 7),
     shared by 1 and by 4 x and one row per x for 4 x, with and without the
-    inverse columns, the chunked lookups equal the one-shot oracle."""
+    inverse columns, the chunked lookups equal the rowwise products."""
     if chunk:
         monkeypatch.setattr(fastops, "KEY_CHUNK", chunk)
     n = 2 * fastops.KEY_CHUNK + 1
@@ -307,10 +300,11 @@ def test_linear_conj_keys_across_chunk_boundaries(graph, monkeypatch, chunk):
     assert len(ckeys) == n and len(np.unique(ckeys & np.uint64(7))) > 1
     xm, xt = bunpack(graph.kkeys[2, "K"][5:9])
     rows = np.stack([np.roll(ckeys, 5 * a) for a in range(4)])
-    for nx, keys in ((1, ckeys), (4, ckeys), (4, rows)):
-        for inverse in (True, False):
+    for inverse in (True, False):
+        shared, per_row = (_conj_keys_by_products(graph.ops, xm, xt, keys, inverse)
+                           for keys in (ckeys, rows))
+        for nx, keys, want in ((1, ckeys, shared[:1]), (4, ckeys, shared), (4, rows, per_row)):
             got = linear_conj_keys(graph.ops, xm[:nx], xt[:nx], keys, inverse)
-            want = oracles.linear_conj_keys_one_shot(graph.ops, xm[:nx], xt[:nx], keys, inverse)
             assert got.dtype == np.uint64 and got.shape == (nx, n)
             assert np.array_equal(got, want)
 
@@ -320,7 +314,7 @@ def test_linear_conj_keys_across_batch_boundaries(graph, monkeypatch, batch):
     """With KEY_CHUNK set so that a batch of table sets holds 1 or 2 x,
     2 batch + 1 conjugators (3 batches), keys shared by all and one row per
     x, with and without the inverse columns: the batched lookups equal the
-    one-shot oracle, and no key_tables call takes more x than a batch.  No
+    rowwise products, and no key_tables call takes more x than a batch.  No
     x or no key gives an empty block and makes no tables."""
     ckeys = _keys_of_every_twist(graph, 3000)
     nt = len(np.unique(ckeys & np.uint64(7)))
@@ -335,7 +329,7 @@ def test_linear_conj_keys_across_batch_boundaries(graph, monkeypatch, batch):
     rows = np.stack([np.roll(ckeys, 17 * a) for a in range(nx)])
     for keys in (ckeys, rows):
         for inverse in (True, False):
-            want = oracles.linear_conj_keys_one_shot(graph.ops, xm, xt, keys, inverse)
+            want = _conj_keys_by_products(graph.ops, xm, xt, keys, inverse)
             made.clear()
             got = linear_conj_keys(graph.ops, xm, xt, keys, inverse)
             assert got.dtype == np.uint64 and np.array_equal(got, want)
@@ -371,9 +365,8 @@ def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
     for six pairs (a, b) at once: two random pairs, two with b = 1 (the
     tables of c -> t c) and two with a = b^-1 (of c -> x^-1 c x), the a
     and the b of several twists; each of the 6 twists of c alone, all
-    together and {2, 4}, with and without the inverse columns.  With b = 1
-    and twists 0..5 they are the left multiplication tables that the rep
-    keys were first read from (oracles.lmul_tables)."""
+    together, {2, 4} and {1, 4}, with and without the inverse columns.
+    For one pair x^-1, x alone: the twists {3}, {1, 4} and all six."""
     f = GF64(modulus)
     ops = FieldOps(f)
     xm, xt = to_arrays(of_every_twist(f, 6, seed=33))
@@ -384,34 +377,17 @@ def test_conj_tables_from_bit_matrices_equal_the_unit_matrix_tables(modulus):
     bm, bt = (np.concatenate([ym[:2], one[0], xm[4:]]),
               np.concatenate([yt[:2], one[1], xt[4:]]))
     assert len(set(at.tolist())) > 3 and len(set(bt.tolist())) > 3
-    for inverse in (True, False):
-        for twists in [[t] for t in range(6)] + [list(range(6)), [2, 4]]:
-            got = key_tables(ops, am, at, bm, bt, twists, inverse)
-            want = oracles.key_tables(ops, am, at, bm, bt, twists, inverse)
-            assert got.shape == want.shape == (6 * len(twists) * 576, 6 if inverse else 3)
+    runs = [(slice(None), [t]) for t in range(6)]
+    runs += [(slice(None), twists) for twists in (list(range(6)), [2, 4], [1, 4])]
+    runs += [(slice(5, 6), twists) for twists in ([3], [1, 4], list(range(6)))]
+    for pairs, twists in runs:
+        a, b = (am[pairs], at[pairs]), (bm[pairs], bt[pairs])
+        for inverse in (True, False):
+            got = key_tables(ops, *a, *b, twists, inverse)
+            want = oracles.key_tables(ops, *a, *b, twists, inverse)
+            assert got.shape == want.shape == (len(a[1]) * len(twists) * 576,
+                                               6 if inverse else 3)
             assert np.array_equal(got, want)
-    got = key_tables(ops, am[2:4], at[2:4], bm[2:4], bt[2:4], range(6), False)
-    assert np.array_equal(got, lmul_tables(ops, am[2:4], at[2:4]))
-
-
-@pytest.mark.parametrize("modulus", (DEFAULT_MODULUS,) + tuple(ALT_MODULI))
-def test_row_packed_tables_equal_the_bit_doubling_tables(modulus):
-    """Under all four moduli, the tables made from row-packed lanes equal
-    the bit-doubling oracle's value for value, once its (x, twist, entry,
-    value) rows are moved to value-major order: for 1 and 4 x, 1, 2 and 6
-    twists, with and without the inverse columns."""
-    f = GF64(modulus)
-    ops = FieldOps(f)
-    xm, xt = to_arrays(of_every_twist(f, 6, seed=36)[2:6])
-    assert len(set(xt.tolist())) == 4
-    for nx in (1, 4):
-        for twists in ([3], [1, 4], list(range(6))):
-            for inverse in (True, False):
-                x = xm[:nx], xt[:nx]
-                got = key_tables(ops, *ops.binv(*x), *x, twists, inverse)
-                old = oracles.conj_tables_by_bit_doubling(ops, *x, twists, inverse)
-                assert got.shape == old.shape == (nx * len(twists) * 576, 6 if inverse else 3)
-                assert np.array_equal(got, oracles.by_value_rows(old, nx, len(twists)))
 
 
 def test_linear_conj_keys_per_row_elements(f, ops):
@@ -439,12 +415,13 @@ def test_lmul_keys_equal_products(modulus, monkeypatch):
     """Under all four moduli, for every element t_j of both transversals
     (all of twist 0) and for 6 random t of all six twists, against 60
     random elements r of all six twists, each given by its packed key and
-    by its projective key: the table lookups give bpkeys(t r), as one
-    bsmul and bpkeys per key give it, also in chunks of 7 keys and on no
-    keys."""
+    by its projective key: lookups in the tables of c -> t c, made by
+    key_tables as build_graph makes them, give bpkeys(t r), as one bsmul
+    and bpkeys per key give it, also in chunks of 7 keys and on no keys."""
     f = GF64(modulus)
     ng = named_groups(f)
     ops = FieldOps(f)
+    ident = np.array([IDENTITY], dtype=np.uint64)
     rs = of_every_twist(f, 60, seed=37)
     raw = np.array([r.key for r in rs], dtype=np.uint64)
     canon = ops.bpkeys(*bunpack(raw))
@@ -453,7 +430,8 @@ def test_lmul_keys_equal_products(modulus, monkeypatch):
           for K in (ng.K1, ng.K2)]
     for tkeys in ts + [np.array([t.key for t in of_every_twist(f, 6, seed=38)], dtype=np.uint64)]:
         tm, tt = bunpack(tkeys)
-        tables = lmul_tables(ops, tm, tt)
+        # the tables of c -> t c as build_graph makes them
+        tables = key_tables(ops, tm, tt, *bunpack(np.repeat(ident, len(tt))), range(6), False)
         assert tables.shape == (64 * len(tt) * 6 * 9, 3)
         tidx = np.repeat(np.arange(len(tt)), len(raw))
         for rkeys in (np.tile(raw, len(tt)), np.tile(canon, len(tt))):

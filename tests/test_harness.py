@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -484,6 +485,51 @@ def test_perfbench_wrappers_find_every_name():
             "spans.instrument(spans.Tracer())")
     subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench"),
                     os.path.join(root, "src")], check=True, timeout=120)
+
+
+def _top_level_uses(tree) -> dict:
+    """Each name a module's top-level def, class or assignment binds ->
+    the names that its statements read."""
+    uses: dict = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for name in names:
+            uses.setdefault(name, set()).update(read - {name})
+    return uses
+
+
+def test_every_oracle_is_used_by_a_test_module():
+    """Every name that tests/oracles.py defines at top level is used by a
+    tests/test_*.py module (imported from oracles, or read as
+    oracles.name), directly or through another oracle that is: an oracle
+    whose last test went goes with it."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "oracles.py")) as fh:
+        uses = _top_level_uses(ast.parse(fh.read()))
+    used = set()
+    for name in sorted(os.listdir(here)):
+        if name.startswith("test_") and name.endswith(".py"):
+            with open(os.path.join(here, name)) as fh:
+                for n in ast.walk(ast.parse(fh.read())):
+                    if isinstance(n, ast.ImportFrom) and n.module == "oracles":
+                        used.update(a.name for a in n.names)
+                    elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                          and n.value.id == "oracles"):
+                        used.add(n.attr)
+    reached, todo = set(), list(used & set(uses))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(uses[name] & set(uses))
+    assert sorted(set(uses) - reached) == []
 
 
 def test_python_dash_m_psu38_runs_the_cli_without_warnings():
