@@ -7,7 +7,6 @@ the condition X = G12 n <X^{G_i}> for both i.  It is the limit of the
 monotone, inflationary iteration of that condition from <T1, T2>, and so
 the least closed subgroup above it (compute_X gives the proof); the
 limit is checked to be independent of the alternation order and closed.
-Every check raises AssertionError, so it holds under python -O too.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .grp import SmallGroup, iso_check, is_split_extension
+from .obligations import obligation
 
 
 @dataclass
@@ -32,11 +32,10 @@ class Amalgam:
 def core_in(G12: SmallGroup, Gi: SmallGroup) -> SmallGroup:
     """Normal core of G12 in Gi: the largest subgroup of G12 normal in Gi,
     computed as the intersection of the Gi-conjugates of G12."""
-    if not G12 <= Gi:
-        raise AssertionError("G12 is not a subgroup of Gi")
+    obligation("G12 is not a subgroup of Gi", G12 <= Gi)
     out = Gi.core(G12)
-    if not (Gi.is_normal(out) and out <= G12):
-        raise AssertionError("core is not a normal subgroup of Gi inside G12")
+    obligation("core is not a normal subgroup of Gi inside G12",
+               Gi.is_normal(out) and out <= G12)
     return out
 
 
@@ -68,19 +67,18 @@ def compute_X(am: Amalgam) -> SmallGroup:
             Y = _closure_step(am, X, order)
             if Y.iset == X.iset:
                 break
-            if not X.iset <= Y.iset:
-                raise AssertionError("iteration must be monotone")
+            obligation("iteration must be monotone", X.iset <= Y.iset, order=order)
             X = Y
         results.append(X)
-    if results[0].iset != results[1].iset:
-        raise AssertionError("fixed point depends on order")
+    obligation("fixed point depends on order", results[0].iset == results[1].iset,
+               orders=(len(results[0]), len(results[1])))
     X = results[0]
     # closure conditions at the fixed point
     for i in (1, 2):
         Gi = am.G1 if i == 1 else am.G2
         nc = Gi.normal_closure(X.gens_list())
-        if X.iset != am.G12.intersect(nc).iset:
-            raise AssertionError(f"fixed point is not closed under G{i}")
+        obligation("fixed point is not closed under G_i", X.iset == am.G12.intersect(nc).iset,
+                   i=i)
     return X
 
 
@@ -120,8 +118,7 @@ def shape_agl23s(am: Amalgam, refs: dict) -> tuple[bool, dict]:
 def _t_centralizer(am: Amalgam) -> SmallGroup:
     """C_{O_3(G2)}(T) for T the Sylow 2-subgroup of T2, of order 2."""
     t = am.T2.sylow(2)
-    if len(t) != 2:
-        raise AssertionError("Sylow 2-subgroup of T2 is not of order 2")
+    obligation("Sylow 2-subgroup of T2 is not of order 2", len(t) == 2, order=len(t))
     return am.G2.p_core(3).centralizer(t.gens_list())
 
 
@@ -161,8 +158,8 @@ def holomorph_semidirect(Z: SmallGroup, G: SmallGroup) -> SmallGroup:
     auts = [tuple([zi[tab.conj(x, g)] for x in zl]) for g in G._gl()]
     sd = SmallGroup.generate(shifts + auts)
     # the translations are regular and the automorphisms fix Z's identity
-    if len(sd) != len(zl) * len(SmallGroup.generate(auts)):
-        raise AssertionError("semidirect product has the wrong order")
+    obligation("semidirect product has the wrong order",
+               len(sd) == len(zl) * len(SmallGroup.generate(auts)), order=len(sd))
     return sd
 
 

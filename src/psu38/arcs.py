@@ -27,6 +27,7 @@ import numpy as np
 from .coset import CosetGraph
 from .fastops import unique_sorted
 from .grp import SmallGroup
+from .obligations import obligation
 
 # ---------------------------------------------------------------------------
 # balls and arcs
@@ -85,8 +86,8 @@ def arc_levels(graph: CosetGraph, v: int, perms: list[np.ndarray], s: int):
     the keys and checked; each image map is then injective, by induction
     on t, so a permutation.  Raises if a permutation moves v or an image
     is not an arc."""
-    if any(p[v] != v for p in perms):
-        raise AssertionError("a stabilizer permutation moves its vertex")
+    obligation("a stabilizer permutation moves its vertex", all(p[v] == v for p in perms),
+               vertex=v)
     last, before = np.array([v], dtype=np.int64), np.array([-1])
     images = [np.zeros(1, dtype=np.int64) for _ in perms]
     yield 1, images
@@ -98,8 +99,8 @@ def arc_levels(graph: CosetGraph, v: int, perms: list[np.ndarray], s: int):
         key = prefix * graph.nv + last
         want = [im[prefix] * graph.nv + p[last] for p, im in zip(perms, images)]
         images = [np.minimum(np.searchsorted(key, w), len(key) - 1) for w in want]
-        if not all(np.array_equal(key[j], w) for j, w in zip(images, want)):
-            raise AssertionError("an image is not an arc")
+        obligation("an image is not an arc",
+                   all(np.array_equal(key[j], w) for j, w in zip(images, want)), vertex=v)
         yield len(key), images
 
 
@@ -191,8 +192,7 @@ class KernelData:
         moved = T != T[0]
         first_moved = np.where(moved.any(axis=1), radii[moved.argmax(axis=1)],
                                KERNEL_RADIUS + 1)
-        if first_moved.min() < 1:
-            raise AssertionError("stabilizer element moves its own vertex")
+        obligation("stabilizer element moves its own vertex", first_moved.min() >= 1, vertex=v)
         self.first_moved = first_moved
         # only the neighbors' columns are kept, for induced_neighbor_group
         self.nbr_pts = pts[radii == 1]
@@ -305,11 +305,10 @@ def _side_batches(graph: CosetGraph, ids: np.ndarray):
     (H_side <= K_side) the checked result of a binary search."""
     for side, part in ((1, ids[ids < graph.n1]), (2, ids[ids >= graph.n1])):
         ks, hs = graph.kkeys[side, "K"], graph.kkeys[side, "H"]
-        if (ks[1:] <= ks[:-1]).any():
-            raise AssertionError(f"side {side}: the keys of K_side do not ascend")
+        obligation("the keys of K_side do not ascend", (ks[1:] > ks[:-1]).all(), side=side)
         pos = np.minimum(np.searchsorted(ks, hs), len(ks) - 1)
-        if not np.array_equal(ks[pos], hs):
-            raise AssertionError(f"side {side}: a key of H_side is not one of K_side")
+        obligation("a key of H_side is not one of K_side", np.array_equal(ks[pos], hs),
+                   side=side)
         for lo in range(0, len(part), SAMPLE_CHUNK):
             yield side, part[lo:lo + SAMPLE_CHUNK], {"K": slice(None), "H": pos}
 

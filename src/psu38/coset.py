@@ -92,6 +92,7 @@ from .fastops import (KEY_CHUNK, FieldOps, bunpack, conj_fingerprint_grid, grid_
                       key_tables, linear_conj_keys, lmul_keys, unique_sorted)
 from .gf64 import GF64
 from .grp import NamedGroups, SmallGroup
+from .obligations import obligation
 from .psu import IDENTITY, PElement
 
 CACHE_MAGIC = b"PSU38GR\x00"
@@ -114,8 +115,8 @@ def transversal(K: SmallGroup, K12: SmallGroup) -> list[PElement]:
     the same word in the generators under every modulus.  The cosets are
     SmallGroup._coset_index's walk on K's indices."""
     ts = K._coset_index(K12)[1]
-    if len(ts) * len(K12) != len(K):
-        raise AssertionError(f"{len(ts)} cosets of K12 in K, not |K|/|K12|")
+    obligation("the cosets of K12 in K are not |K|/|K12|", len(ts) * len(K12) == len(K),
+               cosets=len(ts), K=len(K), K12=len(K12))
     return [K.tab.elems[t] for t in ts]
 
 
@@ -191,8 +192,7 @@ class CosetGraph:
             side, off = (1, 0) if g < self.n1 else (2, self.n1)
             c = grid_tables(self.ops, *bunpack(self.skeys[side][self.sids[side] == g - off]))
             ids = self._resolve(side, conj_fingerprint_grid(self.ops, keys, c, side == 2))
-            if (ids < 0).any():
-                raise AssertionError("action image is not a known vertex")
+            obligation("action image is not a known vertex", (ids >= 0).all(), vertex=g)
             out[i] = ids + off
         return out
 
@@ -214,28 +214,30 @@ class CosetGraph:
             for side, off in ((1, 0), (2, self.n1)):
                 keys = linear_conj_keys(self.ops, xm, xt, self.skeys[side], side == 2)[0]
                 order = np.argsort(keys)
-                if not np.array_equal(keys[order], self.skeys[side]):
-                    raise AssertionError("action image is not a known vertex")
+                obligation("action image is not a known vertex",
+                           np.array_equal(keys[order], self.skeys[side]), side=side)
                 p[off + self.sids[side][order]] = self.sids[side] + off
             self._perm_cache[x.key] = p
         return p
 
     def is_graph_automorphism(self, x: PElement) -> bool:
-        """Whether perm(x) maps the edge set onto itself.  p = perm(x) must
-        be a bijection of each side: every image in its vertex's side, and
-        every vertex an image.  Then p is an automorphism exactly when it
-        maps the side-2 ends of each side-1 vertex u onto those of p[u]:
-        every edge (u, v) then goes to an edge, p is injective on edges,
-        and there are as many image edges as edges.  The side-1 rows of
-        the CSR are those ends, 4 ascending per vertex; each row of
-        images is put in order by a 5-comparator sorting network on its
-        four columns, with no sort, and compared with the row of p[u]."""
+        """Whether perm(x) maps the edge set onto itself.  p = perm(x) is a
+        bijection of each side: perm, its only producer, requires the
+        sorted image keys of a side to equal the side's keys, which ascend
+        strictly (_check_keys), so every vertex of a side is the image of
+        exactly one vertex of it.  The range check keeps the row gather
+        below inside the arrays for any other map.  Then p is an
+        automorphism exactly when it maps the side-2 ends of each side-1
+        vertex u onto those of p[u]: every edge (u, v) then goes to an
+        edge, p is injective on edges, and there are as many image edges
+        as edges.  The side-1 rows of the CSR are those ends, 4 ascending
+        per vertex; each row of images is put in order by a 5-comparator
+        sorting network on its four columns, with no sort, and compared
+        with the row of p[u]."""
         p = self.perm(x)
         n1, nv = self.n1, self.nv
         p1, p2 = p[:n1], p[n1:]
         if p1.min() < 0 or p1.max() >= n1 or p2.min() < n1 or p2.max() >= nv:
-            return False
-        if (np.bincount(p, minlength=nv) != 1).any():
             return False
         rows = self.indices[:len(self.edges)].reshape(n1, 4)
         img = np.take(p, rows.T)  # (4, n1): column c of every row of images
@@ -284,8 +286,7 @@ class CosetGraph:
         member = np.empty(conj.shape, dtype=bool)
         for side, sel in ((1, ~on2), (2, on2)):
             ks = self.kkeys[side, "K"]
-            if (ks[1:] <= ks[:-1]).any():
-                raise AssertionError(f"side {side}: the keys of K_side do not ascend")
+            obligation("the keys of K_side do not ascend", (ks[1:] > ks[:-1]).all(), side=side)
             pos = np.minimum(np.searchsorted(ks, conj[sel]), len(ks) - 1)
             member[sel] = ks[pos] == conj[sel]
         return member
@@ -317,8 +318,7 @@ class CosetGraph:
         against side 2."""
         o1 = self.n1 * len(self.ng.K1)
         o2 = self.n2 * len(self.ng.K2)
-        if o1 != o2:
-            raise AssertionError(f"orbit counts disagree: {o1} != {o2}")
+        obligation("orbit counts disagree", o1 == o2, side1=o1, side2=o2)
         return o1
 
     # -- vertex keys -------------------------------------------------------
@@ -369,12 +369,9 @@ class CosetGraph:
         and there are |G|/|K_side| of them, so they are all the cosets."""
         for side, K in ((1, self.ng.K1), (2, self.ng.K2)):
             fk = self.skeys[side]
-            if (fk[1:] == fk[:-1]).any():
-                raise AssertionError(f"side {side}: duplicate vertex keys")
-            if len(fk) * len(K) != GROUP_ORDER:
-                raise AssertionError(
-                    f"side {side}: {len(fk)} vertices x |K{side}| = {len(K)} "
-                    f"is not |G| = {GROUP_ORDER}")
+            obligation("duplicate vertex keys", (fk[1:] != fk[:-1]).all(), side=side)
+            obligation("n_side x |K_side| is not |G|", len(fk) * len(K) == GROUP_ORDER,
+                       side=side, vertices=len(fk), K_side=len(K), G=GROUP_ORDER)
 
     def _build_csr(self) -> None:
         """indptr and indices of both directions of every edge, rows by
@@ -411,12 +408,11 @@ def _arm(graph: CosetGraph) -> None:
     y2 = [y for y in ng.Qh2.center().idx if y
           and all(t2.conj(y, k) in (y, t2.inv[y]) for k in ng.K2._gl())]
     for name, ys in (("Z(K1)", z1), ("Y2 in Z(Qh2)", y2)):
-        if len(ys) != 2:
-            raise AssertionError(f"{name}: {len(ys)} candidates for y, not 2")
+        obligation("y does not have 2 candidates", len(ys) == 2, subgroup=name, candidates=len(ys))
     # side 1 keys the element y itself, not Y: every generator of K1 must
     # fix it, as every generator of K2 maps side 2's y into {y, y^-1}
-    if any(t1.conj(z1[0], k) != z1[0] for k in ng.K1._gl()):
-        raise AssertionError("Z(K1): a generator of K1 does not fix side 1's y")
+    obligation("Z(K1): a generator of K1 does not fix side 1's y",
+               all(t1.conj(z1[0], k) == z1[0] for k in ng.K1._gl()))
     for side, ys, K in ((1, z1, ng.K1), (2, y2, ng.K2)):
         graph.ysets[side] = bunpack(np.array([K.tab.keys[ys[0]]], dtype=np.uint64))
         for group in ("K", "H"):
@@ -461,8 +457,9 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     own probes would resolve to those vertices only, and a side-2 probe
     writes nothing but the parent of a fresh vertex, so skipping them
     changes no id, edge or key."""
-    if len(ng.K12) * 4 != len(ng.K1) or len(ng.K12) * 3 != len(ng.K2):
-        raise AssertionError("K1 n K2 does not have the expected indices")
+    obligation("K1 n K2 does not have the expected indices",
+               len(ng.K12) * 4 == len(ng.K1) and len(ng.K12) * 3 == len(ng.K2),
+               K1=len(ng.K1), K2=len(ng.K2), K12=len(ng.K12))
     graph = CosetGraph(ng.field, ng)
     _arm(graph)
     ops = graph.ops
@@ -505,8 +502,9 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
             starts = np.flatnonzero(run)
             fresh, first = q[starts], np.minimum.reduceat(miss, starts)
             base = len(graph.reps[tgt])
-            if (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) > GROUP_ORDER:
-                raise AssertionError("more cosets than |G| allows; convention bug")
+            obligation("more cosets than |G| allows; convention bug",
+                       (base + len(fresh)) * len(ng.K1 if tgt == 1 else ng.K2) <= GROUP_ORDER,
+                       side=tgt, vertices=base + len(fresh))
             # the fresh keys are numbered in the order of their first
             # probes, which probe lists ascending
             probe = np.zeros(len(keys), dtype=bool)
@@ -534,8 +532,8 @@ def build_graph(ng: NamedGroups, progress=None) -> CosetGraph:
     graph.n1, graph.n2 = len(graph.reps[1]), len(graph.reps[2])
     graph._check_keys()
     nbr.sort(axis=1)
-    if (nbr[:, 1:] == nbr[:, :-1]).any():
-        raise AssertionError("edge table check: a side-1 vertex has a repeated side-2 end")
+    obligation("edge table check: a side-1 vertex has a repeated side-2 end",
+               (nbr[:, 1:] != nbr[:, :-1]).all())
     rows = np.broadcast_to(np.arange(graph.n1, dtype=np.uint32)[:, None], nbr.shape)
     graph.edges = np.stack([rows, nbr], axis=2).reshape(-1, 2)
     del rows, nbr
@@ -553,18 +551,16 @@ def _assert_base_edge(graph: CosetGraph) -> None:
     ng = graph.ng
     x1, x2 = graph.base_x1, graph.base_x2
     deg = np.diff(graph.indptr)
-    if (deg[:graph.n1] != 4).any() or (deg[graph.n1:] != 3).any():
-        raise AssertionError("degrees are not 4 on side 1 and 3 on side 2")
-    if x2 not in graph.neighbors(x1):
-        raise AssertionError("base vertices are not adjacent")
-    E = ng.p["E"]
-    x3 = graph.image(x1, E)
-    if x3 == x1 or graph.side_of(x3) != 1:
-        raise AssertionError("K1.E did not land on a new side-1 vertex")
+    obligation("degrees are not 4 on side 1 and 3 on side 2",
+               (deg[:graph.n1] == 4).all() and (deg[graph.n1:] == 3).all())
+    obligation("base vertices are not adjacent", x2 in graph.neighbors(x1))
+    x3 = graph.image(x1, ng.p["E"])
+    obligation("K1.E did not land on a new side-1 vertex",
+               x3 != x1 and graph.side_of(x3) == 1, x3=x3)
     keys = graph.stabilizer_key_rows([x3], "K")[0]
     images = graph.image_batch([x3], keys)
-    if len(unique_sorted(keys)) != len(ng.K1) or (images != x3).any():
-        raise AssertionError("stabilizer of K1.E is not K1 conjugated by the rep")
+    obligation("stabilizer of K1.E is not K1 conjugated by the rep",
+               len(unique_sorted(keys)) == len(ng.K1) and (images == x3).all())
 
 
 def _assert_adjacency(graph: CosetGraph) -> None:
@@ -584,16 +580,16 @@ def _assert_adjacency(graph: CosetGraph) -> None:
     prods = unique_sorted(ops.bpkeys(*ops.bsmul(
         np.tile(km, (len(tt), 1, 1)), np.tile(kt, len(tt)),
         np.repeat(tm, n, axis=0), np.repeat(tt, n))))
-    if len(prods) != len(ng.K1) * len(ng.K2) // len(ng.K12):
-        raise AssertionError(f"K1 K2 has {len(prods)} elements, not |K1||K2|/|K12|")
+    obligation("K1 K2 does not have |K1||K2|/|K12| elements",
+               len(prods) == len(ng.K1) * len(ng.K2) // len(ng.K12), elements=len(prods))
     rm, rt = bunpack(graph.reps[1])
     sm, st = ops.binv(*bunpack(graph.reps[2]))
     for lo in range(0, len(graph.edges), KEY_CHUNK):
         u, v = graph.edges[lo:lo + KEY_CHUNK].T
         keys = ops.bpkeys(*ops.bsmul(rm[u], rt[u], sm[v], st[v]))
         pos = np.minimum(np.searchsorted(prods, keys), len(prods) - 1)
-        if (prods[pos] != keys).any():
-            raise AssertionError("a stored edge joins two cosets that do not meet")
+        obligation("a stored edge joins two cosets that do not meet",
+                   (prods[pos] == keys).all())
 
 
 # ---------------------------------------------------------------------------

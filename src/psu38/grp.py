@@ -47,6 +47,7 @@ from math import gcd
 
 from .fastops import bunpack
 from .gf64 import GF64
+from .obligations import obligation
 from .psu import IDENTITY, PElement, pgenerators
 
 
@@ -473,8 +474,8 @@ class SmallGroup:
         order = tab.order
         cand = sorted(self.idx, key=lambda x: (-order(x), x))
         gens, ends, _ = _greedy(cand, 0, tab.by)
-        if ends[-1] != len(self.idx):
-            raise AssertionError("element set is not closed under multiplication")
+        obligation("element set is not closed under multiplication",
+                   ends[-1] == len(self.idx), span=ends[-1], elements=len(self.idx))
         return gens
 
     # -- predicates ---------------------------------------------------
@@ -617,8 +618,7 @@ class SmallGroup:
             x = next((x for x in scan
                       if x not in pset and target % order(x) == 0
                       and all(conj(h, x) in pset for h in pgens)), None)
-            if x is None:
-                raise AssertionError("sylow growth stalled")
+            obligation("sylow growth stalled", x is not None, p=p, order=len(P))
             els, xi = list(P), x
             while xi not in pset:
                 f = tab.right_of(xi)
@@ -627,8 +627,7 @@ class SmallGroup:
             P = sorted(set(els))
             pset = set(P)
             pgens.append(x)
-            if target % len(P):
-                raise AssertionError("P<x> is not a p-group")
+            obligation("P<x> is not a p-group", target % len(P) == 0, p=p, order=len(P))
         return self._sub(P)
 
     def p_core(self, p: int) -> "SmallGroup":
@@ -721,8 +720,8 @@ class SmallGroup:
             f = self.tab.right_of(g)
             perms.append(tuple([coset[f(r)] for r in reps]))
         q = SmallGroup.generate(perms)
-        if len(q) * len(N) != len(self.idx):
-            raise AssertionError(f"|G/N| = {len(q)} is not |G|/|N|")
+        obligation("|G/N| is not |G|/|N|", len(q) * len(N) == len(self.idx),
+                   quotient=len(q), G=len(self.idx), N=len(N))
         return q
 
 
@@ -983,8 +982,7 @@ def affine_refs() -> dict[str, SmallGroup]:
     syl3 = agl.generated([t1, t2, u])
 
     v0 = v.centralizer(syl3.gens_list())
-    if v0.iset != syl3.center().iset:
-        raise AssertionError("C_V(S) is not Z(S)")
+    obligation("C_V(S) is not Z(S)", v0.iset == syl3.center().iset)
 
     agl_s = agl.normalizer(syl3)
     sharp, star = _index2_variants(agl_s, syl3, v, v0)
@@ -999,8 +997,7 @@ def _index2_variants(agl_s, syl3, v, v0):
     der = agl_s.derived()
     coset, reps = agl_s._coset_index(der)
     q = agl_s._quotient(der, coset, reps)
-    if not q.is_abelian():
-        raise AssertionError("AGL2(3,S) modulo its derived subgroup is not abelian")
+    obligation("AGL2(3,S) modulo its derived subgroup is not abelian", q.is_abelian())
     half = len(q) // 2
     qt, tab = q.tab, agl_s.tab
     mul, inv = tab.mul, tab.inv
@@ -1024,15 +1021,13 @@ def _index2_variants(agl_s, syl3, v, v0):
         if {mul(a, b) for a in c_v0.idx for b in c_vq.idx} != X.iset:
             continue
         if c_vq.iset == syl3.iset and len(c_v0) == 2 * len(syl3):
-            if sharp is not None:
-                raise AssertionError("sharp subgroup not unique")
+            obligation("sharp subgroup not unique", sharp is None)
             sharp = X
         elif c_v0.iset == syl3.iset and len(c_vq) == 2 * len(syl3):
-            if star is not None:
-                raise AssertionError("star subgroup not unique")
+            obligation("star subgroup not unique", star is None)
             star = X
-    if sharp is None or star is None or sharp.iset == star.iset:
-        raise AssertionError("no two distinct sharp and star subgroups")
+    obligation("no two distinct sharp and star subgroups",
+               sharp is not None and star is not None and sharp.iset != star.iset)
     return sharp, star
 
 
@@ -1040,15 +1035,14 @@ def sp2_group() -> SmallGroup:
     """The extraspecial group of order 27 and exponent 9, as the affine
     maps x -> 4^j x + i of Z9, generated by x + 1 and 4x."""
     g = SmallGroup.generate([_cycle(9), tuple(4 * x % 9 for x in range(9))])
-    if not (len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3)):
-        raise AssertionError("SP2 is not extraspecial of order 27 and exponent 9")
+    obligation("SP2 is not extraspecial of order 27 and exponent 9",
+               len(g) == 27 and g.exponent() == 9 and g.is_extraspecial(3))
     return g
 
 
 def pgl23_group(gl: SmallGroup) -> SmallGroup:
     z = gl.center()
-    if len(z) != 2:
-        raise AssertionError(f"Z(GL2(3)) has order {len(z)}, not 2")
+    obligation("Z(GL2(3)) does not have order 2", len(z) == 2, order=len(z))
     return gl.quotient(z)
 
 
@@ -1089,8 +1083,8 @@ def reference_groups() -> dict[str, SmallGroup]:
         "C3xAGL23S_sharp": 162,
     }
     for k, n in expected.items():
-        if len(refs[k]) != n:
-            raise AssertionError(f"reference group {k} has order {len(refs[k])}, not {n}")
+        obligation("a reference group has the wrong order", len(refs[k]) == n,
+                   group=k, order=len(refs[k]), expected=n)
     return refs
 
 

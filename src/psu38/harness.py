@@ -33,6 +33,7 @@ from .fastops import FieldOps
 from .gf64 import GF64, DEFAULT_MODULUS, BadModulus, polymul_mod
 from .grp import (SmallGroup, direct_product, is_split_extension, iso_check,
                   named_groups, reference_groups)
+from .obligations import obligation
 from .psu import check_relations, make_generators, special_unitary, words
 
 EXIT_OK = 0
@@ -165,12 +166,10 @@ class VerifyContext:
             x4 = g.image(x0, p["E"])
             xm1 = g.image(x3, p["D"])
             arc = [xm1, x0, x1, x2, x3, x4]
-            for a, b in zip(arc, arc[1:]):
-                if b not in g.neighbors(a):
-                    raise AssertionError("named cosets do not form a path")
-            for i in range(1, 5):
-                if arc[i - 1] == arc[i + 1]:
-                    raise AssertionError("named path backtracks")
+            obligation("named cosets do not form a path",
+                       all(b in g.neighbors(a) for a, b in zip(arc, arc[1:])), arc=arc)
+            obligation("named path backtracks",
+                       all(arc[i - 1] != arc[i + 1] for i in range(1, 5)), arc=arc)
             return arc
         return self._memo("paper_arc", build)
 
@@ -946,8 +945,7 @@ def select_claims(group: str = "both", claim_filter: str | None = None) -> list[
     an empty run as a pass."""
     claims = build_claims()
     ids = [c.id for c in claims]
-    if len(ids) != len(set(ids)):
-        raise AssertionError("claim ids must be unique")
+    obligation("claim ids must be unique", len(ids) == len(set(ids)))
     prefixes = [p.strip().lower() for p in (claim_filter or "").split(",") if p.strip()]
 
     def matches(cid: str) -> bool:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .fastops import FieldOps, bpack, bunpack
 from .gf64 import GF64
+from .obligations import obligation
 
 # the identity's packed key, at SU level and projectively
 IDENTITY = int(bpack(np.eye(3, dtype=np.uint8)[None], np.zeros(1, dtype=np.uint8))[0])
@@ -125,8 +126,7 @@ def make_generators(field: GF64) -> dict[str, int]:
     keys = bpack(np.array(list(mats.values()), dtype=np.uint8).reshape(-1, 3, 3),
                  np.zeros(len(mats), dtype=np.uint8)).tolist()
     for name, ok in zip(mats, special_unitary(FieldOps(field), keys)):
-        if not ok:
-            raise AssertionError(f"generator {name} is not in SU_3(8)")
+        obligation("a generator is not in SU_3(8)", ok, generator=name)
     out = dict(zip(mats, keys))
     out["sigma"] = IDENTITY + 1  # the identity matrix, twist 1
     return out
@@ -264,11 +264,8 @@ def check_relations(field: GF64) -> RelationReport:
     """
     results, sigma = relation_rows(field)
     winners = [k for k, rows in results.items() if all(ok for _, ok in rows)]
-    if len(winners) != 1:
-        raise AssertionError(
-            f"relation table satisfied by {len(winners)} convention pairs, expected exactly 1"
-        )
+    obligation("relation table not satisfied by exactly 1 convention pair",
+               len(winners) == 1, pairs=len(winners))
     cname, jname = winners[0]
-    if not all(sigma[jname]):
-        raise AssertionError("sigma conjugation does not match the Frobenius image")
+    obligation("sigma conjugation does not match the Frobenius image", all(sigma[jname]))
     return RelationReport(cname, jname, True, results[winners[0]])

@@ -38,6 +38,16 @@ def graph(ctx):
     return ctx.graph
 
 
+@pytest.fixture
+def fresh_ctx(ctx):
+    """A fresh VerifyContext, no stage computed, on the session's field,
+    groups and graph."""
+    fresh = VerifyContext()
+    for key in ("field", "ng", "refs", "graph"):
+        fresh._cache[key] = getattr(ctx, key)
+    return fresh
+
+
 @pytest.fixture(scope="session")
 def graph43():
     """The graph built under the modulus 0x43."""

@@ -1,10 +1,9 @@
-import os
-import subprocess
-import sys
+import types
 
 import pytest
 
-from psu38.amalgam import (analyze, compute_X, core_in, holomorph_semidirect,
+from psu38 import amalgam
+from psu38.amalgam import (Amalgam, analyze, compute_X, core_in, holomorph_semidirect,
                            shape_agl23s, shape_d2, shape_e2)
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS
 from psu38.grp import SmallGroup, iso_check, sym_group
@@ -119,29 +118,36 @@ def test_compute_X_alternation_insensitive(amH):
     assert x.eset == amH.X.eset
 
 
-def test_amalgam_checks_hold_under_python_dash_O():
-    """compute_X's checks are raises, not asserts, so python -O keeps
-    them: with _closure_step corrupted in the order (2, 1) to return the
-    normal closure in G1 without intersecting it with G12, the two
-    alternation orders reach different subgroups (H12, which is not
-    normal in H1, and its normal closure), and analyzing the H amalgam
-    must raise."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("from psu38 import amalgam\n"
-            "from psu38.harness import VerifyContext\n"
-            "ctx = VerifyContext()\n"
-            "step = amalgam._closure_step\n"
-            "amalgam._closure_step = (lambda am, X, order:\n"
-            "                         step(am, X, order) if order == (1, 2)\n"
-            "                         else am.G1.normal_closure(X.gens_list()))\n"
-            "try:\n"
-            "    ctx.amalgam('H')\n"
-            "except AssertionError as e:\n"
-            "    print(e)\n"
-            "else:\n"
-            "    raise SystemExit('compute_X accepted an order-dependent fixed point')\n")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "fixed point depends on order"
+def test_core_in_checks_its_input_and_result(ng, monkeypatch):
+    """core_in refuses a G12 outside Gi, and a core that is not normal:
+    H12 is not normal in H1."""
+    with pytest.raises(AssertionError, match="G12 is not a subgroup of Gi"):
+        core_in(ng.H1, ng.H12)
+    monkeypatch.setattr(SmallGroup, "core", lambda self, H: H)
+    with pytest.raises(AssertionError, match="core is not a normal subgroup of Gi inside G12"):
+        core_in(ng.H12, ng.H1)
+
+
+def test_compute_X_checks_each_step_and_the_fixed_point(amH, ng, monkeypatch):
+    """A step that shrinks X breaks monotonicity; a step that keeps any X
+    stops at a seed, here a Sylow 2-subgroup of H12, that is not closed."""
+    monkeypatch.setattr(amalgam, "_closure_step", lambda am, X, order: am.G12.generated([]))
+    with pytest.raises(AssertionError, match="iteration must be monotone"):
+        compute_X(amH)
+    monkeypatch.setattr(amalgam, "_closure_step", lambda am, X, order: X)
+    am = Amalgam("P", ng.H1, ng.H2, ng.H12, T1=ng.H12.sylow(2), T2=ng.H12.generated([]))
+    with pytest.raises(AssertionError, match="fixed point is not closed under G_i"):
+        compute_X(am)
+
+
+def test_shape_checks_of_T2_and_the_holomorph(ng, refs, monkeypatch):
+    """A T2 whose Sylow 2-subgroup has order 8, not 2, is refused, and
+    conjugations read as translations by an element of Z (which move Z's
+    identity) do not give the holomorph's order."""
+    with pytest.raises(AssertionError, match="Sylow 2-subgroup of T2 is not of order 2"):
+        amalgam._t_centralizer(types.SimpleNamespace(T2=refs["Sym4"]))
+    z, tab = ng.Qh2.center(), ng.K2.tab
+    shift = max(z.idx)
+    monkeypatch.setattr(tab, "conj", lambda x, g: tab.mul(x, shift))
+    with pytest.raises(AssertionError, match="semidirect product has the wrong order"):
+        holomorph_semidirect(z, ng.K2)

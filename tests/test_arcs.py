@@ -75,17 +75,20 @@ def test_arc_walk_rejects_a_permutation_that_is_not_an_automorphism(graph):
     perms = _stabilizer_perms(graph, v, "K")
     a, b = _far_pair(graph, v, 3)
     list(arc_levels(graph, v, perms, 4))
-    with pytest.raises(AssertionError, match="not an arc"):
+    with pytest.raises(AssertionError, match="an image is not an arc"):
         list(arc_levels(graph, v, [perms[0], _swapped(perms[1], a, b)], 4))
-    with pytest.raises(AssertionError, match="moves its vertex"):
+    with pytest.raises(AssertionError, match="a stabilizer permutation moves its vertex"):
         list(arc_levels(graph, v, [_swapped(perms[0], v, a)], 1))
 
 
 @pytest.mark.parametrize("moves_v", [False, True])
-def test_a_faulty_stabilizer_permutation_is_an_error_verdict(ctx, monkeypatch, moves_v):
+def test_a_faulty_stabilizer_permutation_is_an_error_verdict(ctx, fresh_ctx, monkeypatch,
+                                                              moves_v):
     """Through run_claims, a stabilizer permutation that is not an
-    automorphism gives the arc orbit claims an error verdict, never a
-    fail."""
+    automorphism gives the arc orbit claims an error verdict naming the
+    walk's obligation, never a fail.  Moving x1 breaks the vertex check
+    of the walks at x1, and an arc of the walk at x2, where x1 is a
+    neighbor."""
     g = ctx.graph
     v = g.base_x1
     a, b = _far_pair(g, v, 3)
@@ -93,9 +96,32 @@ def test_a_faulty_stabilizer_permutation_is_an_error_verdict(ctx, monkeypatch, m
     monkeypatch.setattr(CosetGraph, "perm",
                         lambda self, x: _swapped(perm(self, x), *((v, a) if moves_v else (a, b))))
     ids = ("P3.7.i", "T1.1.pre", "L3.11.ii")
-    verdicts = {c["id"]: c["verdict"]
-                for c in run_claims(_context_over(ctx), claim_filter=",".join(ids))["claims"]}
-    assert verdicts == dict.fromkeys(ids, "error")
+    not_arc = "an image is not an arc"
+    at_x1 = "a stabilizer permutation moves its vertex" if moves_v else not_arc
+    want = {"P3.7.i": at_x1, "T1.1.pre": at_x1, "L3.11.ii": not_arc}
+    claims = run_claims(fresh_ctx, claim_filter=",".join(ids))["claims"]
+    assert {c["id"]: c["verdict"] for c in claims} == dict.fromkeys(ids, "error")
+    assert all(want[c["id"]] in c["witness"]["error"] for c in claims)
+
+
+def test_kernel_data_rejects_an_element_that_moves_its_vertex(graph):
+    """Stabilizer permutations that shift every vertex by one move z
+    itself, which KernelData's first moved radii refuse."""
+    g = dataclasses.replace(graph, _perm_cache={}, _kernels={})
+    g.perm = lambda x: np.roll(np.arange(graph.nv, dtype=np.int32), 1)
+    with pytest.raises(AssertionError, match="stabilizer element moves its own vertex"):
+        KernelData(g, g.base_x2, "H")
+
+
+def test_sampled_batches_need_the_H_keys_among_the_K_keys(graph):
+    """H's columns are found among K's by a binary search; an H key above
+    every K key fails its check."""
+    hs = graph.kkeys[2, "H"].copy()
+    hs[-1] = graph.kkeys[2, "K"][-1] + np.uint64(1)
+    kkeys = {**graph.kkeys, (2, "H"): hs}
+    g = dataclasses.replace(graph, kkeys=kkeys, _kernels={})
+    with pytest.raises(AssertionError, match="a key of H_side is not one of K_side"):
+        list(arcs._side_batches(g, np.array([1, graph.n1 + 1])))
 
 
 def recursive_arcs(graph, v, s):
@@ -366,37 +392,27 @@ def test_edge_orbits_agree_with_the_premises(ctx, graph):
         assert ctx.edge_orbit_transitive(group) is True
 
 
-def _context_over(ctx):
-    """A fresh VerifyContext, no stage computed, on the session's groups
-    and graph."""
-    fresh = VerifyContext()
-    for key in ("field", "ng", "refs", "graph"):
-        fresh._cache[key] = getattr(ctx, key)
-    return fresh
-
-
-def _edge_transitivity_fails(ctx):
-    fresh = _context_over(ctx)
+def _edge_transitivity_fails(fresh):
     verdicts = {c["id"]: c["verdict"]
                 for c in run_claims(fresh, claim_filter="L3.5.i")["claims"]}
     return fresh.edge_orbit_transitive("H") is False and verdicts["L3.5.i"] == "fail"
 
 
-def test_edge_transitivity_needs_every_generator_an_automorphism(ctx, monkeypatch):
+def test_edge_transitivity_needs_every_generator_an_automorphism(ctx, fresh_ctx, monkeypatch):
     bad = ctx.ng.H2.gens_list()[0].key
     is_aut = CosetGraph.is_graph_automorphism
     monkeypatch.setattr(CosetGraph, "is_graph_automorphism",
                         lambda self, x: x.key != bad and is_aut(self, x))
-    assert _edge_transitivity_fails(ctx)
+    assert _edge_transitivity_fails(fresh_ctx)
 
 
-def test_edge_transitivity_needs_a_connected_graph(ctx, monkeypatch):
+def test_edge_transitivity_needs_a_connected_graph(fresh_ctx, monkeypatch):
     monkeypatch.setattr(harness, "ball",
                         lambda g, v, r: tuple(a[:-1] for a in ball(g, v, r)))
-    assert _edge_transitivity_fails(ctx)
+    assert _edge_transitivity_fails(fresh_ctx)
 
 
-def test_edge_transitivity_needs_local_transitivity(ctx, monkeypatch):
+def test_edge_transitivity_needs_local_transitivity(ctx, fresh_ctx, monkeypatch):
     """Two orbits on the 1-arcs at x2."""
     walk = arcs.arc_levels
     x2 = ctx.graph.base_x2
@@ -409,7 +425,7 @@ def test_edge_transitivity_needs_local_transitivity(ctx, monkeypatch):
             yield n, images
     monkeypatch.setattr(arcs, "arc_levels", split)
     assert arc_orbits(ctx.graph, x2, 1, "H")["orbit_count"] == 2
-    assert _edge_transitivity_fails(ctx)
+    assert _edge_transitivity_fails(fresh_ctx)
 
 
 def test_one_kernel_record_per_base_vertex(monkeypatch):

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -255,7 +257,16 @@ def test_arm_rejects_a_side_one_y_that_K1_moves(ng, monkeypatch):
     y = next(y for y in ng.K1.idx if y not in centre and t1.order(y) == 3)
     fake = ng.K1._sub([0, y, t1.inv[y]])
     monkeypatch.setattr(ng.K1, "center", lambda: fake)
-    with pytest.raises(AssertionError, match="does not fix side 1's y"):
+    with pytest.raises(AssertionError,
+                       match=re.escape("Z(K1): a generator of K1 does not fix side 1's y")):
+        _arm(CosetGraph(ng.field, ng))
+
+
+def test_arm_needs_two_candidates_for_y(ng, monkeypatch):
+    """A Z(K1) with no element of order 3 leaves side 1 no fingerprint
+    element."""
+    monkeypatch.setattr(ng.K1, "center", lambda: ng.K1._sub([0]))
+    with pytest.raises(AssertionError, match="y does not have 2 candidates"):
         _arm(CosetGraph(ng.field, ng))
 
 
@@ -463,13 +474,15 @@ def test_a_full_batch_of_pulled_back_kernels_is_bounded(graph):
 
 def test_perm_raises_on_an_unknown_image(graph, ng):
     """A stored fingerprint element off by one bit conjugates to no
-    vertex's key."""
+    vertex's key, in perm and in image_batch."""
     g = copy.copy(graph)
     g.skeys = {**graph.skeys, 2: graph.skeys[2].copy()}
     g.skeys[2][7] ^= np.uint64(8)
     g._perm_cache = {}
-    with pytest.raises(AssertionError, match="not a known vertex"):
+    with pytest.raises(AssertionError, match="action image is not a known vertex"):
         g.perm(ng.p["A"])
+    with pytest.raises(AssertionError, match="action image is not a known vertex"):
+        g.image_batch([g.n1 + int(g.sids[2][7])], [ng.p["A"].key])
 
 
 def test_fixers_of_x1_in_K2_is_K12(graph, ng):
@@ -494,7 +507,20 @@ def test_base_edge_check_rejects_a_wrong_representative(graph, ng):
     g.reps = {s: a.copy() for s, a in graph.reps.items()}
     g._perm_cache, g._kernels = {}, {}
     g.reps[1][x3] = g.reps[1][w]
-    with pytest.raises(AssertionError, match="not K1 conjugated by the rep"):
+    with pytest.raises(AssertionError, match="stabilizer of K1.E is not K1 conjugated by the rep"):
+        coset._assert_base_edge(g)
+
+
+def test_base_edge_check_needs_the_base_edge_and_a_moved_x3(graph):
+    """A graph that lists no neighbor of x1, or whose action fixes every
+    vertex, fails the base-edge check."""
+    g = copy.copy(graph)
+    g.neighbors = lambda v: np.zeros(0, dtype=np.int32)
+    with pytest.raises(AssertionError, match="base vertices are not adjacent"):
+        coset._assert_base_edge(g)
+    g = copy.copy(graph)
+    g.image = lambda v, x: v
+    with pytest.raises(AssertionError, match="K1.E did not land on a new side-1 vertex"):
         coset._assert_base_edge(g)
 
 
@@ -507,7 +533,7 @@ def test_base_edge_check_counts_distinct_keys(graph, monkeypatch):
         rows[:, 1] = rows[:, 0]
         return rows
     monkeypatch.setattr(CosetGraph, "stabilizer_key_rows", repeated)
-    with pytest.raises(AssertionError, match="not K1 conjugated by the rep"):
+    with pytest.raises(AssertionError, match="stabilizer of K1.E is not K1 conjugated by the rep"):
         coset._assert_base_edge(graph)
 
 
@@ -531,6 +557,22 @@ def test_stabilizer_permutes_neighbors(graph, ng):
 
 def test_group_order_from_graph(graph):
     assert graph.group_order_from_graph() == 33094656
+    g = copy.copy(graph)
+    g.n2 += 1
+    with pytest.raises(AssertionError, match="orbit counts disagree"):
+        g.group_order_from_graph()
+
+
+def test_transversal_needs_every_coset(ng, monkeypatch):
+    """A coset walk that loses a coset of K12 fails the transversal's
+    count, and a K12 of the wrong index stops a build before any probe."""
+    walk = ng.K1._coset_index
+    monkeypatch.setattr(ng.K1, "_coset_index", lambda H: (walk(H)[0], walk(H)[1][:-1]))
+    with pytest.raises(AssertionError,
+                       match=re.escape("the cosets of K12 in K are not |K|/|K12|")):
+        transversal(ng.K1, ng.K12)
+    with pytest.raises(AssertionError, match="K1 n K2 does not have the expected indices"):
+        build_graph(types.SimpleNamespace(K1=ng.K1, K2=ng.K2, K12=ng.K1))
 
 
 def test_cache_roundtrip(graph, ng, tmp_path):
@@ -716,7 +758,7 @@ def test_non_injective_key_fails_the_count(ng, monkeypatch):
     grid = coset.conj_fingerprint_grid
     monkeypatch.setattr(coset, "conj_fingerprint_grid", lambda *args:
                         grid(*args) & np.uint64(0xFFFF << 48))
-    with pytest.raises(AssertionError, match=r"is not \|G\|"):
+    with pytest.raises(AssertionError, match=re.escape("n_side x |K_side| is not |G|")):
         build_graph(ng)
 
 
@@ -756,7 +798,8 @@ def test_edge_table_check_rejects_a_repeated_end(ng, monkeypatch):
         return found
     monkeypatch.setattr(CosetGraph, "_resolve", repeating)
     built = []
-    with pytest.raises(AssertionError, match="edge table check"):
+    with pytest.raises(AssertionError,
+                       match="edge table check: a side-1 vertex has a repeated side-2 end"):
         built.append(build_graph(ng))
     assert broken and not built
 
@@ -1062,7 +1105,7 @@ def test_cache_with_a_valid_digest_but_wrong_edges_is_rejected(graph, tmp_path):
         edges[-1, 1] += 1
     for edit in (shift_base, shift_last):
         _save_with_edges(graph, path, edit)
-        with pytest.raises(CacheMismatch, match="degrees are not 4 on side 1 and 3"):
+        with pytest.raises(CacheMismatch, match="degrees are not 4 on side 1 and 3 on side 2"):
             load_cache(path, graph.ng)
     assert load_cache(_save_with_edges(graph, path, lambda e: None), graph.ng).n1 == graph.n1
 
@@ -1081,7 +1124,7 @@ def test_cache_with_swapped_edge_ends_is_rejected(graph, tmp_path):
     but the adjacency proof, and load_cache rejects it."""
     path = str(tmp_path / f"graph-{graph.field.modulus:02x}.psu38")
     _save_with_edges(graph, path, _swap_edge_ends)
-    with pytest.raises(CacheMismatch, match="cosets that do not meet"):
+    with pytest.raises(CacheMismatch, match="a stored edge joins two cosets that do not meet"):
         load_cache(path, graph.ng)
 
 
@@ -1128,8 +1171,18 @@ def test_adjacency_proof_rejects_one_corrupted_edge_end(graph):
     g = copy.copy(graph)
     g.edges = graph.edges.copy()
     g.edges[5000, 1] = (int(g.edges[5000, 1]) + 1) % graph.n2
-    with pytest.raises(AssertionError, match="cosets that do not meet"):
+    with pytest.raises(AssertionError, match="a stored edge joins two cosets that do not meet"):
         coset._assert_adjacency(g)
+
+
+def test_adjacency_proof_needs_all_of_K1_K2(graph, monkeypatch):
+    """K1 K2 counted over two of the three elements of the transversal of
+    K12 in K2 is too small."""
+    cut = coset.transversal
+    monkeypatch.setattr(coset, "transversal", lambda K, H: cut(K, H)[:2])
+    with pytest.raises(AssertionError,
+                       match=re.escape("K1 K2 does not have |K1||K2|/|K12| elements")):
+        coset._assert_adjacency(graph)
 
 
 def test_adjacency_proof_passes_the_built_graphs(graph, graph43):

